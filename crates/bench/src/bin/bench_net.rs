@@ -461,7 +461,7 @@ fn run_growth_bench() {
         delivery_latency.max(),
     );
 
-    if std::env::var("ATUM_DEBUG_NET").is_ok() {
+    if atum_obs::trace::sink_enabled(atum_obs::EventKind::Net) {
         for (id, line) in cluster.map_nodes(|n| match n.member() {
             Some(m) => format!(
                 "phase {:?} vgroup {:?} epoch {} comp {} engine {} delivered {}",

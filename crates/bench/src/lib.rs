@@ -24,9 +24,9 @@ use atum_types::{Duration, Params};
 /// as JSONL, and — mirroring the `ATUM_TRACE_OUT` semantics in
 /// `atum_obs::trace` — all event kinds are enabled unless the operator
 /// narrowed the selection explicitly via `ATUM_TRACE`. Without the flag the
-/// binaries rely purely on the environment (`ATUM_TRACE`, `ATUM_TRACE_OUT`,
-/// `ATUM_DEBUG_*`), which `atum-obs` reads lazily on first use, so calling
-/// this is cheap and optional for env-only runs.
+/// binaries rely purely on the environment (`ATUM_TRACE`, `ATUM_TRACE_OUT`),
+/// which `atum-obs` reads lazily on first use, so calling this is cheap and
+/// optional for env-only runs.
 pub fn init_obs() {
     let mut args = std::env::args();
     while let Some(arg) = args.next() {

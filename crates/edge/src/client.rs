@@ -4,12 +4,10 @@
 //! [`EdgeRequest`]/[`EdgeResponse`] — but everything in-repo goes through
 //! this one implementation.
 
+use atum_net::frame;
 use atum_types::edge::{EdgeRequest, EdgeResponse};
-use atum_types::wire::{
-    decode_exact, encode_to_vec, FRAME_HEADER_LEN, FRAME_KIND_EDGE_REQUEST,
-    FRAME_KIND_EDGE_RESPONSE, FRAME_MAGIC, WIRE_VERSION,
-};
-use std::io::{Read, Write};
+use atum_types::wire::{FRAME_KIND_EDGE_REQUEST, FRAME_KIND_EDGE_RESPONSE};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -27,14 +25,7 @@ impl std::fmt::Debug for EdgeClient {
 /// Frames one [`EdgeRequest`] for the wire (public so tests can build
 /// corrupted variants from a known-good frame).
 pub fn request_frame(req: &EdgeRequest) -> Vec<u8> {
-    let body = encode_to_vec(req);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(FRAME_KIND_EDGE_REQUEST);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    frame::encode_frame(FRAME_KIND_EDGE_REQUEST, req)
 }
 
 impl EdgeClient {
@@ -55,22 +46,7 @@ impl EdgeClient {
 
     /// Reads the next response frame.
     pub fn recv(&mut self) -> std::io::Result<EdgeResponse> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream.read_exact(&mut header)?;
-        if header[0..2] != FRAME_MAGIC
-            || header[2] != WIRE_VERSION
-            || header[3] != FRAME_KIND_EDGE_RESPONSE
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad response frame header",
-            ));
-        }
-        let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body)?;
-        decode_exact::<EdgeResponse>(&body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        frame::read_decoded(&mut self.stream, FRAME_KIND_EDGE_RESPONSE)
     }
 
     /// Sends one request and waits for its response.

@@ -1,21 +1,21 @@
-//! The gateway runtime: one epoll I/O thread accepting client
-//! connections, a bounded admission queue, and a worker pool executing
-//! requests against the backend with breakers, dedup, deadlines and
-//! retries wrapped around every operation.
+//! The gateway runtime: an I/O thread serving client connections, a
+//! bounded admission queue, and a worker pool executing requests against
+//! the backend with breakers, dedup, deadlines and retries wrapped around
+//! every operation.
 //!
 //! # Data path
 //!
-//! The I/O thread owns every client socket (non-blocking, multiplexed on
-//! one `polling_mini` poller — the same substrate as the node runtime's
-//! reactors). It scans each connection buffer for complete
-//! `FRAME_KIND_EDGE_REQUEST` frames and *hardens the boundary*: bad
+//! Client sockets live in the connection layer the node runtime uses
+//! ([`atum_net::conn`]); the I/O thread owns that table and adds the client
+//! wire's policy. Its one legal frame kind is `FRAME_KIND_EDGE_REQUEST`,
+//! under the gateway's own body cap, and it *hardens the boundary*: bad
 //! magic/version/kind, oversized bodies, undecodable requests and
 //! slow-loris dribbling all close **only that client connection**, counted
 //! in [`RuntimeStats`] — a hostile client can never take down a reactor or
-//! a node. Probe operations (`Health`, `Stats`) are answered inline on the
-//! I/O thread so they bypass admission and stay truthful under overload
-//! and during drain. Everything else passes admission: a bounded queue
-//! that **sheds the newest request** with an immediate
+//! a node. Probe operations (`Health`, `Stats`) are answered on the I/O
+//! thread so they bypass admission and stay truthful under overload and
+//! during drain. Everything else passes admission: a bounded queue that
+//! **sheds the newest request** with an immediate
 //! [`EdgeStatus::Overloaded`] reply when full, so saturation degrades to
 //! fast typed rejection instead of unbounded latency.
 //!
@@ -23,34 +23,37 @@
 //! deadline check → idempotency-key dedup ([`DedupCache`]) → breaker-gated
 //! backend selection ([`Breaker`]) → execution with jittered exponential
 //! backoff against alternate backends until the deadline or attempt budget
-//! runs out. Replies are written back through a per-connection writer
-//! handle shared with the I/O thread.
+//! runs out.
+//!
+//! Nothing ever waits on a client's socket. A worker posts its response to
+//! the I/O thread's mailbox, addressed by connection slot and generation;
+//! the I/O thread moves it — like the probe answers it produces itself —
+//! onto that connection's bounded out-queue, where it stays only while the
+//! socket pushes back. The bound is `queue_capacity + workers`, the most
+//! responses admission lets one connection have in flight: a client that
+//! keeps sending and stops reading overflows it and loses its connection,
+//! and nobody else notices.
 //!
 //! # Shutdown
 //!
 //! [`EdgeGateway::shutdown`] flips the readiness probe *first*, then stops
 //! accepting connections and admitting requests (new frames get
 //! [`EdgeStatus::ShuttingDown`]), drains in-flight work within
-//! `drain_timeout`, and only then closes sockets and joins threads.
+//! `drain_timeout`, lets the I/O thread flush the replies still queued, and
+//! only then closes sockets and joins threads.
 
 use crate::backend::{EdgeBackend, EdgeBackendError};
 use crate::breaker::{Breaker, BreakerConfig, BreakerTransition, Permit};
 use crate::dedup::{DedupCache, DedupConfig, DedupDecision};
-use atum_net::RuntimeStats;
+use atum_net::conn::{CloseReason, ConnTable, Injector, QueuedFrame, Ready};
+use atum_net::{frame, RuntimeStats};
 use atum_types::edge::{EdgeOp, EdgeRequest, EdgeResponse, EdgeStatus};
-use atum_types::wire::{
-    decode_exact, encode_to_vec, WireError, FRAME_HEADER_LEN, FRAME_KIND_EDGE_REQUEST,
-    FRAME_KIND_EDGE_RESPONSE, FRAME_MAGIC, WIRE_VERSION,
-};
+use atum_types::wire::{decode_exact, FRAME_KIND_EDGE_REQUEST, FRAME_KIND_EDGE_RESPONSE};
 use atum_types::NodeId;
-use polling_mini::{Event, Interest, Poller, Waker};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -214,52 +217,22 @@ impl ObsHandles {
     }
 }
 
-/// The write half of one client connection, shared between the I/O thread
-/// and whichever worker answers its requests. Writes are serialised by the
-/// mutex so pipelined responses never interleave mid-frame.
-struct ConnShared {
-    writer: Mutex<TcpStream>,
-    dead: AtomicBool,
+/// Where a reply goes: a slot of the I/O thread's connection table, with
+/// the generation that makes a reply to a since-closed connection a no-op.
+#[derive(Clone, Copy)]
+struct ConnRef {
+    slot: usize,
+    gen: u64,
 }
 
-impl ConnShared {
-    /// Writes one whole response frame, riding out `WouldBlock` for a
-    /// bounded window (the socket is non-blocking; a client that stops
-    /// reading cannot wedge a worker). Marks the connection dead on
-    /// failure.
-    fn write_frame(&self, frame: &[u8], stats: &RuntimeStats) -> bool {
-        let budget = Instant::now() + Duration::from_millis(200);
-        let stream = self.writer.lock().expect("edge conn writer lock");
-        let mut off = 0;
-        while off < frame.len() {
-            match (&*stream).write(&frame[off..]) {
-                Ok(0) => break,
-                Ok(n) => off += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    if Instant::now() >= budget {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        if off == frame.len() {
-            stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_sent
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            self.dead.store(true, Ordering::Relaxed);
-            false
-        }
-    }
+/// One encoded response frame on its way to the I/O thread.
+struct Reply {
+    to: ConnRef,
+    frame: Arc<[u8]>,
 }
 
 struct Job {
-    conn: Arc<ConnShared>,
+    conn: ConnRef,
     req: EdgeRequest,
     received: Instant,
     deadline: Instant,
@@ -273,6 +246,8 @@ struct Shared {
     obs: ObsHandles,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
+    /// The I/O thread's mailbox: the responses produced off that thread.
+    replies: Injector<Reply>,
     /// Accepting connections and admitting requests.
     admitting: AtomicBool,
     /// Readiness probe; flipped false before anything else on shutdown.
@@ -280,7 +255,6 @@ struct Shared {
     /// Liveness: false once the I/O thread is asked to exit.
     live: AtomicBool,
     stop_workers: AtomicBool,
-    stop_io: AtomicBool,
     /// Jobs queued + executing (drain condition).
     outstanding: AtomicU64,
     breakers: Mutex<BTreeMap<NodeId, Breaker>>,
@@ -336,7 +310,14 @@ impl Shared {
         }
     }
 
-    fn reply(&self, conn: &ConnShared, seq: u64, status: EdgeStatus, payload: Vec<u8>) {
+    /// Posts a response to the I/O thread (from a worker, or from the
+    /// thread shutting the gateway down).
+    fn reply(&self, to: ConnRef, seq: u64, status: EdgeStatus, payload: Vec<u8>) {
+        self.replies.push(self.response(to, seq, status, payload));
+    }
+
+    /// Counts and encodes one response.
+    fn response(&self, to: ConnRef, seq: u64, status: EdgeStatus, payload: Vec<u8>) -> Reply {
         match status {
             EdgeStatus::Ok => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
@@ -370,8 +351,8 @@ impl Shared {
             status,
             payload,
         };
-        let frame = edge_frame(FRAME_KIND_EDGE_RESPONSE, &resp);
-        conn.write_frame(&frame, &self.stats);
+        let frame = frame::encode_frame(FRAME_KIND_EDGE_RESPONSE, &resp).into();
+        Reply { to, frame }
     }
 
     fn snapshot(&self) -> EdgeSnapshot {
@@ -453,52 +434,11 @@ impl Shared {
     }
 }
 
-/// Encodes one edge frame (header + encoded body).
-fn edge_frame<T: atum_types::wire::WireEncode>(kind: u8, value: &T) -> Vec<u8> {
-    let body = encode_to_vec(value);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Scans a client connection buffer for one complete edge-request frame.
-/// Stricter than the node wire: only `FRAME_KIND_EDGE_REQUEST` is legal
-/// here (node frame kinds on the client listener are violations, mirroring
-/// the node wire rejecting edge kinds), and the body cap is the gateway's
-/// own `max_frame_len`, checked before any allocation.
-fn scan_client_frame(buf: &[u8], max_frame_len: usize) -> Result<Option<Range<usize>>, WireError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    if buf[0..2] != FRAME_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[2] != WIRE_VERSION {
-        return Err(WireError::BadVersion(buf[2]));
-    }
-    if buf[3] != FRAME_KIND_EDGE_REQUEST {
-        return Err(WireError::Malformed("edge frame kind"));
-    }
-    let len = u32::from_le_bytes(buf[4..8].try_into().unwrap()) as usize;
-    if len > max_frame_len {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    if buf.len() < FRAME_HEADER_LEN + len {
-        return Ok(None);
-    }
-    Ok(Some(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len))
-}
-
 /// A hardened client gateway in front of an Atum cluster. See the module
 /// docs for the data path; construct with [`EdgeGateway::start`], stop
 /// with [`EdgeGateway::shutdown`].
 pub struct EdgeGateway {
     shared: Arc<Shared>,
-    waker: Arc<Waker>,
     local_addr: SocketAddr,
     io_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -555,7 +495,6 @@ impl EdgeGateway {
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let waker = Arc::new(Waker::new()?);
         let workers_n = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             breakers: Mutex::new(BTreeMap::new()),
@@ -566,20 +505,19 @@ impl EdgeGateway {
             obs: ObsHandles::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
+            replies: Injector::new()?,
             admitting: AtomicBool::new(true),
             ready: AtomicBool::new(true),
             live: AtomicBool::new(true),
             stop_workers: AtomicBool::new(false),
-            stop_io: AtomicBool::new(false),
             outstanding: AtomicU64::new(0),
             epoch: Instant::now(),
             cfg,
         });
-        let io_shared = Arc::clone(&shared);
-        let io_waker = Arc::clone(&waker);
+        let io = EdgeIo::new(Arc::clone(&shared), listener)?;
         let io_thread = std::thread::Builder::new()
             .name("edge-io".to_string())
-            .spawn(move || run_io(io_shared, listener, io_waker))?;
+            .spawn(move || io.run())?;
         let mut workers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
             let w_shared = Arc::clone(&shared);
@@ -591,7 +529,6 @@ impl EdgeGateway {
         }
         Ok(EdgeGateway {
             shared,
-            waker,
             local_addr,
             io_thread: Some(io_thread),
             workers,
@@ -625,12 +562,12 @@ impl EdgeGateway {
     /// the listener stops accepting and new requests are refused with
     /// [`EdgeStatus::ShuttingDown`], in-flight requests drain within
     /// `drain_timeout` (still-queued jobs past the timeout are answered
-    /// `ShuttingDown`), and only then do sockets close and threads join.
+    /// `ShuttingDown`), the I/O thread flushes the replies still queued on
+    /// connections, and only then do sockets close and threads join.
     pub fn shutdown(mut self) -> DrainReport {
         let shared = &self.shared;
         shared.ready.store(false, Ordering::SeqCst);
         shared.admitting.store(false, Ordering::SeqCst);
-        self.waker.wake();
         let deadline = Instant::now() + shared.cfg.drain_timeout;
         while shared.outstanding.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -642,7 +579,7 @@ impl EdgeGateway {
             let mut queue = shared.queue.lock().expect("edge queue lock");
             while let Some(job) = queue.pop_front() {
                 abandoned += 1;
-                shared.reply(&job.conn, job.req.seq, EdgeStatus::ShuttingDown, Vec::new());
+                shared.reply(job.conn, job.req.seq, EdgeStatus::ShuttingDown, Vec::new());
                 shared.outstanding.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -653,9 +590,8 @@ impl EdgeGateway {
             let _ = w.join();
         }
         let executing = shared.outstanding.load(Ordering::SeqCst);
-        shared.stop_io.store(true, Ordering::SeqCst);
         shared.live.store(false, Ordering::SeqCst);
-        self.waker.wake();
+        shared.replies.wake();
         if let Some(io) = self.io_thread.take() {
             let _ = io.join();
         }
@@ -674,258 +610,264 @@ impl EdgeGateway {
     }
 }
 
-const KEY_WAKER: u64 = 0;
-const KEY_LISTENER: u64 = 1;
+/// How often the I/O thread wakes without socket activity (the idle sweep).
+const TICK: Duration = Duration::from_millis(20);
+/// How long shutdown lets replies stuck behind a full socket keep trying
+/// before the connections close under them.
+const FLUSH_GRACE: Duration = Duration::from_millis(200);
 
-struct Conn {
-    stream: TcpStream,
-    shared: Arc<ConnShared>,
-    buf: Vec<u8>,
-    last_activity: Instant,
+/// The I/O thread: the connection table (per connection, the time of the
+/// last input) plus the edge's policy over it.
+struct EdgeIo {
+    shared: Arc<Shared>,
+    table: ConnTable<Instant>,
+    /// Per-connection out-queue bound: the replies admission lets one
+    /// connection have in flight.
+    out_capacity: usize,
 }
 
-fn run_io(shared: Arc<Shared>, listener: TcpListener, waker: Arc<Waker>) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    if poller
-        .register(waker.fd(), KEY_WAKER, Interest::READABLE)
-        .is_err()
-    {
-        return;
+impl EdgeIo {
+    fn new(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<EdgeIo> {
+        let stats = Arc::clone(&shared.stats);
+        let table = ConnTable::new(&shared.replies, Some(listener), stats, shared.epoch)?;
+        let out_capacity = shared.cfg.queue_capacity + shared.cfg.workers.max(1);
+        Ok(EdgeIo {
+            shared,
+            table,
+            out_capacity,
+        })
     }
-    if poller
-        .register(listener.as_raw_fd(), KEY_LISTENER, Interest::READABLE)
-        .is_err()
-    {
-        return;
+
+    fn run(mut self) {
+        while self.shared.live.load(Ordering::SeqCst) {
+            self.turn(false);
+            self.sweep_idle();
+        }
+        // Drain, then close: the workers are gone, so every reply there
+        // will ever be is in the mailbox or already queued.
+        let deadline = Instant::now() + FLUSH_GRACE;
+        self.deliver_replies();
+        while self.table.iter().any(|(_, c)| c.has_unflushed()) && Instant::now() < deadline {
+            self.turn(true);
+        }
+        for slot in 0..self.table.slots() {
+            self.close(slot, CloseReason::Shutdown);
+        }
     }
-    let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
-    let mut next_key: u64 = 2;
-    let mut events: Vec<Event> = Vec::new();
-    let mut read_buf = [0u8; 16 * 1024];
-    loop {
-        if shared.stop_io.load(Ordering::SeqCst) {
-            break;
-        }
-        if poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .is_err()
-        {
-            break;
-        }
-        waker.drain();
-        if shared.stop_io.load(Ordering::SeqCst) {
-            break;
-        }
+
+    /// One loop turn: wait, act on what is ready, deliver the workers'
+    /// replies. While `draining`, input is discarded.
+    fn turn(&mut self, draining: bool) {
+        self.table.recycle();
+        let ready = self.table.wait(TICK);
         let now = Instant::now();
-        let mut to_close: Vec<u64> = Vec::new();
-        for ev in events.drain(..) {
-            match ev.key {
-                KEY_WAKER => {}
-                KEY_LISTENER => loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if !shared.admitting.load(Ordering::SeqCst) {
-                                continue; // refused: dropped immediately
-                            }
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            let Ok(writer) = stream.try_clone() else {
-                                continue;
-                            };
-                            let key = next_key;
-                            next_key += 1;
-                            if poller
-                                .register(stream.as_raw_fd(), key, Interest::READABLE)
-                                .is_err()
-                            {
-                                continue;
-                            }
-                            shared
-                                .counters
-                                .conns_accepted
-                                .fetch_add(1, Ordering::Relaxed);
-                            conns.insert(
-                                key,
-                                Conn {
-                                    stream,
-                                    shared: Arc::new(ConnShared {
-                                        writer: Mutex::new(writer),
-                                        dead: AtomicBool::new(false),
-                                    }),
-                                    buf: Vec::new(),
-                                    last_activity: now,
-                                },
-                            );
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break,
+        for i in 0..ready {
+            match self.table.event(i) {
+                Ready::Waker => self.shared.replies.acknowledge(),
+                Ready::Listener => self.accept_ready(now),
+                Ready::Conn {
+                    slot,
+                    readable,
+                    writable,
+                } => {
+                    if writable {
+                        self.flush(slot);
                     }
-                },
-                key => {
-                    let Some(conn) = conns.get_mut(&key) else {
-                        continue;
-                    };
-                    if handle_readable(&shared, conn, &mut read_buf, now).is_err() {
-                        to_close.push(key);
+                    if readable {
+                        self.read_ready(slot, now, draining);
                     }
                 }
             }
         }
-        // Sweep: worker-detected write failures and slow-loris idlers.
-        for (key, conn) in conns.iter() {
-            if conn.shared.dead.load(Ordering::Relaxed) {
-                to_close.push(*key);
-            } else if !conn.buf.is_empty()
-                && now.duration_since(conn.last_activity) >= shared.cfg.idle_timeout
+        self.deliver_replies();
+    }
+
+    fn accept_ready(&mut self, now: Instant) {
+        while let Some(stream) = self.table.accept_next() {
+            // Not admitting: refused, the socket is dropped immediately.
+            if self.shared.admitting.load(Ordering::SeqCst)
+                && self.table.accept(stream, now).is_some()
             {
-                shared
-                    .stats
-                    .edge_idle_closed
-                    .fetch_add(1, Ordering::Relaxed);
-                to_close.push(*key);
-            }
-        }
-        to_close.sort_unstable();
-        to_close.dedup();
-        for key in to_close {
-            if let Some(conn) = conns.remove(&key) {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
-                conn.shared.dead.store(true, Ordering::Relaxed);
-                shared
-                    .stats
-                    .edge_conns_closed
+                self.shared
+                    .counters
+                    .conns_accepted
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
     }
-    // Shutdown: close every remaining connection.
-    for (_, conn) in conns {
-        let _ = poller.deregister(conn.stream.as_raw_fd());
-        conn.shared.dead.store(true, Ordering::Relaxed);
-        shared
-            .stats
-            .edge_conns_closed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
 
-/// Reads everything available on one connection and dispatches complete
-/// frames. `Err(())` means the connection must close (EOF, I/O error, or
-/// a protocol violation — counted where they occur).
-fn handle_readable(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    read_buf: &mut [u8],
-    now: Instant,
-) -> Result<(), ()> {
-    loop {
-        match conn.stream.read(read_buf) {
-            Ok(0) => return Err(()),
-            Ok(n) => {
-                conn.buf.extend_from_slice(&read_buf[..n]);
-                conn.last_activity = now;
-                shared
-                    .stats
-                    .bytes_received
-                    .fetch_add(n as u64, Ordering::Relaxed);
+    fn read_ready(&mut self, slot: usize, now: Instant, draining: bool) {
+        let read = self.table.read(slot, !draining);
+        if !draining && read.unwrap_or(0) > 0 {
+            if let Some(conn) = self.table.get_mut(slot) {
+                conn.ext = now;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(()),
+            self.handle_frames(slot, now);
+        }
+        if read.is_none() {
+            self.close(slot, CloseReason::PeerClosed);
         }
     }
-    loop {
-        match scan_client_frame(&conn.buf, shared.cfg.max_frame_len) {
-            Ok(None) => return Ok(()),
-            Ok(Some(body_range)) => {
-                let frame_end = body_range.end;
-                let req = match decode_exact::<EdgeRequest>(&conn.buf[body_range]) {
-                    Ok(req) => req,
-                    Err(_) => {
-                        shared
-                            .stats
-                            .edge_frame_violations
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.obs.frame_violations.inc();
-                        return Err(());
-                    }
-                };
-                conn.buf.drain(..frame_end);
-                shared.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                dispatch(shared, conn, req, now);
-            }
-            Err(_) => {
-                shared
-                    .stats
-                    .edge_frame_violations
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.obs.frame_violations.inc();
-                return Err(());
-            }
-        }
-    }
-}
 
-/// Routes one decoded request: probes inline, everything else through
-/// admission (shed-newest on a full queue).
-fn dispatch(shared: &Arc<Shared>, conn: &Conn, req: EdgeRequest, now: Instant) {
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-    shared.obs.requests.inc();
-    match req.op {
-        EdgeOp::Health => {
-            let payload = shared.health_json().into_bytes();
-            shared.reply(&conn.shared, req.seq, EdgeStatus::Ok, payload);
+    /// Decodes and dispatches every complete request buffered on `slot`.
+    /// Any violation — of the header, the vocabulary, the body cap or the
+    /// request encoding — closes the connection.
+    fn handle_frames(&mut self, slot: usize, now: Instant) {
+        let Some(gen) = self.table.get(slot).map(|c| c.gen()) else {
             return;
-        }
-        EdgeOp::Stats => {
-            let payload = shared.snapshot_json().into_bytes();
-            shared.reply(&conn.shared, req.seq, EdgeStatus::Ok, payload);
-            return;
-        }
-        _ => {}
-    }
-    if !shared.admitting.load(Ordering::SeqCst) {
-        shared.reply(&conn.shared, req.seq, EdgeStatus::ShuttingDown, Vec::new());
-        return;
-    }
-    let deadline = now
-        + if req.deadline_ms == 0 {
-            shared.cfg.default_deadline
-        } else {
-            Duration::from_millis(req.deadline_ms as u64)
         };
-    let mut queue = shared.queue.lock().expect("edge queue lock");
-    if queue.len() >= shared.cfg.queue_capacity {
-        drop(queue);
-        // Shed-newest: the queue is untouched, the arriving request is
-        // answered immediately.
-        shared.reply(&conn.shared, req.seq, EdgeStatus::Overloaded, Vec::new());
-        atum_obs::trace_event!(
-            Edge,
-            at = shared.now_us(),
-            node = 0,
-            slots = [5, req.seq, 0],
-            "shed request {} (queue full)",
-            req.seq
-        );
-        return;
+        let to = ConnRef { slot, gen };
+        let mut consumed = 0usize;
+        let violation = loop {
+            // Re-validate the slot each round: answering a probe can
+            // overflow the out-queue and close *this* connection.
+            let Some(conn) = self.table.get(slot) else {
+                return;
+            };
+            let stats = &self.shared.stats;
+            let rest = &conn.inbuf[consumed..];
+            let kinds = [FRAME_KIND_EDGE_REQUEST];
+            let range = match frame::scan_frame(rest, &kinds, self.shared.cfg.max_frame_len) {
+                Ok(None) => break false,
+                Ok(Some((_, range))) => range,
+                Err(_) => break true,
+            };
+            let Ok(req) = decode_exact::<EdgeRequest>(&rest[range.clone()]) else {
+                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+                break true;
+            };
+            consumed += range.end;
+            stats.frames_received.fetch_add(1, Ordering::Relaxed);
+            stats
+                .bytes_received
+                .fetch_add(range.end as u64, Ordering::Relaxed);
+            self.dispatch(to, req, now);
+        };
+        if violation {
+            let stats = &self.shared.stats;
+            stats.edge_frame_violations.fetch_add(1, Ordering::Relaxed);
+            self.shared.obs.frame_violations.inc();
+            self.close(slot, CloseReason::Violation);
+        } else if let Some(conn) = self.table.get_mut(slot) {
+            conn.inbuf.drain(..consumed);
+        }
     }
-    shared.outstanding.fetch_add(1, Ordering::SeqCst);
-    queue.push_back(Job {
-        conn: Arc::clone(&conn.shared),
-        req,
-        received: now,
-        deadline,
-    });
-    drop(queue);
-    shared.queue_cv.notify_one();
+
+    /// Routes one decoded request: probes answered on the spot, everything
+    /// else through admission (shed-newest on a full queue).
+    fn dispatch(&mut self, conn: ConnRef, req: EdgeRequest, now: Instant) {
+        let shared = &self.shared;
+        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+        shared.obs.requests.inc();
+        match req.op {
+            EdgeOp::Health => {
+                let payload = shared.health_json().into_bytes();
+                return self.answer(conn, req.seq, EdgeStatus::Ok, payload);
+            }
+            EdgeOp::Stats => {
+                let payload = shared.snapshot_json().into_bytes();
+                return self.answer(conn, req.seq, EdgeStatus::Ok, payload);
+            }
+            _ => {}
+        }
+        if !shared.admitting.load(Ordering::SeqCst) {
+            return self.answer(conn, req.seq, EdgeStatus::ShuttingDown, Vec::new());
+        }
+        let deadline = now
+            + if req.deadline_ms == 0 {
+                shared.cfg.default_deadline
+            } else {
+                Duration::from_millis(req.deadline_ms as u64)
+            };
+        let mut queue = shared.queue.lock().expect("edge queue lock");
+        if queue.len() >= shared.cfg.queue_capacity {
+            drop(queue);
+            // Shed-newest: the queue is untouched, the arriving request is
+            // answered immediately.
+            atum_obs::trace_event!(
+                Edge,
+                at = shared.now_us(),
+                node = 0,
+                slots = [5, req.seq, 0],
+                "shed request {} (queue full)",
+                req.seq
+            );
+            return self.answer(conn, req.seq, EdgeStatus::Overloaded, Vec::new());
+        }
+        shared.outstanding.fetch_add(1, Ordering::SeqCst);
+        queue.push_back(Job {
+            conn,
+            req,
+            received: now,
+            deadline,
+        });
+        drop(queue);
+        shared.queue_cv.notify_one();
+    }
+
+    /// A response produced on this thread: straight onto the out-queue.
+    fn answer(&mut self, to: ConnRef, seq: u64, status: EdgeStatus, payload: Vec<u8>) {
+        let reply = self.shared.response(to, seq, status, payload);
+        self.push_reply(reply);
+    }
+
+    /// Queues one response on its connection and flushes what the socket
+    /// takes. Frames stay queued only behind a socket that pushed back; a
+    /// connection with a full queue of them is not reading its answers and
+    /// is closed.
+    fn push_reply(&mut self, Reply { to, frame }: Reply) {
+        if self.table.get(to.slot).map(|c| c.gen()) != Some(to.gen) {
+            return; // The connection closed before its answer was ready.
+        }
+        let item = QueuedFrame { route: None, frame };
+        if self.table.enqueue(to.slot, item, self.out_capacity) {
+            self.flush(to.slot);
+        } else {
+            self.close(to.slot, CloseReason::Overflow);
+        }
+    }
+
+    /// Takes the workers' responses out of the mailbox.
+    fn deliver_replies(&mut self) {
+        while let Some(reply) = self.shared.replies.pop() {
+            self.push_reply(reply);
+        }
+    }
+
+    fn flush(&mut self, slot: usize) {
+        if !self.table.flush(slot) {
+            self.close(slot, CloseReason::PeerClosed);
+        }
+    }
+
+    /// Closes connections sitting on an *incomplete* frame for longer than
+    /// `idle_timeout` (slow-loris).
+    fn sweep_idle(&mut self) {
+        let now = Instant::now();
+        let idle_timeout = self.shared.cfg.idle_timeout;
+        let idle: Vec<usize> = self
+            .table
+            .iter()
+            .filter(|(_, c)| !c.inbuf.is_empty() && now.duration_since(c.ext) >= idle_timeout)
+            .map(|(slot, _)| slot)
+            .collect();
+        for slot in idle {
+            self.shared
+                .stats
+                .edge_idle_closed
+                .fetch_add(1, Ordering::Relaxed);
+            self.close(slot, CloseReason::Idle);
+        }
+    }
+
+    fn close(&mut self, slot: usize, reason: CloseReason) {
+        if self.table.close(slot, reason).is_some() {
+            self.shared
+                .stats
+                .edge_conns_closed
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 fn run_worker(shared: Arc<Shared>, index: u64) {
@@ -956,7 +898,7 @@ fn run_worker(shared: Arc<Shared>, index: u64) {
 
 fn process(shared: &Arc<Shared>, rng: &mut ChaCha8Rng, job: Job) {
     let (status, payload) = run_request(shared, rng, &job);
-    shared.reply(&job.conn, job.req.seq, status, payload);
+    shared.reply(job.conn, job.req.seq, status, payload);
     shared
         .obs
         .latency_us

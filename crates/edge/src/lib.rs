@@ -27,10 +27,12 @@
 //! `atum_types::edge` and shares the versioned frame header with the
 //! node-to-node wire under its own frame kinds; a gateway connection
 //! receiving node frames (or vice versa) is a violation that closes only
-//! that connection. The gateway runs on the same `polling_mini` epoll
-//! substrate as the node runtime's reactors and reuses
-//! [`RuntimeStats`](atum_net::RuntimeStats) for its socket counters, so
-//! harnesses aggregate node and edge I/O uniformly.
+//! that connection. Client sockets live in the same connection layer as the
+//! node runtime's ([`atum_net::conn`]) under the same framing
+//! ([`atum_net::frame`]) and count into the same
+//! [`RuntimeStats`](atum_net::RuntimeStats), so harnesses aggregate node
+//! and edge I/O uniformly; what this crate adds is the client wire's
+//! vocabulary and the policy around it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

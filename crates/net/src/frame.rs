@@ -13,10 +13,16 @@
 //! every recipient of a fan-out — the encode-once `Arc<[u8]>` frames of the
 //! runtime are shared verbatim across peers and recipients.
 //!
+//! The edge gateway's client wire shares the header under its own frame
+//! kinds; [`scan_frame`] and [`frame_bytes`] are the one header validator
+//! and the one header encoder for both, each caller passing the kinds and
+//! the body cap of its wire.
+//!
 //! Decode hardening: the magic, version and kind are checked before the body
-//! length is honoured, bodies above [`MAX_FRAME_LEN`] are rejected *before*
-//! any allocation, and message bodies must decode to exactly their length
-//! (trailing garbage closes the connection deliberately; see the runtime).
+//! length is honoured, bodies above the caller's cap (at most
+//! [`MAX_FRAME_LEN`]) are rejected *before* any allocation, and message
+//! bodies must decode to exactly their length (trailing garbage closes the
+//! connection deliberately; see the runtime).
 
 use atum_types::wire::{
     decode_exact, encode_to_vec, FrameMemo, WireDecode, WireEncode, WireError, WireReader,
@@ -24,41 +30,8 @@ use atum_types::wire::{
     FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
 };
 use atum_types::NodeId;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::sync::Arc;
-
-/// Errors crossing the framing layer: transport failures and codec
-/// violations are distinguished so the runtime can count them separately.
-#[derive(Debug)]
-pub enum NetError {
-    /// The underlying socket failed.
-    Io(std::io::Error),
-    /// The peer sent bytes that violate the wire format.
-    Wire(WireError),
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::Io(e) => write!(f, "i/o error: {e}"),
-            NetError::Wire(e) => write!(f, "wire error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
-impl From<std::io::Error> for NetError {
-    fn from(e: std::io::Error) -> Self {
-        NetError::Io(e)
-    }
-}
-
-impl From<WireError> for NetError {
-    fn from(e: WireError) -> Self {
-        NetError::Wire(e)
-    }
-}
 
 /// The handshake opening every connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,43 +136,16 @@ pub fn message_frame_shared<M: WireEncode + FrameMemo>(msg: &M) -> (Arc<[u8]>, b
     (frame, true)
 }
 
-/// Writes one frame to a stream.
-pub fn write_frame<W: Write>(w: &mut W, kind: u8, body: &[u8]) -> Result<(), NetError> {
-    w.write_all(&frame_bytes(kind, body))?;
-    Ok(())
-}
+/// The frame kinds legal on a node-to-node connection.
+pub const NODE_KINDS: [u8; 3] = [FRAME_KIND_HELLO, FRAME_KIND_ROUTE, FRAME_KIND_MESSAGE];
 
-/// Reads one frame header + body. Returns the frame kind and body bytes.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), NetError> {
-    let mut body = Vec::new();
-    let kind = read_frame_into(r, &mut body)?;
-    Ok((kind, body))
-}
-
-/// Reads one frame into a reused body buffer, returning the frame kind.
-/// `body` is cleared and resized to the frame's body length; reusing one
-/// buffer per connection makes the steady-state read path allocation-free
-/// (the buffer's capacity ratchets up to the largest frame seen).
-pub fn read_frame_into<R: Read>(r: &mut R, body: &mut Vec<u8>) -> Result<u8, NetError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    if header[0..2] != FRAME_MAGIC {
-        return Err(WireError::BadMagic.into());
-    }
-    if header[2] != WIRE_VERSION {
-        return Err(WireError::BadVersion(header[2]).into());
-    }
-    let (kind, len) = check_header(&header)?;
-    // The cap check above bounds this resize; a hostile length prefix is
-    // rejected before the buffer grows.
-    body.clear();
-    body.resize(len, 0);
-    r.read_exact(body)?;
-    Ok(kind)
-}
-
-/// Validates a frame header, returning the kind and body length.
-fn check_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize), WireError> {
+/// The one header check of the workspace: validates against the caller's
+/// vocabulary (`kinds`) and body cap, returning the kind and body length.
+fn check_header(
+    header: &[u8; FRAME_HEADER_LEN],
+    kinds: &[u8],
+    max_body: usize,
+) -> Result<(u8, usize), WireError> {
     if header[0..2] != FRAME_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -207,11 +153,11 @@ fn check_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize), WireErro
         return Err(WireError::BadVersion(header[2]));
     }
     let kind = header[3];
-    if kind != FRAME_KIND_HELLO && kind != FRAME_KIND_MESSAGE && kind != FRAME_KIND_ROUTE {
+    if !kinds.contains(&kind) {
         return Err(WireError::Malformed("frame kind"));
     }
     let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
+    if len > max_body {
         return Err(WireError::FrameTooLarge(len));
     }
     Ok((kind, len))
@@ -222,28 +168,53 @@ fn check_header(header: &[u8; FRAME_HEADER_LEN]) -> Result<(u8, usize), WireErro
 /// and repeatedly scans its front. Returns `Ok(None)` while the buffered
 /// prefix is an incomplete frame, and `Ok(Some((kind, body_range)))` once a
 /// full frame is present — the caller slices `buf[body_range]` for the body
-/// and drains `body_range.end` bytes. Header violations are terminal
-/// errors exactly as on the blocking path.
-pub fn scan_frame(buf: &[u8]) -> Result<Option<(u8, std::ops::Range<usize>)>, WireError> {
-    if buf.len() < FRAME_HEADER_LEN {
+/// and drains `body_range.end` bytes. A header outside `kinds` or announcing
+/// more than `max_body` bytes is a terminal error as soon as its eight
+/// bytes are visible, before any of the body is waited for.
+pub fn scan_frame(
+    buf: &[u8],
+    kinds: &[u8],
+    max_body: usize,
+) -> Result<Option<(u8, std::ops::Range<usize>)>, WireError> {
+    let Some(header) = buf.first_chunk::<FRAME_HEADER_LEN>() else {
         return Ok(None);
-    }
-    let header: &[u8; FRAME_HEADER_LEN] = buf[..FRAME_HEADER_LEN].try_into().unwrap();
-    let (kind, len) = check_header(header)?;
+    };
+    let (kind, len) = check_header(header, kinds, max_body)?;
     if buf.len() < FRAME_HEADER_LEN + len {
         return Ok(None);
     }
     Ok(Some((kind, FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)))
 }
 
-/// Reads one frame and decodes its body as `T`, requiring the body to be
-/// consumed exactly and the kind to match.
-pub fn read_decoded<R: Read, T: WireDecode>(r: &mut R, expected_kind: u8) -> Result<T, NetError> {
-    let (kind, body) = read_frame(r)?;
-    if kind != expected_kind {
-        return Err(WireError::Malformed("unexpected frame kind").into());
-    }
-    Ok(decode_exact(&body)?)
+/// A wire violation met on a blocking read: `InvalidData` carrying the
+/// [`WireError`], so callers tell it from a transport failure by kind.
+fn violation(e: WireError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+/// Blocking counterpart of [`scan_frame`]: reads one frame of `kinds` into
+/// a reused body buffer, returning the frame kind. A hostile length prefix
+/// is rejected before the buffer grows.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    kinds: &[u8],
+    body: &mut Vec<u8>,
+) -> std::io::Result<u8> {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let (kind, len) = check_header(&header, kinds, MAX_FRAME_LEN).map_err(violation)?;
+    body.clear();
+    body.resize(len, 0);
+    r.read_exact(body)?;
+    Ok(kind)
+}
+
+/// Reads one frame of `expected_kind` and decodes its body as `T`,
+/// requiring the body to be consumed exactly.
+pub fn read_decoded<R: Read, T: WireDecode>(r: &mut R, expected_kind: u8) -> std::io::Result<T> {
+    let mut body = Vec::new();
+    read_frame_into(r, &[expected_kind], &mut body)?;
+    decode_exact(&body).map_err(violation)
 }
 
 #[cfg(test)]
@@ -263,6 +234,15 @@ mod tests {
         assert_eq!(back, hello);
     }
 
+    /// Reads one node-wire frame from `bytes`: the kind, or the wire
+    /// violation that refused it. Transport errors are not expected.
+    fn read_node_frame(bytes: Vec<u8>) -> Result<u8, WireError> {
+        read_frame_into(&mut Cursor::new(bytes), &NODE_KINDS, &mut Vec::new()).map_err(|e| {
+            let inner = e.into_inner().expect("a wire violation");
+            *inner.downcast::<WireError>().expect("a wire violation")
+        })
+    }
+
     #[test]
     fn bad_magic_version_kind_and_oversize_are_rejected() {
         let good = encode_frame(
@@ -276,22 +256,22 @@ mod tests {
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
-            read_frame(&mut Cursor::new(bad_magic)),
-            Err(NetError::Wire(WireError::BadMagic))
+            read_node_frame(bad_magic),
+            Err(WireError::BadMagic)
         ));
 
         let mut bad_version = good.clone();
         bad_version[2] = 99;
         assert!(matches!(
-            read_frame(&mut Cursor::new(bad_version)),
-            Err(NetError::Wire(WireError::BadVersion(99)))
+            read_node_frame(bad_version),
+            Err(WireError::BadVersion(99))
         ));
 
         let mut bad_kind = good.clone();
         bad_kind[3] = 42;
         assert!(matches!(
-            read_frame(&mut Cursor::new(bad_kind)),
-            Err(NetError::Wire(WireError::Malformed("frame kind")))
+            read_node_frame(bad_kind),
+            Err(WireError::Malformed("frame kind"))
         ));
 
         // A length prefix over the cap is rejected without allocating; only
@@ -299,8 +279,8 @@ mod tests {
         let mut oversized = good[..FRAME_HEADER_LEN].to_vec();
         oversized[4..8].copy_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         assert!(matches!(
-            read_frame(&mut Cursor::new(oversized)),
-            Err(NetError::Wire(WireError::FrameTooLarge(_)))
+            read_node_frame(oversized),
+            Err(WireError::FrameTooLarge(_))
         ));
     }
 
@@ -314,55 +294,79 @@ mod tests {
         assert_eq!(bytes.len(), ROUTE_FRAME_LEN);
         // Byte-identical to the generic framing path.
         assert_eq!(bytes.to_vec(), encode_frame(FRAME_KIND_ROUTE, &route));
-        let (kind, body) = scan_frame(&bytes).unwrap().expect("complete frame");
+        let (kind, body) = scan_frame(&bytes, &NODE_KINDS, MAX_FRAME_LEN)
+            .unwrap()
+            .expect("complete frame");
         assert_eq!(kind, FRAME_KIND_ROUTE);
         assert_eq!(decode_exact::<Route>(&bytes[body]).unwrap(), route);
     }
 
     #[test]
     fn scan_frame_waits_for_complete_frames_and_rejects_bad_headers() {
+        let scan = |buf: &[u8]| scan_frame(buf, &NODE_KINDS, MAX_FRAME_LEN);
         let route = route_frame(Route {
             from: NodeId::new(1),
             to: NodeId::new(2),
         });
         // Every proper prefix is "incomplete", never an error.
         for cut in 0..route.len() {
-            assert!(matches!(scan_frame(&route[..cut]), Ok(None)), "cut {cut}");
+            assert!(matches!(scan(&route[..cut]), Ok(None)), "cut {cut}");
         }
         // Concatenated frames scan one at a time.
         let mut two = route.to_vec();
         two.extend_from_slice(&route);
-        let (_, body) = scan_frame(&two).unwrap().unwrap();
+        let (_, body) = scan(&two).unwrap().unwrap();
         assert_eq!(body.end, ROUTE_FRAME_LEN);
-        assert!(scan_frame(&two[body.end..]).unwrap().is_some());
+        assert!(scan(&two[body.end..]).unwrap().is_some());
         // A corrupt header is terminal as soon as it is visible.
         let mut bad = route;
         bad[2] = 77;
         assert!(matches!(
-            scan_frame(&bad[..FRAME_HEADER_LEN]),
+            scan(&bad[..FRAME_HEADER_LEN]),
             Err(WireError::BadVersion(77))
         ));
     }
 
     #[test]
-    fn edge_frame_kinds_are_violations_on_the_node_wire() {
-        // The client-facing edge kinds share the header format but are only
-        // valid on a gateway's client listener. A node connection receiving
-        // one must treat it exactly like any unknown kind: terminal error,
-        // connection closed. Pinned so extending the edge protocol never
-        // silently widens the node wire.
+    fn foreign_kinds_and_oversized_bodies_are_terminal_from_the_header_alone() {
         use atum_types::wire::{FRAME_KIND_EDGE_REQUEST, FRAME_KIND_EDGE_RESPONSE};
+        const EDGE_KINDS: [u8; 1] = [FRAME_KIND_EDGE_REQUEST];
+        // Only the eight header bytes are ever presented: the verdict comes
+        // before a single body byte is buffered or allocated for.
+        let header = |kind: u8, len: u32| {
+            let mut h = frame_bytes(kind, &[]);
+            h[4..8].copy_from_slice(&len.to_le_bytes());
+            h
+        };
+        // The two wires share a header but not a vocabulary: edge kinds are
+        // violations on a node connection, node kinds on a gateway's client
+        // connection. Pinned so extending either protocol never silently
+        // widens the other wire.
         for kind in [FRAME_KIND_EDGE_REQUEST, FRAME_KIND_EDGE_RESPONSE] {
-            let frame = frame_bytes(kind, &[0u8; 4]);
             assert!(matches!(
-                scan_frame(&frame),
+                scan_frame(&header(kind, 4), &NODE_KINDS, MAX_FRAME_LEN),
                 Err(WireError::Malformed("frame kind"))
             ));
             assert!(matches!(
-                read_frame(&mut Cursor::new(frame)),
-                Err(NetError::Wire(WireError::Malformed("frame kind")))
+                read_node_frame(frame_bytes(kind, &[0u8; 4])),
+                Err(WireError::Malformed("frame kind"))
             ));
         }
+        for kind in NODE_KINDS {
+            assert!(matches!(
+                scan_frame(&header(kind, 4), &EDGE_KINDS, 1024),
+                Err(WireError::Malformed("frame kind"))
+            ));
+        }
+        // The body cap is the caller's, not only the wire's.
+        assert!(matches!(
+            scan_frame(&header(FRAME_KIND_EDGE_REQUEST, 1025), &EDGE_KINDS, 1024),
+            Err(WireError::FrameTooLarge(1025))
+        ));
+        assert!(matches!(
+            scan_frame(&header(FRAME_KIND_EDGE_REQUEST, 1024), &EDGE_KINDS, 1024),
+            Ok(None)
+        ));
     }
 
     #[test]
@@ -375,8 +379,13 @@ mod tests {
             },
         );
         for cut in [1, FRAME_HEADER_LEN - 1, good.len() - 1] {
-            let r = read_frame(&mut Cursor::new(good[..cut].to_vec()));
-            assert!(matches!(r, Err(NetError::Io(_))), "cut at {cut}");
+            let mut cursor = Cursor::new(good[..cut].to_vec());
+            let r = read_frame_into(&mut cursor, &NODE_KINDS, &mut Vec::new());
+            assert_eq!(
+                r.unwrap_err().kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "cut at {cut}"
+            );
         }
     }
 }

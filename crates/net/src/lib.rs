@@ -11,16 +11,24 @@
 //! O(reactors) threads.
 //!
 //! * [`frame`] — versioned length-prefixed framing with decode hardening
-//!   (max-frame cap, magic/version checks, exact-consumption bodies), the
+//!   (max-frame cap, magic/version checks, exact-consumption bodies): the
+//!   one header validator and the one header encoder of the workspace, the
 //!   per-connection `Hello` handshake and the `Route` frames that address
 //!   messages on a multiplexed connection.
+//! * [`conn`] — the connection layer under everything that owns sockets
+//!   (the reactors here and the `atum-edge` gateway's I/O thread): slots
+//!   with generation guards, poller registration, accept, non-blocking
+//!   reads up to the frame boundary, bounded out-queues with coalesced
+//!   flushes, close-with-reason, and the eventfd-woken mailbox into the
+//!   owning thread. Mechanism only; the frame vocabulary and every policy
+//!   stay with the caller.
 //! * [`reactor`] — [`NetRuntime`](reactor::NetRuntime) and
 //!   [`NodeHandle`](reactor::NodeHandle): the event-loop runtime and the
-//!   per-node view onto it.
+//!   per-node view onto it — the node wire's hello/route/message pairing,
+//!   dialling and reconnecting, timers and node dispatch on top of [`conn`].
 //! * [`runtime`] — [`RuntimeConfig`](runtime::RuntimeConfig),
-//!   [`RuntimeStats`](runtime::RuntimeStats),
-//!   [`AddressBook`](runtime::AddressBook), and the deprecated
-//!   thread-per-node [`NetNode`](runtime::NetNode) shim.
+//!   [`RuntimeStats`](runtime::RuntimeStats) and
+//!   [`AddressBook`](runtime::AddressBook).
 //! * [`cluster`] — [`NetCluster`](cluster::NetCluster): an in-process
 //!   loopback harness mirroring `atum_sim::ClusterBuilder`, used by the
 //!   `net_cluster` system test and the `bench_net` benchmark.
@@ -41,6 +49,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cluster;
+pub mod conn;
 pub mod faults;
 pub mod frame;
 pub mod reactor;
@@ -48,8 +57,6 @@ pub mod runtime;
 
 pub use cluster::{AggregateStats, NetCluster, NetClusterBuilder};
 pub use faults::{FaultPlane, FaultRules};
-pub use frame::{Hello, NetError, Route};
+pub use frame::{Hello, Route};
 pub use reactor::{NetRuntime, NodeHandle};
-#[allow(deprecated)]
-pub use runtime::NetNode;
 pub use runtime::{AddressBook, NetMessage, RuntimeConfig, RuntimeStats};

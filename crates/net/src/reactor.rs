@@ -3,27 +3,24 @@
 //!
 //! [`NetRuntime::bind`] opens one listener and spawns
 //! [`RuntimeConfig::reactors`] reactor threads; [`NetRuntime::host`] places
-//! protocol nodes onto them round-robin. Where the previous runtime spent
-//! roughly three OS threads per node-pair (listener, per-connection reader,
-//! per-peer writer), the per-process thread count is now O(reactors) — the
-//! `threads` gauge in `RuntimeStats` reports it — which is what makes a
-//! 1000+-node single-process cluster feasible at all.
+//! protocol nodes onto them round-robin. The per-process thread count is
+//! O(reactors), not O(nodes) or O(connections) — the `threads` gauge in
+//! `RuntimeStats` reports it — which is what makes a 1000+-node
+//! single-process cluster feasible at all.
 //!
 //! # Readiness and ownership invariants
 //!
 //! * **One owner per socket and per node.** Every connection and every
 //!   hosted node belongs to exactly one reactor; no lock is ever taken on
-//!   the dispatch or socket path. Cross-thread input arrives only through
-//!   each reactor's [`Injector`] (an eventfd-woken mailbox): hosting
-//!   requests, external calls, inbound messages decoded by another
-//!   reactor's connection, and accepted sockets handed off by the listener
-//!   owner (reactor 0).
-//! * **Level-triggered readiness.** Sockets are registered with
-//!   `polling_mini`'s epoll wrapper in level-triggered mode. Read interest
-//!   is permanent (it also detects EOF); write interest is armed only while
-//!   a connection has an unflushed batch, so an idle runtime wakes on
-//!   timers alone. A connection that cannot accept more bytes simply stays
-//!   writable-armed — nothing busy-waits.
+//!   the dispatch or socket path. The sockets themselves (slots, reads up
+//!   to the frame boundary, bounded out-queues, coalesced writes,
+//!   level-triggered readiness) are the [`crate::conn`] layer's; this
+//!   module adds the node wire's hello/route/message pairing, dialling and
+//!   reconnecting, the fault plane and the node driver. Cross-thread input
+//!   arrives only through each reactor's [`Injector`]: hosting requests,
+//!   external calls, inbound messages decoded by another reactor's
+//!   connection, and accepted sockets handed off by the listener owner
+//!   (reactor 0).
 //! * **The wall clock lives in one heap.** Node timers
 //!   (`Context::set_timer`), connect deadlines and reconnect backoffs all
 //!   share the reactor's binary heap; the poll timeout is the earliest
@@ -31,13 +28,12 @@
 //!   generation counters per connection slot), so firing is O(log n) and
 //!   cancelling O(1).
 //! * **State machines are untouched.** Dispatch drives the same
-//!   [`Context`]/[`ContextEffects`] surface as the simulator and the old
-//!   threaded runtime, applying effects in the contract order (sends, new
-//!   timers, cancellations, halt). Self-sends (`X → X`) loop through the
-//!   reactor's local delivery queue — deferred, exactly like the
-//!   simulator; sends to *other* nodes always cross a real socket, even
-//!   between two nodes hosted by the same runtime (the runtime connects to
-//!   its own listener).
+//!   [`Context`]/[`ContextEffects`] surface as the simulator, applying
+//!   effects in the contract order (sends, new timers, cancellations,
+//!   halt). Self-sends (`X → X`) loop through the reactor's local delivery
+//!   queue — deferred, exactly like the simulator; sends to *other* nodes
+//!   always cross a real socket, even between two nodes hosted by the same
+//!   runtime (the runtime connects to its own listener).
 //! * **The fault plane sits at the frame boundary, inside the owner.** When
 //!   [`RuntimeConfig::faults`] has rules installed, `send_from` consults the
 //!   reactor's own deterministic [`FaultDecider`] *after* encoding (the
@@ -53,54 +49,37 @@
 //!
 //! # The multiplexed wire
 //!
-//! A connection no longer belongs to a node pair, so every message frame is
-//! preceded by a [`Route`] frame naming `(from, to)`; the handshake
-//! [`Hello`] still opens the stream and names the *runtime*'s listener.
+//! A connection belongs to a pair of runtimes, not of nodes, so every
+//! message frame is preceded by a [`Route`] frame naming `(from, to)`; the
+//! handshake [`Hello`] opens the stream and names the *runtime*'s listener.
 //! Outbound connections are write-only (their read half only watches for
-//! EOF), accepted connections are read-only — exactly the old topology,
-//! with the pair moved from the connection to the frame. Keeping the route
-//! outside the message frame preserves the encode-once invariant: the
-//! `Arc<[u8]>` message bytes are identical for every recipient and every
-//! peer, so fan-out still encodes once ([`FrameMemo`]) and write batches
-//! still coalesce many frames into one syscall.
+//! EOF), accepted connections are read-only. Keeping the route outside the
+//! message frame preserves the encode-once invariant: the `Arc<[u8]>`
+//! message bytes are identical for every recipient and every peer, so
+//! fan-out encodes once ([`FrameMemo`]) and write batches coalesce many
+//! frames into one syscall.
 
+use crate::conn::{CloseReason, ConnTable, Injector, QueuedFrame, Ready};
 use crate::faults::{FaultDecider, FaultDecision, FaultPlane};
 use crate::frame::{self, Hello, Route};
 use crate::runtime::{AddressBook, NetMessage, RuntimeConfig, RuntimeStats};
 use atum_obs::flight::{self, FlightRecorder};
 use atum_obs::metrics::AtomicHistogram;
 use atum_simnet::{Context, ContextEffects, Node, OutboundMessage, TimerRequest};
-use atum_types::wire::{self, FRAME_HEADER_LEN, FRAME_KIND_HELLO, FRAME_KIND_ROUTE};
+use atum_types::wire::{self, FRAME_HEADER_LEN, FRAME_KIND_HELLO, FRAME_KIND_ROUTE, MAX_FRAME_LEN};
 use atum_types::{Instant, NodeId};
-use polling_mini::{connect_nonblocking, Event, Interest, Poller, Waker};
+use polling_mini::connect_nonblocking;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-/// Frames per coalesced write: the upper bound on how many queued message
-/// frames a connection drains into one `write_all`-shaped batch.
-pub(crate) const MAX_BATCH_FRAMES: usize = 64;
-/// Byte budget per coalesced write. A single frame larger than this still
-/// goes out (alone); the bound only stops *accumulation*.
-pub(crate) const MAX_BATCH_BYTES: usize = 256 * 1024;
-/// Socket read chunk size.
-const READ_CHUNK: usize = 64 * 1024;
 /// Poll timeout when no timer is armed.
 const IDLE_POLL: StdDuration = StdDuration::from_millis(200);
-
-/// Epoll key of the injector waker.
-const KEY_WAKER: u64 = 0;
-/// Epoll key of the listener (reactor 0 only).
-const KEY_LISTENER: u64 = 1;
-/// First epoll key used for connection slots.
-const KEY_CONN_BASE: u64 = 2;
 
 /// External call executed against a hosted node on its reactor.
 type Call<M, N> = Box<dyn FnOnce(&mut N, &mut Context<'_, M>) + Send>;
@@ -117,27 +96,6 @@ enum Injected<M, N> {
     Inbound { from: NodeId, to: NodeId, msg: M },
     /// An accepted socket handed off by the listener owner.
     Accepted { stream: TcpStream },
-}
-
-/// One reactor's mailbox: a locked queue plus the eventfd that wakes the
-/// poll loop. This is the *only* cross-thread path into a reactor.
-struct Injector<M, N> {
-    queue: Mutex<VecDeque<Injected<M, N>>>,
-    waker: Waker,
-}
-
-impl<M, N> Injector<M, N> {
-    fn new() -> std::io::Result<Self> {
-        Ok(Injector {
-            queue: Mutex::new(VecDeque::new()),
-            waker: Waker::new()?,
-        })
-    }
-
-    fn push(&self, item: Injected<M, N>) {
-        self.queue.lock().expect("injector lock").push_back(item);
-        self.waker.wake();
-    }
 }
 
 // ---------------------------------------------------------------- reconnect
@@ -239,130 +197,28 @@ impl PartialOrd for TimerEntry {
 
 // -------------------------------------------------------------- connections
 
-/// A message frame queued on a connection, with the route it travels under.
-pub(crate) struct QueuedFrame {
-    route: Route,
-    frame: Arc<[u8]>,
-}
-
-/// Builds one coalesced batch from the front of an outbound queue without
-/// consuming it: each queued message contributes its route frame and its
-/// shared message frame. Returns how many queued messages went into `batch`
-/// (the caller pops exactly that many once the batch is fully flushed —
-/// at-least-once across reconnects, like the old writer). The first message
-/// is always taken regardless of size, so an oversized frame cannot wedge
-/// the queue.
-pub(crate) fn fill_batch(
-    outq: &VecDeque<QueuedFrame>,
-    batch: &mut Vec<u8>,
-    max_frames: usize,
-    max_bytes: usize,
-) -> usize {
-    batch.clear();
-    let mut taken = 0usize;
-    for item in outq.iter().take(max_frames) {
-        let item_len = frame::ROUTE_FRAME_LEN + item.frame.len();
-        if taken > 0 && batch.len() + item_len > max_bytes {
-            break;
-        }
-        batch.extend_from_slice(&frame::route_frame(item.route));
-        batch.extend_from_slice(&item.frame);
-        taken += 1;
-    }
-    taken
-}
-
-enum ConnState {
-    /// Non-blocking connect in flight; completion arrives as writability.
-    Connecting,
-    /// Waiting out a reconnect backoff (no live socket).
-    Backoff,
-    /// Live socket; the hello (and batches) flow.
-    Connected,
-}
-
-/// One multiplexed socket owned by a reactor.
-///
-/// Outbound connections (`addr.is_some()`) carry this runtime's frames to
-/// one remote listener and only *read* to detect EOF; accepted connections
-/// (`addr.is_none()`) carry a remote runtime's frames to us and never have
-/// anything queued.
-struct Conn {
-    stream: Option<TcpStream>,
-    /// Remote listener address for outbound connections.
-    addr: Option<SocketAddr>,
-    state: ConnState,
-    /// Generation guard: timers and free-list reuse check it, so a stale
-    /// `ConnRetry` for a slot that was freed and re-assigned is ignored.
-    gen: u64,
-    // ---- write side (outbound connections) ----
-    outq: VecDeque<QueuedFrame>,
-    /// Bytes staged for writing (hello on fresh connects, then batches).
-    batch: Vec<u8>,
-    /// How much of `batch` has been written so far.
-    batch_pos: usize,
-    /// Queued messages inside the current batch (popped when it flushes).
-    batch_msgs: usize,
-    /// Pre-encoded [`Hello`] staged ahead of data on every (re)connect.
-    hello_bytes: Vec<u8>,
+/// The dialling half of an outbound connection.
+struct Dial {
+    /// The remote listener.
+    addr: SocketAddr,
     reconnect: Reconnect,
-    /// Write interest currently armed with the poller.
-    want_write: bool,
-    // ---- read side ----
-    inbuf: Vec<u8>,
-    got_hello: bool,
+}
+
+/// What the node wire keeps per connection on top of the socket and queues
+/// of the [`crate::conn`] layer.
+///
+/// Outbound connections (`dial.is_some()`) carry this runtime's frames to
+/// one remote listener and only *read* to detect EOF; accepted connections
+/// carry a remote runtime's frames to us and never have anything queued.
+#[derive(Default)]
+struct NodeConn {
+    dial: Option<Dial>,
+    /// The handshake that opened an accepted stream.
     hello: Option<Hello>,
-    peer_ip: Option<std::net::IpAddr>,
+    peer_ip: Option<IpAddr>,
     pending_route: Option<Route>,
     /// Senders whose return address this connection already registered.
     learned: HashSet<NodeId>,
-}
-
-impl Conn {
-    fn outbound(addr: SocketAddr, reconnect: Reconnect, gen: u64) -> Self {
-        Conn {
-            stream: None,
-            addr: Some(addr),
-            state: ConnState::Backoff,
-            gen,
-            outq: VecDeque::new(),
-            batch: Vec::new(),
-            batch_pos: 0,
-            batch_msgs: 0,
-            hello_bytes: Vec::new(),
-            reconnect,
-            want_write: false,
-            inbuf: Vec::new(),
-            got_hello: false,
-            hello: None,
-            peer_ip: None,
-            pending_route: None,
-            learned: HashSet::new(),
-        }
-    }
-
-    fn accepted(stream: TcpStream, gen: u64, reconnect: Reconnect) -> Self {
-        let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-        Conn {
-            stream: Some(stream),
-            addr: None,
-            state: ConnState::Connected,
-            gen,
-            outq: VecDeque::new(),
-            batch: Vec::new(),
-            batch_pos: 0,
-            batch_msgs: 0,
-            hello_bytes: Vec::new(),
-            reconnect,
-            want_write: false,
-            inbuf: Vec::new(),
-            got_hello: false,
-            hello: None,
-            peer_ip,
-            pending_route: None,
-            learned: HashSet::new(),
-        }
-    }
 }
 
 // ------------------------------------------------------------- hosted nodes
@@ -394,7 +250,7 @@ struct Shared<M, N> {
     /// Every hosted node's flight recorder — readable from any thread
     /// (`NodeHandle::dump_flight`) while the owning reactor records into it.
     flights: RwLock<HashMap<NodeId, Arc<FlightRecorder>>>,
-    injectors: Vec<Arc<Injector<M, N>>>,
+    injectors: Vec<Arc<Injector<Injected<M, N>>>>,
     next_reactor: AtomicUsize,
 }
 
@@ -561,7 +417,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         for injector in &self.shared.injectors {
-            injector.waker.wake();
+            injector.wake();
         }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
@@ -682,31 +538,15 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
 
 // ------------------------------------------------------------------ reactor
 
-/// Outcome of one borrow-scoped step against a connection, acted on after
-/// the connection borrow ends (methods like `conn_broken` need `&mut self`).
-enum Step {
-    Continue,
-    Done,
-    Broken,
-}
-
 struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
     idx: usize,
     shared: Arc<Shared<M, N>>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    injector: Arc<Injector<M, N>>,
+    injector: Arc<Injector<Injected<M, N>>>,
     nodes: HashMap<NodeId, Hosted<N>>,
-    conns: Vec<Option<Conn>>,
-    free_slots: Vec<usize>,
-    /// Slots freed while an event batch is in flight; recycled only at the
-    /// top of the next loop iteration so a stale readiness event can never
-    /// hit a freshly re-assigned slot.
-    pending_free: Vec<usize>,
+    table: ConnTable<NodeConn>,
     by_addr: HashMap<SocketAddr, usize>,
     timers: BinaryHeap<TimerEntry>,
     timer_seq: u64,
-    next_gen: u64,
     /// Last observed [`AddressBook`] generation (re-registration sweep).
     book_gen: u64,
     /// Deferred self-deliveries (`X → X`), exactly the simulator's
@@ -715,8 +555,6 @@ struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
     effects: ContextEffects<M>,
     /// Per-effect-batch encode-once memo: fan-out identity → shared frame.
     fanout_frames: HashMap<usize, Arc<[u8]>>,
-    events: Vec<Event>,
-    rdbuf: Vec<u8>,
     /// Round-robin counter for handing accepted sockets to reactors.
     next_accept: usize,
     /// This reactor's lane of the fault plane: a deterministic per-reactor
@@ -724,7 +562,7 @@ struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
     fault_decider: FaultDecider,
     /// Frames held back by an injected delay, keyed by release token; the
     /// matching `TimerKind::FaultRelease` timer resumes them.
-    delayed: HashMap<u64, QueuedFrame>,
+    delayed: HashMap<u64, (Route, Arc<[u8]>)>,
     /// Next release token for `delayed`.
     next_delayed: u64,
     /// Last observed `FaultPlane` kill-connections counter.
@@ -745,34 +583,23 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         shared: Arc<Shared<M, N>>,
         listener: Option<TcpListener>,
     ) -> std::io::Result<Self> {
-        let poller = Poller::new()?;
         let injector = shared.injectors[idx].clone();
-        poller.register(injector.waker.fd(), KEY_WAKER, Interest::READABLE)?;
-        if let Some(l) = listener.as_ref() {
-            poller.register(l.as_raw_fd(), KEY_LISTENER, Interest::READABLE)?;
-        }
+        let table = ConnTable::new(&injector, listener, shared.stats.clone(), shared.epoch)?;
         let fault_decider = shared.cfg.faults.decider(shared.cfg.seed, idx as u64);
         let seen_kills = shared.cfg.faults.kill_count();
         Ok(Reactor {
             idx,
             shared,
-            poller,
-            listener,
             injector,
             nodes: HashMap::new(),
-            conns: Vec::new(),
-            free_slots: Vec::new(),
-            pending_free: Vec::new(),
+            table,
             by_addr: HashMap::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            next_gen: 0,
             book_gen: 0,
             loopback: VecDeque::new(),
             effects: ContextEffects::new(),
             fanout_frames: HashMap::new(),
-            events: Vec::new(),
-            rdbuf: vec![0u8; READ_CHUNK],
             next_accept: 0,
             fault_decider,
             delayed: HashMap::new(),
@@ -799,8 +626,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
 
     fn run(mut self) {
         while !self.shared.shutdown.load(Ordering::Relaxed) {
-            let mut freed = std::mem::take(&mut self.pending_free);
-            self.free_slots.append(&mut freed);
+            self.table.recycle();
             self.drain_injected();
             self.deliver_loopback();
             self.check_fault_kills();
@@ -811,41 +637,41 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 Some(t) => t.at.saturating_duration_since(StdInstant::now()),
                 None => IDLE_POLL,
             };
-            self.events.clear();
             let wait_started = StdInstant::now();
-            let _ = self.poller.wait(&mut self.events, Some(timeout));
+            let ready = self.table.wait(timeout);
             let waited_us = wait_started.elapsed().as_micros() as u64;
             self.shared.stats.note_poll_wait(waited_us);
             self.poll_wait_hist.record(waited_us);
-            let events = std::mem::take(&mut self.events);
-            if !events.is_empty() {
-                self.shared.stats.note_dispatch_batch(events.len() as u64);
-                self.dispatch_batch_hist.record(events.len() as u64);
+            if ready > 0 {
+                self.shared.stats.note_dispatch_batch(ready as u64);
+                self.dispatch_batch_hist.record(ready as u64);
             }
-            for ev in &events {
-                match ev.key {
-                    KEY_WAKER => self.injector.waker.drain(),
-                    KEY_LISTENER => self.accept_ready(),
-                    key => self.conn_ready(key, ev.readable, ev.writable),
-                }
-            }
-            self.events = events;
+            self.handle_ready(ready, false);
             self.deliver_loopback();
         }
         self.drain_outbound();
     }
 
+    /// Acts on the reports of the last `table.wait`. While `draining`,
+    /// input is read and discarded instead of dispatched.
+    fn handle_ready(&mut self, ready: usize, draining: bool) {
+        for i in 0..ready {
+            match self.table.event(i) {
+                Ready::Waker => self.injector.acknowledge(),
+                Ready::Listener => self.accept_ready(),
+                Ready::Conn {
+                    slot,
+                    readable,
+                    writable,
+                } => self.conn_ready(slot, readable, writable, draining),
+            }
+        }
+    }
+
     // ------------------------------------------------------ input channels
 
     fn drain_injected(&mut self) {
-        loop {
-            let item = self
-                .injector
-                .queue
-                .lock()
-                .expect("injector lock")
-                .pop_front();
-            let Some(item) = item else { break };
+        while let Some(item) = self.injector.pop() {
             match item {
                 Injected::Host { id, node } => self.host_node(id, node),
                 Injected::Remove { id } => {
@@ -1042,13 +868,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     if delay_us > 0 {
                         let token = self.next_delayed;
                         self.next_delayed += 1;
-                        self.delayed.insert(
-                            token,
-                            QueuedFrame {
-                                route: Route { from, to },
-                                frame,
-                            },
-                        );
+                        self.delayed.insert(token, (Route { from, to }, frame));
                         self.shared
                             .stats
                             .frames_delayed_injected
@@ -1087,132 +907,97 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
 
     // --------------------------------------------------------- connections
 
-    fn alloc_slot(&mut self, conn: Conn) -> usize {
-        if let Some(slot) = self.free_slots.pop() {
-            self.conns[slot] = Some(conn);
-            slot
-        } else {
-            self.conns.push(Some(conn));
-            self.conns.len() - 1
-        }
-    }
-
     /// The outbound connection to `addr`, created (and its non-blocking
     /// connect started) on first use. `hello_from` names the hosted node
     /// whose send triggered the connection; it travels in the handshake so
     /// the far side can attribute the stream before any route arrives.
     fn conn_for_addr(&mut self, addr: SocketAddr, hello_from: NodeId) -> usize {
         if let Some(&slot) = self.by_addr.get(&addr) {
-            if self.conns.get(slot).is_some_and(Option::is_some) {
+            if self.table.get(slot).is_some() {
                 return slot;
             }
         }
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let mut conn = Conn::outbound(
+        let cfg = &self.shared.cfg;
+        let dial = Dial {
             addr,
-            Reconnect::new(
-                self.shared.cfg.reconnect_backoff,
-                self.shared.cfg.max_connect_attempts,
+            reconnect: Reconnect::new(
+                cfg.reconnect_backoff,
+                cfg.max_connect_attempts,
                 // Per-connection jitter stream: distinct generations get
                 // distinct backoff sequences, so simultaneous breaks
                 // don't retry in lock-step.
-                self.shared.cfg.seed ^ gen.wrapping_mul(0x9E3779B97F4A7C15),
+                cfg.seed ^ self.table.next_gen().wrapping_mul(0x9E3779B97F4A7C15),
             ),
-            gen,
-        );
-        conn.hello_bytes = frame::encode_frame(
+        };
+        let hello = frame::encode_frame(
             FRAME_KIND_HELLO,
             &Hello {
                 node: hello_from,
                 listen_port: self.shared.addr.port(),
             },
         );
-        let slot = self.alloc_slot(conn);
+        let conn = NodeConn {
+            dial: Some(dial),
+            ..NodeConn::default()
+        };
+        let slot = self.table.insert(conn, hello);
         self.by_addr.insert(addr, slot);
         self.start_connect(slot);
         slot
     }
 
     fn enqueue_frame(&mut self, slot: usize, route: Route, frame: Arc<[u8]>) {
-        let capacity = self.shared.cfg.queue_capacity;
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            self.shared
-                .stats
-                .frames_dropped
-                .fetch_add(1, Ordering::Relaxed);
-            return;
+        let item = QueuedFrame {
+            route: Some(route),
+            frame,
         };
-        if conn.outq.len() >= capacity {
+        if self
+            .table
+            .enqueue(slot, item, self.shared.cfg.queue_capacity)
+        {
+            self.write_pending(slot);
+        } else {
             self.shared
                 .stats
                 .frames_dropped
                 .fetch_add(1, Ordering::Relaxed);
-            return;
         }
-        conn.outq.push_back(QueuedFrame { route, frame });
-        let depth = conn.outq.len();
-        self.shared.stats.note_queue_depth(depth);
-        self.write_pending(slot);
     }
 
     fn start_connect(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.table.get(slot) else {
             return;
         };
-        let addr = conn.addr.expect("start_connect on accepted conn");
-        match connect_nonblocking(addr) {
-            Ok(stream) => {
-                let fd = stream.as_raw_fd();
-                if self
-                    .poller
-                    .register(fd, KEY_CONN_BASE + slot as u64, Interest::BOTH)
-                    .is_err()
-                {
-                    self.fail_connect(slot);
-                    return;
-                }
-                conn.stream = Some(stream);
-                conn.state = ConnState::Connecting;
-                conn.want_write = true;
-                let gen = conn.gen;
-                let at = StdInstant::now() + self.shared.cfg.connect_timeout;
-                self.arm_timer(at, TimerKind::ConnDeadline { slot, gen });
-            }
-            Err(_) => self.fail_connect(slot),
+        let gen = conn.gen();
+        let dial = conn.ext.dial.as_ref();
+        let addr = dial.expect("start_connect on accepted conn").addr;
+        if connect_nonblocking(addr).is_ok_and(|stream| self.table.connecting(slot, stream)) {
+            let at = StdInstant::now() + self.shared.cfg.connect_timeout;
+            self.arm_timer(at, TimerKind::ConnDeadline { slot, gen });
+        } else {
+            self.fail_connect(slot);
         }
     }
 
     /// A connect attempt failed: back off (keeping the queue) or, once the
     /// attempt budget is spent, drop everything queued and free the slot.
     fn fail_connect(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        self.table.detach(slot);
+        let Some(conn) = self.table.get_mut(slot) else {
             return;
         };
-        if let Some(stream) = conn.stream.take() {
-            let _ = self.poller.deregister(stream.as_raw_fd());
-        }
-        conn.batch.clear();
-        conn.batch_pos = 0;
-        conn.batch_msgs = 0;
-        conn.want_write = false;
-        match conn.reconnect.on_failure() {
-            Some(delay) => {
-                conn.state = ConnState::Backoff;
-                let gen = conn.gen;
-                self.arm_timer(
-                    StdInstant::now() + delay,
-                    TimerKind::ConnRetry { slot, gen },
-                );
-            }
-            None => {
-                let dropped = conn.outq.len() as u64;
-                self.shared
-                    .stats
-                    .frames_dropped
-                    .fetch_add(dropped, Ordering::Relaxed);
-                self.close_conn(slot);
-            }
+        let gen = conn.gen();
+        let dial = conn.ext.dial.as_mut();
+        match dial
+            .expect("connect on accepted conn")
+            .reconnect
+            .on_failure()
+        {
+            Some(delay) => self.arm_timer(
+                StdInstant::now() + delay,
+                TimerKind::ConnRetry { slot, gen },
+            ),
+            None => self.close_conn(slot, CloseReason::Unreachable),
         }
     }
 
@@ -1220,40 +1005,32 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     /// frames reconnect immediately (the attempt budget was reset by the
     /// successful connect); everything else is simply closed.
     fn conn_broken(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(conn) = self.table.get(slot) else {
             return;
         };
-        if conn.addr.is_some() && !conn.outq.is_empty() {
-            if let Some(stream) = conn.stream.take() {
-                let _ = self.poller.deregister(stream.as_raw_fd());
-            }
-            // Unflushed batch: its messages are still in `outq`, so the
-            // whole batch is retried on the next connection — at-least-once
-            // across reconnects, exactly like the old writer path.
-            conn.batch.clear();
-            conn.batch_pos = 0;
-            conn.batch_msgs = 0;
-            conn.want_write = false;
-            conn.state = ConnState::Backoff;
+        if conn.ext.dial.is_some() && conn.queued() > 0 {
+            self.table.detach(slot);
             self.start_connect(slot);
         } else {
-            self.close_conn(slot);
+            self.close_conn(slot, CloseReason::PeerClosed);
         }
     }
 
-    fn close_conn(&mut self, slot: usize) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) else {
+    /// Closes a connection; whatever was still queued on it is accounted
+    /// for, not silently lost.
+    fn close_conn(&mut self, slot: usize, reason: CloseReason) {
+        let Some(conn) = self.table.close(slot, reason) else {
             return;
         };
-        if let Some(stream) = conn.stream {
-            let _ = self.poller.deregister(stream.as_raw_fd());
-        }
-        if let Some(addr) = conn.addr {
-            if self.by_addr.get(&addr) == Some(&slot) {
-                self.by_addr.remove(&addr);
+        self.shared
+            .stats
+            .frames_dropped
+            .fetch_add(conn.queued() as u64, Ordering::Relaxed);
+        if let Some(dial) = conn.ext.dial {
+            if self.by_addr.get(&dial.addr) == Some(&slot) {
+                self.by_addr.remove(&dial.addr);
             }
         }
-        self.pending_free.push(slot);
     }
 
     fn arm_timer(&mut self, at: StdInstant, kind: TimerKind) {
@@ -1265,110 +1042,19 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         });
     }
 
-    /// Drives the write side of one connection: stages batches from the
-    /// queue (handshake first on a fresh connect), writes until the kernel
-    /// pushes back, and arms/disarms write interest accordingly.
     fn write_pending(&mut self, slot: usize) {
-        loop {
-            let step = {
-                let stats = &self.shared.stats;
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    return;
-                };
-                if !matches!(conn.state, ConnState::Connected) {
-                    return;
-                }
-                if conn.batch_pos >= conn.batch.len() {
-                    // The previous batch (if any) is fully on the wire.
-                    if conn.batch_msgs > 0 {
-                        stats
-                            .frames_sent
-                            .fetch_add(conn.batch_msgs as u64, Ordering::Relaxed);
-                        for _ in 0..conn.batch_msgs {
-                            conn.outq.pop_front();
-                        }
-                        conn.batch_msgs = 0;
-                    }
-                    conn.batch_pos = 0;
-                    if conn.outq.is_empty() {
-                        conn.batch.clear();
-                        if conn.want_write {
-                            conn.want_write = false;
-                            if let Some(stream) = conn.stream.as_ref() {
-                                let _ = self.poller.modify(
-                                    stream.as_raw_fd(),
-                                    KEY_CONN_BASE + slot as u64,
-                                    Interest::READABLE,
-                                );
-                            }
-                        }
-                        return;
-                    }
-                    conn.batch_msgs = fill_batch(
-                        &conn.outq,
-                        &mut conn.batch,
-                        MAX_BATCH_FRAMES,
-                        MAX_BATCH_BYTES,
-                    );
-                }
-                let stream = conn.stream.as_mut().expect("connected without stream");
-                match stream.write(&conn.batch[conn.batch_pos..]) {
-                    Ok(n) => {
-                        stats.writes.fetch_add(1, Ordering::Relaxed);
-                        stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                        conn.batch_pos += n;
-                        Step::Continue
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if !conn.want_write {
-                            conn.want_write = true;
-                            let fd = stream.as_raw_fd();
-                            let _ =
-                                self.poller
-                                    .modify(fd, KEY_CONN_BASE + slot as u64, Interest::BOTH);
-                        }
-                        Step::Done
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Step::Continue,
-                    Err(_) => Step::Broken,
-                }
-            };
-            match step {
-                Step::Continue => continue,
-                Step::Done => return,
-                Step::Broken => {
-                    self.conn_broken(slot);
-                    return;
-                }
-            }
+        if !self.table.flush(slot) {
+            self.conn_broken(slot);
         }
     }
 
     /// Completion of a non-blocking connect (the socket turned writable
-    /// while in `Connecting`).
+    /// while connecting): the handshake goes out ahead of any data.
     fn connect_finished(&mut self, slot: usize) {
-        let ok = {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
-            let stream = conn.stream.as_ref().expect("connecting without stream");
-            match stream.take_error() {
-                Ok(None) => {
-                    let _ = stream.set_nodelay(true);
-                    conn.state = ConnState::Connected;
-                    conn.reconnect.on_success();
-                    // Stage the handshake ahead of any data. `batch_msgs`
-                    // stays 0: the hello is not a message frame.
-                    conn.batch.clear();
-                    conn.batch.extend_from_slice(&conn.hello_bytes);
-                    conn.batch_pos = 0;
-                    conn.batch_msgs = 0;
-                    true
-                }
-                _ => false,
+        if self.table.finish_connect(slot) {
+            if let Some(dial) = self.table.get_mut(slot).and_then(|c| c.ext.dial.as_mut()) {
+                dial.reconnect.on_success();
             }
-        };
-        if ok {
             self.write_pending(slot);
         } else {
             self.fail_connect(slot);
@@ -1378,113 +1064,49 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     // -------------------------------------------------------------- accept
 
     fn accept_ready(&mut self) {
-        loop {
-            let accepted = match self.listener.as_ref() {
-                Some(listener) => listener.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _)) => {
-                    let reactors = self.shared.injectors.len();
-                    let target = self.next_accept % reactors;
-                    self.next_accept += 1;
-                    if target == self.idx {
-                        self.add_accepted(stream);
-                    } else {
-                        self.shared.injectors[target].push(Injected::Accepted { stream });
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+        while let Some(stream) = self.table.accept_next() {
+            let target = self.next_accept % self.shared.injectors.len();
+            self.next_accept += 1;
+            if target == self.idx {
+                self.add_accepted(stream);
+            } else {
+                self.shared.injectors[target].push(Injected::Accepted { stream });
             }
         }
     }
 
     fn add_accepted(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        let fd = stream.as_raw_fd();
-        let reconnect = Reconnect::new(
-            self.shared.cfg.reconnect_backoff,
-            self.shared.cfg.max_connect_attempts,
-            self.shared.cfg.seed ^ gen.wrapping_mul(0x9E3779B97F4A7C15),
-        );
-        let slot = self.alloc_slot(Conn::accepted(stream, gen, reconnect));
-        if self
-            .poller
-            .register(fd, KEY_CONN_BASE + slot as u64, Interest::READABLE)
-            .is_err()
-        {
-            self.close_conn(slot);
-        }
+        let conn = NodeConn {
+            peer_ip: stream.peer_addr().ok().map(|a| a.ip()),
+            ..NodeConn::default()
+        };
+        self.table.accept(stream, conn);
     }
 
     // ---------------------------------------------------------------- read
 
-    fn conn_ready(&mut self, key: u64, readable: bool, writable: bool) {
-        let slot = (key - KEY_CONN_BASE) as usize;
+    fn conn_ready(&mut self, slot: usize, readable: bool, writable: bool, draining: bool) {
         if writable {
-            let state = match self.conns.get(slot).and_then(Option::as_ref) {
-                Some(conn) => match conn.state {
-                    ConnState::Connecting => 0u8,
-                    ConnState::Connected => 1,
-                    ConnState::Backoff => 2,
-                },
+            match self.table.get(slot) {
                 None => return,
-            };
-            match state {
-                0 => self.connect_finished(slot),
-                1 => self.write_pending(slot),
-                _ => {}
+                Some(conn) if conn.is_connecting() => self.connect_finished(slot),
+                Some(_) => self.write_pending(slot),
             }
         }
         if readable {
-            self.read_ready(slot);
-        }
-    }
-
-    fn read_ready(&mut self, slot: usize) {
-        loop {
-            let step = {
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    return;
-                };
-                let Some(stream) = conn.stream.as_mut() else {
-                    return;
-                };
-                match stream.read(&mut self.rdbuf) {
-                    Ok(0) => Step::Broken,
-                    Ok(n) => {
-                        if conn.addr.is_none() {
-                            conn.inbuf.extend_from_slice(&self.rdbuf[..n]);
-                        }
-                        // Outbound connections are write-only: inbound bytes
-                        // on them are discarded, the read only spots EOF.
-                        Step::Continue
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Step::Done,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Step::Continue,
-                    Err(_) => Step::Broken,
-                }
-            };
-            match step {
-                Step::Continue => {
-                    if !self.process_inbuf(slot) {
-                        return;
-                    }
-                }
-                Step::Done => {
-                    let _ = self.process_inbuf(slot);
-                    return;
-                }
-                Step::Broken => {
-                    self.conn_broken(slot);
-                    return;
+            // Outbound connections are write-only: inbound bytes on them are
+            // discarded, the read only spots EOF.
+            let inbound = !draining && self.table.get(slot).is_some_and(|c| c.ext.dial.is_none());
+            // Peers are other runtimes, trusted with this reactor's time:
+            // the socket is drained to `WouldBlock`, a chunk at a time,
+            // frames handled as they complete.
+            loop {
+                match self.table.read(slot, inbound) {
+                    Some(0) => return,
+                    Some(_) if inbound && !self.process_inbuf(slot) => return,
+                    Some(_) => {}
+                    None if draining => return self.close_conn(slot, CloseReason::PeerClosed),
+                    None => return self.conn_broken(slot),
                 }
             }
         }
@@ -1494,58 +1116,60 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     /// `false` when the connection was closed (protocol violation or the
     /// slot vanished mid-delivery).
     fn process_inbuf(&mut self, slot: usize) -> bool {
-        let gen = match self.conns.get(slot).and_then(Option::as_ref) {
-            Some(conn) => conn.gen,
-            None => return false,
+        let Some(gen) = self.table.get(slot).map(|c| c.gen()) else {
+            return false;
         };
         let mut consumed = 0usize;
         let closed = loop {
             // Re-validate the slot each round: delivering a message can run
             // arbitrary node code, which can send, which can break and
             // close *this* connection.
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            let Some(conn) = self.table.get_mut(slot) else {
                 return false;
             };
-            if conn.gen != gen {
+            if conn.gen() != gen {
                 return false;
             }
-            let (kind, body_start, body_end) = match frame::scan_frame(&conn.inbuf[consumed..]) {
+            let ext = &mut conn.ext;
+            let rest = &conn.inbuf[consumed..];
+            let (kind, body) = match frame::scan_frame(rest, &frame::NODE_KINDS, MAX_FRAME_LEN) {
                 Ok(None) => break false,
-                Ok(Some((kind, range))) => (kind, consumed + range.start, consumed + range.end),
+                Ok(Some((kind, range))) => {
+                    consumed += range.end;
+                    (kind, &rest[range])
+                }
                 Err(_) => break true,
             };
-            consumed = body_end;
             match kind {
                 FRAME_KIND_HELLO => {
-                    if conn.got_hello {
+                    if ext.hello.is_some() {
                         break true; // Second handshake mid-stream.
                     }
-                    let Ok(hello) = wire::decode_exact::<Hello>(&conn.inbuf[body_start..body_end])
-                    else {
+                    let Ok(hello) = wire::decode_exact::<Hello>(body) else {
                         break true;
                     };
-                    conn.got_hello = true;
-                    conn.hello = Some(hello);
-                    if let Some(ip) = conn.peer_ip {
+                    ext.hello = Some(hello);
+                    if let Some(ip) = ext.peer_ip {
                         self.shared
                             .book
                             .register_if_absent(hello.node, SocketAddr::new(ip, hello.listen_port));
                     }
                 }
                 FRAME_KIND_ROUTE => {
-                    if !conn.got_hello || conn.pending_route.is_some() {
-                        break true; // Route before hello, or unpaired routes.
+                    let Some(hello) = ext.hello else {
+                        break true; // Route before hello.
+                    };
+                    if ext.pending_route.is_some() {
+                        break true; // Unpaired routes.
                     }
-                    let Ok(route) = wire::decode_exact::<Route>(&conn.inbuf[body_start..body_end])
-                    else {
+                    let Ok(route) = wire::decode_exact::<Route>(body) else {
                         break true;
                     };
-                    conn.pending_route = Some(route);
+                    ext.pending_route = Some(route);
                     // Per-sender address learning: every node of the remote
                     // runtime shares its hello's listener.
-                    if !conn.learned.contains(&route.from) {
-                        conn.learned.insert(route.from);
-                        if let (Some(ip), Some(hello)) = (conn.peer_ip, conn.hello) {
+                    if ext.learned.insert(route.from) {
+                        if let Some(ip) = ext.peer_ip {
                             self.shared.book.register_if_absent(
                                 route.from,
                                 SocketAddr::new(ip, hello.listen_port),
@@ -1554,14 +1178,14 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     }
                 }
                 _ => {
-                    // FRAME_KIND_MESSAGE (scan_frame admits nothing else).
-                    let Some(route) = conn.pending_route.take() else {
+                    // FRAME_KIND_MESSAGE (NODE_KINDS admits nothing else).
+                    let Some(route) = ext.pending_route.take() else {
                         break true; // Message without its route.
                     };
-                    let Ok(msg) = wire::decode_exact::<M>(&conn.inbuf[body_start..body_end]) else {
+                    let Ok(msg) = wire::decode_exact::<M>(body) else {
                         break true;
                     };
-                    let body_len = body_end - body_start;
+                    let frame_len = FRAME_HEADER_LEN + body.len();
                     self.shared
                         .stats
                         .frames_received
@@ -1569,7 +1193,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     self.shared
                         .stats
                         .bytes_received
-                        .fetch_add((body_len + FRAME_HEADER_LEN) as u64, Ordering::Relaxed);
+                        .fetch_add(frame_len as u64, Ordering::Relaxed);
                     self.route_inbound(route.from, route.to, msg);
                 }
             }
@@ -1579,15 +1203,11 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 .stats
                 .decode_errors
                 .fetch_add(1, Ordering::Relaxed);
-            self.close_conn(slot);
+            self.close_conn(slot, CloseReason::Violation);
             return false;
         }
-        if consumed > 0 {
-            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                if conn.gen == gen {
-                    conn.inbuf.drain(..consumed);
-                }
-            }
+        if let Some(conn) = self.table.get_mut(slot).filter(|c| c.gen() == gen) {
+            conn.inbuf.drain(..consumed);
         }
         true
     }
@@ -1675,27 +1295,25 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 }
                 TimerKind::ConnDeadline { slot, gen } => {
                     let still_connecting = self
-                        .conns
+                        .table
                         .get(slot)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|c| c.gen == gen && matches!(c.state, ConnState::Connecting));
+                        .is_some_and(|c| c.gen() == gen && c.is_connecting());
                     if still_connecting {
                         self.fail_connect(slot);
                     }
                 }
                 TimerKind::ConnRetry { slot, gen } => {
                     let in_backoff = self
-                        .conns
+                        .table
                         .get(slot)
-                        .and_then(Option::as_ref)
-                        .is_some_and(|c| c.gen == gen && matches!(c.state, ConnState::Backoff));
+                        .is_some_and(|c| c.gen() == gen && c.is_detached());
                     if in_backoff {
                         self.start_connect(slot);
                     }
                 }
                 TimerKind::FaultRelease { token } => {
-                    if let Some(held) = self.delayed.remove(&token) {
-                        self.forward_frame(held.route, held.frame);
+                    if let Some((route, frame)) = self.delayed.remove(&token) {
+                        self.forward_frame(route, frame);
                     }
                 }
             }
@@ -1714,12 +1332,11 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             return;
         }
         self.seen_kills = kills;
-        let live: Vec<usize> = (0..self.conns.len())
-            .filter(|&slot| {
-                self.conns[slot]
-                    .as_ref()
-                    .is_some_and(|c| c.stream.is_some())
-            })
+        let live: Vec<usize> = self
+            .table
+            .iter()
+            .filter(|(_, c)| !c.is_detached())
+            .map(|(slot, _)| slot)
             .collect();
         atum_obs::trace_event!(
             FaultInjected,
@@ -1752,24 +1369,22 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             return;
         }
         self.book_gen = book_gen;
-        let mut moves: Vec<(Route, Arc<[u8]>, SocketAddr)> = Vec::new();
-        for conn in self.conns.iter_mut().flatten() {
-            let Some(cur_addr) = conn.addr else { continue };
-            let mut i = conn.batch_msgs; // Skip the staged prefix.
-            while i < conn.outq.len() {
-                let to = conn.outq[i].route.to;
-                match self.shared.book.lookup(to) {
-                    Some(addr) if addr != cur_addr => {
-                        let item = conn.outq.remove(i).expect("indexed");
-                        moves.push((item.route, item.frame, addr));
-                    }
-                    _ => i += 1,
-                }
-            }
+        let book = &self.shared.book;
+        let mut moves = Vec::new();
+        for slot in 0..self.table.slots() {
+            let Some(conn) = self.table.get_mut(slot) else {
+                continue;
+            };
+            let Some(cur_addr) = conn.ext.dial.as_ref().map(|d| d.addr) else {
+                continue;
+            };
+            moves.extend(conn.extract_queued(|item| {
+                let addr = item.route.and_then(|r| book.lookup(r.to));
+                addr.is_some_and(|addr| addr != cur_addr)
+            }));
         }
-        for (route, frame, addr) in moves {
-            let slot = self.conn_for_addr(addr, route.from);
-            self.enqueue_frame(slot, route, frame);
+        for QueuedFrame { route, frame } in moves {
+            self.forward_frame(route.expect("node frames are routed"), frame);
         }
     }
 
@@ -1783,110 +1398,31 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     fn drain_outbound(&mut self) {
         let deadline = StdInstant::now() + self.shared.cfg.drain_timeout;
         loop {
-            let mut freed = std::mem::take(&mut self.pending_free);
-            self.free_slots.append(&mut freed);
+            self.table.recycle();
             let mut pending = false;
-            for slot in 0..self.conns.len() {
-                let is_outbound = self
-                    .conns
-                    .get(slot)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|c| c.addr.is_some());
-                if !is_outbound {
-                    continue;
-                }
+            for slot in 0..self.table.slots() {
                 self.write_pending(slot);
-                if let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) {
-                    if !conn.outq.is_empty() || conn.batch_pos < conn.batch.len() {
-                        pending = true;
-                    }
-                }
+                pending |= self.table.get(slot).is_some_and(|c| c.has_unflushed());
             }
             if !pending || StdInstant::now() >= deadline {
                 break;
             }
-            self.events.clear();
-            let _ = self
-                .poller
-                .wait(&mut self.events, Some(StdDuration::from_millis(20)));
-            let events = std::mem::take(&mut self.events);
-            for ev in &events {
-                match ev.key {
-                    KEY_WAKER => self.injector.waker.drain(),
-                    KEY_LISTENER => self.accept_ready(),
-                    key => {
-                        let slot = (key - KEY_CONN_BASE) as usize;
-                        if ev.writable {
-                            let connecting = self
-                                .conns
-                                .get(slot)
-                                .and_then(Option::as_ref)
-                                .is_some_and(|c| matches!(c.state, ConnState::Connecting));
-                            if connecting {
-                                self.connect_finished(slot);
-                            } else {
-                                self.write_pending(slot);
-                            }
-                        }
-                        if ev.readable {
-                            self.read_discard(slot);
-                        }
-                    }
-                }
-            }
-            self.events = events;
+            let ready = self.table.wait(StdDuration::from_millis(20));
+            self.handle_ready(ready, true);
             self.fire_due_timers(); // Reconnect/deadline timers only.
         }
         // Whatever never made it out is accounted for, not silently lost.
-        let unsent: u64 = self
-            .conns
-            .iter()
-            .flatten()
-            .map(|c| c.outq.len() as u64)
-            .sum();
-        if unsent > 0 {
-            self.shared
-                .stats
-                .frames_dropped
-                .fetch_add(unsent, Ordering::Relaxed);
-        }
-    }
-
-    /// Drain-phase read: consume and discard so peers can finish their own
-    /// drains; EOF or errors close the connection.
-    fn read_discard(&mut self, slot: usize) {
-        loop {
-            let step = {
-                let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                    return;
-                };
-                let Some(stream) = conn.stream.as_mut() else {
-                    return;
-                };
-                match stream.read(&mut self.rdbuf) {
-                    Ok(0) => Step::Broken,
-                    Ok(_) => Step::Continue,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Step::Done,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Step::Continue,
-                    Err(_) => Step::Broken,
-                }
-            };
-            match step {
-                Step::Continue => continue,
-                Step::Done => return,
-                Step::Broken => {
-                    self.close_conn(slot);
-                    return;
-                }
-            }
-        }
+        let unsent: usize = self.table.iter().map(|(_, c)| c.queued()).sum();
+        self.shared
+            .stats
+            .frames_dropped
+            .fetch_add(unsent as u64, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atum_types::wire::FRAME_KIND_MESSAGE;
 
     /// The jitter window for backoff rung `k` with base `b`:
     /// `[b * 2^k, b * 2^k * 3/2]`.
@@ -1939,53 +1475,5 @@ mod tests {
             (0..3).map(|_| c.on_failure()).collect::<Vec<_>>() != seq_a
         });
         assert!(diverges);
-    }
-
-    #[test]
-    fn fill_batch_honours_frame_and_byte_bounds() {
-        let frame = |len: usize| -> Arc<[u8]> { vec![0u8; len].into() };
-        let item = |len: usize| QueuedFrame {
-            route: Route {
-                from: NodeId::new(1),
-                to: NodeId::new(2),
-            },
-            frame: frame(len),
-        };
-        let per_item = |len: usize| frame::ROUTE_FRAME_LEN + len;
-
-        // Frame bound: 3 of the 5 queued messages.
-        let q: VecDeque<QueuedFrame> = (0..5).map(|_| item(100)).collect();
-        let mut batch = Vec::new();
-        assert_eq!(fill_batch(&q, &mut batch, 3, usize::MAX), 3);
-        assert_eq!(batch.len(), 3 * per_item(100));
-
-        // Byte bound: two items fit, the third would exceed it.
-        let q: VecDeque<QueuedFrame> = (0..3).map(|_| item(100)).collect();
-        assert_eq!(fill_batch(&q, &mut batch, 64, 2 * per_item(100)), 2);
-
-        // An oversized frame is still taken (alone), never wedged.
-        let q: VecDeque<QueuedFrame> = [item(1000), item(10)].into();
-        assert_eq!(fill_batch(&q, &mut batch, 64, 250), 1);
-        assert_eq!(batch.len(), per_item(1000));
-
-        // The batch interleaves route and message frames, scannable in
-        // order (real frame bytes here so the scanner accepts them).
-        let msg: Arc<[u8]> =
-            frame::frame_bytes(FRAME_KIND_MESSAGE, &wire::encode_to_vec(&7u64)).into();
-        let q: VecDeque<QueuedFrame> = (0..2)
-            .map(|_| QueuedFrame {
-                route: Route {
-                    from: NodeId::new(1),
-                    to: NodeId::new(2),
-                },
-                frame: msg.clone(),
-            })
-            .collect();
-        assert_eq!(fill_batch(&q, &mut batch, 64, usize::MAX), 2);
-        let (kind, range) = frame::scan_frame(&batch).unwrap().unwrap();
-        assert_eq!(kind, FRAME_KIND_ROUTE);
-        let rest = &batch[range.end..];
-        let (kind, _) = frame::scan_frame(rest).unwrap().unwrap();
-        assert_eq!(kind, FRAME_KIND_MESSAGE);
     }
 }

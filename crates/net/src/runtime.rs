@@ -1,14 +1,12 @@
-//! Runtime configuration, counters, the address book and the deprecated
-//! single-node entry point.
+//! Runtime configuration, counters and the address book.
 //!
-//! The socket runtime itself lives in [`crate::reactor`]: [`NetRuntime`]
-//! owns the listener and a fixed set of reactor threads multiplexing
-//! non-blocking sockets for every hosted node, and [`NodeHandle`] is the
-//! per-node view onto it. This module keeps the pieces both the old and
-//! new surface share — [`RuntimeConfig`], [`RuntimeStats`],
-//! [`AddressBook`], the [`NetMessage`] bound — plus [`NetNode`], the
-//! deprecated thread-per-node entry point, now a thin shim hosting its one
-//! node on a private single-reactor [`NetRuntime`].
+//! The socket runtime itself lives in [`crate::reactor`]:
+//! [`NetRuntime`](crate::reactor::NetRuntime) owns the listener and a fixed
+//! set of reactor threads multiplexing non-blocking sockets for every
+//! hosted node, and [`NodeHandle`](crate::reactor::NodeHandle) is the
+//! per-node view onto it. This module keeps what the runtime, its
+//! harnesses and the edge gateway share: [`RuntimeConfig`],
+//! [`RuntimeStats`], [`AddressBook`] and the [`NetMessage`] bound.
 //!
 //! The runtime hosts *unmodified* protocol state machines: anything
 //! implementing [`atum_simnet::Node`] runs here exactly as it runs on the
@@ -22,8 +20,6 @@
 //! for the invariant).
 
 use crate::faults::FaultPlane;
-use crate::reactor::{NetRuntime, NodeHandle};
-use atum_simnet::{Context, Node};
 use atum_types::{FrameMemo, NodeId, WireDecode, WireEncode, WireSize};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -303,124 +299,12 @@ impl AddressBook {
     }
 }
 
-// ----------------------------------------------------------------- NetNode
-
-/// One protocol node hosted on real sockets — the *old* entry point, kept
-/// as a thin shim so existing callers compile: it binds a private
-/// single-reactor [`NetRuntime`] and hosts its one node there.
-///
-/// Dropping the handle does *not* stop the runtime; call
-/// [`NetNode::shutdown`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `NetRuntime::bind` + `host` — one runtime hosts many nodes on O(reactors) threads"
-)]
-pub struct NetNode<M: NetMessage, N: Node<M> + Send + 'static> {
-    runtime: NetRuntime<M, N>,
-    handle: NodeHandle<M, N>,
-}
-
-#[allow(deprecated)]
-impl<M: NetMessage, N: Node<M> + Send + 'static> std::fmt::Debug for NetNode<M, N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetNode")
-            .field("id", &self.handle.id())
-            .field("addr", &self.handle.addr())
-            .finish_non_exhaustive()
-    }
-}
-
-#[allow(deprecated)]
-impl<M: NetMessage, N: Node<M> + Send + 'static> NetNode<M, N> {
-    /// Binds a loopback listener and hosts the node on a private
-    /// single-reactor runtime. The node's address is registered in `book`,
-    /// and `on_start` runs on the reactor before any message is processed.
-    ///
-    /// `epoch` anchors the wall clock every context reports; a harness
-    /// passes one shared epoch so all of its nodes agree on `now`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when binding the listener fails.
-    pub fn spawn(
-        id: NodeId,
-        node: N,
-        book: &AddressBook,
-        epoch: std::time::Instant,
-        cfg: RuntimeConfig,
-    ) -> std::io::Result<Self> {
-        Self::spawn_on(id, node, book, epoch, cfg, "127.0.0.1:0".parse().unwrap())
-    }
-
-    /// Like [`NetNode::spawn`] with an explicit bind address (for the
-    /// cross-process example, where nodes listen on configured ports).
-    pub fn spawn_on(
-        id: NodeId,
-        node: N,
-        book: &AddressBook,
-        epoch: std::time::Instant,
-        cfg: RuntimeConfig,
-        bind: SocketAddr,
-    ) -> std::io::Result<Self> {
-        let runtime = NetRuntime::bind(RuntimeConfig {
-            listen: bind,
-            reactors: 1,
-            book: book.clone(),
-            epoch: Some(epoch),
-            ..cfg
-        })?;
-        let handle = runtime.host(id, node);
-        Ok(NetNode { runtime, handle })
-    }
-
-    /// This node's identifier.
-    pub fn id(&self) -> NodeId {
-        self.handle.id()
-    }
-
-    /// The address the node's listener accepts on.
-    pub fn addr(&self) -> SocketAddr {
-        self.handle.addr()
-    }
-
-    /// The node's runtime counters.
-    pub fn stats(&self) -> &Arc<RuntimeStats> {
-        self.handle.stats()
-    }
-
-    /// Schedules `f` against the node on its reactor (the TCP runtime's
-    /// analogue of `Simulation::call`).
-    pub fn call<F>(&self, f: F)
-    where
-        F: FnOnce(&mut N, &mut Context<'_, M>) + Send + 'static,
-    {
-        self.handle.call(f);
-    }
-
-    /// Runs a read-only closure against the node state and returns its
-    /// result, or `None` when the reactor is gone or does not answer
-    /// within five seconds.
-    pub fn with_node<R, F>(&self, f: F) -> Option<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(&N) -> R + Send + 'static,
-    {
-        self.handle.with_node(f)
-    }
-
-    /// Stops the node's private runtime: outbound queues drain, sockets
-    /// close, the reactor thread joins.
-    pub fn shutdown(self) {
-        self.runtime.shutdown();
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::frame::{self, Hello, NetError, Route};
+    use crate::frame::{self, Hello, Route};
     use crate::reactor::NetRuntime;
+    use atum_simnet::{Context, Node};
     use atum_types::wire::{self, FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE};
     use atum_types::Duration;
     use std::io::Write;
@@ -460,21 +344,22 @@ mod tests {
         pred()
     }
 
+    /// A single-reactor runtime on its own loopback listener, sharing
+    /// `book` with its peers.
+    fn bind(book: &AddressBook) -> NetRuntime<u64, Recorder> {
+        NetRuntime::bind(RuntimeConfig {
+            book: book.clone(),
+            ..RuntimeConfig::default()
+        })
+        .unwrap()
+    }
+
     #[test]
     fn ping_pong_crosses_real_sockets() {
-        // Via the deprecated shim, which must keep working verbatim.
         let book = AddressBook::new();
-        let epoch = std::time::Instant::now();
-        let cfg = RuntimeConfig::default();
-        let a = NetNode::spawn(
-            NodeId::new(0),
-            Recorder::default(),
-            &book,
-            epoch,
-            cfg.clone(),
-        )
-        .unwrap();
-        let b = NetNode::spawn(NodeId::new(1), Recorder::default(), &book, epoch, cfg).unwrap();
+        let (rt_a, rt_b) = (bind(&book), bind(&book));
+        let a = rt_a.host(NodeId::new(0), Recorder::default());
+        let b = rt_b.host(NodeId::new(1), Recorder::default());
         assert_ne!(a.addr(), b.addr());
 
         let to = b.id();
@@ -497,22 +382,14 @@ mod tests {
         assert!(b.stats().frames_received.load(Ordering::Relaxed) >= 2);
         // The headline invariant: one reactor thread per runtime.
         assert_eq!(a.stats().threads.load(Ordering::Relaxed), 1);
-        a.shutdown();
-        b.shutdown();
+        rt_a.shutdown();
+        rt_b.shutdown();
     }
 
     #[test]
     fn timers_fire_and_cancel_on_the_wall_clock() {
-        let book = AddressBook::new();
-        let epoch = std::time::Instant::now();
-        let node = NetNode::spawn(
-            NodeId::new(7),
-            Recorder::default(),
-            &book,
-            epoch,
-            RuntimeConfig::default(),
-        )
-        .unwrap();
+        let runtime = bind(&AddressBook::new());
+        let node = runtime.host(NodeId::new(7), Recorder::default());
         node.call(|_n, ctx| {
             let _keep = ctx.set_timer(Duration::from_millis(30), 11);
             let cancel = ctx.set_timer(Duration::from_millis(60), 22);
@@ -526,7 +403,7 @@ mod tests {
             "timers fired as {:?}",
             node.with_node(|n| n.timers.clone()),
         );
-        node.shutdown();
+        runtime.shutdown();
     }
 
     #[test]
@@ -708,7 +585,7 @@ mod tests {
         let mut body = Vec::new();
         // Read route/message pairs until a timeout signals the end.
         loop {
-            match frame::read_frame_into(&mut stream, &mut body) {
+            match frame::read_frame_into(&mut stream, &frame::NODE_KINDS, &mut body) {
                 Ok(kind) if kind == FRAME_KIND_ROUTE => {
                     let route: Route = wire::decode_exact(&body).unwrap();
                     assert_eq!(route.from, NodeId::new(0));
@@ -720,8 +597,10 @@ mod tests {
                     assert_eq!(payload.len(), FRAME_PAYLOAD);
                     seqs.push(u64::from_le_bytes(payload[..8].try_into().unwrap()));
                 }
-                Err(NetError::Io(_)) => break,
-                Err(e) => panic!("unexpected frame error: {e}"),
+                Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                    panic!("unexpected frame error: {e}")
+                }
+                Err(_) => break,
             }
         }
 

@@ -10,8 +10,7 @@
 //!   `smr-reject`, `cycle-patch`, `fault-injected`, `anti-entropy-pull`, …)
 //!   as one JSON object per line to a pluggable sink (stderr, a file, or an
 //!   in-process collector). Filtering is per event kind, configured once at
-//!   startup from `ATUM_TRACE` (the legacy `ATUM_DEBUG_*` variables keep
-//!   working as aliases).
+//!   startup from `ATUM_TRACE`.
 //! * [`metrics`] — a registry of named counters, gauges and fixed-bucket
 //!   histograms, plus the [`LatencyHistogram`] the experiment drivers
 //!   serialise into bench records.

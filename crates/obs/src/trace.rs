@@ -36,11 +36,13 @@ pub enum EventKind {
     /// Broadcast anti-entropy issued a pull (or re-proposed a held op) to
     /// close a delivery hole.
     AntiEntropyPull = 6,
-    /// Growth-driver diagnostics (`ATUM_DEBUG_GROWTH` legacy scope).
+    /// Growth-driver diagnostics (end-of-run non-member and vgroup sweep).
     Growth = 7,
-    /// Churn-driver diagnostics (`ATUM_DEBUG_CHURN` legacy scope).
+    /// Churn-driver diagnostics (stuck nodes, ghost audit).
     Churn = 8,
-    /// Net-runtime diagnostics (`ATUM_DEBUG_NET` legacy scope).
+    /// Connection-layer events: every close of a node or edge connection,
+    /// with its reason (slot in `a`, reason code in `b`, frames lost in
+    /// `c` — see the README's reason table).
     Net = 9,
     /// Reactor-loop instrumentation events (starvation, saturation).
     Reactor = 10,
@@ -142,9 +144,6 @@ fn armed_slow(kind: EventKind) -> bool {
 ///
 /// * `ATUM_TRACE` — `all`, `off`, or a comma-separated list of kind names
 ///   (`join,walk,smr-reject`).
-/// * `ATUM_DEBUG_JOIN` / `WALK` / `WELCOME` / `SMR` / `GROWTH` / `CHURN` /
-///   `NET` — legacy aliases, each enabling one kind (`SMR` enables
-///   `smr-reject`).
 /// * `ATUM_TRACE_OUT` — path of a JSONL sink file; implies `ATUM_TRACE=all`
 ///   when no explicit kind selection was made.
 ///
@@ -167,19 +166,6 @@ fn init_from_env() {
                     }
                 }
             }
-        }
-    }
-    for (var, kind) in [
-        ("ATUM_DEBUG_JOIN", EventKind::Join),
-        ("ATUM_DEBUG_WALK", EventKind::Walk),
-        ("ATUM_DEBUG_WELCOME", EventKind::Welcome),
-        ("ATUM_DEBUG_SMR", EventKind::SmrReject),
-        ("ATUM_DEBUG_GROWTH", EventKind::Growth),
-        ("ATUM_DEBUG_CHURN", EventKind::Churn),
-        ("ATUM_DEBUG_NET", EventKind::Net),
-    ] {
-        if std::env::var(var).is_ok() {
-            mask |= kind.bit();
         }
     }
     if let Ok(path) = std::env::var("ATUM_TRACE_OUT") {

@@ -2,9 +2,10 @@
 //! (Fig. 7), broadcast latency (Fig. 8) and exchange completion (Fig. 13).
 
 use crate::cluster::Cluster;
-use crate::metrics::{LatencyHistogram, LatencySeries};
+use crate::metrics::LatencySeries;
 use atum_core::{Application, AtumMessage, AtumNode, CollectingApp, NodePhase};
 use atum_crypto::KeyRegistry;
+use atum_obs::LatencyHistogram;
 use atum_simnet::{NetConfig, Simulation};
 use atum_types::{BroadcastId, Duration, Instant, NodeId, Params};
 use rand::seq::SliceRandom;
@@ -213,10 +214,9 @@ pub fn run_growth(
             report.exchanges_suppressed += stats.suppressed;
         }
     }
-    // End-of-run diagnosis (`ATUM_TRACE=growth`, or the legacy
-    // `ATUM_DEBUG_GROWTH` alias): one `growth` event per non-member and one
-    // per distinct vgroup. The single armed check keeps the whole sweep off
-    // the disabled path.
+    // End-of-run diagnosis (`ATUM_TRACE=growth`): one `growth` event per
+    // non-member and one per distinct vgroup. The single armed check keeps
+    // the whole sweep off the disabled path.
     if atum_obs::trace::armed(atum_obs::EventKind::Growth) {
         let mut seen_groups = std::collections::BTreeSet::new();
         for i in 0..target as u64 {
@@ -509,7 +509,7 @@ pub fn run_churn(
 /// node is not actually a member of that vgroup, classifying each ghost by
 /// whether its vgroup could still have healed it (see [`GhostAudit`]);
 /// optionally dumps the diagnosis as `churn` trace events
-/// (`ATUM_TRACE=churn`, or the legacy `ATUM_DEBUG_CHURN` alias).
+/// (`ATUM_TRACE=churn`).
 fn ghost_audit(
     cluster: &Cluster<CollectingApp>,
     correct: &[NodeId],

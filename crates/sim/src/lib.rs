@@ -34,4 +34,4 @@ pub use drivers::{
     run_broadcast_workload, run_churn, run_growth, BroadcastWorkloadReport, ChurnCycle,
     ChurnReport, GhostAudit, GrowthReport, StallBreakdown,
 };
-pub use metrics::{percentile, LatencyHistogram, LatencySeries, DEFAULT_LATENCY_BUCKETS};
+pub use metrics::{percentile, LatencySeries};

@@ -1,13 +1,9 @@
-//! Latency series, percentiles and CDFs for experiment reporting.
-//!
-//! The fixed-bucket [`LatencyHistogram`] now lives in `atum-obs` (both
-//! runtimes and the bench pipeline share it); it is re-exported here so
-//! existing `atum_sim::metrics` users keep compiling.
+//! Latency series, percentiles and CDFs for experiment reporting. (The
+//! fixed-bucket histogram the drivers serialise is
+//! `atum_obs::LatencyHistogram`.)
 
 use atum_types::Duration;
 use serde::{Deserialize, Serialize};
-
-pub use atum_obs::{LatencyHistogram, DEFAULT_LATENCY_BUCKETS};
 
 /// A collection of latency samples with CDF/percentile helpers.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

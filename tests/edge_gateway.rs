@@ -239,3 +239,68 @@ fn slow_loris_is_cut_off_without_collateral() {
     );
     gateway.shutdown();
 }
+
+#[test]
+fn a_client_that_stops_reading_stalls_nobody_and_loses_its_connection() {
+    let gateway = start_gateway(EdgeConfig::default());
+    let addr = gateway.local_addr();
+
+    // The staller pipelines `Stats` probes as fast as its socket takes them
+    // and never reads one answer. The answers back up: first in the kernel's
+    // buffers, then in the gateway. It stops when the gateway hangs up on it
+    // (or, the bug: when the gateway stops reading and its own send buffer
+    // fills).
+    let staller = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("staller connect");
+        stream
+            .set_write_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let probe = request_frame(&EdgeRequest {
+            seq: 0,
+            idempotency_key: None,
+            deadline_ms: 0,
+            op: EdgeOp::Stats,
+        });
+        let burst = probe.repeat(64);
+        while stream.write_all(&burst).is_ok() {}
+        stream // kept open: only the gateway may end this connection
+    });
+
+    // Meanwhile a well-behaved client probes `Health`. Every round trip must
+    // stay well below the 200 ms the old write path spent *per reply* on a
+    // socket that does not drain (a few ms is typical; the bound leaves room
+    // for a loaded machine).
+    let mut client = EdgeClient::connect(addr, Duration::from_secs(10)).expect("client");
+    let mut worst = Duration::ZERO;
+    let mut probes = 0u64;
+    while probes < 20 || !staller.is_finished() {
+        let sent = Instant::now();
+        let resp = client.request(&health_request(probes)).expect("health");
+        worst = worst.max(sent.elapsed());
+        assert_eq!(resp.status, EdgeStatus::Ok);
+        probes += 1;
+        assert!(probes < 100_000, "the staller was never cut off");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(
+        worst < Duration::from_millis(100),
+        "a health probe took {worst:?} beside a client that does not read"
+    );
+
+    // The staller's connection was closed by the gateway, and counted.
+    let mut stalled = staller.join().expect("staller thread");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut sink = [0u8; 64 * 1024];
+    loop {
+        match stalled.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => continue, // answers that made it out before the cut
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("staller connection was not closed: {e}"),
+        }
+    }
+    assert!(gateway.snapshot().conns_closed >= 1);
+    gateway.shutdown();
+}

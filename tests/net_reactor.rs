@@ -6,7 +6,7 @@
 //! The peers here are mostly *raw* sockets driven by the test itself — the
 //! point is to poke the reactor from outside the friendly codepaths.
 
-use atum::net::frame::{self, Hello, NetError, Route};
+use atum::net::frame::{self, Hello, Route};
 use atum::net::{NetCluster, NetClusterBuilder, NetRuntime, RuntimeConfig};
 use atum::simnet::{Context, Node};
 use atum::types::wire::{self, FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE};
@@ -87,7 +87,7 @@ fn read_seqs(stream: TcpStream, expect_from: NodeId, pause: Duration) -> Vec<u64
         if !pause.is_zero() {
             std::thread::sleep(pause);
         }
-        match frame::read_frame_into(&mut reader, &mut body) {
+        match frame::read_frame_into(&mut reader, &frame::NODE_KINDS, &mut body) {
             Ok(kind) if kind == FRAME_KIND_ROUTE => {
                 let route: Route = wire::decode_exact(&body).unwrap();
                 assert_eq!(route.from, expect_from);
@@ -97,8 +97,10 @@ fn read_seqs(stream: TcpStream, expect_from: NodeId, pause: Duration) -> Vec<u64
                 let payload: Vec<u8> = wire::decode_exact(&body).unwrap();
                 seqs.push(u64::from_le_bytes(payload[..8].try_into().unwrap()));
             }
-            Err(NetError::Io(_)) => break, // EOF or read timeout
-            Err(e) => panic!("unexpected frame error: {e}"),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                panic!("unexpected frame error: {e}")
+            }
+            Err(_) => break, // EOF or read timeout
         }
     }
     seqs
