@@ -76,6 +76,9 @@ fn main() {
         }
     }
     let mut latencies = report.rejoin_latencies.clone();
+    // Roughly doubling bounds sized for protocol-level recovery: a churn
+    // re-join takes seconds to a couple of minutes.
+    let latency_buckets = latencies.cdf_at(&[2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0]);
     println!();
     println!(
         "completion: {}/{} ({:.0}%), members {} -> {}, sustained: {}",
@@ -94,11 +97,11 @@ fn main() {
             latencies.percentile(90.0),
             latencies.max()
         );
-        print!("histogram (s ≤ bound):");
-        for (bound, count) in report.rejoin_histogram.buckets() {
-            print!(" {bound:.0}:{count}");
+        print!("cdf (fraction ≤ bound s):");
+        for (bound, fraction) in &latency_buckets {
+            print!(" {bound:.0}:{fraction:.2}");
         }
-        println!(" overflow:{}", report.rejoin_histogram.overflow());
+        println!();
     }
     println!(
         "stalls: {} left, {} joining, {} awaiting transfer; ghost entries: {} ({} unhealable by construction, in {} vgroups)",
@@ -132,7 +135,7 @@ fn main() {
         .metric("latency_mean_secs", latencies.mean())
         .metric("latency_p90_secs", latencies.percentile(90.0))
         .metric("latency_max_secs", latencies.max())
-        .metric("latency_buckets", report.rejoin_histogram.buckets())
+        .metric("latency_buckets", latency_buckets)
         .perf(wall, Some(report.events_processed));
     atum_bench::emit(&record);
 }

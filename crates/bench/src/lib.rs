@@ -1,5 +1,5 @@
-//! Shared helpers for the per-figure experiment binaries and the Criterion
-//! benchmarks of the Atum reproduction.
+//! Shared helpers for the per-figure experiment binaries of the Atum
+//! reproduction.
 //!
 //! Every figure and table of the paper's evaluation (§6) has a matching
 //! binary in `src/bin/` (`fig04` … `fig13`). By default the binaries run at a

@@ -24,9 +24,9 @@
 //! invisible to simulated trajectories (`fabric_equivalence` goldens).
 
 use atum_crypto::Digest;
+use atum_obs::Counter;
 // determinism-lint: allow (keyed lookups only; iteration order never observed)
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Maximum number of cached digests.
@@ -43,12 +43,21 @@ struct Inner {
     order: VecDeque<Arc<[u8]>>,
 }
 
-static CACHE: OnceLock<Mutex<Inner>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
+/// The cache and its `core.digest_cache_{hits,misses}` counters in the
+/// process-wide registry, resolved once with it.
+struct Cache {
+    inner: Mutex<Inner>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
 
-fn cache() -> &'static Mutex<Inner> {
-    CACHE.get_or_init(Mutex::default)
+fn cache() -> &'static Cache {
+    static CACHE: OnceLock<Cache> = OnceLock::new();
+    CACHE.get_or_init(|| Cache {
+        inner: Mutex::default(),
+        hits: atum_obs::global().counter("core.digest_cache_hits"),
+        misses: atum_obs::global().counter("core.digest_cache_misses"),
+    })
 }
 
 /// Looks up the verified digest of an encoded payload, if a byte-identical
@@ -57,22 +66,19 @@ pub(crate) fn lookup(encoded_payload: &[u8]) -> Option<Digest> {
     if encoded_payload.len() > MAX_ENTRY_BYTES {
         return None;
     }
-    let found = cache()
+    let cache = cache();
+    let found = cache
+        .inner
         .lock()
         .expect("digest cache lock")
         .map
         .get(encoded_payload)
         .copied();
     match found {
-        Some(d) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            Some(d)
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+        Some(_) => cache.hits.inc(),
+        None => cache.misses.inc(),
     }
+    found
 }
 
 /// Records the digest a decoder computed (and thereby verified) for an
@@ -82,7 +88,7 @@ pub(crate) fn insert(encoded_payload: &[u8], digest: Digest) {
         return;
     }
     let key: Arc<[u8]> = Arc::from(encoded_payload);
-    let mut inner = cache().lock().expect("digest cache lock");
+    let mut inner = cache().inner.lock().expect("digest cache lock");
     if inner.map.insert(key.clone(), digest).is_none() {
         inner.order.push_back(key);
         while inner.order.len() > CACHE_CAPACITY {
@@ -94,9 +100,11 @@ pub(crate) fn insert(encoded_payload: &[u8], digest: Digest) {
 }
 
 /// Hit/miss counters of the verified-digest cache since process start
-/// (`(hits, misses)`). Benches report these; tests assert duplicates hit.
+/// (`(hits, misses)`), a view of `core.digest_cache_{hits,misses}`. Benches
+/// report these; tests assert duplicates hit.
 pub fn verified_digest_stats() -> (u64, u64) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+    let cache = cache();
+    (cache.hits.get(), cache.misses.get())
 }
 
 #[cfg(test)]
@@ -130,7 +138,7 @@ mod tests {
             let key = format!("digest-cache-capacity-{i}");
             insert(key.as_bytes(), Digest::of(key.as_bytes()));
         }
-        let inner = cache().lock().unwrap();
+        let inner = cache().inner.lock().unwrap();
         assert!(inner.map.len() <= CACHE_CAPACITY);
         assert_eq!(inner.map.len(), inner.order.len());
     }

@@ -11,11 +11,12 @@
 //! under the gateway's own body cap, and it *hardens the boundary*: bad
 //! magic/version/kind, oversized bodies, undecodable requests and
 //! slow-loris dribbling all close **only that client connection**, counted
-//! in [`RuntimeStats`] — a hostile client can never take down a reactor or
-//! a node. Probe operations (`Health`, `Stats`) are answered on the I/O
-//! thread so they bypass admission and stay truthful under overload and
-//! during drain. Everything else passes admission: a bounded queue that
-//! **sheds the newest request** with an immediate
+//! under `edge.*` in the gateway's own [`Registry`] — a hostile client can
+//! never take down a reactor or a node. Probe operations (`Health`,
+//! `Stats`) are answered on the I/O thread so they bypass admission and
+//! stay truthful under overload and during drain (a `Stats` payload is
+//! built at most once per loop turn). Everything else passes admission: a
+//! bounded queue that **sheds the newest request** with an immediate
 //! [`EdgeStatus::Overloaded`] reply when full, so saturation degrades to
 //! fast typed rejection instead of unbounded latency.
 //!
@@ -45,8 +46,10 @@
 use crate::backend::{EdgeBackend, EdgeBackendError};
 use crate::breaker::{Breaker, BreakerConfig, BreakerTransition, Permit};
 use crate::dedup::{DedupCache, DedupConfig, DedupDecision};
-use atum_net::conn::{CloseReason, ConnTable, Injector, QueuedFrame, Ready};
-use atum_net::{frame, RuntimeStats};
+use atum_net::conn::{CloseReason, ConnMetrics, ConnTable, Injector, QueuedFrame, Ready};
+use atum_net::frame;
+use atum_obs::metrics::Value;
+use atum_obs::{AtomicHistogram, Counter, Registry};
 use atum_types::edge::{EdgeOp, EdgeRequest, EdgeResponse, EdgeStatus};
 use atum_types::wire::{decode_exact, FRAME_KIND_EDGE_REQUEST, FRAME_KIND_EDGE_RESPONSE};
 use atum_types::NodeId;
@@ -110,28 +113,9 @@ impl Default for EdgeConfig {
     }
 }
 
-/// Monotonic counters the gateway accumulates (exposed via
-/// [`EdgeGateway::snapshot`] and the `Stats` probe operation; the same
-/// values feed the `edge.*` metrics in the `atum_obs` registry).
-#[derive(Debug, Default)]
-struct EdgeCounters {
-    requests: AtomicU64,
-    ok: AtomicU64,
-    shed: AtomicU64,
-    unavailable: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    bad_request: AtomicU64,
-    shutting_down: AtomicU64,
-    dedup_hits: AtomicU64,
-    breaker_opened: AtomicU64,
-    breaker_half_opened: AtomicU64,
-    breaker_closed: AtomicU64,
-    breaker_full_cycles: AtomicU64,
-    conns_accepted: AtomicU64,
-}
-
-/// A point-in-time copy of the gateway's counters and health, as plain
-/// numbers.
+/// A point-in-time view of the gateway's health and of its counters: each
+/// numeric field but `outstanding` is the `edge.<field>` counter of the
+/// gateway's [`Registry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeSnapshot {
     /// Requests decoded from client frames (including probes).
@@ -185,29 +169,53 @@ pub struct DrainReport {
     pub abandoned: u64,
 }
 
-struct ObsHandles {
-    requests: Arc<atum_obs::Counter>,
-    ok: Arc<atum_obs::Counter>,
-    shed: Arc<atum_obs::Counter>,
-    dedup_hits: Arc<atum_obs::Counter>,
-    breaker_opened: Arc<atum_obs::Counter>,
-    breaker_closed: Arc<atum_obs::Counter>,
-    frame_violations: Arc<atum_obs::Counter>,
-    latency_us: Arc<atum_obs::AtomicHistogram>,
+/// The gateway's handles into its registry, resolved once in
+/// [`EdgeGateway::start`]: the I/O thread and the workers count each event
+/// on exactly one of them. (The connection layer's four `edge.*` metrics
+/// are its [`ConnMetrics`].)
+struct EdgeMetrics {
+    requests: Arc<Counter>,
+    bytes_received: Arc<Counter>,
+    ok: Arc<Counter>,
+    shed: Arc<Counter>,
+    unavailable: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    bad_request: Arc<Counter>,
+    shutting_down: Arc<Counter>,
+    dedup_hits: Arc<Counter>,
+    breaker_opened: Arc<Counter>,
+    breaker_half_opened: Arc<Counter>,
+    breaker_closed: Arc<Counter>,
+    breaker_full_cycles: Arc<Counter>,
+    conns_accepted: Arc<Counter>,
+    conns_closed: Arc<Counter>,
+    frame_violations: Arc<Counter>,
+    idle_closed: Arc<Counter>,
+    /// Admission-to-reply latency of worker-executed requests (µs).
+    latency_us: Arc<AtomicHistogram>,
 }
 
-impl ObsHandles {
-    fn new() -> ObsHandles {
-        let reg = atum_obs::global();
-        ObsHandles {
-            requests: reg.counter("edge.requests"),
-            ok: reg.counter("edge.ok"),
-            shed: reg.counter("edge.shed"),
-            dedup_hits: reg.counter("edge.dedup_hits"),
-            breaker_opened: reg.counter("edge.breaker_opened"),
-            breaker_closed: reg.counter("edge.breaker_closed"),
-            frame_violations: reg.counter("edge.frame_violations"),
-            latency_us: reg.histogram(
+impl EdgeMetrics {
+    fn new(registry: &Registry) -> EdgeMetrics {
+        EdgeMetrics {
+            requests: registry.counter("edge.requests"),
+            bytes_received: registry.counter("edge.bytes_received"),
+            ok: registry.counter("edge.ok"),
+            shed: registry.counter("edge.shed"),
+            unavailable: registry.counter("edge.unavailable"),
+            deadline_exceeded: registry.counter("edge.deadline_exceeded"),
+            bad_request: registry.counter("edge.bad_request"),
+            shutting_down: registry.counter("edge.shutting_down"),
+            dedup_hits: registry.counter("edge.dedup_hits"),
+            breaker_opened: registry.counter("edge.breaker_opened"),
+            breaker_half_opened: registry.counter("edge.breaker_half_opened"),
+            breaker_closed: registry.counter("edge.breaker_closed"),
+            breaker_full_cycles: registry.counter("edge.breaker_full_cycles"),
+            conns_accepted: registry.counter("edge.conns_accepted"),
+            conns_closed: registry.counter("edge.conns_closed"),
+            frame_violations: registry.counter("edge.frame_violations"),
+            idle_closed: registry.counter("edge.idle_closed"),
+            latency_us: registry.histogram(
                 "edge.latency_us",
                 &[
                     100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000,
@@ -241,9 +249,9 @@ struct Job {
 struct Shared {
     cfg: EdgeConfig,
     backend: Arc<dyn EdgeBackend>,
-    stats: Arc<RuntimeStats>,
-    counters: EdgeCounters,
-    obs: ObsHandles,
+    /// The gateway's metrics store: every `edge.*` count.
+    registry: Registry,
+    metrics: EdgeMetrics,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     /// The I/O thread's mailbox: the responses produced off that thread.
@@ -270,26 +278,21 @@ impl Shared {
     /// Emits drained breaker transitions to counters + trace events;
     /// called outside the breaker-map lock.
     fn surface_transitions(&self, node: NodeId, transitions: &[BreakerTransition]) {
+        let m = &self.metrics;
         for t in transitions {
             let code = match t {
                 BreakerTransition::Opened => {
-                    self.counters.breaker_opened.fetch_add(1, Ordering::Relaxed);
-                    self.obs.breaker_opened.inc();
+                    m.breaker_opened.inc();
                     1u64
                 }
                 BreakerTransition::HalfOpened => {
-                    self.counters
-                        .breaker_half_opened
-                        .fetch_add(1, Ordering::Relaxed);
+                    m.breaker_half_opened.inc();
                     2
                 }
                 BreakerTransition::Closed(full) => {
-                    self.counters.breaker_closed.fetch_add(1, Ordering::Relaxed);
-                    self.obs.breaker_closed.inc();
+                    m.breaker_closed.inc();
                     if *full {
-                        self.counters
-                            .breaker_full_cycles
-                            .fetch_add(1, Ordering::Relaxed);
+                        m.breaker_full_cycles.inc();
                     }
                     3
                 }
@@ -318,34 +321,17 @@ impl Shared {
 
     /// Counts and encodes one response.
     fn response(&self, to: ConnRef, seq: u64, status: EdgeStatus, payload: Vec<u8>) -> Reply {
+        let m = &self.metrics;
         match status {
-            EdgeStatus::Ok => {
-                self.counters.ok.fetch_add(1, Ordering::Relaxed);
-                self.obs.ok.inc();
-            }
-            EdgeStatus::Overloaded => {
-                self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                self.obs.shed.inc();
-            }
-            EdgeStatus::Unavailable => {
-                self.counters.unavailable.fetch_add(1, Ordering::Relaxed);
-            }
-            EdgeStatus::DeadlineExceeded => {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            EdgeStatus::BadRequest => {
-                self.counters.bad_request.fetch_add(1, Ordering::Relaxed);
-            }
-            EdgeStatus::ShuttingDown => {
-                self.counters.shutting_down.fetch_add(1, Ordering::Relaxed);
-            }
-            EdgeStatus::Duplicate => {
-                self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.dedup_hits.inc();
-            }
+            EdgeStatus::Ok => &m.ok,
+            EdgeStatus::Overloaded => &m.shed,
+            EdgeStatus::Unavailable => &m.unavailable,
+            EdgeStatus::DeadlineExceeded => &m.deadline_exceeded,
+            EdgeStatus::BadRequest => &m.bad_request,
+            EdgeStatus::ShuttingDown => &m.shutting_down,
+            EdgeStatus::Duplicate => &m.dedup_hits,
         }
+        .inc();
         let resp = EdgeResponse {
             seq,
             status,
@@ -355,74 +341,57 @@ impl Shared {
         Reply { to, frame }
     }
 
-    fn snapshot(&self) -> EdgeSnapshot {
-        let c = &self.counters;
-        let breakers = self
-            .breakers
+    /// Per-backend breaker states, `node.raw() → state name`.
+    fn breaker_states(&self) -> BTreeMap<u64, &'static str> {
+        self.breakers
             .lock()
             .expect("edge breakers lock")
             .iter()
             .map(|(id, b)| (id.raw(), b.state_kind().as_str()))
-            .collect();
+            .collect()
+    }
+
+    fn snapshot(&self) -> EdgeSnapshot {
+        let m = &self.metrics;
         EdgeSnapshot {
-            requests: c.requests.load(Ordering::Relaxed),
-            ok: c.ok.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            unavailable: c.unavailable.load(Ordering::Relaxed),
-            deadline_exceeded: c.deadline_exceeded.load(Ordering::Relaxed),
-            bad_request: c.bad_request.load(Ordering::Relaxed),
-            shutting_down: c.shutting_down.load(Ordering::Relaxed),
-            dedup_hits: c.dedup_hits.load(Ordering::Relaxed),
-            breaker_opened: c.breaker_opened.load(Ordering::Relaxed),
-            breaker_half_opened: c.breaker_half_opened.load(Ordering::Relaxed),
-            breaker_closed: c.breaker_closed.load(Ordering::Relaxed),
-            breaker_full_cycles: c.breaker_full_cycles.load(Ordering::Relaxed),
-            conns_accepted: c.conns_accepted.load(Ordering::Relaxed),
-            conns_closed: self.stats.edge_conns_closed.load(Ordering::Relaxed),
-            frame_violations: self.stats.edge_frame_violations.load(Ordering::Relaxed),
-            idle_closed: self.stats.edge_idle_closed.load(Ordering::Relaxed),
+            requests: m.requests.get(),
+            ok: m.ok.get(),
+            shed: m.shed.get(),
+            unavailable: m.unavailable.get(),
+            deadline_exceeded: m.deadline_exceeded.get(),
+            bad_request: m.bad_request.get(),
+            shutting_down: m.shutting_down.get(),
+            dedup_hits: m.dedup_hits.get(),
+            breaker_opened: m.breaker_opened.get(),
+            breaker_half_opened: m.breaker_half_opened.get(),
+            breaker_closed: m.breaker_closed.get(),
+            breaker_full_cycles: m.breaker_full_cycles.get(),
+            conns_accepted: m.conns_accepted.get(),
+            conns_closed: m.conns_closed.get(),
+            frame_violations: m.frame_violations.get(),
+            idle_closed: m.idle_closed.get(),
             outstanding: self.outstanding.load(Ordering::Relaxed),
             ready: self.ready.load(Ordering::Relaxed),
-            breakers,
+            breakers: self.breaker_states(),
         }
     }
 
-    fn snapshot_json(&self) -> String {
-        let s = self.snapshot();
-        let mut breakers = String::new();
-        for (i, (id, state)) in s.breakers.iter().enumerate() {
-            if i > 0 {
-                breakers.push(',');
-            }
-            breakers.push_str(&format!("\"{id}\":\"{state}\""));
-        }
-        format!(
-            "{{\"requests\":{},\"ok\":{},\"shed\":{},\"unavailable\":{},\
-             \"deadline_exceeded\":{},\"bad_request\":{},\"shutting_down\":{},\
-             \"dedup_hits\":{},\"breaker_opened\":{},\"breaker_half_opened\":{},\
-             \"breaker_closed\":{},\"breaker_full_cycles\":{},\
-             \"conns_accepted\":{},\"conns_closed\":{},\"frame_violations\":{},\
-             \"idle_closed\":{},\"outstanding\":{},\"ready\":{},\"breakers\":{{{}}}}}",
-            s.requests,
-            s.ok,
-            s.shed,
-            s.unavailable,
-            s.deadline_exceeded,
-            s.bad_request,
-            s.shutting_down,
-            s.dedup_hits,
-            s.breaker_opened,
-            s.breaker_half_opened,
-            s.breaker_closed,
-            s.breaker_full_cycles,
-            s.conns_accepted,
-            s.conns_closed,
-            s.frame_violations,
-            s.idle_closed,
-            s.outstanding,
-            s.ready,
-            breakers
-        )
+    /// The `Stats` probe payload: the registry snapshot (`scope`,
+    /// `metrics`) plus `ready`, `outstanding` and `breakers`.
+    fn stats_json(&self) -> String {
+        let breakers = self
+            .breaker_states()
+            .into_iter()
+            .map(|(id, state)| (id.to_string(), Value::Str(state.to_string())))
+            .collect();
+        self.registry.snapshot().to_json(vec![
+            ("ready", Value::Bool(self.ready.load(Ordering::Relaxed))),
+            (
+                "outstanding",
+                Value::U64(self.outstanding.load(Ordering::Relaxed)),
+            ),
+            ("breakers", Value::Map(breakers)),
+        ])
     }
 
     fn health_json(&self) -> String {
@@ -496,13 +465,13 @@ impl EdgeGateway {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
+        let registry = Registry::new(format!("edge:{local_addr}"));
         let shared = Arc::new(Shared {
             breakers: Mutex::new(BTreeMap::new()),
             dedup: Mutex::new(DedupCache::new(cfg.dedup)),
             backend,
-            stats: Arc::new(RuntimeStats::default()),
-            counters: EdgeCounters::default(),
-            obs: ObsHandles::new(),
+            metrics: EdgeMetrics::new(&registry),
+            registry,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             replies: Injector::new()?,
@@ -540,10 +509,9 @@ impl EdgeGateway {
         self.local_addr
     }
 
-    /// The gateway's socket/violation counters (the same structure the
-    /// node runtime uses, so harnesses aggregate both uniformly).
-    pub fn stats(&self) -> &Arc<RuntimeStats> {
-        &self.shared.stats
+    /// The gateway's metrics store (`edge.*`, scope `edge:<listener>`).
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// A cloneable probe handle (liveness/readiness/snapshots).
@@ -624,17 +592,22 @@ struct EdgeIo {
     /// Per-connection out-queue bound: the replies admission lets one
     /// connection have in flight.
     out_capacity: usize,
+    /// This loop turn's `Stats` payload, built by the first probe that asks
+    /// for it: a client pipelining probes costs one registry snapshot per
+    /// turn, not one per probe.
+    stats_payload: Option<Vec<u8>>,
 }
 
 impl EdgeIo {
     fn new(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<EdgeIo> {
-        let stats = Arc::clone(&shared.stats);
-        let table = ConnTable::new(&shared.replies, Some(listener), stats, shared.epoch)?;
+        let metrics = ConnMetrics::new(&shared.registry, "edge");
+        let table = ConnTable::new(&shared.replies, Some(listener), metrics, shared.epoch)?;
         let out_capacity = shared.cfg.queue_capacity + shared.cfg.workers.max(1);
         Ok(EdgeIo {
             shared,
             table,
             out_capacity,
+            stats_payload: None,
         })
     }
 
@@ -659,6 +632,7 @@ impl EdgeIo {
     /// replies. While `draining`, input is discarded.
     fn turn(&mut self, draining: bool) {
         self.table.recycle();
+        self.stats_payload = None;
         let ready = self.table.wait(TICK);
         let now = Instant::now();
         for i in 0..ready {
@@ -688,10 +662,7 @@ impl EdgeIo {
             if self.shared.admitting.load(Ordering::SeqCst)
                 && self.table.accept(stream, now).is_some()
             {
-                self.shared
-                    .counters
-                    .conns_accepted
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics.conns_accepted.inc();
             }
         }
     }
@@ -724,7 +695,6 @@ impl EdgeIo {
             let Some(conn) = self.table.get(slot) else {
                 return;
             };
-            let stats = &self.shared.stats;
             let rest = &conn.inbuf[consumed..];
             let kinds = [FRAME_KIND_EDGE_REQUEST];
             let range = match frame::scan_frame(rest, &kinds, self.shared.cfg.max_frame_len) {
@@ -733,20 +703,14 @@ impl EdgeIo {
                 Err(_) => break true,
             };
             let Ok(req) = decode_exact::<EdgeRequest>(&rest[range.clone()]) else {
-                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                 break true;
             };
             consumed += range.end;
-            stats.frames_received.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_received
-                .fetch_add(range.end as u64, Ordering::Relaxed);
+            self.shared.metrics.bytes_received.add(range.end as u64);
             self.dispatch(to, req, now);
         };
         if violation {
-            let stats = &self.shared.stats;
-            stats.edge_frame_violations.fetch_add(1, Ordering::Relaxed);
-            self.shared.obs.frame_violations.inc();
+            self.shared.metrics.frame_violations.inc();
             self.close(slot, CloseReason::Violation);
         } else if let Some(conn) = self.table.get_mut(slot) {
             conn.inbuf.drain(..consumed);
@@ -757,15 +721,17 @@ impl EdgeIo {
     /// else through admission (shed-newest on a full queue).
     fn dispatch(&mut self, conn: ConnRef, req: EdgeRequest, now: Instant) {
         let shared = &self.shared;
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        shared.obs.requests.inc();
+        shared.metrics.requests.inc();
         match req.op {
             EdgeOp::Health => {
                 let payload = shared.health_json().into_bytes();
                 return self.answer(conn, req.seq, EdgeStatus::Ok, payload);
             }
             EdgeOp::Stats => {
-                let payload = shared.snapshot_json().into_bytes();
+                let payload = self
+                    .stats_payload
+                    .get_or_insert_with(|| shared.stats_json().into_bytes())
+                    .clone();
                 return self.answer(conn, req.seq, EdgeStatus::Ok, payload);
             }
             _ => {}
@@ -852,20 +818,14 @@ impl EdgeIo {
             .map(|(slot, _)| slot)
             .collect();
         for slot in idle {
-            self.shared
-                .stats
-                .edge_idle_closed
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.idle_closed.inc();
             self.close(slot, CloseReason::Idle);
         }
     }
 
     fn close(&mut self, slot: usize, reason: CloseReason) {
         if self.table.close(slot, reason).is_some() {
-            self.shared
-                .stats
-                .edge_conns_closed
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics.conns_closed.inc();
         }
     }
 }
@@ -900,7 +860,7 @@ fn process(shared: &Arc<Shared>, rng: &mut ChaCha8Rng, job: Job) {
     let (status, payload) = run_request(shared, rng, &job);
     shared.reply(job.conn, job.req.seq, status, payload);
     shared
-        .obs
+        .metrics
         .latency_us
         .record(job.received.elapsed().as_micros() as u64);
     shared.outstanding.fetch_sub(1, Ordering::SeqCst);

@@ -29,10 +29,11 @@
 //! receiving node frames (or vice versa) is a violation that closes only
 //! that connection. Client sockets live in the same connection layer as the
 //! node runtime's ([`atum_net::conn`]) under the same framing
-//! ([`atum_net::frame`]) and count into the same
-//! [`RuntimeStats`](atum_net::RuntimeStats), so harnesses aggregate node
-//! and edge I/O uniformly; what this crate adds is the client wire's
-//! vocabulary and the policy around it.
+//! ([`atum_net::frame`]); what this crate adds is the client wire's
+//! vocabulary and the policy around it. Every count the gateway keeps lives
+//! under `edge.*` in its own `atum_obs::Registry`
+//! ([`EdgeGateway::registry`]); [`EdgeSnapshot`] and the `Stats` probe are
+//! views of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,76 +15,22 @@
 //! stand up 1000+ socket-backed nodes in one process.
 
 use crate::reactor::{NetRuntime, NodeHandle};
-use crate::runtime::{AddressBook, RuntimeConfig};
+use crate::runtime::{AddressBook, RuntimeConfig, RuntimeStats};
 use atum_core::{Application, AtumMessage, AtumNode};
 use atum_crypto::KeyRegistry;
+use atum_obs::Snapshot;
 use atum_overlay::{CycleNeighbors, HGraph, NeighborTable, VgroupDirectory};
 use atum_types::{Composition, NodeId, Params, VgroupId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-/// Aggregated runtime counters across every runtime of a cluster.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggregateStats {
-    /// Message frames written to sockets.
-    pub frames_sent: u64,
-    /// Frames dropped (bounded queues, unreachable peers).
-    pub frames_dropped: u64,
-    /// Message frames received and decoded.
-    pub frames_received: u64,
-    /// Frames rejected by the decoder.
-    pub decode_errors: u64,
-    /// Logical message encodings (encode-once fan-out keeps this far below
-    /// `frames_sent` under group traffic).
-    pub messages_encoded: u64,
-    /// Socket `write` syscalls (handshakes + coalesced batches).
-    pub writes: u64,
-    /// Bytes written.
-    pub bytes_sent: u64,
-    /// Bytes received in decoded message frames.
-    pub bytes_received: u64,
-    /// Events processed across all reactors.
-    pub events_processed: u64,
-    /// Highest outbound queue depth any connection reached (RSS-ish proxy).
-    pub peak_outbound_queue: u64,
-    /// Highest inbound delivery-queue depth any runtime reached (the other
-    /// RSS-ish proxy).
-    pub peak_inbound_queue: u64,
-    /// OS threads across all runtimes: O(runtimes × reactors), independent
-    /// of the node count.
-    pub threads: u64,
-    /// Frames dropped by the fault plane (injected, not organic).
-    pub frames_dropped_injected: u64,
-    /// Frames corrupted by the fault plane.
-    pub frames_corrupted_injected: u64,
-    /// Frames held back by an injected delay.
-    pub frames_delayed_injected: u64,
-    /// Connections broken by injected kills.
-    pub conns_killed_injected: u64,
-    /// `poll` waits across all reactors.
-    pub poll_waits: u64,
-    /// Total microseconds spent blocked in `poll`.
-    pub poll_wait_us: u64,
-    /// Dispatch batches across all reactors.
-    pub dispatch_batches: u64,
-    /// Events dispatched across all batches.
-    pub dispatch_batch_events: u64,
-    /// Total microseconds node timers fired behind their deadline.
-    pub timer_lag_us: u64,
-    /// Worst single node-timer lag (µs) any reactor observed — the
-    /// CPU-starvation signal (see [`NetCluster::wait_for_members`]).
-    pub timer_lag_max_us: u64,
-    /// Edge gateway: client frames rejected as protocol violations.
-    pub edge_frame_violations: u64,
-    /// Edge gateway: client connections closed as slow-loris idlers.
-    pub edge_idle_closed: u64,
-    /// Edge gateway: client connections closed for any reason.
-    pub edge_conns_closed: u64,
-}
+/// [`RuntimeStats`] over the merged registries of every runtime of a
+/// cluster: counters and histograms summed, peaks maxed (so `threads` is
+/// O(runtimes × reactors), independent of the node count).
+pub type AggregateStats = RuntimeStats;
 
 /// Builder for [`NetCluster`].
 #[derive(Debug, Clone)]
@@ -479,42 +425,11 @@ impl<A: Application + Send + 'static> NetCluster<A> {
 
     /// Aggregated runtime counters across all runtimes.
     pub fn stats(&self) -> AggregateStats {
-        let mut agg = AggregateStats::default();
+        let mut merged = Snapshot::default();
         for rt in &self.runtimes {
-            let s = rt.stats();
-            agg.frames_sent += s.frames_sent.load(Ordering::Relaxed);
-            agg.frames_dropped += s.frames_dropped.load(Ordering::Relaxed);
-            agg.frames_received += s.frames_received.load(Ordering::Relaxed);
-            agg.decode_errors += s.decode_errors.load(Ordering::Relaxed);
-            agg.messages_encoded += s.messages_encoded.load(Ordering::Relaxed);
-            agg.writes += s.writes.load(Ordering::Relaxed);
-            agg.bytes_sent += s.bytes_sent.load(Ordering::Relaxed);
-            agg.bytes_received += s.bytes_received.load(Ordering::Relaxed);
-            agg.events_processed += s.events_processed.load(Ordering::Relaxed);
-            agg.peak_outbound_queue = agg
-                .peak_outbound_queue
-                .max(s.peak_outbound_queue.load(Ordering::Relaxed));
-            agg.peak_inbound_queue = agg
-                .peak_inbound_queue
-                .max(s.peak_inbound_queue.load(Ordering::Relaxed));
-            agg.threads += s.threads.load(Ordering::Relaxed);
-            agg.frames_dropped_injected += s.frames_dropped_injected.load(Ordering::Relaxed);
-            agg.frames_corrupted_injected += s.frames_corrupted_injected.load(Ordering::Relaxed);
-            agg.frames_delayed_injected += s.frames_delayed_injected.load(Ordering::Relaxed);
-            agg.conns_killed_injected += s.conns_killed_injected.load(Ordering::Relaxed);
-            agg.poll_waits += s.poll_waits.load(Ordering::Relaxed);
-            agg.poll_wait_us += s.poll_wait_us.load(Ordering::Relaxed);
-            agg.dispatch_batches += s.dispatch_batches.load(Ordering::Relaxed);
-            agg.dispatch_batch_events += s.dispatch_batch_events.load(Ordering::Relaxed);
-            agg.timer_lag_us += s.timer_lag_us.load(Ordering::Relaxed);
-            agg.timer_lag_max_us = agg
-                .timer_lag_max_us
-                .max(s.timer_lag_max_us.load(Ordering::Relaxed));
-            agg.edge_frame_violations += s.edge_frame_violations.load(Ordering::Relaxed);
-            agg.edge_idle_closed += s.edge_idle_closed.load(Ordering::Relaxed);
-            agg.edge_conns_closed += s.edge_conns_closed.load(Ordering::Relaxed);
+            merged.merge(rt.registry().snapshot());
         }
-        agg
+        RuntimeStats::read(&merged)
     }
 
     /// The fault plane shared by every runtime of this cluster: partitions,

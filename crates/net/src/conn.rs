@@ -25,13 +25,12 @@
 //!   `WouldBlock`.
 
 use crate::frame::{self, Route};
-use crate::runtime::RuntimeStats;
+use atum_obs::{Counter, Gauge, Registry};
 use polling_mini::{Event, Interest, Poller, Waker};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -124,6 +123,31 @@ pub fn fill_batch(
         taken += 1;
     }
     taken
+}
+
+/// The metrics a [`ConnTable`] writes, resolved by its owner in the owner's
+/// registry so [`ConnTable::enqueue`] and [`ConnTable::flush`] never look
+/// anything up.
+#[derive(Debug)]
+pub struct ConnMetrics {
+    frames_sent: Arc<Counter>,
+    writes: Arc<Counter>,
+    bytes_sent: Arc<Counter>,
+    peak_outbound_queue: Arc<Gauge>,
+}
+
+impl ConnMetrics {
+    /// Resolves `<prefix>.frames_sent`, `<prefix>.writes`,
+    /// `<prefix>.bytes_sent` and the `<prefix>.peak_outbound_queue` gauge in
+    /// `registry`.
+    pub fn new(registry: &Registry, prefix: &str) -> Self {
+        ConnMetrics {
+            frames_sent: registry.counter(&format!("{prefix}.frames_sent")),
+            writes: registry.counter(&format!("{prefix}.writes")),
+            bytes_sent: registry.counter(&format!("{prefix}.bytes_sent")),
+            peak_outbound_queue: registry.gauge(&format!("{prefix}.peak_outbound_queue")),
+        }
+    }
 }
 
 /// One readiness report from [`ConnTable::wait`].
@@ -250,18 +274,18 @@ pub struct ConnTable<X> {
     next_gen: u64,
     events: Vec<Event>,
     rdbuf: Vec<u8>,
-    stats: Arc<RuntimeStats>,
+    metrics: ConnMetrics,
     /// Anchor of the timestamps on close events.
     epoch: Instant,
 }
 
 impl<X> ConnTable<X> {
     /// A table polling `injector`'s eventfd and, when given, `listener`
-    /// (which must already be non-blocking). Writes are counted in `stats`.
+    /// (which must already be non-blocking). Writes are counted in `metrics`.
     pub fn new<T>(
         injector: &Injector<T>,
         listener: Option<TcpListener>,
-        stats: Arc<RuntimeStats>,
+        metrics: ConnMetrics,
         epoch: Instant,
     ) -> std::io::Result<Self> {
         let poller = Poller::new()?;
@@ -278,7 +302,7 @@ impl<X> ConnTable<X> {
             next_gen: 0,
             events: Vec::new(),
             rdbuf: vec![0u8; READ_CHUNK],
-            stats,
+            metrics,
             epoch,
         })
     }
@@ -502,7 +526,9 @@ impl<X> ConnTable<X> {
             return false;
         }
         conn.outq.push_back(item);
-        self.stats.note_queue_depth(conn.outq.len());
+        self.metrics
+            .peak_outbound_queue
+            .record_max(conn.outq.len() as u64);
         true
     }
 
@@ -519,15 +545,13 @@ impl<X> ConnTable<X> {
         if !conn.open {
             return true;
         }
-        let stats = &self.stats;
+        let metrics = &self.metrics;
         let mut stream = conn.stream.as_ref().expect("open without socket");
         loop {
             if conn.batch_pos >= conn.batch.len() {
                 // The previous batch (if any) is fully on the wire.
                 if conn.batch_frames > 0 {
-                    stats
-                        .frames_sent
-                        .fetch_add(conn.batch_frames as u64, Ordering::Relaxed);
+                    metrics.frames_sent.add(conn.batch_frames as u64);
                     conn.outq.drain(..conn.batch_frames);
                     conn.batch_frames = 0;
                 }
@@ -551,8 +575,8 @@ impl<X> ConnTable<X> {
             }
             match stream.write(&conn.batch[conn.batch_pos..]) {
                 Ok(n) => {
-                    stats.writes.fetch_add(1, Ordering::Relaxed);
-                    stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
+                    metrics.writes.inc();
+                    metrics.bytes_sent.add(n as u64);
                     conn.batch_pos += n;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -584,7 +608,7 @@ mod tests {
         let mut table = ConnTable::new(
             &injector,
             Some(listener),
-            Arc::new(RuntimeStats::default()),
+            ConnMetrics::new(&Registry::new("test"), "net"),
             Instant::now(),
         )
         .unwrap();

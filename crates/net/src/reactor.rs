@@ -4,8 +4,8 @@
 //! [`NetRuntime::bind`] opens one listener and spawns
 //! [`RuntimeConfig::reactors`] reactor threads; [`NetRuntime::host`] places
 //! protocol nodes onto them round-robin. The per-process thread count is
-//! O(reactors), not O(nodes) or O(connections) — the `threads` gauge in
-//! `RuntimeStats` reports it — which is what makes a 1000+-node
+//! O(reactors), not O(nodes) or O(connections) — `RuntimeStats::threads`
+//! reports it — which is what makes a 1000+-node
 //! single-process cluster feasible at all.
 //!
 //! # Readiness and ownership invariants
@@ -59,12 +59,12 @@
 //! fan-out encodes once ([`FrameMemo`]) and write batches coalesce many
 //! frames into one syscall.
 
-use crate::conn::{CloseReason, ConnTable, Injector, QueuedFrame, Ready};
+use crate::conn::{CloseReason, ConnMetrics, ConnTable, Injector, QueuedFrame, Ready};
 use crate::faults::{FaultDecider, FaultDecision, FaultPlane};
 use crate::frame::{self, Hello, Route};
-use crate::runtime::{AddressBook, NetMessage, RuntimeConfig, RuntimeStats};
+use crate::runtime::{AddressBook, NetMessage, NetMetrics, RuntimeConfig, RuntimeStats};
 use atum_obs::flight::{self, FlightRecorder};
-use atum_obs::metrics::AtomicHistogram;
+use atum_obs::Registry;
 use atum_simnet::{Context, ContextEffects, Node, OutboundMessage, TimerRequest};
 use atum_types::wire::{self, FRAME_HEADER_LEN, FRAME_KIND_HELLO, FRAME_KIND_ROUTE, MAX_FRAME_LEN};
 use atum_types::{Instant, NodeId};
@@ -73,7 +73,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
@@ -241,7 +241,11 @@ struct Hosted<N> {
 struct Shared<M, N> {
     cfg: RuntimeConfig,
     book: AddressBook,
-    stats: Arc<RuntimeStats>,
+    /// The runtime's metrics store: every `net.*` count of its reactors.
+    registry: Registry,
+    /// Decoded inbound messages currently awaiting dispatch (its peak is
+    /// the `net.peak_inbound_queue` gauge).
+    inbound_pending: AtomicU64,
     epoch: StdInstant,
     addr: SocketAddr,
     shutdown: AtomicBool,
@@ -308,8 +312,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let reactors = cfg.reactors.max(1);
-        let stats = Arc::new(RuntimeStats::default());
-        stats.threads.store(reactors as u64, Ordering::Relaxed);
+        let registry = Registry::new(format!("runtime:{addr}"));
+        registry.counter("net.threads").add(reactors as u64);
         let mut injectors = Vec::with_capacity(reactors);
         for _ in 0..reactors {
             injectors.push(Arc::new(Injector::new()?));
@@ -317,7 +321,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
         let shared = Arc::new(Shared {
             book: cfg.book.clone(),
             epoch: cfg.epoch.unwrap_or_else(StdInstant::now),
-            stats,
+            registry,
+            inbound_pending: AtomicU64::new(0),
             addr,
             shutdown: AtomicBool::new(false),
             placements: RwLock::new(HashMap::new()),
@@ -378,9 +383,14 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
     }
 
     /// The runtime's counters, aggregated across all reactors and hosted
-    /// nodes.
-    pub fn stats(&self) -> &Arc<RuntimeStats> {
-        &self.shared.stats
+    /// nodes: a view of [`NetRuntime::registry`] as of now.
+    pub fn stats(&self) -> RuntimeStats {
+        RuntimeStats::read(&self.shared.registry.snapshot())
+    }
+
+    /// The runtime's metrics store (`net.*`, scope `runtime:<listener>`).
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// The shared address book this runtime resolves peers through.
@@ -463,10 +473,11 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
         self.shared.addr
     }
 
-    /// The hosting runtime's counters. Counters are per *runtime*: a
-    /// handle's traffic is aggregated with every co-hosted node's.
-    pub fn stats(&self) -> &Arc<RuntimeStats> {
-        &self.shared.stats
+    /// The hosting runtime's counters as of now (readable after the
+    /// runtime shut down, too). Counters are per *runtime*: a handle's
+    /// traffic is aggregated with every co-hosted node's.
+    pub fn stats(&self) -> RuntimeStats {
+        RuntimeStats::read(&self.shared.registry.snapshot())
     }
 
     /// Schedules `f` against the node on its reactor (the socket runtime's
@@ -567,14 +578,7 @@ struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
     next_delayed: u64,
     /// Last observed `FaultPlane` kill-connections counter.
     seen_kills: u64,
-    /// Registry histogram of `poll` wait times (µs), resolved once here so
-    /// the loop never takes the registry lock.
-    poll_wait_hist: Arc<AtomicHistogram>,
-    /// Registry histogram of events per dispatch batch.
-    dispatch_batch_hist: Arc<AtomicHistogram>,
-    /// Registry histogram of node-timer lag (µs): how far behind their
-    /// deadline timers actually fire — the CPU-starvation signal.
-    timer_lag_hist: Arc<AtomicHistogram>,
+    metrics: NetMetrics,
 }
 
 impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
@@ -584,7 +588,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         listener: Option<TcpListener>,
     ) -> std::io::Result<Self> {
         let injector = shared.injectors[idx].clone();
-        let table = ConnTable::new(&injector, listener, shared.stats.clone(), shared.epoch)?;
+        let conn_metrics = ConnMetrics::new(&shared.registry, "net");
+        let table = ConnTable::new(&injector, listener, conn_metrics, shared.epoch)?;
+        let metrics = NetMetrics::new(&shared.registry);
         let fault_decider = shared.cfg.faults.decider(shared.cfg.seed, idx as u64);
         let seen_kills = shared.cfg.faults.kill_count();
         Ok(Reactor {
@@ -605,18 +611,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             delayed: HashMap::new(),
             next_delayed: 0,
             seen_kills,
-            poll_wait_hist: atum_obs::global().histogram(
-                "net.poll_wait_us",
-                &[50, 200, 1_000, 5_000, 20_000, 100_000, 200_000, 500_000],
-            ),
-            dispatch_batch_hist: atum_obs::global()
-                .histogram("net.dispatch_batch", &[1, 2, 4, 8, 16, 32, 64, 128]),
-            timer_lag_hist: atum_obs::global().histogram(
-                "net.timer_lag_us",
-                &[
-                    100, 1_000, 10_000, 50_000, 100_000, 250_000, 750_000, 2_000_000,
-                ],
-            ),
+            metrics,
         })
     }
 
@@ -640,11 +635,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             let wait_started = StdInstant::now();
             let ready = self.table.wait(timeout);
             let waited_us = wait_started.elapsed().as_micros() as u64;
-            self.shared.stats.note_poll_wait(waited_us);
-            self.poll_wait_hist.record(waited_us);
+            self.metrics.poll_wait_us.record(waited_us);
             if ready > 0 {
-                self.shared.stats.note_dispatch_batch(ready as u64);
-                self.dispatch_batch_hist.record(ready as u64);
+                self.metrics.dispatch_batch.record(ready as u64);
             }
             self.handle_ready(ready, false);
             self.deliver_loopback();
@@ -678,10 +671,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     self.nodes.remove(&id);
                 }
                 Injected::Call { id, f } => {
-                    self.shared
-                        .stats
-                        .events_processed
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.events_processed.inc();
                     self.dispatch(id, f);
                 }
                 Injected::Inbound { from, to, msg } => self.deliver(from, to, msg),
@@ -697,11 +687,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     }
 
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.shared.stats.note_inbound_drained();
-        self.shared
-            .stats
-            .events_processed
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.inbound_pending.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.events_processed.inc();
         self.dispatch(to, move |node, ctx| node.on_message(from, msg, ctx));
     }
 
@@ -810,10 +797,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         }
         let (frame, encoded) = frame::message_frame_shared(msg);
         if encoded {
-            self.shared
-                .stats
-                .messages_encoded
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.messages_encoded.inc();
         }
         if let Some(key) = identity {
             self.fanout_frames.insert(key, frame.clone());
@@ -825,7 +809,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         if to == from {
             // Self-sends are real deliveries in the simulator; preserve the
             // deferred semantics through the local delivery queue.
-            self.shared.stats.note_inbound_enqueued();
+            self.note_inbound_enqueued();
             self.loopback.push_back((from, to, msg));
             return;
         }
@@ -835,10 +819,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             match self.fault_decider.decide(from, to, frame.len(), now_us) {
                 FaultDecision::Deliver => {}
                 FaultDecision::Drop => {
-                    self.shared
-                        .stats
-                        .frames_dropped_injected
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.frames_dropped_injected.inc();
                     atum_obs::trace_event!(
                         FaultInjected,
                         at = now_us,
@@ -853,10 +834,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                         // Never mutate the shared frame: fan-out siblings
                         // (and the encode memo) hold the same `Arc`.
                         frame = self.fault_decider.corrupt_copy(&frame);
-                        self.shared
-                            .stats
-                            .frames_corrupted_injected
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.metrics.frames_corrupted_injected.inc();
                         atum_obs::trace_event!(
                             FaultInjected,
                             at = now_us,
@@ -869,10 +847,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                         let token = self.next_delayed;
                         self.next_delayed += 1;
                         self.delayed.insert(token, (Route { from, to }, frame));
-                        self.shared
-                            .stats
-                            .frames_delayed_injected
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.metrics.frames_delayed_injected.inc();
                         atum_obs::trace_event!(
                             FaultInjected,
                             at = now_us,
@@ -895,10 +870,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     /// time — re-resolving the address then, not when the delay was drawn.
     fn forward_frame(&mut self, route: Route, frame: Arc<[u8]>) {
         let Some(addr) = self.shared.book.lookup(route.to) else {
-            self.shared
-                .stats
-                .frames_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.frames_dropped.inc();
             return;
         };
         let slot = self.conn_for_addr(addr, route.from);
@@ -957,10 +929,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         {
             self.write_pending(slot);
         } else {
-            self.shared
-                .stats
-                .frames_dropped
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.frames_dropped.inc();
         }
     }
 
@@ -1022,10 +991,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         let Some(conn) = self.table.close(slot, reason) else {
             return;
         };
-        self.shared
-            .stats
-            .frames_dropped
-            .fetch_add(conn.queued() as u64, Ordering::Relaxed);
+        self.metrics.frames_dropped.add(conn.queued() as u64);
         if let Some(dial) = conn.ext.dial {
             if self.by_addr.get(&dial.addr) == Some(&slot) {
                 self.by_addr.remove(&dial.addr);
@@ -1186,23 +1152,14 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                         break true;
                     };
                     let frame_len = FRAME_HEADER_LEN + body.len();
-                    self.shared
-                        .stats
-                        .frames_received
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .bytes_received
-                        .fetch_add(frame_len as u64, Ordering::Relaxed);
+                    self.metrics.frames_received.inc();
+                    self.metrics.bytes_received.add(frame_len as u64);
                     self.route_inbound(route.from, route.to, msg);
                 }
             }
         };
         if closed {
-            self.shared
-                .stats
-                .decode_errors
-                .fetch_add(1, Ordering::Relaxed);
+            self.metrics.decode_errors.inc();
             self.close_conn(slot, CloseReason::Violation);
             return false;
         }
@@ -1226,20 +1183,22 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             .copied();
         match owner {
             Some(idx) if idx == self.idx => {
-                self.shared.stats.note_inbound_enqueued();
+                self.note_inbound_enqueued();
                 self.deliver(from, to, msg);
             }
             Some(idx) => {
-                self.shared.stats.note_inbound_enqueued();
+                self.note_inbound_enqueued();
                 self.shared.injectors[idx].push(Injected::Inbound { from, to, msg });
             }
-            None => {
-                self.shared
-                    .stats
-                    .frames_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            None => self.metrics.frames_dropped.inc(),
         }
+    }
+
+    /// One more decoded message awaits dispatch (a self-send, or an inbound
+    /// frame on its way to the owning reactor).
+    fn note_inbound_enqueued(&self) {
+        let depth = self.shared.inbound_pending.fetch_add(1, Ordering::Relaxed) + 1;
+        self.metrics.peak_inbound_queue.record_max(depth);
     }
 
     // -------------------------------------------------------------- timers
@@ -1270,8 +1229,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     // hundreds of milliseconds means the reactors are
                     // CPU-starved and failure detectors upstream are lying.
                     let lag_us = now.saturating_duration_since(entry.at).as_micros() as u64;
-                    self.shared.stats.note_timer_lag(lag_us);
-                    self.timer_lag_hist.record(lag_us);
+                    self.metrics.timer_lag_us.record(lag_us);
                     if lag_us >= 100_000 {
                         atum_obs::trace_event!(
                             Reactor,
@@ -1283,14 +1241,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                             self.idx
                         );
                     }
-                    self.shared
-                        .stats
-                        .timers_fired
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .stats
-                        .events_processed
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.events_processed.inc();
                     self.dispatch(id, move |node, ctx| node.on_timer(tag, ctx));
                 }
                 TimerKind::ConnDeadline { slot, gen } => {
@@ -1347,11 +1298,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             live.len(),
             self.idx
         );
+        self.metrics.conns_killed_injected.add(live.len() as u64);
         for slot in live {
-            self.shared
-                .stats
-                .conns_killed_injected
-                .fetch_add(1, Ordering::Relaxed);
             self.conn_broken(slot);
         }
     }
@@ -1413,10 +1361,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         }
         // Whatever never made it out is accounted for, not silently lost.
         let unsent: usize = self.table.iter().map(|(_, c)| c.queued()).sum();
-        self.shared
-            .stats
-            .frames_dropped
-            .fetch_add(unsent as u64, Ordering::Relaxed);
+        self.metrics.frames_dropped.add(unsent as u64);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Runtime configuration, counters and the address book.
+//! Runtime configuration, the stats view and the address book.
 //!
 //! The socket runtime itself lives in [`crate::reactor`]:
 //! [`NetRuntime`](crate::reactor::NetRuntime) owns the listener and a fixed
@@ -20,6 +20,7 @@
 //! for the invariant).
 
 use crate::faults::FaultPlane;
+use atum_obs::{AtomicHistogram, Counter, Gauge, Registry, Snapshot};
 use atum_types::{FrameMemo, NodeId, WireDecode, WireEncode, WireSize};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -93,127 +94,172 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Shared counters of one runtime (aggregated across its reactors and every
-/// node they host). The two queue peaks (bounded per-connection outbound
-/// queues, inbound in flight between reactors) are the places memory
-/// actually grows, which is why the bench records them as its RSS-ish
-/// proxies.
-#[derive(Debug, Default)]
+/// A point-in-time view of a runtime's `net.*` metrics (summed over its
+/// reactors and every node they host), computed from its
+/// [`atum_obs::Registry`] — or, under the name
+/// [`AggregateStats`](crate::AggregateStats), from the merged registries of
+/// a cluster's runtimes. The two queue peaks (bounded per-connection
+/// outbound queues, inbound in flight between reactors) are the places
+/// memory actually grows, which is why the bench records them as its
+/// RSS-ish proxies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Message frames written to sockets.
-    pub frames_sent: AtomicU64,
+    pub frames_sent: u64,
     /// Frames dropped: queue full, peer unreachable, address unknown, or
     /// left unflushed when the shutdown drain timed out.
-    pub frames_dropped: AtomicU64,
+    pub frames_dropped: u64,
     /// Message frames received and decoded.
-    pub frames_received: AtomicU64,
+    pub frames_received: u64,
     /// Protocol violations on inbound streams (the connection is closed
     /// deliberately): frames that fail to decode, routes without messages,
     /// handshake violations.
-    pub decode_errors: AtomicU64,
+    pub decode_errors: u64,
     /// Logical message encodings performed. With encode-once fan-out a
     /// message shared across many queues is encoded exactly once, so this
     /// can sit far below `frames_sent`; the ratio is the fan-out
     /// amortisation the bench reports.
-    pub messages_encoded: AtomicU64,
+    pub messages_encoded: u64,
     /// `write` syscalls issued to sockets (handshakes plus coalesced frame
     /// batches). `frames_sent / writes` is the frames-per-write coalescing
     /// factor.
-    pub writes: AtomicU64,
+    pub writes: u64,
     /// Bytes written to sockets (frame headers included).
-    pub bytes_sent: AtomicU64,
+    pub bytes_sent: u64,
     /// Bytes received in decoded message frames (headers included).
-    pub bytes_received: AtomicU64,
-    /// Timers fired.
-    pub timers_fired: AtomicU64,
+    pub bytes_received: u64,
+    /// Node timers fired (`net.timer_lag_us` observations).
+    pub timers_fired: u64,
     /// Events processed by the reactors (messages + calls + timers).
-    pub events_processed: AtomicU64,
+    pub events_processed: u64,
     /// Highest depth any connection's outbound queue reached.
-    pub peak_outbound_queue: AtomicU64,
-    /// Decoded inbound messages currently awaiting dispatch.
-    pub inbound_pending: AtomicU64,
+    pub peak_outbound_queue: u64,
     /// Highest depth the inbound delivery queue reached. Together with
     /// `peak_outbound_queue` this is where memory can actually grow — both
     /// peaks are the bench's memory proxies.
-    pub peak_inbound_queue: AtomicU64,
-    /// OS threads the runtime runs: O(reactors), *not* O(node-pairs) — the
+    pub peak_inbound_queue: u64,
+    /// OS threads the runtimes run: O(reactors), *not* O(node-pairs) — the
     /// headline difference to the retired thread-per-connection runtime.
-    pub threads: AtomicU64,
+    pub threads: u64,
     /// Frames dropped *by the fault plane* (loss, partitions). Kept apart
     /// from `frames_dropped` so benches can separate injected damage from
     /// organic damage (queue overflow, unknown addresses).
-    pub frames_dropped_injected: AtomicU64,
+    pub frames_dropped_injected: u64,
     /// Frames whose bytes the fault plane corrupted (on a copy) before
     /// queueing.
-    pub frames_corrupted_injected: AtomicU64,
+    pub frames_corrupted_injected: u64,
     /// Frames the fault plane held back (delay, reorder, bandwidth
     /// shaping) before queueing them.
-    pub frames_delayed_injected: AtomicU64,
+    pub frames_delayed_injected: u64,
     /// Live connections severed by [`FaultPlane::kill_connections`].
-    pub conns_killed_injected: AtomicU64,
-    /// `poll` waits the reactors performed.
-    pub poll_waits: AtomicU64,
+    pub conns_killed_injected: u64,
+    /// `poll` waits the reactors performed (`net.poll_wait_us`
+    /// observations).
+    pub poll_waits: u64,
     /// Total microseconds the reactors spent blocked in `poll`.
-    pub poll_wait_us: AtomicU64,
-    /// Dispatch batches (one per poll wake-up that found work).
-    pub dispatch_batches: AtomicU64,
+    pub poll_wait_us: u64,
+    /// Dispatch batches, one per poll wake-up that found work
+    /// (`net.dispatch_batch` observations).
+    pub dispatch_batches: u64,
     /// Events dispatched across all batches (`/ dispatch_batches` is the
     /// mean batch size the bench reports).
-    pub dispatch_batch_events: AtomicU64,
+    pub dispatch_batch_events: u64,
     /// Total microseconds node timers fired behind their deadline.
-    pub timer_lag_us: AtomicU64,
+    pub timer_lag_us: u64,
     /// Worst single node-timer lag observed, in microseconds. This is the
     /// CPU-starvation signal: on an undersized machine the reactors cannot
     /// keep up and timers slip by whole heartbeat periods, making healthy
     /// protocol code look broken (see `NetCluster::wait_for_members`).
-    pub timer_lag_max_us: AtomicU64,
-    /// Edge gateway: client frames rejected as protocol violations
-    /// (bad magic/version, node-wire kinds on the client listener,
-    /// oversized bodies, undecodable requests). Each one closes only
-    /// the offending client connection.
-    pub edge_frame_violations: AtomicU64,
-    /// Edge gateway: client connections closed for idling past the
-    /// gateway's `idle_timeout` with an incomplete frame (slow-loris).
-    pub edge_idle_closed: AtomicU64,
-    /// Edge gateway: client connections closed for any reason (EOF,
-    /// I/O error, violation, idle timeout, shutdown).
-    pub edge_conns_closed: AtomicU64,
+    pub timer_lag_max_us: u64,
 }
 
 impl RuntimeStats {
-    pub(crate) fn note_queue_depth(&self, depth: usize) {
-        self.peak_outbound_queue
-            .fetch_max(depth as u64, Ordering::Relaxed);
+    /// Computes the view from a reading of one runtime's registry, or of
+    /// several merged.
+    pub(crate) fn read(snapshot: &Snapshot) -> Self {
+        let poll_wait = snapshot.histogram("net.poll_wait_us");
+        let dispatch_batch = snapshot.histogram("net.dispatch_batch");
+        let timer_lag = snapshot.histogram("net.timer_lag_us");
+        RuntimeStats {
+            frames_sent: snapshot.value("net.frames_sent"),
+            frames_dropped: snapshot.value("net.frames_dropped"),
+            frames_received: snapshot.value("net.frames_received"),
+            decode_errors: snapshot.value("net.decode_errors"),
+            messages_encoded: snapshot.value("net.messages_encoded"),
+            writes: snapshot.value("net.writes"),
+            bytes_sent: snapshot.value("net.bytes_sent"),
+            bytes_received: snapshot.value("net.bytes_received"),
+            timers_fired: timer_lag.total,
+            events_processed: snapshot.value("net.events_processed"),
+            peak_outbound_queue: snapshot.value("net.peak_outbound_queue"),
+            peak_inbound_queue: snapshot.value("net.peak_inbound_queue"),
+            threads: snapshot.value("net.threads"),
+            frames_dropped_injected: snapshot.value("net.frames_dropped_injected"),
+            frames_corrupted_injected: snapshot.value("net.frames_corrupted_injected"),
+            frames_delayed_injected: snapshot.value("net.frames_delayed_injected"),
+            conns_killed_injected: snapshot.value("net.conns_killed_injected"),
+            poll_waits: poll_wait.total,
+            poll_wait_us: poll_wait.sum,
+            dispatch_batches: dispatch_batch.total,
+            dispatch_batch_events: dispatch_batch.sum,
+            timer_lag_us: timer_lag.sum,
+            timer_lag_max_us: timer_lag.max,
+        }
     }
+}
 
-    pub(crate) fn note_poll_wait(&self, waited_us: u64) {
-        self.poll_waits.fetch_add(1, Ordering::Relaxed);
-        self.poll_wait_us.fetch_add(waited_us, Ordering::Relaxed);
-    }
+/// The handles one reactor writes into its runtime's registry, resolved
+/// once when the reactor is built so its loop never takes the registry
+/// lock. (The connection layer's four are
+/// [`ConnMetrics`](crate::conn::ConnMetrics).)
+pub(crate) struct NetMetrics {
+    pub(crate) frames_dropped: Arc<Counter>,
+    pub(crate) frames_received: Arc<Counter>,
+    pub(crate) decode_errors: Arc<Counter>,
+    pub(crate) messages_encoded: Arc<Counter>,
+    pub(crate) bytes_received: Arc<Counter>,
+    pub(crate) events_processed: Arc<Counter>,
+    pub(crate) peak_inbound_queue: Arc<Gauge>,
+    pub(crate) frames_dropped_injected: Arc<Counter>,
+    pub(crate) frames_corrupted_injected: Arc<Counter>,
+    pub(crate) frames_delayed_injected: Arc<Counter>,
+    pub(crate) conns_killed_injected: Arc<Counter>,
+    /// `poll` wait times (µs).
+    pub(crate) poll_wait_us: Arc<AtomicHistogram>,
+    /// Events per dispatch batch.
+    pub(crate) dispatch_batch: Arc<AtomicHistogram>,
+    /// Node-timer lag (µs): how far behind their deadline timers actually
+    /// fire — the CPU-starvation signal.
+    pub(crate) timer_lag_us: Arc<AtomicHistogram>,
+}
 
-    pub(crate) fn note_dispatch_batch(&self, events: u64) {
-        self.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-        self.dispatch_batch_events
-            .fetch_add(events, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_timer_lag(&self, lag_us: u64) {
-        self.timer_lag_us.fetch_add(lag_us, Ordering::Relaxed);
-        self.timer_lag_max_us.fetch_max(lag_us, Ordering::Relaxed);
-    }
-
-    /// Worst single node-timer lag observed so far, in microseconds.
-    pub fn timer_lag_max_us(&self) -> u64 {
-        self.timer_lag_max_us.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_inbound_enqueued(&self) {
-        let depth = self.inbound_pending.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_inbound_queue.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_inbound_drained(&self) {
-        self.inbound_pending.fetch_sub(1, Ordering::Relaxed);
+impl NetMetrics {
+    pub(crate) fn new(registry: &Registry) -> Self {
+        NetMetrics {
+            frames_dropped: registry.counter("net.frames_dropped"),
+            frames_received: registry.counter("net.frames_received"),
+            decode_errors: registry.counter("net.decode_errors"),
+            messages_encoded: registry.counter("net.messages_encoded"),
+            bytes_received: registry.counter("net.bytes_received"),
+            events_processed: registry.counter("net.events_processed"),
+            peak_inbound_queue: registry.gauge("net.peak_inbound_queue"),
+            frames_dropped_injected: registry.counter("net.frames_dropped_injected"),
+            frames_corrupted_injected: registry.counter("net.frames_corrupted_injected"),
+            frames_delayed_injected: registry.counter("net.frames_delayed_injected"),
+            conns_killed_injected: registry.counter("net.conns_killed_injected"),
+            poll_wait_us: registry.histogram(
+                "net.poll_wait_us",
+                &[50, 200, 1_000, 5_000, 20_000, 100_000, 200_000, 500_000],
+            ),
+            dispatch_batch: registry
+                .histogram("net.dispatch_batch", &[1, 2, 4, 8, 16, 32, 64, 128]),
+            timer_lag_us: registry.histogram(
+                "net.timer_lag_us",
+                &[
+                    100, 1_000, 10_000, 50_000, 100_000, 250_000, 750_000, 2_000_000,
+                ],
+            ),
+        }
     }
 }
 
@@ -378,10 +424,10 @@ mod tests {
             vec![(NodeId::new(0), 0), (NodeId::new(0), 2)]
         );
         assert!(a.with_node(|n| n.started).unwrap());
-        assert!(a.stats().frames_sent.load(Ordering::Relaxed) >= 2);
-        assert!(b.stats().frames_received.load(Ordering::Relaxed) >= 2);
+        assert!(a.stats().frames_sent >= 2);
+        assert!(b.stats().frames_received >= 2);
         // The headline invariant: one reactor thread per runtime.
-        assert_eq!(a.stats().threads.load(Ordering::Relaxed), 1);
+        assert_eq!(a.stats().threads, 1);
         rt_a.shutdown();
         rt_b.shutdown();
     }
@@ -417,7 +463,7 @@ mod tests {
         let b = runtime.host(NodeId::new(1), Recorder::default());
         let _c = runtime.host(NodeId::new(2), Recorder::default());
         assert_eq!(a.addr(), b.addr(), "hosted nodes share the listener");
-        assert_eq!(runtime.stats().threads.load(Ordering::Relaxed), 1);
+        assert_eq!(runtime.stats().threads, 1);
 
         let to = b.id();
         a.call(move |_n, ctx| ctx.send(to, 0));
@@ -431,8 +477,8 @@ mod tests {
             b.with_node(|n| n.messages.clone()),
         );
         // The traffic crossed a socket, not a shortcut.
-        assert!(runtime.stats().frames_sent.load(Ordering::Relaxed) >= 4);
-        assert!(runtime.stats().frames_received.load(Ordering::Relaxed) >= 4);
+        assert!(runtime.stats().frames_sent >= 4);
+        assert!(runtime.stats().frames_received >= 4);
         runtime.shutdown();
     }
 
@@ -501,8 +547,8 @@ mod tests {
             }),
             "fan-out did not arrive"
         );
-        assert_eq!(send_rt.stats().messages_encoded.load(Ordering::Relaxed), 1);
-        assert_eq!(send_rt.stats().frames_sent.load(Ordering::Relaxed), 3);
+        assert_eq!(send_rt.stats().messages_encoded, 1);
+        assert_eq!(send_rt.stats().frames_sent, 3);
 
         // Re-gossip of the same envelope in a *later* dispatch: the frame
         // memoized on the envelope is reused, still one encoding in total.
@@ -521,11 +567,11 @@ mod tests {
             "re-gossip did not arrive"
         );
         assert_eq!(
-            send_rt.stats().messages_encoded.load(Ordering::Relaxed),
+            send_rt.stats().messages_encoded,
             1,
             "re-gossip of a memoized envelope must not re-encode"
         );
-        assert_eq!(send_rt.stats().frames_sent.load(Ordering::Relaxed), 6);
+        assert_eq!(send_rt.stats().frames_sent, 6);
 
         send_rt.shutdown();
         recv_rt.shutdown();
@@ -605,7 +651,7 @@ mod tests {
         }
 
         let delivered = seqs.len() as u64;
-        let dropped = runtime.stats().frames_dropped.load(Ordering::Relaxed);
+        let dropped = runtime.stats().frames_dropped;
         // Exactly once, in order: the sequence numbers are strictly
         // increasing (drops may skip, but nothing reorders or duplicates).
         assert!(
@@ -620,11 +666,11 @@ mod tests {
             "every frame is either delivered once or counted dropped"
         );
         assert_eq!(
-            runtime.stats().frames_sent.load(Ordering::Relaxed),
+            runtime.stats().frames_sent,
             delivered,
             "frames_sent matches what actually crossed the socket"
         );
-        assert!(runtime.stats().writes.load(Ordering::Relaxed) >= 1);
+        assert!(runtime.stats().writes >= 1);
         runtime.shutdown();
     }
 
@@ -671,7 +717,7 @@ mod tests {
 
         assert!(
             wait_until(StdDuration::from_secs(5), || {
-                runtime.stats().decode_errors.load(Ordering::Relaxed) == 1
+                runtime.stats().decode_errors == 1
             }),
             "decode error was not counted"
         );

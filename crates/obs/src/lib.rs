@@ -11,9 +11,9 @@
 //!   as one JSON object per line to a pluggable sink (stderr, a file, or an
 //!   in-process collector). Filtering is per event kind, configured once at
 //!   startup from `ATUM_TRACE`.
-//! * [`metrics`] — a registry of named counters, gauges and fixed-bucket
-//!   histograms, plus the [`LatencyHistogram`] the experiment drivers
-//!   serialise into bench records.
+//! * [`metrics`] — the one metrics store: a [`Registry`] of named counters,
+//!   gauges and fixed-bucket histograms per owner (runtime, gateway,
+//!   process), read through [`Snapshot`]s.
 //! * [`flight`] — a bounded per-node ring buffer of recent trace events
 //!   (the *flight recorder*), dumped as replayable JSONL on panic, on
 //!   demand, or when a cluster harness times out waiting for membership.
@@ -54,8 +54,7 @@ pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAPACITY};
 pub use metrics::{
-    global, AtomicHistogram, Counter, Gauge, LatencyHistogram, MetricValue, Registry,
-    DEFAULT_LATENCY_BUCKETS,
+    global, AtomicHistogram, Counter, Gauge, HistogramValue, MetricValue, Registry, Snapshot,
 };
 pub use trace::EventKind;
 

@@ -1,16 +1,19 @@
-//! The unified metrics registry: named counters, gauges and fixed-bucket
-//! histograms, shared by the simulator, the TCP runtime and the experiment
-//! drivers.
+//! The metrics store: named counters, gauges and fixed-bucket histograms in
+//! a [`Registry`] per owner. Every `NetRuntime` and every `EdgeGateway` owns
+//! one, labelled with a scope; [`global`] holds the protocol counters that
+//! outlive any runtime (`core.*`). A count lives in exactly one registry,
+//! and the stats surfaces (`RuntimeStats`, `AggregateStats`, `EdgeSnapshot`,
+//! the edge `Stats` probe) are views read out of a [`Snapshot`].
 //!
-//! Hot paths never look metrics up by name: a component resolves its
-//! handles (`Arc<Counter>` etc.) once at startup and then pays one relaxed
-//! atomic op per observation. The registry exists for the *read* side —
-//! enumerating everything a process measured into one snapshot that bench
-//! records and the stats surfaces (`RuntimeStats`/`AggregateStats`) can
-//! publish through.
+//! Handle resolution takes the registry lock and allocates the name, so it
+//! happens only in constructors: a component resolves its `Arc<Counter>` /
+//! `Arc<Gauge>` / `Arc<AtomicHistogram>` handles once, keeps them in the
+//! struct that uses them, and then pays relaxed atomic ops on one handle
+//! per observation. The reactor loop, `ConnTable::flush` and the gateway's
+//! I/O and worker loops never touch the registry itself.
 
-use atum_types::Duration;
-use serde::{Deserialize, Serialize, Value};
+/// The JSON value tree [`Snapshot::to_json`] takes its extra entries as.
+pub use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -22,11 +25,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
@@ -45,25 +43,14 @@ impl Counter {
     }
 }
 
-/// A last-value / peak-tracking gauge.
+/// A peak-tracking gauge.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
 }
 
 impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the current value.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if it is higher (peak tracking).
+    /// Raises the gauge to `v` if it is higher.
     #[inline]
     pub fn record_max(&self, v: u64) {
         self.value.fetch_max(v, Ordering::Relaxed);
@@ -76,9 +63,9 @@ impl Gauge {
 }
 
 /// A thread-safe fixed-bucket histogram over `u64` observations
-/// (microseconds, batch sizes, queue depths). Buckets are cumulative-free:
-/// each count is the number of observations `<=` its bound and `>` the
-/// previous bound; observations beyond the last bound land in `overflow`.
+/// (microseconds, batch sizes, queue depths). Each bucket counts the
+/// observations `<=` its bound and `>` the previous bound; observations
+/// beyond the last bound land in `overflow`.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     bounds: Vec<u64>,
@@ -86,6 +73,7 @@ pub struct AtomicHistogram {
     overflow: AtomicU64,
     total: AtomicU64,
     sum: AtomicU64,
+    max: AtomicU64,
 }
 
 impl AtomicHistogram {
@@ -97,6 +85,7 @@ impl AtomicHistogram {
             overflow: AtomicU64::new(0),
             total: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -105,109 +94,195 @@ impl AtomicHistogram {
     pub fn record(&self, v: u64) {
         self.total.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
         match self.bounds.iter().position(|&b| v <= b) {
             Some(i) => self.counts[i].fetch_add(1, Ordering::Relaxed),
             None => self.overflow.fetch_add(1, Ordering::Relaxed),
         };
     }
 
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations (mean = sum / total).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Observations beyond the last bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Relaxed)
-    }
-
-    /// `(upper_bound, count)` per bucket, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.bounds
-            .iter()
-            .copied()
-            .zip(self.counts.iter().map(|c| c.load(Ordering::Relaxed)))
-            .collect()
+    /// A point-in-time reading.
+    pub fn read(&self) -> HistogramValue {
+        HistogramValue {
+            buckets: self
+                .bounds
+                .iter()
+                .copied()
+                .zip(self.counts.iter().map(|c| c.load(Ordering::Relaxed)))
+                .collect(),
+            overflow: self.overflow.load(Ordering::Relaxed),
+            total: self.total.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+        }
     }
 }
 
-/// A handle to one registered metric.
+/// A reading of one [`AtomicHistogram`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HistogramValue {
+    /// `(upper_bound, count)` per bucket, ascending.
+    pub buckets: Vec<(u64, u64)>,
+    /// Observations beyond the last bound.
+    pub overflow: u64,
+    /// Total observations.
+    pub total: u64,
+    /// Sum of all observations (mean = sum / total).
+    pub sum: u64,
+    /// Largest single observation.
+    pub max: u64,
+}
+
 #[derive(Debug, Clone)]
-pub enum Metric {
-    /// A [`Counter`].
+enum Metric {
     Counter(Arc<Counter>),
-    /// A [`Gauge`].
     Gauge(Arc<Gauge>),
-    /// An [`AtomicHistogram`].
     Histogram(Arc<AtomicHistogram>),
 }
 
-/// A point-in-time reading of one metric (the snapshot shape bench records
-/// serialise).
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time reading of one metric.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetricValue {
     /// Counter reading.
     Counter(u64),
     /// Gauge reading.
     Gauge(u64),
-    /// Histogram reading: `(buckets, overflow, total, sum)`.
-    Histogram {
-        /// `(upper_bound, count)` per bucket.
-        buckets: Vec<(u64, u64)>,
-        /// Observations beyond the last bound.
-        overflow: u64,
-        /// Total observations.
-        total: u64,
-        /// Sum of observations.
-        sum: u64,
-    },
+    /// Histogram reading.
+    Histogram(HistogramValue),
 }
 
 impl MetricValue {
-    /// The reading as a JSON value tree.
-    pub fn to_value(&self) -> Value {
+    /// Folds another owner's reading of the same metric into this one:
+    /// counters and histograms add up, gauges (peaks) keep the higher.
+    fn merge(&mut self, other: MetricValue) {
+        match (self, other) {
+            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = (*a).max(b),
+            (MetricValue::Histogram(a), MetricValue::Histogram(b)) => {
+                assert_eq!(a.buckets.len(), b.buckets.len(), "histogram bounds differ");
+                for (mine, theirs) in a.buckets.iter_mut().zip(b.buckets) {
+                    assert_eq!(mine.0, theirs.0, "histogram bounds differ");
+                    mine.1 += theirs.1;
+                }
+                a.overflow += b.overflow;
+                a.total += b.total;
+                a.sum += b.sum;
+                a.max = a.max.max(b.max);
+            }
+            (mine, theirs) => panic!("cannot merge {theirs:?} into {mine:?}"),
+        }
+    }
+
+    fn to_value(&self) -> Value {
         match self {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => Value::U64(*v),
-            MetricValue::Histogram {
-                buckets,
-                overflow,
-                total,
-                sum,
-            } => Value::Map(vec![
+            MetricValue::Histogram(h) => Value::Map(vec![
                 (
                     "buckets".to_string(),
                     Value::Seq(
-                        buckets
+                        h.buckets
                             .iter()
                             .map(|(b, c)| Value::Seq(vec![Value::U64(*b), Value::U64(*c)]))
                             .collect(),
                     ),
                 ),
-                ("overflow".to_string(), Value::U64(*overflow)),
-                ("total".to_string(), Value::U64(*total)),
-                ("sum".to_string(), Value::U64(*sum)),
+                ("overflow".to_string(), Value::U64(h.overflow)),
+                ("total".to_string(), Value::U64(h.total)),
+                ("sum".to_string(), Value::U64(h.sum)),
+                ("max".to_string(), Value::U64(h.max)),
             ]),
         }
     }
 }
 
-/// A named collection of metrics. Handle resolution (`counter`, `gauge`,
-/// `histogram`) is get-or-create and intended for startup; observations go
-/// through the returned `Arc` handles.
-#[derive(Debug, Default)]
+/// A point-in-time reading of one registry — or of several merged — by
+/// metric name: what the stats views are computed from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Snapshot {
+    /// Scope label of the registry read; a merge joins the labels with `+`.
+    pub scope: String,
+    /// Reading per metric name.
+    pub metrics: BTreeMap<String, MetricValue>,
+}
+
+impl Snapshot {
+    /// Folds another owner's snapshot in, metric by metric: counters and
+    /// histograms add up, gauges keep the higher, names only one side has
+    /// are carried over.
+    ///
+    /// # Panics
+    /// If a name is a different metric type, or a histogram with different
+    /// bounds, on the two sides.
+    pub fn merge(&mut self, other: Snapshot) {
+        if !self.scope.is_empty() {
+            self.scope.push('+');
+        }
+        self.scope.push_str(&other.scope);
+        for (name, value) in other.metrics {
+            match self.metrics.get_mut(&name) {
+                Some(mine) => mine.merge(value),
+                None => {
+                    self.metrics.insert(name, value);
+                }
+            }
+        }
+    }
+
+    /// The counter or gauge named `name` (0 when absent).
+    pub fn value(&self, name: &str) -> u64 {
+        match self.metrics.get(name) {
+            Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
+            _ => 0,
+        }
+    }
+
+    /// The histogram named `name` (empty when absent).
+    pub fn histogram(&self, name: &str) -> HistogramValue {
+        match self.metrics.get(name) {
+            Some(MetricValue::Histogram(h)) => h.clone(),
+            _ => HistogramValue::default(),
+        }
+    }
+
+    /// The snapshot as one JSON object: `scope`, `metrics` (metric name →
+    /// reading), then the caller's `extra` top-level entries.
+    pub fn to_json(&self, extra: Vec<(&str, Value)>) -> String {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|(name, value)| (name.clone(), value.to_value()))
+            .collect();
+        let mut entries = vec![
+            ("scope".to_string(), Value::Str(self.scope.clone())),
+            ("metrics".to_string(), Value::Map(metrics)),
+        ];
+        entries.extend(extra.into_iter().map(|(name, v)| (name.to_string(), v)));
+        crate::flight::value_to_json(Value::Map(entries))
+    }
+}
+
+/// The metrics of one owner. Handle resolution (`counter`, `gauge`,
+/// `histogram`) is get-or-create and meant for constructors; observations
+/// go through the returned `Arc` handles.
+#[derive(Debug)]
 pub struct Registry {
+    scope: String,
     inner: RwLock<BTreeMap<String, Metric>>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
+    /// An empty registry whose snapshots carry `scope` (which runtime,
+    /// which gateway).
+    pub fn new(scope: impl Into<String>) -> Self {
+        Registry {
+            scope: scope.into(),
+            inner: RwLock::default(),
+        }
+    }
+
+    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut inner = self.inner.write().expect("metrics registry lock");
+        inner.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// The counter named `name`, created at zero on first use.
@@ -215,12 +290,8 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.inner.write().expect("metrics registry lock");
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => c.clone(),
+        match self.get_or_insert(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
     }
@@ -230,145 +301,53 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.write().expect("metrics registry lock");
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => g.clone(),
+        match self.get_or_insert(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
     }
 
-    /// The histogram named `name`, created with `bounds` on first use
-    /// (later calls ignore `bounds`).
+    /// The histogram named `name`, created with `bounds` on first use.
     ///
     /// # Panics
-    /// If `name` is already registered as a different metric type.
+    /// If `name` is already registered as a different metric type or with
+    /// different bounds: every owner has its own registry, so a second
+    /// registration that disagrees with the first is a bug.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<AtomicHistogram> {
-        let mut inner = self.inner.write().expect("metrics registry lock");
-        match inner
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(AtomicHistogram::new(bounds))))
-        {
-            Metric::Histogram(h) => h.clone(),
+        let make = || Metric::Histogram(Arc::new(AtomicHistogram::new(bounds)));
+        match self.get_or_insert(name, make) {
+            Metric::Histogram(h) if h.bounds == bounds => h,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
     }
 
-    /// Reads every registered metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, MetricValue)> {
+    /// Reads every registered metric.
+    pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.read().expect("metrics registry lock");
-        inner
+        let metrics = inner
             .iter()
             .map(|(name, metric)| {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        buckets: h.buckets(),
-                        overflow: h.overflow(),
-                        total: h.total(),
-                        sum: h.sum(),
-                    },
+                    Metric::Histogram(h) => MetricValue::Histogram(h.read()),
                 };
                 (name.clone(), value)
             })
-            .collect()
-    }
-
-    /// The snapshot as one JSON object (metric name → reading).
-    pub fn snapshot_json(&self) -> String {
-        let entries = self
-            .snapshot()
-            .into_iter()
-            .map(|(name, value)| (name, value.to_value()))
             .collect();
-        crate::flight::value_to_json(Value::Map(entries))
+        Snapshot {
+            scope: self.scope.clone(),
+            metrics,
+        }
     }
 }
 
-/// The process-wide registry. Components that outlive any one runtime
-/// (protocol layers, drivers) register here; per-runtime stats structs keep
-/// their own atomics and publish into it.
+/// The process-wide registry, for protocol-layer counters that outlive any
+/// one runtime (`core.*`). Runtimes and gateways own their own registries;
+/// nothing registers `net.*` or `edge.*` names here.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Default bucket upper bounds (seconds) for [`LatencyHistogram`]: roughly
-/// doubling, sized for protocol-level recovery latencies (a churn re-join
-/// takes seconds to a couple of minutes).
-pub const DEFAULT_LATENCY_BUCKETS: [f64; 8] = [2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0];
-
-/// A fixed-bucket latency histogram for machine-readable experiment reports
-/// (promoted here from `atum-sim` so both runtimes and the bench pipeline
-/// share one shape).
-///
-/// Unlike the exact-sample series in `atum_sim::metrics`, the histogram has
-/// a stable, bounded shape that serialises cleanly into the bench JSON
-/// records and can be diffed across runs. Single-threaded by design (`&mut
-/// self`); use [`AtomicHistogram`] for shared runtime instrumentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyHistogram {
-    /// Upper bound (inclusive, seconds) of each bucket; samples beyond the
-    /// last bound land in the overflow count.
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram::new(&DEFAULT_LATENCY_BUCKETS)
-    }
-}
-
-impl LatencyHistogram {
-    /// Creates a histogram with the given bucket upper bounds (seconds,
-    /// ascending).
-    pub fn new(bounds: &[f64]) -> Self {
-        LatencyHistogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len()],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample in seconds.
-    pub fn record_secs(&mut self, secs: f64) {
-        self.total += 1;
-        match self.bounds.iter().position(|&b| secs <= b) {
-            Some(i) => self.counts[i] += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Records a [`Duration`] sample.
-    pub fn record(&mut self, d: Duration) {
-        self.record_secs(d.as_secs_f64());
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Samples beyond the last bucket bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// `(upper_bound_secs, count)` per bucket, in ascending order.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        self.bounds
-            .iter()
-            .copied()
-            .zip(self.counts.iter().copied())
-            .collect()
-    }
+    GLOBAL.get_or_init(|| Registry::new("process"))
 }
 
 #[cfg(test)]
@@ -377,7 +356,7 @@ mod tests {
 
     #[test]
     fn counters_gauges_histograms() {
-        let registry = Registry::new();
+        let registry = Registry::new("test");
         let c = registry.counter("test.counter");
         c.inc();
         c.add(4);
@@ -385,7 +364,6 @@ mod tests {
         assert_eq!(registry.counter("test.counter").get(), 5, "get-or-create");
 
         let g = registry.gauge("test.gauge");
-        g.set(3);
         g.record_max(10);
         g.record_max(7);
         assert_eq!(g.get(), 10);
@@ -394,41 +372,57 @@ mod tests {
         for v in [1, 5, 50, 500] {
             h.record(v);
         }
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.sum(), 556);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets(), vec![(10, 2), (100, 1)]);
+        let read = h.read();
+        assert_eq!((read.total, read.sum, read.max), (4, 556, 500));
+        assert_eq!(read.overflow, 1);
+        assert_eq!(read.buckets, vec![(10, 2), (100, 1)]);
 
         let snap = registry.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].0, "test.counter");
-        assert_eq!(snap[0].1, MetricValue::Counter(5));
-        let json = registry.snapshot_json();
+        assert_eq!(snap.metrics.len(), 3);
+        assert_eq!(snap.value("test.counter"), 5);
+        assert_eq!(snap.histogram("test.hist"), read);
+        assert_eq!(snap.value("test.absent"), 0);
+        let json = snap.to_json(vec![("ready", Value::Bool(true))]);
+        assert!(json.starts_with("{\"scope\":\"test\",\"metrics\":{"));
         assert!(json.contains("\"test.gauge\":10"));
         assert!(json.contains("\"overflow\":1"));
+        assert!(json.ends_with("\"ready\":true}"));
+    }
+
+    #[test]
+    fn merge_sums_counters_and_histograms_and_maxes_gauges() {
+        let (a, b) = (Registry::new("a"), Registry::new("b"));
+        for (registry, n) in [(&a, 3), (&b, 40)] {
+            registry.counter("m.count").add(n);
+            registry.gauge("m.peak").record_max(n);
+            registry.histogram("m.hist", &[10]).record(n);
+        }
+        b.counter("m.only_b").inc();
+        let mut merged = a.snapshot();
+        merged.merge(b.snapshot());
+        assert_eq!(merged.scope, "a+b");
+        assert_eq!(merged.value("m.count"), 43);
+        assert_eq!(merged.value("m.peak"), 40);
+        assert_eq!(merged.value("m.only_b"), 1);
+        let hist = merged.histogram("m.hist");
+        assert_eq!((hist.total, hist.sum, hist.max), (2, 43, 40));
+        assert_eq!((hist.buckets, hist.overflow), (vec![(10, 1)], 1));
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn type_confusion_panics() {
-        let registry = Registry::new();
+        let registry = Registry::new("test");
         registry.counter("same.name");
         registry.gauge("same.name");
     }
 
     #[test]
-    fn latency_histogram_buckets_and_overflow() {
-        let mut h = LatencyHistogram::new(&[1.0, 10.0]);
-        for s in [0.5, 0.9, 5.0, 100.0] {
-            h.record_secs(s);
-        }
-        h.record(Duration::from_millis(1_500));
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets(), vec![(1.0, 2), (10.0, 2)]);
-        let default = LatencyHistogram::default();
-        assert_eq!(default.buckets().len(), DEFAULT_LATENCY_BUCKETS.len());
-        assert_eq!(default.total(), 0);
+    #[should_panic(expected = "already registered")]
+    fn histogram_bounds_mismatch_panics() {
+        let registry = Registry::new("test");
+        registry.histogram("same.name", &[1, 2]);
+        registry.histogram("same.name", &[1, 3]);
     }
 
     #[test]

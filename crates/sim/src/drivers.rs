@@ -5,7 +5,6 @@ use crate::cluster::Cluster;
 use crate::metrics::LatencySeries;
 use atum_core::{Application, AtumMessage, AtumNode, CollectingApp, NodePhase};
 use atum_crypto::KeyRegistry;
-use atum_obs::LatencyHistogram;
 use atum_simnet::{NetConfig, Simulation};
 use atum_types::{BroadcastId, Duration, Instant, NodeId, Params};
 use rand::seq::SliceRandom;
@@ -346,8 +345,6 @@ pub struct ChurnReport {
     pub cycles: Vec<ChurnCycle>,
     /// Leave-to-member-again latency of every completed cycle.
     pub rejoin_latencies: LatencySeries,
-    /// The same latencies in stable histogram buckets (for the bench JSON).
-    pub rejoin_histogram: LatencyHistogram,
     /// Where the uncompleted cycles were stuck at the end of the run.
     pub stalls: StallBreakdown,
     /// Composition entries (across one representative member per vgroup)
@@ -488,7 +485,6 @@ pub fn run_churn(
             report.completed += 1;
             let latency = t.saturating_since(left_at);
             report.rejoin_latencies.push(latency);
-            report.rejoin_histogram.record(latency);
         } else {
             match node.map(|n| n.phase()) {
                 Some(NodePhase::Joining { .. }) => report.stalls.joining += 1,

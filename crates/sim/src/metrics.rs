@@ -1,6 +1,4 @@
-//! Latency series, percentiles and CDFs for experiment reporting. (The
-//! fixed-bucket histogram the drivers serialise is
-//! `atum_obs::LatencyHistogram`.)
+//! Latency series, percentiles and CDFs for experiment reporting.
 
 use atum_types::Duration;
 use serde::{Deserialize, Serialize};

@@ -3,7 +3,7 @@
 //! The harness drives a group of [`Engine`]s over an idealised network with a
 //! small fixed latency, ticking every engine on a regular grid. It is used by
 //! the unit tests of both engines, by the integration tests, and by the
-//! Criterion benchmarks (`smr_agreement`). It is intentionally simpler than
+//! benchmark's SMR micro-timings. It is intentionally simpler than
 //! `atum-simnet`: no bandwidth modelling, no loss — those aspects are covered
 //! by the full-system simulations.
 

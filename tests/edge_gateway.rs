@@ -304,3 +304,125 @@ fn a_client_that_stops_reading_stalls_nobody_and_loses_its_connection() {
     assert!(gateway.snapshot().conns_closed >= 1);
     gateway.shutdown();
 }
+
+/// The `Stats` probe payload as a JSON value tree.
+struct Json(serde::Value);
+
+impl serde::Deserialize for Json {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Json(value.clone()))
+    }
+}
+
+#[test]
+fn snapshot_and_stats_probe_are_views_of_the_gateway_registry() {
+    // An admission queue of zero sheds every request that is not a probe.
+    let gateway = start_gateway(EdgeConfig {
+        queue_capacity: 0,
+        ..hardened_config()
+    });
+    let addr = gateway.local_addr();
+
+    // A few requests, one shed, one frame violation and one idle close.
+    let mut client = EdgeClient::connect(addr, Duration::from_secs(10)).expect("client");
+    for seq in 1..=3 {
+        assert_eq!(
+            client.request(&health_request(seq)).unwrap().status,
+            EdgeStatus::Ok
+        );
+    }
+    let shed = client
+        .request(&EdgeRequest {
+            op: EdgeOp::Publish {
+                topic: 7,
+                payload: vec![1, 2, 3],
+            },
+            ..health_request(4)
+        })
+        .unwrap();
+    assert_eq!(shed.status, EdgeStatus::Overloaded);
+    let good = request_frame(&health_request(5));
+    let mut bad_magic = good.clone();
+    bad_magic[0] = b'X';
+    expect_closed_after(addr, &bad_magic);
+    expect_closed_after(addr, &good[..6]);
+    // A connection counts as closed just after its socket is.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gateway.snapshot().conns_closed < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Every numeric field of the view is the registry's `edge.<field>`.
+    let snapshot = gateway.snapshot();
+    let metrics = gateway.registry().snapshot();
+    let fields = [
+        ("requests", snapshot.requests, 4),
+        ("ok", snapshot.ok, 3),
+        ("shed", snapshot.shed, 1),
+        ("unavailable", snapshot.unavailable, 0),
+        ("deadline_exceeded", snapshot.deadline_exceeded, 0),
+        ("bad_request", snapshot.bad_request, 0),
+        ("shutting_down", snapshot.shutting_down, 0),
+        ("dedup_hits", snapshot.dedup_hits, 0),
+        ("breaker_opened", snapshot.breaker_opened, 0),
+        ("breaker_half_opened", snapshot.breaker_half_opened, 0),
+        ("breaker_closed", snapshot.breaker_closed, 0),
+        ("breaker_full_cycles", snapshot.breaker_full_cycles, 0),
+        ("conns_accepted", snapshot.conns_accepted, 3),
+        ("conns_closed", snapshot.conns_closed, 2),
+        ("frame_violations", snapshot.frame_violations, 1),
+        ("idle_closed", snapshot.idle_closed, 1),
+    ];
+    for (field, viewed, expected) in fields {
+        let name = format!("edge.{field}");
+        assert!(metrics.metrics.contains_key(&name), "{name} not registered");
+        assert_eq!(metrics.value(&name), viewed, "{name} differs from the view");
+        assert_eq!(viewed, expected, "{name}");
+    }
+    assert!(
+        metrics.scope.starts_with("edge:"),
+        "scope {:?}",
+        metrics.scope
+    );
+    assert!(atum::obs::global()
+        .snapshot()
+        .metrics
+        .keys()
+        .all(|name| !name.starts_with("edge.") && !name.starts_with("net.")));
+
+    // The `Stats` probe answers the same registry as JSON, plus the
+    // gateway's state.
+    let stats = client
+        .request(&EdgeRequest {
+            op: EdgeOp::Stats,
+            ..health_request(6)
+        })
+        .unwrap();
+    assert_eq!(stats.status, EdgeStatus::Ok);
+    let Json(payload) = serde_json::from_slice(&stats.payload).expect("Stats payload is JSON");
+    let top = payload.as_map().expect("a JSON object");
+    assert_eq!(
+        serde::field(top, "scope").unwrap().as_str(),
+        Some(metrics.scope.as_str())
+    );
+    assert_eq!(
+        serde::field(top, "ready").unwrap(),
+        &serde::Value::Bool(true)
+    );
+    assert_eq!(
+        serde::field(top, "outstanding").unwrap(),
+        &serde::Value::U64(0)
+    );
+    assert!(serde::field(top, "breakers").unwrap().as_map().is_some());
+    let reported = serde::field(top, "metrics").unwrap().as_map().unwrap();
+    for (field, viewed, _) in fields {
+        let value = serde::field(reported, &format!("edge.{field}")).unwrap();
+        // The probe counts itself as a request before it answers.
+        let expected = viewed + u64::from(field == "requests");
+        assert_eq!(value, &serde::Value::U64(expected), "edge.{field}");
+    }
+    for name in ["edge.latency_us", "edge.writes", "edge.bytes_sent"] {
+        assert!(serde::field(reported, name).is_ok(), "{name} not reported");
+    }
+    gateway.shutdown();
+}

@@ -14,7 +14,6 @@ use atum::types::NodeId;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// A node that records every message with its sender.
@@ -150,7 +149,7 @@ fn mid_frame_disconnect_is_harmless() {
         node.with_node(|n| n.seen.contains(&(NodeId::new(9), 3)))
             .unwrap_or(false)
     }));
-    assert_eq!(runtime.stats().decode_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(runtime.stats().decode_errors, 0);
     runtime.shutdown();
 }
 
@@ -185,8 +184,8 @@ fn half_open_sockets_do_not_wedge_the_reactor() {
         node.with_node(|n| n.seen.contains(&(NodeId::new(50), 42)))
             .unwrap_or(false)
     }));
-    assert_eq!(runtime.stats().threads.load(Ordering::Relaxed), 1);
-    assert_eq!(runtime.stats().decode_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(runtime.stats().threads, 1);
+    assert_eq!(runtime.stats().decode_errors, 0);
     drop(lurkers);
     drop(mute);
     runtime.shutdown();
@@ -222,10 +221,9 @@ fn shutdown_drains_queued_frames_to_a_slow_reader() {
     // Give the burst a moment to queue, then shut down: the drain phase
     // must flush everything before sockets close.
     std::thread::sleep(Duration::from_millis(300));
-    let stats = runtime.stats().clone();
     runtime.shutdown();
     assert_eq!(
-        stats.frames_dropped.load(Ordering::Relaxed),
+        node.stats().frames_dropped,
         0,
         "drain gave up on queued frames"
     );
@@ -334,7 +332,24 @@ fn one_reactor_many_nodes_delivers_exactly_once_in_order_per_pair() {
             )
         })
         .collect();
-    assert_eq!(runtime.stats().threads.load(Ordering::Relaxed), 1);
+    assert_eq!(runtime.stats().threads, 1);
+
+    // A second runtime in the same process, hosting one node and otherwise
+    // idle: every metric is attributed to the runtime that observed it, so
+    // the traffic below must not show up here.
+    let bystander: NetRuntime<u64, PairSender> =
+        NetRuntime::bind(RuntimeConfig::default()).unwrap();
+    let idle = bystander.host(
+        NodeId::new(100),
+        PairSender {
+            peers: Vec::new(),
+            per_peer: 0,
+            seen: BTreeMap::new(),
+        },
+    );
+    assert!(idle.with_node(|_| ()).is_some(), "bystander never started");
+    let (idle_before, idle_since) = (bystander.registry().snapshot(), Instant::now());
+    let busy_before = runtime.stats();
 
     // Poke every node: N×N streams (self-sends included) over one reactor.
     for h in &handles {
@@ -380,9 +395,43 @@ fn one_reactor_many_nodes_delivers_exactly_once_in_order_per_pair() {
             );
         }
     }
-    assert_eq!(runtime.stats().frames_dropped.load(Ordering::Relaxed), 0);
-    assert_eq!(runtime.stats().decode_errors.load(Ordering::Relaxed), 0);
+    let busy = runtime.stats();
+    assert_eq!(busy.frames_dropped, 0);
+    assert_eq!(busy.decode_errors, 0);
+
+    // The busy runtime's reactor histograms saw the traffic; the view's
+    // sums are the histograms' own.
+    let busy_metrics = runtime.registry().snapshot();
+    let batches = busy_metrics.histogram("net.dispatch_batch");
+    assert_eq!(
+        (busy.dispatch_batches, busy.dispatch_batch_events),
+        (batches.total, batches.sum)
+    );
+    assert_eq!(
+        busy.poll_waits,
+        busy_metrics.histogram("net.poll_wait_us").total
+    );
+    assert!(busy.dispatch_batches > busy_before.dispatch_batches);
+    assert!(busy.frames_sent >= busy_before.frames_sent + N * (N - 1) * PER_PEER);
+
+    // The bystander's did not. Every counter and gauge reads as before; its
+    // reactor only kept waking from idle polls (one per 200 ms, dispatching
+    // nothing) and may have seen the one wake-up its injector still owed it
+    // when the snapshot was taken.
+    let idle_ticks = idle_since.elapsed().as_millis() as u64 / 200 + 2;
+    let idle_after = bystander.registry().snapshot();
+    for (name, before) in &idle_before.metrics {
+        let grew = idle_after.histogram(name).total - idle_before.histogram(name).total;
+        match name.as_str() {
+            "net.poll_wait_us" => assert!(grew <= idle_ticks, "{grew} polls while idle"),
+            "net.dispatch_batch" => assert!(grew <= 1, "{grew} dispatch batches while idle"),
+            _ => assert_eq!(idle_after.metrics.get(name), Some(before), "{name}"),
+        }
+    }
+    assert_eq!(idle_after.metrics.len(), idle_before.metrics.len());
+    assert_ne!(idle_after.scope, busy_metrics.scope);
     runtime.shutdown();
+    bystander.shutdown();
 }
 
 /// 256 nodes running the real join protocol in debug mode. Ignored in the
