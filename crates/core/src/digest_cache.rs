@@ -11,11 +11,15 @@
 //! (sender, receiver) pair. This cache lets every arrival after the first
 //! skip the SHA-256 recompute.
 //!
-//! Soundness: the key is the *entire* encoded payload byte string and the
-//! codec is deterministic, so byte equality implies the decoded payload —
-//! and therefore its structural digest — is equal. Nothing weaker than full
-//! byte equality (no truncated hashing, no pointer identity) is ever used,
-//! which keeps the trust-boundary guarantee intact.
+//! Soundness: the key is the *entire* received payload byte string and
+//! decoding is deterministic, so byte equality implies the decoded payload —
+//! and therefore its digest, the hash of the decoded value's codec walk — is
+//! equal. The converse does not hold (a non-canonical composition encoding
+//! decodes to the same value as the canonical one), which is why the cached
+//! value is always the digest of the decoded value, never a hash of the key
+//! bytes. Nothing weaker than full byte equality (no truncated hashing, no
+//! pointer identity) is ever used, which keeps the trust-boundary guarantee
+//! intact.
 //!
 //! The cache is bounded two ways: at most [`CACHE_CAPACITY`] entries
 //! (FIFO-evicted) and only payloads up to [`MAX_ENTRY_BYTES`] are cached

@@ -76,9 +76,11 @@ pub mod digest_cache;
 pub mod member;
 pub mod message;
 pub mod node;
+pub mod seed;
 
 pub use app::{AppCtx, Application, CollectingApp, Delivered};
 pub use digest_cache::verified_digest_stats;
 pub use member::MemberState;
 pub use message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload};
 pub use node::{AtumNode, ByzantineBehavior, NodePhase, NodeStats};
+pub use seed::{seed_system, SeededSystem};

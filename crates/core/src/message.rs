@@ -1,19 +1,28 @@
 //! Wire messages exchanged by Atum nodes and the operations ordered by the
 //! vgroup SMR engines.
 //!
+//! # One field walk
+//!
+//! Every type here describes its fields once, in `wire_encode`. Bytes,
+//! sizes and digests are that walk against a different `WireWriter` sink:
+//! [`GroupPayload::digest`] and `SmrOp::digest` for [`GroupOp`] hash it
+//! (`atum_crypto::Digestible`), `WireSize` counts it. Adding a field means
+//! editing the type, `wire_encode` and `wire_decode` — nothing else.
+//!
 //! # Digest memoization invariant
 //!
 //! Group payloads are **immutable after creation**: a [`GroupEnvelope`]
-//! computes its payload's structural digest once, in [`GroupEnvelope::new`],
-//! and every fan-out copy (the envelope is shared behind an `Arc`) as well
-//! as every receiver reuses that cached 32-byte value for majority
-//! acceptance. Nothing may mutate a payload once it is wrapped in an
-//! envelope — there is deliberately no `&mut` access to
-//! [`GroupEnvelope::payload`]. In a deployment the digest would be
-//! recomputed (or signature-checked) at the trust boundary; the simulator's
-//! fault injection never forges envelopes, so the cached value stands.
+//! computes its payload's digest once, in [`GroupEnvelope::new`], and every
+//! fan-out copy (the envelope is shared behind an `Arc`) as well as every
+//! receiver reuses that cached 32-byte value for majority acceptance.
+//! Nothing may mutate a payload once it is wrapped in an envelope — there is
+//! deliberately no `&mut` access to [`GroupEnvelope::payload`]. The digest
+//! never travels: a receiver derives it from the *decoded value* (not from
+//! the received bytes — `Composition::wire_decode` canonicalises, so byte
+//! strings and values are not one-to-one) in [`GroupEnvelope::wire_decode`],
+//! and envelopes have no other deserialisation path.
 
-use atum_crypto::{Digest, DigestWriter, Digestible};
+use atum_crypto::{Digest, Digestible};
 use atum_overlay::{NeighborTable, WalkState};
 use atum_smr::{SmrMessage, SmrOp};
 use atum_types::wire::{self, FRAME_HEADER_LEN};
@@ -21,7 +30,6 @@ use atum_types::{
     BroadcastId, Composition, FrameMemo, NodeId, NodeIdentity, VgroupId, WalkId, WireDecode,
     WireEncode, WireError, WireReader, WireSize, WireWriter,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Payload of a vgroup-to-vgroup group message.
@@ -30,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 /// from every correct member of the source vgroup to every member of the
 /// destination vgroup; the receiver accepts the payload once a majority of
 /// the source composition delivered the same digest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupPayload {
     /// Second-phase dissemination of a broadcast (gossip across the overlay).
     Gossip {
@@ -163,135 +171,14 @@ pub enum GroupPayload {
     },
 }
 
-impl Digestible for GroupPayload {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        match self {
-            GroupPayload::Gossip { id, payload, hops } => {
-                w.write_tag(0);
-                id.digest_fields(w);
-                w.write_slice(payload);
-                w.write_u32(*hops);
-            }
-            GroupPayload::Walk(walk) => {
-                w.write_tag(1);
-                walk.digest_fields(w);
-            }
-            GroupPayload::CompositionUpdate { group, composition } => {
-                w.write_tag(2);
-                group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-            GroupPayload::ExchangeOffer {
-                walk,
-                leaving,
-                incoming,
-            } => {
-                w.write_tag(3);
-                walk.digest_fields(w);
-                leaving.digest_fields(w);
-                incoming.digest_fields(w);
-            }
-            GroupPayload::ExchangeRefuse { walk, leaving } => {
-                w.write_tag(4);
-                walk.digest_fields(w);
-                leaving.digest_fields(w);
-            }
-            GroupPayload::ExchangeAccept {
-                walk,
-                given,
-                adopted,
-            } => {
-                w.write_tag(5);
-                walk.digest_fields(w);
-                given.digest_fields(w);
-                adopted.digest_fields(w);
-            }
-            GroupPayload::SplitInsert {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.write_tag(6);
-                w.write_u8(*cycle);
-                new_group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-            GroupPayload::NeighborIntro {
-                cycle,
-                sender_is_predecessor,
-                group,
-                composition,
-            } => {
-                w.write_tag(7);
-                w.write_u8(*cycle);
-                w.write_bool(*sender_is_predecessor);
-                group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-            GroupPayload::MergeRequest { from, members } => {
-                w.write_tag(8);
-                from.digest_fields(w);
-                w.write_seq(members);
-            }
-            GroupPayload::MergeAccept {
-                into,
-                new_composition,
-            } => {
-                w.write_tag(9);
-                into.digest_fields(w);
-                new_composition.digest_fields(w);
-            }
-            GroupPayload::CyclePatch {
-                cycle,
-                new_is_successor,
-                group,
-                composition,
-            } => {
-                w.write_tag(10);
-                w.write_u8(*cycle);
-                w.write_bool(*new_is_successor);
-                group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-            GroupPayload::LinkProbe {
-                cycle,
-                sender_is_predecessor,
-                far_neighbor,
-                nonce,
-            } => {
-                w.write_tag(11);
-                w.write_u8(*cycle);
-                w.write_bool(*sender_is_predecessor);
-                far_neighbor.digest_fields(w);
-                w.write_u64(*nonce);
-            }
-            GroupPayload::LinkConfirm {
-                cycle,
-                sender_is_predecessor,
-                nonce,
-            } => {
-                w.write_tag(12);
-                w.write_u8(*cycle);
-                w.write_bool(*sender_is_predecessor);
-                w.write_u64(*nonce);
-            }
-        }
-    }
-}
-
 impl GroupPayload {
-    /// Digest of the payload, used for majority acceptance. Streams the
-    /// payload's fields straight into the hasher (see [`Digestible`]) —
-    /// collisions between distinct payloads would require SHA-256
+    /// Digest of the payload, used for majority acceptance: SHA-256 over
+    /// the payload's one field walk, its `wire_encode` (see [`Digestible`])
+    /// — collisions between distinct payloads would require SHA-256
     /// collisions. Hot-path callers should use the digest memoized by
     /// [`GroupEnvelope::new`] rather than recomputing.
     pub fn digest(&self) -> Digest {
         self.structural_digest()
-    }
-
-    /// Exact encoded size in bytes (counting pass over the wire codec).
-    pub fn wire_size(&self) -> usize {
-        wire::wire_len(self)
     }
 }
 
@@ -484,10 +371,10 @@ impl WireDecode for GroupPayload {
 /// once (see [`FrameMemo`]).
 ///
 /// Deliberately inert everywhere except the memo itself: equality ignores
-/// it (it is derived data), serde skips it, and **cloning an envelope drops
-/// it** — an owned clone has public fields a caller could mutate, which
-/// would make an inherited frame stale. Arc-shared fan-out copies (the hot
-/// path) never clone the envelope, so they keep the memo.
+/// it (it is derived data) and **cloning an envelope drops it** — an owned
+/// clone has public fields a caller could mutate, which would make an
+/// inherited frame stale. Arc-shared fan-out copies (the hot path) never
+/// clone the envelope, so they keep the memo.
 #[derive(Default)]
 struct FrameCache(OnceLock<Arc<[u8]>>);
 
@@ -522,18 +409,6 @@ impl std::fmt::Debug for FrameCache {
     }
 }
 
-impl serde::Serialize for FrameCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for FrameCache {
-    fn from_value(_value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(FrameCache::default())
-    }
-}
-
 /// One logical group message, shared (behind an `Arc`) across every
 /// physical per-recipient copy.
 ///
@@ -543,7 +418,7 @@ impl serde::Deserialize for FrameCache {
 /// the majority-acceptance collector instead of re-digesting each copy.
 /// This relies on the immutability invariant in the module docs — payloads
 /// are never mutated after the envelope is created.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupEnvelope {
     /// The sending vgroup.
     pub source: VgroupId,
@@ -553,7 +428,7 @@ pub struct GroupEnvelope {
     pub source_composition: Composition,
     /// The logical payload. Read-only by design (see module docs).
     pub payload: GroupPayload,
-    /// Memoized structural digest of `payload`.
+    /// Memoized digest of `payload`.
     digest: Digest,
     /// Memoized framed encoding (encode-once fan-out; never on the wire).
     frame: FrameCache,
@@ -575,11 +450,6 @@ impl GroupEnvelope {
     /// The payload's digest, computed once at envelope creation.
     pub fn digest(&self) -> Digest {
         self.digest
-    }
-
-    /// Exact encoded size in bytes (counting pass over the wire codec).
-    pub fn wire_size(&self) -> usize {
-        wire::wire_len(self)
     }
 }
 
@@ -631,7 +501,7 @@ impl WireDecode for GroupEnvelope {
 /// requests, leaves, evictions, broadcasts, and the vgroup-local decisions of
 /// the shuffle protocol); everything triggered by an accepted group message
 /// is already consistent across correct members and is applied directly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupOp {
     /// The contact vgroup agreed to handle a join request: start a placement
     /// walk for the joiner (or admit it directly on the re-join fast path).
@@ -740,106 +610,9 @@ pub enum GroupOp {
     },
 }
 
-impl Digestible for GroupOp {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        match self {
-            GroupOp::HandleJoinRequest {
-                joiner,
-                nonce,
-                rejoin,
-            } => {
-                w.write_tag(0);
-                joiner.digest_fields(w);
-                w.write_u64(*nonce);
-                w.write_bool(*rejoin);
-            }
-            GroupOp::AdmitJoiner { joiner, walk } => {
-                w.write_tag(1);
-                joiner.digest_fields(w);
-                walk.digest_fields(w);
-            }
-            GroupOp::Leave { node, nonce } => {
-                w.write_tag(2);
-                node.digest_fields(w);
-                w.write_u64(*nonce);
-            }
-            GroupOp::Evict {
-                node,
-                accuser,
-                nonce,
-            } => {
-                w.write_tag(3);
-                node.digest_fields(w);
-                accuser.digest_fields(w);
-                w.write_u64(*nonce);
-            }
-            GroupOp::Broadcast { id, payload } => {
-                w.write_tag(4);
-                id.digest_fields(w);
-                w.write_slice(payload);
-            }
-            GroupOp::OfferExchange {
-                walk,
-                leaving,
-                origin,
-                origin_composition,
-            } => {
-                w.write_tag(5);
-                walk.digest_fields(w);
-                leaving.digest_fields(w);
-                origin.digest_fields(w);
-                origin_composition.digest_fields(w);
-            }
-            GroupOp::CompleteExchange {
-                walk,
-                leaving,
-                incoming,
-                partner,
-                partner_composition,
-            } => {
-                w.write_tag(6);
-                walk.digest_fields(w);
-                leaving.digest_fields(w);
-                incoming.digest_fields(w);
-                partner.digest_fields(w);
-                partner_composition.digest_fields(w);
-            }
-            GroupOp::FinishExchange {
-                walk,
-                given,
-                adopted,
-            } => {
-                w.write_tag(7);
-                walk.digest_fields(w);
-                given.digest_fields(w);
-                adopted.digest_fields(w);
-            }
-            GroupOp::AcceptMerge { from, members } => {
-                w.write_tag(8);
-                from.digest_fields(w);
-                w.write_seq(members);
-            }
-            GroupOp::InsertOverlayNeighbor {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.write_tag(9);
-                w.write_u8(*cycle);
-                new_group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-        }
-    }
-}
-
 impl SmrOp for GroupOp {
     fn digest(&self) -> Digest {
         self.structural_digest()
-    }
-
-    fn wire_size(&self) -> usize {
-        wire::wire_len(self)
     }
 }
 
@@ -994,7 +767,7 @@ impl WireDecode for GroupOp {
 }
 
 /// Top-level message type exchanged between Atum nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AtumMessage {
     /// A joiner asks a contact node for its vgroup's composition.
     JoinContactRequest,
@@ -1614,18 +1387,5 @@ mod tests {
             advertised_size: 1_000_000,
         };
         assert!(app_physical.wire_size() > app_logical.wire_size() + 900_000);
-    }
-
-    #[test]
-    fn group_op_wire_sizes_reflect_payloads() {
-        let broadcast = GroupOp::Broadcast {
-            id: BroadcastId::new(NodeId::new(1), 0),
-            payload: vec![0u8; 500].into(),
-        };
-        let leave = GroupOp::Leave {
-            node: NodeId::new(1),
-            nonce: 0,
-        };
-        assert!(SmrOp::wire_size(&broadcast) > SmrOp::wire_size(&leave) + 400);
     }
 }

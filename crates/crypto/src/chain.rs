@@ -11,10 +11,9 @@
 use crate::digest::Digest;
 use crate::keys::{KeyRegistry, NodeSigner, Signature};
 use atum_types::{NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 
 /// A chain of signatures over a common payload digest.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SignatureChain {
     payload: Digest,
     links: Vec<(NodeId, Signature)>,

@@ -15,6 +15,13 @@
 //! of any node's state). Wire sizes are still accounted at Ed25519/HMAC sizes
 //! (see `atum_types::wire`) so bandwidth modelling is unaffected.
 //!
+//! # Structural digests
+//!
+//! Protocol values are digested by [`Digestible::structural_digest`]: one
+//! blanket impl that hashes the value's wire-codec field walk, so no type
+//! carries a second, hand-written description of its fields (see
+//! [`digestible`]).
+//!
 //! # Example
 //!
 //! ```
@@ -44,5 +51,5 @@ pub mod keys;
 
 pub use chain::SignatureChain;
 pub use digest::{chunk_ranges, ChunkDigests, Digest};
-pub use digestible::{DigestWriter, Digestible};
+pub use digestible::Digestible;
 pub use keys::{KeyRegistry, Mac, NodeSigner, Signature};

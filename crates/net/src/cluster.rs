@@ -16,11 +16,10 @@
 
 use crate::reactor::{NetRuntime, NodeHandle};
 use crate::runtime::{AddressBook, RuntimeConfig, RuntimeStats};
-use atum_core::{Application, AtumMessage, AtumNode};
+use atum_core::{seed_system, Application, AtumMessage, AtumNode};
 use atum_crypto::KeyRegistry;
 use atum_obs::Snapshot;
-use atum_overlay::{CycleNeighbors, HGraph, NeighborTable, VgroupDirectory};
-use atum_types::{Composition, NodeId, Params, VgroupId};
+use atum_types::{NodeId, Params};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -114,44 +113,15 @@ impl NetClusterBuilder {
             runtime,
             runtimes: n_runtimes,
         } = self;
-        assert!(seeded > 0, "a cluster needs at least one seeded member");
-        params.validate().expect("invalid Atum parameters");
-
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut registry = KeyRegistry::new();
-        for i in 0..(seeded + joiners) as u64 {
-            registry.register(NodeId::new(i), seed);
-        }
-        let registry = registry.shared();
-
-        let members: Vec<NodeId> = (0..seeded as u64).map(NodeId::new).collect();
-        let group_size = group_size.unwrap_or((params.gmin + params.gmax) / 2).max(1);
-        let directory = VgroupDirectory::partition(&members, group_size, &mut rng);
-        let group_ids = directory.group_ids();
-        let hgraph = HGraph::random(&group_ids, params.hc, &mut rng);
-        let neighbor_table_of = |group: VgroupId| -> NeighborTable {
-            let mut table = NeighborTable::new(params.hc);
-            for cycle in 0..params.hc as usize {
-                let pred = hgraph.predecessor(cycle, group).expect("member of graph");
-                let succ = hgraph.successor(cycle, group).expect("member of graph");
-                table.set_cycle(
-                    cycle,
-                    CycleNeighbors {
-                        predecessor: pred,
-                        predecessor_composition: directory
-                            .composition(pred)
-                            .expect("group exists")
-                            .clone(),
-                        successor: succ,
-                        successor_composition: directory
-                            .composition(succ)
-                            .expect("group exists")
-                            .clone(),
-                    },
-                );
-            }
-            table
-        };
+        let system = seed_system(
+            seeded,
+            joiners,
+            group_size,
+            &params,
+            seed,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        );
+        let registry = system.registry;
 
         let book = AddressBook::new();
         let epoch = StdInstant::now();
@@ -174,22 +144,18 @@ impl NetClusterBuilder {
         };
 
         let mut handles = BTreeMap::new();
-        for group in &group_ids {
-            let composition: Composition = directory.composition(*group).expect("exists").clone();
-            let table = neighbor_table_of(*group);
-            for node_id in composition.iter() {
-                let node = AtumNode::with_membership(
-                    node_id,
-                    params.clone(),
-                    registry.clone(),
-                    make_app(node_id),
-                    *group,
-                    composition.clone(),
-                    table.clone(),
-                    0,
-                );
-                handles.insert(node_id, host(node_id, node));
-            }
+        for (node_id, group, composition, table) in system.nodes {
+            let node = AtumNode::with_membership(
+                node_id,
+                params.clone(),
+                registry.clone(),
+                make_app(node_id),
+                group,
+                composition,
+                table,
+                0,
+            );
+            handles.insert(node_id, host(node_id, node));
         }
         let joiner_ids: Vec<NodeId> = (seeded as u64..(seeded + joiners) as u64)
             .map(NodeId::new)
@@ -205,7 +171,7 @@ impl NetClusterBuilder {
             book,
             params,
             registry,
-            seeded: members,
+            seeded: (0..seeded as u64).map(NodeId::new).collect(),
             joiners: joiner_ids,
             epoch,
         }

@@ -211,7 +211,7 @@ impl HGraph {
 }
 
 /// The neighbours of one vgroup on one cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleNeighbors {
     /// The predecessor vgroup on this cycle.
     pub predecessor: VgroupId,
@@ -247,7 +247,7 @@ impl WireDecode for CycleNeighbors {
 ///
 /// This is part of the replicated state of every vgroup (each pair of
 /// connected vgroups informs each other of any composition change, §3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NeighborTable {
     per_cycle: Vec<Option<CycleNeighbors>>,
 }

@@ -17,18 +17,17 @@
 //!   vgroup it forwarded to.
 
 use crate::hgraph::HGraph;
-use atum_crypto::{Digest, DigestWriter, Digestible, KeyRegistry, NodeSigner, Signature};
+use atum_crypto::{Digest, KeyRegistry, NodeSigner, Signature};
 use atum_types::{
     Composition, NodeId, VgroupId, WalkId, WireDecode, WireEncode, WireError, WireReader,
     WireWriter,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Why a walk was started; the selected vgroup interprets the result
 /// accordingly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WalkPurpose {
     /// Find the vgroup that will host a joining node.
     JoinPlacement {
@@ -54,32 +53,6 @@ pub enum WalkPurpose {
     /// Plain sampling (used by tests and by applications that need a random
     /// vgroup).
     Sample,
-}
-
-impl Digestible for WalkPurpose {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        match self {
-            WalkPurpose::JoinPlacement { joiner } => {
-                w.write_tag(0);
-                joiner.digest_fields(w);
-            }
-            WalkPurpose::ShuffleExchange { member } => {
-                w.write_tag(1);
-                member.digest_fields(w);
-            }
-            WalkPurpose::SplitAnchor {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.write_tag(2);
-                w.write_u8(*cycle);
-                new_group.digest_fields(w);
-                composition.digest_fields(w);
-            }
-            WalkPurpose::Sample => w.write_tag(3),
-        }
-    }
 }
 
 impl WireEncode for WalkPurpose {
@@ -130,7 +103,7 @@ impl WireDecode for WalkPurpose {
 
 /// One step of a walk certificate: the forwarding vgroup attests which vgroup
 /// it forwarded the walk to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertStep {
     /// The vgroup the walk was forwarded to.
     pub to: VgroupId,
@@ -138,18 +111,6 @@ pub struct CertStep {
     pub to_composition: Composition,
     /// Signatures by members of the *forwarding* vgroup over this step.
     pub signatures: Vec<(NodeId, Signature)>,
-}
-
-impl Digestible for CertStep {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        self.to.digest_fields(w);
-        self.to_composition.digest_fields(w);
-        w.write_len(self.signatures.len());
-        for (node, sig) in &self.signatures {
-            node.digest_fields(w);
-            sig.digest_fields(w);
-        }
-    }
 }
 
 impl WireEncode for CertStep {
@@ -172,15 +133,9 @@ impl WireDecode for CertStep {
 }
 
 /// A chain of [`CertStep`]s proving the path a walk took.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalkCertificate {
     steps: Vec<CertStep>,
-}
-
-impl Digestible for WalkCertificate {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        w.write_seq(&self.steps);
-    }
 }
 
 impl WalkCertificate {
@@ -284,7 +239,7 @@ impl WireDecode for WalkCertificate {
 }
 
 /// The state carried by a random walk message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkState {
     /// Identifier of the walk (origin vgroup + sequence number).
     pub id: WalkId,
@@ -305,19 +260,6 @@ pub struct WalkState {
     pub path: Vec<VgroupId>,
     /// Certificate chain (used by the asynchronous implementation).
     pub certificate: WalkCertificate,
-}
-
-impl Digestible for WalkState {
-    fn digest_fields(&self, w: &mut DigestWriter) {
-        self.id.digest_fields(w);
-        self.purpose.digest_fields(w);
-        self.origin.digest_fields(w);
-        self.origin_composition.digest_fields(w);
-        w.write_u8(self.remaining);
-        w.write_seq(&self.rng_values);
-        w.write_seq(&self.path);
-        self.certificate.digest_fields(w);
-    }
 }
 
 impl WireEncode for WalkState {

@@ -9,11 +9,11 @@
 //! the real `join`/`leave` protocol on top of such a cluster (or from a
 //! single bootstrap node).
 
-use atum_core::{Application, AtumMessage, AtumNode, ByzantineBehavior};
+use atum_core::{seed_system, Application, AtumMessage, AtumNode, ByzantineBehavior};
 use atum_crypto::KeyRegistry;
-use atum_overlay::{CycleNeighbors, HGraph, NeighborTable, VgroupDirectory};
+use atum_overlay::{HGraph, VgroupDirectory};
 use atum_simnet::{NetConfig, Simulation};
-use atum_types::{BroadcastId, Composition, Duration, NodeId, Params, VgroupId};
+use atum_types::{BroadcastId, Duration, NodeId, Params};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -176,82 +176,47 @@ impl ClusterBuilder {
             target_group_size,
             spare_identities,
         } = self;
-        assert!(n > 0, "a cluster needs at least one node");
-        params.validate().expect("invalid Atum parameters");
-
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut registry = KeyRegistry::new();
-        for i in 0..(n + spare_identities) as u64 {
-            registry.register(NodeId::new(i), seed);
-        }
-        let registry = registry.shared();
+        let system = seed_system(
+            n,
+            spare_identities,
+            target_group_size,
+            &params,
+            seed,
+            &mut rng,
+        );
 
         let nodes: Vec<NodeId> = (0..n as u64).map(NodeId::new).collect();
-        let group_size = target_group_size
-            .unwrap_or((params.gmin + params.gmax) / 2)
-            .max(1);
-        let directory = VgroupDirectory::partition(&nodes, group_size, &mut rng);
-        let group_ids = directory.group_ids();
-        let hgraph = HGraph::random(&group_ids, params.hc, &mut rng);
-
-        // Local neighbour tables derived from the ground-truth overlay.
-        let neighbor_table_of = |group: VgroupId| -> NeighborTable {
-            let mut table = NeighborTable::new(params.hc);
-            for cycle in 0..params.hc as usize {
-                let pred = hgraph.predecessor(cycle, group).expect("member of graph");
-                let succ = hgraph.successor(cycle, group).expect("member of graph");
-                table.set_cycle(
-                    cycle,
-                    CycleNeighbors {
-                        predecessor: pred,
-                        predecessor_composition: directory
-                            .composition(pred)
-                            .expect("group exists")
-                            .clone(),
-                        successor: succ,
-                        successor_composition: directory
-                            .composition(succ)
-                            .expect("group exists")
-                            .clone(),
-                    },
-                );
-            }
-            table
-        };
-
+        // Shuffled on the stream the partition and the overlay drew from.
         let mut byz_nodes: Vec<NodeId> = nodes.clone();
         byz_nodes.shuffle(&mut rng);
         byz_nodes.truncate(byzantine.min(n));
         byz_nodes.sort_unstable();
 
         let mut sim: Simulation<AtumMessage, AtumNode<A>> = Simulation::new(net, seed);
-        for group in &group_ids {
-            let composition: Composition = directory.composition(*group).expect("exists").clone();
-            let table = neighbor_table_of(*group);
-            for node_id in composition.iter() {
-                let mut node = AtumNode::with_membership(
-                    node_id,
-                    params.clone(),
-                    registry.clone(),
-                    make_app(node_id),
-                    *group,
-                    composition.clone(),
-                    table.clone(),
-                    0,
-                );
-                if byz_nodes.contains(&node_id) {
-                    node.set_byzantine(ByzantineBehavior::HeartbeatOnly);
-                }
-                sim.add_node(node_id, node);
+        for (node_id, group, composition, table) in system.nodes {
+            let mut node = AtumNode::with_membership(
+                node_id,
+                params.clone(),
+                system.registry.clone(),
+                make_app(node_id),
+                group,
+                composition,
+                table,
+                0,
+            );
+            if byz_nodes.contains(&node_id) {
+                node.set_byzantine(ByzantineBehavior::HeartbeatOnly);
             }
+            sim.add_node(node_id, node);
         }
 
         Cluster {
             sim,
-            directory,
-            hgraph,
+            directory: system.directory,
+            hgraph: system.hgraph,
             byzantine: byz_nodes,
-            registry,
+            registry: system.registry,
             params,
             initial_nodes: nodes,
         }

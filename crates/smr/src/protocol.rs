@@ -12,22 +12,16 @@ use serde::{Deserialize, Serialize};
 ///
 /// The Atum group layer instantiates `O` with its own operation enum (joins,
 /// leaves, shuffles, broadcasts, ...). The trait only asks for what the
-/// engines need: a content digest (what gets signed / quorum-matched) and a
-/// wire-size estimate for bandwidth accounting.
+/// engines need: a content digest (what gets signed / quorum-matched).
 pub trait SmrOp: Clone + Eq + std::fmt::Debug {
     /// Content digest of the operation.
     fn digest(&self) -> Digest;
-    /// Approximate encoded size in bytes.
-    fn wire_size(&self) -> usize;
 }
 
 /// Raw byte strings are valid operations (used by tests and benchmarks).
 impl SmrOp for Vec<u8> {
     fn digest(&self) -> Digest {
         Digest::of(self)
-    }
-    fn wire_size(&self) -> usize {
-        4 + self.len()
     }
 }
 
@@ -66,7 +60,7 @@ pub enum Action<O> {
 ///
 /// A single enum covers both engines so the host can treat them uniformly;
 /// each engine ignores the other's variants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmrMessage<O> {
     /// Dolev–Strong value relay (synchronous engine). The chain signs the
     /// batch digest; `slot` identifies the agreement instance.
@@ -132,18 +126,6 @@ pub enum SmrMessage<O> {
         /// Sequence numbers proven unused; receivers skip them.
         skips: Vec<u64>,
     },
-}
-
-impl<O: SmrOp> SmrMessage<O> {
-    /// Exact encoded wire size of the message when `O` has a codec
-    /// implementation (one allocation-free counting pass); falls back to an
-    /// estimate per operation via [`SmrOp::wire_size`] otherwise.
-    pub fn wire_size(&self) -> usize
-    where
-        O: WireEncode,
-    {
-        atum_types::wire::wire_len(self)
-    }
 }
 
 impl<O: WireEncode> WireEncode for SmrMessage<O> {
@@ -325,12 +307,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atum_types::wire::wire_len;
 
     #[test]
     fn vec_u8_is_an_op() {
         let op: Vec<u8> = vec![1, 2, 3];
         assert_eq!(op.digest(), Digest::of(&[1, 2, 3]));
-        assert_eq!(SmrOp::wire_size(&op), 7);
     }
 
     #[test]
@@ -346,12 +328,12 @@ mod tests {
             seq: 1,
             op: op.clone(),
         };
-        assert!(small.wire_size() < big.wire_size());
+        assert!(wire_len(&small) < wire_len(&big));
         let vc: SmrMessage<Vec<u8>> = SmrMessage::ViewChange {
             new_view: 1,
             prepared: vec![(1, op)],
         };
-        assert!(vc.wire_size() > small.wire_size());
+        assert!(wire_len(&vc) > wire_len(&small));
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   `gmax`, `k`) plus the operational knobs used by the implementation.
 //! * [`guideline`] — the configuration guideline of Figure 4, mapping a
 //!   target number of vgroups to recommended `(rwl, hc)` pairs.
-//! * [`WireSize`] — byte-size accounting used by the network simulator for
-//!   bandwidth and serialisation-delay modelling.
+//! * [`wire`] — the binary codec: one `wire_encode` field walk per type,
+//!   written to bytes, counted, or digested by [`WireWriter`]'s three sinks.
+//! * [`WireSize`] — the byte count the network simulator charges per message
+//!   for bandwidth and serialisation-delay modelling (for protocol messages,
+//!   the codec's counting pass plus framing).
 //!
 //! # Example
 //!

@@ -10,11 +10,12 @@
 //!   and neighbour tables in `atum-overlay`, SMR messages in `atum-smr`, the
 //!   full message tree in `atum-core`). The TCP runtime (`atum-net`) frames
 //!   these encodings onto sockets; see the frame constants below.
+//!   `wire_encode` is a type's **only** field walk: the writer's three sinks
+//!   turn it into the bytes that travel, their exact count ([`wire_len`]),
+//!   or the content digest (`atum_crypto::Digestible`).
 //! * **[`WireSize`]** — the per-message byte count the simulator charges for
-//!   serialisation delay and bandwidth statistics. Message types whose codec
-//!   implementation exists delegate to the *exact* encoded size (a counting
-//!   [`WireWriter`] pass, no allocation); the remaining impls are estimates
-//!   for types that never travel alone.
+//!   serialisation delay and bandwidth statistics: for protocol messages the
+//!   counting pass plus framing, never a separate estimate.
 //!
 //! # Encoding conventions
 //!
@@ -118,20 +119,52 @@ impl std::error::Error for WireError {}
 
 // ----------------------------------------------------------------- writer
 
-/// Byte sink for [`WireEncode`]. In *counting* mode it only tallies the
-/// length, so the exact encoded size of a message costs one allocation-free
-/// traversal — cheap enough for the simulator's per-send accounting.
-#[derive(Debug)]
+/// Where a [`WireWriter`]'s bytes go.
+enum Sink<'a> {
+    Buf(&'a mut Vec<u8>),
+    Count,
+    Digest(&'a mut dyn FnMut(&[u8])),
+}
+
+/// Byte sink for [`WireEncode`] — the one field walk per type, three sinks:
+///
+/// * **buffer** ([`WireWriter::to_buf`]): the bytes that travel;
+/// * **counting** ([`WireWriter::counting`]): only the length, so the exact
+///   encoded size of a message costs one allocation-free traversal — cheap
+///   enough for the simulator's per-send accounting;
+/// * **digest** ([`WireWriter::digesting`]): every `put_*` is fed to a
+///   caller-supplied hasher, so the bytes that are authenticated are the
+///   same walk as the bytes that travel.
+///
+/// The digest stream predates the codec and differs from the wire form in
+/// two primitives, kept so digest *values* (which seed walks and pick
+/// exchange candidates) stay what they always were: integers are
+/// **big-endian** and length prefixes are **`u64`**. Both differences live in
+/// [`WireWriter::put_u16`]/`u32`/`u64` and [`WireWriter::put_len`], are not
+/// configurable, and keep the stream prefix-free exactly as the wire form is.
 pub struct WireWriter<'a> {
-    buf: Option<&'a mut Vec<u8>>,
+    sink: Sink<'a>,
     written: usize,
 }
 
+// Manual: the digest sink is a closure with no meaningful rendering.
+impl fmt::Debug for WireWriter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WireWriter")
+            .field("written", &self.written)
+            .finish_non_exhaustive()
+    }
+}
+
+// The `put_*` methods are `#[inline]` on purpose: every codec impl outside
+// this crate calls them once per field, and without the hint the sink match
+// makes them too large for automatic cross-crate inlining — a function call
+// per field, measured at +25% on a 64-byte message's encode.
 impl<'a> WireWriter<'a> {
     /// A writer appending to `buf`.
     pub fn to_buf(buf: &'a mut Vec<u8>) -> Self {
         WireWriter {
-            buf: Some(buf),
+            sink: Sink::Buf(buf),
             written: 0,
         }
     }
@@ -139,57 +172,92 @@ impl<'a> WireWriter<'a> {
     /// A counting writer: discards bytes, remembers only the length.
     pub fn counting() -> WireWriter<'static> {
         WireWriter {
-            buf: None,
+            sink: Sink::Count,
             written: 0,
         }
     }
 
-    /// Bytes written (or counted) so far.
+    /// A digest writer: hands every written field to `feed` (a hasher's
+    /// `update`), in the digest stream's primitive form (see the type docs).
+    pub fn digesting(feed: &'a mut dyn FnMut(&[u8])) -> Self {
+        WireWriter {
+            sink: Sink::Digest(feed),
+            written: 0,
+        }
+    }
+
+    /// Bytes written (or counted, or fed to the digest) so far.
     pub fn written(&self) -> usize {
         self.written
     }
 
     /// Appends raw bytes.
+    #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        if let Some(buf) = self.buf.as_deref_mut() {
-            buf.extend_from_slice(bytes);
+        match &mut self.sink {
+            Sink::Buf(buf) => buf.extend_from_slice(bytes),
+            Sink::Count => {}
+            Sink::Digest(feed) => feed(bytes),
         }
         self.written += bytes.len();
     }
 
+    /// Appends an integer given in both byte orders: little-endian on the
+    /// wire, big-endian in the digest stream.
+    #[inline]
+    fn put_int<const N: usize>(&mut self, le: [u8; N], be: [u8; N]) {
+        match &mut self.sink {
+            Sink::Buf(buf) => buf.extend_from_slice(&le),
+            Sink::Count => {}
+            Sink::Digest(feed) => feed(&be),
+        }
+        self.written += N;
+    }
+
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.put_bytes(&[v]);
     }
 
-    /// Appends a little-endian `u16`.
+    /// Appends a `u16` (little-endian; big-endian in the digest stream).
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
-        self.put_bytes(&v.to_le_bytes());
+        self.put_int(v.to_le_bytes(), v.to_be_bytes());
     }
 
-    /// Appends a little-endian `u32`.
+    /// Appends a `u32` (little-endian; big-endian in the digest stream).
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.put_bytes(&v.to_le_bytes());
+        self.put_int(v.to_le_bytes(), v.to_be_bytes());
     }
 
-    /// Appends a little-endian `u64`.
+    /// Appends a `u64` (little-endian; big-endian in the digest stream).
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.put_bytes(&v.to_le_bytes());
+        self.put_int(v.to_le_bytes(), v.to_be_bytes());
     }
 
     /// Appends a boolean as `0`/`1`.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
-    /// Appends a sequence length prefix.
+    /// Appends a sequence length prefix: a `u32` on the wire, a `u64` in
+    /// the digest stream.
     ///
     /// # Panics
     ///
     /// Panics if `len` does not fit a `u32`; no protocol collection comes
     /// within orders of magnitude of that.
+    #[inline]
     pub fn put_len(&mut self, len: usize) {
-        self.put_u32(u32::try_from(len).expect("sequence length fits u32"));
+        if matches!(self.sink, Sink::Digest(_)) {
+            self.put_u64(len as u64);
+        } else {
+            self.put_u32(u32::try_from(len).expect("sequence length fits u32"));
+        }
     }
 
     /// Appends a length-prefixed sequence of encodable items.
@@ -566,81 +634,19 @@ impl WireDecode for Composition {
     }
 }
 
-/// Types that know their approximate encoded size in bytes.
+/// The per-message byte count a runtime charges for a value: what the
+/// simulator bills for serialisation delay and bandwidth statistics. For a
+/// codec type it is the counting pass ([`wire_len`]) plus framing — the
+/// `AtumMessage` impl in `atum-core` — never a separate estimate; the impls
+/// here are the scalar and byte-string messages tests and benches send.
 pub trait WireSize {
-    /// Approximate number of bytes this value occupies on the wire.
+    /// Number of bytes this value is charged on the wire.
     fn wire_size(&self) -> usize;
-}
-
-impl WireSize for NodeId {
-    fn wire_size(&self) -> usize {
-        8
-    }
-}
-
-impl WireSize for VgroupId {
-    fn wire_size(&self) -> usize {
-        8
-    }
-}
-
-impl WireSize for BroadcastId {
-    fn wire_size(&self) -> usize {
-        16
-    }
-}
-
-impl WireSize for WalkId {
-    fn wire_size(&self) -> usize {
-        16
-    }
-}
-
-impl WireSize for NodeIdentity {
-    fn wire_size(&self) -> usize {
-        8 + 6 // id + ip:port
-    }
-}
-
-impl WireSize for Composition {
-    fn wire_size(&self) -> usize {
-        4 + self.len() * 8
-    }
 }
 
 impl WireSize for u64 {
     fn wire_size(&self) -> usize {
         8
-    }
-}
-
-impl WireSize for u32 {
-    fn wire_size(&self) -> usize {
-        4
-    }
-}
-
-impl WireSize for bool {
-    fn wire_size(&self) -> usize {
-        1
-    }
-}
-
-impl<T: WireSize> WireSize for Option<T> {
-    fn wire_size(&self) -> usize {
-        1 + self.as_ref().map_or(0, WireSize::wire_size)
-    }
-}
-
-impl<T: WireSize> WireSize for Vec<T> {
-    fn wire_size(&self) -> usize {
-        4 + self.iter().map(WireSize::wire_size).sum::<usize>()
-    }
-}
-
-impl<T: WireSize> WireSize for &T {
-    fn wire_size(&self) -> usize {
-        (*self).wire_size()
     }
 }
 
@@ -656,44 +662,19 @@ impl WireSize for String {
     }
 }
 
-impl<A: WireSize, B: WireSize> WireSize for (A, B) {
-    fn wire_size(&self) -> usize {
-        self.0.wire_size() + self.1.wire_size()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn primitive_sizes() {
-        assert_eq!(NodeId::new(1).wire_size(), 8);
-        assert_eq!(VgroupId::new(1).wire_size(), 8);
-        assert_eq!(BroadcastId::new(NodeId::new(1), 2).wire_size(), 16);
         assert_eq!(7u64.wire_size(), 8);
-        assert_eq!(7u32.wire_size(), 4);
-        assert_eq!(true.wire_size(), 1);
     }
 
     #[test]
     fn container_sizes() {
-        let comp: Composition = (0..10).map(NodeId::new).collect();
-        assert_eq!(comp.wire_size(), 4 + 80);
-        let v: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        assert_eq!(v.wire_size(), 4 + 24);
         let bytes: Vec<u8> = vec![0u8; 100];
         assert_eq!(bytes.wire_size(), 104);
         assert_eq!("hello".to_string().wire_size(), 9);
-        assert_eq!(Some(NodeId::new(1)).wire_size(), 9);
-        assert_eq!(Option::<NodeId>::None.wire_size(), 1);
-        assert_eq!((NodeId::new(1), 4u32).wire_size(), 12);
-    }
-
-    #[test]
-    fn reference_forwarding() {
-        let id = NodeId::new(9);
-        // Exercise the blanket `impl WireSize for &T` explicitly.
-        assert_eq!(<&NodeId as WireSize>::wire_size(&&id), id.wire_size());
     }
 }

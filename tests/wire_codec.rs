@@ -435,6 +435,14 @@ fn cloned_envelopes_do_not_inherit_the_frame_memo() {
     assert!(encoded_clone);
 }
 
+/// Decodes a message body that must be a `Group` message.
+fn decode_group(bytes: &[u8]) -> Arc<GroupEnvelope> {
+    let AtumMessage::Group(envelope) = AtumMessage::decode_body(bytes).unwrap() else {
+        panic!("variant changed");
+    };
+    envelope
+}
+
 #[test]
 fn duplicate_group_decodes_hit_the_verified_digest_cache() {
     // Gossip re-delivers byte-identical envelopes by design; the receive
@@ -452,25 +460,116 @@ fn duplicate_group_decodes_hit_the_verified_digest_cache() {
     );
     let bytes = AtumMessage::Group(Arc::new(envelope.clone())).encode_body();
 
-    let decode = |bytes: &[u8]| -> GroupEnvelope {
-        let AtumMessage::Group(back) = AtumMessage::decode_body(bytes).unwrap() else {
-            panic!("variant changed");
-        };
-        (*back).clone()
-    };
     // First arrival verifies (computes) the digest and seeds the cache.
-    let first = decode(&bytes);
+    let first = decode_group(&bytes);
     assert_eq!(first.digest(), envelope.digest());
     let (hits_before, _) = atum::core::verified_digest_stats();
     // Duplicate arrivals are served from the cache — and still carry the
     // exact recomputed digest.
-    let second = decode(&bytes);
+    let second = decode_group(&bytes);
     assert_eq!(second.digest(), envelope.digest());
     let (hits_after, _) = atum::core::verified_digest_stats();
     assert!(
         hits_after > hits_before,
         "duplicate decode did not hit the verified-digest cache"
     );
+}
+
+#[test]
+fn structural_digest_values_are_pinned() {
+    // The digest *function* — SHA-256 over the codec walk in the digest
+    // stream's primitive form (BE integers, u64 lengths). Values captured
+    // while every type still carried its own hand-written digest walk, so
+    // this is the proof that folding those into `wire_encode` changed no
+    // digest. They seed placement walks and pick exchange candidates: re-pin
+    // only deliberately, together with the fabric-equivalence goldens.
+    use atum::crypto::Digestible;
+    const PAYLOADS: [&str; 13] = [
+        "4e83161afd15ba7d00b014935b8043ced3bbe55ca59511883cb5c96d4725a8a8",
+        "ecbe76908a3988361b6b10ae4dee676df070efd6bd8f737acd137e48699d5ac3",
+        "e06f6c73ff5e4b62e99a5f63221a70f2d2be2e79a57c6952d590540ebae87309",
+        "510d8d306f7469a20b7155e09e760ceefa9cf904447fca75e03e24eed9caf5d5",
+        "1aa57968fd76d6a8c612d04afd853174707ac64de4380be6f11dffa0e4ca54dc",
+        "0f6b47906d2c95daaca80961655512b35417124d0eab9b173a483bb8814ad925",
+        "d286732f90f60dab6767c492be8a440296cea6c6b5aecf8438ddf4854bd76706",
+        "556b4c99bd958ab7d53b2f3e6783c1b3c45262ff56a22c8a542f50c18a6891a5",
+        "8898b0bd5e0c5ebeaff8dd5798741835c49e359529ed73e40c0361da5ad582b3",
+        "e18ce819b09e195282056d7f020d7234643976ae4a139263b86dac3cd4db3f33",
+        "0ca30e6872ea72be0e8661f1392f0229bff566880ea6f6725c73a430940b1bd8",
+        "6e9d146a6b5a6097500a94ed60e2146acc142ef5ba2cc070dd0301cc1d8197a8",
+        "83147b92fbce294937de7d1bbd99724b4a5ee17d18ee96c7d39f0b6b9e676540",
+    ];
+    const OPS: [&str; 10] = [
+        "9f2a2ebcd626dd335dff8bf40f4d3d17c742573956c9661ee2e1e42b2240b27c",
+        "a2a41b7300464c6f46b83df1c0c2be18e1e5785cb1140148557213df208e1fae",
+        "c453ea16034b5ba20d6cd906df43dbc7c2603cc2dfe335f0f0942322557eafd7",
+        "1de7331f23039b933d068c5b7429cfef5de0d7a2bce2de48508dc37215b8acf1",
+        "f60530351af7748cc27650de05f62ed8537c7c998702c8fc252d5bc4ed6fd6c9",
+        "a88ada028ccd07c39f0e63c2f65045c981f05ac94e6857dcc486e8fd42cb6c37",
+        "a963cde2b349af583139ed20d63f2ad6ba196179378b03a5bad3eba8fca06e16",
+        "32ede00b082665bfa7952b6178b6aa9a85de1aff4acadc7ee48b4f209e1ea582",
+        "6da1da99123a4c622d1c2b4b50d3e5e1d441489fc45810af087fa0003868b091",
+        "40a3ea72b31ae9272a5044e2fa95a5a89a93e22b8b504b1db38e7f9c24306ebc",
+    ];
+    let hex = |d: atum::crypto::Digest| d.to_string();
+    for (payload, pinned) in all_payload_variants().iter().zip(PAYLOADS) {
+        assert_eq!(hex(payload.digest()), pinned, "{payload:?}");
+    }
+    for (op, pinned) in all_op_variants().iter().zip(OPS) {
+        assert_eq!(hex(atum::smr::SmrOp::digest(op)), pinned, "{op:?}");
+    }
+    assert_eq!(
+        hex(sample_walk(5).structural_digest()),
+        "479fb9d7b052efc458af388a2f1f444ca5f797428b1616900cdf77866c427b64"
+    );
+    let mut certified = sample_walk(6);
+    certified.certificate = sample_certificate();
+    assert_eq!(
+        hex(certified.structural_digest()),
+        "9268f5566220f34577ea02cdb831741a5b80436f3430819d4dfab7360c231459"
+    );
+    assert_eq!(
+        hex(sample_certificate().structural_digest()),
+        "3766662a5ffc798ef0de60a190bf2494c5eac5caf19175f307a40d4b600b9493"
+    );
+}
+
+#[test]
+fn non_canonical_composition_bytes_decode_to_the_canonical_digest() {
+    // The trust boundary derives the digest from the decoded *value*, not
+    // from the received bytes: `Composition::wire_decode` canonicalises, so
+    // a hostile sender's out-of-order, duplicate-bearing member list must
+    // land on the digest every honest copy of the same update carries.
+    let mut bytes = vec![7u8]; // Group tag
+    bytes.extend_from_slice(&11u64.to_le_bytes()); // source
+    bytes.extend_from_slice(&3u32.to_le_bytes()); // source composition
+    for member in [1u64, 2, 3] {
+        bytes.extend_from_slice(&member.to_le_bytes());
+    }
+    bytes.push(2); // CompositionUpdate tag
+    bytes.extend_from_slice(&0xBAD_C0DEu64.to_le_bytes()); // group
+    bytes.extend_from_slice(&4u32.to_le_bytes()); // members: 9, 4, 9, 6
+    for member in [9u64, 4, 9, 6] {
+        bytes.extend_from_slice(&member.to_le_bytes());
+    }
+    let canonical = GroupEnvelope::new(
+        VgroupId::new(11),
+        comp(&[1, 2, 3]),
+        GroupPayload::CompositionUpdate {
+            group: VgroupId::new(0xBAD_C0DE),
+            composition: comp(&[4, 6, 9]),
+        },
+    );
+    let first = decode_group(&bytes);
+    assert_eq!(*first, canonical);
+    assert_eq!(first.digest(), canonical.digest());
+    // The same hostile bytes again: served from the verified-digest cache,
+    // still with the canonical value's digest.
+    let (hits_before, _) = atum::core::verified_digest_stats();
+    let second = decode_group(&bytes);
+    let (hits_after, _) = atum::core::verified_digest_stats();
+    assert!(hits_after > hits_before, "second decode missed the cache");
+    assert_eq!(second.digest(), canonical.digest());
 }
 
 #[test]
