@@ -7,11 +7,12 @@
 //! the group-layer logic unit-testable without a network.
 
 use crate::app::Delivered;
-use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload};
+use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum_crypto::{Digest, KeyRegistry};
 use atum_overlay::{
     gossip::{Direction, ForwardTarget},
-    GossipPlanner, GroupMessageCollector, NeighborTable, SeenCache, WalkPurpose, WalkState,
+    is_carrier, GossipPlanner, GroupMessageCollector, NeighborTable, Observed, SeenCache,
+    WalkPurpose, WalkState,
 };
 use atum_smr::{Action, Engine, Replication, SmrConfig, SmrMessage};
 use atum_types::{
@@ -85,6 +86,8 @@ pub struct ExchangeStats {
 #[derive(Debug, Clone)]
 struct RecentBroadcast {
     payload: Arc<[u8]>,
+    /// Overlay hops at delivery: this member forwarded it one further.
+    hops: u32,
     stored: Instant,
 }
 
@@ -130,7 +133,7 @@ pub struct MemberState {
     /// by their memoized digest so the dedup scan compares cached 32-byte
     /// values instead of re-hashing every pending op.
     my_pending: Vec<(Digest, GroupOp)>,
-    collector: GroupMessageCollector,
+    collector: GroupMessageCollector<Arc<GroupEnvelope>>,
     seen_broadcasts: SeenCache,
     next_broadcast_seq: u64,
     /// Recently delivered broadcasts retained for the pull repair path
@@ -932,22 +935,35 @@ impl MemberState {
     /// envelope (payload, source composition and memoized digest) is built
     /// once and shared behind an `Arc` across every per-recipient copy —
     /// fan-out costs one reference-count bump per recipient, not a deep
-    /// clone.
+    /// clone. A broadcast body is shipped by its carriers only; every other
+    /// member vouches for it with a digest vote (§5.1). The remaining kinds
+    /// are small and have no body-repair path, so every member sends them
+    /// whole.
     fn send_group_message(
         &self,
         to: &Composition,
         payload: GroupPayload,
         effects: &mut Vec<Effect>,
     ) {
-        let envelope = Arc::new(GroupEnvelope::new(
-            self.vgroup,
-            self.composition.clone(),
-            payload,
-        ));
+        let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), payload);
+        let digest = envelope.digest();
+        let msg = match envelope.payload {
+            GroupPayload::Gossip { id, .. }
+                if !is_carrier(&self.composition, digest, self.me.id) =>
+            {
+                AtumMessage::GroupVote(Arc::new(GroupVote {
+                    source: envelope.source,
+                    source_composition: envelope.source_composition,
+                    digest,
+                    id,
+                }))
+            }
+            _ => AtumMessage::Group(Arc::new(envelope)),
+        };
         for member in to.iter() {
             effects.push(Effect::Send {
                 to: member,
-                msg: AtumMessage::Group(envelope.clone()),
+                msg: msg.clone(),
             });
         }
     }
@@ -982,10 +998,10 @@ impl MemberState {
 
     // ------------------------------------------------------ group messages
 
-    /// Handles one physical copy of a group message. The envelope is the
-    /// `Arc`-shared logical message; its digest was memoized at creation, so
-    /// per-copy processing is a hash-map update, not a re-hash of the
-    /// payload.
+    /// Handles one body-bearing copy of a group message. The envelope is
+    /// the `Arc`-shared logical message; its digest was memoized at creation
+    /// (recomputed from the decoded payload when it crossed a socket), so
+    /// per-copy processing is a map update, not a re-hash of the payload.
     pub fn on_group_copy(
         &mut self,
         from: NodeId,
@@ -994,50 +1010,118 @@ impl MemberState {
         effects: &mut Vec<Effect>,
         forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
+        let composition = envelope.source_composition.clone();
+        let (source, digest) = (envelope.source, envelope.digest());
+        let seen = self.observe_group_copy(from, source, &composition, digest, Some(envelope));
+        if let Observed::Accepted(envelope) = seen {
+            self.accept_group_message(envelope, &composition, now, effects, forward_filter);
+        }
+    }
+
+    /// Handles one digest-only copy of a gossip group message: it counts
+    /// towards the majority like a body-bearing copy of the same digest.
+    ///
+    /// When the majority comes without a body — members forwarding from
+    /// diverging views of their vgroup rank different carriers — each voter
+    /// is asked, once, for the copy it voted for: one answer completes the
+    /// quorum already counted.
+    pub fn on_group_vote(
+        &mut self,
+        from: NodeId,
+        vote: &GroupVote,
+        now: Instant,
+        effects: &mut Vec<Effect>,
+        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
+    ) {
+        let composition = &vote.source_composition;
+        match self.observe_group_copy(from, vote.source, composition, vote.digest, None) {
+            Observed::Pending => {}
+            Observed::Accepted(envelope) => {
+                self.accept_group_message(envelope, composition, now, effects, forward_filter);
+            }
+            Observed::Starved(voters) => {
+                if !self.params.broadcast_repair || self.seen_broadcasts.contains(vote.id) {
+                    return;
+                }
+                for voter in voters {
+                    if self.pulled.insert((vote.id, voter), now).is_none() {
+                        let msg = AtumMessage::BroadcastPull {
+                            group: vote.source,
+                            keys: vec![vote.id],
+                            voted: Some(vote.digest),
+                        };
+                        effects.push(Effect::Send { to: voter, msg });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts one copy of the group message `digest` — `body` is the
+    /// envelope when the copy carried one. The collector keys bodies by
+    /// their own digest, so a carrier that ships a different body than the
+    /// digest its peers voted for starts a separate count that never
+    /// reaches a majority; and it retains the first body until the quorum
+    /// fires, which a vote may do.
+    fn observe_group_copy(
+        &mut self,
+        from: NodeId,
+        source: VgroupId,
+        source_composition: &Composition,
+        digest: Digest,
+        body: Option<Arc<GroupEnvelope>>,
+    ) -> Observed<Arc<GroupEnvelope>> {
         // Deliberately *not* a liveness signal: group messages are
         // vgroup-to-vgroup traffic, so the sender is (almost) never a peer
-        // of this vgroup. The exception is poisonous: a node that moved to
-        // another vgroup while a stale entry for it lingers here would keep
+        // of ours — but a node that moved to another vgroup while we still
+        // hold its stale composition entry is, and it would otherwise keep
         // refreshing its own eviction clock through its new vgroup's
         // neighbour traffic, and the stale entry would never be evicted.
         // Intra-group liveness comes from heartbeats and SMR traffic only.
-        let _ = now;
-        // Use the composition claimed by the envelope for the majority rule.
+        //
+        // Use the composition claimed by the copy for the majority rule.
         // Neighbour tables lag behind during churn (the sending vgroup may
         // have reconfigured since the last CompositionUpdate), and a stale
         // majority threshold would make the receiver deaf to its neighbour.
         // In a deployment the claimed composition is certified by the
-        // previous configuration's signatures; the simulator's fault
-        // injection never forges envelopes, so the check is elided here —
-        // and the memoized digest is trusted for the same reason.
-        let digest = envelope.digest();
+        // previous configuration's signatures; that check is elided here.
+        //
         // The receiver's own neighbour-table view of the source can be
         // fresher than the claimed composition (the source may have evicted
         // ghosts or lost members since sending); the collector accepts on
         // the smaller of the two majorities so a live neighbour is not held
         // to the quorum of members that no longer exist.
-        let local_view = self.neighbors.composition_of(envelope.source).cloned();
-        let accepted = self.collector.observe_with_view(
-            envelope.source,
-            &envelope.source_composition,
-            local_view.as_ref(),
-            from,
-            digest,
-            true,
-        );
-        if !accepted {
-            return;
-        }
+        let local_view = self.neighbors.composition_of(source);
+        self.collector
+            .observe_with_view(source, source_composition, local_view, from, digest, body)
+    }
+
+    /// Acts on a group message whose quorum just fired; `source_composition`
+    /// is the one claimed by the copy that completed it.
+    fn accept_group_message(
+        &mut self,
+        envelope: Arc<GroupEnvelope>,
+        source_composition: &Composition,
+        now: Instant,
+        effects: &mut Vec<Effect>,
+        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
+    ) {
+        let source = envelope.source;
         // Acceptance fires once per logical message: pay for the payload
         // here (a cheap clone — compositions and gossip bytes are
         // themselves Arc-backed), never per copy.
-        let source = envelope.source;
-        let source_comp = envelope.source_composition.clone();
         let payload = match Arc::try_unwrap(envelope) {
             Ok(owned) => owned.payload,
             Err(shared) => shared.payload.clone(),
         };
-        self.handle_group_payload(source, &source_comp, payload, now, effects, forward_filter);
+        self.handle_group_payload(
+            source,
+            source_composition,
+            payload,
+            now,
+            effects,
+            forward_filter,
+        );
     }
 
     fn handle_group_payload(
@@ -1497,7 +1581,7 @@ impl MemberState {
         };
         self.stats.delivered.push((id, now, hops));
         effects.push(Effect::Deliver(delivered.clone()));
-        self.remember_broadcast(id, payload.clone(), now);
+        self.remember_broadcast(id, payload.clone(), hops, now);
 
         // Forwarding plan must be identical at every member: seed the RNG
         // from (broadcast id, vgroup, epoch) only.
@@ -1556,7 +1640,7 @@ impl MemberState {
     /// Retains a delivered broadcast for the repair window (16 heartbeat
     /// periods — several announce rounds), bounded by
     /// [`Self::RECENT_BROADCAST_CAP`] (oldest evicted first).
-    fn remember_broadcast(&mut self, id: BroadcastId, payload: Arc<[u8]>, now: Instant) {
+    fn remember_broadcast(&mut self, id: BroadcastId, payload: Arc<[u8]>, hops: u32, now: Instant) {
         if !self.params.broadcast_repair {
             return;
         }
@@ -1564,6 +1648,7 @@ impl MemberState {
             id,
             RecentBroadcast {
                 payload,
+                hops,
                 stored: now,
             },
         );
@@ -1722,6 +1807,7 @@ impl MemberState {
                 msg: AtumMessage::BroadcastPull {
                     group,
                     keys: missing,
+                    voted: None,
                 },
             });
         }
@@ -1739,11 +1825,17 @@ impl MemberState {
     /// face the usual quorum), and both are throttled and bounded, so a
     /// forged pull costs at most one re-proposal or one unicast copy per
     /// broadcast per announce period.
+    ///
+    /// `voted` is set when the requester holds a majority of votes for that
+    /// digest and no body (see [`Self::on_group_vote`]): it gets the copy we
+    /// voted for — the hops we forwarded with, not the merged form — if
+    /// that is what we voted for.
     pub fn on_broadcast_pull(
         &mut self,
         from: NodeId,
         group: VgroupId,
         keys: &[BroadcastId],
+        voted: Option<Digest>,
         now: Instant,
         effects: &mut Vec<Effect>,
     ) {
@@ -1768,7 +1860,7 @@ impl MemberState {
         let resend_after = self.params.heartbeat_period.saturating_mul(2);
         let me = self.me.id;
         let mut repropose: Vec<(BroadcastId, Arc<[u8]>)> = Vec::new();
-        let mut resend: Vec<(BroadcastId, Arc<[u8]>)> = Vec::new();
+        let mut resend: Vec<(BroadcastId, Arc<[u8]>, u32)> = Vec::new();
         for &id in keys.iter() {
             let Some(recent) = self.recent_broadcasts.get(&id) else {
                 continue;
@@ -1786,7 +1878,8 @@ impl MemberState {
             if own_member {
                 repropose.push((id, recent.payload.clone()));
             } else {
-                resend.push((id, recent.payload.clone()));
+                let hops = voted.map_or(0, |_| recent.hops + 1);
+                resend.push((id, recent.payload.clone(), hops));
             }
         }
         // Intra-group holes cannot be closed with direct copies: the
@@ -1818,21 +1911,17 @@ impl MemberState {
         }
         // Cross-group requesters get one *direct* copy each, hops
         // normalised to zero so every holder's reply shares one payload
-        // digest and the copies merge in the requester's quorum collector.
-        for (id, payload) in resend {
-            let envelope = Arc::new(GroupEnvelope::new(
-                self.vgroup,
-                self.composition.clone(),
-                GroupPayload::Gossip {
-                    id,
-                    payload,
-                    hops: 0,
-                },
-            ));
-            effects.push(Effect::Send {
-                to: from,
-                msg: AtumMessage::Group(envelope),
-            });
+        // digest and the copies merge in the requester's quorum collector
+        // (a starved quorum names the digest it wants instead).
+        for (id, payload, hops) in resend {
+            let gossip = GroupPayload::Gossip { id, payload, hops };
+            let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), gossip);
+            if voted.is_none_or(|digest| digest == envelope.digest()) {
+                effects.push(Effect::Send {
+                    to: from,
+                    msg: AtumMessage::Group(Arc::new(envelope)),
+                });
+            }
         }
     }
 
@@ -2880,7 +2969,14 @@ mod tests {
         // not trust in one holder — is what re-delivers the payload, so the
         // repair works even when only a sub-majority of the group holds it.
         let mut effects = Vec::new();
-        m0.on_broadcast_pull(NodeId::new(2), m0.vgroup, &[id], announce_at, &mut effects);
+        m0.on_broadcast_pull(
+            NodeId::new(2),
+            m0.vgroup,
+            &[id],
+            None,
+            announce_at,
+            &mut effects,
+        );
         assert!(
             !effects.iter().any(|e| matches!(
                 e,
@@ -2895,7 +2991,14 @@ mod tests {
         // period: one re-decision serves the whole group.
         let pending_before = {
             let mut again = Vec::new();
-            m0.on_broadcast_pull(NodeId::new(1), m0.vgroup, &[id], announce_at, &mut again);
+            m0.on_broadcast_pull(
+                NodeId::new(1),
+                m0.vgroup,
+                &[id],
+                None,
+                announce_at,
+                &mut again,
+            );
             again.len()
         };
         assert_eq!(
@@ -3042,7 +3145,7 @@ mod tests {
         let pull = effects.iter().find_map(|e| match e {
             Effect::Send {
                 to,
-                msg: AtumMessage::BroadcastPull { group, keys },
+                msg: AtumMessage::BroadcastPull { group, keys, .. },
             } => Some((*to, *group, keys.clone())),
             _ => None,
         });
@@ -3070,7 +3173,14 @@ mod tests {
         // holder0 vouches for node 20 through its table and answers the
         // pull directly; holder1 has no view of vgroup 600 and stays silent.
         let mut effects = Vec::new();
-        holder0.on_broadcast_pull(NodeId::new(20), group, &keys, announce_at, &mut effects);
+        holder0.on_broadcast_pull(
+            NodeId::new(20),
+            group,
+            &keys,
+            None,
+            announce_at,
+            &mut effects,
+        );
         let copies: Vec<Arc<GroupEnvelope>> = effects
             .iter()
             .filter_map(|e| match e {
@@ -3087,7 +3197,14 @@ mod tests {
             "vouched cross-group pull gets a direct reply"
         );
         let mut effects = Vec::new();
-        holder1.on_broadcast_pull(NodeId::new(20), group, &keys, announce_at, &mut effects);
+        holder1.on_broadcast_pull(
+            NodeId::new(20),
+            group,
+            &keys,
+            None,
+            announce_at,
+            &mut effects,
+        );
         assert!(
             effects.is_empty(),
             "a holder that cannot vouch for the requester must not reply"
@@ -3106,7 +3223,14 @@ mod tests {
             },
         );
         let mut effects = Vec::new();
-        holder1.on_broadcast_pull(NodeId::new(20), group, &keys, announce_at, &mut effects);
+        holder1.on_broadcast_pull(
+            NodeId::new(20),
+            group,
+            &keys,
+            None,
+            announce_at,
+            &mut effects,
+        );
         let env1 = effects
             .iter()
             .find_map(|e| match e {
@@ -3162,5 +3286,311 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    // ------------------------------------------- payload-once gossip hops
+
+    const HOP_FROM: VgroupId = VgroupId::new(500);
+    const HOP_TO: VgroupId = VgroupId::new(600);
+
+    /// Vgroup 500 = {0..4} and vgroup 600 = {20..24}, neighbours on cycle 0
+    /// (500 precedes 600). Returns the member state of `me`.
+    fn hop_member(me: u64) -> MemberState {
+        let params = Params::default().with_group_bounds(2, 20);
+        let from_comp: Composition = (0..4).map(NodeId::new).collect();
+        let to_comp: Composition = (20..24).map(NodeId::new).collect();
+        let (vgroup, composition) = if me < 20 {
+            (HOP_FROM, from_comp.clone())
+        } else {
+            (HOP_TO, to_comp.clone())
+        };
+        let mut neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
+        let mut entry = neighbors.cycle(0).cloned().expect("self loop");
+        if me < 20 {
+            (entry.successor, entry.successor_composition) = (HOP_TO, to_comp);
+        } else {
+            (entry.predecessor, entry.predecessor_composition) = (HOP_FROM, from_comp);
+        }
+        neighbors.set_cycle(0, entry);
+        MemberState::with_membership(
+            NodeIdentity::simulated(NodeId::new(me)),
+            params,
+            registry(30),
+            vgroup,
+            composition,
+            neighbors,
+            0,
+            Instant::ZERO,
+        )
+    }
+
+    /// Every member of vgroup 500 delivers broadcast `id` and forwards it:
+    /// returns the members and, per member, the copy it sends node 20.
+    fn hop_copies(id: BroadcastId, body: &[u8]) -> (Vec<MemberState>, Vec<(NodeId, AtumMessage)>) {
+        let mut senders: Vec<MemberState> = (0..4).map(hop_member).collect();
+        let mut copies = Vec::new();
+        for m in &mut senders {
+            let mut effects = Vec::new();
+            m.deliver_and_forward(id, body.to_vec().into(), 0, Instant::ZERO, &mut effects);
+            let mine: Vec<AtumMessage> = effects
+                .into_iter()
+                .filter_map(|e| match e {
+                    Effect::Send { to, msg } if to == NodeId::new(20) => Some(msg),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(mine.len(), 1, "one copy per member per recipient");
+            copies.push((m.me.id, mine.into_iter().next().unwrap()));
+        }
+        (senders, copies)
+    }
+
+    /// Hands `m` one group-message copy the way the node dispatch does.
+    fn feed_copy(m: &mut MemberState, from: NodeId, msg: &AtumMessage, effects: &mut Vec<Effect>) {
+        let mut allow = |_d: &Delivered, _g: VgroupId| true;
+        let now = Instant::from_micros(9);
+        match msg {
+            AtumMessage::Group(env) => m.on_group_copy(from, env.clone(), now, effects, &mut allow),
+            AtumMessage::GroupVote(vote) => m.on_group_vote(from, vote, now, effects, &mut allow),
+            other => panic!("not a group-message copy: {other:?}"),
+        }
+    }
+
+    /// The vote the same sender would have cast for `msg`.
+    fn as_vote(msg: &AtumMessage) -> AtumMessage {
+        match msg {
+            AtumMessage::Group(env) => {
+                let GroupPayload::Gossip { id, .. } = env.payload else {
+                    panic!("only gossip is voted for: {env:?}");
+                };
+                AtumMessage::GroupVote(Arc::new(GroupVote {
+                    source: env.source,
+                    source_composition: env.source_composition.clone(),
+                    digest: env.digest(),
+                    id,
+                }))
+            }
+            vote => vote.clone(),
+        }
+    }
+
+    fn is_body(msg: &AtumMessage) -> bool {
+        matches!(msg, AtumMessage::Group(_))
+    }
+
+    #[test]
+    fn gossip_hop_ships_the_body_from_the_carriers_and_votes_from_the_rest() {
+        let (senders, copies) = hop_copies(BroadcastId::new(NodeId::new(0), 3), b"body");
+        let bodies: Vec<&Arc<GroupEnvelope>> = copies
+            .iter()
+            .filter_map(|(_, msg)| match msg {
+                AtumMessage::Group(env) => Some(env),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bodies.len(), 2, "carriers of 4 are 2");
+        let digest = bodies[0].digest();
+        for (from, msg) in &copies {
+            let carrier = is_carrier(&senders[0].composition, digest, *from);
+            match msg {
+                AtumMessage::Group(env) => {
+                    assert!(carrier);
+                    assert_eq!(env.digest(), digest);
+                }
+                AtumMessage::GroupVote(vote) => {
+                    assert!(!carrier);
+                    assert_eq!((vote.source, vote.digest), (HOP_FROM, digest));
+                    assert_eq!(vote.source_composition, senders[0].composition);
+                }
+                other => panic!("unexpected copy {other:?}"),
+            }
+        }
+        // Control-plane payloads are not split: g full copies per recipient.
+        for m in &senders {
+            let mut effects = Vec::new();
+            let update = GroupPayload::CompositionUpdate {
+                group: m.vgroup,
+                composition: m.composition.clone(),
+            };
+            m.send_group_message(&hop_member(20).composition, update, &mut effects);
+            assert_eq!(effects.len(), 4);
+            assert!(effects
+                .iter()
+                .all(|e| matches!(e, Effect::Send { msg, .. } if is_body(msg))));
+        }
+    }
+
+    #[test]
+    fn votes_and_bodies_deliver_exactly_once_in_any_order_and_free_the_body() {
+        let id = BroadcastId::new(NodeId::new(0), 4);
+        let (_, copies) = hop_copies(id, b"ordered");
+        let (bodies, votes): (Vec<_>, Vec<_>) = copies.iter().partition(|(_, msg)| is_body(msg));
+        let votes_first: Vec<_> = votes.iter().chain(&bodies).collect();
+        let bodies_first: Vec<_> = bodies.iter().chain(&votes).collect();
+        for order in [votes_first, bodies_first] {
+            let mut receiver = hop_member(20);
+            let mut effects = Vec::new();
+            for (seen, (from, msg)) in order.into_iter().enumerate() {
+                feed_copy(&mut receiver, *from, msg, &mut effects);
+                // Majority of 4 is 3; the quorum always holds a carrier.
+                assert_eq!(receiver.stats.delivered.len(), usize::from(seen >= 2));
+            }
+            assert_eq!(receiver.stats.delivered[0].0, id);
+            assert_eq!(receiver.collector.pending_len(), 0, "body freed");
+        }
+    }
+
+    #[test]
+    fn withholding_carrier_does_not_stop_or_double_delivery() {
+        let (_, mut copies) = hop_copies(BroadcastId::new(NodeId::new(0), 5), b"withheld");
+        // One carrier votes but never ships the body.
+        let withholder = copies.iter().position(|(_, msg)| is_body(msg)).unwrap();
+        copies[withholder].1 = as_vote(&copies[withholder].1);
+        let mut receiver = hop_member(20);
+        let mut effects = Vec::new();
+        for (from, msg) in &copies {
+            feed_copy(&mut receiver, *from, msg, &mut effects);
+        }
+        assert_eq!(receiver.stats.delivered.len(), 1);
+        assert_eq!(receiver.collector.pending_len(), 0);
+    }
+
+    #[test]
+    fn wrong_body_carrier_is_outvoted_and_its_body_never_delivered() {
+        let id = BroadcastId::new(NodeId::new(0), 6);
+        let (_, mut copies) = hop_copies(id, b"honest");
+        let liar = copies.iter().position(|(_, msg)| is_body(msg)).unwrap();
+        let AtumMessage::Group(honest) = &copies[liar].1 else {
+            unreachable!()
+        };
+        let forged = GroupPayload::Gossip {
+            id,
+            payload: b"forged".to_vec().into(),
+            hops: 1,
+        };
+        copies[liar].1 = AtumMessage::Group(Arc::new(GroupEnvelope::new(
+            honest.source,
+            honest.source_composition.clone(),
+            forged,
+        )));
+        // The forged body first, so it would win any "first body" race.
+        copies.swap(0, liar);
+        let mut receiver = hop_member(20);
+        let mut effects = Vec::new();
+        for (from, msg) in &copies {
+            feed_copy(&mut receiver, *from, msg, &mut effects);
+        }
+        let delivered: Vec<&Delivered> = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Deliver(d) => Some(d),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered.len(), 1);
+        assert_eq!(delivered[0].payload, b"honest".to_vec());
+        // The forged copy is its own key: one sender, never a majority.
+        assert_eq!(receiver.collector.pending_len(), 1);
+    }
+
+    /// Every member of vgroup 500 votes for broadcast `id`, none ships the
+    /// body (more withholders than the fault bound). Returns the members,
+    /// the starved receiver, and what it asked of whom.
+    fn starved_receiver(
+        id: BroadcastId,
+        body: &[u8],
+    ) -> (Vec<MemberState>, MemberState, Vec<(NodeId, AtumMessage)>) {
+        let (senders, copies) = hop_copies(id, body);
+        let mut receiver = hop_member(20);
+        let mut effects = Vec::new();
+        for (from, msg) in &copies {
+            feed_copy(&mut receiver, *from, &as_vote(msg), &mut effects);
+        }
+        assert!(receiver.stats.delivered.is_empty(), "no body, no delivery");
+        assert_eq!(receiver.collector.pending_len(), 1);
+        let asked = effects
+            .into_iter()
+            .map(|e| match e {
+                Effect::Send { to, msg } => (to, msg),
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        (senders, receiver, asked)
+    }
+
+    /// What `holder` answers when `from` sends it the pull `msg`.
+    fn answer(holder: &mut MemberState, from: u64, msg: &AtumMessage) -> Vec<Effect> {
+        let AtumMessage::BroadcastPull { group, keys, voted } = msg else {
+            panic!("expected a pull, got {msg:?}");
+        };
+        let mut effects = Vec::new();
+        let at = Instant::from_micros(20);
+        holder.on_broadcast_pull(NodeId::new(from), *group, keys, *voted, at, &mut effects);
+        effects
+    }
+
+    #[test]
+    fn bodyless_quorum_asks_its_voters_and_one_answer_delivers() {
+        let id = BroadcastId::new(NodeId::new(0), 7);
+        let (mut senders, mut receiver, asked) = starved_receiver(id, b"asked for");
+        // Each voter is asked once: three when the majority forms, the
+        // fourth when its vote arrives.
+        let voters: Vec<NodeId> = asked.iter().map(|(to, _)| *to).collect();
+        assert_eq!(voters, (0..4).map(NodeId::new).collect::<Vec<_>>());
+        let mut delivered = Vec::new();
+        for (voter, pull) in &asked {
+            let holder = &mut senders[voter.raw() as usize];
+            let [Effect::Send { to, msg }] = &answer(holder, 20, pull)[..] else {
+                panic!("expected one direct copy");
+            };
+            assert_eq!((*to, is_body(msg)), (NodeId::new(20), true));
+            feed_copy(&mut receiver, *voter, msg, &mut delivered);
+            // The first answer is the body the counted quorum vouched for.
+            assert_eq!(receiver.stats.delivered.len(), 1);
+        }
+        assert_eq!(receiver.stats.delivered[0].0, id);
+        assert_eq!(receiver.collector.pending_len(), 0);
+
+        // Asked for a digest it never vouched for, or by a node that is
+        // nobody's neighbour, a voter sends nothing.
+        let (mut senders, _, mut asked) = starved_receiver(id, b"asked for");
+        assert!(answer(&mut senders[1], 29, &asked[1].1).is_empty());
+        let AtumMessage::BroadcastPull { voted, .. } = &mut asked[0].1 else {
+            unreachable!()
+        };
+        *voted = Some(Digest::of(b"something else"));
+        assert!(answer(&mut senders[0], 20, &asked[0].1).is_empty());
+    }
+
+    #[test]
+    fn bodyless_quorum_is_healed_by_advert_pull_and_direct_copies() {
+        let id = BroadcastId::new(NodeId::new(0), 7);
+        // The returned votes are lost; the holders' announce cadence then
+        // advertises the broadcast, and the receiver pulls it from each and
+        // assembles their direct copies.
+        let (mut senders, mut receiver, _) = starved_receiver(id, b"pulled");
+        let at = Instant::ZERO + receiver.params.heartbeat_period.saturating_mul(3);
+        for holder in senders.iter_mut().take(3) {
+            let from = holder.me.id;
+            let mut effects = Vec::new();
+            receiver.on_broadcast_keys(from, HOP_FROM, &[id], at, &mut effects);
+            let [Effect::Send {
+                msg: AtumMessage::BroadcastPull { group, keys, .. },
+                ..
+            }] = &effects[..]
+            else {
+                panic!("expected one pull, got {effects:?}");
+            };
+            let mut reply = Vec::new();
+            holder.on_broadcast_pull(NodeId::new(20), *group, keys, None, at, &mut reply);
+            let [Effect::Send { msg, .. }] = &reply[..] else {
+                panic!("expected one direct copy, got {reply:?}");
+            };
+            assert!(is_body(msg));
+            let mut effects = Vec::new();
+            feed_copy(&mut receiver, from, msg, &mut effects);
+        }
+        assert_eq!(receiver.stats.delivered.len(), 1);
+        assert_eq!(receiver.stats.delivered[0].0, id);
     }
 }

@@ -34,10 +34,12 @@ use std::sync::{Arc, OnceLock};
 
 /// Payload of a vgroup-to-vgroup group message.
 ///
-/// A group message is physically realised as one [`AtumMessage::Group`] copy
-/// from every correct member of the source vgroup to every member of the
-/// destination vgroup; the receiver accepts the payload once a majority of
-/// the source composition delivered the same digest.
+/// A group message is physically realised as one copy from every correct
+/// member of the source vgroup to every member of the destination vgroup:
+/// an [`AtumMessage::Group`] carrying the payload, or — for `Gossip`, from
+/// the members that are not its carriers — an [`AtumMessage::GroupVote`]
+/// carrying only the digest. The receiver accepts the payload once a
+/// majority of the source composition vouched for the same digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupPayload {
     /// Second-phase dissemination of a broadcast (gossip across the overlay).
@@ -495,6 +497,45 @@ impl WireDecode for GroupEnvelope {
     }
 }
 
+/// A member's digest-only copy of a gossip group message (§5.1): it vouches
+/// that the sender's vgroup forwarded the broadcast in a payload with this
+/// digest without carrying it. Counts towards the receiver's majority
+/// exactly like a full copy; the body comes from the message's carriers
+/// (`atum_overlay::is_carrier`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupVote {
+    /// The sending vgroup.
+    pub source: VgroupId,
+    /// The sending vgroup's composition, as in [`GroupEnvelope`]: the
+    /// receiver's majority rule reads it the same way for both kinds of copy.
+    pub source_composition: Composition,
+    /// Digest of the payload vouched for.
+    pub digest: Digest,
+    /// The broadcast the payload forwards: what a receiver whose majority
+    /// came without a body pulls from the voters.
+    pub id: BroadcastId,
+}
+
+impl WireEncode for GroupVote {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        self.source.wire_encode(w);
+        self.source_composition.wire_encode(w);
+        self.digest.wire_encode(w);
+        self.id.wire_encode(w);
+    }
+}
+
+impl WireDecode for GroupVote {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(GroupVote {
+            source: VgroupId::wire_decode(r)?,
+            source_composition: Composition::wire_decode(r)?,
+            digest: Digest::wire_decode(r)?,
+            id: BroadcastId::wire_decode(r)?,
+        })
+    }
+}
+
 /// Operations ordered by the SMR engine inside a vgroup.
 ///
 /// Only actions that originate at a *single* node need agreement (join
@@ -841,6 +882,10 @@ pub enum AtumMessage {
     /// One copy of a vgroup-to-vgroup group message. All per-recipient
     /// copies of the same logical message share one envelope allocation.
     Group(Arc<GroupEnvelope>),
+    /// A digest-only copy of a vgroup-to-vgroup group message, sent in place
+    /// of [`AtumMessage::Group`] by the members that are not carriers of
+    /// it. Shared across the per-recipient copies like the envelope.
+    GroupVote(Arc<GroupVote>),
     /// Application-level payload (file chunks, stream data, ...); opaque to
     /// Atum.
     App {
@@ -878,6 +923,11 @@ pub enum AtumMessage {
         group: VgroupId,
         /// The broadcasts the requester is missing (bounded).
         keys: Vec<BroadcastId>,
+        /// Set by a requester that holds a majority of [`GroupVote`]s for
+        /// this digest and no body: the holder, one of the voters, answers
+        /// with the copy it voted for — the hops it forwarded with — so one
+        /// answer completes the quorum already counted.
+        voted: Option<Digest>,
     },
 }
 
@@ -897,7 +947,9 @@ impl AtumMessage {
 /// pointer as their logical identity and memoize their framed encoding on
 /// the envelope, so a runtime encodes each logical group message once no
 /// matter how many recipients (and re-gossip of the same envelope reuses
-/// the bytes too). Every other variant is unicast-shaped and opts out.
+/// the bytes too). `GroupVote` copies share an identity the same way (a
+/// vote is fanned out once, so it carries no memo). Every other variant is
+/// unicast-shaped and opts out.
 impl FrameMemo for AtumMessage {
     fn fanout_identity(&self) -> Option<usize> {
         match self {
@@ -905,6 +957,7 @@ impl FrameMemo for AtumMessage {
             // logical message. Only valid while the copies coexist — see
             // the trait docs for the scoping rule.
             AtumMessage::Group(envelope) => Some(Arc::as_ptr(envelope) as usize),
+            AtumMessage::GroupVote(vote) => Some(Arc::as_ptr(vote) as usize),
             _ => None,
         }
     }
@@ -987,10 +1040,15 @@ impl WireEncode for AtumMessage {
                 group.wire_encode(w);
                 w.put_seq(keys);
             }
-            AtumMessage::BroadcastPull { group, keys } => {
+            AtumMessage::BroadcastPull { group, keys, voted } => {
                 w.put_u8(10);
                 group.wire_encode(w);
                 w.put_seq(keys);
+                voted.wire_encode(w);
+            }
+            AtumMessage::GroupVote(vote) => {
+                w.put_u8(11);
+                vote.wire_encode(w);
             }
         }
     }
@@ -1040,7 +1098,9 @@ impl WireDecode for AtumMessage {
             10 => AtumMessage::BroadcastPull {
                 group: VgroupId::wire_decode(r)?,
                 keys: r.take_seq(16)?,
+                voted: Option::wire_decode(r)?,
             },
+            11 => AtumMessage::GroupVote(Arc::new(GroupVote::wire_decode(r)?)),
             _ => return Err(WireError::Malformed("atum-message tag")),
         })
     }

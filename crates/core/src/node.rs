@@ -530,8 +530,9 @@ impl<A: Application> AtumNode<A> {
                 // welcome carries the configuration-chain certificate (each
                 // epoch's quorum signs its successor), which makes one
                 // correct sender sufficient; the simulator elides signatures
-                // throughout (see `on_group_copy`), so the sender's standing
-                // in the state we already trust stands in for the chain.
+                // throughout (see `MemberState::observe_group_copy`), so the
+                // sender's standing in the state we already trust stands in
+                // for the chain.
                 // Without this, two lagging members whose only up-to-date
                 // peer is a single node deadlock: each needs the other to
                 // advance first. The halted-engine gate keeps ordinary
@@ -1013,6 +1014,20 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     self.run_effects(effects, ctx);
                 }
             }
+            AtumMessage::GroupVote(vote) => {
+                if let Some(member) = self.member.as_mut() {
+                    let mut effects = Vec::new();
+                    let app = &mut self.app;
+                    member.on_group_vote(
+                        from,
+                        &vote,
+                        ctx.now(),
+                        &mut effects,
+                        &mut |d: &Delivered, g: VgroupId| app.forward(d, g),
+                    );
+                    self.run_effects(effects, ctx);
+                }
+            }
             AtumMessage::App { payload, .. } => {
                 let mut app_ctx = AppCtx::new(ctx.now(), self.identity.id);
                 self.app.on_app_message(from, &payload, &mut app_ctx);
@@ -1027,10 +1042,10 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     self.run_effects(effects, ctx);
                 }
             }
-            AtumMessage::BroadcastPull { group, keys } => {
+            AtumMessage::BroadcastPull { group, keys, voted } => {
                 if let Some(member) = self.member.as_mut() {
                     let mut effects = Vec::new();
-                    member.on_broadcast_pull(from, group, &keys, ctx.now(), &mut effects);
+                    member.on_broadcast_pull(from, group, &keys, voted, ctx.now(), &mut effects);
                     self.run_effects(effects, ctx);
                 }
             }

@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn group_fanout_is_encoded_exactly_once() {
-        use atum_core::{AtumMessage, GroupEnvelope, GroupPayload};
+        use atum_core::{AtumMessage, GroupEnvelope, GroupPayload, GroupVote};
         use atum_types::{BroadcastId, Composition, VgroupId};
 
         // Sender and receivers on separate runtimes so the fan-out crosses
@@ -572,6 +572,30 @@ mod tests {
             "re-gossip of a memoized envelope must not re-encode"
         );
         assert_eq!(send_rt.stats().frames_sent, 6);
+
+        // A voter's fan-out is one logical message too: the shared vote is
+        // encoded once for its three recipients.
+        let vote = Arc::new(GroupVote {
+            source: envelope.source,
+            source_composition: envelope.source_composition.clone(),
+            digest: envelope.digest(),
+            id: BroadcastId::new(NodeId::new(0), 7),
+        });
+        sender.call(move |_n, ctx| {
+            for peer in 1..=3u64 {
+                ctx.send(NodeId::new(peer), AtumMessage::GroupVote(vote.clone()));
+            }
+        });
+        assert!(
+            wait_until(StdDuration::from_secs(10), || {
+                receivers
+                    .iter()
+                    .all(|r| r.with_node(|n| n.received).unwrap_or(0) == 3)
+            }),
+            "vote fan-out did not arrive"
+        );
+        assert_eq!(send_rt.stats().messages_encoded, 2);
+        assert_eq!(send_rt.stats().frames_sent, 9);
 
         send_rt.shutdown();
         recv_rt.shutdown();

@@ -14,7 +14,7 @@
 use atum_types::{BroadcastId, GossipPolicy};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A direction along a Hamiltonian cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -99,7 +99,7 @@ pub struct SeenCache {
     // Ordered set (determinism lint): the cache is part of the protocol
     // state the model checker fingerprints.
     seen: BTreeSet<BroadcastId>,
-    order: Vec<BroadcastId>,
+    order: VecDeque<BroadcastId>,
     limit: usize,
 }
 
@@ -108,7 +108,7 @@ impl SeenCache {
     pub fn new(limit: usize) -> Self {
         SeenCache {
             seen: BTreeSet::new(),
-            order: Vec::new(),
+            order: VecDeque::new(),
             limit: limit.max(1),
         }
     }
@@ -118,12 +118,15 @@ impl SeenCache {
         if self.seen.contains(&id) {
             return false;
         }
-        self.seen.insert(id);
-        self.order.push(id);
-        while self.order.len() > self.limit {
-            let oldest = self.order.remove(0);
-            self.seen.remove(&oldest);
+        // Evict before pushing: the ring's capacity then settles at the
+        // limit instead of doubling past it.
+        if self.order.len() >= self.limit {
+            if let Some(oldest) = self.order.pop_front() {
+                self.seen.remove(&oldest);
+            }
         }
+        self.seen.insert(id);
+        self.order.push_back(id);
         true
     }
 

@@ -6,17 +6,25 @@
 //! most ⌊(|A|−1)/2⌋ faulty members in A, a majority guarantees at least one
 //! correct sender, so an accepted group message was really sent by A.
 //!
+//! The bandwidth optimisation of §5.1 splits what a sender ships: the
+//! ⌈g/2⌉ *carriers* of a message ([`is_carrier`]) send the body, every other
+//! member sends only its digest as a vote. ⌈g/2⌉ = g − majority + 1 is the
+//! smallest set every majority must intersect — only majority − 1 members
+//! are not carriers — so the copy that completes a quorum never has to wait
+//! for a body, and it exceeds every fault bound (⌊(g−1)/2⌋ synchronously),
+//! so at least one carrier is correct.
+//!
 //! The [`GroupMessageCollector`] implements the receiving side: it counts
-//! distinct senders per `(source vgroup, payload digest)` pair and reports
-//! the payload exactly once, when the majority threshold is crossed. It also
-//! implements the bandwidth optimisation of §5.1: callers can mark a received
-//! copy as digest-only; such copies count towards the majority but the
-//! payload must have arrived in full from at least one sender before
-//! acceptance fires.
+//! distinct senders per `(source vgroup, payload digest)` pair, holds the
+//! first body that arrives for the pair, and hands that body out exactly
+//! once, when the majority threshold is crossed. A quorum of votes without a
+//! body waits for one and names its voters, so the receiver can ask them for
+//! it; a body whose digest differs from the voted one is a different pair
+//! that never reaches a majority.
 
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Identifies one logical group message while it is being collected.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,41 +33,54 @@ struct Key {
     digest: Digest,
 }
 
-#[derive(Debug, Default, Clone)]
-struct Progress {
+#[derive(Debug, Clone)]
+struct Progress<B> {
     senders: BTreeSet<NodeId>,
-    have_full_payload: bool,
-    accepted: bool,
+    /// The first body received for this key (votes carry none).
+    body: Option<B>,
+}
+
+/// What one copy did to the collection of its message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Observed<B> {
+    /// Short of a majority (or a repeat, a stranger's copy, or a message
+    /// accepted before).
+    Pending,
+    /// A majority vouches for the digest and none of them shipped the body:
+    /// these are the senders so far. Carriers are ranked on the sender's own
+    /// view of its vgroup, so members forwarding from diverging views can
+    /// all take themselves for voters; the receiver then asks for the body.
+    Starved(Vec<NodeId>),
+    /// Majority and body: the retained body, handed out exactly once.
+    Accepted(B),
 }
 
 /// Collects per-sender copies of group messages and reports majority
-/// acceptance.
+/// acceptance. `B` is what a body-bearing copy leaves behind until the
+/// quorum fires — the envelope in `atum-core`, `()` where only the count
+/// matters.
 ///
 /// All containers are ordered (determinism lint): collector state feeds
 /// model-checker fingerprints and its iteration order must not depend on
 /// hash seeds.
-#[derive(Debug, Default, Clone)]
-pub struct GroupMessageCollector {
-    in_progress: BTreeMap<Key, Progress>,
+#[derive(Debug, Clone)]
+pub struct GroupMessageCollector<B = ()> {
+    in_progress: BTreeMap<Key, Progress<B>>,
     /// Keys already accepted (kept to suppress duplicates from stragglers).
     accepted: BTreeSet<Key>,
-    /// Upper bound on remembered accepted keys, to bound memory.
+    /// Upper bound on tracked keys, to bound memory.
     remember_limit: usize,
-    accepted_order: Vec<Key>,
+    /// Every key in `in_progress` or `accepted`, once, in the order
+    /// collection started; at most `remember_limit` of them. A key leaves
+    /// both maps when it leaves the ring, so neither a withheld body nor a
+    /// stream of fabricated digests can pin bodies and sender sets. Such a
+    /// stream does shorten the duplicate-suppression window; a message it
+    /// pushes out is accepted again only on a fresh majority of copies, and
+    /// correct members send theirs once.
+    order: VecDeque<Key>,
 }
 
-impl GroupMessageCollector {
-    /// Creates a collector that remembers up to `remember_limit` accepted
-    /// messages for duplicate suppression.
-    pub fn new(remember_limit: usize) -> Self {
-        GroupMessageCollector {
-            in_progress: BTreeMap::new(),
-            accepted: BTreeSet::new(),
-            remember_limit: remember_limit.max(1),
-            accepted_order: Vec::new(),
-        }
-    }
-
+impl GroupMessageCollector<()> {
     /// Records one received copy of a group message.
     ///
     /// * `source` / `source_composition` — the sending vgroup and its
@@ -80,24 +101,37 @@ impl GroupMessageCollector {
         digest: Digest,
         full_payload: bool,
     ) -> bool {
-        self.observe_with_view(
-            source,
-            source_composition,
-            None,
-            sender,
-            digest,
-            full_payload,
-        )
+        let body = full_payload.then_some(());
+        let seen = self.observe_with_view(source, source_composition, None, sender, digest, body);
+        seen == Observed::Accepted(())
+    }
+}
+
+impl<B> GroupMessageCollector<B> {
+    /// Creates a collector that tracks up to `remember_limit` messages,
+    /// unfinished ones and accepted ones (for duplicate suppression)
+    /// together.
+    pub fn new(remember_limit: usize) -> Self {
+        GroupMessageCollector {
+            in_progress: BTreeMap::new(),
+            accepted: BTreeSet::new(),
+            remember_limit: remember_limit.max(1),
+            order: VecDeque::new(),
+        }
     }
 
-    /// Like [`observe`](Self::observe), but also consults `local_view` — the
-    /// receiver's own (possibly fresher) view of the source composition, e.g.
-    /// from its neighbour table. The acceptance threshold is the *smaller*
-    /// majority of the two views: during churn the claimed composition can
-    /// still list departed or never-activated members that will never send a
-    /// copy, and holding the message to their inflated majority would make
-    /// the receiver deaf to a live neighbour. Senders present in either view
-    /// are counted.
+    /// Records one received copy of a group message: a body-bearing copy
+    /// passes `Some(body)`, a digest vote `None`. Hands out the retained
+    /// body exactly once per `(source, digest)`: when the majority threshold
+    /// is reached *and* a body is on hand.
+    ///
+    /// `local_view` is the receiver's own (possibly fresher) view of the
+    /// source composition, e.g. from its neighbour table. The acceptance
+    /// threshold is the *smaller* majority of the two views: during churn
+    /// the claimed composition can still list departed or never-activated
+    /// members that will never send a copy, and holding the message to their
+    /// inflated majority would make the receiver deaf to a live neighbour.
+    /// Senders present in either view are counted.
     pub fn observe_with_view(
         &mut self,
         source: VgroupId,
@@ -105,42 +139,50 @@ impl GroupMessageCollector {
         local_view: Option<&Composition>,
         sender: NodeId,
         digest: Digest,
-        full_payload: bool,
-    ) -> bool {
+        body: Option<B>,
+    ) -> Observed<B> {
         let in_local = local_view.is_some_and(|v| v.contains(sender));
         if !source_composition.contains(sender) && !in_local {
-            return false;
+            return Observed::Pending;
         }
         let key = Key { source, digest };
         if self.accepted.contains(&key) {
-            return false;
+            return Observed::Pending;
         }
-        let progress = self.in_progress.entry(key.clone()).or_default();
+        if !self.in_progress.contains_key(&key) {
+            // Evict before pushing: the ring's capacity then settles at the
+            // limit instead of doubling past it.
+            if self.order.len() >= self.remember_limit {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.in_progress.remove(&oldest);
+                    self.accepted.remove(&oldest);
+                }
+            }
+            self.order.push_back(key.clone());
+        }
+        let progress = self.in_progress.entry(key.clone()).or_insert(Progress {
+            senders: BTreeSet::new(),
+            body: None,
+        });
         progress.senders.insert(sender);
-        progress.have_full_payload |= full_payload;
+        if progress.body.is_none() {
+            progress.body = body;
+        }
         let mut majority = source_composition.majority();
         if let Some(view) = local_view {
             if !view.is_empty() {
                 majority = majority.min(view.majority());
             }
         }
-        if progress.senders.len() >= majority && progress.have_full_payload {
-            progress.accepted = true;
-            self.in_progress.remove(&key);
-            self.remember(key);
-            true
-        } else {
-            false
+        if progress.senders.len() < majority {
+            return Observed::Pending;
         }
-    }
-
-    fn remember(&mut self, key: Key) {
-        self.accepted.insert(key.clone());
-        self.accepted_order.push(key);
-        while self.accepted_order.len() > self.remember_limit {
-            let oldest = self.accepted_order.remove(0);
-            self.accepted.remove(&oldest);
-        }
+        let Some(body) = progress.body.take() else {
+            return Observed::Starved(progress.senders.iter().copied().collect());
+        };
+        self.in_progress.remove(&key);
+        self.accepted.insert(key);
+        Observed::Accepted(body)
     }
 
     /// Returns `true` if the message identified by `(source, digest)` has
@@ -149,32 +191,43 @@ impl GroupMessageCollector {
         self.accepted.contains(&Key { source, digest })
     }
 
-    /// Number of messages still awaiting a majority.
+    /// Number of messages still awaiting a majority (or a body).
     pub fn pending_len(&self) -> usize {
         self.in_progress.len()
     }
 
-    /// Drops partially collected messages from a source vgroup (used when the
-    /// source is known to have reconfigured or disappeared and stale counts
-    /// could otherwise linger).
+    /// Drops partially collected messages — retained bodies included — from
+    /// a source vgroup (used when the source is known to have reconfigured
+    /// or disappeared and stale counts could otherwise linger).
     pub fn forget_source(&mut self, source: VgroupId) {
         self.in_progress.retain(|k, _| k.source != source);
+        let accepted = &self.accepted;
+        self.order
+            .retain(|k| k.source != source || accepted.contains(k));
     }
 }
 
-/// Computes the plan for *sending* a group message with the digest
-/// optimisation of §5.1: a majority of the source vgroup sends the full
-/// payload, the remaining members send only the digest. The choice is made
-/// deterministically from the member rank so all members agree without
-/// coordination.
-///
-/// Returns `(full_senders, digest_senders)`.
-pub fn digest_optimised_roles(source: &Composition) -> (Vec<NodeId>, Vec<NodeId>) {
-    let majority = source.majority();
-    let members: Vec<NodeId> = source.iter().collect();
-    let full = members[..majority.min(members.len())].to_vec();
-    let digest = members[majority.min(members.len())..].to_vec();
-    (full, digest)
+/// Whether `member` is a *carrier* of the group message `digest` sent by
+/// `source`: one of the ⌈g/2⌉ members that ship the body while the rest
+/// vote with the digest (see the module docs for why that many). Members
+/// are ranked by a hash of `(digest, member id)`, so every member derives
+/// the same set without coordination and the set rotates per message.
+pub fn is_carrier(source: &Composition, digest: Digest, member: NodeId) -> bool {
+    let bytes = digest.as_bytes();
+    let seed = u64::from_le_bytes(bytes[..8].try_into().expect("digest has 32 bytes"));
+    let rank = |m: NodeId| (mix64(seed ^ mix64(m.raw())), m);
+    let mine = rank(member);
+    let carriers = source.len() + 1 - source.majority();
+    source.contains(member) && source.iter().filter(|&m| rank(m) < mine).count() < carriers
+}
+
+/// The splitmix64 finaliser: a cheap bijective mixer (the digest half of the
+/// rank is already a SHA-256 output; this only spreads the member id).
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -279,14 +332,82 @@ mod tests {
     }
 
     #[test]
-    fn digest_roles_split_majority_vs_rest() {
-        let composition = comp(&[1, 2, 3, 4, 5]);
-        let (full, digest) = digest_optimised_roles(&composition);
-        assert_eq!(full.len(), 3);
-        assert_eq!(digest.len(), 2);
-        let composition = comp(&[1]);
-        let (full, digest) = digest_optimised_roles(&composition);
-        assert_eq!(full.len(), 1);
-        assert!(digest.is_empty());
+    fn a_restarted_key_is_in_the_ring_once_and_stays_accepted() {
+        // The ring holds 4 keys. K loses its unfinished state twice — pushed
+        // out by newer keys, then dropped with its source — and restarts
+        // each time; a stale second ring entry would take `accepted[K]`
+        // with it long before 4 newer keys have started.
+        let mut c = GroupMessageCollector::<u64>::new(4);
+        let composition = comp(&[1, 2, 3]);
+        let (source, k) = (VgroupId::new(1), Digest::of(b"k"));
+        let mut see = |source, sender, digest, body| {
+            c.observe_with_view(
+                source,
+                &composition,
+                None,
+                NodeId::new(sender),
+                digest,
+                body,
+            )
+        };
+        assert_eq!(see(source, 1, k, Some(7)), Observed::Pending);
+        for i in 0..4u64 {
+            let other = Digest::of(&i.to_le_bytes());
+            assert_eq!(see(VgroupId::new(2), 1, other, Some(i)), Observed::Pending);
+        }
+        // K's sender and body went with it: a vote alone starts it over.
+        assert_eq!(see(source, 2, k, None), Observed::Pending);
+        c.forget_source(source);
+        assert_eq!(c.pending_len(), 3);
+        let mut see = |source, sender, digest, body| {
+            c.observe_with_view(
+                source,
+                &composition,
+                None,
+                NodeId::new(sender),
+                digest,
+                body,
+            )
+        };
+        assert_eq!(see(source, 1, k, Some(8)), Observed::Pending);
+        assert_eq!(see(source, 2, k, None), Observed::Accepted(8));
+        for i in 4..7u64 {
+            let other = Digest::of(&i.to_le_bytes());
+            assert_eq!(see(VgroupId::new(2), 1, other, Some(i)), Observed::Pending);
+        }
+        assert_eq!(see(source, 3, k, Some(9)), Observed::Pending);
+        assert!(c.is_accepted(source, k));
+        assert_eq!(c.pending_len(), 3);
+    }
+
+    #[test]
+    fn the_retained_body_is_the_first_and_is_handed_out_once() {
+        let mut c = GroupMessageCollector::<&str>::new(8);
+        let composition = comp(&[1, 2, 3, 4]);
+        let (source, d) = (VgroupId::new(1), Digest::of(b"m"));
+        let mut see = |sender, body| {
+            c.observe_with_view(source, &composition, None, NodeId::new(sender), d, body)
+        };
+        assert_eq!(see(1, None), Observed::Pending);
+        assert_eq!(see(2, Some("first")), Observed::Pending);
+        assert_eq!(see(2, Some("again")), Observed::Pending);
+        assert_eq!(see(3, None), Observed::Accepted("first"));
+        assert_eq!(see(4, Some("late")), Observed::Pending);
+    }
+
+    #[test]
+    fn a_majority_of_votes_without_a_body_names_its_voters() {
+        let mut c = GroupMessageCollector::<&str>::new(8);
+        let composition = comp(&[1, 2, 3, 4]);
+        let (source, d) = (VgroupId::new(1), Digest::of(b"m"));
+        let mut see = |sender, body| {
+            c.observe_with_view(source, &composition, None, NodeId::new(sender), d, body)
+        };
+        let voters = |ids: &[u64]| Observed::Starved(ids.iter().map(|&i| NodeId::new(i)).collect());
+        assert_eq!(see(3, None), Observed::Pending);
+        assert_eq!(see(1, None), Observed::Pending);
+        assert_eq!(see(2, None), voters(&[1, 2, 3]));
+        assert_eq!(see(2, None), voters(&[1, 2, 3]));
+        assert_eq!(see(4, Some("body")), Observed::Accepted("body"));
     }
 }

@@ -13,7 +13,8 @@
 //! * [`NeighborTable`] — a single vgroup's local view of its neighbours
 //!   (per-cycle predecessor and successor compositions);
 //! * [`GroupMessageCollector`] — majority-acceptance of vgroup-to-vgroup
-//!   messages (§3.1, Figure 3);
+//!   messages (§3.1, Figure 3), and [`is_carrier`] — which members ship a
+//!   message's body and which only vote with its digest (§5.1);
 //! * [`WalkState`] and [`WalkCertificate`] — random walks with bulk RNG and
 //!   both communication styles of §5.1 (backward phase and certificates);
 //! * [`GossipPlanner`] and [`SeenCache`] — which neighbours a broadcast is
@@ -31,6 +32,6 @@ pub mod walk;
 
 pub use directory::VgroupDirectory;
 pub use gossip::{GossipPlanner, SeenCache};
-pub use group_msg::GroupMessageCollector;
+pub use group_msg::{is_carrier, GroupMessageCollector, Observed};
 pub use hgraph::{CycleNeighbors, HGraph, NeighborTable};
 pub use walk::{simulate_walk_hits, WalkCertificate, WalkPurpose, WalkState};

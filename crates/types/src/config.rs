@@ -97,7 +97,12 @@ pub struct Params {
     /// that missed one (a dropped gossip copy has no other retransmit)
     /// pulls it, and holders re-gossip it to the whole vgroup so the
     /// quorum acceptance path re-assembles at the holed member. Bounded:
-    /// one re-gossip per broadcast per announce period per peer.
+    /// one re-gossip per broadcast per announce period per peer. The
+    /// retained broadcasts are also what answers a receiver whose majority
+    /// of digest votes came without a body (senders whose views of their
+    /// own composition diverged mid-churn, or more withholding carriers
+    /// than the fault bound): with repair off nobody asks and nobody could
+    /// answer, and such a broadcast is never delivered at that member.
     pub broadcast_repair: bool,
 }
 

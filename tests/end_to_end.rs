@@ -2,11 +2,13 @@
 //! SMR, overlay, core) driven through the simulator, exercising the paper's
 //! guarantees end to end.
 
-use atum::core::{AtumNode, CollectingApp};
+use atum::core::{seed_system, AtumMessage, AtumNode, CollectingApp, GroupPayload, GroupVote};
 use atum::crypto::KeyRegistry;
 use atum::sim::{run_broadcast_workload, ClusterBuilder};
-use atum::simnet::{NetConfig, Simulation};
+use atum::simnet::{Context, NetConfig, Node, Simulation};
 use atum::types::{Duration, GossipPolicy, NodeId, Params, SmrMode};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn fast_params() -> Params {
     Params::default()
@@ -163,4 +165,128 @@ fn restricted_gossip_policy_still_delivers_everywhere() {
         "delivery ratio {}",
         report.delivery_ratio()
     );
+}
+
+/// An `AtumNode` that counts the gossip copies handed to it, by kind — and,
+/// with `withhold` on, sees every carrier withhold: a body from a member
+/// that has not voted arrives as that member's vote instead.
+struct GossipTap {
+    node: AtumNode<CollectingApp>,
+    bodies: u64,
+    votes: u64,
+    withhold: bool,
+    voted: BTreeSet<NodeId>,
+}
+
+impl Node<AtumMessage> for GossipTap {
+    fn on_start(&mut self, ctx: &mut Context<'_, AtumMessage>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        mut msg: AtumMessage,
+        ctx: &mut Context<'_, AtumMessage>,
+    ) {
+        if let AtumMessage::Group(env) = &msg {
+            if let GroupPayload::Gossip { id, .. } = env.payload {
+                if self.withhold && !self.voted.contains(&from) {
+                    msg = AtumMessage::GroupVote(Arc::new(GroupVote {
+                        source: env.source,
+                        source_composition: env.source_composition.clone(),
+                        digest: env.digest(),
+                        id,
+                    }));
+                } else {
+                    self.bodies += 1;
+                }
+            }
+        }
+        if matches!(msg, AtumMessage::GroupVote(_)) {
+            self.votes += 1;
+            self.voted.insert(from);
+        }
+        self.node.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, AtumMessage>) {
+        self.node.on_timer(tag, ctx);
+    }
+}
+
+/// 3 vgroups of 4, every vgroup a neighbour of both others, one 1 KiB
+/// broadcast from node 3. Returns the gossip bodies and votes that reached
+/// the nodes, after checking that every node delivered exactly once.
+fn tapped_broadcast(withhold: bool) -> (u64, u64) {
+    use rand::SeedableRng;
+    let params = fast_params();
+    let seed = 2024;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let system = seed_system(12, 0, Some(4), &params, seed, &mut rng);
+    assert_eq!(system.directory.group_count(), 3);
+    let mut sim: Simulation<AtumMessage, GossipTap> = Simulation::new(NetConfig::lan(), seed);
+    for (id, group, composition, table) in system.nodes {
+        let node = AtumNode::with_membership(
+            id,
+            params.clone(),
+            system.registry.clone(),
+            CollectingApp::new(),
+            group,
+            composition,
+            table,
+            0,
+        );
+        sim.add_node(
+            id,
+            GossipTap {
+                node,
+                bodies: 0,
+                votes: 0,
+                withhold,
+                voted: BTreeSet::new(),
+            },
+        );
+    }
+    sim.run_for(Duration::from_secs(1));
+    let payload = vec![0xA7u8; 1024];
+    let sent = payload.clone();
+    sim.call(NodeId::new(3), move |n, ctx| {
+        n.node.broadcast(sent, ctx).unwrap();
+    });
+    sim.run_for(Duration::from_secs(30));
+
+    let (mut bodies, mut votes) = (0, 0);
+    for id in sim.node_ids() {
+        let tap = sim.node(id).unwrap();
+        bodies += tap.bodies;
+        votes += tap.votes;
+        let copies = tap.node.app().delivered_payloads();
+        assert_eq!(
+            copies,
+            vec![payload.clone()],
+            "node {id}: exactly one delivery"
+        );
+    }
+    (bodies, votes)
+}
+
+#[test]
+fn one_broadcast_ships_its_body_once_per_carrier_not_once_per_member() {
+    // One broadcast crosses 6 directed links, each 4 senders × 4 receivers
+    // = 96 copies. The ⌈4/2⌉ = 2 carriers per sending vgroup ship the body
+    // (6 × 2 × 4 = 48), the other 2 members vote with the digest (48) — it
+    // used to be 96 bodies.
+    assert_eq!(tapped_broadcast(false), (48, 48));
+}
+
+#[test]
+fn a_quorum_of_votes_without_a_body_pulls_it_from_a_voter() {
+    // Every carrier withholds: all 96 copies arrive as votes, every quorum
+    // forms without a body, and the only bodies that reach a node are the
+    // answers of the voters it asked. The 8 nodes outside the origin vgroup
+    // each need one; nobody asks once the broadcast is delivered.
+    let (bodies, votes) = tapped_broadcast(true);
+    assert_eq!(votes, 96);
+    assert!((8..=8 * 4).contains(&bodies), "{bodies} answers");
 }

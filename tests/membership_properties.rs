@@ -3,7 +3,7 @@
 //! inputs.
 
 use atum::crypto::Digest;
-use atum::overlay::{GroupMessageCollector, HGraph, VgroupDirectory};
+use atum::overlay::{is_carrier, GroupMessageCollector, HGraph, VgroupDirectory};
 use atum::types::{Composition, NodeId, SmrMode, VgroupId};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -96,6 +96,39 @@ proptest! {
         if distinct_members.len() >= composition.majority() {
             prop_assert_eq!(accepted, 1);
         }
+    }
+
+    /// The carriers of a group message are ⌈g/2⌉ members that every
+    /// majority-sized set of senders intersects (so the copy completing a
+    /// quorum never waits for a body), whatever the digest and the ids.
+    #[test]
+    fn carriers_are_half_the_group_and_meet_every_majority(
+        ids in proptest::collection::vec(0u64..1_000_000, 1..21),
+        seed in proptest::collection::vec(0u8..=255, 0..16),
+    ) {
+        let composition: Composition = ids.iter().map(|&i| NodeId::new(i)).collect();
+        let digest = Digest::of(&seed);
+        let g = composition.len();
+        let carriers: Vec<NodeId> = composition
+            .iter()
+            .filter(|&m| is_carrier(&composition, digest, m))
+            .collect();
+        prop_assert_eq!(carriers.len(), g.div_ceil(2));
+        prop_assert_eq!(carriers.len(), g + 1 - composition.majority());
+        prop_assert!(carriers.len() > composition.max_faults(SmrMode::Synchronous));
+        // Every majority-sized subset holds a carrier: the members that are
+        // not carriers are too few to form one.
+        prop_assert!(g - carriers.len() < composition.majority());
+        // The set is a function of (membership, digest) alone — every
+        // member derives it from its own copy of the composition, however
+        // that copy was assembled — and outsiders never carry.
+        prop_assert!(!is_carrier(&composition, digest, NodeId::new(2_000_000)));
+        let peer_view: Composition = ids.iter().rev().map(|&i| NodeId::new(i)).collect();
+        let again: Vec<NodeId> = peer_view
+            .iter()
+            .filter(|&m| is_carrier(&peer_view, digest, m))
+            .collect();
+        prop_assert_eq!(carriers, again);
     }
 
     /// Partitioning nodes into vgroups always satisfies the directory
@@ -241,4 +274,30 @@ fn split_racing_join_witness_settles_clean() {
     assert!(verdicts.cycles_connected);
     assert!(verdicts.epoch_agreement);
     assert!(verdicts.broadcast_reach);
+}
+
+/// The carrier set rotates with the digest: over 1 000 messages no member
+/// of a vgroup ships the body more than twice its fair share of the time.
+#[test]
+fn carrier_load_is_balanced_across_messages() {
+    for g in 1u64..=20 {
+        let composition: Composition = (0..g).map(|i| NodeId::new(i * 7 + 3)).collect();
+        let mut carried = std::collections::BTreeMap::new();
+        for n in 0..1_000u64 {
+            let digest = Digest::of(&n.to_le_bytes());
+            for m in composition
+                .iter()
+                .filter(|&m| is_carrier(&composition, digest, m))
+            {
+                *carried.entry(m).or_insert(0u64) += 1;
+            }
+        }
+        let fair = 1_000 * g.div_ceil(2) / g;
+        for (member, count) in carried {
+            assert!(
+                count <= 2 * fair,
+                "member {member} of {g} carried {count} of 1000 (fair share {fair})"
+            );
+        }
+    }
 }

@@ -3,8 +3,8 @@
 //! wire-size/encoding agreement bound, and adversarial decodes (truncation,
 //! oversized length prefixes, trailing garbage) that must fail cleanly.
 
-use atum::core::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload};
-use atum::crypto::{KeyRegistry, SignatureChain};
+use atum::core::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
+use atum::crypto::{Digest, KeyRegistry, SignatureChain};
 use atum::overlay::{CycleNeighbors, NeighborTable, WalkCertificate, WalkPurpose, WalkState};
 use atum::smr::SmrMessage;
 use atum::types::wire::{wire_len, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
@@ -201,6 +201,15 @@ fn all_op_variants() -> Vec<GroupOp> {
     ]
 }
 
+fn sample_vote() -> AtumMessage {
+    AtumMessage::GroupVote(Arc::new(GroupVote {
+        source: VgroupId::new(5),
+        source_composition: comp(&[1, 2, 3, 4]),
+        digest: Digest::of(b"voted-for"),
+        id: BroadcastId::new(NodeId::new(1), 2),
+    }))
+}
+
 fn all_message_variants() -> Vec<AtumMessage> {
     let mut messages = vec![
         AtumMessage::JoinContactRequest,
@@ -270,6 +279,22 @@ fn all_message_variants() -> Vec<AtumMessage> {
             payload: vec![7; 100],
             advertised_size: 0,
         },
+        sample_vote(),
+        AtumMessage::BroadcastKeys {
+            group: VgroupId::new(5),
+            keys: vec![BroadcastId::new(NodeId::new(1), 2)],
+        },
+        // The announce-cadence pull, and the pull of a starved vote quorum.
+        AtumMessage::BroadcastPull {
+            group: VgroupId::new(5),
+            keys: vec![BroadcastId::new(NodeId::new(1), 2)],
+            voted: None,
+        },
+        AtumMessage::BroadcastPull {
+            group: VgroupId::new(5),
+            keys: vec![BroadcastId::new(NodeId::new(1), 2)],
+            voted: Some(Digest::of(b"voted-for")),
+        },
     ];
     // One Group message per payload variant, with a walk carrying a signed
     // certificate thrown in.
@@ -293,7 +318,7 @@ fn all_message_variants() -> Vec<AtumMessage> {
 #[test]
 fn every_message_variant_round_trips() {
     let messages = all_message_variants();
-    assert!(messages.len() >= 21, "cover every variant");
+    assert!(messages.len() >= 22, "cover every variant");
     for msg in &messages {
         let bytes = msg.encode_body();
         let back = AtumMessage::decode_body(&bytes).unwrap_or_else(|e| {
@@ -397,6 +422,13 @@ fn encoded_frame_cache_is_byte_identical_for_every_variant() {
                 assert!(!encoded_again, "group re-framing must hit the memo");
                 assert!(Arc::ptr_eq(&frame, &again));
                 assert!(msg.cached_frame().is_some());
+                assert!(msg.fanout_identity().is_some());
+            }
+            AtumMessage::GroupVote(_) => {
+                // Votes share an identity across their fan-out (one encode
+                // per batch) but are never re-sent, so they carry no memo.
+                assert!(encoded_again);
+                assert!(msg.cached_frame().is_none());
                 assert!(msg.fanout_identity().is_some());
             }
             _ => {
@@ -601,6 +633,36 @@ fn trailing_garbage_is_rejected() {
         AtumMessage::decode_body(&bytes),
         Err(WireError::TrailingBytes(1))
     ));
+}
+
+#[test]
+fn group_votes_are_small_exact_and_off_the_edge_vocabulary() {
+    use atum::types::wire::decode_exact;
+    use atum::types::{EdgeRequest, EdgeResponse};
+
+    let vote = sample_vote();
+    let bytes = vote.encode_body();
+    // Tag, source, composition (length + 4 members), digest, broadcast id:
+    // no payload.
+    assert_eq!(bytes.len(), 1 + 8 + (4 + 4 * 8) + 32 + 16);
+    assert_eq!(AtumMessage::decode_body(&bytes).unwrap(), vote);
+    let mut long = bytes.clone();
+    long.push(0);
+    assert!(matches!(
+        AtumMessage::decode_body(&long),
+        Err(WireError::TrailingBytes(1))
+    ));
+    // Node and edge bodies share a codec, not a vocabulary: neither side's
+    // decoder takes the other's bytes.
+    assert!(decode_exact::<EdgeRequest>(&bytes).is_err());
+    assert!(decode_exact::<EdgeResponse>(&bytes).is_err());
+    let response = EdgeResponse {
+        seq: 11,
+        status: atum::types::EdgeStatus::Ok,
+        payload: bytes.clone(),
+    };
+    let response_bytes = atum::types::wire::encode_to_vec(&response);
+    assert!(AtumMessage::decode_body(&response_bytes).is_err());
 }
 
 #[test]
