@@ -122,9 +122,9 @@ fn delivery_ratio(cluster: &NetCluster<CollectingApp>, ids: &[BroadcastId]) -> f
     let mut observed = 0usize;
     let mut members = 0usize;
     for (_, delivered) in cluster.map_nodes(move |n| {
-        n.member().map(|m| {
+        n.is_member().then(|| {
             want.iter()
-                .filter(|id| m.stats.delivered.iter().any(|(d, _, _)| d == *id))
+                .filter(|id| n.delivered().iter().any(|(d, _, _)| d == *id))
                 .count()
         })
     }) {
@@ -324,8 +324,8 @@ fn run_partition_heal() {
         for (i, &bid) in sent.iter().enumerate() {
             let mut holders = 0usize;
             for (_, d) in cluster.map_nodes(move |n| {
-                n.member()
-                    .map(|m| m.stats.delivered.iter().any(|(d, _, _)| *d == bid))
+                n.is_member()
+                    .then(|| n.delivered().iter().any(|(d, _, _)| *d == bid))
             }) {
                 if d == Some(true) {
                     holders += 1;

@@ -201,10 +201,8 @@ fn run_scale() {
         members,
         StdDuration::from_secs(scaled(180, 600)),
         move |n| {
-            n.member().is_some_and(|m| {
-                want.iter()
-                    .all(|id| m.stats.delivered.iter().any(|(d, _, _)| d == id))
-            })
+            want.iter()
+                .all(|id| n.delivered().iter().any(|(d, _, _)| d == id))
         },
     );
 
@@ -212,11 +210,7 @@ fn run_scale() {
     let mut delivery_latency = LatencySeries::new();
     let sent_at_of: std::collections::HashMap<BroadcastId, atum_types::Instant> =
         sent.iter().copied().collect();
-    for (_, deliveries) in cluster.map_nodes(|n| {
-        n.member()
-            .map(|m| m.stats.delivered.clone())
-            .unwrap_or_default()
-    }) {
+    for (_, deliveries) in cluster.map_nodes(|n| n.delivered().to_vec()) {
         for (id, at, _hops) in deliveries {
             if let Some(&sent_at) = sent_at_of.get(&id) {
                 observed += 1;
@@ -425,20 +419,14 @@ fn run_growth_bench() {
     let expected_ids: Vec<BroadcastId> = sent.iter().map(|&(id, _)| id).collect();
     let want = expected_ids.clone();
     cluster.wait_for_nodes(total, StdDuration::from_secs(60), move |n| {
-        n.member().is_some_and(|m| {
-            want.iter()
-                .all(|id| m.stats.delivered.iter().any(|(d, _, _)| d == id))
-        })
+        want.iter()
+            .all(|id| n.delivered().iter().any(|(d, _, _)| d == id))
     });
     let bcast_wall = bcast_start.elapsed();
 
     let mut delivery_latency = LatencySeries::new();
     let mut observed = 0usize;
-    for (_, deliveries) in cluster.map_nodes(|n| {
-        n.member()
-            .map(|m| m.stats.delivered.clone())
-            .unwrap_or_default()
-    }) {
+    for (_, deliveries) in cluster.map_nodes(|n| n.delivered().to_vec()) {
         for (id, at, _hops) in deliveries {
             if let Some(&(_, sent_at)) = sent.iter().find(|&&(s, _)| s == id) {
                 observed += 1;
@@ -470,7 +458,7 @@ fn run_growth_bench() {
                 m.epoch,
                 m.composition.len(),
                 m.engine_running(),
-                m.stats.delivered.len(),
+                n.delivered().len(),
             ),
             None => format!("phase {:?}", n.phase()),
         }) {
@@ -878,7 +866,7 @@ fn run_saturation() {
     let mut sustained: Option<(usize, f64, AggregateStats)> = None;
     loop {
         let total: usize = cluster
-            .map_nodes(|n| n.member().map(|m| m.stats.delivered.len()).unwrap_or(0))
+            .map_nodes(|n| n.delivered().len())
             .into_iter()
             .map(|(_, count)| count)
             .sum();
@@ -903,11 +891,7 @@ fn run_saturation() {
         sent.iter().copied().collect();
     let mut delivery_latency = LatencySeries::new();
     let mut observed = 0usize;
-    for (_, deliveries) in cluster.map_nodes(|n| {
-        n.member()
-            .map(|m| m.stats.delivered.clone())
-            .unwrap_or_default()
-    }) {
+    for (_, deliveries) in cluster.map_nodes(|n| n.delivered().to_vec()) {
         for (id, at, _hops) in deliveries {
             if let Some(&sent_at) = sent_at_of.get(&id) {
                 observed += 1;

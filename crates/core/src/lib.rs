@@ -72,6 +72,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod app;
+pub mod broadcast;
 pub mod digest_cache;
 pub mod member;
 pub mod message;
@@ -79,6 +80,7 @@ pub mod node;
 pub mod seed;
 
 pub use app::{AppCtx, Application, CollectingApp, Delivered};
+pub use broadcast::Session;
 pub use digest_cache::verified_digest_stats;
 pub use member::MemberState;
 pub use message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};

@@ -7,13 +7,10 @@
 //! the group-layer logic unit-testable without a network.
 
 use crate::app::Delivered;
+use crate::broadcast::{repair_metrics, Session, View};
 use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum_crypto::{Digest, KeyRegistry};
-use atum_overlay::{
-    gossip::{Direction, ForwardTarget},
-    is_carrier, GossipPlanner, GroupMessageCollector, NeighborTable, Observed, SeenCache,
-    WalkPurpose, WalkState,
-};
+use atum_overlay::{GroupMessageCollector, NeighborTable, Observed, WalkPurpose, WalkState};
 use atum_smr::{Action, Engine, Replication, SmrConfig, SmrMessage};
 use atum_types::{
     BroadcastId, Composition, Instant, NodeId, NodeIdentity, Params, VgroupId, WalkId,
@@ -23,25 +20,41 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Cached handles into the global metrics registry for the anti-entropy
-/// repair plane. Resolved once (registry lookups take a lock); afterwards
-/// each increment is one relaxed atomic add. The adversarial benchmarks
-/// sample these to break a partition-heal into degradation phases.
-pub(crate) mod repair_metrics {
-    use atum_obs::Counter;
-    use std::sync::{Arc, OnceLock};
+/// This membership as the broadcast plane sees it, built inline so the
+/// borrows stay disjoint from `self.session` (and from `self.engine`).
+macro_rules! view {
+    ($member:ident) => {
+        View {
+            me: $member.me.id,
+            vgroup: $member.vgroup,
+            composition: &$member.composition,
+            neighbors: &$member.neighbors,
+            params: &$member.params,
+        }
+    };
+}
 
-    /// Broadcast holes detected: `BroadcastPull` requests sent upstream.
-    pub(crate) fn pulls() -> &'static Arc<Counter> {
-        static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-        CELL.get_or_init(|| atum_obs::global().counter("core.anti_entropy_pulls"))
-    }
-
-    /// Holes serviced by re-proposing the held op through the vgroup SMR.
-    pub(crate) fn reproposals() -> &'static Arc<Counter> {
-        static CELL: OnceLock<Arc<Counter>> = OnceLock::new();
-        CELL.get_or_init(|| atum_obs::global().counter("core.anti_entropy_reproposals"))
-    }
+/// The SMR engine of a fresh configuration (`None` for a node the
+/// composition does not list).
+fn fresh_engine(
+    me: NodeId,
+    params: &Params,
+    registry: &Arc<KeyRegistry>,
+    composition: &Composition,
+) -> Option<Engine<GroupOp>> {
+    composition.contains(me).then(|| {
+        Engine::new(
+            params.smr,
+            me,
+            composition.clone(),
+            SmrConfig {
+                round: params.round,
+                ..SmrConfig::default()
+            },
+            registry.clone(),
+            Instant::ZERO,
+        )
+    })
 }
 
 /// What the member logic asks its host to do.
@@ -56,15 +69,28 @@ pub enum Effect {
     },
     /// Deliver a broadcast to the application.
     Deliver(Delivered),
-    /// This node is no longer a member of its vgroup (it left, was evicted,
-    /// or was exchanged away and now waits for a `Welcome` from its new
-    /// vgroup).
-    MembershipEnded {
-        /// `true` when the departure was initiated by this node (`leave`).
-        voluntary: bool,
-        /// `true` when the node was exchanged and should expect a `Welcome`.
-        transferred: bool,
-    },
+    /// This node is no longer a member of its vgroup.
+    MembershipEnded(Ending),
+}
+
+/// Why a membership ended, which decides where the node goes next. The
+/// first three are decided by the vgroup, the last two by the host itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ending {
+    /// The vgroup decided this node's `leave`: it stays out until the
+    /// application joins again.
+    Left,
+    /// The vgroup evicted this node: it re-joins on its own.
+    Evicted,
+    /// A shuffle exchange moved this node: it waits for the `Welcome` of
+    /// its new vgroup.
+    Transferred,
+    /// The engine halted and nobody re-synchronised it: re-join now through
+    /// a former peer.
+    Stranded,
+    /// Every peer is presumed dead: re-join now, through the overlay
+    /// neighbours too.
+    Isolated,
 }
 
 /// Counters for the shuffle-exchange statistics reported in Figure 13.
@@ -75,20 +101,6 @@ pub struct ExchangeStats {
     /// Exchanges refused because the selected partner vgroup had no spare
     /// member (suppressed exchanges).
     pub suppressed: u64,
-    /// Exchanges still outstanding.
-    pub outstanding: u64,
-}
-
-/// One broadcast retained for the pull-based repair path: a member keeps
-/// the payload of recently delivered broadcasts for a bounded window so a
-/// vgroup peer that missed its gossip copies (drops have no other
-/// retransmit) can pull a re-gossip.
-#[derive(Debug, Clone)]
-struct RecentBroadcast {
-    payload: Arc<[u8]>,
-    /// Overlay hops at delivery: this member forwarded it one further.
-    hops: u32,
-    stored: Instant,
 }
 
 /// Per-node statistics of interest to experiments.
@@ -98,12 +110,6 @@ pub struct MemberStats {
     pub delivered: Vec<(BroadcastId, Instant, u32)>,
     /// Exchange bookkeeping (only meaningful at vgroups that shuffled).
     pub exchanges: ExchangeStats,
-    /// Number of reconfigurations (epoch changes) this member went through.
-    pub reconfigurations: u64,
-    /// Number of splits this member participated in.
-    pub splits: u64,
-    /// Number of merges this member participated in.
-    pub merges: u64,
     /// Number of evictions this member's vgroup agreed on.
     pub evictions: u64,
 }
@@ -134,20 +140,10 @@ pub struct MemberState {
     /// values instead of re-hashing every pending op.
     my_pending: Vec<(Digest, GroupOp)>,
     collector: GroupMessageCollector<Arc<GroupEnvelope>>,
-    seen_broadcasts: SeenCache,
-    next_broadcast_seq: u64,
-    /// Recently delivered broadcasts retained for the pull repair path
-    /// (bounded; empty when `params.broadcast_repair` is off).
-    recent_broadcasts: BTreeMap<BroadcastId, RecentBroadcast>,
-    /// When this member last pulled each missing broadcast from each
-    /// advertiser. Keyed per advertiser so a hole collects repair copies
-    /// from *every* distinct holder within one announce period (the
-    /// collector needs a majority of distinct senders), while any one
-    /// (broadcast, holder) pair is asked at most once per period.
-    pulled: BTreeMap<(BroadcastId, NodeId), Instant>,
-    /// When this member last answered each requester's pull of each
-    /// broadcast (the holder-side throttle mirroring `pulled`).
-    repair_sent: BTreeMap<(BroadcastId, NodeId), Instant>,
+    /// The node-lifetime state (broadcast plane and statistics): held for
+    /// as long as this membership lasts, then moved on by
+    /// [`Self::into_session`] or [`Self::succeeded_by`].
+    session: Session,
     /// Shuffle walks this vgroup started: walk → the member to exchange.
     outstanding_exchanges: BTreeMap<WalkId, NodeId>,
     /// Members this vgroup reserved as exchange partners: walk → member.
@@ -203,8 +199,6 @@ pub struct MemberState {
     /// re-insertion walk. Empty when `params.link_repair` is off.
     link_probes: BTreeMap<(u8, bool), u32>,
     merging: bool,
-    /// Statistics for the experiments.
-    pub stats: MemberStats,
 }
 
 impl std::fmt::Debug for MemberState {
@@ -230,11 +224,8 @@ impl std::fmt::Debug for MemberState {
             .field("departed_groups", &self.departed_groups)
             .field("correspondents", &self.correspondents)
             .field("link_probes", &self.link_probes)
-            .field("recent_broadcasts", &self.recent_broadcasts)
-            .field("pulled", &self.pulled)
-            .field("repair_sent", &self.repair_sent)
             .field("merging", &self.merging)
-            .field("stats", &self.stats)
+            .field("session", &self.session)
             .finish_non_exhaustive()
     }
 }
@@ -245,8 +236,8 @@ impl MemberState {
     /// dedup. Every container rendered here is ordered (`BTreeMap`,
     /// `BTreeSet`, `Composition`), so equal protocol states produce equal
     /// strings regardless of the history that led to them. Excludes the key
-    /// registry (shared infrastructure) and the experiment statistics
-    /// (passive observers that would needlessly split equivalent states).
+    /// registry (shared infrastructure) and the [`Session`], which the host
+    /// renders wherever it currently lives.
     pub fn canonical_state(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(512);
@@ -265,9 +256,7 @@ impl MemberState {
         );
         let _ = write!(
             s,
-            "|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
-            self.next_broadcast_seq,
-            self.seen_broadcasts,
+            "|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
             self.outstanding_exchanges,
             self.reserved,
             self.evict_accusations,
@@ -282,11 +271,6 @@ impl MemberState {
             (self.last_heartbeat_sent, self.last_announce),
             self.merging,
         );
-        let _ = write!(
-            s,
-            "|{:?}|{:?}|{:?}",
-            self.recent_broadcasts, self.pulled, self.repair_sent
-        );
         s
     }
 
@@ -297,43 +281,42 @@ impl MemberState {
         me: NodeIdentity,
         params: Params,
         registry: Arc<KeyRegistry>,
+        session: Session,
         now: Instant,
     ) -> Self {
         let vgroup = VgroupId::new(me.id.raw());
         let composition = Composition::singleton(me.id);
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
-        Self::with_membership(me, params, registry, vgroup, composition, neighbors, 0, now)
+        Self::with_membership(
+            me,
+            params,
+            registry,
+            session,
+            vgroup,
+            composition,
+            neighbors,
+            0,
+            now,
+        )
     }
 
     /// Creates the member state of a node with explicitly given membership
     /// (used when a `Welcome` is accepted, and by the simulation harness to
-    /// bootstrap large systems without running thousands of joins).
+    /// bootstrap large systems without running thousands of joins), around
+    /// the node's one `session`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_membership(
         me: NodeIdentity,
         params: Params,
         registry: Arc<KeyRegistry>,
+        mut session: Session,
         vgroup: VgroupId,
         composition: Composition,
         neighbors: NeighborTable,
         epoch: u64,
         now: Instant,
     ) -> Self {
-        let engine = if composition.contains(me.id) {
-            Some(Engine::new(
-                params.smr,
-                me.id,
-                composition.clone(),
-                SmrConfig {
-                    round: params.round,
-                    ..SmrConfig::default()
-                },
-                registry.clone(),
-                Instant::ZERO,
-            ))
-        } else {
-            None
-        };
+        let engine = fresh_engine(me.id, &params, &registry, &composition);
         // The eviction clock for every peer starts now: a peer is "silent"
         // only relative to the moment we learned this composition, otherwise
         // a freshly welcomed member instantly accuses everyone it has not
@@ -353,13 +336,11 @@ impl MemberState {
             epoch,
             engine,
             applied_ops: BTreeSet::new(),
-            my_pending: Vec::new(),
+            // What the node's last membership left undecided, for
+            // `resume` to propose here.
+            my_pending: session.take_undecided(),
             collector: GroupMessageCollector::new(4096),
-            seen_broadcasts: SeenCache::new(65536),
-            next_broadcast_seq: 0,
-            recent_broadcasts: BTreeMap::new(),
-            pulled: BTreeMap::new(),
-            repair_sent: BTreeMap::new(),
+            session,
             outstanding_exchanges: BTreeMap::new(),
             reserved: BTreeMap::new(),
             evict_accusations: BTreeMap::new(),
@@ -375,7 +356,6 @@ impl MemberState {
             last_announce: now,
             link_probes: BTreeMap::new(),
             merging: false,
-            stats: MemberStats::default(),
         }
     }
 
@@ -384,19 +364,15 @@ impl MemberState {
         self.me.id
     }
 
-    /// Exchange statistics (Figure 13).
-    pub fn exchange_stats(&self) -> ExchangeStats {
-        ExchangeStats {
-            outstanding: self.outstanding_exchanges.len() as u64,
-            ..self.stats.exchanges
-        }
+    /// Group messages still short of a majority or of a body.
+    #[cfg(test)]
+    pub(crate) fn pending_group_messages(&self) -> usize {
+        self.collector.pending_len()
     }
 
-    /// Allocates the next broadcast identifier for this node.
-    pub fn next_broadcast_id(&mut self) -> BroadcastId {
-        let id = BroadcastId::new(self.me.id, self.next_broadcast_seq);
-        self.next_broadcast_seq += 1;
-        id
+    /// The node-lifetime state this membership holds.
+    pub fn session(&self) -> &Session {
+        &self.session
     }
 
     // ----------------------------------------------------------------- SMR
@@ -663,10 +639,7 @@ impl MemberState {
             GroupOp::Leave { node, .. } => {
                 if self.composition.remove(node) {
                     if node == self.me.id {
-                        effects.push(Effect::MembershipEnded {
-                            voluntary: true,
-                            transferred: false,
-                        });
+                        effects.push(Effect::MembershipEnded(Ending::Left));
                         return;
                     }
                     self.after_composition_change(now, effects);
@@ -711,14 +684,11 @@ impl MemberState {
                 if accuser_count < needed && self.composition.len() > 1 {
                     return;
                 }
-                self.stats.evictions += 1;
+                self.session.stats_mut().evictions += 1;
                 self.evict_accusations.remove(&node);
                 if self.composition.remove(node) {
                     if node == self.me.id {
-                        effects.push(Effect::MembershipEnded {
-                            voluntary: false,
-                            transferred: false,
-                        });
+                        effects.push(Effect::MembershipEnded(Ending::Evicted));
                         return;
                     }
                     self.after_composition_change(now, effects);
@@ -728,9 +698,7 @@ impl MemberState {
                 }
             }
             GroupOp::Broadcast { id, payload } => {
-                if self.seen_broadcasts.insert(id) {
-                    self.deliver_and_forward(id, payload, 0, now, effects);
-                }
+                self.on_broadcast(id, payload, 0, now, effects, &mut |_, _| true);
             }
             GroupOp::OfferExchange {
                 walk,
@@ -786,10 +754,10 @@ impl MemberState {
                 if !self.composition.contains(leaving) || self.composition.contains(incoming.id) {
                     // The member already left (evicted / merged away); treat
                     // the exchange as suppressed.
-                    self.stats.exchanges.suppressed += 1;
+                    self.session.stats_mut().exchanges.suppressed += 1;
                     return;
                 }
-                self.stats.exchanges.completed += 1;
+                self.session.stats_mut().exchanges.completed += 1;
                 self.composition.remove(leaving);
                 self.composition.insert(incoming.id);
                 self.after_composition_change(now, effects);
@@ -805,10 +773,7 @@ impl MemberState {
                     effects,
                 );
                 if leaving == self.me.id {
-                    effects.push(Effect::MembershipEnded {
-                        voluntary: false,
-                        transferred: true,
-                    });
+                    effects.push(Effect::MembershipEnded(Ending::Transferred));
                     return;
                 }
                 self.maybe_resize(now, effects, follow_ups);
@@ -830,10 +795,7 @@ impl MemberState {
                 self.send_welcome(adopted.id, effects);
                 self.announce_composition(effects);
                 if given == self.me.id {
-                    effects.push(Effect::MembershipEnded {
-                        voluntary: false,
-                        transferred: true,
-                    });
+                    effects.push(Effect::MembershipEnded(Ending::Transferred));
                     return;
                 }
                 self.maybe_resize(now, effects, follow_ups);
@@ -844,7 +806,6 @@ impl MemberState {
                     changed |= self.composition.insert(m.id);
                 }
                 if changed {
-                    self.stats.merges += 1;
                     self.collector.forget_source(from);
                     // The absorbed vgroup no longer exists: re-route walks
                     // around any overlay link that still points at it.
@@ -931,41 +892,15 @@ impl MemberState {
         }
     }
 
-    /// Sends one copy of a group message to every member of `to`. The
-    /// envelope (payload, source composition and memoized digest) is built
-    /// once and shared behind an `Arc` across every per-recipient copy —
-    /// fan-out costs one reference-count bump per recipient, not a deep
-    /// clone. A broadcast body is shipped by its carriers only; every other
-    /// member vouches for it with a digest vote (§5.1). The remaining kinds
-    /// are small and have no body-repair path, so every member sends them
-    /// whole.
-    fn send_group_message(
+    /// Sends one copy of a group message to every member of `to` (see
+    /// [`View::send_group_message`]).
+    pub(crate) fn send_group_message(
         &self,
         to: &Composition,
         payload: GroupPayload,
         effects: &mut Vec<Effect>,
     ) {
-        let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), payload);
-        let digest = envelope.digest();
-        let msg = match envelope.payload {
-            GroupPayload::Gossip { id, .. }
-                if !is_carrier(&self.composition, digest, self.me.id) =>
-            {
-                AtumMessage::GroupVote(Arc::new(GroupVote {
-                    source: envelope.source,
-                    source_composition: envelope.source_composition,
-                    digest,
-                    id,
-                }))
-            }
-            _ => AtumMessage::Group(Arc::new(envelope)),
-        };
-        for member in to.iter() {
-            effects.push(Effect::Send {
-                to: member,
-                msg: msg.clone(),
-            });
-        }
+        view!(self).send_group_message(to, payload, effects);
     }
 
     /// Invoked by the host when the application (or API) wants to broadcast.
@@ -975,7 +910,7 @@ impl MemberState {
         now: Instant,
         effects: &mut Vec<Effect>,
     ) -> BroadcastId {
-        let id = self.next_broadcast_id();
+        let id = self.session.next_broadcast_id(self.me.id);
         self.propose(
             GroupOp::Broadcast {
                 id,
@@ -1021,10 +956,8 @@ impl MemberState {
     /// Handles one digest-only copy of a gossip group message: it counts
     /// towards the majority like a body-bearing copy of the same digest.
     ///
-    /// When the majority comes without a body — members forwarding from
-    /// diverging views of their vgroup rank different carriers — each voter
-    /// is asked, once, for the copy it voted for: one answer completes the
-    /// quorum already counted.
+    /// When the majority comes without a body the session asks the voters
+    /// for it (see [`Session::pull_starved`]).
     pub fn on_group_vote(
         &mut self,
         from: NodeId,
@@ -1040,19 +973,8 @@ impl MemberState {
                 self.accept_group_message(envelope, composition, now, effects, forward_filter);
             }
             Observed::Starved(voters) => {
-                if !self.params.broadcast_repair || self.seen_broadcasts.contains(vote.id) {
-                    return;
-                }
-                for voter in voters {
-                    if self.pulled.insert((vote.id, voter), now).is_none() {
-                        let msg = AtumMessage::BroadcastPull {
-                            group: vote.source,
-                            keys: vec![vote.id],
-                            voted: Some(vote.digest),
-                        };
-                        effects.push(Effect::Send { to: voter, msg });
-                    }
-                }
+                self.session
+                    .pull_starved(view!(self), vote, voters, now, effects);
             }
         }
     }
@@ -1146,16 +1068,7 @@ impl MemberState {
         }
         match payload {
             GroupPayload::Gossip { id, payload, hops } => {
-                if self.seen_broadcasts.insert(id) {
-                    self.deliver_and_forward_filtered(
-                        id,
-                        payload,
-                        hops,
-                        now,
-                        effects,
-                        forward_filter,
-                    );
-                }
+                self.on_broadcast(id, payload, hops, now, effects, forward_filter);
             }
             GroupPayload::Walk(walk) => self.handle_walk(walk, now, effects),
             GroupPayload::CompositionUpdate { group, composition } => {
@@ -1186,7 +1099,7 @@ impl MemberState {
             }
             GroupPayload::ExchangeRefuse { walk, .. } => {
                 if self.outstanding_exchanges.remove(&walk).is_some() {
-                    self.stats.exchanges.suppressed += 1;
+                    self.session.stats_mut().exchanges.suppressed += 1;
                 }
             }
             GroupPayload::ExchangeAccept {
@@ -1548,21 +1461,12 @@ impl MemberState {
         self.route_walk(walk, now, effects);
     }
 
-    // ------------------------------------------------------------- gossip
+    // ---------------------------------------------------- broadcast plane
 
-    fn deliver_and_forward(
-        &mut self,
-        id: BroadcastId,
-        payload: Arc<[u8]>,
-        hops: u32,
-        now: Instant,
-        effects: &mut Vec<Effect>,
-    ) {
-        let mut all = |_d: &Delivered, _g: VgroupId| true;
-        self.deliver_and_forward_filtered(id, payload, hops, now, effects, &mut all);
-    }
-
-    fn deliver_and_forward_filtered(
+    /// Hands a broadcast that reached this member — decided by the vgroup
+    /// or accepted as gossip — to the session, which delivers and forwards
+    /// it on first sight.
+    pub(crate) fn on_broadcast(
         &mut self,
         id: BroadcastId,
         payload: Arc<[u8]>,
@@ -1571,170 +1475,12 @@ impl MemberState {
         effects: &mut Vec<Effect>,
         forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
-        let delivered = Delivered {
-            id,
-            // The application owns its copy; every *forwarded* copy below
-            // shares the Arc.
-            payload: payload.to_vec(),
-            at: now,
-            hops,
-        };
-        self.stats.delivered.push((id, now, hops));
-        effects.push(Effect::Deliver(delivered.clone()));
-        self.remember_broadcast(id, payload.clone(), hops, now);
-
-        // Forwarding plan must be identical at every member: seed the RNG
-        // from (broadcast id, vgroup, epoch) only.
-        let seed = Digest::of_parts(&[
-            b"gossip-plan",
-            &id.origin.raw().to_be_bytes(),
-            &id.seq.to_be_bytes(),
-            &self.vgroup.raw().to_be_bytes(),
-        ])
-        .as_u64();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let plan: Vec<ForwardTarget> =
-            GossipPlanner::plan(self.params.gossip, self.params.hc, &mut rng);
-        let mut already: BTreeSet<VgroupId> = BTreeSet::new();
-        for target in plan {
-            let Some(entry) = self.neighbors.cycle(target.cycle as usize) else {
-                continue;
-            };
-            let (group, comp) = match target.direction {
-                Direction::Successor => (entry.successor, entry.successor_composition.clone()),
-                Direction::Predecessor => {
-                    (entry.predecessor, entry.predecessor_composition.clone())
-                }
-            };
-            if group == self.vgroup || !already.insert(group) {
-                continue;
-            }
-            if !forward_filter(&delivered, group) {
-                continue;
-            }
-            self.send_group_message(
-                &comp,
-                GroupPayload::Gossip {
-                    id,
-                    payload: payload.clone(),
-                    hops: hops + 1,
-                },
-                effects,
-            );
-        }
-    }
-
-    // ---------------------------------------------- broadcast self-repair
-
-    /// How many recently delivered broadcasts a member retains for the
-    /// pull repair path. Far above the number a heartbeat window can
-    /// deliver in the experiments; the bound only matters under flood.
-    const RECENT_BROADCAST_CAP: usize = 64;
-
-    /// How many keys one announce-cadence digest advertises.
-    const KEYS_PER_ANNOUNCE: usize = 32;
-
-    /// How many missing broadcasts one pull may request.
-    const PULL_BATCH_MAX: usize = 16;
-
-    /// Retains a delivered broadcast for the repair window (16 heartbeat
-    /// periods — several announce rounds), bounded by
-    /// [`Self::RECENT_BROADCAST_CAP`] (oldest evicted first).
-    fn remember_broadcast(&mut self, id: BroadcastId, payload: Arc<[u8]>, hops: u32, now: Instant) {
-        if !self.params.broadcast_repair {
-            return;
-        }
-        self.recent_broadcasts.insert(
-            id,
-            RecentBroadcast {
-                payload,
-                hops,
-                stored: now,
-            },
-        );
-        while self.recent_broadcasts.len() > Self::RECENT_BROADCAST_CAP {
-            let oldest = self
-                .recent_broadcasts
-                .iter()
-                .min_by_key(|(id, r)| (r.stored, **id))
-                .map(|(id, _)| *id)
-                .expect("non-empty");
-            self.recent_broadcasts.remove(&oldest);
-        }
-    }
-
-    /// Broadcast anti-entropy, piggybacked on the announce cadence: prune
-    /// the retention window, then advertise the retained broadcast ids to
-    /// every vgroup peer *and* to the members of every distinct overlay
-    /// neighbour. The cross-group legs are what let a vgroup where *no*
-    /// member delivered (gossip chain cut mid-flight by a partition)
-    /// bootstrap its copies from the outside; without them repair could
-    /// only level holes inside a group that already held the broadcast. A
-    /// receiver that missed one answers with a
-    /// [`AtumMessage::BroadcastPull`] (see [`Self::on_broadcast_keys`]).
-    fn broadcast_anti_entropy(&mut self, now: Instant, effects: &mut Vec<Effect>) {
-        let retain_for = self.params.heartbeat_period.saturating_mul(16);
-        self.recent_broadcasts
-            .retain(|_, r| now.saturating_since(r.stored) <= retain_for);
-        self.pulled
-            .retain(|_, t| now.saturating_since(*t) <= retain_for);
-        self.repair_sent
-            .retain(|_, t| now.saturating_since(*t) <= retain_for);
-        if self.recent_broadcasts.is_empty() {
-            return;
-        }
-        let mut keys: Vec<BroadcastId> = self.recent_broadcasts.keys().copied().collect();
-        if keys.len() > Self::KEYS_PER_ANNOUNCE {
-            // Newest first, then truncate: old holes have had their rounds.
-            keys.sort_by_key(|id| {
-                let stored = self.recent_broadcasts[id].stored;
-                (std::cmp::Reverse(stored), *id)
-            });
-            keys.truncate(Self::KEYS_PER_ANNOUNCE);
-            keys.sort();
-        }
-        let me = self.me.id;
-        let msg = AtumMessage::BroadcastKeys {
-            group: self.vgroup,
-            keys,
-        };
-        let mut advertised: BTreeSet<NodeId> = BTreeSet::new();
-        for peer in self.composition.iter().filter(|&p| p != me) {
-            if advertised.insert(peer) {
-                effects.push(Effect::Send {
-                    to: peer,
-                    msg: msg.clone(),
-                });
-            }
-        }
-        for (group, comp) in self.neighbors.distinct_neighbors() {
-            if group == self.vgroup {
-                continue;
-            }
-            for peer in comp.iter().filter(|&p| p != me) {
-                if advertised.insert(peer) {
-                    effects.push(Effect::Send {
-                        to: peer,
-                        msg: msg.clone(),
-                    });
-                }
-            }
-        }
+        self.session
+            .on_broadcast(view!(self), id, payload, hops, now, effects, forward_filter);
     }
 
     /// A vgroup peer — or a member of an overlay neighbour — advertised its
-    /// recently delivered broadcasts: pull the ones we missed. Own-group
-    /// pulls are throttled per broadcast (the holder heals us through an
-    /// SMR re-decision, so one pull serves the whole group); cross-group
-    /// pulls are throttled per `(broadcast, advertiser)` so one announce
-    /// period collects a copy from *every distinct holder* (the quorum
-    /// collector needs a majority of distinct senders, and a per-broadcast
-    /// throttle would starve it). Both are bounded per message, so a
-    /// Byzantine digest full of fabricated ids costs at most one bounded
-    /// pull round — and fabricated ids yield no copies, so nothing is ever
-    /// accepted from them. The advertiser is only believed if *our own*
-    /// state (our composition or our neighbour table) places it in the
-    /// group it claims.
+    /// recently delivered broadcasts (see [`Session::on_broadcast_keys`]).
     pub fn on_broadcast_keys(
         &mut self,
         from: NodeId,
@@ -1743,93 +1489,16 @@ impl MemberState {
         now: Instant,
         effects: &mut Vec<Effect>,
     ) {
-        if !self.params.broadcast_repair {
-            return;
-        }
-        if group == self.vgroup {
-            if !self.composition.contains(from) {
-                return;
-            }
+        if group == self.vgroup && self.params.broadcast_repair {
             self.note_alive(from, now);
-        } else {
-            // Cross-group advertiser: verified against our own view of the
-            // overlay, never against its self-claimed membership.
-            let known = self
-                .neighbors
-                .distinct_neighbors()
-                .get(&group)
-                .is_some_and(|comp| comp.contains(from));
-            if !known {
-                return;
-            }
         }
-        let repull_after = self.params.heartbeat_period.saturating_mul(2);
-        // An own-group holder repairs us through SMR re-decision (one pull
-        // services the whole group), so one pull per broadcast per period
-        // suffices — keyed by our own id, which never names an advertiser.
-        // Cross-group holders answer with one direct copy each and the
-        // collector needs a majority of *distinct* holders, so those are
-        // throttled per (broadcast, advertiser) instead.
-        let own_group = group == self.vgroup;
-        let me = self.me.id;
-        let mut missing: Vec<BroadcastId> = Vec::new();
-        for &id in keys.iter() {
-            if missing.len() >= Self::PULL_BATCH_MAX {
-                break;
-            }
-            if self.seen_broadcasts.contains(id) {
-                continue;
-            }
-            let throttle_key = (id, if own_group { me } else { from });
-            if let Some(last) = self.pulled.get(&throttle_key) {
-                if now.saturating_since(*last) < repull_after {
-                    continue;
-                }
-            }
-            self.pulled.insert(throttle_key, now);
-            missing.push(id);
-        }
-        if !missing.is_empty() {
-            repair_metrics::pulls().add(missing.len() as u64);
-            atum_obs::trace_event!(
-                AntiEntropyPull,
-                at = now.as_micros(),
-                node = self.me.id.raw(),
-                slots = [group.raw(), missing.len() as u64, 0],
-                "pulling {} missing broadcasts of vgroup {:?} from {from}",
-                missing.len(),
-                group
-            );
-            effects.push(Effect::Send {
-                to: from,
-                // Echo the *advertiser's* group so its own-vgroup guard in
-                // `on_broadcast_pull` passes.
-                msg: AtumMessage::BroadcastPull {
-                    group,
-                    keys: missing,
-                    voted: None,
-                },
-            });
-        }
+        self.session
+            .on_broadcast_keys(view!(self), from, group, keys, now, effects);
     }
 
-    /// A requester (vgroup peer or overlay-neighbour member) asked for
-    /// broadcasts it missed. An *own-group* requester is healed by
-    /// re-proposing the held op through the vgroup's SMR engine — agreement
-    /// re-delivers it at every holed member at once, and works even when
-    /// only a sub-majority of the group holds the broadcast. A
-    /// *cross-group* requester gets a direct unicast gossip copy instead
-    /// and must still assemble a majority of distinct holders in its quorum
-    /// collector. Neither leg adds an acceptance rule a Byzantine member
-    /// could abuse (SMR re-decision is dedup'd by op digest; direct copies
-    /// face the usual quorum), and both are throttled and bounded, so a
-    /// forged pull costs at most one re-proposal or one unicast copy per
-    /// broadcast per announce period.
-    ///
-    /// `voted` is set when the requester holds a majority of votes for that
-    /// digest and no body (see [`Self::on_group_vote`]): it gets the copy we
-    /// voted for — the hops we forwarded with, not the merged form — if
-    /// that is what we voted for.
+    /// A requester asked for broadcasts it missed (see
+    /// [`Session::on_broadcast_pull`]): a cross-group one is answered by the
+    /// session; for an own-group one it names the broadcasts to re-decide.
     pub fn on_broadcast_pull(
         &mut self,
         from: NodeId,
@@ -1842,46 +1511,10 @@ impl MemberState {
         if group != self.vgroup || !self.params.broadcast_repair {
             return;
         }
-        let own_member = self.composition.contains(from);
-        if own_member {
-            self.note_alive(from, now);
-        } else {
-            // Cross-group requester: believed only if our own neighbour
-            // table places it in some overlay-neighbour group.
-            let known = self
-                .neighbors
-                .distinct_neighbors()
-                .values()
-                .any(|comp| comp.contains(from));
-            if !known {
-                return;
-            }
-        }
-        let resend_after = self.params.heartbeat_period.saturating_mul(2);
-        let me = self.me.id;
-        let mut repropose: Vec<(BroadcastId, Arc<[u8]>)> = Vec::new();
-        let mut resend: Vec<(BroadcastId, Arc<[u8]>, u32)> = Vec::new();
-        for &id in keys.iter() {
-            let Some(recent) = self.recent_broadcasts.get(&id) else {
-                continue;
-            };
-            // One re-proposal per broadcast per period serves every holed
-            // peer (keyed by our own id — never a requester); direct
-            // replies are throttled per (broadcast, requester).
-            let throttle_key = (id, if own_member { me } else { from });
-            if let Some(last) = self.repair_sent.get(&throttle_key) {
-                if now.saturating_since(*last) < resend_after {
-                    continue;
-                }
-            }
-            self.repair_sent.insert(throttle_key, now);
-            if own_member {
-                repropose.push((id, recent.payload.clone()));
-            } else {
-                let hops = voted.map_or(0, |_| recent.hops + 1);
-                resend.push((id, recent.payload.clone(), hops));
-            }
-        }
+        self.note_alive(from, now);
+        let redecide = self
+            .session
+            .on_broadcast_pull(view!(self), from, keys, voted, now, effects);
         // Intra-group holes cannot be closed with direct copies: the
         // synchronous engine delivers wherever the value landed, so a healed
         // partition can leave a *sub-majority* of the group holding the
@@ -1889,12 +1522,12 @@ impl MemberState {
         // however often they reply. Re-decide the op instead. The
         // re-proposed `GroupOp::Broadcast` carries the original op digest,
         // so members that already applied it skip it (`applied_ops`),
-        // members that delivered the gossip skip re-delivery
-        // (`seen_broadcasts`), and only the holed members act on it —
-        // agreement, not trust in the holder, is what delivers the payload.
+        // members that delivered the gossip skip re-delivery (the session's
+        // dedup set), and only the holed members act on it — agreement, not
+        // trust in the holder, is what delivers the payload.
         // (`MemberState::propose` would drop the op as already applied,
         // which is exactly the guard a repair re-decision must bypass.)
-        for (id, payload) in repropose {
+        for (id, payload) in redecide {
             if let Some(engine) = self.engine.as_mut() {
                 repair_metrics::reproposals().inc();
                 atum_obs::trace_event!(
@@ -1907,20 +1540,6 @@ impl MemberState {
                 );
                 let actions = engine.propose(GroupOp::Broadcast { id, payload }, now);
                 self.process_actions(actions, now, effects);
-            }
-        }
-        // Cross-group requesters get one *direct* copy each, hops
-        // normalised to zero so every holder's reply shares one payload
-        // digest and the copies merge in the requester's quorum collector
-        // (a starved quorum names the digest it wants instead).
-        for (id, payload, hops) in resend {
-            let gossip = GroupPayload::Gossip { id, payload, hops };
-            let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), gossip);
-            if voted.is_none_or(|digest| digest == envelope.digest()) {
-                effects.push(Effect::Send {
-                    to: from,
-                    msg: AtumMessage::Group(Arc::new(envelope)),
-                });
             }
         }
     }
@@ -1947,23 +1566,8 @@ impl MemberState {
             self.last_heard.entry(peer).or_insert(now);
         }
         self.epoch += 1;
-        self.stats.reconfigurations += 1;
         self.merging = false;
-        self.engine = if self.composition.contains(self.me.id) {
-            Some(Engine::new(
-                self.params.smr,
-                self.me.id,
-                self.composition.clone(),
-                SmrConfig {
-                    round: self.params.round,
-                    ..SmrConfig::default()
-                },
-                self.registry.clone(),
-                Instant::ZERO,
-            ))
-        } else {
-            None
-        };
+        self.engine = fresh_engine(self.me.id, &self.params, &self.registry, &self.composition);
         // Deliberately no welcome blast here: re-welcoming every
         // not-yet-activated entry on each epoch bump was tried and turned
         // transient one-epoch lag (which a member resolves on its own at
@@ -1973,26 +1577,53 @@ impl MemberState {
         // carried on heartbeats instead.
     }
 
-    /// Carries session-scoped state from a previous membership of the same
-    /// node into this one (after a catch-up or transfer `Welcome`): the
-    /// broadcast dedup cache (so a re-delivered gossip copy is not handed to
-    /// the application twice), the broadcast sequence (so this node's
-    /// `BroadcastId`s stay unique), and accumulated statistics. Returns the
-    /// ops that were proposed but never applied so the host can re-propose
-    /// them into the new configuration.
-    pub fn inherit_from(&mut self, old: MemberState) -> Vec<GroupOp> {
-        self.seen_broadcasts = old.seen_broadcasts;
-        self.next_broadcast_seq = old.next_broadcast_seq;
-        self.recent_broadcasts = old.recent_broadcasts;
-        self.pulled = old.pulled;
-        self.repair_sent = old.repair_sent;
-        self.stats = old.stats;
-        if old.vgroup == self.vgroup {
+    /// The membership a `Welcome` installs while this one is still held (a
+    /// catch-up to a newer epoch, or a move the old vgroup has not told us
+    /// of): the session moves over, and so does every op proposed here but
+    /// never applied, for [`Self::resume`] to propose again.
+    pub fn succeeded_by(
+        self,
+        vgroup: VgroupId,
+        composition: Composition,
+        neighbors: NeighborTable,
+        epoch: u64,
+        now: Instant,
+    ) -> MemberState {
+        let mut fresh = Self::with_membership(
+            self.me,
+            self.params,
+            self.registry,
+            self.session,
+            vgroup,
+            composition,
+            neighbors,
+            epoch,
+            now,
+        );
+        if self.vgroup == vgroup {
             // Same vgroup, newer epoch: the traffic-observed reverse links
             // are still ours to answer.
-            self.correspondents = old.correspondents;
+            fresh.correspondents = self.correspondents;
         }
-        old.my_pending.into_iter().map(|(_, op)| op).collect()
+        fresh.my_pending = self.my_pending;
+        fresh
+    }
+
+    /// Ends this membership: the session moves out, taking this node's own
+    /// undecided broadcasts with it (every other pending op is specific to
+    /// the vgroup being left and is dropped with the rest).
+    pub fn into_session(self) -> Session {
+        let mut session = self.session;
+        session.park(self.my_pending);
+        session
+    }
+
+    /// Proposes what this node had promised to drive to agreement before
+    /// this membership began — a welcome must not silently discard it.
+    pub fn resume(&mut self, now: Instant, effects: &mut Vec<Effect>) {
+        for (_, op) in std::mem::take(&mut self.my_pending) {
+            self.propose(op, now, effects);
+        }
     }
 
     fn send_welcome(&self, to: NodeId, effects: &mut Vec<Effect>) {
@@ -2128,7 +1759,6 @@ impl MemberState {
         order.shuffle(&mut rng);
         let (keep, depart) = self.composition.split_by_order(&order);
         let new_group = VgroupId::new(seed.as_u64() | 0x8000_0000_0000_0000);
-        self.stats.splits += 1;
 
         if depart.contains(self.me.id) {
             // This member moves to the new vgroup. It starts with a copy of
@@ -2332,7 +1962,7 @@ impl MemberState {
                 self.probe_links(now, effects);
             }
             if self.params.broadcast_repair {
-                self.broadcast_anti_entropy(now, effects);
+                self.session.anti_entropy(view!(self), now, effects);
             }
         }
         if now.saturating_since(self.last_heartbeat_sent) >= period {
@@ -2516,6 +2146,7 @@ mod tests {
             NodeIdentity::simulated(NodeId::new(me)),
             params,
             registry(n_nodes),
+            Session::default(),
             vgroup,
             composition,
             neighbors,
@@ -2531,6 +2162,7 @@ mod tests {
             NodeIdentity::simulated(NodeId::new(3)),
             params.clone(),
             registry(5),
+            Session::default(),
             Instant::ZERO,
         );
         assert_eq!(m.composition.len(), 1);
@@ -2545,6 +2177,7 @@ mod tests {
             NodeIdentity::simulated(NodeId::new(0)),
             Params::default(),
             registry(1),
+            Session::default(),
             Instant::ZERO,
         );
         let mut effects = Vec::new();
@@ -2559,7 +2192,7 @@ mod tests {
             .collect();
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].payload, b"solo".to_vec());
-        assert_eq!(m.stats.delivered.len(), 1);
+        assert_eq!(m.session().stats().delivered.len(), 1);
     }
 
     #[test]
@@ -2719,7 +2352,7 @@ mod tests {
             &mut follow,
         );
         assert!(m.composition.contains(NodeId::new(4)));
-        assert_eq!(m.stats.evictions, 0);
+        assert_eq!(m.session().stats().evictions, 0);
         // Two more accusations from distinct members cross the f+1 = 3
         // threshold and the member is removed.
         for accuser in [1u64, 2] {
@@ -2735,7 +2368,7 @@ mod tests {
             );
         }
         assert!(!m.composition.contains(NodeId::new(4)));
-        assert_eq!(m.stats.evictions, 1);
+        assert_eq!(m.session().stats().evictions, 1);
     }
 
     #[test]
@@ -2767,6 +2400,7 @@ mod tests {
             NodeIdentity::simulated(NodeId::new(0)),
             Params::default().with_group_bounds(1, 10),
             registry(2),
+            Session::default(),
             Instant::ZERO,
         );
         let mut effects = Vec::new();
@@ -2807,6 +2441,7 @@ mod tests {
                 NodeIdentity::simulated(NodeId::new(me)),
                 params.clone(),
                 registry(8),
+                Session::default(),
                 vgroup,
                 composition.clone(),
                 neighbors.clone(),
@@ -2859,6 +2494,7 @@ mod tests {
             NodeIdentity::simulated(NodeId::new(0)),
             params,
             registry(2),
+            Session::default(),
             vgroup,
             composition,
             neighbors,
@@ -2880,717 +2516,5 @@ mod tests {
             .count();
         // One copy per member of the target vgroup (5 members).
         assert_eq!(merge_requests, 5);
-    }
-
-    /// Feeds `m` a majority of copies of one gossip broadcast, as if a
-    /// neighbouring vgroup forwarded it. Returns the broadcast id.
-    fn feed_gossip(m: &mut MemberState, at: Instant) -> BroadcastId {
-        let id = BroadcastId::new(NodeId::new(10), 0);
-        let other = VgroupId::new(7);
-        let other_comp: Composition = (10..13).map(NodeId::new).collect();
-        let payload = GroupPayload::Gossip {
-            id,
-            payload: b"repair-me".to_vec().into(),
-            hops: 2,
-        };
-        let envelope = Arc::new(GroupEnvelope::new(other, other_comp, payload));
-        let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
-        for sender in [10u64, 11] {
-            m.on_group_copy(
-                NodeId::new(sender),
-                envelope.clone(),
-                at,
-                &mut effects,
-                &mut allow,
-            );
-        }
-        assert_eq!(m.stats.delivered.len(), 1, "feed must deliver");
-        id
-    }
-
-    #[test]
-    fn broadcast_hole_is_repaired_through_announce_pull_regossip() {
-        let mut m0 = member(3, 0);
-        let mut m1 = member(3, 1);
-        let mut m2 = member(3, 2); // The holed member: never got a copy.
-        let t0 = Instant::from_micros(5);
-        let id = feed_gossip(&mut m0, t0);
-        feed_gossip(&mut m1, t0);
-
-        // m0's announce cadence piggybacks the broadcast digest to both
-        // vgroup peers.
-        let announce_at = Instant::ZERO + m0.params.heartbeat_period.saturating_mul(2);
-        let mut effects = Vec::new();
-        m0.tick(announce_at, &mut effects);
-        let keys_msgs: Vec<(NodeId, Vec<BroadcastId>)> = effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: AtumMessage::BroadcastKeys { keys, .. },
-                } => Some((*to, keys.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(keys_msgs.len(), 2, "one digest per peer: {effects:?}");
-        assert!(keys_msgs.iter().all(|(_, k)| k == &vec![id]));
-
-        // The holed member pulls once; peers that already saw the broadcast
-        // don't, and a second own-group advertiser in the same period is
-        // throttled (one SMR re-decision serves the whole group).
-        let mut effects = Vec::new();
-        m2.on_broadcast_keys(NodeId::new(0), m2.vgroup, &[id], announce_at, &mut effects);
-        let pulls: Vec<&Effect> = effects
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Effect::Send {
-                        to,
-                        msg: AtumMessage::BroadcastPull { .. },
-                    } if *to == NodeId::new(0)
-                )
-            })
-            .collect();
-        assert_eq!(pulls.len(), 1);
-        let mut effects = Vec::new();
-        m1.on_broadcast_keys(NodeId::new(0), m1.vgroup, &[id], announce_at, &mut effects);
-        assert!(effects.is_empty(), "a member that saw it must not pull");
-        let mut effects = Vec::new();
-        m2.on_broadcast_keys(NodeId::new(1), m2.vgroup, &[id], announce_at, &mut effects);
-        assert!(
-            effects.is_empty(),
-            "own-group re-pull must be throttled per broadcast"
-        );
-
-        // The pulled holder answers not with a copy of its own but by
-        // re-proposing the op through the vgroup's SMR engine: agreement —
-        // not trust in one holder — is what re-delivers the payload, so the
-        // repair works even when only a sub-majority of the group holds it.
-        let mut effects = Vec::new();
-        m0.on_broadcast_pull(
-            NodeId::new(2),
-            m0.vgroup,
-            &[id],
-            None,
-            announce_at,
-            &mut effects,
-        );
-        assert!(
-            !effects.iter().any(|e| matches!(
-                e,
-                Effect::Send {
-                    msg: AtumMessage::Group(_),
-                    ..
-                }
-            )),
-            "own-group pulls are healed through SMR, not direct copies"
-        );
-        // A repeated pull (same or another requester) stays unanswered this
-        // period: one re-decision serves the whole group.
-        let pending_before = {
-            let mut again = Vec::new();
-            m0.on_broadcast_pull(
-                NodeId::new(1),
-                m0.vgroup,
-                &[id],
-                None,
-                announce_at,
-                &mut again,
-            );
-            again.len()
-        };
-        assert_eq!(
-            pending_before, 0,
-            "re-proposals must be throttled per broadcast"
-        );
-
-        // Drive the engines through the next slot: the re-proposed batch
-        // goes out, relays, finalizes — and the holed member delivers
-        // through the ordinary agreement path.
-        let round = m0.params.round;
-        let mut relayed: Vec<(NodeId, NodeId, AtumMessage)> = Vec::new();
-        for k in 1..=8u64 {
-            let at = announce_at + round.saturating_mul(k);
-            for (src, m) in [(0u64, &mut m0), (1, &mut m1), (2, &mut m2)] {
-                let mut effects = Vec::new();
-                m.tick(at, &mut effects);
-                for e in effects {
-                    if let Effect::Send {
-                        to,
-                        msg: msg @ AtumMessage::Smr { .. },
-                    } = e
-                    {
-                        relayed.push((NodeId::new(src), to, msg));
-                    }
-                }
-            }
-            for (src, to, msg) in std::mem::take(&mut relayed) {
-                let AtumMessage::Smr { group, epoch, msg } = msg else {
-                    unreachable!()
-                };
-                let m = match to.raw() {
-                    0 => &mut m0,
-                    1 => &mut m1,
-                    _ => &mut m2,
-                };
-                let mut effects = Vec::new();
-                m.on_smr_message(src, group, epoch, msg, at, &mut effects);
-                for e in effects {
-                    if let Effect::Send {
-                        to,
-                        msg: msg @ AtumMessage::Smr { .. },
-                    } = e
-                    {
-                        relayed.push((m.me.id, to, msg));
-                    }
-                }
-            }
-            if !m2.stats.delivered.is_empty() {
-                break;
-            }
-        }
-        assert_eq!(
-            m2.stats.delivered.len(),
-            1,
-            "SMR re-decision repaired the hole"
-        );
-        assert_eq!(m2.stats.delivered[0].0, id);
-        // Members that already held the broadcast must not re-deliver it.
-        assert_eq!(m0.stats.delivered.len(), 1, "holder must not re-deliver");
-        assert_eq!(m1.stats.delivered.len(), 1, "holder must not re-deliver");
-    }
-
-    /// The cross-group bootstrap leg: a vgroup where *no* member delivered
-    /// (gossip chain cut mid-flight) pulls its copies from the members of
-    /// an overlay neighbour found in its own neighbour table — and a holder
-    /// only answers requesters its own table can vouch for.
-    #[test]
-    fn broadcast_hole_is_bootstrapped_across_groups() {
-        // Holders live in vgroup 500 ({0, 1, 2}); the holed member lives in
-        // vgroup 600 ({20, 21}) and knows 500 as an overlay neighbour.
-        let mut holder0 = member(3, 0);
-        let mut holder1 = member(3, 1);
-        let t0 = Instant::from_micros(5);
-        let id = feed_gossip(&mut holder0, t0);
-        feed_gossip(&mut holder1, t0);
-
-        let params = Params::default().with_group_bounds(2, 20);
-        let holed_comp: Composition = (20..22).map(NodeId::new).collect();
-        let holder_comp: Composition = (0..3).map(NodeId::new).collect();
-        let holed_group = VgroupId::new(600);
-        let mut neighbors = NeighborTable::self_loop(params.hc, holed_group, holed_comp.clone());
-        neighbors.set_cycle(
-            0,
-            atum_overlay::CycleNeighbors {
-                predecessor: VgroupId::new(500),
-                predecessor_composition: holder_comp.clone(),
-                successor: holed_group,
-                successor_composition: holed_comp.clone(),
-            },
-        );
-        let mut holed = MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(20)),
-            params,
-            registry(30),
-            holed_group,
-            holed_comp,
-            neighbors,
-            0,
-            Instant::ZERO,
-        );
-        // Teach the holders about vgroup 600 so they can vouch for the
-        // requester; node 20 is a member there in *their* view.
-        holder0.neighbors.set_cycle(
-            0,
-            atum_overlay::CycleNeighbors {
-                predecessor: holed_group,
-                predecessor_composition: (20..22).map(NodeId::new).collect(),
-                successor: VgroupId::new(500),
-                successor_composition: holder_comp.clone(),
-            },
-        );
-
-        // A holder's announce advertises to the neighbour group's members
-        // too, not just its own peers.
-        let announce_at = Instant::ZERO + holder0.params.heartbeat_period.saturating_mul(2);
-        let mut effects = Vec::new();
-        holder0.tick(announce_at, &mut effects);
-        let advertised: BTreeSet<NodeId> = effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: AtumMessage::BroadcastKeys { .. },
-                } => Some(*to),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            advertised.contains(&NodeId::new(20)) && advertised.contains(&NodeId::new(21)),
-            "announce must reach neighbour-group members: {advertised:?}"
-        );
-
-        // The holed member believes advertisers its own table places in the
-        // claimed group — and only those.
-        let mut effects = Vec::new();
-        holed.on_broadcast_keys(
-            NodeId::new(0),
-            VgroupId::new(500),
-            &[id],
-            announce_at,
-            &mut effects,
-        );
-        let pull = effects.iter().find_map(|e| match e {
-            Effect::Send {
-                to,
-                msg: AtumMessage::BroadcastPull { group, keys, .. },
-            } => Some((*to, *group, keys.clone())),
-            _ => None,
-        });
-        let (to, group, keys) = pull.expect("holed member must pull from a vouched advertiser");
-        assert_eq!(to, NodeId::new(0));
-        assert_eq!(
-            group,
-            VgroupId::new(500),
-            "pull must echo the advertiser's group"
-        );
-        assert_eq!(keys, vec![id]);
-        let mut effects = Vec::new();
-        holed.on_broadcast_keys(
-            NodeId::new(99),
-            VgroupId::new(500),
-            &[id],
-            announce_at,
-            &mut effects,
-        );
-        assert!(
-            effects.is_empty(),
-            "an advertiser our table cannot vouch for is ignored"
-        );
-
-        // holder0 vouches for node 20 through its table and answers the
-        // pull directly; holder1 has no view of vgroup 600 and stays silent.
-        let mut effects = Vec::new();
-        holder0.on_broadcast_pull(
-            NodeId::new(20),
-            group,
-            &keys,
-            None,
-            announce_at,
-            &mut effects,
-        );
-        let copies: Vec<Arc<GroupEnvelope>> = effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: AtumMessage::Group(env),
-                } if *to == NodeId::new(20) => Some(env.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            copies.len(),
-            1,
-            "vouched cross-group pull gets a direct reply"
-        );
-        let mut effects = Vec::new();
-        holder1.on_broadcast_pull(
-            NodeId::new(20),
-            group,
-            &keys,
-            None,
-            announce_at,
-            &mut effects,
-        );
-        assert!(
-            effects.is_empty(),
-            "a holder that cannot vouch for the requester must not reply"
-        );
-
-        // Two vouched holders' replies assemble the majority of vgroup 500
-        // at the holed member (collector counts distinct senders of one
-        // digest), bootstrapping the broadcast into vgroup 600.
-        holder1.neighbors.set_cycle(
-            0,
-            atum_overlay::CycleNeighbors {
-                predecessor: holed_group,
-                predecessor_composition: (20..22).map(NodeId::new).collect(),
-                successor: VgroupId::new(500),
-                successor_composition: holder_comp,
-            },
-        );
-        let mut effects = Vec::new();
-        holder1.on_broadcast_pull(
-            NodeId::new(20),
-            group,
-            &keys,
-            None,
-            announce_at,
-            &mut effects,
-        );
-        let env1 = effects
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: AtumMessage::Group(env),
-                } if *to == NodeId::new(20) => Some(env.clone()),
-                _ => None,
-            })
-            .expect("vouched reply");
-        let env0 = copies.into_iter().next().unwrap();
-        assert_eq!(env0.digest(), env1.digest());
-        let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
-        holed.on_group_copy(NodeId::new(0), env0, announce_at, &mut effects, &mut allow);
-        assert!(holed.stats.delivered.is_empty(), "one copy is no majority");
-        holed.on_group_copy(NodeId::new(1), env1, announce_at, &mut effects, &mut allow);
-        assert_eq!(
-            holed.stats.delivered.len(),
-            1,
-            "cross-group repair bootstrapped the hole"
-        );
-        assert_eq!(holed.stats.delivered[0].0, id);
-    }
-
-    #[test]
-    fn broadcast_repair_off_keeps_no_state_and_sends_no_digests() {
-        let params = Params::default()
-            .with_group_bounds(2, 20)
-            .with_broadcast_repair(false);
-        let composition: Composition = (0..3).map(NodeId::new).collect();
-        let vgroup = VgroupId::new(500);
-        let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
-        let mut m = MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(0)),
-            params,
-            registry(3),
-            vgroup,
-            composition,
-            neighbors,
-            0,
-            Instant::ZERO,
-        );
-        feed_gossip(&mut m, Instant::from_micros(5));
-        assert!(m.recent_broadcasts.is_empty());
-        let announce_at = Instant::ZERO + m.params.heartbeat_period.saturating_mul(2);
-        let mut effects = Vec::new();
-        m.tick(announce_at, &mut effects);
-        assert!(!effects.iter().any(|e| matches!(
-            e,
-            Effect::Send {
-                msg: AtumMessage::BroadcastKeys { .. },
-                ..
-            }
-        )));
-    }
-
-    // ------------------------------------------- payload-once gossip hops
-
-    const HOP_FROM: VgroupId = VgroupId::new(500);
-    const HOP_TO: VgroupId = VgroupId::new(600);
-
-    /// Vgroup 500 = {0..4} and vgroup 600 = {20..24}, neighbours on cycle 0
-    /// (500 precedes 600). Returns the member state of `me`.
-    fn hop_member(me: u64) -> MemberState {
-        let params = Params::default().with_group_bounds(2, 20);
-        let from_comp: Composition = (0..4).map(NodeId::new).collect();
-        let to_comp: Composition = (20..24).map(NodeId::new).collect();
-        let (vgroup, composition) = if me < 20 {
-            (HOP_FROM, from_comp.clone())
-        } else {
-            (HOP_TO, to_comp.clone())
-        };
-        let mut neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
-        let mut entry = neighbors.cycle(0).cloned().expect("self loop");
-        if me < 20 {
-            (entry.successor, entry.successor_composition) = (HOP_TO, to_comp);
-        } else {
-            (entry.predecessor, entry.predecessor_composition) = (HOP_FROM, from_comp);
-        }
-        neighbors.set_cycle(0, entry);
-        MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(me)),
-            params,
-            registry(30),
-            vgroup,
-            composition,
-            neighbors,
-            0,
-            Instant::ZERO,
-        )
-    }
-
-    /// Every member of vgroup 500 delivers broadcast `id` and forwards it:
-    /// returns the members and, per member, the copy it sends node 20.
-    fn hop_copies(id: BroadcastId, body: &[u8]) -> (Vec<MemberState>, Vec<(NodeId, AtumMessage)>) {
-        let mut senders: Vec<MemberState> = (0..4).map(hop_member).collect();
-        let mut copies = Vec::new();
-        for m in &mut senders {
-            let mut effects = Vec::new();
-            m.deliver_and_forward(id, body.to_vec().into(), 0, Instant::ZERO, &mut effects);
-            let mine: Vec<AtumMessage> = effects
-                .into_iter()
-                .filter_map(|e| match e {
-                    Effect::Send { to, msg } if to == NodeId::new(20) => Some(msg),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(mine.len(), 1, "one copy per member per recipient");
-            copies.push((m.me.id, mine.into_iter().next().unwrap()));
-        }
-        (senders, copies)
-    }
-
-    /// Hands `m` one group-message copy the way the node dispatch does.
-    fn feed_copy(m: &mut MemberState, from: NodeId, msg: &AtumMessage, effects: &mut Vec<Effect>) {
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
-        let now = Instant::from_micros(9);
-        match msg {
-            AtumMessage::Group(env) => m.on_group_copy(from, env.clone(), now, effects, &mut allow),
-            AtumMessage::GroupVote(vote) => m.on_group_vote(from, vote, now, effects, &mut allow),
-            other => panic!("not a group-message copy: {other:?}"),
-        }
-    }
-
-    /// The vote the same sender would have cast for `msg`.
-    fn as_vote(msg: &AtumMessage) -> AtumMessage {
-        match msg {
-            AtumMessage::Group(env) => {
-                let GroupPayload::Gossip { id, .. } = env.payload else {
-                    panic!("only gossip is voted for: {env:?}");
-                };
-                AtumMessage::GroupVote(Arc::new(GroupVote {
-                    source: env.source,
-                    source_composition: env.source_composition.clone(),
-                    digest: env.digest(),
-                    id,
-                }))
-            }
-            vote => vote.clone(),
-        }
-    }
-
-    fn is_body(msg: &AtumMessage) -> bool {
-        matches!(msg, AtumMessage::Group(_))
-    }
-
-    #[test]
-    fn gossip_hop_ships_the_body_from_the_carriers_and_votes_from_the_rest() {
-        let (senders, copies) = hop_copies(BroadcastId::new(NodeId::new(0), 3), b"body");
-        let bodies: Vec<&Arc<GroupEnvelope>> = copies
-            .iter()
-            .filter_map(|(_, msg)| match msg {
-                AtumMessage::Group(env) => Some(env),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(bodies.len(), 2, "carriers of 4 are 2");
-        let digest = bodies[0].digest();
-        for (from, msg) in &copies {
-            let carrier = is_carrier(&senders[0].composition, digest, *from);
-            match msg {
-                AtumMessage::Group(env) => {
-                    assert!(carrier);
-                    assert_eq!(env.digest(), digest);
-                }
-                AtumMessage::GroupVote(vote) => {
-                    assert!(!carrier);
-                    assert_eq!((vote.source, vote.digest), (HOP_FROM, digest));
-                    assert_eq!(vote.source_composition, senders[0].composition);
-                }
-                other => panic!("unexpected copy {other:?}"),
-            }
-        }
-        // Control-plane payloads are not split: g full copies per recipient.
-        for m in &senders {
-            let mut effects = Vec::new();
-            let update = GroupPayload::CompositionUpdate {
-                group: m.vgroup,
-                composition: m.composition.clone(),
-            };
-            m.send_group_message(&hop_member(20).composition, update, &mut effects);
-            assert_eq!(effects.len(), 4);
-            assert!(effects
-                .iter()
-                .all(|e| matches!(e, Effect::Send { msg, .. } if is_body(msg))));
-        }
-    }
-
-    #[test]
-    fn votes_and_bodies_deliver_exactly_once_in_any_order_and_free_the_body() {
-        let id = BroadcastId::new(NodeId::new(0), 4);
-        let (_, copies) = hop_copies(id, b"ordered");
-        let (bodies, votes): (Vec<_>, Vec<_>) = copies.iter().partition(|(_, msg)| is_body(msg));
-        let votes_first: Vec<_> = votes.iter().chain(&bodies).collect();
-        let bodies_first: Vec<_> = bodies.iter().chain(&votes).collect();
-        for order in [votes_first, bodies_first] {
-            let mut receiver = hop_member(20);
-            let mut effects = Vec::new();
-            for (seen, (from, msg)) in order.into_iter().enumerate() {
-                feed_copy(&mut receiver, *from, msg, &mut effects);
-                // Majority of 4 is 3; the quorum always holds a carrier.
-                assert_eq!(receiver.stats.delivered.len(), usize::from(seen >= 2));
-            }
-            assert_eq!(receiver.stats.delivered[0].0, id);
-            assert_eq!(receiver.collector.pending_len(), 0, "body freed");
-        }
-    }
-
-    #[test]
-    fn withholding_carrier_does_not_stop_or_double_delivery() {
-        let (_, mut copies) = hop_copies(BroadcastId::new(NodeId::new(0), 5), b"withheld");
-        // One carrier votes but never ships the body.
-        let withholder = copies.iter().position(|(_, msg)| is_body(msg)).unwrap();
-        copies[withholder].1 = as_vote(&copies[withholder].1);
-        let mut receiver = hop_member(20);
-        let mut effects = Vec::new();
-        for (from, msg) in &copies {
-            feed_copy(&mut receiver, *from, msg, &mut effects);
-        }
-        assert_eq!(receiver.stats.delivered.len(), 1);
-        assert_eq!(receiver.collector.pending_len(), 0);
-    }
-
-    #[test]
-    fn wrong_body_carrier_is_outvoted_and_its_body_never_delivered() {
-        let id = BroadcastId::new(NodeId::new(0), 6);
-        let (_, mut copies) = hop_copies(id, b"honest");
-        let liar = copies.iter().position(|(_, msg)| is_body(msg)).unwrap();
-        let AtumMessage::Group(honest) = &copies[liar].1 else {
-            unreachable!()
-        };
-        let forged = GroupPayload::Gossip {
-            id,
-            payload: b"forged".to_vec().into(),
-            hops: 1,
-        };
-        copies[liar].1 = AtumMessage::Group(Arc::new(GroupEnvelope::new(
-            honest.source,
-            honest.source_composition.clone(),
-            forged,
-        )));
-        // The forged body first, so it would win any "first body" race.
-        copies.swap(0, liar);
-        let mut receiver = hop_member(20);
-        let mut effects = Vec::new();
-        for (from, msg) in &copies {
-            feed_copy(&mut receiver, *from, msg, &mut effects);
-        }
-        let delivered: Vec<&Delivered> = effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Deliver(d) => Some(d),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(delivered.len(), 1);
-        assert_eq!(delivered[0].payload, b"honest".to_vec());
-        // The forged copy is its own key: one sender, never a majority.
-        assert_eq!(receiver.collector.pending_len(), 1);
-    }
-
-    /// Every member of vgroup 500 votes for broadcast `id`, none ships the
-    /// body (more withholders than the fault bound). Returns the members,
-    /// the starved receiver, and what it asked of whom.
-    fn starved_receiver(
-        id: BroadcastId,
-        body: &[u8],
-    ) -> (Vec<MemberState>, MemberState, Vec<(NodeId, AtumMessage)>) {
-        let (senders, copies) = hop_copies(id, body);
-        let mut receiver = hop_member(20);
-        let mut effects = Vec::new();
-        for (from, msg) in &copies {
-            feed_copy(&mut receiver, *from, &as_vote(msg), &mut effects);
-        }
-        assert!(receiver.stats.delivered.is_empty(), "no body, no delivery");
-        assert_eq!(receiver.collector.pending_len(), 1);
-        let asked = effects
-            .into_iter()
-            .map(|e| match e {
-                Effect::Send { to, msg } => (to, msg),
-                other => panic!("unexpected effect {other:?}"),
-            })
-            .collect();
-        (senders, receiver, asked)
-    }
-
-    /// What `holder` answers when `from` sends it the pull `msg`.
-    fn answer(holder: &mut MemberState, from: u64, msg: &AtumMessage) -> Vec<Effect> {
-        let AtumMessage::BroadcastPull { group, keys, voted } = msg else {
-            panic!("expected a pull, got {msg:?}");
-        };
-        let mut effects = Vec::new();
-        let at = Instant::from_micros(20);
-        holder.on_broadcast_pull(NodeId::new(from), *group, keys, *voted, at, &mut effects);
-        effects
-    }
-
-    #[test]
-    fn bodyless_quorum_asks_its_voters_and_one_answer_delivers() {
-        let id = BroadcastId::new(NodeId::new(0), 7);
-        let (mut senders, mut receiver, asked) = starved_receiver(id, b"asked for");
-        // Each voter is asked once: three when the majority forms, the
-        // fourth when its vote arrives.
-        let voters: Vec<NodeId> = asked.iter().map(|(to, _)| *to).collect();
-        assert_eq!(voters, (0..4).map(NodeId::new).collect::<Vec<_>>());
-        let mut delivered = Vec::new();
-        for (voter, pull) in &asked {
-            let holder = &mut senders[voter.raw() as usize];
-            let [Effect::Send { to, msg }] = &answer(holder, 20, pull)[..] else {
-                panic!("expected one direct copy");
-            };
-            assert_eq!((*to, is_body(msg)), (NodeId::new(20), true));
-            feed_copy(&mut receiver, *voter, msg, &mut delivered);
-            // The first answer is the body the counted quorum vouched for.
-            assert_eq!(receiver.stats.delivered.len(), 1);
-        }
-        assert_eq!(receiver.stats.delivered[0].0, id);
-        assert_eq!(receiver.collector.pending_len(), 0);
-
-        // Asked for a digest it never vouched for, or by a node that is
-        // nobody's neighbour, a voter sends nothing.
-        let (mut senders, _, mut asked) = starved_receiver(id, b"asked for");
-        assert!(answer(&mut senders[1], 29, &asked[1].1).is_empty());
-        let AtumMessage::BroadcastPull { voted, .. } = &mut asked[0].1 else {
-            unreachable!()
-        };
-        *voted = Some(Digest::of(b"something else"));
-        assert!(answer(&mut senders[0], 20, &asked[0].1).is_empty());
-    }
-
-    #[test]
-    fn bodyless_quorum_is_healed_by_advert_pull_and_direct_copies() {
-        let id = BroadcastId::new(NodeId::new(0), 7);
-        // The returned votes are lost; the holders' announce cadence then
-        // advertises the broadcast, and the receiver pulls it from each and
-        // assembles their direct copies.
-        let (mut senders, mut receiver, _) = starved_receiver(id, b"pulled");
-        let at = Instant::ZERO + receiver.params.heartbeat_period.saturating_mul(3);
-        for holder in senders.iter_mut().take(3) {
-            let from = holder.me.id;
-            let mut effects = Vec::new();
-            receiver.on_broadcast_keys(from, HOP_FROM, &[id], at, &mut effects);
-            let [Effect::Send {
-                msg: AtumMessage::BroadcastPull { group, keys, .. },
-                ..
-            }] = &effects[..]
-            else {
-                panic!("expected one pull, got {effects:?}");
-            };
-            let mut reply = Vec::new();
-            holder.on_broadcast_pull(NodeId::new(20), *group, keys, None, at, &mut reply);
-            let [Effect::Send { msg, .. }] = &reply[..] else {
-                panic!("expected one direct copy, got {reply:?}");
-            };
-            assert!(is_body(msg));
-            let mut effects = Vec::new();
-            feed_copy(&mut receiver, from, msg, &mut effects);
-        }
-        assert_eq!(receiver.stats.delivered.len(), 1);
-        assert_eq!(receiver.stats.delivered[0].0, id);
     }
 }

@@ -2,7 +2,8 @@
 //! vgroup member state machine.
 
 use crate::app::{AppCtx, Application, Delivered};
-use crate::member::{Effect, MemberState};
+use crate::broadcast::Session;
+use crate::member::{Effect, Ending, MemberState};
 use crate::message::AtumMessage;
 use atum_crypto::KeyRegistry;
 use atum_overlay::NeighborTable;
@@ -91,7 +92,12 @@ pub struct AtumNode<A: Application> {
     registry: Arc<KeyRegistry>,
     app: A,
     phase: NodePhase,
+    /// The current membership; `None` between memberships.
     member: Option<MemberState>,
+    /// The node's one [`Session`] while no membership holds it: exactly one
+    /// of `member` and `parked` is `Some` at any time. The session is
+    /// created in [`Self::new`] and only ever moved between the two.
+    parked: Option<Session>,
     pending_welcomes: BTreeMap<VgroupId, PendingWelcome>,
     byzantine: ByzantineBehavior,
     join_nonce: u64,
@@ -135,6 +141,7 @@ impl<A: Application> AtumNode<A> {
             app,
             phase: NodePhase::Idle,
             member: None,
+            parked: Some(Session::default()),
             pending_welcomes: BTreeMap::new(),
             byzantine: ByzantineBehavior::Correct,
             join_nonce: 0,
@@ -163,39 +170,22 @@ impl<A: Application> AtumNode<A> {
         neighbors: NeighborTable,
         epoch: u64,
     ) -> Self {
-        let identity = NodeIdentity::simulated(id);
-        let member = MemberState::with_membership(
-            identity,
-            params.clone(),
-            registry.clone(),
+        let mut node = Self::new(id, params, registry, app);
+        let session = node.unpark();
+        node.member = Some(MemberState::with_membership(
+            node.identity,
+            node.params.clone(),
+            node.registry.clone(),
+            session,
             vgroup,
             composition,
             neighbors,
             epoch,
             Instant::ZERO,
-        );
-        AtumNode {
-            identity,
-            params,
-            registry,
-            app,
-            phase: NodePhase::Member,
-            member: Some(member),
-            pending_welcomes: BTreeMap::new(),
-            byzantine: ByzantineBehavior::Correct,
-            join_nonce: 0,
-            join_attempts: 0,
-            last_byz_heartbeat: Instant::ZERO,
-            fallback_peers: Vec::new(),
-            fallback_rotation: 0,
-            awaiting_since: None,
-            isolated_since: None,
-            auto_rejoin: false,
-            stats: NodeStats {
-                joined_at: Some(Instant::ZERO),
-                ..NodeStats::default()
-            },
-        }
+        ));
+        node.phase = NodePhase::Member;
+        node.stats.joined_at = Some(Instant::ZERO);
+        node
     }
 
     /// This node's identifier.
@@ -228,6 +218,27 @@ impl<A: Application> AtumNode<A> {
         self.member.as_ref()
     }
 
+    /// The node's session, wherever it currently lives.
+    fn session(&self) -> &Session {
+        let held = self.member.as_ref().map(MemberState::session);
+        held.or(self.parked.as_ref())
+            .expect("the session is held by the membership or parked")
+    }
+
+    /// Takes the parked session to build a membership around.
+    fn unpark(&mut self) -> Session {
+        self.parked
+            .take()
+            .expect("a node without a membership has its session parked")
+    }
+
+    /// Every broadcast this node has delivered, in order: (id, delivery
+    /// time, overlay hops). Covers all of the node's memberships, and
+    /// answers whether or not it is a member right now.
+    pub fn delivered(&self) -> &[(BroadcastId, Instant, u32)] {
+        &self.session().stats().delivered
+    }
+
     /// Configures Byzantine fault injection for this node.
     pub fn set_byzantine(&mut self, behavior: ByzantineBehavior) {
         self.byzantine = behavior;
@@ -253,10 +264,12 @@ impl<A: Application> AtumNode<A> {
         if !matches!(self.phase, NodePhase::Idle | NodePhase::Left) {
             return Err(AtumError::AlreadyJoined);
         }
+        let session = self.unpark();
         self.member = Some(MemberState::bootstrap(
             self.identity,
             self.params.clone(),
             self.registry.clone(),
+            session,
             ctx.now(),
         ));
         self.phase = NodePhase::Member;
@@ -300,15 +313,10 @@ impl<A: Application> AtumNode<A> {
     /// Returns [`AtumError::NotJoined`] if the node is not currently a
     /// member.
     pub fn leave(&mut self, ctx: &mut Context<'_, AtumMessage>) -> Result<()> {
-        if !self.is_member() {
-            return Err(AtumError::NotJoined);
-        }
-        let mut effects = Vec::new();
-        if let Some(member) = self.member.as_mut() {
-            member.start_leave(ctx.now(), &mut effects);
-        }
-        self.run_effects(effects, ctx);
-        Ok(())
+        self.with_member(ctx, |member, _, now, effects| {
+            member.start_leave(now, effects)
+        })
+        .ok_or(AtumError::NotJoined)
     }
 
     /// Broadcasts a message to every node of the instance (§3.3.4). Returns
@@ -324,17 +332,12 @@ impl<A: Application> AtumNode<A> {
         payload: Vec<u8>,
         ctx: &mut Context<'_, AtumMessage>,
     ) -> Result<BroadcastId> {
-        if !self.is_member() {
-            return Err(AtumError::NotJoined);
-        }
-        self.stats.broadcasts_sent += 1;
-        let mut effects = Vec::new();
         let id = self
-            .member
-            .as_mut()
-            .expect("member state exists while phase is Member")
-            .start_broadcast(payload, ctx.now(), &mut effects);
-        self.run_effects(effects, ctx);
+            .with_member(ctx, |member, _, now, effects| {
+                member.start_broadcast(payload, now, effects)
+            })
+            .ok_or(AtumError::NotJoined)?;
+        self.stats.broadcasts_sent += 1;
         Ok(id)
     }
 
@@ -375,6 +378,57 @@ impl<A: Application> AtumNode<A> {
 
     // --------------------------------------------------------- internals
 
+    /// Runs `f` on the member state — nothing when the node is not a member
+    /// — and carries out the effects it produced.
+    fn with_member<R>(
+        &mut self,
+        ctx: &mut Context<'_, AtumMessage>,
+        f: impl FnOnce(&mut MemberState, &mut A, Instant, &mut Vec<Effect>) -> R,
+    ) -> Option<R> {
+        let member = self.member.as_mut()?;
+        let mut effects = Vec::new();
+        let result = f(member, &mut self.app, ctx.now(), &mut effects);
+        self.run_effects(effects, ctx);
+        Some(result)
+    }
+
+    /// Ends the current membership: the one place a `MemberState` leaves
+    /// `self.member` for good. Its peers become the fallback contacts, the
+    /// session is parked for the next membership, and `ending` decides
+    /// where the node goes from here.
+    fn end_membership(&mut self, ending: Ending, ctx: &mut Context<'_, AtumMessage>) {
+        let Some(member) = self.member.take() else {
+            return;
+        };
+        let mut pool = member.composition.clone();
+        if ending == Ending::Isolated {
+            // The dead composition peers are poor re-join contacts; the
+            // neighbour table's vgroups are the live overlay. Merge both
+            // into the fallback pool (the rotation skips the dead ones).
+            for (_, comp) in member.neighbors.distinct_neighbors() {
+                pool = pool.union(&comp);
+            }
+        }
+        self.remember_fallbacks(&pool);
+        self.parked = Some(member.into_session());
+        if ending == Ending::Transferred {
+            self.phase = NodePhase::AwaitingTransfer;
+            self.awaiting_since = Some(ctx.now());
+            return;
+        }
+        self.phase = NodePhase::Left;
+        self.stats.left_at = Some(ctx.now());
+        // A node removed against its will re-joins on its own (its session
+        // did not end by choice); a voluntary leave is final until the
+        // application says otherwise.
+        self.auto_rejoin = ending != Ending::Left;
+        if matches!(ending, Ending::Stranded | Ending::Isolated) {
+            if let Some(contact) = self.next_fallback_contact() {
+                let _ = self.join(contact, ctx);
+            }
+        }
+    }
+
     fn run_effects(&mut self, effects: Vec<Effect>, ctx: &mut Context<'_, AtumMessage>) {
         let mut queue = effects;
         // Effects can cascade (a delivery triggers an application broadcast
@@ -394,29 +448,7 @@ impl<A: Application> AtumNode<A> {
                         self.app.deliver(&delivered, &mut app_ctx);
                         self.drain_app_ctx(app_ctx, &mut queue, ctx);
                     }
-                    Effect::MembershipEnded {
-                        voluntary,
-                        transferred,
-                    } => {
-                        if let Some(composition) =
-                            self.member.as_ref().map(|m| m.composition.clone())
-                        {
-                            self.remember_fallbacks(&composition);
-                        }
-                        self.member = None;
-                        if transferred {
-                            self.phase = NodePhase::AwaitingTransfer;
-                            self.awaiting_since = Some(ctx.now());
-                        } else {
-                            self.phase = NodePhase::Left;
-                            self.stats.left_at = Some(ctx.now());
-                            // An evicted node re-joins on its own (its
-                            // session did not end by choice); a voluntary
-                            // leave is final until the application says
-                            // otherwise.
-                            self.auto_rejoin = !voluntary;
-                        }
-                    }
+                    Effect::MembershipEnded(ending) => self.end_membership(ending, ctx),
                 }
             }
         }
@@ -569,39 +601,39 @@ impl<A: Application> AtumNode<A> {
         );
         let welcome = self.pending_welcomes.remove(&group).expect("just inserted");
         self.pending_welcomes.clear();
-        let mut fresh = MemberState::with_membership(
-            self.identity,
-            self.params.clone(),
-            self.registry.clone(),
-            welcome.group,
-            welcome.composition,
-            welcome.neighbors,
-            welcome.epoch,
-            ctx.now(),
-        );
-        // On a catch-up (or transfer) the node already had member state:
-        // keep its dedup caches, broadcast sequencing and statistics, and
-        // re-propose whatever it had in flight — a welcome must not silently
-        // discard ops this node promised to drive to agreement.
-        let pending = match self.member.take() {
-            Some(old) => fresh.inherit_from(old),
-            None => Vec::new(),
-        };
-        self.member = Some(fresh);
+        // The new membership is built around the node's one session —
+        // still held by the membership this welcome catches up, or parked
+        // since the last one ended.
+        self.member = Some(match self.member.take() {
+            Some(old) => old.succeeded_by(
+                welcome.group,
+                welcome.composition,
+                welcome.neighbors,
+                welcome.epoch,
+                ctx.now(),
+            ),
+            None => MemberState::with_membership(
+                self.identity,
+                self.params.clone(),
+                self.registry.clone(),
+                self.unpark(),
+                welcome.group,
+                welcome.composition,
+                welcome.neighbors,
+                welcome.epoch,
+                ctx.now(),
+            ),
+        });
         if self.stats.joined_at.is_none() || !matches!(self.phase, NodePhase::Member) {
             self.stats.joined_at = Some(ctx.now());
         }
         self.phase = NodePhase::Member;
         self.auto_rejoin = false;
-        if !pending.is_empty() {
-            let mut effects = Vec::new();
-            if let Some(member) = self.member.as_mut() {
-                for op in pending {
-                    member.propose(op, ctx.now(), &mut effects);
-                }
-            }
-            self.run_effects(effects, ctx);
-        }
+        // What this node promised to drive to agreement is proposed again:
+        // everything still pending on a catch-up, its own undecided
+        // broadcasts after a move (the rest was specific to the vgroup it
+        // left).
+        self.with_member(ctx, |member, _, now, effects| member.resume(now, effects));
     }
 
     fn byzantine_duties(&mut self, ctx: &mut Context<'_, AtumMessage>) {
@@ -664,17 +696,8 @@ impl<A: Application> AtumNode<A> {
             .as_ref()
             .and_then(|m| m.halted_since())
             .is_some_and(|since| ctx.now().saturating_since(since) > timeout);
-        if !stranded {
-            return;
-        }
-        if let Some(member) = self.member.take() {
-            self.remember_fallbacks(&member.composition);
-        }
-        self.phase = NodePhase::Left;
-        self.stats.left_at = Some(ctx.now());
-        self.auto_rejoin = true;
-        if let Some(contact) = self.next_fallback_contact() {
-            let _ = self.join(contact, ctx);
+        if stranded {
+            self.end_membership(Ending::Stranded, ctx);
         }
     }
 
@@ -712,22 +735,7 @@ impl<A: Application> AtumNode<A> {
             return;
         }
         self.isolated_since = None;
-        if let Some(member) = self.member.take() {
-            // The dead composition peers are poor re-join contacts; the
-            // neighbour table's vgroups are the live overlay. Merge both
-            // into the fallback pool (the rotation skips the dead ones).
-            let mut pool = member.composition.clone();
-            for (_, comp) in member.neighbors.distinct_neighbors() {
-                pool = pool.union(&comp);
-            }
-            self.remember_fallbacks(&pool);
-        }
-        self.phase = NodePhase::Left;
-        self.stats.left_at = Some(now);
-        self.auto_rejoin = true;
-        if let Some(contact) = self.next_fallback_contact() {
-            let _ = self.join(contact, ctx);
-        }
+        self.end_membership(Ending::Isolated, ctx);
     }
 
     /// `true` while this node's last membership ended recently enough to
@@ -822,6 +830,7 @@ impl<A: Application> std::fmt::Debug for AtumNode<A> {
             .field("identity", &self.identity)
             .field("phase", &self.phase)
             .field("member", &self.member)
+            .field("parked", &self.parked)
             .field("pending_welcomes", &self.pending_welcomes)
             .field("byzantine", &self.byzantine)
             .field("join_nonce", &self.join_nonce)
@@ -837,7 +846,9 @@ impl<A: Application> AtumNode<A> {
     /// model checker to fingerprint and deduplicate global states. Excludes
     /// the application, the key registry and the statistics (passive
     /// observers: two states that differ only in counters behave
-    /// identically going forward).
+    /// identically going forward). The session is rendered wherever it
+    /// currently lives, so two states that differ only in a parked dedup
+    /// set are not merged.
     pub fn canonical_state(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -873,6 +884,9 @@ impl<A: Application> AtumNode<A> {
             }
             None => out.push_str(" member:none"),
         }
+        out.push_str(" session:{");
+        out.push_str(&self.session().canonical_state());
+        out.push('}');
         out
     }
 }
@@ -898,11 +912,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
         }
         self.retry_join_if_stalled(ctx);
         self.rejoin_if_dropped(ctx);
-        if let Some(member) = self.member.as_mut() {
-            let mut effects = Vec::new();
-            member.tick(ctx.now(), &mut effects);
-            self.run_effects(effects, ctx);
-        }
+        self.with_member(ctx, |member, _, now, effects| member.tick(now, effects));
         self.abandon_membership_if_stranded(ctx);
         self.abandon_membership_if_isolated(ctx);
     }
@@ -954,19 +964,14 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 nonce,
                 rejoin,
             } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.propose(
-                        crate::message::GroupOp::HandleJoinRequest {
-                            joiner,
-                            nonce,
-                            rejoin,
-                        },
-                        ctx.now(),
-                        &mut effects,
-                    );
-                    self.run_effects(effects, ctx);
-                }
+                let op = crate::message::GroupOp::HandleJoinRequest {
+                    joiner,
+                    nonce,
+                    rejoin,
+                };
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.propose(op, now, effects)
+                });
             }
             AtumMessage::Welcome {
                 group,
@@ -977,56 +982,31 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 self.handle_welcome(from, group, composition, neighbors, epoch, ctx);
             }
             AtumMessage::StateRequest { group, epoch } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.on_state_request(from, group, epoch, ctx.now(), &mut effects);
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.on_state_request(from, group, epoch, now, effects)
+                });
             }
             AtumMessage::Heartbeat { group, epoch } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.on_heartbeat(from, group, epoch, ctx.now(), &mut effects);
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.on_heartbeat(from, group, epoch, now, effects)
+                });
             }
             AtumMessage::Smr { group, epoch, msg } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.on_smr_message(from, group, epoch, msg, ctx.now(), &mut effects);
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.on_smr_message(from, group, epoch, msg, now, effects)
+                });
             }
             AtumMessage::Group(envelope) => {
-                if self.member.is_some() {
-                    let mut effects = Vec::new();
-                    {
-                        let member = self.member.as_mut().expect("checked above");
-                        let app = &mut self.app;
-                        member.on_group_copy(
-                            from,
-                            envelope,
-                            ctx.now(),
-                            &mut effects,
-                            &mut |d: &Delivered, g: VgroupId| app.forward(d, g),
-                        );
-                    }
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, app, now, effects| {
+                    let mut forward = |d: &Delivered, g: VgroupId| app.forward(d, g);
+                    member.on_group_copy(from, envelope, now, effects, &mut forward)
+                });
             }
             AtumMessage::GroupVote(vote) => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    let app = &mut self.app;
-                    member.on_group_vote(
-                        from,
-                        &vote,
-                        ctx.now(),
-                        &mut effects,
-                        &mut |d: &Delivered, g: VgroupId| app.forward(d, g),
-                    );
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, app, now, effects| {
+                    let mut forward = |d: &Delivered, g: VgroupId| app.forward(d, g);
+                    member.on_group_vote(from, &vote, now, effects, &mut forward)
+                });
             }
             AtumMessage::App { payload, .. } => {
                 let mut app_ctx = AppCtx::new(ctx.now(), self.identity.id);
@@ -1036,18 +1016,14 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 self.run_effects(queue, ctx);
             }
             AtumMessage::BroadcastKeys { group, keys } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.on_broadcast_keys(from, group, &keys, ctx.now(), &mut effects);
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.on_broadcast_keys(from, group, &keys, now, effects)
+                });
             }
             AtumMessage::BroadcastPull { group, keys, voted } => {
-                if let Some(member) = self.member.as_mut() {
-                    let mut effects = Vec::new();
-                    member.on_broadcast_pull(from, group, &keys, voted, ctx.now(), &mut effects);
-                    self.run_effects(effects, ctx);
-                }
+                self.with_member(ctx, |member, _, now, effects| {
+                    member.on_broadcast_pull(from, group, &keys, voted, now, effects)
+                });
             }
         }
     }
@@ -1373,5 +1349,262 @@ mod tests {
         // The Byzantine node is still a member (it heartbeats).
         let m0 = sim.node(NodeId::new(0)).unwrap().member().unwrap();
         assert!(m0.composition.contains(NodeId::new(4)));
+    }
+
+    // ------------------------------------ the session outlives memberships
+
+    /// One node driven by hand: every step runs one callback at `now`
+    /// (what the node sends is dropped — its peers are imaginary).
+    struct Solo {
+        node: AtumNode<CollectingApp>,
+        rng: rand_chacha::ChaCha8Rng,
+        timers: u64,
+        now: Instant,
+    }
+
+    /// Node 0's first vgroup `{0, 1, 2}`, the vgroup it is moved to, and
+    /// the neighbour `{10, 11, 12}` whose gossip it accepts in both.
+    const OLD: VgroupId = VgroupId::new(100);
+    const NEW: VgroupId = VgroupId::new(200);
+    const UPSTREAM: VgroupId = VgroupId::new(7);
+
+    fn comp(ids: &[u64]) -> Composition {
+        ids.iter().copied().map(NodeId::new).collect()
+    }
+
+    impl Solo {
+        fn new() -> Self {
+            let params = fast_params();
+            let neighbors = NeighborTable::self_loop(params.hc, OLD, comp(&[0, 1, 2]));
+            let node = AtumNode::with_membership(
+                NodeId::new(0),
+                params,
+                registry(30),
+                CollectingApp::new(),
+                OLD,
+                comp(&[0, 1, 2]),
+                neighbors,
+                0,
+            );
+            Solo {
+                node,
+                rng: rand::SeedableRng::seed_from_u64(1),
+                timers: 0,
+                now: Instant::ZERO,
+            }
+        }
+
+        fn act<R>(
+            &mut self,
+            f: impl FnOnce(&mut AtumNode<CollectingApp>, &mut Context<'_, AtumMessage>) -> R,
+        ) -> R {
+            let effects = atum_simnet::ContextEffects::new();
+            let mut ctx = Context::for_runtime(
+                self.node.id(),
+                self.now,
+                &mut self.rng,
+                &mut self.timers,
+                effects,
+            );
+            f(&mut self.node, &mut ctx)
+        }
+
+        /// Lets `rounds` rounds pass, two maintenance ticks each. A
+        /// synchronous engine whose peers stay silent decides its own
+        /// proposals at the end of a slot, so a few rounds are "agreement".
+        fn pass(&mut self, rounds: u64) {
+            for _ in 0..rounds * 2 {
+                self.now += Duration::from_millis(100);
+                self.act(|n, ctx| n.on_timer(MAIN_TIMER, ctx));
+            }
+        }
+
+        fn broadcast(&mut self, payload: &[u8]) -> Result<BroadcastId> {
+            self.act(|n, ctx| n.broadcast(payload.to_vec(), ctx))
+        }
+
+        /// A majority of `UPSTREAM` gossips broadcast `id` to the node.
+        fn gossip_quorum(&mut self, id: BroadcastId) {
+            let gossip = crate::message::GroupPayload::Gossip {
+                id,
+                payload: b"gossiped".to_vec().into(),
+                hops: 1,
+            };
+            let upstream = comp(&[10, 11, 12]);
+            let envelope = Arc::new(crate::message::GroupEnvelope::new(
+                UPSTREAM, upstream, gossip,
+            ));
+            for sender in [10, 11] {
+                let copy = AtumMessage::Group(envelope.clone());
+                self.act(|n, ctx| n.on_message(NodeId::new(sender), copy, ctx));
+            }
+        }
+
+        /// Every other member of `members` welcomes the node into `group`.
+        fn welcome(&mut self, group: VgroupId, members: &[u64], epoch: u64) {
+            let composition = comp(members);
+            let hc = fast_params().hc;
+            for &sender in members.iter().filter(|&&m| m != 0) {
+                let msg = AtumMessage::Welcome {
+                    group,
+                    composition: composition.clone(),
+                    neighbors: NeighborTable::self_loop(hc, group, composition.clone()),
+                    epoch,
+                };
+                self.act(|n, ctx| n.on_message(NodeId::new(sender), msg, ctx));
+            }
+        }
+
+        fn end(&mut self, ending: Ending) {
+            self.act(|n, ctx| n.end_membership(ending, ctx));
+        }
+
+        fn payloads_named(&self, payload: &[u8]) -> usize {
+            let all = self.node.app().delivered_payloads();
+            all.iter().filter(|p| p.as_slice() == payload).count()
+        }
+    }
+
+    /// What every way of changing membership must preserve. `move_on` ends
+    /// node 0's membership of `OLD` and gets it welcomed somewhere.
+    fn session_survives(move_on: impl FnOnce(&mut Solo)) {
+        let mut solo = Solo::new();
+        let gossiped = BroadcastId::new(NodeId::new(10), 0);
+        solo.gossip_quorum(gossiped);
+        assert_eq!(solo.node.delivered().len(), 1);
+        // Proposed, and not decided before the membership ends.
+        let mine = solo.broadcast(b"mine").unwrap();
+        assert_eq!(mine, BroadcastId::new(NodeId::new(0), 0));
+
+        move_on(&mut solo);
+        assert!(solo.node.is_member());
+        assert_eq!(
+            solo.node.delivered()[0].0,
+            gossiped,
+            "the delivery log keeps what was delivered before the move"
+        );
+        solo.pass(8);
+        assert_eq!(
+            solo.payloads_named(b"mine"),
+            1,
+            "the undecided broadcast is decided in the new membership"
+        );
+        solo.gossip_quorum(gossiped);
+        let ids: Vec<BroadcastId> = solo.node.delivered().iter().map(|d| d.0).collect();
+        assert_eq!(ids, [gossiped, mine], "nothing is delivered twice");
+        assert_eq!(solo.payloads_named(b"gossiped"), 1);
+        let next = solo.broadcast(b"next").unwrap();
+        assert_eq!(next.seq, mine.seq + 1, "the sequence continues");
+    }
+
+    #[test]
+    fn shuffle_transfer_moves_the_session_to_the_new_vgroup() {
+        session_survives(|solo| {
+            // What a decided `CompleteExchange` naming this node emits.
+            let moved = Effect::MembershipEnded(Ending::Transferred);
+            solo.act(|n, ctx| n.run_effects(vec![moved], ctx));
+            assert_eq!(solo.node.phase(), &NodePhase::AwaitingTransfer);
+            assert_eq!(solo.node.delivered().len(), 1, "readable while parked");
+            solo.welcome(NEW, &[0, 20], 3);
+        });
+    }
+
+    #[test]
+    fn eviction_and_auto_rejoin_keep_the_session() {
+        session_survives(|solo| {
+            let evicted = Effect::MembershipEnded(Ending::Evicted);
+            solo.act(|n, ctx| n.run_effects(vec![evicted], ctx));
+            assert_eq!(solo.node.phase(), &NodePhase::Left);
+            // The next tick re-joins through a former peer on its own.
+            solo.pass(1);
+            assert!(matches!(solo.node.phase(), NodePhase::Joining { .. }));
+            solo.welcome(NEW, &[0, 20], 3);
+        });
+    }
+
+    #[test]
+    fn leave_then_join_keeps_the_session() {
+        session_survives(|solo| {
+            solo.act(|n, ctx| n.leave(ctx)).unwrap();
+            // Agreement on the leave: the broadcast proposed before it is
+            // decided in the same slot, the one case it is not carried over.
+            solo.pass(8);
+            assert_eq!(solo.node.phase(), &NodePhase::Left);
+            assert_eq!(solo.payloads_named(b"mine"), 1);
+            solo.act(|n, ctx| n.join(NodeId::new(20), ctx)).unwrap();
+            solo.welcome(NEW, &[0, 20], 3);
+        });
+    }
+
+    #[test]
+    fn canonical_state_renders_a_parked_session() {
+        let mut delivered = Solo::new();
+        delivered.gossip_quorum(BroadcastId::new(NodeId::new(10), 0));
+        let mut blank = Solo::new();
+        for solo in [&mut delivered, &mut blank] {
+            solo.end(Ending::Evicted);
+            assert!(solo.node.member().is_none());
+        }
+        assert_ne!(
+            delivered.node.canonical_state(),
+            blank.node.canonical_state(),
+            "states that differ only in a parked dedup set must not merge"
+        );
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Any interleaving of broadcasts, gossip, membership ends (every
+            /// cause) and welcomes: the ids this node issues strictly
+            /// increase and its delivery log — one entry per id its dedup
+            /// set ever admitted — only grows and never repeats an id.
+            #[test]
+            fn ids_increase_and_the_seen_set_never_shrinks(
+                steps in proptest::collection::vec(0u8..9, 1..40),
+            ) {
+                let endings = [
+                    Ending::Left,
+                    Ending::Evicted,
+                    Ending::Transferred,
+                    Ending::Stranded,
+                    Ending::Isolated,
+                ];
+                let mut solo = Solo::new();
+                let mut last_seq = None;
+                let mut log: Vec<BroadcastId> = Vec::new();
+                for (i, step) in steps.into_iter().enumerate() {
+                    match step {
+                        0 | 1 => {
+                            if let Ok(id) = solo.broadcast(&[i as u8]) {
+                                prop_assert!(last_seq < Some(id.seq), "{id:?} after {last_seq:?}");
+                                last_seq = Some(id.seq);
+                            }
+                        }
+                        // Two upstream ids, so repeats happen.
+                        2 => solo.gossip_quorum(BroadcastId::new(NodeId::new(10), i as u64 % 2)),
+                        3 => solo.pass(4),
+                        // A fresh vgroup, or a catch-up in the current one.
+                        4 => solo.welcome(VgroupId::new(300 + i as u64), &[0, 20], 1),
+                        5 => {
+                            let held = solo.node.member().map(|m| (m.vgroup, m.epoch + 1));
+                            let (group, epoch) = held.unwrap_or((NEW, 1));
+                            solo.welcome(group, &[0, 20, 21], epoch);
+                        }
+                        cause => solo.end(endings[(cause as usize + i) % endings.len()]),
+                    }
+                    let now: Vec<BroadcastId> =
+                        solo.node.delivered().iter().map(|d| d.0).collect();
+                    prop_assert!(now.starts_with(&log), "{log:?} then {now:?}");
+                    let distinct: BTreeSet<BroadcastId> = now.iter().copied().collect();
+                    prop_assert_eq!(distinct.len(), now.len());
+                    log = now;
+                }
+            }
+        }
     }
 }

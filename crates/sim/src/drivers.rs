@@ -11,6 +11,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 // --------------------------------------------------------------- broadcasts
 
@@ -54,25 +55,25 @@ pub fn run_broadcast_workload<A: Application>(
     assert!(!correct.is_empty(), "need at least one correct node");
     let start = cluster.sim.now() + Duration::from_secs(1);
 
-    // Assign publishers and remember the send time of every broadcast id.
-    let mut send_times: HashMap<BroadcastId, Instant> = HashMap::new();
-    let mut per_origin_seq: HashMap<NodeId, u64> = HashMap::new();
+    // Assign publishers; each call records the id its origin issued and
+    // when.
+    let issued: Arc<Mutex<HashMap<BroadcastId, Instant>>> = Arc::default();
     for i in 0..broadcasts {
         let publisher = *correct.choose(&mut rng).expect("non-empty");
-        let seq = per_origin_seq.entry(publisher).or_insert(0);
-        let id = BroadcastId::new(publisher, *seq);
-        *seq += 1;
         let at = start + Duration::from_micros(gap.as_micros() * i as u64);
-        send_times.insert(id, at);
         let payload = vec![0x5au8; payload_size];
+        let issued = Arc::clone(&issued);
         cluster.sim.call_at(at, publisher, move |node, ctx| {
-            let _ = node.broadcast(payload, ctx);
+            if let Ok(id) = node.broadcast(payload, ctx) {
+                issued.lock().expect("no panic holds it").insert(id, at);
+            }
         });
     }
 
     let total = Duration::from_micros(gap.as_micros() * broadcasts as u64) + settle;
     cluster.sim.run_for(Duration::from_secs(1) + total);
 
+    let send_times = std::mem::take(&mut *issued.lock().expect("no panic holds it"));
     let mut report = BroadcastWorkloadReport {
         expected_deliveries: correct.len() * send_times.len(),
         ..BroadcastWorkloadReport::default()
@@ -82,10 +83,7 @@ pub fn run_broadcast_workload<A: Application>(
         let Some(node) = cluster.sim.node(*node_id) else {
             continue;
         };
-        let Some(member) = node.member() else {
-            continue;
-        };
-        for (id, at, hops) in &member.stats.delivered {
+        for (id, at, hops) in node.delivered() {
             if let Some(sent) = send_times.get(id) {
                 report.observed_deliveries += 1;
                 report.latencies.push(at.saturating_since(*sent));
@@ -208,7 +206,7 @@ pub fn run_growth(
     // Collect exchange statistics across every member.
     for i in 0..target as u64 {
         if let Some(member) = sim.node(NodeId::new(i)).and_then(|n| n.member()) {
-            let stats = member.exchange_stats();
+            let stats = member.session().stats().exchanges;
             report.exchanges_completed += stats.completed;
             report.exchanges_suppressed += stats.suppressed;
         }

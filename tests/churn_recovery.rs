@@ -3,13 +3,25 @@
 //! cycles; at least 90 % of the cycles must complete, the run must be
 //! deterministic for a fixed seed, and no ghost composition entries (nodes
 //! listed by a vgroup they are not members of) may survive the final cycle.
+//!
+//! One broadcast a second runs through the churn: volatile groups move and
+//! re-admit nodes all the time, and a node must neither be handed a
+//! broadcast twice nor reuse a broadcast id because of it — and at this
+//! scale every accepted broadcast reaches every node that is a member at
+//! the end.
 
 use atum::core::CollectingApp;
 use atum::sim::{run_churn, ChurnReport, ClusterBuilder};
 use atum::simnet::NetConfig;
-use atum::types::{Duration, Params};
+use atum::types::{BroadcastId, Duration, NodeId, Params};
+use rand::seq::SliceRandom;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 23;
+const CHURN_SECS: u64 = 180;
 
 fn churn_params() -> Params {
     Params::default()
@@ -21,24 +33,91 @@ fn churn_params() -> Params {
         .with_failure_detection(Duration::from_secs(5), 3)
 }
 
-fn run_once() -> ChurnReport {
+/// What the broadcasts running through the churn came to.
+struct Broadcasts {
+    /// The id each accepted `AtumNode::broadcast` call returned, in order.
+    issued: Vec<BroadcastId>,
+    /// Per node (victims included): whether it is a member at the end, and
+    /// the ids it delivered, in order.
+    logs: Vec<(NodeId, bool, Vec<BroadcastId>)>,
+}
+
+fn run_once() -> (ChurnReport, Broadcasts) {
     let mut cluster = ClusterBuilder::new(30)
         .params(churn_params())
         .net(NetConfig::lan())
         .seed(SEED)
         .build(|_| CollectingApp::new());
-    run_churn(
+    let nodes = cluster.correct_nodes();
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let issued: Arc<Mutex<Vec<BroadcastId>>> = Arc::default();
+    let begin = cluster.sim.now();
+    for second in 0..CHURN_SECS {
+        let origin = *nodes.choose(&mut rng).expect("30 nodes");
+        // 256 bytes: the second it was sent in, then a random body.
+        let mut payload = vec![0u8; 256];
+        rng.fill_bytes(&mut payload[16..]);
+        payload[..8].copy_from_slice(&second.to_le_bytes());
+        let issued = Arc::clone(&issued);
+        let at = begin + Duration::from_secs(2 + second);
+        cluster.sim.call_at(at, origin, move |node, ctx| {
+            // Refused while the origin is between memberships.
+            if let Ok(id) = node.broadcast(payload, ctx) {
+                issued.lock().expect("no panic holds it").push(id);
+            }
+        });
+    }
+    let report = run_churn(
         &mut cluster,
         2.0,
-        Duration::from_secs(180),
+        Duration::from_secs(CHURN_SECS),
         Duration::from_secs(5),
         SEED,
-    )
+    );
+    let logs = nodes
+        .iter()
+        .map(|&id| {
+            let node = cluster.sim.node(id).expect("hosted");
+            let delivered = node.delivered().iter().map(|d| d.0).collect();
+            (id, node.is_member(), delivered)
+        })
+        .collect();
+    let issued = std::mem::take(&mut *issued.lock().expect("no panic holds it"));
+    (report, Broadcasts { issued, logs })
 }
 
 #[test]
 fn sustained_churn_completes_ninety_percent_without_ghosts() {
-    let report = run_once();
+    let (report, broadcasts) = run_once();
+    // At-most-once delivery and id uniqueness on every node, reach on every
+    // node that is a member at the end.
+    assert!(
+        broadcasts.issued.len() >= 150,
+        "{}",
+        broadcasts.issued.len()
+    );
+    let issued: BTreeSet<BroadcastId> = broadcasts.issued.iter().copied().collect();
+    assert_eq!(
+        issued.len(),
+        broadcasts.issued.len(),
+        "an origin reused a broadcast id"
+    );
+    for (node, member_at_end, log) in &broadcasts.logs {
+        let delivered: BTreeSet<BroadcastId> = log.iter().copied().collect();
+        assert_eq!(
+            delivered.len(),
+            log.len(),
+            "{node} was handed a broadcast twice"
+        );
+        assert!(
+            delivered.is_subset(&issued),
+            "{node} delivered an unknown id"
+        );
+        if *member_at_end {
+            let missing: Vec<&BroadcastId> = issued.difference(&delivered).collect();
+            assert!(missing.is_empty(), "{node} never delivered {missing:?}");
+        }
+    }
     assert!(
         report.attempted >= 5,
         "expected a meaningful number of cycles, got {}",
@@ -88,8 +167,10 @@ fn sustained_churn_completes_ninety_percent_without_ghosts() {
 
 #[test]
 fn churn_run_is_deterministic_for_a_fixed_seed() {
-    let a = run_once();
-    let b = run_once();
+    let (a, a_broadcasts) = run_once();
+    let (b, b_broadcasts) = run_once();
+    assert_eq!(a_broadcasts.issued, b_broadcasts.issued);
+    assert_eq!(a_broadcasts.logs, b_broadcasts.logs);
     assert_eq!(a.attempted, b.attempted);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.final_members, b.final_members);
