@@ -19,14 +19,17 @@
 //! shipping real bytes, while the bandwidth model still charges the full
 //! chunk size on the wire (see `advertised_size`).
 
+use crate::kind;
 use atum_core::{AppCtx, Application, Delivered};
 use atum_crypto::Digest;
-use atum_types::{Duration, Instant, NodeId};
-use serde::{Deserialize, Serialize};
+use atum_types::wire::{decode_exact, encode_to_vec, DIGEST_SIZE};
+use atum_types::{
+    Duration, Instant, NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Configuration of the AShare application at one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AShareConfig {
     /// Target number of replicas per file (ρ).
     pub rho: usize,
@@ -57,7 +60,7 @@ impl Default for AShareConfig {
 }
 
 /// Metadata describing one shared file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMeta {
     /// The owner (only the owner may modify its namespace).
     pub owner: NodeId,
@@ -86,7 +89,7 @@ impl FileMeta {
 
 /// The replicated metadata index (§4.2.2). The paper stores it in SQLite;
 /// an ordered in-memory map provides the same query surface.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetadataIndex {
     files: BTreeMap<(NodeId, String), FileMeta>,
 }
@@ -153,7 +156,7 @@ pub fn chunk_digest(owner: NodeId, name: &str, size: u64, chunk: usize) -> Diges
 }
 
 /// Broadcast payloads AShare sends through Atum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Announce {
     /// `PUT`: the owner shares a new file.
     Put {
@@ -184,21 +187,80 @@ pub enum Announce {
     },
 }
 
+impl WireEncode for Announce {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_u8(kind::ASHARE_ANNOUNCE);
+        match self {
+            Announce::Put {
+                owner,
+                name,
+                size,
+                digests,
+            } => {
+                w.put_u8(0);
+                owner.wire_encode(w);
+                name.wire_encode(w);
+                w.put_u64(*size);
+                w.put_seq(digests);
+            }
+            Announce::Replica {
+                owner,
+                name,
+                holder,
+            } => {
+                w.put_u8(1);
+                owner.wire_encode(w);
+                name.wire_encode(w);
+                holder.wire_encode(w);
+            }
+            Announce::Delete { owner, name } => {
+                w.put_u8(2);
+                owner.wire_encode(w);
+                name.wire_encode(w);
+            }
+        }
+    }
+}
+
+impl WireDecode for Announce {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        kind::expect(r, kind::ASHARE_ANNOUNCE)?;
+        let tag = r.take_u8()?;
+        let owner = NodeId::wire_decode(r)?;
+        let name = String::wire_decode(r)?;
+        Ok(match tag {
+            0 => Announce::Put {
+                owner,
+                name,
+                size: r.take_u64()?,
+                digests: r.take_seq(DIGEST_SIZE)?,
+            },
+            1 => Announce::Replica {
+                owner,
+                name,
+                holder: NodeId::wire_decode(r)?,
+            },
+            2 => Announce::Delete { owner, name },
+            _ => return Err(WireError::Malformed("announce tag")),
+        })
+    }
+}
+
 impl Announce {
     /// Serialises the announcement for broadcasting.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("announce serialisation cannot fail")
+        encode_to_vec(self)
     }
 
     /// Parses an announcement from a broadcast payload.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
+        decode_exact(bytes).ok()
     }
 }
 
 /// Point-to-point transfer messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum TransferMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum TransferMsg {
     GetChunk {
         owner: NodeId,
         name: String,
@@ -212,12 +274,59 @@ enum TransferMsg {
     },
 }
 
-impl TransferMsg {
-    fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("transfer serialisation cannot fail")
+impl WireEncode for TransferMsg {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_u8(kind::ASHARE_TRANSFER);
+        match self {
+            TransferMsg::GetChunk { owner, name, chunk } => {
+                w.put_u8(0);
+                owner.wire_encode(w);
+                name.wire_encode(w);
+                w.put_u64(*chunk as u64);
+            }
+            TransferMsg::ChunkData {
+                owner,
+                name,
+                chunk,
+                digest,
+            } => {
+                w.put_u8(1);
+                owner.wire_encode(w);
+                name.wire_encode(w);
+                w.put_u64(*chunk as u64);
+                digest.wire_encode(w);
+            }
+        }
     }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
+}
+
+impl WireDecode for TransferMsg {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        kind::expect(r, kind::ASHARE_TRANSFER)?;
+        let tag = r.take_u8()?;
+        let owner = NodeId::wire_decode(r)?;
+        let name = String::wire_decode(r)?;
+        let chunk =
+            usize::try_from(r.take_u64()?).map_err(|_| WireError::Malformed("chunk index"))?;
+        Ok(match tag {
+            0 => TransferMsg::GetChunk { owner, name, chunk },
+            1 => TransferMsg::ChunkData {
+                owner,
+                name,
+                chunk,
+                digest: Digest::wire_decode(r)?,
+            },
+            _ => return Err(WireError::Malformed("transfer tag")),
+        })
+    }
+}
+
+impl TransferMsg {
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        encode_to_vec(self)
+    }
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
+        decode_exact(bytes).ok()
     }
 }
 

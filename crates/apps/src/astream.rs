@@ -15,14 +15,15 @@
 //! deterministic function of the overlay, so computing it centrally is
 //! behaviourally equivalent) and handed to each node's `AStreamApp`.
 
+use crate::kind;
 use atum_core::{AppCtx, Application, Delivered};
 use atum_crypto::Digest;
-use atum_types::{Instant, NodeId};
-use serde::{Deserialize, Serialize};
+use atum_types::wire::{decode_exact, encode_to_vec};
+use atum_types::{Instant, NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Configuration of the AStream application at one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AStreamConfig {
     /// Parents to pull stream data from (empty at the source). The first
     /// entry is the preferred parent; the rest are fallbacks/shortcuts.
@@ -39,7 +40,7 @@ pub struct AStreamConfig {
 
 /// A chunk of stream data (tier two). The payload is represented by its
 /// digest; the wire size charged is `chunk_size`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamChunk {
     /// Stream position (0-based).
     pub index: u64,
@@ -49,7 +50,7 @@ pub struct StreamChunk {
 
 /// Tier-one broadcast payload: the digest of a chunk, signed (implicitly, via
 /// Atum's broadcast) by the source.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestAnnounce {
     /// Stream position.
     pub index: u64,
@@ -57,33 +58,84 @@ pub struct DigestAnnounce {
     pub digest: Digest,
 }
 
+impl WireEncode for DigestAnnounce {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_u8(kind::ASTREAM_DIGEST);
+        w.put_u64(self.index);
+        self.digest.wire_encode(w);
+    }
+}
+
+impl WireDecode for DigestAnnounce {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        kind::expect(r, kind::ASTREAM_DIGEST)?;
+        Ok(DigestAnnounce {
+            index: r.take_u64()?,
+            digest: Digest::wire_decode(r)?,
+        })
+    }
+}
+
 impl DigestAnnounce {
     /// Serialises the announcement for broadcasting.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("announce serialisation cannot fail")
+        encode_to_vec(self)
     }
 
     /// Parses an announcement from a broadcast payload.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
+        decode_exact(bytes).ok()
     }
 }
 
 /// Point-to-point tier-two messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum StreamMsg {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum StreamMsg {
     /// Push a chunk to a child.
     Push(StreamChunk),
     /// Ask a parent for a chunk.
     Pull { index: u64 },
 }
 
-impl StreamMsg {
-    fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("stream serialisation cannot fail")
+impl WireEncode for StreamMsg {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_u8(kind::ASTREAM_DATA);
+        match self {
+            StreamMsg::Push(chunk) => {
+                w.put_u8(0);
+                w.put_u64(chunk.index);
+                chunk.digest.wire_encode(w);
+            }
+            StreamMsg::Pull { index } => {
+                w.put_u8(1);
+                w.put_u64(*index);
+            }
+        }
     }
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
+}
+
+impl WireDecode for StreamMsg {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        kind::expect(r, kind::ASTREAM_DATA)?;
+        match r.take_u8()? {
+            0 => Ok(StreamMsg::Push(StreamChunk {
+                index: r.take_u64()?,
+                digest: Digest::wire_decode(r)?,
+            })),
+            1 => Ok(StreamMsg::Pull {
+                index: r.take_u64()?,
+            }),
+            _ => Err(WireError::Malformed("stream tag")),
+        }
+    }
+}
+
+impl StreamMsg {
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        encode_to_vec(self)
+    }
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
+        decode_exact(bytes).ok()
     }
 }
 

@@ -5,14 +5,17 @@
 //! is therefore a thin facade over the Atum API; one Atum instance backs one
 //! topic.
 
+use crate::kind;
 use atum_core::{AtumMessage, AtumNode, CollectingApp};
 use atum_simnet::Context;
-use atum_types::{NodeId, Params, Result, TopicId};
-use serde::{Deserialize, Serialize};
+use atum_types::wire::{decode_exact, encode_to_vec};
+use atum_types::{
+    NodeId, Params, Result, TopicId, WireDecode, WireEncode, WireError, WireReader, WireWriter,
+};
 
 /// An event published on a topic (the payload carried by the underlying
 /// Atum broadcast).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsubEvent {
     /// The topic the event belongs to.
     pub topic: TopicId,
@@ -20,15 +23,52 @@ pub struct AsubEvent {
     pub data: Vec<u8>,
 }
 
+/// An [`AsubEvent`] over a borrowed body: the event's one field walk, so a
+/// caller that only holds `&[u8]` (the edge mapping) encodes without first
+/// cloning the body into an owned event.
+pub(crate) struct EventRef<'a> {
+    pub topic: TopicId,
+    pub data: &'a [u8],
+}
+
+impl WireEncode for EventRef<'_> {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_u8(kind::ASUB_EVENT);
+        w.put_u64(self.topic.raw());
+        w.put_len(self.data.len());
+        w.put_bytes(self.data);
+    }
+}
+
+impl WireEncode for AsubEvent {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        EventRef {
+            topic: self.topic,
+            data: &self.data,
+        }
+        .wire_encode(w);
+    }
+}
+
+impl WireDecode for AsubEvent {
+    fn wire_decode(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
+        kind::expect(r, kind::ASUB_EVENT)?;
+        Ok(AsubEvent {
+            topic: TopicId::new(r.take_u64()?),
+            data: Vec::wire_decode(r)?,
+        })
+    }
+}
+
 impl AsubEvent {
     /// Serialises the event for broadcasting.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("event serialisation cannot fail")
+        encode_to_vec(self)
     }
 
     /// Parses an event from a delivered broadcast payload.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        serde_json::from_slice(bytes).ok()
+        decode_exact(bytes).ok()
     }
 }
 
@@ -151,7 +191,12 @@ mod tests {
         };
         let bytes = e.encode();
         assert_eq!(AsubEvent::decode(&bytes), Some(e));
-        assert_eq!(AsubEvent::decode(b"not json"), None);
+        assert_eq!(AsubEvent::decode(b"not an event"), None);
+        assert_eq!(AsubEvent::decode(b""), None);
+        assert_eq!(AsubEvent::decode(&bytes[..bytes.len() - 1]), None);
+        let mut extended = bytes;
+        extended.push(0);
+        assert_eq!(AsubEvent::decode(&extended), None);
     }
 
     #[test]

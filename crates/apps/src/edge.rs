@@ -9,30 +9,24 @@
 //! stream-chunk payload tagged with its stream, and both are recoverable
 //! from delivered broadcasts for verification.
 
-use crate::asub::AsubEvent;
+use crate::asub::{AsubEvent, EventRef};
 use atum_types::edge::EdgeOp;
+use atum_types::wire::encode_to_vec;
 use atum_types::TopicId;
 
 /// The broadcast payload for an edge operation, or `None` for operations
-/// that do not broadcast (probes and reads).
+/// that do not broadcast (probes and reads). Encoded straight from the
+/// borrowed body into one exactly-sized buffer.
 pub fn broadcast_payload(op: &EdgeOp) -> Option<Vec<u8>> {
-    match op {
-        EdgeOp::Publish { topic, payload } => Some(
-            AsubEvent {
-                topic: TopicId::new(*topic),
-                data: payload.clone(),
-            }
-            .encode(),
-        ),
-        EdgeOp::Append { stream, chunk } => Some(
-            AsubEvent {
-                topic: TopicId::new(*stream),
-                data: chunk.clone(),
-            }
-            .encode(),
-        ),
-        EdgeOp::Health | EdgeOp::Stats | EdgeOp::Fetch { .. } => None,
-    }
+    let (id, data) = match op {
+        EdgeOp::Publish { topic, payload } => (*topic, payload),
+        EdgeOp::Append { stream, chunk } => (*stream, chunk),
+        EdgeOp::Health | EdgeOp::Stats | EdgeOp::Fetch { .. } => return None,
+    };
+    Some(encode_to_vec(&EventRef {
+        topic: TopicId::new(id),
+        data,
+    }))
 }
 
 /// Recovers the `(raw topic-or-stream id, data)` pair from a delivered

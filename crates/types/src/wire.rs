@@ -21,9 +21,10 @@
 //!
 //! Integers are fixed-width little-endian; `bool` is one byte (`0`/`1`,
 //! decoders reject anything else); sequences are a `u32` length prefix
-//! followed by the elements; `Option` is a one-byte presence tag; enums are a
-//! one-byte variant tag followed by the fields in declaration order. Variant
-//! tags are wire ABI — append new variants, never renumber.
+//! followed by the elements; a `String` is its UTF-8 bytes as such a sequence
+//! (decoders reject invalid UTF-8); `Option` is a one-byte presence tag; enums
+//! are a one-byte variant tag followed by the fields in declaration order.
+//! Variant tags are wire ABI — append new variants, never renumber.
 //!
 //! # Decode hardening
 //!
@@ -469,6 +470,22 @@ impl WireDecode for Vec<u8> {
     }
 }
 
+impl WireEncode for String {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        w.put_len(self.len());
+        w.put_bytes(self.as_bytes());
+    }
+}
+
+impl WireDecode for String {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let len = r.take_len(1)?;
+        std::str::from_utf8(r.take_bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| WireError::Malformed("utf-8 string"))
+    }
+}
+
 impl WireEncode for Arc<[u8]> {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
         w.put_len(self.len());
@@ -676,5 +693,19 @@ mod tests {
         let bytes: Vec<u8> = vec![0u8; 100];
         assert_eq!(bytes.wire_size(), 104);
         assert_eq!("hello".to_string().wire_size(), 9);
+    }
+
+    #[test]
+    fn strings_are_length_prefixed_utf8_and_nothing_else() {
+        let name = "père.txt".to_string();
+        let bytes = encode_to_vec(&name);
+        assert_eq!(bytes.len(), 4 + name.len());
+        assert_eq!(decode_exact::<String>(&bytes), Ok(name));
+        assert_eq!(
+            decode_exact::<String>(&[2, 0, 0, 0, 0xc3, 0x28]),
+            Err(WireError::Malformed("utf-8 string"))
+        );
+        // A length prefix past the input fails before any allocation.
+        assert!(decode_exact::<String>(&[0xff, 0xff, 0xff, 0xff, b'a']).is_err());
     }
 }

@@ -10,6 +10,11 @@
 # the product, tests or examples, or more than the one blanket
 # `impl<T: WireEncode> Digestible for T`.
 #
+# The same goes for a second *format*: application payloads (`atum-apps`) are
+# wire-codec values too, so `serde_json::` under `crates/apps/src` fails — as
+# JSON a 1 KiB publish was 3.6 KiB on every hop, in every digest and in every
+# member's parser. JSON stays for traces, flight dumps, `Stats` and reports.
+#
 # Run from anywhere; CI runs it as a build-test step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,7 +30,11 @@ if [[ $(grep -c . <<<"$impls") -ne 1 ]]; then
     echo "${impls:-  (none)}" >&2
     fail=1
 fi
+if grep -rn 'serde_json::' crates/apps/src; then
+    echo "one-walk lint: JSON on the application payload path (see matches above)" >&2
+    fail=1
+fi
 if [[ $fail -eq 0 ]]; then
-    echo "one-walk lint: ok (digests and sizes share the codec's field walk)"
+    echo "one-walk lint: ok (digests, sizes and app payloads share the codec's field walk)"
 fi
 exit $fail
