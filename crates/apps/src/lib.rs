@@ -245,6 +245,106 @@ mod tests {
     }
 
     #[test]
+    fn kind_bytes_and_variant_tags_are_pinned() {
+        // Wire ABI, as literals on purpose: a renumbered constant or tag
+        // must fail here, not decode as another build's other message.
+        let (node, name, digest) = (NodeId::new(1), "f".to_string(), Digest::ZERO);
+        let event = AsubEvent {
+            topic: TopicId::new(9),
+            data: vec![1],
+        };
+        let put = Announce::Put {
+            owner: node,
+            name: name.clone(),
+            size: 1,
+            digests: vec![digest],
+        };
+        let replica = Announce::Replica {
+            owner: node,
+            name: name.clone(),
+            holder: node,
+        };
+        let delete = Announce::Delete {
+            owner: node,
+            name: name.clone(),
+        };
+        let get_chunk = TransferMsg::GetChunk {
+            owner: node,
+            name: name.clone(),
+            chunk: 0,
+        };
+        let chunk_data = TransferMsg::ChunkData {
+            owner: node,
+            name,
+            chunk: 0,
+            digest,
+        };
+        let announce = DigestAnnounce { index: 0, digest };
+        let push = StreamMsg::Push(StreamChunk { index: 0, digest });
+        let pull = StreamMsg::Pull { index: 0 };
+        // (type, encoding, the type's constant, kind byte, variant tag).
+        let table = [
+            ("AsubEvent", event.encode(), kind::ASUB_EVENT, 1, None),
+            ("Announce", put.encode(), kind::ASHARE_ANNOUNCE, 2, Some(0)),
+            (
+                "Announce",
+                replica.encode(),
+                kind::ASHARE_ANNOUNCE,
+                2,
+                Some(1),
+            ),
+            (
+                "Announce",
+                delete.encode(),
+                kind::ASHARE_ANNOUNCE,
+                2,
+                Some(2),
+            ),
+            (
+                "TransferMsg",
+                get_chunk.encode(),
+                kind::ASHARE_TRANSFER,
+                3,
+                Some(0),
+            ),
+            (
+                "TransferMsg",
+                chunk_data.encode(),
+                kind::ASHARE_TRANSFER,
+                3,
+                Some(1),
+            ),
+            (
+                "DigestAnnounce",
+                announce.encode(),
+                kind::ASTREAM_DIGEST,
+                4,
+                None,
+            ),
+            ("StreamMsg", push.encode(), kind::ASTREAM_DATA, 5, Some(0)),
+            ("StreamMsg", pull.encode(), kind::ASTREAM_DATA, 5, Some(1)),
+        ];
+        let mut kind_of = std::collections::BTreeMap::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for (name, bytes, constant, kind, tag) in &table {
+            assert_eq!(constant, kind, "{name}: kind constant renumbered");
+            assert_eq!(bytes[0], *kind, "{name}: kind byte");
+            if let Some(tag) = tag {
+                assert_eq!(bytes[1], *tag, "{name}: variant tag");
+            }
+            assert_eq!(
+                *kind_of.entry(*kind).or_insert(*name),
+                *name,
+                "two types share kind {kind}"
+            );
+            assert!(
+                seen.insert((*kind, *tag)),
+                "{name}: two variants share a tag"
+            );
+        }
+    }
+
+    #[test]
     fn a_one_kib_publish_costs_thirteen_bytes_of_envelope() {
         let publish = EdgeOp::Publish {
             topic: 1,

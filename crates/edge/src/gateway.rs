@@ -29,11 +29,13 @@
 //! Nothing ever waits on a client's socket. A worker posts its response to
 //! the I/O thread's mailbox, addressed by connection slot and generation;
 //! the I/O thread moves it — like the probe answers it produces itself —
-//! onto that connection's bounded out-queue, where it stays only while the
-//! socket pushes back. The bound is `queue_capacity + workers`, the most
-//! responses admission lets one connection have in flight: a client that
-//! keeps sending and stops reading overflows it and loses its connection,
-//! and nobody else notices.
+//! onto that connection's bounded out-queue. The connection layer writes
+//! each queue out once per loop turn, before the thread waits again (sooner
+//! when a full batch has formed), so a reply outlives its turn there only
+//! while the socket pushes back. The bound is `queue_capacity + workers`,
+//! the most responses admission lets one connection have in flight: a
+//! client that keeps sending and stops reading overflows it and loses its
+//! connection, and nobody else notices.
 //!
 //! # Shutdown
 //!
@@ -777,26 +779,29 @@ impl EdgeIo {
         self.push_reply(reply);
     }
 
-    /// Queues one response on its connection and flushes what the socket
-    /// takes. Frames stay queued only behind a socket that pushed back; a
-    /// connection with a full queue of them is not reading its answers and
-    /// is closed.
+    /// Queues one response on its connection; the connection layer writes
+    /// it out with the rest of this turn's (`deliver_replies`). Frames stay
+    /// queued past that only behind a socket that pushed back; a connection
+    /// with a full queue of them is not reading its answers and is closed.
     fn push_reply(&mut self, Reply { to, frame }: Reply) {
         if self.table.get(to.slot).map(|c| c.gen()) != Some(to.gen) {
             return; // The connection closed before its answer was ready.
         }
         let item = QueuedFrame { route: None, frame };
-        if self.table.enqueue(to.slot, item, self.out_capacity) {
-            self.flush(to.slot);
-        } else {
+        if !self.table.enqueue(to.slot, item, self.out_capacity) {
             self.close(to.slot, CloseReason::Overflow);
         }
     }
 
-    /// Takes the workers' responses out of the mailbox.
+    /// Takes the workers' responses out of the mailbox, then sends what
+    /// this turn queued — theirs and the probe answers — one write per
+    /// connection. The last thing before the thread waits again.
     fn deliver_replies(&mut self) {
         while let Some(reply) = self.shared.replies.pop() {
             self.push_reply(reply);
+        }
+        for slot in self.table.flush_marked() {
+            self.close(slot, CloseReason::PeerClosed);
         }
     }
 

@@ -23,6 +23,19 @@
 //!   beyond the caller's bound; [`ConnTable::flush`] coalesces queued
 //!   frames into one `write` per batch and returns at the first
 //!   `WouldBlock`.
+//! * **One write per turn, not one per frame.** `enqueue` only queues, and
+//!   marks the slot. A frame reaches the socket when (a) a full batch has
+//!   been queued since the last write — [`MAX_BATCH_FRAMES`] frames (or the
+//!   caller's bound, when that is smaller) or [`MAX_BATCH_BYTES`] bytes:
+//!   waiting longer cannot make that write any bigger, and writing it keeps
+//!   the depth a healthy socket sees at one batch, so the caller's bound
+//!   goes on meaning "frames behind a socket that pushed back"; or (b) the
+//!   owner calls [`ConnTable::flush_marked`], which it does once per loop
+//!   turn, before it blocks in [`ConnTable::wait`] — everything one turn's
+//!   dispatches fanned out onto a connection leaves in one `write`. Behind
+//!   a socket that pushed back nothing is marked: write readiness
+//!   ([`Ready::Conn`]'s `writable`) resumes it, as does the completion of a
+//!   connect. There is no "flush now" entry point beside these and no knob.
 
 use crate::frame::{self, Route};
 use atum_obs::{Counter, Gauge, Registry};
@@ -202,6 +215,12 @@ pub struct Conn<X> {
     batch_frames: usize,
     /// Write interest currently armed with the poller.
     want_write: bool,
+    /// On the table's to-flush list: frames queued since the last flush.
+    marked: bool,
+    /// Frames and bytes queued since the last write attempt: a full batch
+    /// of either earns the next one.
+    unwritten_frames: usize,
+    unwritten_bytes: usize,
     /// Pre-encoded bytes staged ahead of data on every (re)connect.
     handshake: Vec<u8>,
     /// Received bytes; the caller drains the frames it has handled.
@@ -271,6 +290,9 @@ pub struct ConnTable<X> {
     free_slots: Vec<usize>,
     /// Slots freed since the last [`ConnTable::recycle`].
     pending_free: Vec<usize>,
+    /// Slots [`ConnTable::enqueue`] marked since the last
+    /// [`ConnTable::flush_marked`], once each (`Conn::marked`).
+    marked: Vec<usize>,
     next_gen: u64,
     events: Vec<Event>,
     rdbuf: Vec<u8>,
@@ -299,6 +321,7 @@ impl<X> ConnTable<X> {
             conns: Vec::new(),
             free_slots: Vec::new(),
             pending_free: Vec::new(),
+            marked: Vec::new(),
             next_gen: 0,
             events: Vec::new(),
             rdbuf: vec![0u8; READ_CHUNK],
@@ -378,6 +401,9 @@ impl<X> ConnTable<X> {
             batch_pos: 0,
             batch_frames: 0,
             want_write: false,
+            marked: false,
+            unwritten_frames: 0,
+            unwritten_bytes: 0,
             handshake,
             inbuf: Vec::new(),
             ext,
@@ -517,7 +543,11 @@ impl<X> ConnTable<X> {
 
     /// Queues a frame unless `capacity` frames already wait. `false` means
     /// refused (also when the slot is empty): the caller drops the frame or
-    /// closes the connection. Never blocks, never writes.
+    /// closes the connection. Never blocks, and writes only a full batch
+    /// (see the module docs); anything less waits for
+    /// [`ConnTable::flush_marked`]. A socket that fails under that write
+    /// stays marked: the pre-wait flush meets the error again and reports
+    /// it, where the owner's policy for broken sockets runs.
     pub fn enqueue(&mut self, slot: usize, item: QueuedFrame, capacity: usize) -> bool {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return false;
@@ -525,11 +555,58 @@ impl<X> ConnTable<X> {
         if conn.outq.len() >= capacity {
             return false;
         }
+        let len = item.route.map_or(0, |_| frame::ROUTE_FRAME_LEN) + item.frame.len();
         conn.outq.push_back(item);
         self.metrics
             .peak_outbound_queue
             .record_max(conn.outq.len() as u64);
+        if !conn.open {
+            return true; // The connect's completion moves this queue.
+        }
+        conn.unwritten_frames += 1;
+        conn.unwritten_bytes += len;
+        let full = conn.unwritten_frames >= MAX_BATCH_FRAMES.min(capacity)
+            || conn.unwritten_bytes >= MAX_BATCH_BYTES;
+        // A full batch is written now — tried even behind a socket that
+        // pushed back: a peer that drains it mid-turn (the reactor's own
+        // self-connection is one) makes room the kernel could be using, and
+        // one attempt per batch is what that costs. Anything less is left
+        // to write readiness there, and to the pre-wait flush otherwise.
+        let settled = if full {
+            self.flush(slot)
+        } else {
+            conn.want_write
+        };
+        if !settled {
+            let conn = self.conns[slot].as_mut().expect("present above");
+            if !conn.marked {
+                conn.marked = true;
+                self.marked.push(slot);
+            }
+        }
         true
+    }
+
+    /// Flushes every connection [`ConnTable::enqueue`] marked since the last
+    /// call and returns the slots whose socket failed (the caller closes or
+    /// reconnects them). The owner calls it once per loop turn, before
+    /// [`ConnTable::wait`] — and before it works out how long to wait, when
+    /// its answer to a broken socket is a timer.
+    pub fn flush_marked(&mut self) -> Vec<usize> {
+        let mut failed = Vec::new();
+        let mut marked = std::mem::take(&mut self.marked);
+        for slot in marked.drain(..) {
+            // `None`: closed since it was marked.
+            let Some(conn) = self.get_mut(slot).filter(|c| c.marked) else {
+                continue;
+            };
+            conn.marked = false;
+            if !self.flush(slot) {
+                failed.push(slot);
+            }
+        }
+        self.marked = marked;
+        failed
     }
 
     /// Drives the write side of one connection: stages batches from the
@@ -545,6 +622,8 @@ impl<X> ConnTable<X> {
         if !conn.open {
             return true;
         }
+        conn.unwritten_frames = 0;
+        conn.unwritten_bytes = 0;
         let metrics = &self.metrics;
         let mut stream = conn.stream.as_ref().expect("open without socket");
         loop {
@@ -715,6 +794,84 @@ mod tests {
             rest = &rest[range.end..];
         }
         assert!(rest.is_empty());
+    }
+
+    /// Everything the peer's end of the connection holds right now.
+    fn peer_drain(peer: &mut TcpStream) -> usize {
+        peer.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 4096];
+        let mut total = 0;
+        loop {
+            match peer.read(&mut buf) {
+                Ok(0) => panic!("connection closed"),
+                Ok(n) => total += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return total,
+                Err(e) => panic!("read failed: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_turn_of_enqueues_is_one_write_at_the_pre_wait_flush() {
+        let (mut table, slot, mut peer) = table_with_peer();
+        let frame: Arc<[u8]> = frame::frame_bytes(FRAME_KIND_MESSAGE, &[7u8; 24]).into();
+        let item = || QueuedFrame {
+            route: None,
+            frame: frame.clone(),
+        };
+        const N: usize = 10;
+        for _ in 0..N {
+            assert!(table.enqueue(slot, item(), 1024));
+        }
+        // Queued and marked, nothing written.
+        assert_eq!(table.metrics.writes.get(), 0);
+        assert_eq!(table.get(slot).unwrap().queued(), N);
+        assert_eq!(peer_drain(&mut peer), 0);
+        assert!(table.flush_marked().is_empty(), "the socket did not fail");
+        assert_eq!(table.metrics.writes.get(), 1);
+        assert_eq!(table.metrics.frames_sent.get(), N as u64);
+        assert!(!table.get(slot).unwrap().has_unflushed());
+        // Nothing is marked any more: a second flush has nothing to do.
+        assert!(table.flush_marked().is_empty());
+        assert_eq!(table.metrics.writes.get(), 1);
+        let mut got = 0;
+        while got < N * frame.len() {
+            std::thread::sleep(Duration::from_millis(1));
+            got += peer_drain(&mut peer);
+        }
+        assert_eq!(got, N * frame.len());
+    }
+
+    #[test]
+    fn a_full_batch_is_written_without_waiting_for_the_turn_to_end() {
+        let (mut table, slot, _peer) = table_with_peer();
+        let item = |len: usize| QueuedFrame {
+            route: None,
+            frame: vec![0u8; len].into(),
+        };
+        // Frame bound: the 64th enqueue on a healthy socket writes.
+        for _ in 1..MAX_BATCH_FRAMES {
+            assert!(table.enqueue(slot, item(16), 1024));
+        }
+        assert_eq!(table.metrics.writes.get(), 0);
+        assert!(table.enqueue(slot, item(16), 1024));
+        assert_eq!(table.metrics.writes.get(), 1);
+        assert_eq!(table.metrics.frames_sent.get(), MAX_BATCH_FRAMES as u64);
+        assert_eq!(table.get(slot).unwrap().queued(), 0);
+        // The caller's bound, when smaller, is the batch: a healthy socket
+        // never refuses a frame for frames queued in the same turn.
+        for _ in 0..3 * 4 {
+            assert!(table.enqueue(slot, item(16), 4));
+        }
+        assert_eq!(table.metrics.writes.get(), 1 + 3);
+        // Byte bound: the frame that brings the queue to MAX_BATCH_BYTES.
+        assert!(table.enqueue(slot, item(MAX_BATCH_BYTES / 2), 1024));
+        assert_eq!(table.metrics.writes.get(), 4);
+        assert!(table.enqueue(slot, item(MAX_BATCH_BYTES / 2), 1024));
+        assert!(table.metrics.writes.get() > 4);
+        // The pre-wait flush finds the slot still listed and nothing to do
+        // beyond what the kernel did not take.
+        assert!(table.flush_marked().is_empty());
     }
 
     #[test]

@@ -21,6 +21,17 @@
 //!   external calls, inbound messages decoded by another reactor's
 //!   connection, and accepted sockets handed off by the listener owner
 //!   (reactor 0).
+//! * **One write per connection per turn.** Sending only queues: the
+//!   connection layer marks the slot and writes a queue out when it holds a
+//!   full batch or when this loop calls [`ConnTable::flush_marked`], which
+//!   it does once, as the last thing before it blocks — after the injected
+//!   calls, the timers and the reads of one turn have all fanned out, so
+//!   what they put on one connection is one `write`. The flush comes
+//!   *before* the poll timeout is computed, because a socket found broken
+//!   there reconnects, and a failed or pending connect arms a timer the
+//!   timeout must see. With one reactor the deferral costs no latency: the
+//!   thread that would write the frame is the thread that must return to
+//!   `poll` to read it.
 //! * **The wall clock lives in one heap.** Node timers
 //!   (`Context::set_timer`), connect deadlines and reconnect backoffs all
 //!   share the reactor's binary heap; the poll timeout is the earliest
@@ -56,8 +67,8 @@
 //! EOF), accepted connections are read-only. Keeping the route outside the
 //! message frame preserves the encode-once invariant: the `Arc<[u8]>`
 //! message bytes are identical for every recipient and every peer, so
-//! fan-out encodes once ([`FrameMemo`]) and write batches coalesce many
-//! frames into one syscall.
+//! fan-out encodes once ([`FrameMemo`]) and one `write` carries every
+//! frame a turn queued on the connection.
 
 use crate::conn::{CloseReason, ConnMetrics, ConnTable, Injector, QueuedFrame, Ready};
 use crate::faults::{FaultDecider, FaultDecision, FaultPlane};
@@ -628,6 +639,12 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             self.check_retarget();
             self.fire_due_timers();
             self.deliver_loopback();
+            // Everything this turn queued leaves now, one write per
+            // connection. Before the timeout is computed: a socket found
+            // broken here arms a reconnect timer.
+            for slot in self.table.flush_marked() {
+                self.conn_broken(slot);
+            }
             let timeout = match self.timers.peek() {
                 Some(t) => t.at.saturating_duration_since(StdInstant::now()),
                 None => IDLE_POLL,
@@ -923,12 +940,10 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             route: Some(route),
             frame,
         };
-        if self
+        if !self
             .table
             .enqueue(slot, item, self.shared.cfg.queue_capacity)
         {
-            self.write_pending(slot);
-        } else {
             self.metrics.frames_dropped.inc();
         }
     }

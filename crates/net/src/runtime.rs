@@ -349,7 +349,7 @@ impl AddressBook {
 mod tests {
     use super::*;
     use crate::frame::{self, Hello, Route};
-    use crate::reactor::NetRuntime;
+    use crate::reactor::{NetRuntime, NodeHandle};
     use atum_simnet::{Context, Node};
     use atum_types::wire::{self, FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE};
     use atum_types::Duration;
@@ -695,6 +695,104 @@ mod tests {
             "frames_sent matches what actually crossed the socket"
         );
         assert!(runtime.stats().writes >= 1);
+        runtime.shutdown();
+    }
+
+    /// A raw listener standing in for the runtime of node 9: accepts one
+    /// connection, checks the handshake, and sends the sequence number in
+    /// the first 8 payload bytes of every message it reads, in order.
+    fn sequence_reader(runtime: &NetRuntime<Vec<u8>, Blaster>) -> std::sync::mpsc::Receiver<u64> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        runtime
+            .book()
+            .register(NodeId::new(9), listener.local_addr().unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut stream = std::io::BufReader::new(stream);
+            let hello: Hello = frame::read_decoded(&mut stream, FRAME_KIND_HELLO).unwrap();
+            assert_eq!(hello.node, NodeId::new(0));
+            let mut body = Vec::new();
+            while let Ok(kind) = frame::read_frame_into(&mut stream, &frame::NODE_KINDS, &mut body)
+            {
+                if kind == FRAME_KIND_MESSAGE {
+                    let payload: Vec<u8> = wire::decode_exact(&body).unwrap();
+                    let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                    if tx.send(seq).is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        rx
+    }
+
+    /// Sends `seqs` to node 9 from inside one `call`.
+    fn send_sequence(node: &NodeHandle<Vec<u8>, Blaster>, seqs: std::ops::Range<u64>) {
+        node.call(move |_n, ctx| {
+            for seq in seqs {
+                ctx.send(NodeId::new(9), seq.to_le_bytes().to_vec());
+            }
+        });
+    }
+
+    fn recv_sequence(rx: &std::sync::mpsc::Receiver<u64>, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                rx.recv_timeout(StdDuration::from_secs(10))
+                    .expect("frame arrives")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_call_sending_eight_messages_to_one_peer_is_one_write() {
+        let runtime: NetRuntime<Vec<u8>, Blaster> =
+            NetRuntime::bind(RuntimeConfig::default()).unwrap();
+        let node = runtime.host(NodeId::new(0), Blaster);
+        let rx = sequence_reader(&runtime);
+        // Establish the connection first (a handshake write, then the
+        // frame), so the next call meets an open, idle socket.
+        send_sequence(&node, 0..1);
+        assert_eq!(recv_sequence(&rx, 1), vec![0]);
+        assert_eq!(runtime.stats().writes, 2);
+
+        send_sequence(&node, 1..9);
+        assert_eq!(recv_sequence(&rx, 8), (1..9).collect::<Vec<u64>>());
+        assert_eq!(
+            runtime.stats().writes,
+            3,
+            "one turn, one connection, one write"
+        );
+        assert_eq!(runtime.stats().frames_sent, 9);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn a_long_turn_onto_a_healthy_socket_never_overruns_the_queue_bound() {
+        // One dispatch fans out four times the queue bound onto one
+        // connection whose peer is reading. The bound is for frames behind
+        // a socket that pushed back; frames merely waiting for the turn to
+        // end must not trip it (full batches are written as they form).
+        const CAPACITY: usize = 128;
+        let runtime: NetRuntime<Vec<u8>, Blaster> = NetRuntime::bind(RuntimeConfig {
+            queue_capacity: CAPACITY,
+            ..RuntimeConfig::default()
+        })
+        .unwrap();
+        let node = runtime.host(NodeId::new(0), Blaster);
+        let rx = sequence_reader(&runtime);
+        send_sequence(&node, 0..1);
+        assert_eq!(recv_sequence(&rx, 1), vec![0]);
+
+        let burst = 4 * CAPACITY as u64;
+        send_sequence(&node, 1..1 + burst);
+        assert_eq!(
+            recv_sequence(&rx, burst as usize),
+            (1..1 + burst).collect::<Vec<u64>>()
+        );
+        assert_eq!(runtime.stats().frames_dropped, 0);
+        assert_eq!(runtime.stats().frames_sent, 1 + burst);
         runtime.shutdown();
     }
 
