@@ -23,6 +23,8 @@
 //! Run with `--json BENCH_edge.json`; `ATUM_FULL=1` scales the fleet up.
 //! A panic anywhere in the process fails the `panics == 0` gate.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{print_header, scaled, BenchRecord};
 use atum_core::CollectingApp;
 use atum_edge::{

@@ -2,6 +2,8 @@
 //! endpoint distribution is indistinguishable from uniform (Pearson χ²,
 //! confidence 0.99) for each overlay density `hc` and number of vgroups.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{print_header, scaled, BenchRecord};
 use atum_overlay::{simulate_walk_hits, HGraph};
 use atum_sim::is_uniform_99;

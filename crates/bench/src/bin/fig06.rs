@@ -2,6 +2,8 @@
 //! of the current size per minute, for the synchronous and asynchronous
 //! implementations.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};
 use atum_sim::run_growth;
 use atum_simnet::NetConfig;

@@ -2,6 +2,8 @@
 //! cycles per minute that the system sustains, for several system sizes and
 //! overlay configurations.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};
 use atum_core::CollectingApp;
 use atum_sim::{run_churn, ClusterBuilder};

@@ -3,6 +3,8 @@
 //! a classic gossip simulation and a flat synchronous SMR across the whole
 //! system.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};
 use atum_core::CollectingApp;
 use atum_sim::{

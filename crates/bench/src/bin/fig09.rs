@@ -3,6 +3,8 @@
 //! AShare simple (single chunk, single replica) and AShare parallel (10
 //! chunks pulled from two replicas in parallel).
 
+#![forbid(unsafe_code)]
+
 use atum_apps::ashare::{chunk_digest, FileMeta};
 use atum_apps::{AShareApp, AShareConfig};
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};

@@ -1,6 +1,8 @@
 //! Figure 10: impact of Byzantine (replica-corrupting) nodes on AShare read
 //! latency, in a 50-node system with 500 files and rho = 8 (7 Byzantine nodes).
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{print_header, scaled};
 
 fn main() {

@@ -2,6 +2,8 @@
 //! latency, in a 100-node system with 1000 files and rho = 8 (7 Byzantine
 //! nodes) - the larger-scale companion of Figure 10.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{print_header, scaled};
 
 fn main() {

@@ -2,6 +2,8 @@
 //! tier-one `forward` callback restricted to a single or a double H-graph
 //! cycle, for 20- and 50-node systems.
 
+#![forbid(unsafe_code)]
+
 use atum_apps::astream::build_forest;
 use atum_apps::{AStreamApp, AStreamConfig};
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};

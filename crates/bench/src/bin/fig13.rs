@@ -2,6 +2,8 @@
 //! faster suppresses more shuffle exchanges (lower exchange completion rate)
 //! while reaching the target size sooner.
 
+#![forbid(unsafe_code)]
+
 use atum_bench::{experiment_params, print_header, scaled, BenchRecord};
 use atum_sim::run_growth;
 use atum_simnet::NetConfig;

@@ -1,7 +1,7 @@
 //! Machine-readable bench records: the perf-trajectory output of the
 //! experiment binaries.
 //!
-//! Every figure binary (and `bench_churn`) emits one [`BenchRecord`] per
+//! Every figure and scenario binary emits one [`BenchRecord`] per
 //! experimental run when a sink is configured, as one compact JSON object
 //! per line:
 //!
@@ -11,14 +11,14 @@
 //!  "metrics":{"final_members":120,"reached":true}}
 //! ```
 //!
-//! The sink is selected by `--json <path>` on the binary's command line or,
-//! failing that, the `ATUM_BENCH_JSON` environment variable. Records are
-//! *appended*, so successive runs of the same binary extend the file and CI
-//! can archive `BENCH_*.json` artifacts run over run. The record shape
-//! (`figure`, `scale`, `runtime`, `params`, `metrics`, `seed`) is stable:
-//! gates read it with `jq`, so renaming keys is a breaking change. The
-//! `runtime` key distinguishes simulator records (`"simnet"`, simulated
-//! time) from `atum-net` records (`"tcp"`, wall-clock time).
+//! The sink is selected by `--json <path>` on the binary's command line.
+//! Records are *appended*, so successive runs of the same binary extend the
+//! file and CI can archive `BENCH_*.json` artifacts run over run. The record
+//! shape (`figure`, `scale`, `runtime`, `params`, `metrics`, `seed`) is
+//! stable: `scripts/gate.sh` reads it with `jq`, so renaming keys is a
+//! breaking change. The `runtime` key distinguishes simulator records
+//! (`"simnet"`, simulated time) from `atum-net` records (`"tcp"`,
+//! wall-clock time).
 
 use serde::{Serialize, Value};
 use std::io::Write;
@@ -142,17 +142,12 @@ impl Serialize for SerializableValue {
 }
 
 /// The JSON sink for this process, if any: the path after a `--json` flag on
-/// the command line, or the `ATUM_BENCH_JSON` environment variable.
+/// the command line.
 pub fn json_sink() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            if let Some(path) = args.next() {
-                return Some(PathBuf::from(path));
-            }
-        }
-    }
-    std::env::var("ATUM_BENCH_JSON").ok().map(PathBuf::from)
+    std::env::args()
+        .skip_while(|arg| arg != "--json")
+        .nth(1)
+        .map(PathBuf::from)
 }
 
 /// Appends `record` to the configured sink (no-op when none is configured).
@@ -250,9 +245,8 @@ mod tests {
 
     #[test]
     fn sink_defaults_to_none() {
-        // Neither --json nor ATUM_BENCH_JSON is set under the test harness.
-        if std::env::var("ATUM_BENCH_JSON").is_err() {
-            assert!(json_sink().is_none());
-        }
+        // The test harness is not run with `--json`, and nothing else
+        // names a sink.
+        assert!(json_sink().is_none());
     }
 }

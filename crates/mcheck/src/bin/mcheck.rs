@@ -3,8 +3,8 @@
 //! Explores message/timer interleavings of a small cluster of real
 //! `AtumNode`s and checks the overlay/membership invariants on the settled
 //! world. Run records are emitted in the same JSON shape as the benchmark
-//! binaries (`--json <path>` or `ATUM_BENCH_JSON`), so CI can gate on them
-//! with `jq`.
+//! binaries (`--json <path>`), so `scripts/gate.sh` can gate on them with
+//! `jq`.
 //!
 //! ```text
 //! mcheck [--scenario NAME]... [--depth N] [--max-states N]

@@ -1,12 +1,13 @@
 //! Deterministic fault injection at the frame boundary.
 //!
-//! The TCP runtime's benign path is exercised to death by the saturation
-//! and scale benches; the interesting adversary sits *on the links*. This
-//! module is the runtime's fault plane: a [`FaultPlane`] handle shared by
-//! every reactor of a runtime (and, through a harness, by every runtime of
-//! a cluster) that decides, per outbound frame, whether the frame is
-//! delivered, dropped, delayed, reordered, corrupted or shaped — plus a
-//! connection-kill trigger that severs every live socket.
+//! The TCP runtime's benign path is exercised to death by the benchmark's
+//! socket workloads and the scale scenario; the interesting adversary sits
+//! *on the links*. This module is the runtime's fault plane: a
+//! [`FaultPlane`] handle shared by every reactor of a runtime (and, through
+//! a harness, by every runtime of a cluster) that decides, per outbound
+//! frame, whether the frame is delivered, dropped, delayed, reordered,
+//! corrupted or shaped — plus a connection-kill trigger that severs every
+//! live socket.
 //!
 //! # Placement
 //!

@@ -31,7 +31,8 @@
 //!   [`AddressBook`](runtime::AddressBook).
 //! * [`cluster`] — [`NetCluster`](cluster::NetCluster): an in-process
 //!   loopback harness mirroring `atum_sim::ClusterBuilder`, used by the
-//!   `net_cluster` system test and the `bench_net` benchmark.
+//!   `net_cluster` system test, the `bench_net` scenarios and the
+//!   repository's benchmark.
 //! * [`faults`] — [`FaultPlane`](faults::FaultPlane): the deterministic
 //!   fault-injection plane (per-peer drop / delay / reorder / corrupt /
 //!   connection-kill / asymmetric-partition / bandwidth-throttle at the

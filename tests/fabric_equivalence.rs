@@ -13,8 +13,8 @@ use atum::simnet::NetConfig;
 use atum::types::{Duration, Params};
 
 fn churn_once() -> ChurnReport {
-    // The bench_churn reduced configuration minus the Byzantine members
-    // (whose heartbeat-only behaviour can legitimately push a small vgroup
+    // A small churn configuration without Byzantine members (whose
+    // heartbeat-only behaviour can legitimately push a small vgroup
     // past its fault bound, which is a property of the fault model rather
     // than of the fabric this test pins).
     let params = Params::default()

@@ -436,7 +436,7 @@ fn one_reactor_many_nodes_delivers_exactly_once_in_order_per_pair() {
 
 /// 256 nodes running the real join protocol in debug mode. Ignored in the
 /// tier-1 suite (it needs minutes on a small machine); CI exercises the
-/// same path at larger scale in release via `bench_net net_scale
+/// same path at larger scale in release via `bench_net --scale-only
 /// --reduced`. Run explicitly with `cargo test --test net_reactor --
 /// --ignored`.
 #[test]
