@@ -24,12 +24,9 @@ use crate::app::Delivered;
 use crate::member::{Effect, MemberStats};
 use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum_crypto::Digest;
-use atum_overlay::{
-    gossip::{Direction, ForwardTarget},
-    is_carrier, GossipPlanner, NeighborTable, SeenCache,
-};
+use atum_overlay::{gossip::Direction, is_carrier, GossipPlanner, NeighborTable, SeenCache};
 use atum_types::{BroadcastId, Composition, Duration, Instant, NodeId, Params, VgroupId};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -66,23 +63,28 @@ pub(crate) struct View<'a> {
 }
 
 impl View<'_> {
-    /// Sends one copy of a group message to every member of `to`. The
-    /// envelope (payload, source composition and memoized digest) is built
-    /// once and shared behind an `Arc` across every per-recipient copy —
-    /// fan-out costs one reference-count bump per recipient, not a deep
-    /// clone. A broadcast body is shipped by its carriers only; every other
-    /// member vouches for it with a digest vote (§5.1). The remaining kinds
-    /// are small and have no body-repair path, so every member sends them
-    /// whole.
+    /// Sends one copy of a group message to every member of `to`: the
+    /// message is [made](Self::group_message) here and
+    /// [fanned out](Self::fan_out) at once.
     pub(crate) fn send_group_message(
         &self,
         to: &Composition,
         payload: GroupPayload,
         effects: &mut Vec<Effect>,
     ) {
+        Self::fan_out(&self.group_message(payload), to, effects);
+    }
+
+    /// What this member ships for one group message, built once however
+    /// many vgroups it goes to: one envelope (payload, source composition
+    /// and memoized digest — one hash of the payload) behind one `Arc`. A
+    /// broadcast body is shipped by its carriers only; every other member
+    /// vouches for it with a digest vote (§5.1). The remaining kinds are
+    /// small and have no body-repair path, so every member sends them whole.
+    pub(crate) fn group_message(&self, payload: GroupPayload) -> AtumMessage {
         let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), payload);
         let digest = envelope.digest();
-        let msg = match envelope.payload {
+        match envelope.payload {
             GroupPayload::Gossip { id, .. } if !is_carrier(self.composition, digest, self.me) => {
                 AtumMessage::GroupVote(Arc::new(GroupVote {
                     source: envelope.source,
@@ -92,7 +94,13 @@ impl View<'_> {
                 }))
             }
             _ => AtumMessage::Group(Arc::new(envelope)),
-        };
+        }
+    }
+
+    /// One copy of `msg` to every member of `to`. Every copy shares the
+    /// message's `Arc` — a reference-count bump per recipient, not a deep
+    /// clone, and one `fanout_identity`, so a socket runtime encodes it once.
+    pub(crate) fn fan_out(msg: &AtumMessage, to: &Composition, effects: &mut Vec<Effect>) {
         for member in to.iter() {
             effects.push(Effect::Send {
                 to: member,
@@ -110,6 +118,19 @@ impl View<'_> {
             Some(group) => neighbors.get(&group).is_some_and(|c| c.contains(node)),
             None => neighbors.values().any(|c| c.contains(node)),
         }
+    }
+}
+
+/// A generator keyed on its first draw: of the gossip policies only `Random`
+/// draws from the forwarding plan's.
+struct LazyRng<F>(Option<ChaCha8Rng>, F);
+
+impl<F: FnMut() -> ChaCha8Rng> RngCore for LazyRng<F> {
+    fn next_u32(&mut self) -> u32 {
+        self.0.get_or_insert_with(&mut self.1).next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0.get_or_insert_with(&mut self.1).next_u64()
     }
 }
 
@@ -259,6 +280,8 @@ impl Session {
         if !self.seen.insert(id) {
             return;
         }
+        self.stats.delivered.push((id, now, hops));
+        self.remember_broadcast(view.params, id, payload.clone(), hops, now);
         let delivered = Delivered {
             id,
             // The application owns its copy; every *forwarded* copy below
@@ -267,23 +290,21 @@ impl Session {
             at: now,
             hops,
         };
-        self.stats.delivered.push((id, now, hops));
-        effects.push(Effect::Deliver(delivered.clone()));
-        self.remember_broadcast(view.params, id, payload.clone(), hops, now);
 
         // Forwarding plan must be identical at every member: seed the RNG
-        // from (broadcast id, vgroup, epoch) only.
-        let seed = Digest::of_parts(&[
-            b"gossip-plan",
-            &id.origin.raw().to_be_bytes(),
-            &id.seq.to_be_bytes(),
-            &view.vgroup.raw().to_be_bytes(),
-        ])
-        .as_u64();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let plan: Vec<ForwardTarget> =
-            GossipPlanner::plan(view.params.gossip, view.params.hc, &mut rng);
+        // from (broadcast id, vgroup) only.
+        let mut rng = LazyRng(None, || {
+            let seed = Digest::of_parts(&[
+                b"gossip-plan",
+                &id.origin.raw().to_be_bytes(),
+                &id.seq.to_be_bytes(),
+                &view.vgroup.raw().to_be_bytes(),
+            ]);
+            ChaCha8Rng::seed_from_u64(seed.as_u64())
+        });
+        let plan = GossipPlanner::plan(view.params.gossip, view.params.hc, &mut rng);
         let mut already: BTreeSet<VgroupId> = BTreeSet::new();
+        let mut targets: Vec<&Composition> = Vec::new();
         for target in plan {
             let Some(entry) = view.neighbors.cycle(target.cycle as usize) else {
                 continue;
@@ -292,21 +313,23 @@ impl Session {
                 Direction::Successor => (entry.successor, &entry.successor_composition),
                 Direction::Predecessor => (entry.predecessor, &entry.predecessor_composition),
             };
-            if group == view.vgroup || !already.insert(group) {
-                continue;
+            if group != view.vgroup && already.insert(group) && forward_filter(&delivered, group) {
+                targets.push(comp);
             }
-            if !forward_filter(&delivered, group) {
-                continue;
-            }
-            view.send_group_message(
-                comp,
-                GroupPayload::Gossip {
-                    id,
-                    payload: payload.clone(),
-                    hops: hops + 1,
-                },
-                effects,
-            );
+        }
+        // Ahead of every `Send`: `run_effects` hands the application its
+        // copy, and sends what it answers with, before the forwards.
+        effects.push(Effect::Deliver(delivered));
+        if targets.is_empty() {
+            return;
+        }
+        let msg = view.group_message(GroupPayload::Gossip {
+            id,
+            payload,
+            hops: hops + 1,
+        });
+        for comp in targets {
+            View::fan_out(&msg, comp, effects);
         }
     }
 
@@ -1089,6 +1112,46 @@ mod tests {
             copies.push((m.id(), mine.into_iter().next().unwrap()));
         }
         (senders, copies)
+    }
+
+    #[test]
+    fn one_broadcast_is_one_message_whatever_the_number_of_target_vgroups() {
+        use atum_types::wire::FrameMemo;
+        let id = BroadcastId::new(NodeId::new(0), 0);
+        let mut bodies = 0;
+        for me in 0..4 {
+            // Two more neighbours beside vgroup 600: twelve recipients in
+            // three vgroups.
+            let mut m = hop_member(me);
+            let mut entry = m.neighbors.cycle(0).cloned().expect("cycle 0");
+            entry.predecessor = VgroupId::new(601);
+            entry.predecessor_composition = (30..34).map(NodeId::new).collect();
+            m.neighbors.set_cycle(0, entry.clone());
+            entry.successor = VgroupId::new(602);
+            entry.successor_composition = (40..44).map(NodeId::new).collect();
+            m.neighbors.set_cycle(1, entry);
+
+            let mut effects = Vec::new();
+            let body: Arc<[u8]> = vec![7u8; 1024].into();
+            m.on_broadcast(id, body, 0, Instant::ZERO, &mut effects, &mut |_, _| true);
+            assert!(matches!(effects[0], Effect::Deliver(_)), "delivery first");
+            let sent: Vec<&AtumMessage> = effects[1..]
+                .iter()
+                .map(|e| match e {
+                    Effect::Send { msg, .. } => msg,
+                    other => panic!("only forwards follow the delivery: {other:?}"),
+                })
+                .collect();
+            assert_eq!(sent.len(), 12);
+            // One `Arc` — one digest, one encode on a socket runtime —
+            // behind every copy: a body from a carrier, a vote otherwise.
+            let identity = sent[0].fanout_identity();
+            assert!(identity.is_some());
+            assert!(sent.iter().all(|msg| msg.fanout_identity() == identity));
+            assert!(sent.iter().all(|msg| is_body(msg) == is_body(sent[0])));
+            bodies += usize::from(is_body(sent[0]));
+        }
+        assert_eq!(bodies, 2, "half of the four members carry the body");
     }
 
     /// Hands `m` one group-message copy the way the node dispatch does.

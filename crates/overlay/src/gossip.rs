@@ -42,48 +42,23 @@ impl GossipPlanner {
     /// Returns the set of (cycle, direction) pairs a vgroup should forward a
     /// freshly delivered broadcast along.
     pub fn plan<R: Rng + ?Sized>(policy: GossipPolicy, hc: u8, rng: &mut R) -> Vec<ForwardTarget> {
-        let mut out = Vec::new();
-        match policy {
-            GossipPolicy::Flood => {
-                for cycle in 0..hc {
-                    out.push(ForwardTarget {
-                        cycle,
-                        direction: Direction::Successor,
-                    });
-                    out.push(ForwardTarget {
-                        cycle,
-                        direction: Direction::Predecessor,
-                    });
-                }
-            }
-            GossipPolicy::Cycles(k) => {
-                for cycle in 0..k.min(hc) {
-                    out.push(ForwardTarget {
-                        cycle,
-                        direction: Direction::Successor,
-                    });
-                    out.push(ForwardTarget {
-                        cycle,
-                        direction: Direction::Predecessor,
-                    });
-                }
-            }
-            GossipPolicy::Random { percent } => {
-                // Cycle 0 is always used (deterministic delivery); the other
-                // links are probabilistic.
-                out.push(ForwardTarget {
-                    cycle: 0,
-                    direction: Direction::Successor,
-                });
-                out.push(ForwardTarget {
-                    cycle: 0,
-                    direction: Direction::Predecessor,
-                });
-                for cycle in 1..hc {
-                    for direction in [Direction::Successor, Direction::Predecessor] {
-                        if rng.gen_range(0..100u8) < percent.min(100) {
-                            out.push(ForwardTarget { cycle, direction });
-                        }
+        const BOTH: [Direction; 2] = [Direction::Successor, Direction::Predecessor];
+        // The cycles used whole: all of them under `Flood`, and cycle 0
+        // always, so delivery stays deterministic.
+        let whole = match policy {
+            GossipPolicy::Flood => hc,
+            GossipPolicy::Cycles(k) => k.min(hc),
+            GossipPolicy::Random { .. } => 1,
+        };
+        let mut out: Vec<ForwardTarget> = (0..whole)
+            .flat_map(|cycle| BOTH.map(|direction| ForwardTarget { cycle, direction }))
+            .collect();
+        if let GossipPolicy::Random { percent } = policy {
+            // The other links are probabilistic.
+            for cycle in 1..hc {
+                for direction in BOTH {
+                    if rng.gen_range(0..100u8) < percent.min(100) {
+                        out.push(ForwardTarget { cycle, direction });
                     }
                 }
             }
@@ -115,7 +90,7 @@ impl SeenCache {
 
     /// Records a broadcast. Returns `true` if it was new.
     pub fn insert(&mut self, id: BroadcastId) -> bool {
-        if self.seen.contains(&id) {
+        if !self.seen.insert(id) {
             return false;
         }
         // Evict before pushing: the ring's capacity then settles at the
@@ -125,7 +100,6 @@ impl SeenCache {
                 self.seen.remove(&oldest);
             }
         }
-        self.seen.insert(id);
         self.order.push_back(id);
         true
     }

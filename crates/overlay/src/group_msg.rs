@@ -24,7 +24,7 @@
 
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
 
 /// Identifies one logical group message while it is being collected.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -145,44 +145,53 @@ impl<B> GroupMessageCollector<B> {
         if !source_composition.contains(sender) && !in_local {
             return Observed::Pending;
         }
-        let key = Key { source, digest };
-        if self.accepted.contains(&key) {
-            return Observed::Pending;
-        }
-        if !self.in_progress.contains_key(&key) {
-            // Evict before pushing: the ring's capacity then settles at the
-            // limit instead of doubling past it.
-            if self.order.len() >= self.remember_limit {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.in_progress.remove(&oldest);
-                    self.accepted.remove(&oldest);
-                }
-            }
-            self.order.push_back(key.clone());
-        }
-        let progress = self.in_progress.entry(key.clone()).or_insert(Progress {
-            senders: BTreeSet::new(),
-            body: None,
-        });
-        progress.senders.insert(sender);
-        if progress.body.is_none() {
-            progress.body = body;
-        }
         let mut majority = source_composition.majority();
         if let Some(view) = local_view {
             if !view.is_empty() {
                 majority = majority.min(view.majority());
             }
         }
-        if progress.senders.len() < majority {
-            return Observed::Pending;
-        }
-        let Some(body) = progress.body.take() else {
-            return Observed::Starved(progress.senders.iter().copied().collect());
+        // The handful of keys in flight first: most copies are of one of
+        // them, and only a miss walks the `remember_limit`-deep `accepted`.
+        let mut evicted = None;
+        let mut slot = match self.in_progress.entry(Key { source, digest }) {
+            Entry::Occupied(slot) => slot,
+            Entry::Vacant(slot) => {
+                if self.accepted.contains(slot.key()) {
+                    return Observed::Pending;
+                }
+                // Evict before pushing: the ring's capacity then settles at
+                // the limit instead of doubling past it.
+                if self.order.len() >= self.remember_limit {
+                    evicted = self.order.pop_front();
+                }
+                self.order.push_back(slot.key().clone());
+                slot.insert_entry(Progress {
+                    senders: BTreeSet::new(),
+                    body: None,
+                })
+            }
         };
-        self.in_progress.remove(&key);
-        self.accepted.insert(key);
-        Observed::Accepted(body)
+        let progress = slot.get_mut();
+        progress.senders.insert(sender);
+        if progress.body.is_none() {
+            progress.body = body;
+        }
+        let observed = if progress.senders.len() < majority {
+            Observed::Pending
+        } else if let Some(body) = progress.body.take() {
+            self.accepted.insert(slot.remove_entry().0);
+            Observed::Accepted(body)
+        } else {
+            Observed::Starved(progress.senders.iter().copied().collect())
+        };
+        // The ring's oldest key is never the one observed (that one was in
+        // neither map), so it can leave once the slot is let go.
+        if let Some(oldest) = evicted {
+            self.in_progress.remove(&oldest);
+            self.accepted.remove(&oldest);
+        }
+        observed
     }
 
     /// Returns `true` if the message identified by `(source, digest)` has
@@ -409,5 +418,106 @@ mod tests {
         assert_eq!(see(2, None), voters(&[1, 2, 3]));
         assert_eq!(see(2, None), voters(&[1, 2, 3]));
         assert_eq!(see(4, Some("body")), Observed::Accepted("body"));
+    }
+    /// The collector as two plain lists and a ring, `accepted` asked first:
+    /// what [`GroupMessageCollector::observe_with_view`] must keep computing
+    /// however it walks its maps.
+    #[derive(Default)]
+    struct Naive {
+        in_progress: Vec<(Key, BTreeSet<NodeId>, Option<u64>)>,
+        accepted: Vec<Key>,
+        order: Vec<Key>,
+    }
+
+    impl Naive {
+        const LIMIT: usize = 4;
+
+        fn observe(
+            &mut self,
+            key: Key,
+            majority: usize,
+            sender: NodeId,
+            body: Option<u64>,
+        ) -> Observed<u64> {
+            if self.accepted.contains(&key) {
+                return Observed::Pending;
+            }
+            if !self.in_progress.iter().any(|p| p.0 == key) {
+                if self.order.len() >= Self::LIMIT {
+                    let oldest = self.order.remove(0);
+                    self.in_progress.retain(|p| p.0 != oldest);
+                    self.accepted.retain(|k| *k != oldest);
+                }
+                self.order.push(key.clone());
+                self.in_progress.push((key.clone(), BTreeSet::new(), None));
+            }
+            let at = self.in_progress.iter().position(|p| p.0 == key).unwrap();
+            let (_, senders, held) = &mut self.in_progress[at];
+            senders.insert(sender);
+            if held.is_none() {
+                *held = body;
+            }
+            if senders.len() < majority {
+                return Observed::Pending;
+            }
+            let Some(body) = held.take() else {
+                return Observed::Starved(senders.iter().copied().collect());
+            };
+            self.in_progress.remove(at);
+            self.accepted.push(key);
+            Observed::Accepted(body)
+        }
+
+        fn forget_source(&mut self, source: VgroupId) {
+            self.in_progress.retain(|p| p.0.source != source);
+            let accepted = &self.accepted;
+            self.order
+                .retain(|k| k.source != source || accepted.contains(k));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Copies, votes and `forget_source` in random order, more keys than
+        /// the ring holds: every result and `pending_len` equal the naive
+        /// model's, step for step.
+        #[test]
+        fn collector_matches_the_naive_two_set_model(
+            steps in proptest::collection::vec(0u64..1_000_000, 1..200),
+        ) {
+            let mut collector = GroupMessageCollector::<u64>::new(Naive::LIMIT);
+            let mut naive = Naive::default();
+            let claimed = comp(&[1, 2, 3]);
+            let fresher = comp(&[4]);
+            for (step, s) in steps.into_iter().enumerate() {
+                let source = VgroupId::new(s % 2);
+                if s / 2 % 8 == 0 {
+                    collector.forget_source(source);
+                    naive.forget_source(source);
+                } else {
+                    let digest = Digest::of(&[(s / 16 % 6) as u8]);
+                    // 5 is in neither view.
+                    let sender = NodeId::new(1 + s / 96 % 5);
+                    let body = (s / 480 % 2 == 0).then_some(step as u64);
+                    let local_view = (s / 960 % 2 == 0).then_some(&fresher);
+                    let seen = collector
+                        .observe_with_view(source, &claimed, local_view, sender, digest, body);
+                    let known = claimed.contains(sender)
+                        || local_view.is_some_and(|v| v.contains(sender));
+                    let majority = local_view.map_or(2, |_| 2.min(fresher.majority()));
+                    let expected = match known {
+                        true => naive.observe(Key { source, digest }, majority, sender, body),
+                        false => Observed::Pending,
+                    };
+                    proptest::prop_assert_eq!(seen, expected, "step {}", step);
+                    proptest::prop_assert_eq!(
+                        collector.is_accepted(source, digest),
+                        naive.accepted.contains(&Key { source, digest })
+                    );
+                }
+                proptest::prop_assert_eq!(collector.pending_len(), naive.in_progress.len());
+            }
+        }
     }
 }

@@ -29,29 +29,11 @@ enum EventKind<M, N> {
     Start { node: NodeId },
 }
 
-struct QueuedEvent<M, N> {
-    at: Instant,
-    seq: u64,
-    kind: EventKind<M, N>,
-}
-
-// Ordering for the BinaryHeap (via Reverse): earliest time first, then FIFO.
-impl<M, N> PartialEq for QueuedEvent<M, N> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M, N> Eq for QueuedEvent<M, N> {}
-impl<M, N> PartialOrd for QueuedEvent<M, N> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M, N> Ord for QueuedEvent<M, N> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
+/// What the heap orders: `(at, seq, slot)` — earliest time first, then FIFO
+/// by the push sequence number, which is unique, so the slot index never
+/// decides. The event itself stays put in `Simulation::events[slot]`: a push
+/// or pop sifts 24-byte keys, not whole messages.
+type EventKey = (Instant, u64, usize);
 
 struct NodeSlot<N> {
     node: N,
@@ -70,7 +52,11 @@ struct NodeSlot<N> {
 pub struct Simulation<M, N> {
     config: NetConfig,
     nodes: HashMap<NodeId, NodeSlot<N>>,
-    queue: BinaryHeap<Reverse<QueuedEvent<M, N>>>,
+    queue: BinaryHeap<Reverse<EventKey>>,
+    /// The queued events, indexed by the slot in their key; `free` lists the
+    /// vacant slots, reused before the slab grows.
+    events: Vec<Option<EventKind<M, N>>>,
+    free: Vec<usize>,
     now: Instant,
     seq: u64,
     timer_handles: u64,
@@ -123,6 +109,8 @@ where
             config,
             nodes: HashMap::new(),
             queue: BinaryHeap::new(),
+            events: Vec::new(),
+            free: Vec::new(),
             now: Instant::ZERO,
             seq: 0,
             timer_handles: 0,
@@ -306,8 +294,8 @@ where
     /// at which the run stopped.
     pub fn run_until_idle(&mut self, max: Duration) -> Instant {
         let deadline = self.now + max;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > deadline {
+        while let Some(&Reverse((at, ..))) = self.queue.peek() {
+            if at > deadline {
                 // Stopped by the deadline, not by drain: advance to it.
                 self.now = deadline;
                 return self.now;
@@ -320,8 +308,8 @@ where
 
     /// Runs events until the given absolute simulated time (inclusive).
     pub fn run_until(&mut self, t: Instant) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > t {
+        while let Some(&Reverse((at, ..))) = self.queue.peek() {
+            if at > t {
                 break;
             }
             self.step();
@@ -343,12 +331,16 @@ where
     /// Processes a single event, if any. Returns `false` when the queue was
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some(Reverse((at, _, slot))) = self.queue.pop() else {
             return false;
         };
-        self.now = self.now.max(ev.at);
+        let kind = self.events[slot]
+            .take()
+            .expect("a queued key's slot is occupied");
+        self.free.push(slot);
+        self.now = self.now.max(at);
         self.stats.events_processed += 1;
-        match ev.kind {
+        match kind {
             EventKind::Deliver {
                 from,
                 to,
@@ -365,7 +357,17 @@ where
     fn push(&mut self, at: Instant, kind: EventKind<M, N>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent { at, seq, kind }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.events[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.events.push(Some(kind));
+                self.events.len() - 1
+            }
+        };
+        self.queue.push(Reverse((at, seq, slot)));
     }
 
     fn blocked_by_partition(&self, a: NodeId, b: NodeId) -> bool {
@@ -834,5 +836,204 @@ mod tests {
         sim.run_until_idle(Duration::from_secs(20));
         assert!(sim.now() >= Instant::from_micros(5_000_000));
         assert_eq!(sim.node(a).unwrap().timers, vec![99]);
+    }
+    /// The queue against its contract in the plainest form there is: a list
+    /// searched for its smallest `(at, seq)`.
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+        use std::sync::{Arc, Mutex};
+
+        const NODES: u64 = 4;
+        /// Constant and in whole milliseconds, like every time the script
+        /// draws, so that most events tie on `at` and FIFO decides.
+        const LATENCY_US: u64 = 1_000;
+
+        /// One thing that happened at a node: `(at µs, node, what, value)`.
+        type Fired = (u64, u64, char, u64);
+        type Log = Arc<Mutex<Vec<Fired>>>;
+
+        /// What a scripted call does inside its node's context.
+        #[derive(Clone, Copy)]
+        enum Act {
+            Send {
+                to: u64,
+                token: u64,
+            },
+            Arm {
+                delay_ms: u64,
+                tag: u64,
+            },
+            /// Cancels the `n`-th timer armed so far, whoever armed it.
+            Disarm(usize),
+        }
+
+        /// Logs what it is handed; a timer with an odd tag sends it on.
+        struct Logger(Log);
+
+        impl Node<u64> for Logger {
+            fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Context<'_, u64>) {
+                let fired = (ctx.now().as_micros(), ctx.id().raw(), 'm', msg);
+                self.0.lock().unwrap().push(fired);
+            }
+            fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, u64>) {
+                let fired = (ctx.now().as_micros(), ctx.id().raw(), 't', tag);
+                self.0.lock().unwrap().push(fired);
+                if tag % 2 == 1 {
+                    ctx.send(NodeId::new(tag % NODES), tag);
+                }
+            }
+        }
+
+        enum Ev {
+            Call { node: u64, step: u64, act: Act },
+            Timer { node: u64, tag: u64, handle: usize },
+            Msg { to: u64, token: u64 },
+        }
+
+        #[derive(Default)]
+        struct Reference {
+            now: u64,
+            seq: u64,
+            pending: Vec<(u64, u64, Ev)>,
+            most_pending: usize,
+            timers_armed: usize,
+            armed: BTreeSet<usize>,
+            gone: BTreeSet<u64>,
+            fired: Vec<Fired>,
+        }
+
+        impl Reference {
+            fn push(&mut self, at: u64, ev: Ev) {
+                self.pending.push((at.max(self.now), self.seq, ev));
+                self.seq += 1;
+                self.most_pending = self.most_pending.max(self.pending.len());
+            }
+
+            fn run_until(&mut self, t: u64) {
+                let key = |pending: &[(u64, u64, Ev)], i: usize| (pending[i].0, pending[i].1);
+                while let Some(first) = (0..self.pending.len())
+                    .min_by_key(|&i| key(&self.pending, i))
+                    .filter(|&i| self.pending[i].0 <= t)
+                {
+                    let (at, _, ev) = self.pending.swap_remove(first);
+                    self.now = self.now.max(at);
+                    self.fire(ev);
+                }
+                self.now = self.now.max(t);
+            }
+
+            fn fire(&mut self, ev: Ev) {
+                let now = self.now;
+                match ev {
+                    Ev::Call { node, step, act } if !self.gone.contains(&node) => {
+                        self.fired.push((now, node, 'c', step));
+                        match act {
+                            Act::Send { to, token } => {
+                                self.push(now + LATENCY_US, Ev::Msg { to, token })
+                            }
+                            Act::Arm { delay_ms, tag } => {
+                                let handle = self.timers_armed;
+                                self.timers_armed += 1;
+                                self.armed.insert(handle);
+                                self.push(now + delay_ms * 1_000, Ev::Timer { node, tag, handle });
+                            }
+                            Act::Disarm(n) => {
+                                self.armed.remove(&n);
+                            }
+                        }
+                    }
+                    Ev::Timer { node, tag, handle }
+                        if self.armed.remove(&handle) && !self.gone.contains(&node) =>
+                    {
+                        self.fired.push((now, node, 't', tag));
+                        if tag % 2 == 1 {
+                            let (to, token) = (tag % NODES, tag);
+                            self.push(now + LATENCY_US, Ev::Msg { to, token });
+                        }
+                    }
+                    Ev::Msg { to, token } if !self.gone.contains(&to) => {
+                        self.fired.push((now, to, 'm', token));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Sends, timers, cancellations, `call_at`s and node removals in
+            /// random order: what fires, where and when is what the
+            /// reference fires — a reused slot neither reorders nor
+            /// resurrects an event — and the slab never outgrows the most
+            /// events that were queued at once.
+            #[test]
+            fn fired_sequence_matches_a_sorted_list(
+                steps in proptest::collection::vec(0u64..1_000_000, 1..80),
+            ) {
+                let config = NetConfig {
+                    latency: crate::latency::LatencyModel::Uniform {
+                        min: Duration::from_micros(LATENCY_US),
+                        max: Duration::from_micros(LATENCY_US),
+                    },
+                    bandwidth_bytes_per_sec: u64::MAX,
+                    processing_overhead: Duration::ZERO,
+                    ..NetConfig::lan()
+                };
+                let log = Log::default();
+                let handles = Arc::new(Mutex::new(Vec::new()));
+                let mut sim: Simulation<u64, Logger> = Simulation::new(config, 11);
+                for n in 0..NODES {
+                    sim.add_node(NodeId::new(n), Logger(log.clone()));
+                }
+                let mut reference = Reference::default();
+                for (step, s) in steps.into_iter().enumerate() {
+                    let step = step as u64;
+                    let (kind, node, ms, rest) = (s % 6, s / 6 % NODES, s / 24 % 4, s / 96);
+                    let at = sim.now().as_micros() + ms * 1_000;
+                    if kind >= 4 {
+                        sim.run_until(Instant::from_micros(at));
+                        reference.run_until(at);
+                        if kind == 5 {
+                            sim.remove_node(NodeId::new(node));
+                            reference.gone.insert(node);
+                        }
+                        continue;
+                    }
+                    let act = match kind {
+                        0 | 1 => Act::Send { to: rest % NODES, token: step },
+                        2 => Act::Arm { delay_ms: rest % 4, tag: step },
+                        _ => Act::Disarm(rest as usize % 8),
+                    };
+                    reference.push(at, Ev::Call { node, step, act });
+                    let (log, handles) = (log.clone(), handles.clone());
+                    sim.call_at(Instant::from_micros(at), NodeId::new(node), move |_n, ctx| {
+                        let fired = (ctx.now().as_micros(), ctx.id().raw(), 'c', step);
+                        log.lock().unwrap().push(fired);
+                        let mut handles = handles.lock().unwrap();
+                        match act {
+                            Act::Send { to, token } => ctx.send(NodeId::new(to), token),
+                            Act::Arm { delay_ms, tag } => {
+                                handles.push(ctx.set_timer(Duration::from_millis(delay_ms), tag))
+                            }
+                            Act::Disarm(n) => {
+                                if let Some(&handle) = handles.get(n) {
+                                    ctx.cancel_timer(handle);
+                                }
+                            }
+                        }
+                    });
+                }
+                sim.run_until_idle(Duration::from_secs(1));
+                reference.run_until(u64::MAX);
+                prop_assert_eq!(&*log.lock().unwrap(), &reference.fired);
+                prop_assert!(sim.is_idle() && sim.pending_timers.is_empty());
+                prop_assert_eq!(sim.free.len(), sim.events.len());
+                // The nodes' `Start` events are queued beside the first calls.
+                prop_assert!(sim.events.len() <= reference.most_pending + NODES as usize);
+            }
+        }
     }
 }

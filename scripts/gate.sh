@@ -57,11 +57,20 @@ gates() {
         check "frames leave once per reactor turn, and a healthy socket drops none" \
             '.workloads.edge_async.metrics["net.writes_per_op"].median <= 40 and .workloads.edge_async.metrics["net.frames_per_write"].median >= 3 and .workloads.edge_async.metrics["net.frames_dropped"].median == 0' \
             "$suite"
-        # Conservative floor: the zero-copy fabric measures ~0.7M events/s on
-        # this fan-out on a 2-vCPU box; shared CI runners are slower and
-        # noisy, so the gate only catches order-of-magnitude regressions
-        # (e.g. reintroducing per-copy digesting or envelope deep-clones,
-        # which cost ~10x), not few-percent drift.
+        # One envelope per broadcast per node: the forwarded message is built
+        # once and its one `Arc` is one frame-memo entry, so a publish costs
+        # ~36.8 encodes (12 forwards, ~25 unicast-shaped frames). An envelope
+        # rebuilt per target vgroup again reads 48.8.
+        check "a forwarded broadcast is encoded once per node, not once per target vgroup" \
+            '.workloads.edge_async.metrics["net.encodes_per_op"].median <= 40' \
+            "$suite"
+        # Conservative floor: the zero-copy fabric measures ~0.8M events/s on
+        # this fan-out on a 2-vCPU box (0.47M before the event heap held keys
+        # and a forward was hashed once, same host, same day); shared CI
+        # runners are slower and noisy, so the gate only catches
+        # order-of-magnitude regressions (e.g. reintroducing per-copy
+        # digesting or envelope deep-clones, which cost ~10x), not
+        # few-percent drift.
         check "simulator fan-out throughput >= 150k events/s" \
             '.workloads.sim_fanout.metrics.sim_events_per_s.median >= 150000' \
             "$suite"
@@ -274,7 +283,8 @@ fixture() {
     benchmark-smoke)
         put suite_seed47.json '{"workloads":{
             "edge_async":{"metrics":{"wire_bytes_per_op":{"median":67000},"failed_ratio":{"median":0},
-                "net.writes_per_op":{"median":6},"net.frames_per_write":{"median":21},"net.frames_dropped":{"median":0}}},
+                "net.writes_per_op":{"median":6},"net.frames_per_write":{"median":21},"net.frames_dropped":{"median":0},
+                "net.encodes_per_op":{"median":36.8}}},
             "micro":{"metrics":{"apps.encode_amplification":{"median":1.01}}},
             "node_sync":{"metrics":{"failed_ratio":{"median":0},"net.frames_dropped":{"median":0},"net.decode_errors":{"median":0}}},
             "sim_churn":{"attempted":40,"failed":1,"metrics":{"core.stalled_cycles":{"median":1}},
@@ -328,6 +338,7 @@ breakers() {
         echo 'suite_seed47.json .workloads.edge_async.metrics.wire_bytes_per_op.median = 203000'
         echo 'suite_seed47.json .workloads.sim_churn.notes.redelivered_on_moved_nodes = 5882'
         echo 'suite_seed47.json .workloads.edge_async.metrics["net.frames_per_write"].median = 1'
+        echo 'suite_seed47.json .workloads.edge_async.metrics["net.encodes_per_op"].median = 48.8'
         echo 'suite_seed47.json .workloads.sim_fanout.metrics.sim_events_per_s.median = 97000'
         echo 'suite_seed47.json .workloads.sim_churn.failed = 5'
         echo 'suite_seed47.json .workloads.sim_churn.metrics["core.stalled_cycles"].median = 5'
