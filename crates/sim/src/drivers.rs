@@ -674,19 +674,34 @@ mod tests {
         // Growing past gmax forces a split; with several vgroups in the
         // overlay, shuffle exchanges are between distinct vgroups and can
         // genuinely complete (the Fig. 13 quantity).
-        let report = run_growth(
-            fast_params().with_group_bounds(1, 6),
-            NetConfig::lan(),
-            19,
-            14,
-            0.5,
-            Duration::from_secs(1800),
-        );
-        assert!(report.reached_target, "curve: {:?}", report.size_over_time);
+        //
+        // A sweep, not one seed: this used to run seed 19 alone, which
+        // passed only by luck — over seeds 11–26 exchanges completed on
+        // 3 of 16 seeds before the pipelined sync engine and on 2 of 16
+        // after it. Every seed must reach the target; completions are
+        // rare, so only their total must be positive.
+        let mut completed = 0;
+        let mut suppressed = 0;
+        for seed in 11..=26 {
+            let report = run_growth(
+                fast_params().with_group_bounds(1, 6),
+                NetConfig::lan(),
+                seed,
+                14,
+                0.5,
+                Duration::from_secs(1800),
+            );
+            assert!(
+                report.reached_target,
+                "seed {seed}: {:?}",
+                report.size_over_time
+            );
+            completed += report.exchanges_completed;
+            suppressed += report.exchanges_suppressed;
+        }
         assert!(
-            report.exchanges_completed > 0,
-            "no exchange completed (suppressed: {})",
-            report.exchanges_suppressed
+            completed > 0,
+            "no exchange completed (suppressed: {suppressed})"
         );
     }
 

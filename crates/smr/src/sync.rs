@@ -431,7 +431,10 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
         let Some(target) = self.round_at(now) else {
             return vec![Action::ScheduleTick { at: self.start }];
         };
-        let from = self.processed_round.map_or(0, |r| r + 1);
+        // A fresh engine starts at the current round: replaying rounds from
+        // 0 would broadcast into slots its peers reject as stale and then
+        // finalize them alone.
+        let from = self.processed_round.map_or(target, |r| r + 1);
         for round in from..=target {
             self.process_round(round, &mut actions);
         }
@@ -459,7 +462,7 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
 mod tests {
     use super::*;
     use crate::testkit::LockstepCluster;
-    use atum_types::SmrMode;
+    use atum_types::{Duration, SmrMode};
 
     #[test]
     fn max_faults_and_rounds_per_slot() {
@@ -579,6 +582,67 @@ mod tests {
         cluster.assert_agreement();
         // All five ops eventually decided (over two slots).
         assert_eq!(cluster.decided(NodeId::new(1)).len(), 5);
+    }
+
+    /// Four engines of one composition, all created at `Instant::ZERO` the
+    /// way `fresh_engine` builds one after an epoch bump.
+    fn engines(n: u64) -> Vec<SyncSmr<Vec<u8>>> {
+        let mut registry = KeyRegistry::new();
+        for i in 0..n {
+            registry.register(NodeId::new(i), 3);
+        }
+        let registry = registry.shared();
+        let members: Composition = (0..n).map(NodeId::new).collect();
+        (0..n)
+            .map(|i| {
+                SyncSmr::new(
+                    NodeId::new(i),
+                    members.clone(),
+                    SmrConfig::default(),
+                    registry.clone(),
+                    Instant::ZERO,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_engine_created_mid_run_does_not_decide_its_first_batch_alone() {
+        // Regression: the first tick of an engine created long after its
+        // start replayed every round from 0, broadcast the batch proposed
+        // before that tick into slot 0 (stale to every peer), finalized
+        // slot 0 in the same tick and delivered the batch alone.
+        let mut smr = engines(4);
+        let round = SmrConfig::default().round;
+        let t0 = Instant::from_micros(100_000_000);
+        smr[0].propose(b"op".to_vec(), t0);
+        let mut sent = 0;
+        for k in 0..=smr[0].rounds_per_slot() + 1 {
+            let now = t0 + Duration::from_millis(100) + round.saturating_mul(k);
+            for peer in &mut smr[1..] {
+                peer.tick(now);
+            }
+            let actions = smr[0].tick(now);
+            if k == 0 {
+                assert!(
+                    crate::protocol::decisions(&actions).is_empty(),
+                    "first tick decided alone: {actions:?}"
+                );
+            }
+            for action in actions {
+                if let Action::Send { to, msg } = action {
+                    let slot = match &msg {
+                        SmrMessage::SyncValue { slot, .. } => *slot,
+                        _ => unreachable!(),
+                    };
+                    let peer = &mut smr[to.raw() as usize];
+                    let reply = peer.handle(NodeId::new(0), msg, now);
+                    assert!(!reply.is_empty(), "peer {to} rejected slot {slot}");
+                    sent += 1;
+                }
+            }
+        }
+        assert_eq!(sent, 3, "the batch reaches every peer once");
     }
 
     #[test]
