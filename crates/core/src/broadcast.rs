@@ -754,9 +754,9 @@ mod tests {
             "re-proposals must be throttled per broadcast"
         );
 
-        // Drive the engines through the next slot: the re-proposed batch
-        // goes out, relays, finalizes — and the holed member delivers
-        // through the ordinary agreement path.
+        // Drive the engines through the slot that opens at the next round:
+        // the re-proposed batch goes out, relays, finalizes — and the
+        // holed member delivers through the ordinary agreement path.
         let round = test_params().round;
         let mut relayed: Vec<(NodeId, NodeId, AtumMessage)> = Vec::new();
         for k in 1..=8u64 {

@@ -1570,8 +1570,9 @@ impl MemberState {
         self.engine = fresh_engine(self.me.id, &self.params, &self.registry, &self.composition);
         // Deliberately no welcome blast here: re-welcoming every
         // not-yet-activated entry on each epoch bump was tried and turned
-        // transient one-epoch lag (which a member resolves on its own at
-        // the next slot boundary) into full state resets that wiped
+        // transient one-epoch lag (which a member resolves on its own once
+        // the slot holding the reconfiguration closes, at most `f + 3`
+        // rounds after it was proposed) into full state resets that wiped
         // exchange bookkeeping. Stragglers are caught up through the
         // period-gated priority path in `heartbeat_duties` and the epoch
         // carried on heartbeats instead.
@@ -2202,8 +2203,8 @@ mod tests {
         m.start_broadcast(b"x".to_vec(), Instant::ZERO, &mut effects);
         // Nothing is delivered yet: agreement is pending.
         assert!(effects.iter().all(|e| !matches!(e, Effect::Deliver(_))));
-        // Once the synchronous engine reaches its next slot boundary, the
-        // proposal is broadcast to the vgroup peers.
+        // At the next round boundary the synchronous engine opens a slot
+        // and broadcasts the proposal to the vgroup peers.
         let later = Instant::ZERO + m.params.round.saturating_mul(4);
         m.tick(later, &mut effects);
         let sends = effects

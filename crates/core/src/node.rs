@@ -569,8 +569,8 @@ impl<A: Application> AtumNode<A> {
                 // peer is a single node deadlock: each needs the other to
                 // advance first. The halted-engine gate keeps ordinary
                 // one-epoch transient lag (resolved by the member's own
-                // engine at the next slot boundary) from turning into a
-                // state reset.
+                // engine once the slot holding the reconfiguration closes)
+                // from turning into a state reset.
                 if entry.epoch > member.epoch
                     && member.halted_since().is_some()
                     && member.composition.contains(from)

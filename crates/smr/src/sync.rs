@@ -1,13 +1,17 @@
 //! Synchronous SMR built on Dolev–Strong authenticated Byzantine agreement.
 //!
-//! Time is divided into rounds of fixed duration. Rounds are grouped into
-//! *slots* of `f + 2` rounds (`f = ⌊(g−1)/2⌋`). In the first round of a slot
-//! every member that has pending operations broadcasts a signed batch to all
-//! peers; during the following rounds members relay newly accepted values
-//! with their own signature appended (the Dolev–Strong signature-chain rule);
-//! at the end of the slot every correct member has accepted the same set of
-//! batches and delivers them in a deterministic order (by proposer, then by
-//! position in the batch).
+//! Time is divided into rounds of fixed duration, and every round opens an
+//! agreement instance, a *slot*, named after the round it opens in. A slot
+//! runs for `f + 2` rounds (`f = ⌊(g−1)/2⌋`), so up to `f + 2` slots are in
+//! flight at once. In its first round every member that has pending
+//! operations broadcasts a signed batch to all peers; during the next `f`
+//! rounds members relay newly accepted values with their own signature
+//! appended (the Dolev–Strong signature-chain rule); once its `f + 2` rounds
+//! are over every correct member has accepted the same set of batches and
+//! delivers them in a deterministic order (by proposer, then by position in
+//! the batch). Slots are delivered in slot order. A proposal waits at most
+//! one round for the next slot, so it is decided `f + 2` to `f + 3` rounds
+//! after it was made.
 //!
 //! A sender that equivocates (gets two different batches accepted) is
 //! detected — both values are accepted — and its batch for that slot is
@@ -36,41 +40,25 @@ pub mod reject_reason {
     pub const SIGNER: u64 = 4;
     /// The slot is already finalized or too far in the past.
     pub const STALE: u64 = 5;
+    /// The slot has not opened yet (more than one round ahead).
+    pub const FUTURE: u64 = 6;
 }
 
-/// Per-slot, per-sender agreement state.
-#[derive(Debug, Clone)]
-struct SenderAgreement<O> {
-    /// Accepted (batch, digest) values; more than one means the sender
-    /// equivocated and its slot is discarded.
-    accepted: Vec<(Vec<O>, Digest)>,
-    /// Whether this node already relayed each accepted digest.
-    relayed: Vec<Digest>,
-}
-
-impl<O> Default for SenderAgreement<O> {
-    fn default() -> Self {
-        SenderAgreement {
-            accepted: Vec::new(),
-            relayed: Vec::new(),
-        }
-    }
-}
-
+/// Agreement state of one slot that is not finalized yet.
 #[derive(Debug, Clone)]
 struct SlotState<O> {
     // Ordered maps throughout the engine state: iteration order feeds
     // protocol behaviour (delivery, relay fan-out) and state fingerprints,
     // so it must be deterministic across processes (determinism lint).
-    per_sender: BTreeMap<NodeId, SenderAgreement<O>>,
-    finalized: bool,
+    /// Accepted (batch, digest) values per sender; more than one means the
+    /// sender equivocated and its batch is discarded.
+    per_sender: BTreeMap<NodeId, Vec<(Vec<O>, Digest)>>,
 }
 
 impl<O> Default for SlotState<O> {
     fn default() -> Self {
         SlotState {
             per_sender: BTreeMap::new(),
-            finalized: false,
         }
     }
 }
@@ -84,9 +72,10 @@ pub struct SyncSmr<O: SmrOp> {
     registry: Arc<KeyRegistry>,
     signer: Option<NodeSigner>,
     start: Instant,
-    /// Highest round index already processed (`None` before round 0).
+    /// Highest round index already processed (`None` before the first tick).
     processed_round: Option<u64>,
     pending: VecDeque<O>,
+    /// Slots not yet finalized, by slot id.
     slots: BTreeMap<u64, SlotState<O>>,
     next_seq: u64,
     byzantine: ByzantineMode,
@@ -148,9 +137,11 @@ impl<O: SmrOp> SyncSmr<O> {
         (self.max_faults() as u64) + 2
     }
 
-    /// The slot a given round belongs to.
-    fn slot_of_round(&self, round: u64) -> u64 {
-        round / self.rounds_per_slot()
+    /// Watermark: every slot at or below it is finalized and dropped. The
+    /// tick that processed round `r` finalized the slots whose `f + 2`
+    /// rounds ended by `r`.
+    fn finalized_through(&self) -> Option<u64> {
+        self.processed_round?.checked_sub(self.rounds_per_slot())
     }
 
     /// Round index at time `now` (None before the first boundary).
@@ -202,10 +193,13 @@ impl<O: SmrOp> SyncSmr<O> {
         let digest = Self::batch_digest(slot, self.me, &batch);
         let chain = SignatureChain::new(digest, &signer);
         // Accept own value immediately.
-        let slot_state = self.slots.entry(slot).or_default();
-        let agreement = slot_state.per_sender.entry(self.me).or_default();
-        agreement.accepted.push((batch.clone(), digest));
-        agreement.relayed.push(digest);
+        self.slots
+            .entry(slot)
+            .or_default()
+            .per_sender
+            .entry(self.me)
+            .or_default()
+            .push((batch.clone(), digest));
         for peer in self.members.iter().filter(|&p| p != self.me) {
             actions.push(Action::Send {
                 to: peer,
@@ -253,48 +247,30 @@ impl<O: SmrOp> SyncSmr<O> {
         }
     }
 
-    fn finalize_slot(&mut self, slot: u64, actions: &mut Vec<Action<O>>) {
-        let Some(state) = self.slots.get_mut(&slot) else {
-            return;
-        };
-        if state.finalized {
-            return;
-        }
-        state.finalized = true;
-        // Deterministic delivery order: members in ascending id order.
-        let members: Vec<NodeId> = self.members.iter().collect();
-        let mut decisions = Vec::new();
-        for sender in members {
-            if let Some(agreement) = state.per_sender.get(&sender) {
-                // Exactly one accepted value => honest (or consistently
-                // behaving) sender; deliver. Zero or two+ => discard.
-                if agreement.accepted.len() == 1 {
-                    for op in &agreement.accepted[0].0 {
-                        decisions.push(Decision {
-                            seq: self.next_seq,
-                            proposer: sender,
-                            op: op.clone(),
-                        });
-                        self.next_seq += 1;
-                    }
+    /// Finalizes, in slot order, every held slot whose `f + 2` rounds are
+    /// over at `round`, and drops it.
+    fn finalize_due(&mut self, round: u64, actions: &mut Vec<Action<O>>) {
+        let rps = self.rounds_per_slot();
+        while let Some(entry) = self.slots.first_entry() {
+            if *entry.key() + rps > round {
+                break;
+            }
+            // Senders in ascending id order. Exactly one accepted value =>
+            // honest (or consistently behaving) sender; deliver. Two =>
+            // equivocation; discard.
+            for (sender, accepted) in entry.remove().per_sender {
+                let Ok([(batch, _)]) = <[_; 1]>::try_from(accepted) else {
+                    continue;
+                };
+                for op in batch {
+                    actions.push(Action::Deliver(Decision {
+                        seq: self.next_seq,
+                        proposer: sender,
+                        op,
+                    }));
+                    self.next_seq += 1;
                 }
             }
-        }
-        // Keep memory bounded: drop state of finalized slots older than the
-        // previous one.
-        self.slots.retain(|&s, st| s + 2 > slot || !st.finalized);
-        actions.extend(decisions.into_iter().map(Action::Deliver));
-    }
-
-    fn process_round(&mut self, round: u64, actions: &mut Vec<Action<O>>) {
-        let rps = self.rounds_per_slot();
-        if round.is_multiple_of(rps) {
-            let slot = self.slot_of_round(round);
-            // Finalize the previous slot before starting a new one.
-            if slot > 0 {
-                self.finalize_slot(slot - 1, actions);
-            }
-            self.broadcast_own_batch(slot, actions);
         }
     }
 }
@@ -302,8 +278,8 @@ impl<O: SmrOp> SyncSmr<O> {
 impl<O: SmrOp> Replication<O> for SyncSmr<O> {
     fn propose(&mut self, op: O, now: Instant) -> Vec<Action<O>> {
         self.pending.push_back(op);
-        // Ask the host to tick us at the next round boundary so the batch is
-        // broadcast at the next slot start.
+        // Ask the host to tick us at the next round boundary, where the next
+        // slot opens and the batch is broadcast.
         let next_round = self.round_at(now).map_or(0, |r| r + 1);
         vec![Action::ScheduleTick {
             at: self.round_start(next_round),
@@ -336,6 +312,19 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
                 "[smr {}] reject slot {slot} from {from}: non-member",
                 self.me
             );
+            return actions;
+        }
+        // Every relayer sends a copy of each value it accepts, so most
+        // arrivals repeat a digest already accepted from this sender (or
+        // come after it equivocated). Such a copy changes nothing, valid or
+        // not: drop it before hashing the batch and verifying the chain.
+        let held = self
+            .slots
+            .get(&slot)
+            .and_then(|s| s.per_sender.get(&sender));
+        if held.is_some_and(|accepted| {
+            accepted.len() >= 2 || accepted.iter().any(|(_, d)| d == chain.payload())
+        }) {
             return actions;
         }
         let expected = Self::batch_digest(slot, sender, &batch);
@@ -373,41 +362,50 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
             return actions;
         }
         let current_round = self.round_at(now).unwrap_or(0);
-        let current_slot = self.slot_of_round(current_round);
+        // A peer's clock may run up to one round ahead; a slot beyond that
+        // has not opened, and holding it would pin its state forever.
+        if slot > current_round + 1 {
+            atum_obs::trace_event!(
+                SmrReject,
+                at = now.as_micros(),
+                node = self.me.raw(),
+                slots = [slot, from.raw(), reject_reason::FUTURE],
+                "[smr {}] reject slot {slot} from {from}: future (current {current_round})",
+                self.me
+            );
+            return actions;
+        }
+        let rps = self.rounds_per_slot();
         // Ignore values for already-finalized slots.
-        if self.slots.get(&slot).map(|s| s.finalized).unwrap_or(false) || slot + 1 < current_slot {
+        if self.finalized_through().is_some_and(|w| slot <= w) || slot + 2 * rps <= current_round {
             atum_obs::trace_event!(
                 SmrReject,
                 at = now.as_micros(),
                 node = self.me.raw(),
                 slots = [slot, from.raw(), reject_reason::STALE],
-                "[smr {}] reject slot {slot} from {from}: stale (current {current_slot})",
+                "[smr {}] reject slot {slot} from {from}: stale (current {current_round})",
                 self.me
             );
             return actions;
         }
 
         let me = self.me;
-        let rps = self.rounds_per_slot();
-        let finalize_at = self.round_start(slot * rps + rps);
-        let last_relay_round = slot * rps + rps - 2;
-        let slot_state = self.slots.entry(slot).or_default();
-        let agreement = slot_state.per_sender.entry(sender).or_default();
-        let digest = expected;
-        let already_accepted = agreement.accepted.iter().any(|(_, d)| *d == digest);
-        if already_accepted || agreement.accepted.len() >= 2 {
-            return actions;
-        }
-        agreement.accepted.push((batch.clone(), digest));
+        let finalize_at = self.round_start(slot + rps);
+        self.slots
+            .entry(slot)
+            .or_default()
+            .per_sender
+            .entry(sender)
+            .or_default()
+            .push((batch.clone(), expected));
         // Make sure the host wakes us up at this slot's finalization boundary
         // even if we never propose anything ourselves.
         actions.push(Action::ScheduleTick { at: finalize_at });
 
         // Relay with our signature appended, unless we already signed it or
-        // the slot's relay window is over.
-        if !chain.contains(me) && current_round <= last_relay_round {
+        // the slot's relay window (`slot + f`) is over.
+        if !chain.contains(me) && current_round <= slot + rps - 2 {
             if let Some(signer) = self.signer.clone() {
-                agreement.relayed.push(digest);
                 let mut new_chain = chain.clone();
                 new_chain.append(&signer);
                 for peer in self.members.iter().filter(|&p| p != me && p != from) {
@@ -428,22 +426,23 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
 
     fn tick(&mut self, now: Instant) -> Vec<Action<O>> {
         let mut actions = Vec::new();
-        let Some(target) = self.round_at(now) else {
+        let Some(round) = self.round_at(now) else {
             return vec![Action::ScheduleTick { at: self.start }];
         };
-        // A fresh engine starts at the current round: replaying rounds from
-        // 0 would broadcast into slots its peers reject as stale and then
-        // finalize them alone.
-        let from = self.processed_round.map_or(target, |r| r + 1);
-        for round in from..=target {
-            self.process_round(round, &mut actions);
+        // Only the current round is processed: rounds a late tick skipped
+        // opened no slot of ours, and a fresh engine must not replay rounds
+        // from 0 into slots its peers reject as stale and finalize them
+        // alone.
+        if self.processed_round.is_none_or(|p| round > p) {
+            self.processed_round = Some(round);
+            self.finalize_due(round, &mut actions);
+            self.broadcast_own_batch(round, &mut actions);
         }
-        self.processed_round = Some(target);
         // Always ask to be woken at the next round boundary while there is
         // anything in flight.
-        if !self.pending.is_empty() || self.slots.values().any(|s| !s.finalized) {
+        if !self.pending.is_empty() || !self.slots.is_empty() {
             actions.push(Action::ScheduleTick {
-                at: self.round_start(target + 1),
+                at: self.round_start(round + 1),
             });
         }
         actions
@@ -643,6 +642,107 @@ mod tests {
             }
         }
         assert_eq!(sent, 3, "the batch reaches every peer once");
+    }
+
+    #[test]
+    fn a_slot_that_has_not_opened_is_rejected() {
+        // Regression: one validly signed value for slot `u64::MAX / 2`
+        // overflowed the slot arithmetic (a panic in debug builds; in
+        // release the slot could never finalize and stayed in memory).
+        let mut smr = engines(4);
+        let signer = smr[1].signer.clone().expect("registered");
+        let now = Instant::from_micros(10_500_000); // round 10
+        let mut offer = |slot: u64| {
+            let batch = vec![b"far".to_vec()];
+            let digest = SyncSmr::<Vec<u8>>::batch_digest(slot, NodeId::new(1), &batch);
+            let msg = SmrMessage::SyncValue {
+                slot,
+                sender: NodeId::new(1),
+                batch,
+                chain: SignatureChain::new(digest, &signer),
+            };
+            !smr[0].handle(NodeId::new(1), msg, now).is_empty()
+        };
+        assert!(!offer(u64::MAX / 2));
+        assert!(!offer(12), "two rounds ahead");
+        assert!(offer(11), "a peer may be one round ahead");
+        assert_eq!(smr[0].slots.keys().copied().collect::<Vec<_>>(), vec![11]);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// 4–7 members, proposals at random members and half-rounds,
+            /// and up to `f` members silent or equivocating: the correct
+            /// members deliver the same ops in the same order, and each op
+            /// a correct member proposed is decided within
+            /// `rounds_per_slot() + 1` rounds.
+            #[test]
+            fn correct_members_agree_in_order_within_a_slot_and_a_round(
+                n in 4u64..8,
+                faults in proptest::collection::vec(0u64..3, 3..4),
+                proposals in proptest::collection::vec(0u64..1_000_000, 1..24),
+                seed in 0u64..1_000,
+            ) {
+                let config = SmrConfig::default();
+                let round = config.round;
+                let f = (n - 1) / 2;
+                let rps = f + 2;
+                let mut cluster = LockstepCluster::new(n as usize, SmrMode::Synchronous, config, seed);
+                // The top `f` ids may be faulty: 0 correct, 1 silent, 2 equivocating.
+                let mut correct: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+                for (i, &mode) in faults.iter().take(f as usize).enumerate() {
+                    let node = NodeId::new(n - 1 - i as u64);
+                    let mode = match mode {
+                        0 => continue,
+                        1 => ByzantineMode::Silent,
+                        _ => ByzantineMode::Equivocate,
+                    };
+                    cluster.set_byzantine(node, mode);
+                    correct.retain(|&c| c != node);
+                }
+                // (half-round step, member) per op; 40 steps are 20 rounds.
+                let plan: Vec<(u64, NodeId)> =
+                    proposals.iter().map(|&p| (p % 40, NodeId::new(p / 40 % n))).collect();
+                let mut proposed_at = BTreeMap::new();
+                let mut decided_at: BTreeMap<(NodeId, Vec<u8>), Instant> = BTreeMap::new();
+                for step in 0..40 + 2 * (rps + 2) {
+                    for (i, &(at, node)) in plan.iter().enumerate() {
+                        if at == step {
+                            let op = format!("op-{i}").into_bytes();
+                            if correct.contains(&node) {
+                                proposed_at.insert(op.clone(), cluster.now());
+                            }
+                            cluster.propose(node, op);
+                        }
+                    }
+                    cluster.step();
+                    for &node in &correct {
+                        for d in cluster.decided(node) {
+                            decided_at.entry((node, d.op.clone())).or_insert(cluster.now());
+                        }
+                    }
+                }
+                let first = cluster.decided(correct[0]);
+                for &node in &correct {
+                    prop_assert_eq!(cluster.decided(node), first, "member {} diverged", node);
+                }
+                for (op, &at) in &proposed_at {
+                    for &node in &correct {
+                        let done = decided_at.get(&(node, op.clone()));
+                        prop_assert!(
+                            done.is_some_and(|&t| t <= at + round.saturating_mul(rps + 1)),
+                            "{:?} proposed at {:?}, decided at member {} at {:?}",
+                            String::from_utf8_lossy(op), at, node, done
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -109,9 +109,17 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
     // same — final size and time-to-target did not move — but an exchanged
     // node's counters used to be dropped with its old `MemberState`, so
     // every exchange was under-counted by the members it moved.
+    //
+    // Re-pinned when the synchronous engine was pipelined (a slot opens
+    // every round, so a decision takes `f + 2` to `f + 3` rounds instead
+    // of `f + 2` to `2(f + 2)`) and a fresh engine stopped replaying from
+    // round 0 (`(.., 6, 40)` → `(.., 0, 62)`): every SMR decision lands at
+    // a different time, which moves the shuffle walks; final size and
+    // time-to-target did not move. Completed exchanges are rare at this
+    // scale and seed-dependent (see the atum-sim growth sweep).
     assert_eq!(
         summary,
-        (14, 141, 6, 40),
+        (14, 141, 0, 62),
         "growth protocol metrics moved for a fixed seed: {summary:?}"
     );
     let again = growth_once();
