@@ -34,27 +34,45 @@ macro_rules! view {
     };
 }
 
-/// The SMR engine of a fresh configuration (`None` for a node the
-/// composition does not list).
-fn fresh_engine(
+/// Whether this membership may decide: the one liveness rule of a
+/// membership. It decides until the fence closes (see
+/// [`MemberState::close_fence`]), and a closed fence ends the membership
+/// unless a catch-up `Welcome` replaces it first.
+// One per membership: boxing the engine for the sake of the rare small
+// variant would save nothing and add an indirection to every SMR call.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Fence {
+    /// The SMR engine runs.
+    Deciding(Engine<GroupOp>),
+    /// The engine is gone since the first instant, and the member last
+    /// solicited state at the second (see [`MemberState::fenced_duties`]).
+    Fenced(Instant, Option<Instant>),
+}
+
+/// The fence of a fresh configuration: deciding, with a new SMR engine,
+/// for a node the composition lists, and closed for good for one it does
+/// not (that membership is ending).
+fn fresh_fence(
     me: NodeId,
     params: &Params,
     registry: &Arc<KeyRegistry>,
     composition: &Composition,
-) -> Option<Engine<GroupOp>> {
-    composition.contains(me).then(|| {
-        Engine::new(
-            params.smr,
-            me,
-            composition.clone(),
-            SmrConfig {
-                round: params.round,
-                ..SmrConfig::default()
-            },
-            registry.clone(),
-            Instant::ZERO,
-        )
-    })
+) -> Fence {
+    if !composition.contains(me) {
+        return Fence::Fenced(Instant::ZERO, None);
+    }
+    Fence::Deciding(Engine::new(
+        params.smr,
+        me,
+        composition.clone(),
+        SmrConfig {
+            round: params.round,
+            ..SmrConfig::default()
+        },
+        registry.clone(),
+        Instant::ZERO,
+    ))
 }
 
 /// What the member logic asks its host to do.
@@ -74,7 +92,8 @@ pub enum Effect {
 }
 
 /// Why a membership ended, which decides where the node goes next. The
-/// first three are decided by the vgroup, the last two by the host itself.
+/// first three are decided by the vgroup, the last by the membership's
+/// fence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ending {
     /// The vgroup decided this node's `leave`: it stays out until the
@@ -85,12 +104,9 @@ pub enum Ending {
     /// A shuffle exchange moved this node: it waits for the `Welcome` of
     /// its new vgroup.
     Transferred,
-    /// The engine halted and nobody re-synchronised it: re-join now through
-    /// a former peer.
+    /// The fence stayed closed for 20 rounds without a catch-up welcome:
+    /// re-join now, through a former peer or an overlay neighbour.
     Stranded,
-    /// Every peer is presumed dead: re-join now, through the overlay
-    /// neighbours too.
-    Isolated,
 }
 
 /// Counters for the shuffle-exchange statistics reported in Figure 13.
@@ -133,7 +149,7 @@ pub struct MemberState {
     pub neighbors: NeighborTable,
     /// Configuration epoch (bumped on every composition change).
     pub epoch: u64,
-    engine: Option<Engine<GroupOp>>,
+    fence: Fence,
     applied_ops: BTreeSet<Digest>,
     /// Operations this member proposed but has not yet seen applied, keyed
     /// by their memoized digest so the dedup scan compares cached 32-byte
@@ -160,18 +176,14 @@ pub struct MemberState {
     /// Per-peer record of the configuration epoch we last offered a
     /// catch-up [`AtumMessage::Welcome`] for, so a lagging member's
     /// retransmissions do not get answered with a full state transfer each
-    /// time (once per epoch per peer is exactly what its quorum needs).
+    /// time (once per epoch per peer is exactly what its quorum needs). A
+    /// node the composition no longer lists is recorded at its own older
+    /// epoch until the next tick tells it ours (see
+    /// [`Self::heartbeat_duties`]); composition changes drop such entries.
     caught_up: BTreeMap<NodeId, u64>,
     /// When this member last launched shuffle walks (see
     /// [`Self::start_shuffle`] for why this damping is local-time based).
     last_shuffle: Option<Instant>,
-    /// When this member's engine was halted after observing a newer
-    /// configuration epoch (`None` while the engine runs). The host uses
-    /// this to give up on a membership that never re-synchronises.
-    halted_since: Option<Instant>,
-    /// When this member last solicited a catch-up Welcome (throttles the
-    /// `StateRequest` traffic of a halted member).
-    last_state_request: Option<Instant>,
     /// Vgroups this member learned have dissolved (absorbed by a merge).
     /// In-flight walks are re-routed around links that still point at them;
     /// a walk forwarded to a departed vgroup would die there (no member left
@@ -211,7 +223,7 @@ impl std::fmt::Debug for MemberState {
             .field("composition", &self.composition)
             .field("neighbors", &self.neighbors)
             .field("epoch", &self.epoch)
-            .field("engine", &self.engine)
+            .field("fence", &self.fence)
             .field("applied_ops", &self.applied_ops)
             .field("my_pending", &self.my_pending)
             .field("collector", &self.collector)
@@ -249,14 +261,14 @@ impl MemberState {
             self.composition,
             self.neighbors,
             self.epoch,
-            self.engine,
+            self.fence,
             self.applied_ops,
             self.my_pending,
             self.collector,
         );
         let _ = write!(
             s,
-            "|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
+            "|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{}",
             self.outstanding_exchanges,
             self.reserved,
             self.evict_accusations,
@@ -264,7 +276,6 @@ impl MemberState {
             self.activated,
             self.caught_up,
             self.last_shuffle,
-            self.halted_since,
             self.departed_groups,
             self.correspondents,
             self.link_probes,
@@ -316,7 +327,7 @@ impl MemberState {
         epoch: u64,
         now: Instant,
     ) -> Self {
-        let engine = fresh_engine(me.id, &params, &registry, &composition);
+        let fence = fresh_fence(me.id, &params, &registry, &composition);
         // The eviction clock for every peer starts now: a peer is "silent"
         // only relative to the moment we learned this composition, otherwise
         // a freshly welcomed member instantly accuses everyone it has not
@@ -334,7 +345,7 @@ impl MemberState {
             composition,
             neighbors,
             epoch,
-            engine,
+            fence,
             applied_ops: BTreeSet::new(),
             // What the node's last membership left undecided, for
             // `resume` to propose here.
@@ -349,8 +360,6 @@ impl MemberState {
             last_heartbeat_sent: now,
             caught_up: BTreeMap::new(),
             last_shuffle: None,
-            halted_since: None,
-            last_state_request: None,
             departed_groups: BTreeSet::new(),
             correspondents: BTreeMap::new(),
             last_announce: now,
@@ -399,7 +408,7 @@ impl MemberState {
             }
             return;
         }
-        let Some(engine) = self.engine.as_mut() else {
+        let Fence::Deciding(engine) = &mut self.fence else {
             return;
         };
         let actions = engine.propose(op, now);
@@ -420,47 +429,15 @@ impl MemberState {
             // Traffic from a different group instance: not evidence of
             // anything about *this* vgroup. In particular a higher epoch of
             // another group (possible when two groups each hold a stale
-            // entry for a member of the other) must not halt our engine.
+            // entry for a member of the other) must not close our fence.
             return;
         }
         self.note_alive(from, now);
-        if epoch < self.epoch {
-            // The sender is stuck in an earlier configuration (it missed the
-            // op that ended that epoch — its engine was discarded before the
-            // deciding message reached it). Epoch-mismatched messages are
-            // dropped, so without help it stays forked forever: offer it our
-            // state, once per epoch (it keeps retransmitting on its round
-            // timers, and a full state transfer per retransmission would be
-            // pure amplification). Welcomes are idempotent and
-            // quorum-checked by the receiver, so this is safe.
-            if self.composition.contains(from) && self.caught_up.get(&from) != Some(&self.epoch) {
-                self.caught_up.insert(from, self.epoch);
-                self.send_welcome(from, effects);
-            }
+        if epoch != self.epoch {
+            self.on_peer_epoch(from, epoch, now, effects);
             return;
         }
-        if epoch > self.epoch {
-            // We may be the stale side: the vgroup has moved on without us.
-            // Halt our engine instead of letting it keep deciding in the
-            // dead epoch — a synchronous engine left running alone would
-            // decide its own proposals unilaterally and fork this member's
-            // state (phantom splits with diverging vgroup ids). The peers
-            // at the newer epoch send us catch-up Welcomes (see above) and
-            // we re-sync through them. Only composition members are heeded.
-            //
-            // This deliberately halts on a single claim rather than waiting
-            // for f+1 corroboration: after a quiet reconfiguration the lone
-            // ahead peer may be the only traffic source, and an un-halted
-            // stale engine forks unrecoverably, while a forged halt is
-            // recoverable by construction (the halted member solicits
-            // state, times out, abandons and re-joins) — a Byzantine
-            // composition member can cause disruption, not divergence.
-            if self.composition.contains(from) && self.engine.take().is_some() {
-                self.halted_since = Some(now);
-            }
-            return;
-        }
-        let Some(engine) = self.engine.as_mut() else {
+        let Fence::Deciding(engine) = &mut self.fence else {
             return;
         };
         let actions = engine.handle(from, msg, now);
@@ -469,41 +446,62 @@ impl MemberState {
 
     /// Advances timers: SMR rounds/timeouts, heartbeats, eviction checks.
     pub fn tick(&mut self, now: Instant, effects: &mut Vec<Effect>) {
-        if let Some(engine) = self.engine.as_mut() {
-            let actions = engine.tick(now);
-            self.process_actions(actions, now, effects);
-        } else {
-            // Our engine was halted because the vgroup reconfigured without
-            // us (see `on_smr_message`). Keep soliciting a fresh Welcome —
-            // peers answer with a state transfer, and the receiver-side
-            // quorum rule makes that safe. Throttled: a quorum of welcomes
-            // per solicitation round is all we can consume, so asking more
-            // often than every couple of rounds is pure amplification.
-            let min_gap = self.params.round.saturating_mul(2);
-            let due = self
-                .last_state_request
-                .map(|t| now.saturating_since(t) >= min_gap)
-                .unwrap_or(true);
-            if due {
-                self.last_state_request = Some(now);
-                let me = self.me.id;
-                let (group, epoch) = (self.vgroup, self.epoch);
-                for peer in self.composition.iter().filter(|&p| p != me) {
-                    effects.push(Effect::Send {
-                        to: peer,
-                        msg: AtumMessage::StateRequest { group, epoch },
-                    });
-                }
+        if self.composition.len() >= 3 && self.presumed_live(now).len() <= 1 {
+            // No peer heard for an eviction window. Alone, this member can
+            // never gather the accusations that would shrink its composition
+            // back to a working quorum, and a synchronous engine left running
+            // would decide its own proposals alone. (A 2-member survivor is
+            // not fenced: its own accusation evicts its silent peer, and it
+            // decides on as a singleton.)
+            self.close_fence(2, now);
+        }
+        match self.fence {
+            Fence::Deciding(ref mut engine) => {
+                let actions = engine.tick(now);
+                self.process_actions(actions, now, effects);
+            }
+            Fence::Fenced(since, last_request) => {
+                self.fenced_duties(since, last_request, now, effects)
             }
         }
         self.heartbeat_duties(now, effects);
     }
 
-    /// How long this member's engine has been halted waiting for a catch-up
-    /// Welcome (`None` while the engine runs). The host abandons the
-    /// membership and re-joins when this exceeds its patience.
-    pub fn halted_since(&self) -> Option<Instant> {
-        self.halted_since
+    /// What a member fenced `since` then does on a tick. It solicits a
+    /// catch-up Welcome from its peers; they answer with a state transfer,
+    /// and the receiver-side quorum rule makes that safe. This is
+    /// throttled: a quorum of welcomes per solicitation round is all it can
+    /// consume, so asking more often than every couple of rounds is pure
+    /// amplification. After 20 rounds without one the vgroup almost
+    /// certainly moved on without this member, and it gives the membership
+    /// up, once: the ending is its last request. Re-joining takes the
+    /// direct-admission fast path, so giving up early is cheap.
+    fn fenced_duties(
+        &mut self,
+        since: Instant,
+        last_request: Option<Instant>,
+        now: Instant,
+        effects: &mut Vec<Effect>,
+    ) {
+        let patience = self.params.round.saturating_mul(20);
+        let past = |t: Instant| t.saturating_since(since) > patience;
+        let gap = self.params.round.saturating_mul(2);
+        if past(now) {
+            if last_request.is_some_and(past) {
+                return;
+            }
+            self.trace_fence(3, now);
+            effects.push(Effect::MembershipEnded(Ending::Stranded));
+        } else if last_request.is_some_and(|t| now.saturating_since(t) < gap) {
+            return;
+        } else {
+            let (me, group, epoch) = (self.me.id, self.vgroup, self.epoch);
+            for to in self.composition.iter().filter(|&p| p != me) {
+                let msg = AtumMessage::StateRequest { group, epoch };
+                effects.push(Effect::Send { to, msg });
+            }
+        }
+        self.fence = Fence::Fenced(since, Some(now));
     }
 
     /// A stale peer asked for our state: answer with a Welcome if we are
@@ -630,10 +628,15 @@ impl MemberState {
                 );
                 if self.composition.insert(joiner.id) {
                     self.after_composition_change(now, effects);
-                    self.send_welcome(joiner.id, effects);
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
                     self.maybe_resize(now, effects, follow_ups);
+                    // Welcomed after the resize: a joiner that tips the
+                    // vgroup over `gmax` is welcomed into the half it lands
+                    // in, not into a configuration the split already ended,
+                    // which nobody would hold and whose engine it would run
+                    // alone.
+                    self.send_welcome(joiner.id, effects);
                 }
             }
             GroupOp::Leave { node, .. } => {
@@ -814,12 +817,13 @@ impl MemberState {
                         self.correspondents.remove(&from);
                     }
                     self.after_composition_change(now, effects);
-                    for m in &members {
-                        self.send_welcome(m.id, effects);
-                    }
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
                     self.maybe_resize(now, effects, follow_ups);
+                    // After the resize, as for `AdmitJoiner`.
+                    for m in &members {
+                        self.send_welcome(m.id, effects);
+                    }
                 }
             }
             GroupOp::InsertOverlayNeighbor {
@@ -1528,7 +1532,7 @@ impl MemberState {
         // (`MemberState::propose` would drop the op as already applied,
         // which is exactly the guard a repair re-decision must bypass.)
         for (id, payload) in redecide {
-            if let Some(engine) = self.engine.as_mut() {
+            if let Fence::Deciding(engine) = &mut self.fence {
                 repair_metrics::reproposals().inc();
                 atum_obs::trace_event!(
                     AntiEntropyPull,
@@ -1567,7 +1571,7 @@ impl MemberState {
         }
         self.epoch += 1;
         self.merging = false;
-        self.engine = fresh_engine(self.me.id, &self.params, &self.registry, &self.composition);
+        self.fence = fresh_fence(self.me.id, &self.params, &self.registry, &self.composition);
         // Deliberately no welcome blast here: re-welcoming every
         // not-yet-activated entry on each epoch bump was tried and turned
         // transient one-epoch lag (which a member resolves on its own once
@@ -1906,21 +1910,76 @@ impl MemberState {
             .collect()
     }
 
-    /// `true` while this member's SMR engine is running (not halted waiting
-    /// for a catch-up welcome).
-    pub fn engine_running(&self) -> bool {
-        self.engine.is_some() || self.composition.len() == 1
+    /// `true` once this membership's fence has closed: it decides nothing
+    /// more, and ends unless a catch-up welcome replaces it first.
+    pub fn fenced(&self) -> bool {
+        matches!(self.fence, Fence::Fenced(..))
+    }
+
+    /// Closes the fence: the engine is dropped, so nothing more is decided
+    /// in this membership. `cause` is 1 for a composition peer claiming a
+    /// newer epoch (see [`Self::on_peer_epoch`]) and 2 for no peer presumed
+    /// live (see [`Self::tick`]).
+    fn close_fence(&mut self, cause: u64, now: Instant) {
+        if !self.fenced() {
+            self.trace_fence(cause, now);
+            self.fence = Fence::Fenced(now, None);
+        }
+    }
+
+    /// One `Join` trace event of the fence: `code` is the cause it closed
+    /// on (see [`Self::close_fence`]), or 3 when it ends the membership.
+    fn trace_fence(&self, code: u64, now: Instant) {
+        atum_obs::trace_event!(
+            Join,
+            at = now.as_micros(),
+            node = self.me.id.raw(),
+            slots = [code, self.epoch, self.presumed_live(now).len() as u64 - 1],
+            "fence {code} in vgroup {:?} at epoch {}",
+            self.vgroup,
+            self.epoch
+        );
+    }
+
+    /// A peer of this vgroup spoke at another epoch (on SMR traffic or a
+    /// heartbeat).
+    ///
+    /// A sender at an older epoch is stuck in an earlier configuration: it
+    /// missed the op that ended that epoch. Epoch-mismatched messages are
+    /// dropped, so without help it stays forked forever. It is told once per
+    /// epoch, because it keeps retransmitting on its round timers and
+    /// answering every retransmission would be pure amplification. A
+    /// composition member is offered our state; welcomes are idempotent and
+    /// quorum-checked by the receiver, so this is safe. A node that this
+    /// composition no longer lists (evicted, or reconfigured out while it
+    /// lagged) is noted in `caught_up` at its own epoch, and told ours by
+    /// [`Self::heartbeat_duties`].
+    ///
+    /// A composition member at a newer epoch means the vgroup moved on
+    /// without us: close the fence. A single claim is enough. After a quiet
+    /// reconfiguration the one peer ahead may be the only traffic source,
+    /// and an engine left running in the dead epoch forks this member's
+    /// state (phantom splits with diverging vgroup ids). A forged claim only
+    /// costs a catch-up or a re-join, so a Byzantine member can cause
+    /// disruption, not divergence.
+    fn on_peer_epoch(&mut self, from: NodeId, epoch: u64, now: Instant, effects: &mut Vec<Effect>) {
+        let member = self.composition.contains(from);
+        if epoch > self.epoch && member {
+            self.close_fence(1, now);
+        } else if epoch < self.epoch && self.caught_up.get(&from) != Some(&self.epoch) {
+            self.caught_up
+                .insert(from, if member { self.epoch } else { epoch });
+            if member {
+                self.send_welcome(from, effects);
+            }
+        }
     }
 
     /// Records a heartbeat from a vgroup peer. Heartbeats for a different
     /// vgroup are ignored: they come from a node whose *own* composition has
-    /// a stale entry for us and say nothing about membership here.
-    ///
-    /// The carried epoch doubles as an idle-engine divergence detector: a
-    /// peer heartbeating a newer epoch means the group reconfigured without
-    /// us (halt and re-synchronise, exactly as for newer-epoch SMR traffic);
-    /// a peer heartbeating an older epoch is offered a catch-up welcome,
-    /// once per epoch.
+    /// a stale entry for us and say nothing about membership here. The
+    /// carried epoch doubles as an idle-engine divergence detector (see
+    /// [`Self::on_peer_epoch`]).
     pub fn on_heartbeat(
         &mut self,
         from: NodeId,
@@ -1933,21 +1992,25 @@ impl MemberState {
             return;
         }
         self.note_alive(from, now);
-        if !self.composition.contains(from) {
-            return;
-        }
-        if epoch > self.epoch {
-            if self.engine.take().is_some() {
-                self.halted_since = Some(now);
-            }
-        } else if epoch < self.epoch && self.caught_up.get(&from) != Some(&self.epoch) {
-            self.caught_up.insert(from, self.epoch);
-            self.send_welcome(from, effects);
-        }
+        self.on_peer_epoch(from, epoch, now, effects);
     }
 
     fn heartbeat_duties(&mut self, now: Instant, effects: &mut Vec<Effect>) {
         let period = self.params.heartbeat_period;
+        // A node this composition no longer lists spoke at an older epoch
+        // (see `on_peer_epoch`): heartbeat it ours, once. Its stale
+        // composition still lists us, so that closes its fence before its
+        // engine can decide its own proposals alone. Telling it a tick
+        // later, not on receipt, spares a member that is merely a tick
+        // behind: it decides its own removal at its next tick first.
+        let (group, epoch) = (self.vgroup, self.epoch);
+        for (&to, told) in &mut self.caught_up {
+            if *told < epoch && !self.composition.contains(to) {
+                *told = epoch;
+                let msg = AtumMessage::Heartbeat { group, epoch };
+                effects.push(Effect::Send { to, msg });
+            }
+        }
         // Composition anti-entropy, at half the heartbeat cadence: neighbour
         // views must converge even while the overlay is quiescent (the
         // on-change announcements cover the churny stretches). Correspondent
@@ -2391,6 +2454,116 @@ mod tests {
             })
             .count();
         assert_eq!(heartbeats, 2, "one heartbeat per peer");
+    }
+
+    /// Every peer of `m` heartbeats it at time zero, at its epoch.
+    fn hear_every_peer(m: &mut MemberState) {
+        let peers: Vec<NodeId> = m.composition.iter().filter(|&p| p != m.id()).collect();
+        for peer in peers {
+            m.on_heartbeat(peer, m.vgroup, m.epoch, Instant::ZERO, &mut Vec::new());
+        }
+    }
+
+    /// `n` half rounds of `m`'s parameters.
+    fn half_rounds(m: &MemberState, n: u64) -> atum_types::Duration {
+        atum_types::Duration::from_micros(m.params.round.as_micros() / 2).saturating_mul(n)
+    }
+
+    /// One eviction window of `m`'s parameters.
+    fn eviction_window(m: &MemberState) -> atum_types::Duration {
+        let threshold = u64::from(m.params.eviction_threshold);
+        m.params.heartbeat_period.saturating_mul(threshold)
+    }
+
+    /// Ticks `m` every half round after `from` up to `to` and returns what
+    /// it emitted.
+    fn tick_until(m: &mut MemberState, from: Instant, to: Instant) -> Vec<Effect> {
+        let step = half_rounds(m, 1);
+        let mut effects = Vec::new();
+        let mut now = from + step;
+        while now <= to {
+            m.tick(now, &mut effects);
+            now += step;
+        }
+        effects
+    }
+
+    fn strandings(effects: &[Effect]) -> usize {
+        let stranded = |e: &&Effect| matches!(e, Effect::MembershipEnded(Ending::Stranded));
+        effects.iter().filter(stranded).count()
+    }
+
+    #[test]
+    fn a_silent_composition_fences_and_ends_the_membership_once() {
+        let mut m = member(4, 0);
+        hear_every_peer(&mut m);
+        let window_end = Instant::ZERO + eviction_window(&m);
+        tick_until(&mut m, Instant::ZERO, window_end);
+        assert!(
+            !m.fenced(),
+            "peers heard within the window are presumed live"
+        );
+        let since = window_end + half_rounds(&m, 1);
+        let effects = tick_until(&mut m, window_end, since);
+        assert!(m.fenced(), "no peer presumed live closes the fence");
+        assert!(
+            effects.iter().any(|e| matches!(
+                e,
+                Effect::Send {
+                    msg: AtumMessage::StateRequest { .. },
+                    ..
+                }
+            )),
+            "a fenced member solicits state"
+        );
+        let patience = half_rounds(&m, 40);
+        let effects = tick_until(&mut m, since, since + patience);
+        assert_eq!(strandings(&effects), 0, "the fence waits 20 rounds");
+        let effects = tick_until(&mut m, since + patience, since + patience + patience);
+        assert_eq!(strandings(&effects), 1, "and then ends the membership once");
+    }
+
+    #[test]
+    fn a_two_member_survivor_evicts_its_silent_peer_and_decides_alone() {
+        let mut m = member(2, 0);
+        hear_every_peer(&mut m);
+        // Its own accusation goes out at the first heartbeat past the
+        // eviction window, and one accuser suffices in a 2-member vgroup.
+        let end =
+            Instant::ZERO + eviction_window(&m) + m.params.heartbeat_period + half_rounds(&m, 20);
+        tick_until(&mut m, Instant::ZERO, end);
+        assert!(!m.fenced());
+        assert_eq!(m.composition, Composition::singleton(m.id()));
+        let mut effects = Vec::new();
+        m.start_broadcast(b"alone".to_vec(), end, &mut effects);
+        assert!(effects.iter().any(|e| matches!(e, Effect::Deliver(_))));
+    }
+
+    #[test]
+    fn a_newer_epoch_claim_fences_at_once() {
+        let mut m = member(4, 0);
+        let mut effects = Vec::new();
+        m.on_heartbeat(NodeId::new(9), m.vgroup, 1, Instant::ZERO, &mut effects);
+        assert!(
+            !m.fenced(),
+            "a node the composition does not list is not heeded"
+        );
+        m.on_heartbeat(NodeId::new(1), m.vgroup, 1, Instant::ZERO, &mut effects);
+        assert!(m.fenced());
+        m.start_broadcast(b"held".to_vec(), Instant::ZERO, &mut effects);
+        let ten_rounds = Instant::ZERO + half_rounds(&m, 20);
+        let effects = tick_until(&mut m, Instant::ZERO, ten_rounds);
+        assert!(
+            effects.iter().all(|e| !matches!(
+                e,
+                Effect::Deliver(_)
+                    | Effect::Send {
+                        msg: AtumMessage::Smr { .. },
+                        ..
+                    }
+            )),
+            "a fenced member neither proposes nor decides"
+        );
     }
 
     #[test]

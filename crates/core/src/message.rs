@@ -843,9 +843,10 @@ pub enum AtumMessage {
         /// Configuration epoch of the vgroup.
         epoch: u64,
     },
-    /// Sent by a member whose SMR engine halted because the vgroup moved to
-    /// a newer configuration epoch without it: asks a peer for a fresh
-    /// [`AtumMessage::Welcome`] so it can re-synchronise.
+    /// Sent by a member whose fence closed (its vgroup moved to a newer
+    /// configuration epoch without it, or it heard no peer for an eviction
+    /// window): asks a peer for a fresh [`AtumMessage::Welcome`] so it can
+    /// re-synchronise.
     StateRequest {
         /// The vgroup whose state is requested.
         group: VgroupId,
@@ -869,8 +870,8 @@ pub enum AtumMessage {
     },
     /// Intra-vgroup SMR traffic, tagged with the vgroup and configuration
     /// epoch so replicas never mix messages across groups or
-    /// reconfigurations (an epoch from a *different* group must not halt
-    /// this group's engine).
+    /// reconfigurations (an epoch from a *different* group must not close
+    /// this group's fence).
     Smr {
         /// The vgroup whose engine this message belongs to.
         group: VgroupId,

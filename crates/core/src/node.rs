@@ -117,10 +117,6 @@ pub struct AtumNode<A: Application> {
     fallback_peers: Vec<NodeId>,
     fallback_rotation: usize,
     awaiting_since: Option<Instant>,
-    /// When this node's failure detector first presumed *every* composition
-    /// peer dead (see [`Self::abandon_membership_if_isolated`]); `None`
-    /// while at least one peer is presumed live.
-    isolated_since: Option<Instant>,
     /// `true` while the node is in [`NodePhase::Left`] because it was
     /// *involuntarily* removed (evicted, or stranded past its patience). Such
     /// a node re-joins on its own through a fallback peer; a node that left
@@ -150,7 +146,6 @@ impl<A: Application> AtumNode<A> {
             fallback_peers: Vec::new(),
             fallback_rotation: 0,
             awaiting_since: None,
-            isolated_since: None,
             auto_rejoin: false,
             stats: NodeStats::default(),
         }
@@ -401,9 +396,10 @@ impl<A: Application> AtumNode<A> {
             return;
         };
         let mut pool = member.composition.clone();
-        if ending == Ending::Isolated {
-            // The dead composition peers are poor re-join contacts; the
-            // neighbour table's vgroups are the live overlay. Merge both
+        if ending == Ending::Stranded {
+            // The composition peers of a stranded membership moved on
+            // without it or went silent: poor re-join contacts. The
+            // neighbour table's vgroups are the live overlay, so merge both
             // into the fallback pool (the rotation skips the dead ones).
             for (_, comp) in member.neighbors.distinct_neighbors() {
                 pool = pool.union(&comp);
@@ -422,7 +418,7 @@ impl<A: Application> AtumNode<A> {
         // did not end by choice); a voluntary leave is final until the
         // application says otherwise.
         self.auto_rejoin = ending != Ending::Left;
-        if matches!(ending, Ending::Stranded | Ending::Isolated) {
+        if ending == Ending::Stranded {
             if let Some(contact) = self.next_fallback_contact() {
                 let _ = self.join(contact, ctx);
             }
@@ -557,8 +553,8 @@ impl<A: Application> AtumNode<A> {
                     .count();
                 threshold = threshold.min((effective / 2 + 1).max(1));
                 // Same-group catch-up from a presumed-live peer of our own
-                // current composition, for a newer epoch, while our engine
-                // is halted: accept on a single sender. In a deployment a
+                // current composition, for a newer epoch, while our fence
+                // is closed: accept on a single sender. In a deployment a
                 // welcome carries the configuration-chain certificate (each
                 // epoch's quorum signs its successor), which makes one
                 // correct sender sufficient; the simulator elides signatures
@@ -567,12 +563,12 @@ impl<A: Application> AtumNode<A> {
                 // for the chain.
                 // Without this, two lagging members whose only up-to-date
                 // peer is a single node deadlock: each needs the other to
-                // advance first. The halted-engine gate keeps ordinary
-                // one-epoch transient lag (resolved by the member's own
-                // engine once the slot holding the reconfiguration closes)
-                // from turning into a state reset.
+                // advance first. The fence gate keeps ordinary one-epoch
+                // transient lag (resolved by the member's own engine once
+                // the slot holding the reconfiguration closes) from turning
+                // into a state reset.
                 if entry.epoch > member.epoch
-                    && member.halted_since().is_some()
+                    && member.fenced()
                     && member.composition.contains(from)
                     && live.contains(&from)
                 {
@@ -678,64 +674,6 @@ impl<A: Application> AtumNode<A> {
         let idx = self.fallback_rotation % self.fallback_peers.len();
         self.fallback_rotation += 1;
         Some(self.fallback_peers[idx])
-    }
-
-    /// A member whose engine halted (the vgroup reconfigured without it) and
-    /// that could not re-synchronise for a long time may have been removed
-    /// from the new composition entirely — no peer will ever welcome it
-    /// back. Give the membership up and re-join through a former peer.
-    fn abandon_membership_if_stranded(&mut self, ctx: &mut Context<'_, AtumMessage>) {
-        // 20 rounds of soliciting state without an answer means the new
-        // configuration almost certainly dropped us; under sustained churn
-        // the previous 60-round patience burnt a third of a typical session
-        // time doing nothing. Re-joining through a former peer takes the
-        // direct-admission fast path, so giving up early is cheap.
-        let timeout = self.params.round.saturating_mul(20);
-        let stranded = self
-            .member
-            .as_ref()
-            .and_then(|m| m.halted_since())
-            .is_some_and(|since| ctx.now().saturating_since(since) > timeout);
-        if stranded {
-            self.end_membership(Ending::Stranded, ctx);
-        }
-    }
-
-    /// A member whose failure detector has presumed *every* composition peer
-    /// dead for a sustained stretch is functionally isolated, and for
-    /// compositions of three or more its membership is wedged beyond repair:
-    /// eviction corroboration needs at least two decided accusations per
-    /// target before the suspected-entry discount applies, and the fault
-    /// bound needs more distinct accusers than the one node still alive, so
-    /// a lone survivor can never shrink its composition back to a working
-    /// quorum (asynchronously it cannot even decide the accusations). Give
-    /// the membership up and re-join through a fallback or overlay peer.
-    /// The decision is purely local and fail-safe: leaving is always safe,
-    /// and the re-join takes the direct-admission fast path.
-    fn abandon_membership_if_isolated(&mut self, ctx: &mut Context<'_, AtumMessage>) {
-        let now = ctx.now();
-        let isolated = self
-            .member
-            .as_ref()
-            .is_some_and(|m| m.composition.len() > 1 && m.presumed_live(now).len() <= 1);
-        if !isolated {
-            self.isolated_since = None;
-            return;
-        }
-        let since = *self.isolated_since.get_or_insert(now);
-        // Isolation is only declared after a full eviction window of
-        // silence, so waiting two more windows gives the normal eviction
-        // machinery (and any catch-up welcome) ample time to win first.
-        let patience = self
-            .params
-            .heartbeat_period
-            .saturating_mul(self.params.eviction_threshold as u64)
-            .saturating_mul(2);
-        if now.saturating_since(since) <= patience {
-            return;
-        }
-        self.isolated_since = None;
-        self.end_membership(Ending::Isolated, ctx);
     }
 
     /// `true` while this node's last membership ended recently enough to
@@ -854,7 +792,7 @@ impl<A: Application> AtumNode<A> {
         let mut out = String::new();
         write!(
             out,
-            "id:{:?} phase:{:?} byz:{:?} nonce:{} attempts:{} fb:{:?}/{} await:{:?} iso:{:?} rejoin:{} byzhb:{:?}",
+            "id:{:?} phase:{:?} byz:{:?} nonce:{} attempts:{} fb:{:?}/{} await:{:?} rejoin:{} byzhb:{:?}",
             self.identity.id,
             self.phase,
             self.byzantine,
@@ -863,7 +801,6 @@ impl<A: Application> AtumNode<A> {
             self.fallback_peers,
             self.fallback_rotation,
             self.awaiting_since,
-            self.isolated_since,
             self.auto_rejoin,
             self.last_byz_heartbeat,
         )
@@ -913,8 +850,6 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
         self.retry_join_if_stalled(ctx);
         self.rejoin_if_dropped(ctx);
         self.with_member(ctx, |member, _, now, effects| member.tick(now, effects));
-        self.abandon_membership_if_stranded(ctx);
-        self.abandon_membership_if_isolated(ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: AtumMessage, ctx: &mut Context<'_, AtumMessage>) {
@@ -1351,6 +1286,75 @@ mod tests {
         assert!(m0.composition.contains(NodeId::new(4)));
     }
 
+    /// The lone engine. `{0, 1, 2}` reconfigured to epoch 1 without node
+    /// 3, which is still at epoch 0 and lists `{0, 1, 2, 3}`. Its ex-peers
+    /// drop its older-epoch traffic, so left running, its synchronous
+    /// engine decides its own broadcast alone (reach 1), and the membership
+    /// lasts until it has heard no peer for three eviction windows. Instead
+    /// they answer it with a heartbeat at their epoch, which closes its
+    /// fence; the fence ends the membership, node 3 re-joins, and all four
+    /// decide its broadcast.
+    #[test]
+    fn a_member_reconfigured_out_is_fenced_not_left_deciding_alone() {
+        let params = fast_params();
+        let registry = registry(4);
+        let mut sim: TestSim = Simulation::new(NetConfig::lan(), 8);
+        for i in 0..4 {
+            let (members, epoch) = if i == 3 {
+                (comp(&[0, 1, 2, 3]), 0)
+            } else {
+                (comp(&[0, 1, 2]), 1)
+            };
+            let neighbors = NeighborTable::self_loop(params.hc, OLD, members.clone());
+            let node = AtumNode::with_membership(
+                NodeId::new(i),
+                params.clone(),
+                registry.clone(),
+                CollectingApp::new(),
+                OLD,
+                members,
+                neighbors,
+                epoch,
+            );
+            sim.add_node(NodeId::new(i), node);
+        }
+        sim.call(NodeId::new(3), |n, ctx| {
+            n.broadcast(b"lone".to_vec(), ctx).unwrap();
+        });
+        sim.run_for(Duration::from_secs(200));
+        let id = BroadcastId::new(NodeId::new(3), 0);
+
+        let delivered_by: Vec<u64> = (0..4)
+            .filter(|&i| {
+                let node = sim.node(NodeId::new(i)).unwrap();
+                node.delivered().iter().any(|d| d.0 == id)
+            })
+            .collect();
+        assert_eq!(
+            delivered_by,
+            [0, 1, 2, 3],
+            "who delivered node 3's broadcast"
+        );
+        let readmitted = sim.node(NodeId::new(3)).unwrap().stats.joined_at.unwrap();
+        assert!(readmitted > Instant::ZERO, "node 3 was re-admitted");
+        for i in 0..4 {
+            let node = sim.node(NodeId::new(i)).unwrap();
+            let member = node.member().expect("every node is a member");
+            assert_eq!(member.composition, comp(&[0, 1, 2, 3]));
+            let copies: Vec<Instant> = node
+                .delivered()
+                .iter()
+                .filter(|d| d.0 == id)
+                .map(|d| d.1)
+                .collect();
+            assert_eq!(copies.len(), 1, "node {i} delivered it once");
+            assert!(
+                copies[0] >= readmitted,
+                "node {i} delivered it before node 3 was re-admitted"
+            );
+        }
+    }
+
     // ------------------------------------ the session outlives memberships
 
     /// One node driven by hand: every step runs one callback at `now`
@@ -1572,7 +1576,6 @@ mod tests {
                     Ending::Evicted,
                     Ending::Transferred,
                     Ending::Stranded,
-                    Ending::Isolated,
                 ];
                 let mut solo = Solo::new();
                 let mut last_seq = None;

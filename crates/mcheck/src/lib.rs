@@ -143,6 +143,17 @@ mod tests {
         assert!(result.holds(), "violations: {:?}", result.violations);
     }
 
+    /// A member reconfigured out of its vgroup while it lagged must stop
+    /// deciding, end the stale membership and re-join within the settle
+    /// horizon: the vgroup agrees on one epoch and the probe reaches it.
+    #[test]
+    fn lone_engine_settles_clean() {
+        let config = ScenarioConfig::new(Scenario::LoneEngine).with_budgets(1, 1);
+        let (result, _) = check_scenario(config, 3, 4_000);
+        assert!(result.stats.states_explored > 0);
+        assert!(result.holds(), "violations: {:?}", result.violations);
+    }
+
     /// Scenario construction is deterministic: two builds of the same
     /// config canonicalize identically (the foundation of trace replay).
     #[test]

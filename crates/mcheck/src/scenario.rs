@@ -34,15 +34,20 @@ pub enum Scenario {
     /// A crashed member that the failure detector must evict without
     /// orphaning the group from the overlay.
     EvictOrphan,
+    /// A member its vgroup reconfigured out while it lagged an epoch
+    /// behind broadcasts: it must stop deciding, give the stale membership
+    /// up and re-join.
+    LoneEngine,
 }
 
 impl Scenario {
     /// All scenarios, in CLI order.
-    pub const ALL: [Scenario; 4] = [
+    pub const ALL: [Scenario; 5] = [
         Scenario::TornLink,
         Scenario::SplitRacingJoin,
         Scenario::MergeCollapse,
         Scenario::EvictOrphan,
+        Scenario::LoneEngine,
     ];
 
     /// Stable CLI name.
@@ -52,6 +57,7 @@ impl Scenario {
             Scenario::SplitRacingJoin => "split_racing_join",
             Scenario::MergeCollapse => "merge_collapse",
             Scenario::EvictOrphan => "evict_orphan",
+            Scenario::LoneEngine => "lone_engine",
         }
     }
 
@@ -132,6 +138,7 @@ impl ScenarioConfig {
             Scenario::SplitRacingJoin => self.build_split_racing_join(),
             Scenario::MergeCollapse => self.build_merge_collapse(),
             Scenario::EvictOrphan => self.build_evict_orphan(),
+            Scenario::LoneEngine => self.build_lone_engine(),
         }
     }
 
@@ -256,20 +263,6 @@ impl ScenarioConfig {
         all.push(joiner);
         let registry = registry_for(&all);
 
-        let ring = |other: VgroupId, other_comp: &Composition| {
-            let mut t = NeighborTable::new(1);
-            t.set_cycle(
-                0,
-                CycleNeighbors {
-                    predecessor: other,
-                    predecessor_composition: other_comp.clone(),
-                    successor: other,
-                    successor_composition: other_comp.clone(),
-                },
-            );
-            t
-        };
-
         let mut world = WorldState::new(self.drop_budget, self.dup_budget);
         for &id in &a_ids {
             world.add_node(
@@ -326,20 +319,6 @@ impl ScenarioConfig {
         let all: Vec<NodeId> = a_ids.iter().chain(&b_ids).copied().collect();
         let registry = registry_for(&all);
 
-        let ring = |other: VgroupId, other_comp: &Composition| {
-            let mut t = NeighborTable::new(1);
-            t.set_cycle(
-                0,
-                CycleNeighbors {
-                    predecessor: other,
-                    predecessor_composition: other_comp.clone(),
-                    successor: other,
-                    successor_composition: other_comp.clone(),
-                },
-            );
-            t
-        };
-
         let mut world = WorldState::new(self.drop_budget, self.dup_budget);
         for &id in &a_ids {
             world.add_node(
@@ -386,20 +365,6 @@ impl ScenarioConfig {
         let all: Vec<NodeId> = g_ids.iter().chain(&h_ids).copied().collect();
         let registry = registry_for(&all);
 
-        let ring = |other: VgroupId, other_comp: &Composition| {
-            let mut t = NeighborTable::new(1);
-            t.set_cycle(
-                0,
-                CycleNeighbors {
-                    predecessor: other,
-                    predecessor_composition: other_comp.clone(),
-                    successor: other,
-                    successor_composition: other_comp.clone(),
-                },
-            );
-            t
-        };
-
         let mut world = WorldState::new(self.drop_budget, self.dup_budget);
         for &id in &g_ids {
             world.add_node(
@@ -432,4 +397,78 @@ impl ScenarioConfig {
         world.crash(NodeId::new(3));
         world
     }
+
+    /// G = {0, 1, 2} @ vg1, epoch 3, next to H = {4..6} @ vg2; member 3
+    /// is still at epoch 2 with the composition {0..3} that G decided it
+    /// out of, and has just broadcast. G's members drop its older-epoch
+    /// traffic, so left deciding it delivers alone and stays a member of
+    /// the old epoch until it has heard no peer for three eviction windows.
+    fn build_lone_engine(&self) -> WorldState {
+        let params = self.base_params().with_group_bounds(3, 6);
+        let g_ids: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        let h_ids: Vec<NodeId> = (4..7).map(NodeId::new).collect();
+        let stale = NodeId::new(3);
+        let vg_g = VgroupId::new(1);
+        let vg_h = VgroupId::new(2);
+        let g_comp = Composition::from_members(g_ids.iter().copied());
+        let stale_comp = g_comp.union(&Composition::singleton(stale));
+        let h_comp = Composition::from_members(h_ids.iter().copied());
+        let mut all: Vec<NodeId> = g_ids.iter().chain(&h_ids).copied().collect();
+        all.push(stale);
+        let registry = registry_for(&all);
+
+        let mut world = WorldState::new(self.drop_budget, self.dup_budget);
+        for &id in &g_ids {
+            let node = member_node(
+                id,
+                &params,
+                &registry,
+                vg_g,
+                g_comp.clone(),
+                ring(vg_h, &h_comp),
+                3,
+            );
+            world.add_node(node, self.seed);
+        }
+        let node = member_node(
+            stale,
+            &params,
+            &registry,
+            vg_g,
+            stale_comp,
+            ring(vg_h, &h_comp),
+            2,
+        );
+        world.add_node(node, self.seed);
+        for &id in &h_ids {
+            let node = member_node(
+                id,
+                &params,
+                &registry,
+                vg_h,
+                h_comp.clone(),
+                ring(vg_g, &g_comp),
+                2,
+            );
+            world.add_node(node, self.seed);
+        }
+        world.broadcast_from(stale, b"lone".to_vec());
+        world
+    }
+}
+
+/// A one-cycle neighbour table whose predecessor and successor are both
+/// `other`.
+fn ring(other: VgroupId, other_comp: &Composition) -> NeighborTable {
+    let mut t = NeighborTable::new(1);
+    t.set_cycle(
+        0,
+        CycleNeighbors {
+            predecessor: other,
+            predecessor_composition: other_comp.clone(),
+            successor: other,
+            successor_composition: other_comp.clone(),
+        },
+    );
+    t
 }

@@ -243,12 +243,12 @@ pub fn run_growth(
                                 member.composition.len() as u64,
                                 live.len() as u64
                             ],
-                            "vgroup {:?} (per n{i}): size {} presumed_live {} epoch {} engine_running {}",
+                            "vgroup {:?} (per n{i}): size {} presumed_live {} epoch {} fenced {}",
                             member.vgroup,
                             member.composition.len(),
                             live.len(),
                             member.epoch,
-                            member.engine_running(),
+                            member.fenced(),
                         );
                     }
                 }
@@ -452,11 +452,13 @@ pub fn run_churn(
     // recovery pipeline: a victim's final rejoin attempt fires up to 40 s
     // after its leave, and the stale entry it leaves behind needs a full
     // failure-detection window plus agreement to be evicted. On top of
-    // that, a member stranded as the lone survivor of a wedged vgroup only
-    // abandons it after a further two windows of declared isolation, then
-    // re-joins and its stale entries need their own eviction round — so
+    // that, the lone survivor of a wedged vgroup closes its fence only after
+    // a window without a live peer, gives the membership up 20 rounds later,
+    // then re-joins and its stale entries need their own eviction round — so
     // the full recovery chain spans several windows. Auditing before
-    // quiescence would report in-flight recoveries as ghosts.
+    // quiescence would report in-flight recoveries as ghosts. The drain is
+    // longer than that chain needs, so that churn runs stay comparable with
+    // those made when the survivor waited two more windows to give up.
     let eviction_window = cluster
         .params
         .heartbeat_period
@@ -574,12 +576,12 @@ fn ghost_audit(
                     member.composition.len() as u64,
                     ghosts.len() as u64
                 ],
-                "vgroup {:?} (per {n}): size {} ghosts {:?} epoch {} engine_running {}",
+                "vgroup {:?} (per {n}): size {} ghosts {:?} epoch {} fenced {}",
                 member.vgroup,
                 member.composition.len(),
                 ghosts,
                 member.epoch,
-                member.engine_running(),
+                member.fenced(),
             );
             if !ghosts.is_empty() {
                 for (peer, silence, activated, accusations) in
@@ -600,10 +602,10 @@ fn ghost_audit(
                             at = now_us,
                             node = f.raw(),
                             slots = [fm.vgroup.raw(), fm.composition.len() as u64, fm.epoch],
-                            "    live member {f}: vgroup {:?} epoch {} engine_running {} comp {}",
+                            "    live member {f}: vgroup {:?} epoch {} fenced {} comp {}",
                             fm.vgroup,
                             fm.epoch,
-                            fm.engine_running(),
+                            fm.fenced(),
                             fm.composition
                         );
                     }

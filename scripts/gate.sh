@@ -252,7 +252,7 @@ gates() {
     model-check-smoke)
         check "exploration coverage and zero violations" -s \
             'map(select(.figure == "mcheck"))
-            | length == 2 and all(.metrics.states_explored > 0 and .metrics.violations == 0)' \
+            | length == 3 and all(.metrics.states_explored > 0 and .metrics.violations == 0)' \
             "$dir/BENCH_mcheck.json"
         ;;
 
@@ -332,6 +332,7 @@ fixture() {
     model-check-smoke)
         put BENCH_mcheck.json '{"figure":"mcheck","metrics":{"states_explored":10,"violations":0}}'
         put BENCH_mcheck.json '{"figure":"mcheck","metrics":{"states_explored":12,"violations":0}}'
+        put BENCH_mcheck.json '{"figure":"mcheck","metrics":{"states_explored":3,"violations":0}}'
         ;;
     esac
 }

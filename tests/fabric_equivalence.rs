@@ -117,9 +117,20 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
     // a different time, which moves the shuffle walks; final size and
     // time-to-target did not move. Completed exchanges are rare at this
     // scale and seed-dependent (see the atum-sim growth sweep).
+    //
+    // Re-pinned when a joiner came to be welcomed after the resize its
+    // admission triggers (`(14, 141, 0, 62)` → `(14, 151, 4, 82)`). At 83 s
+    // node 9's admission split vgroup 0 in the same decided op, and node 9
+    // was welcomed into the pre-split configuration that nobody held: its
+    // engine ran on alone for the rest of the run, deciding joins and
+    // exchanges by itself. Now it is welcomed into the half it lands in.
+    // The welcome's new place in the effect order moves every later
+    // message. No membership fence closes in this run. Over seeds 11–42
+    // of this configuration the median time-to-target stays 131 s; this
+    // seed is one of the slower ones.
     assert_eq!(
         summary,
-        (14, 141, 0, 62),
+        (14, 151, 4, 82),
         "growth protocol metrics moved for a fixed seed: {summary:?}"
     );
     let again = growth_once();

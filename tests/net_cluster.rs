@@ -100,12 +100,12 @@ fn loopback_cluster_grows_to_32_members_and_broadcasts() {
             let delivered = n.app().delivered_payloads().len();
             match n.member() {
                 Some(m) => format!(
-                    "phase {:?} vgroup {:?} epoch {} comp {} engine_running {} delivered {delivered}",
+                    "phase {:?} vgroup {:?} epoch {} comp {} fenced {} delivered {delivered}",
                     n.phase(),
                     m.vgroup,
                     m.epoch,
                     m.composition.len(),
-                    m.engine_running(),
+                    m.fenced(),
                 ),
                 None => format!("phase {:?} (no member state)", n.phase()),
             }
