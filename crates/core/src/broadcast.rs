@@ -735,6 +735,18 @@ mod tests {
             )),
             "own-group pulls are healed through SMR, not direct copies"
         );
+        // The re-proposed batch goes out at once, into the slot already open.
+        let mut relayed: Vec<(NodeId, NodeId, AtumMessage)> = effects
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: msg @ AtumMessage::Smr { .. },
+                } => Some((NodeId::new(0), to, msg)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(relayed.len(), 2, "the re-proposal is sent to both peers");
         // A repeated pull (same or another requester) stays unanswered this
         // period: one re-decision serves the whole group.
         let pending_before = {
@@ -754,11 +766,10 @@ mod tests {
             "re-proposals must be throttled per broadcast"
         );
 
-        // Drive the engines through the slot that opens at the next round:
-        // the re-proposed batch goes out, relays, finalizes — and the
-        // holed member delivers through the ordinary agreement path.
+        // Drive the engines through the re-proposal's slot: the batch is
+        // delivered a round later, relays, finalizes — and the holed member
+        // delivers through the ordinary agreement path.
         let round = test_params().round;
-        let mut relayed: Vec<(NodeId, NodeId, AtumMessage)> = Vec::new();
         for k in 1..=8u64 {
             let at = announce_at + round.saturating_mul(k);
             for (src, m) in [(0u64, &mut m0), (1, &mut m1), (2, &mut m2)] {

@@ -2266,23 +2266,20 @@ mod tests {
         m.start_broadcast(b"x".to_vec(), Instant::ZERO, &mut effects);
         // Nothing is delivered yet: agreement is pending.
         assert!(effects.iter().all(|e| !matches!(e, Effect::Deliver(_))));
-        // At the next round boundary the synchronous engine opens a slot
-        // and broadcasts the proposal to the vgroup peers.
-        let later = Instant::ZERO + m.params.round.saturating_mul(4);
-        m.tick(later, &mut effects);
-        let sends = effects
+        // The synchronous engine sends the proposal at once, into the slot
+        // that is already open, to each of the three vgroup peers.
+        let peers: BTreeSet<NodeId> = effects
             .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Effect::Send {
-                        msg: AtumMessage::Smr { .. },
-                        ..
-                    }
-                )
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: AtumMessage::Smr { .. },
+                } => Some(*to),
+                _ => None,
             })
-            .count();
-        assert!(sends > 0, "expected SMR messages, got {effects:?}");
+            .collect();
+        assert_eq!(peers.len(), 3, "expected SMR messages, got {effects:?}");
+        assert!(!peers.contains(&m.me.id));
     }
 
     #[test]

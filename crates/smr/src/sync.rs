@@ -3,15 +3,23 @@
 //! Time is divided into rounds of fixed duration, and every round opens an
 //! agreement instance, a *slot*, named after the round it opens in. A slot
 //! runs for `f + 2` rounds (`f = ⌊(g−1)/2⌋`), so up to `f + 2` slots are in
-//! flight at once. In its first round every member that has pending
-//! operations broadcasts a signed batch to all peers; during the next `f`
-//! rounds members relay newly accepted values with their own signature
-//! appended (the Dolev–Strong signature-chain rule); once its `f + 2` rounds
-//! are over every correct member has accepted the same set of batches and
-//! delivers them in a deterministic order (by proposer, then by position in
-//! the batch). Slots are delivered in slot order. A proposal waits at most
-//! one round for the next slot, so it is decided `f + 2` to `f + 3` rounds
-//! after it was made.
+//! flight at once. A member sends its pending operations as one signed batch
+//! into the slot that is open when it proposes; a member that already sent
+//! into that slot sends at its first step of the next round. Through round
+//! `slot + f` members relay newly accepted values with their own signature
+//! appended (the Dolev–Strong signature-chain rule). A value first seen in
+//! round `slot + k` must carry at least `k` distinct member signatures: one
+//! round of slack over the classical `k + 1`, because a batch sent late in
+//! its round may reach its peers in the next. Once its `f + 2` rounds are
+//! over every correct member has accepted the same set of batches: a value
+//! a correct member accepts by round `slot + f` is relayed and reaches every
+//! correct member by `slot + f + 1`, and a value first accepted later
+//! carries `f + 1` signatures, one of them from a correct member who relayed
+//! it in time. Members deliver the set in a deterministic order (by
+//! proposer, then by position in the batch), and slots in slot order. An
+//! idle member's proposal is decided at the first step at or after the
+//! `slot + f + 2` boundary, which comes less than `f + 2` rounds after the
+//! proposal; a member that already sent this round waits one round more.
 //!
 //! A sender that equivocates (gets two different batches accepted) is
 //! detected — both values are accepted — and its batch for that slot is
@@ -38,10 +46,12 @@ pub mod reject_reason {
     pub const CHAIN: u64 = 3;
     /// A signer on the chain is not a member.
     pub const SIGNER: u64 = 4;
-    /// The slot is already finalized or too far in the past.
+    /// The slot is already finalized.
     pub const STALE: u64 = 5;
     /// The slot has not opened yet (more than one round ahead).
     pub const FUTURE: u64 = 6;
+    /// First seen in round `slot + k` with fewer than `k` signatures.
+    pub const SHORT_CHAIN: u64 = 7;
 }
 
 /// Agreement state of one slot that is not finalized yet.
@@ -77,6 +87,9 @@ pub struct SyncSmr<O: SmrOp> {
     pending: VecDeque<O>,
     /// Slots not yet finalized, by slot id.
     slots: BTreeMap<u64, SlotState<O>>,
+    /// Latest slot this member sent its own batch into, whatever its mode:
+    /// one batch per slot.
+    sent_slot: Option<u64>,
     next_seq: u64,
     byzantine: ByzantineMode,
 }
@@ -93,6 +106,7 @@ impl<O: SmrOp> std::fmt::Debug for SyncSmr<O> {
             .field("processed_round", &self.processed_round)
             .field("pending", &self.pending)
             .field("slots", &self.slots)
+            .field("sent_slot", &self.sent_slot)
             .field("next_seq", &self.next_seq)
             .field("byzantine", &self.byzantine)
             .finish()
@@ -121,6 +135,7 @@ impl<O: SmrOp> SyncSmr<O> {
             processed_round: None,
             pending: VecDeque::new(),
             slots: BTreeMap::new(),
+            sent_slot: None,
             next_seq: 0,
             byzantine: ByzantineMode::Correct,
         }
@@ -175,19 +190,24 @@ impl<O: SmrOp> SyncSmr<O> {
         self.pending.len()
     }
 
+    /// Sends the pending batch into `slot`, unless there is none or this
+    /// member already sent into it.
     fn broadcast_own_batch(&mut self, slot: u64, actions: &mut Vec<Action<O>>) {
-        if self.pending.is_empty() || self.byzantine != ByzantineMode::Correct {
-            // Silent and equivocating replicas simply do not progress their
-            // own proposals (an equivocating sender additionally sends
-            // diverging partial batches, handled below).
-            if self.byzantine == ByzantineMode::Equivocate && !self.pending.is_empty() {
-                self.equivocate(slot, actions);
-            }
+        if self.pending.is_empty() || self.sent_slot.is_some_and(|s| s >= slot) {
             return;
         }
         let Some(signer) = self.signer.clone() else {
             return;
         };
+        self.sent_slot = Some(slot);
+        if self.byzantine != ByzantineMode::Correct {
+            // Silent replicas simply do not progress their own proposals; an
+            // equivocating one sends diverging partial batches instead.
+            if self.byzantine == ByzantineMode::Equivocate {
+                self.equivocate(slot, &signer, actions);
+            }
+            return;
+        }
         let take = self.pending.len().min(self.config.max_batch);
         let batch: Vec<O> = self.pending.drain(..take).collect();
         let digest = Self::batch_digest(slot, self.me, &batch);
@@ -217,17 +237,14 @@ impl<O: SmrOp> SyncSmr<O> {
     /// half of the group and a conflicting (empty) batch to the other half.
     /// Correct receivers end up accepting two different values for this
     /// sender and discard its slot, as Dolev–Strong prescribes.
-    fn equivocate(&mut self, slot: u64, actions: &mut Vec<Action<O>>) {
-        let Some(signer) = self.signer.clone() else {
-            return;
-        };
+    fn equivocate(&self, slot: u64, signer: &NodeSigner, actions: &mut Vec<Action<O>>) {
         let Some(op) = self.pending.front().cloned() else {
             return;
         };
         let batch_a = vec![op];
         let batch_b: Vec<O> = Vec::new();
-        let chain_a = SignatureChain::new(Self::batch_digest(slot, self.me, &batch_a), &signer);
-        let chain_b = SignatureChain::new(Self::batch_digest(slot, self.me, &batch_b), &signer);
+        let chain_a = SignatureChain::new(Self::batch_digest(slot, self.me, &batch_a), signer);
+        let chain_b = SignatureChain::new(Self::batch_digest(slot, self.me, &batch_b), signer);
         let half = self.members.len() / 2;
         for (i, peer) in self.members.iter().filter(|&p| p != self.me).enumerate() {
             let (batch, chain) = if i < half {
@@ -245,6 +262,33 @@ impl<O: SmrOp> SyncSmr<O> {
                 },
             });
         }
+    }
+
+    /// What both `propose` and `tick` do at `now`: process the current round
+    /// if it is new, finalizing the slots that are due, then send the pending
+    /// batch into the current round's slot.
+    fn step(&mut self, now: Instant) -> Vec<Action<O>> {
+        let mut actions = Vec::new();
+        let Some(round) = self.round_at(now) else {
+            return vec![Action::ScheduleTick { at: self.start }];
+        };
+        // Only the current round is processed: rounds a late step skipped
+        // opened no slot of ours, and a fresh engine must not replay rounds
+        // from 0 into slots its peers reject as stale and finalize them
+        // alone.
+        if self.processed_round.is_none_or(|p| round > p) {
+            self.processed_round = Some(round);
+            self.finalize_due(round, &mut actions);
+        }
+        self.broadcast_own_batch(round, &mut actions);
+        // Always ask to be woken at the next round boundary while there is
+        // anything in flight.
+        if !self.pending.is_empty() || !self.slots.is_empty() {
+            actions.push(Action::ScheduleTick {
+                at: self.round_start(round + 1),
+            });
+        }
+        actions
     }
 
     /// Finalizes, in slot order, every held slot whose `f + 2` rounds are
@@ -278,12 +322,9 @@ impl<O: SmrOp> SyncSmr<O> {
 impl<O: SmrOp> Replication<O> for SyncSmr<O> {
     fn propose(&mut self, op: O, now: Instant) -> Vec<Action<O>> {
         self.pending.push_back(op);
-        // Ask the host to tick us at the next round boundary, where the next
-        // slot opens and the batch is broadcast.
-        let next_round = self.round_at(now).map_or(0, |r| r + 1);
-        vec![Action::ScheduleTick {
-            at: self.round_start(next_round),
-        }]
+        // The batch goes out now, into the slot that is already open, unless
+        // this member sent into it already; then it waits for the next one.
+        self.step(now)
     }
 
     fn handle(&mut self, from: NodeId, msg: SmrMessage<O>, now: Instant) -> Vec<Action<O>> {
@@ -375,9 +416,8 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
             );
             return actions;
         }
-        let rps = self.rounds_per_slot();
         // Ignore values for already-finalized slots.
-        if self.finalized_through().is_some_and(|w| slot <= w) || slot + 2 * rps <= current_round {
+        if self.finalized_through().is_some_and(|w| slot <= w) {
             atum_obs::trace_event!(
                 SmrReject,
                 at = now.as_micros(),
@@ -388,7 +428,26 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
             );
             return actions;
         }
+        // Dolev–Strong with one round of slack: a value first seen in round
+        // `slot + k` must carry `k` distinct signatures. Without this a
+        // faulty member could hand its batch to one correct member after the
+        // relay window, and that member alone would deliver it. A chain has
+        // at most `g` signers, so this also rejects any slot more than `g`
+        // rounds old.
+        if chain.len() < current_round.saturating_sub(slot) as usize {
+            atum_obs::trace_event!(
+                SmrReject,
+                at = now.as_micros(),
+                node = self.me.raw(),
+                slots = [slot, from.raw(), reject_reason::SHORT_CHAIN],
+                "[smr {}] reject slot {slot} from {from}: {} signatures in round {current_round}",
+                self.me,
+                chain.len()
+            );
+            return actions;
+        }
 
+        let rps = self.rounds_per_slot();
         let me = self.me;
         let finalize_at = self.round_start(slot + rps);
         self.slots
@@ -425,27 +484,7 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
     }
 
     fn tick(&mut self, now: Instant) -> Vec<Action<O>> {
-        let mut actions = Vec::new();
-        let Some(round) = self.round_at(now) else {
-            return vec![Action::ScheduleTick { at: self.start }];
-        };
-        // Only the current round is processed: rounds a late tick skipped
-        // opened no slot of ours, and a fresh engine must not replay rounds
-        // from 0 into slots its peers reject as stale and finalize them
-        // alone.
-        if self.processed_round.is_none_or(|p| round > p) {
-            self.processed_round = Some(round);
-            self.finalize_due(round, &mut actions);
-            self.broadcast_own_batch(round, &mut actions);
-        }
-        // Always ask to be woken at the next round boundary while there is
-        // anything in flight.
-        if !self.pending.is_empty() || !self.slots.is_empty() {
-            actions.push(Action::ScheduleTick {
-                at: self.round_start(round + 1),
-            });
-        }
-        actions
+        self.step(now)
     }
 
     fn members(&self) -> &Composition {
@@ -605,6 +644,50 @@ mod tests {
             .collect()
     }
 
+    /// Carries out the `actions` member `from` took at `now` over a network
+    /// without delay: each send is handled at once, and the replies carried
+    /// out in turn. Decisions are appended to `decided`, by member.
+    fn carry_out(
+        smr: &mut [SyncSmr<Vec<u8>>],
+        from: usize,
+        actions: Vec<Action<Vec<u8>>>,
+        now: Instant,
+        decided: &mut [Vec<Vec<u8>>],
+    ) {
+        let mut queue: VecDeque<_> = actions.into_iter().map(|a| (from, a)).collect();
+        while let Some((by, action)) = queue.pop_front() {
+            match action {
+                Action::Send { to, msg } => {
+                    let to = to.raw() as usize;
+                    let replies = smr[to].handle(NodeId::new(by as u64), msg, now);
+                    queue.extend(replies.into_iter().map(|a| (to, a)));
+                }
+                Action::Deliver(d) => decided[by].push(d.op),
+                Action::ScheduleTick { .. } => {}
+            }
+        }
+    }
+
+    /// Ticks every member at `now` and carries out what they do.
+    fn tick_all(smr: &mut [SyncSmr<Vec<u8>>], now: Instant, decided: &mut [Vec<Vec<u8>>]) {
+        for i in 0..smr.len() {
+            let actions = smr[i].tick(now);
+            carry_out(smr, i, actions, now, decided);
+        }
+    }
+
+    /// `ms` milliseconds into `round`.
+    fn at(round: u64, ms: u64) -> Instant {
+        Instant::ZERO + SmrConfig::default().round.saturating_mul(round) + Duration::from_millis(ms)
+    }
+
+    fn sends(actions: &[Action<Vec<u8>>]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, Action::Send { .. }))
+            .count()
+    }
+
     #[test]
     fn an_engine_created_mid_run_does_not_decide_its_first_batch_alone() {
         // Regression: the first tick of an engine created long after its
@@ -614,20 +697,8 @@ mod tests {
         let mut smr = engines(4);
         let round = SmrConfig::default().round;
         let t0 = Instant::from_micros(100_000_000);
-        smr[0].propose(b"op".to_vec(), t0);
         let mut sent = 0;
-        for k in 0..=smr[0].rounds_per_slot() + 1 {
-            let now = t0 + Duration::from_millis(100) + round.saturating_mul(k);
-            for peer in &mut smr[1..] {
-                peer.tick(now);
-            }
-            let actions = smr[0].tick(now);
-            if k == 0 {
-                assert!(
-                    crate::protocol::decisions(&actions).is_empty(),
-                    "first tick decided alone: {actions:?}"
-                );
-            }
+        let mut send = |smr: &mut [SyncSmr<Vec<u8>>], actions: Vec<Action<Vec<u8>>>, now| {
             for action in actions {
                 if let Action::Send { to, msg } = action {
                     let slot = match &msg {
@@ -640,8 +711,142 @@ mod tests {
                     sent += 1;
                 }
             }
+        };
+        // The batch leaves with `propose`, into the slot open at `t0`.
+        let actions = smr[0].propose(b"op".to_vec(), t0);
+        assert!(
+            crate::protocol::decisions(&actions).is_empty(),
+            "propose decided alone: {actions:?}"
+        );
+        send(&mut smr, actions, t0);
+        for k in 0..=smr[0].rounds_per_slot() + 1 {
+            let now = t0 + Duration::from_millis(100) + round.saturating_mul(k);
+            for peer in &mut smr[1..] {
+                peer.tick(now);
+            }
+            let actions = smr[0].tick(now);
+            if k == 0 {
+                assert!(
+                    crate::protocol::decisions(&actions).is_empty(),
+                    "first tick decided alone: {actions:?}"
+                );
+            }
+            send(&mut smr, actions, now);
         }
         assert_eq!(sent, 3, "the batch reaches every peer once");
+    }
+
+    #[test]
+    fn an_idle_members_mid_round_proposal_is_decided_in_under_f_plus_2_rounds() {
+        let mut smr = engines(4);
+        let (round, rps) = (SmrConfig::default().round, smr[0].rounds_per_slot());
+        let mut decided = vec![Vec::new(); 4];
+        tick_all(&mut smr, at(10, 0), &mut decided);
+        let proposed = at(10, 500);
+        let actions = smr[2].propose(b"idle".to_vec(), proposed);
+        assert_eq!(
+            sends(&actions),
+            3,
+            "the batch goes out at once: {actions:?}"
+        );
+        carry_out(&mut smr, 2, actions, proposed, &mut decided);
+        // Tick every half round, as the host does.
+        let mut now = proposed;
+        while decided[2].is_empty() && now < at(20, 0) {
+            now += Duration::from_millis(500);
+            tick_all(&mut smr, now, &mut decided);
+        }
+        assert_eq!(
+            now,
+            at(10 + rps, 0),
+            "decided at the first tick at or after the boundary"
+        );
+        assert!(now - proposed < round.saturating_mul(rps));
+        assert!(
+            decided.iter().all(|d| d == &[b"idle".to_vec()]),
+            "{decided:?}"
+        );
+    }
+
+    #[test]
+    fn a_batch_sent_in_the_last_millisecond_of_its_round_is_accepted_in_the_next() {
+        let mut smr = engines(4);
+        let mut decided = vec![Vec::new(); 4];
+        tick_all(&mut smr, at(10, 0), &mut decided);
+        let actions = smr[1].propose(b"late".to_vec(), at(10, 999));
+        assert_eq!(sends(&actions), 3);
+        // Every peer hears it in round 11, with the sender's signature only.
+        tick_all(&mut smr, at(11, 0), &mut decided);
+        carry_out(&mut smr, 1, actions, at(11, 5), &mut decided);
+        for peer in [0, 2, 3] {
+            let held = smr[peer]
+                .slots
+                .get(&10)
+                .and_then(|s| s.per_sender.get(&NodeId::new(1)));
+            assert!(held.is_some(), "member {peer} rejected it");
+        }
+        for r in 12..=13 {
+            tick_all(&mut smr, at(r, 0), &mut decided);
+        }
+        assert!(
+            decided.iter().all(|d| d == &[b"late".to_vec()]),
+            "{decided:?}"
+        );
+    }
+
+    #[test]
+    fn a_batch_handed_to_one_member_after_the_relay_window_is_rejected() {
+        // Regression: a value was accepted with the sender's signature alone
+        // in any round until its slot finalized, but relayed only through
+        // round `slot + f`. Faulty member 3 hands its slot-10 batch to member
+        // 0 alone in round 12 (`slot + f + 1` at g = 4, f = 1): member 0
+        // accepted it, did not relay it, and delivered it alone.
+        let mut smr = engines(4);
+        let mut decided = vec![Vec::new(); 4];
+        for r in 10..=12 {
+            tick_all(&mut smr, at(r, 0), &mut decided);
+        }
+        let batch = vec![b"injected".to_vec()];
+        let digest = SyncSmr::<Vec<u8>>::batch_digest(10, NodeId::new(3), &batch);
+        let signer = smr[3].signer.clone().expect("registered");
+        let msg = SmrMessage::SyncValue {
+            slot: 10,
+            sender: NodeId::new(3),
+            batch,
+            chain: SignatureChain::new(digest, &signer),
+        };
+        let actions = smr[0].handle(NodeId::new(3), msg, at(12, 100));
+        for r in 13..=15 {
+            tick_all(&mut smr, at(r, 0), &mut decided);
+        }
+        assert!(decided.iter().all(Vec::is_empty), "{decided:?}");
+        assert!(actions.is_empty(), "accepted: {actions:?}");
+    }
+
+    #[test]
+    fn an_equivocating_member_sends_one_conflicting_pair_per_slot() {
+        let mut smr = engines(5);
+        smr[4].set_byzantine(ByzantineMode::Equivocate);
+        let mut values = Vec::new();
+        for (i, ms) in [100, 400, 700].into_iter().enumerate() {
+            let op = format!("evil-{i}").into_bytes();
+            for action in smr[4].propose(op, at(10, ms)) {
+                if let Action::Send {
+                    msg: SmrMessage::SyncValue { slot, chain, .. },
+                    ..
+                } = action
+                {
+                    values.push((slot, *chain.payload()));
+                }
+            }
+        }
+        assert_eq!(values.len(), 4, "one value per peer: {values:?}");
+        assert!(values.iter().all(|&(slot, _)| slot == 10));
+        let digests: std::collections::BTreeSet<_> = values.iter().map(|&(_, d)| d).collect();
+        assert_eq!(digests.len(), 2, "one conflicting pair");
+        // The next pair waits for the next slot.
+        assert_eq!(sends(&smr[4].tick(at(10, 900))), 0);
+        assert_eq!(sends(&smr[4].tick(at(11, 0))), 4);
     }
 
     #[test]

@@ -128,9 +128,17 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
     // message. No membership fence closes in this run. Over seeds 11–42
     // of this configuration the median time-to-target stays 131 s; this
     // seed is one of the slower ones.
+    //
+    // Re-pinned when an idle member's proposal started to go out at once,
+    // into the slot already open, instead of at its first tick of the next
+    // round (`(14, 151, 4, 82)` → `(14, 131, 0, 55)`): joins, splits and
+    // exchanges are decided up to a round sooner, which moves every later
+    // message. Final size is unchanged and this seed now reaches the
+    // target at the configuration's median time. Completed exchanges are
+    // rare at this scale and seed-dependent, as above.
     assert_eq!(
         summary,
-        (14, 151, 4, 82),
+        (14, 131, 0, 55),
         "growth protocol metrics moved for a fixed seed: {summary:?}"
     );
     let again = growth_once();
