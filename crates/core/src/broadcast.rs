@@ -766,25 +766,12 @@ mod tests {
             "re-proposals must be throttled per broadcast"
         );
 
-        // Drive the engines through the re-proposal's slot: the batch is
-        // delivered a round later, relays, finalizes — and the holed member
-        // delivers through the ordinary agreement path.
+        // Drive the engines through the re-proposal's slot: each batch is
+        // delivered at the time it was sent, relays, finalizes — and the
+        // holed member delivers through the ordinary agreement path.
         let round = test_params().round;
-        for k in 1..=8u64 {
-            let at = announce_at + round.saturating_mul(k);
-            for (src, m) in [(0u64, &mut m0), (1, &mut m1), (2, &mut m2)] {
-                let mut effects = Vec::new();
-                m.tick(at, &mut effects);
-                for e in effects {
-                    if let Effect::Send {
-                        to,
-                        msg: msg @ AtumMessage::Smr { .. },
-                    } = e
-                    {
-                        relayed.push((NodeId::new(src), to, msg));
-                    }
-                }
-            }
+        let mut at = announce_at;
+        for _ in 0..8 {
             for (src, to, msg) in std::mem::take(&mut relayed) {
                 let AtumMessage::Smr { group, epoch, msg } = msg else {
                     unreachable!()
@@ -808,6 +795,20 @@ mod tests {
             }
             if !m2.session().stats().delivered.is_empty() {
                 break;
+            }
+            at += round;
+            for (src, m) in [(0u64, &mut m0), (1, &mut m1), (2, &mut m2)] {
+                let mut effects = Vec::new();
+                m.tick(at, &mut effects);
+                for e in effects {
+                    if let Effect::Send {
+                        to,
+                        msg: msg @ AtumMessage::Smr { .. },
+                    } = e
+                    {
+                        relayed.push((NodeId::new(src), to, msg));
+                    }
+                }
             }
         }
         assert_eq!(

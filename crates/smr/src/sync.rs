@@ -3,23 +3,33 @@
 //! Time is divided into rounds of fixed duration, and every round opens an
 //! agreement instance, a *slot*, named after the round it opens in. A slot
 //! runs for `f + 2` rounds (`f = ⌊(g−1)/2⌋`), so up to `f + 2` slots are in
-//! flight at once. A member sends its pending operations as one signed batch
-//! into the slot that is open when it proposes; a member that already sent
-//! into that slot sends at its first step of the next round. Through round
-//! `slot + f` members relay newly accepted values with their own signature
-//! appended (the Dolev–Strong signature-chain rule). A value first seen in
-//! round `slot + k` must carry at least `k` distinct member signatures: one
-//! round of slack over the classical `k + 1`, because a batch sent late in
-//! its round may reach its peers in the next. Once its `f + 2` rounds are
-//! over every correct member has accepted the same set of batches: a value
-//! a correct member accepts by round `slot + f` is relayed and reaches every
-//! correct member by `slot + f + 1`, and a value first accepted later
-//! carries `f + 1` signatures, one of them from a correct member who relayed
-//! it in time. Members deliver the set in a deterministic order (by
-//! proposer, then by position in the batch), and slots in slot order. An
-//! idle member's proposal is decided at the first step at or after the
-//! `slot + f + 2` boundary, which comes less than `f + 2` rounds after the
-//! proposal; a member that already sent this round waits one round more.
+//! flight at once. A member sends its pending operations as one signed
+//! batch, at most once per slot, and only in the first half of a round: in
+//! round `r` it sends into slot `r − 1`, the slot that just closed (slot 0
+//! in round 0). A busy member therefore ships everything proposed since its
+//! last send at its first step of each round, an idle member's first-half
+//! proposal goes out at once, and a second-half proposal waits for the next
+//! round's first half. Through round `slot + f` members relay newly accepted
+//! values with their own signature appended (the Dolev–Strong
+//! signature-chain rule). A value first seen in round `slot + k` must carry
+//! at least `k` distinct member signatures: one round of slack over the
+//! classical `k + 1`, which the late own send uses up. Once its `f + 2`
+//! rounds are over every correct member has accepted the same set of
+//! batches: a value a correct member accepts by round `slot + f` is relayed
+//! and reaches every correct member by `slot + f + 1`, and a value first
+//! accepted later carries `f + 1` signatures, one of them from a correct
+//! member who relayed it in time. Members deliver the set in a deterministic
+//! order (by proposer, then by position in the batch), and slots in slot
+//! order. An idle member's first-half proposal in round `r` is decided at the
+//! first step at or after the `r + f + 1` boundary; any other proposal made
+//! in round `r` at the `r + f + 2` boundary, so while the pending operations
+//! fit in one batch none waits more than `f + 2` rounds.
+//!
+//! The engine assumes two synchrony bounds. A member's own batch, sent up to
+//! half a round into round `slot + 1`, must reach its peers in that round:
+//! network delay plus the host's tick lag stays under `round / 2`. A relay
+//! must arrive by the round after it was sent: network delay stays under
+//! `round`.
 //!
 //! A sender that equivocates (gets two different batches accepted) is
 //! detected — both values are accepted — and its batch for that slot is
@@ -264,9 +274,15 @@ impl<O: SmrOp> SyncSmr<O> {
         }
     }
 
+    /// Whether `now` falls in the first half of its round.
+    fn in_first_half(&self, now: Instant) -> bool {
+        let into_round = (now - self.start).as_micros() % self.config.round.as_micros().max(1);
+        into_round < self.config.round.as_micros().max(2) / 2
+    }
+
     /// What both `propose` and `tick` do at `now`: process the current round
-    /// if it is new, finalizing the slots that are due, then send the pending
-    /// batch into the current round's slot.
+    /// if it is new, finalizing the slots that are due, then, in the first
+    /// half of round `r`, send the pending batch into slot `r − 1`.
     fn step(&mut self, now: Instant) -> Vec<Action<O>> {
         let mut actions = Vec::new();
         let Some(round) = self.round_at(now) else {
@@ -280,7 +296,13 @@ impl<O: SmrOp> SyncSmr<O> {
             self.processed_round = Some(round);
             self.finalize_due(round, &mut actions);
         }
-        self.broadcast_own_batch(round, &mut actions);
+        // The slot that just closed still takes a batch signed by its sender
+        // alone, so a step in the first half ships everything proposed since
+        // this member's last send into it; a step in the second half sends
+        // nothing, and what it holds waits for the next round's first half.
+        if self.in_first_half(now) {
+            self.broadcast_own_batch(round.saturating_sub(1), &mut actions);
+        }
         // Always ask to be woken at the next round boundary while there is
         // anything in flight.
         if !self.pending.is_empty() || !self.slots.is_empty() {
@@ -322,8 +344,9 @@ impl<O: SmrOp> SyncSmr<O> {
 impl<O: SmrOp> Replication<O> for SyncSmr<O> {
     fn propose(&mut self, op: O, now: Instant) -> Vec<Action<O>> {
         self.pending.push_back(op);
-        // The batch goes out now, into the slot that is already open, unless
-        // this member sent into it already; then it waits for the next one.
+        // In the first half of a round the batch goes out now, unless this
+        // member already sent into the slot that just closed; otherwise it
+        // waits for the next round's first half.
         self.step(now)
     }
 
@@ -681,11 +704,18 @@ mod tests {
         Instant::ZERO + SmrConfig::default().round.saturating_mul(round) + Duration::from_millis(ms)
     }
 
-    fn sends(actions: &[Action<Vec<u8>>]) -> usize {
+    /// The slot of each send in `actions` whose batch is member `me`'s own.
+    fn own_sends(actions: &[Action<Vec<u8>>], me: usize) -> Vec<u64> {
         actions
             .iter()
-            .filter(|a| matches!(a, Action::Send { .. }))
-            .count()
+            .filter_map(|a| match a {
+                Action::Send {
+                    msg: SmrMessage::SyncValue { slot, sender, .. },
+                    ..
+                } if sender.raw() == me as u64 => Some(*slot),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -712,7 +742,7 @@ mod tests {
                 }
             }
         };
-        // The batch leaves with `propose`, into the slot open at `t0`.
+        // The batch leaves with `propose`, into the slot that closed at `t0`.
         let actions = smr[0].propose(b"op".to_vec(), t0);
         assert!(
             crate::protocol::decisions(&actions).is_empty(),
@@ -736,31 +766,58 @@ mod tests {
         assert_eq!(sent, 3, "the batch reaches every peer once");
     }
 
+    /// Ticks every member every half round after `from`, as the host does,
+    /// until one of them decides; returns the time of that tick.
+    fn tick_until_decided(
+        smr: &mut [SyncSmr<Vec<u8>>],
+        from: Instant,
+        decided: &mut [Vec<Vec<u8>>],
+    ) -> Instant {
+        let mut now = from;
+        while decided.iter().all(Vec::is_empty) && now < at(30, 0) {
+            now += Duration::from_millis(500);
+            tick_all(smr, now, decided);
+        }
+        now
+    }
+
     #[test]
-    fn an_idle_members_mid_round_proposal_is_decided_in_under_f_plus_2_rounds() {
+    fn an_idle_members_first_half_proposal_is_decided_at_boundary_r_plus_f_plus_1() {
+        let mut smr = engines(4);
+        let rps = smr[0].rounds_per_slot();
+        let mut decided = vec![Vec::new(); 4];
+        tick_all(&mut smr, at(10, 0), &mut decided);
+        let proposed = at(10, 200);
+        let actions = smr[2].propose(b"idle".to_vec(), proposed);
+        assert_eq!(
+            own_sends(&actions, 2),
+            vec![9; 3],
+            "the batch goes out at once, into the slot that just closed"
+        );
+        carry_out(&mut smr, 2, actions, proposed, &mut decided);
+        let now = tick_until_decided(&mut smr, at(10, 0), &mut decided);
+        // Boundary `slot + f + 2` of slot 9 is round `10 + f + 1`.
+        assert_eq!(now, at(10 + rps - 1, 0), "decided at boundary r + f + 1");
+        assert!(
+            decided.iter().all(|d| d == &[b"idle".to_vec()]),
+            "every member decides at that tick: {decided:?}"
+        );
+    }
+
+    #[test]
+    fn an_idle_members_second_half_proposal_is_sent_at_the_next_rounds_first_tick() {
         let mut smr = engines(4);
         let (round, rps) = (SmrConfig::default().round, smr[0].rounds_per_slot());
         let mut decided = vec![Vec::new(); 4];
         tick_all(&mut smr, at(10, 0), &mut decided);
         let proposed = at(10, 500);
         let actions = smr[2].propose(b"idle".to_vec(), proposed);
-        assert_eq!(
-            sends(&actions),
-            3,
-            "the batch goes out at once: {actions:?}"
-        );
-        carry_out(&mut smr, 2, actions, proposed, &mut decided);
-        // Tick every half round, as the host does.
-        let mut now = proposed;
-        while decided[2].is_empty() && now < at(20, 0) {
-            now += Duration::from_millis(500);
-            tick_all(&mut smr, now, &mut decided);
-        }
-        assert_eq!(
-            now,
-            at(10 + rps, 0),
-            "decided at the first tick at or after the boundary"
-        );
+        assert!(own_sends(&actions, 2).is_empty(), "held: {actions:?}");
+        let actions = smr[2].tick(at(11, 0));
+        assert_eq!(own_sends(&actions, 2), vec![10; 3], "sent into slot r");
+        carry_out(&mut smr, 2, actions, at(11, 0), &mut decided);
+        let now = tick_until_decided(&mut smr, at(11, 0), &mut decided);
+        assert_eq!(now, at(10 + rps, 0), "decided at boundary r + f + 2");
         assert!(now - proposed < round.saturating_mul(rps));
         assert!(
             decided.iter().all(|d| d == &[b"idle".to_vec()]),
@@ -769,15 +826,24 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_sent_in_the_last_millisecond_of_its_round_is_accepted_in_the_next() {
+    fn a_batch_sent_in_the_first_half_of_the_next_round_is_accepted_on_its_senders_signature() {
         let mut smr = engines(4);
         let mut decided = vec![Vec::new(); 4];
-        tick_all(&mut smr, at(10, 0), &mut decided);
-        let actions = smr[1].propose(b"late".to_vec(), at(10, 999));
-        assert_eq!(sends(&actions), 3);
-        // Every peer hears it in round 11, with the sender's signature only.
-        tick_all(&mut smr, at(11, 0), &mut decided);
-        carry_out(&mut smr, 1, actions, at(11, 5), &mut decided);
+        for r in 10..=11 {
+            tick_all(&mut smr, at(r, 0), &mut decided);
+        }
+        // Sent in the last millisecond of round 11's first half, into slot 10.
+        let actions = smr[1].propose(b"late".to_vec(), at(11, 499));
+        assert_eq!(own_sends(&actions, 1), vec![10; 3]);
+        assert!(actions.iter().all(|a| match a {
+            Action::Send {
+                msg: SmrMessage::SyncValue { chain, .. },
+                ..
+            } => chain.len() == 1,
+            _ => true,
+        }));
+        // Every peer hears it at the end of round 11, and accepts it.
+        carry_out(&mut smr, 1, actions, at(11, 999), &mut decided);
         for peer in [0, 2, 3] {
             let held = smr[peer]
                 .slots
@@ -792,6 +858,64 @@ mod tests {
             decided.iter().all(|d| d == &[b"late".to_vec()]),
             "{decided:?}"
         );
+    }
+
+    #[test]
+    fn a_busy_members_later_proposals_go_out_as_one_batch_at_its_next_first_half_tick() {
+        let mut smr = engines(4);
+        let rps = smr[0].rounds_per_slot();
+        let mut decided = vec![Vec::new(); 4];
+        tick_all(&mut smr, at(10, 0), &mut decided);
+        let actions = smr[0].propose(b"a".to_vec(), at(10, 100));
+        assert_eq!(own_sends(&actions, 0), vec![9; 3]);
+        carry_out(&mut smr, 0, actions, at(10, 100), &mut decided);
+        // Slot 9 is taken: these wait, through the second-half tick.
+        for (op, ms) in [(b"b", 200), (b"c", 600)] {
+            let actions = smr[0].propose(op.to_vec(), at(10, ms));
+            assert!(own_sends(&actions, 0).is_empty());
+        }
+        tick_all(&mut smr, at(10, 500), &mut decided);
+        let actions = smr[0].tick(at(11, 0));
+        assert_eq!(own_sends(&actions, 0), vec![10; 3]);
+        assert!(actions.iter().all(|a| match a {
+            Action::Send {
+                msg: SmrMessage::SyncValue { batch, .. },
+                ..
+            } => batch == &[b"b".to_vec(), b"c".to_vec()],
+            _ => true,
+        }));
+        carry_out(&mut smr, 0, actions, at(11, 0), &mut decided);
+        let now = tick_until_decided(&mut smr, at(11, 0), &mut decided);
+        assert_eq!(now, at(9 + rps, 0));
+        assert!(decided.iter().all(|d| d == &[b"a".to_vec()]), "{decided:?}");
+        tick_all(&mut smr, now + Duration::from_millis(500), &mut decided);
+        assert!(decided.iter().all(|d| d.len() == 1), "{decided:?}");
+        tick_all(&mut smr, at(10 + rps, 0), &mut decided);
+        let all = [b"a".to_vec(), b"b".to_vec(), b"c".to_vec()];
+        assert!(
+            decided.iter().all(|d| d == &all),
+            "b and c are decided together: {decided:?}"
+        );
+    }
+
+    #[test]
+    fn a_tick_in_the_second_half_of_a_round_never_sends_its_own_batch() {
+        let mut smr = engines(4);
+        for r in 10..16 {
+            for ms in [500, 501, 750, 999] {
+                let proposed = smr[0].propose(format!("op-{r}-{ms}").into_bytes(), at(r, ms));
+                assert!(own_sends(&proposed, 0).is_empty(), "propose at {r}.{ms}");
+                let ticked = smr[0].tick(at(r, ms));
+                assert!(own_sends(&ticked, 0).is_empty(), "tick at {r}.{ms}");
+            }
+            let actions = smr[0].tick(at(r + 1, 0));
+            assert_eq!(
+                own_sends(&actions, 0),
+                vec![r; 3],
+                "first tick of {}",
+                r + 1
+            );
+        }
     }
 
     #[test]
@@ -840,13 +964,15 @@ mod tests {
                 }
             }
         }
+        // Only the 100 ms proposal sends: the 400 ms one finds slot 9 taken,
+        // and the 700 ms one is in the second half.
         assert_eq!(values.len(), 4, "one value per peer: {values:?}");
-        assert!(values.iter().all(|&(slot, _)| slot == 10));
+        assert!(values.iter().all(|&(slot, _)| slot == 9));
         let digests: std::collections::BTreeSet<_> = values.iter().map(|&(_, d)| d).collect();
         assert_eq!(digests.len(), 2, "one conflicting pair");
         // The next pair waits for the next slot.
-        assert_eq!(sends(&smr[4].tick(at(10, 900))), 0);
-        assert_eq!(sends(&smr[4].tick(at(11, 0))), 4);
+        assert!(own_sends(&smr[4].tick(at(10, 900)), 4).is_empty());
+        assert_eq!(own_sends(&smr[4].tick(at(11, 0)), 4), vec![10; 4]);
     }
 
     #[test]
@@ -885,9 +1011,9 @@ mod tests {
             /// and up to `f` members silent or equivocating: the correct
             /// members deliver the same ops in the same order, and each op
             /// a correct member proposed is decided within
-            /// `rounds_per_slot() + 1` rounds.
+            /// `rounds_per_slot()` rounds.
             #[test]
-            fn correct_members_agree_in_order_within_a_slot_and_a_round(
+            fn correct_members_agree_in_order_within_a_slot(
                 n in 4u64..8,
                 faults in proptest::collection::vec(0u64..3, 3..4),
                 proposals in proptest::collection::vec(0u64..1_000_000, 1..24),
@@ -940,7 +1066,7 @@ mod tests {
                     for &node in &correct {
                         let done = decided_at.get(&(node, op.clone()));
                         prop_assert!(
-                            done.is_some_and(|&t| t <= at + round.saturating_mul(rps + 1)),
+                            done.is_some_and(|&t| t <= at + round.saturating_mul(rps)),
                             "{:?} proposed at {:?}, decided at member {} at {:?}",
                             String::from_utf8_lossy(op), at, node, done
                         );
