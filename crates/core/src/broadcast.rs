@@ -598,7 +598,6 @@ mod tests {
     use super::*;
     use crate::member::MemberState;
     use atum_crypto::KeyRegistry;
-    use atum_types::NodeIdentity;
 
     fn registry(n: u64) -> Arc<KeyRegistry> {
         let mut r = KeyRegistry::new();
@@ -618,7 +617,7 @@ mod tests {
         let vgroup = VgroupId::new(500);
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
         MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(me)),
+            NodeId::new(me),
             params,
             registry(n_nodes),
             Session::default(),
@@ -859,7 +858,7 @@ mod tests {
             },
         );
         let mut holed = MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(20)),
+            NodeId::new(20),
             params,
             registry(30),
             Session::default(),
@@ -1037,7 +1036,7 @@ mod tests {
         let vgroup = VgroupId::new(500);
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
         let mut m = MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(0)),
+            NodeId::new(0),
             params,
             registry(3),
             Session::default(),
@@ -1086,7 +1085,7 @@ mod tests {
         }
         neighbors.set_cycle(0, entry);
         MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(me)),
+            NodeId::new(me),
             params,
             registry(30),
             Session::default(),

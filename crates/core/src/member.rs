@@ -12,9 +12,7 @@ use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVot
 use atum_crypto::{Digest, KeyRegistry};
 use atum_overlay::{GroupMessageCollector, NeighborTable, Observed, WalkPurpose, WalkState};
 use atum_smr::{Action, Engine, Replication, SmrConfig, SmrMessage};
-use atum_types::{
-    BroadcastId, Composition, Instant, NodeId, NodeIdentity, Params, VgroupId, WalkId,
-};
+use atum_types::{BroadcastId, Composition, Instant, NodeId, Params, VgroupId, WalkId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +23,7 @@ use std::sync::Arc;
 macro_rules! view {
     ($member:ident) => {
         View {
-            me: $member.me.id,
+            me: $member.me,
             vgroup: $member.vgroup,
             composition: &$member.composition,
             neighbors: &$member.neighbors,
@@ -68,7 +66,6 @@ fn fresh_fence(
         composition.clone(),
         SmrConfig {
             round: params.round,
-            ..SmrConfig::default()
         },
         registry.clone(),
         Instant::ZERO,
@@ -138,7 +135,7 @@ pub struct MemberStats {
 /// on process-local hash seeds.
 #[derive(Clone)]
 pub struct MemberState {
-    me: NodeIdentity,
+    me: NodeId,
     params: Params,
     registry: Arc<KeyRegistry>,
     /// The vgroup this node belongs to.
@@ -218,7 +215,7 @@ impl std::fmt::Debug for MemberState {
         // Skips the key registry: shared immutable infrastructure, not
         // per-member protocol state.
         f.debug_struct("MemberState")
-            .field("me", &self.me.id)
+            .field("me", &self.me)
             .field("vgroup", &self.vgroup)
             .field("composition", &self.composition)
             .field("neighbors", &self.neighbors)
@@ -256,7 +253,7 @@ impl MemberState {
         let _ = write!(
             s,
             "{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}",
-            self.me.id,
+            self.me,
             self.vgroup,
             self.composition,
             self.neighbors,
@@ -289,14 +286,14 @@ impl MemberState {
     /// single vgroup containing only this node, neighbouring itself on every
     /// cycle.
     pub fn bootstrap(
-        me: NodeIdentity,
+        me: NodeId,
         params: Params,
         registry: Arc<KeyRegistry>,
         session: Session,
         now: Instant,
     ) -> Self {
-        let vgroup = VgroupId::new(me.id.raw());
-        let composition = Composition::singleton(me.id);
+        let vgroup = VgroupId::new(me.raw());
+        let composition = Composition::singleton(me);
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
         Self::with_membership(
             me,
@@ -317,7 +314,7 @@ impl MemberState {
     /// the node's one `session`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_membership(
-        me: NodeIdentity,
+        me: NodeId,
         params: Params,
         registry: Arc<KeyRegistry>,
         mut session: Session,
@@ -327,14 +324,14 @@ impl MemberState {
         epoch: u64,
         now: Instant,
     ) -> Self {
-        let fence = fresh_fence(me.id, &params, &registry, &composition);
+        let fence = fresh_fence(me, &params, &registry, &composition);
         // The eviction clock for every peer starts now: a peer is "silent"
         // only relative to the moment we learned this composition, otherwise
         // a freshly welcomed member instantly accuses everyone it has not
         // heard from yet.
         let last_heard: BTreeMap<NodeId, Instant> = composition
             .iter()
-            .filter(|&p| p != me.id)
+            .filter(|&p| p != me)
             .map(|p| (p, now))
             .collect();
         MemberState {
@@ -370,7 +367,7 @@ impl MemberState {
 
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
-        self.me.id
+        self.me
     }
 
     /// Group messages still short of a majority or of a body.
@@ -396,7 +393,7 @@ impl MemberState {
         if !self.my_pending.iter().any(|(d, _)| *d == digest) {
             self.my_pending.push((digest, op.clone()));
         }
-        if self.composition.len() == 1 && self.composition.contains(self.me.id) {
+        if self.composition.len() == 1 && self.composition.contains(self.me) {
             // Single-member vgroup: agreement is trivial; apply immediately.
             // Follow-ups (ops drained from `my_pending` by a reconfiguring
             // op, resize requests) must be re-proposed here exactly like
@@ -495,7 +492,7 @@ impl MemberState {
         } else if last_request.is_some_and(|t| now.saturating_since(t) < gap) {
             return;
         } else {
-            let (me, group, epoch) = (self.me.id, self.vgroup, self.epoch);
+            let (me, group, epoch) = (self.me, self.vgroup, self.epoch);
             for to in self.composition.iter().filter(|&p| p != me) {
                 let msg = AtumMessage::StateRequest { group, epoch };
                 effects.push(Effect::Send { to, msg });
@@ -542,9 +539,6 @@ impl MemberState {
                     },
                 }),
                 Action::Deliver(decision) => decided.push(decision.op),
-                Action::ScheduleTick { .. } => {
-                    // The host drives ticks on a periodic timer.
-                }
             }
         }
         let mut follow_ups = Vec::new();
@@ -583,10 +577,10 @@ impl MemberState {
                 atum_obs::trace_event!(
                     Join,
                     at = now.as_micros(),
-                    node = self.me.id.raw(),
-                    slots = [joiner.id.raw(), self.vgroup.raw(), u64::from(rejoin)],
+                    node = self.me.raw(),
+                    slots = [joiner.raw(), self.vgroup.raw(), u64::from(rejoin)],
                     "HandleJoinRequest({}, rejoin={rejoin}) applied in vgroup {:?}",
-                    joiner.id,
+                    joiner,
                     self.vgroup
                 );
                 if rejoin {
@@ -602,53 +596,48 @@ impl MemberState {
                         walk: WalkId::new(self.vgroup, digest.as_u64() ^ self.epoch),
                     });
                 } else {
-                    self.start_walk(
-                        WalkPurpose::JoinPlacement { joiner: joiner.id },
-                        digest,
-                        now,
-                        effects,
-                    );
+                    self.start_walk(WalkPurpose::JoinPlacement { joiner }, digest, now, effects);
                 }
             }
             GroupOp::AdmitJoiner { joiner, .. } => {
                 atum_obs::trace_event!(
                     Join,
                     at = now.as_micros(),
-                    node = self.me.id.raw(),
+                    node = self.me.raw(),
                     slots = [
-                        joiner.id.raw(),
+                        joiner.raw(),
                         self.vgroup.raw(),
                         self.composition.len() as u64
                     ],
                     "AdmitJoiner({}) in vgroup {:?} (inserted: {}, comp len {})",
-                    joiner.id,
+                    joiner,
                     self.vgroup,
-                    !self.composition.contains(joiner.id),
+                    !self.composition.contains(joiner),
                     self.composition.len()
                 );
-                if self.composition.insert(joiner.id) {
-                    self.after_composition_change(now, effects);
+                if self.composition.insert(joiner) {
+                    self.after_composition_change(now);
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
-                    self.maybe_resize(now, effects, follow_ups);
+                    self.maybe_resize(now, effects);
                     // Welcomed after the resize: a joiner that tips the
                     // vgroup over `gmax` is welcomed into the half it lands
                     // in, not into a configuration the split already ended,
                     // which nobody would hold and whose engine it would run
                     // alone.
-                    self.send_welcome(joiner.id, effects);
+                    self.send_welcome(joiner, effects);
                 }
             }
             GroupOp::Leave { node, .. } => {
                 if self.composition.remove(node) {
-                    if node == self.me.id {
+                    if node == self.me {
                         effects.push(Effect::MembershipEnded(Ending::Left));
                         return;
                     }
-                    self.after_composition_change(now, effects);
+                    self.after_composition_change(now);
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
-                    self.maybe_resize(now, effects, follow_ups);
+                    self.maybe_resize(now, effects);
                 }
             }
             GroupOp::Evict { node, accuser, .. } => {
@@ -690,14 +679,14 @@ impl MemberState {
                 self.session.stats_mut().evictions += 1;
                 self.evict_accusations.remove(&node);
                 if self.composition.remove(node) {
-                    if node == self.me.id {
+                    if node == self.me {
                         effects.push(Effect::MembershipEnded(Ending::Evicted));
                         return;
                     }
-                    self.after_composition_change(now, effects);
+                    self.after_composition_change(now);
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
-                    self.maybe_resize(now, effects, follow_ups);
+                    self.maybe_resize(now, effects);
                 }
             }
             GroupOp::Broadcast { id, payload } => {
@@ -706,7 +695,6 @@ impl MemberState {
             GroupOp::OfferExchange {
                 walk,
                 leaving,
-                origin,
                 origin_composition,
             } => {
                 // Pick a member that is not already reserved and is not us if
@@ -720,14 +708,14 @@ impl MemberState {
                     .nth((digest.as_u64() % self.composition.len().max(1) as u64) as usize)
                     .or_else(|| self.composition.iter().find(|m| !reserved.contains(m)));
                 match candidate {
-                    Some(member) if self.composition.len() > 1 || origin != self.vgroup => {
+                    Some(member) if self.composition.len() > 1 || walk.origin != self.vgroup => {
                         self.reserved.insert(walk, member);
                         self.send_group_message(
                             &origin_composition,
                             GroupPayload::ExchangeOffer {
                                 walk,
-                                leaving: leaving.id,
-                                incoming: NodeIdentity::simulated(member),
+                                leaving,
+                                incoming: member,
                             },
                             effects,
                         );
@@ -735,10 +723,7 @@ impl MemberState {
                     _ => {
                         self.send_group_message(
                             &origin_composition,
-                            GroupPayload::ExchangeRefuse {
-                                walk,
-                                leaving: leaving.id,
-                            },
+                            GroupPayload::ExchangeRefuse { walk },
                             effects,
                         );
                     }
@@ -748,13 +733,12 @@ impl MemberState {
                 walk,
                 leaving,
                 incoming,
-                partner: _,
                 partner_composition,
             } => {
                 if self.outstanding_exchanges.remove(&walk).is_none() {
                     return;
                 }
-                if !self.composition.contains(leaving) || self.composition.contains(incoming.id) {
+                if !self.composition.contains(leaving) || self.composition.contains(incoming) {
                     // The member already left (evicted / merged away); treat
                     // the exchange as suppressed.
                     self.session.stats_mut().exchanges.suppressed += 1;
@@ -762,24 +746,24 @@ impl MemberState {
                 }
                 self.session.stats_mut().exchanges.completed += 1;
                 self.composition.remove(leaving);
-                self.composition.insert(incoming.id);
-                self.after_composition_change(now, effects);
-                self.send_welcome(incoming.id, effects);
+                self.composition.insert(incoming);
+                self.after_composition_change(now);
+                self.send_welcome(incoming, effects);
                 self.announce_composition(effects);
                 self.send_group_message(
                     &partner_composition,
                     GroupPayload::ExchangeAccept {
                         walk,
-                        given: incoming.id,
-                        adopted: NodeIdentity::simulated(leaving),
+                        given: incoming,
+                        adopted: leaving,
                     },
                     effects,
                 );
-                if leaving == self.me.id {
+                if leaving == self.me {
                     effects.push(Effect::MembershipEnded(Ending::Transferred));
                     return;
                 }
-                self.maybe_resize(now, effects, follow_ups);
+                self.maybe_resize(now, effects);
             }
             GroupOp::FinishExchange {
                 walk,
@@ -789,24 +773,24 @@ impl MemberState {
                 if self.reserved.remove(&walk).is_none() {
                     return;
                 }
-                if !self.composition.contains(given) || self.composition.contains(adopted.id) {
+                if !self.composition.contains(given) || self.composition.contains(adopted) {
                     return;
                 }
                 self.composition.remove(given);
-                self.composition.insert(adopted.id);
-                self.after_composition_change(now, effects);
-                self.send_welcome(adopted.id, effects);
+                self.composition.insert(adopted);
+                self.after_composition_change(now);
+                self.send_welcome(adopted, effects);
                 self.announce_composition(effects);
-                if given == self.me.id {
+                if given == self.me {
                     effects.push(Effect::MembershipEnded(Ending::Transferred));
                     return;
                 }
-                self.maybe_resize(now, effects, follow_ups);
+                self.maybe_resize(now, effects);
             }
             GroupOp::AcceptMerge { from, members } => {
                 let mut changed = false;
-                for m in &members {
-                    changed |= self.composition.insert(m.id);
+                for &m in &members {
+                    changed |= self.composition.insert(m);
                 }
                 if changed {
                     self.collector.forget_source(from);
@@ -816,13 +800,13 @@ impl MemberState {
                         self.departed_groups.insert(from);
                         self.correspondents.remove(&from);
                     }
-                    self.after_composition_change(now, effects);
+                    self.after_composition_change(now);
                     self.announce_composition(effects);
                     self.start_shuffle(now, effects);
-                    self.maybe_resize(now, effects, follow_ups);
+                    self.maybe_resize(now, effects);
                     // After the resize, as for `AdmitJoiner`.
-                    for m in &members {
-                        self.send_welcome(m.id, effects);
+                    for &m in &members {
+                        self.send_welcome(m, effects);
                     }
                 }
             }
@@ -914,7 +898,7 @@ impl MemberState {
         now: Instant,
         effects: &mut Vec<Effect>,
     ) -> BroadcastId {
-        let id = self.session.next_broadcast_id(self.me.id);
+        let id = self.session.next_broadcast_id(self.me);
         self.propose(
             GroupOp::Broadcast {
                 id,
@@ -929,7 +913,7 @@ impl MemberState {
     /// Invoked by the host when this node wants to leave.
     pub fn start_leave(&mut self, now: Instant, effects: &mut Vec<Effect>) {
         let op = GroupOp::Leave {
-            node: self.me.id,
+            node: self.me,
             nonce: self.epoch,
         };
         self.propose(op, now, effects);
@@ -1074,7 +1058,7 @@ impl MemberState {
             GroupPayload::Gossip { id, payload, hops } => {
                 self.on_broadcast(id, payload, hops, now, effects, forward_filter);
             }
-            GroupPayload::Walk(walk) => self.handle_walk(walk, now, effects),
+            GroupPayload::Walk(walk) => self.route_walk(walk, now, effects),
             GroupPayload::CompositionUpdate { group, composition } => {
                 self.neighbors.update_composition(group, &composition);
             }
@@ -1091,7 +1075,6 @@ impl MemberState {
                         walk,
                         leaving,
                         incoming,
-                        partner: source,
                         partner_composition: self
                             .neighbors
                             .composition_of(source)
@@ -1101,7 +1084,7 @@ impl MemberState {
                     self.propose(op, now, effects);
                 }
             }
-            GroupPayload::ExchangeRefuse { walk, .. } => {
+            GroupPayload::ExchangeRefuse { walk } => {
                 if self.outstanding_exchanges.remove(&walk).is_some() {
                     self.session.stats_mut().exchanges.suppressed += 1;
                 }
@@ -1122,21 +1105,6 @@ impl MemberState {
                         effects,
                     );
                 }
-            }
-            GroupPayload::SplitInsert {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                self.propose(
-                    GroupOp::InsertOverlayNeighbor {
-                        cycle,
-                        new_group,
-                        composition,
-                    },
-                    now,
-                    effects,
-                );
             }
             GroupPayload::NeighborIntro {
                 cycle,
@@ -1167,10 +1135,6 @@ impl MemberState {
             GroupPayload::MergeRequest { from, members } => {
                 self.propose(GroupOp::AcceptMerge { from, members }, now, effects);
             }
-            GroupPayload::MergeAccept { .. } => {
-                // Handled via the Welcome messages the absorbing vgroup sends
-                // to every absorbed member; nothing to do at the group level.
-            }
             GroupPayload::CyclePatch {
                 cycle,
                 new_is_successor,
@@ -1180,7 +1144,7 @@ impl MemberState {
                 atum_obs::trace_event!(
                     CyclePatch,
                     at = now.as_micros(),
-                    node = self.me.id.raw(),
+                    node = self.me.raw(),
                     slots = [u64::from(cycle), group.raw(), u64::from(new_is_successor)],
                     "cycle {cycle} patched: {:?} now {} of vgroup {:?}",
                     group,
@@ -1338,7 +1302,6 @@ impl MemberState {
         let walk = WalkState::new(
             id,
             purpose,
-            self.vgroup,
             self.composition.clone(),
             self.params.rwl,
             &mut rng,
@@ -1347,12 +1310,14 @@ impl MemberState {
         id
     }
 
-    /// Either forwards a walk one step or, if it is complete, acts on it.
+    /// Either forwards a walk one step or, if it is complete, acts on it:
+    /// the walk was started here, or accepted from another vgroup by a
+    /// majority of its copies.
     fn route_walk(&mut self, mut walk: WalkState, now: Instant, effects: &mut Vec<Effect>) {
         atum_obs::trace_event!(
             Walk,
             at = now.as_micros(),
-            node = self.me.id.raw(),
+            node = self.me.raw(),
             slots = [
                 walk.id.seq,
                 self.vgroup.raw(),
@@ -1388,8 +1353,7 @@ impl MemberState {
         if links.is_empty() {
             // Isolated vgroup (bootstrap): the walk ends here.
             while !walk.is_complete() {
-                let own = self.vgroup;
-                walk.advance(own);
+                walk.advance();
             }
             self.on_walk_selected(walk, now, effects);
             return;
@@ -1407,7 +1371,7 @@ impl MemberState {
             .collect();
         let choice = walk.choose_link_index(links.len(), &eligible).unwrap_or(0);
         let (next_group, next_comp) = links[choice].clone();
-        walk.advance(next_group);
+        walk.advance();
         if next_group == self.vgroup {
             // Self-loop edge: handle locally without a network round-trip.
             self.route_walk(walk, now, effects);
@@ -1422,7 +1386,7 @@ impl MemberState {
             WalkPurpose::JoinPlacement { joiner } => {
                 self.propose(
                     GroupOp::AdmitJoiner {
-                        joiner: NodeIdentity::simulated(joiner),
+                        joiner,
                         walk: walk.id,
                     },
                     now,
@@ -1433,8 +1397,7 @@ impl MemberState {
                 self.propose(
                     GroupOp::OfferExchange {
                         walk: walk.id,
-                        leaving: NodeIdentity::simulated(member),
-                        origin: walk.origin,
+                        leaving: member,
                         origin_composition: walk.origin_composition.clone(),
                     },
                     now,
@@ -1456,13 +1419,7 @@ impl MemberState {
                     effects,
                 );
             }
-            WalkPurpose::Sample => {}
         }
-    }
-
-    /// A walk received from another vgroup (already majority-accepted).
-    fn handle_walk(&mut self, walk: WalkState, now: Instant, effects: &mut Vec<Effect>) {
-        self.route_walk(walk, now, effects);
     }
 
     // ---------------------------------------------------- broadcast plane
@@ -1537,7 +1494,7 @@ impl MemberState {
                 atum_obs::trace_event!(
                     AntiEntropyPull,
                     at = now.as_micros(),
-                    node = self.me.id.raw(),
+                    node = self.me.raw(),
                     slots = [group.raw(), id.seq, 1],
                     "re-proposing broadcast {id:?} through vgroup {:?} SMR for {from}",
                     group
@@ -1550,7 +1507,7 @@ impl MemberState {
 
     // -------------------------------------------------- membership churn
 
-    fn after_composition_change(&mut self, now: Instant, _effects: &mut Vec<Effect>) {
+    fn after_composition_change(&mut self, now: Instant) {
         // Drop failure-detection state of departed members. Keeping it
         // would make a later re-admission of the same node inherit a stale
         // `last_heard` timestamp and be instantly re-accused before its
@@ -1565,13 +1522,13 @@ impl MemberState {
         });
         // Members that just entered the composition get their eviction clock
         // started now (see `with_membership`).
-        let me = self.me.id;
+        let me = self.me;
         for peer in self.composition.iter().filter(|&p| p != me) {
             self.last_heard.entry(peer).or_insert(now);
         }
         self.epoch += 1;
         self.merging = false;
-        self.fence = fresh_fence(self.me.id, &self.params, &self.registry, &self.composition);
+        self.fence = fresh_fence(self.me, &self.params, &self.registry, &self.composition);
         // Deliberately no welcome blast here: re-welcoming every
         // not-yet-activated entry on each epoch bump was tried and turned
         // transient one-epoch lag (which a member resolves on its own once
@@ -1739,12 +1696,7 @@ impl MemberState {
     }
 
     /// Logarithmic grouping: split when too large, merge when too small.
-    fn maybe_resize(
-        &mut self,
-        now: Instant,
-        effects: &mut Vec<Effect>,
-        _follow_ups: &mut Vec<GroupOp>,
-    ) {
+    fn maybe_resize(&mut self, now: Instant, effects: &mut Vec<Effect>) {
         if self.composition.len() > self.params.gmax {
             self.split(now, effects);
         } else if self.composition.len() < self.params.gmin && !self.merging {
@@ -1765,17 +1717,17 @@ impl MemberState {
         let (keep, depart) = self.composition.split_by_order(&order);
         let new_group = VgroupId::new(seed.as_u64() | 0x8000_0000_0000_0000);
 
-        if depart.contains(self.me.id) {
+        if depart.contains(self.me) {
             // This member moves to the new vgroup. It starts with a copy of
             // the old neighbour table; the anchor walks started by the
             // remaining half will introduce its real neighbours.
             self.vgroup = new_group;
             self.composition = depart;
-            self.after_composition_change(now, effects);
+            self.after_composition_change(now);
             self.announce_composition(effects);
         } else {
             self.composition = keep;
-            self.after_composition_change(now, effects);
+            self.after_composition_change(now);
             self.announce_composition(effects);
             // One anchor walk per cycle inserts the new group into the
             // overlay.
@@ -1810,11 +1762,7 @@ impl MemberState {
             return; // We are alone in the system; nothing to merge with.
         }
         self.merging = true;
-        let members: Vec<NodeIdentity> = self
-            .composition
-            .iter()
-            .map(NodeIdentity::simulated)
-            .collect();
+        let members: Vec<NodeId> = self.composition.iter().collect();
         self.send_group_message(
             &entry.successor_composition,
             GroupPayload::MergeRequest {
@@ -1878,14 +1826,14 @@ impl MemberState {
             .composition
             .iter()
             .filter(|&p| {
-                p != self.me.id
+                p != self.me
                     && self
                         .last_heard
                         .get(&p)
                         .is_some_and(|t| now.saturating_since(*t) <= window)
             })
             .collect();
-        live.insert(self.me.id);
+        live.insert(self.me);
         live
     }
 
@@ -1897,7 +1845,7 @@ impl MemberState {
     pub fn liveness_snapshot(&self, now: Instant) -> Vec<(NodeId, f64, bool, usize)> {
         self.composition
             .iter()
-            .filter(|&p| p != self.me.id)
+            .filter(|&p| p != self.me)
             .map(|p| {
                 let last = self.last_heard.get(&p).copied().unwrap_or(Instant::ZERO);
                 (
@@ -1933,7 +1881,7 @@ impl MemberState {
         atum_obs::trace_event!(
             Join,
             at = now.as_micros(),
-            node = self.me.id.raw(),
+            node = self.me.raw(),
             slots = [code, self.epoch, self.presumed_live(now).len() as u64 - 1],
             "fence {code} in vgroup {:?} at epoch {}",
             self.vgroup,
@@ -2031,7 +1979,7 @@ impl MemberState {
         }
         if now.saturating_since(self.last_heartbeat_sent) >= period {
             self.last_heartbeat_sent = now;
-            for peer in self.composition.iter().filter(|&p| p != self.me.id) {
+            for peer in self.composition.iter().filter(|&p| p != self.me) {
                 effects.push(Effect::Send {
                     to: peer,
                     msg: AtumMessage::Heartbeat {
@@ -2047,7 +1995,7 @@ impl MemberState {
             // the vgroup's quorums down, and re-welcomed in the meantime in
             // case it can still activate.
             let ghost_after = period.saturating_mul(2);
-            let me = self.me.id;
+            let me = self.me;
             let mut accuse: Vec<NodeId> = Vec::new();
             for peer in self.composition.iter().filter(|&p| p != me) {
                 let last = self.last_heard.get(&peer).copied().unwrap_or(Instant::ZERO);
@@ -2072,7 +2020,7 @@ impl MemberState {
             for peer in accuse {
                 let op = GroupOp::Evict {
                     node: peer,
-                    accuser: self.me.id,
+                    accuser: self.me,
                     nonce: self.epoch,
                 };
                 self.propose(op, now, effects);
@@ -2207,7 +2155,7 @@ mod tests {
         let vgroup = VgroupId::new(500);
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
         MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(me)),
+            NodeId::new(me),
             params,
             registry(n_nodes),
             Session::default(),
@@ -2223,7 +2171,7 @@ mod tests {
     fn bootstrap_creates_single_member_self_loop() {
         let params = Params::default();
         let m = MemberState::bootstrap(
-            NodeIdentity::simulated(NodeId::new(3)),
+            NodeId::new(3),
             params.clone(),
             registry(5),
             Session::default(),
@@ -2238,7 +2186,7 @@ mod tests {
     #[test]
     fn single_member_broadcast_applies_immediately() {
         let mut m = MemberState::bootstrap(
-            NodeIdentity::simulated(NodeId::new(0)),
+            NodeId::new(0),
             Params::default(),
             registry(1),
             Session::default(),
@@ -2279,7 +2227,7 @@ mod tests {
             })
             .collect();
         assert_eq!(peers.len(), 3, "expected SMR messages, got {effects:?}");
-        assert!(!peers.contains(&m.me.id));
+        assert!(!peers.contains(&m.me));
     }
 
     #[test]
@@ -2568,7 +2516,7 @@ mod tests {
         // A bootstrap (single-vgroup) member that starts a join placement
         // walk must select itself and admit the joiner.
         let mut m = MemberState::bootstrap(
-            NodeIdentity::simulated(NodeId::new(0)),
+            NodeId::new(0),
             Params::default().with_group_bounds(1, 10),
             registry(2),
             Session::default(),
@@ -2578,7 +2526,7 @@ mod tests {
         let mut follow = Vec::new();
         m.apply_op(
             GroupOp::HandleJoinRequest {
-                joiner: NodeIdentity::simulated(NodeId::new(1)),
+                joiner: NodeId::new(1),
                 nonce: 0,
                 rejoin: false,
             },
@@ -2609,7 +2557,7 @@ mod tests {
         let neighbors = NeighborTable::self_loop(params.hc, vgroup, composition.clone());
         let make = |me: u64| {
             MemberState::with_membership(
-                NodeIdentity::simulated(NodeId::new(me)),
+                NodeId::new(me),
                 params.clone(),
                 registry(8),
                 Session::default(),
@@ -2624,8 +2572,7 @@ mod tests {
         for me in 0..8u64 {
             let mut m = make(me);
             let mut effects = Vec::new();
-            let mut follow = Vec::new();
-            m.maybe_resize(Instant::ZERO, &mut effects, &mut follow);
+            m.maybe_resize(Instant::ZERO, &mut effects);
             groups.push((m.vgroup, m.composition.clone()));
         }
         // All members agree on the partition: exactly two distinct vgroups,
@@ -2662,7 +2609,7 @@ mod tests {
             },
         );
         let mut m = MemberState::with_membership(
-            NodeIdentity::simulated(NodeId::new(0)),
+            NodeId::new(0),
             params,
             registry(2),
             Session::default(),
@@ -2673,8 +2620,7 @@ mod tests {
             Instant::ZERO,
         );
         let mut effects = Vec::new();
-        let mut follow = Vec::new();
-        m.maybe_resize(Instant::ZERO, &mut effects, &mut follow);
+        m.maybe_resize(Instant::ZERO, &mut effects);
         let merge_requests = effects
             .iter()
             .filter(|e| match e {

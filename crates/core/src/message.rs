@@ -27,8 +27,8 @@ use atum_overlay::{NeighborTable, WalkState};
 use atum_smr::{SmrMessage, SmrOp};
 use atum_types::wire::{self, FRAME_HEADER_LEN};
 use atum_types::{
-    BroadcastId, Composition, FrameMemo, NodeId, NodeIdentity, VgroupId, WalkId, WireDecode,
-    WireEncode, WireError, WireReader, WireSize, WireWriter,
+    BroadcastId, Composition, FrameMemo, NodeId, VgroupId, WalkId, WireDecode, WireEncode,
+    WireError, WireReader, WireSize, WireWriter,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -68,7 +68,7 @@ pub enum GroupPayload {
         /// The member of the origin vgroup being exchanged away.
         leaving: NodeId,
         /// The member the offering vgroup gives up in return.
-        incoming: NodeIdentity,
+        incoming: NodeId,
     },
     /// Shuffle: the walk-selected vgroup has no spare member to exchange
     /// (it is already part of another exchange); the origin records a
@@ -76,8 +76,6 @@ pub enum GroupPayload {
     ExchangeRefuse {
         /// The walk that selected the refusing vgroup.
         walk: WalkId,
-        /// The member whose exchange was refused.
-        leaving: NodeId,
     },
     /// Shuffle: the origin vgroup accepted the offer; the offering vgroup
     /// should now complete its side (drop `given`, adopt `adopted`).
@@ -87,18 +85,7 @@ pub enum GroupPayload {
         /// The member the offering vgroup gave away.
         given: NodeId,
         /// The member the offering vgroup receives instead.
-        adopted: NodeIdentity,
-    },
-    /// Split: the walk-selected anchor vgroup is asked to insert `new_group`
-    /// after itself on `cycle` (sent by the splitting vgroup; the anchor
-    /// orders an [`GroupOp::InsertOverlayNeighbor`] in response).
-    SplitInsert {
-        /// Cycle the new vgroup is inserted on.
-        cycle: u8,
-        /// The new vgroup.
-        new_group: VgroupId,
-        /// Its composition.
-        composition: Composition,
+        adopted: NodeId,
     },
     /// A vgroup introduces itself as the new neighbour of the receiver on a
     /// cycle (after a split insertion or a merge bridge).
@@ -118,15 +105,7 @@ pub enum GroupPayload {
         /// The dissolving vgroup.
         from: VgroupId,
         /// Its remaining members.
-        members: Vec<NodeIdentity>,
-    },
-    /// Merge: the absorbing vgroup confirms; dissolving members adopt this
-    /// state.
-    MergeAccept {
-        /// The vgroup that absorbed the members.
-        into: VgroupId,
-        /// Its composition after the merge.
-        new_composition: Composition,
+        members: Vec<NodeId>,
     },
     /// Merge: the dissolving vgroup tells its neighbour on `cycle` who its
     /// new counterpart is (bridging the gap it leaves behind).
@@ -212,10 +191,9 @@ impl WireEncode for GroupPayload {
                 leaving.wire_encode(w);
                 incoming.wire_encode(w);
             }
-            GroupPayload::ExchangeRefuse { walk, leaving } => {
+            GroupPayload::ExchangeRefuse { walk } => {
                 w.put_u8(4);
                 walk.wire_encode(w);
-                leaving.wire_encode(w);
             }
             GroupPayload::ExchangeAccept {
                 walk,
@@ -226,16 +204,6 @@ impl WireEncode for GroupPayload {
                 walk.wire_encode(w);
                 given.wire_encode(w);
                 adopted.wire_encode(w);
-            }
-            GroupPayload::SplitInsert {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.put_u8(6);
-                w.put_u8(*cycle);
-                new_group.wire_encode(w);
-                composition.wire_encode(w);
             }
             GroupPayload::NeighborIntro {
                 cycle,
@@ -253,14 +221,6 @@ impl WireEncode for GroupPayload {
                 w.put_u8(8);
                 from.wire_encode(w);
                 w.put_seq(members);
-            }
-            GroupPayload::MergeAccept {
-                into,
-                new_composition,
-            } => {
-                w.put_u8(9);
-                into.wire_encode(w);
-                new_composition.wire_encode(w);
             }
             GroupPayload::CyclePatch {
                 cycle,
@@ -316,21 +276,15 @@ impl WireDecode for GroupPayload {
             3 => GroupPayload::ExchangeOffer {
                 walk: WalkId::wire_decode(r)?,
                 leaving: NodeId::wire_decode(r)?,
-                incoming: NodeIdentity::wire_decode(r)?,
+                incoming: NodeId::wire_decode(r)?,
             },
             4 => GroupPayload::ExchangeRefuse {
                 walk: WalkId::wire_decode(r)?,
-                leaving: NodeId::wire_decode(r)?,
             },
             5 => GroupPayload::ExchangeAccept {
                 walk: WalkId::wire_decode(r)?,
                 given: NodeId::wire_decode(r)?,
-                adopted: NodeIdentity::wire_decode(r)?,
-            },
-            6 => GroupPayload::SplitInsert {
-                cycle: r.take_u8()?,
-                new_group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
+                adopted: NodeId::wire_decode(r)?,
             },
             7 => GroupPayload::NeighborIntro {
                 cycle: r.take_u8()?,
@@ -340,11 +294,7 @@ impl WireDecode for GroupPayload {
             },
             8 => GroupPayload::MergeRequest {
                 from: VgroupId::wire_decode(r)?,
-                members: r.take_seq(14)?,
-            },
-            9 => GroupPayload::MergeAccept {
-                into: VgroupId::wire_decode(r)?,
-                new_composition: Composition::wire_decode(r)?,
+                members: r.take_seq(8)?,
             },
             10 => GroupPayload::CyclePatch {
                 cycle: r.take_u8()?,
@@ -363,6 +313,8 @@ impl WireDecode for GroupPayload {
                 sender_is_predecessor: r.take_bool()?,
                 nonce: r.take_u64()?,
             },
+            // Tags 6 and 9 were a split-insert request and a merge
+            // acceptance that no vgroup sent: retired, never reused.
             _ => return Err(WireError::Malformed("group-payload tag")),
         })
     }
@@ -548,7 +500,7 @@ pub enum GroupOp {
     /// walk for the joiner (or admit it directly on the re-join fast path).
     HandleJoinRequest {
         /// The joining node.
-        joiner: NodeIdentity,
+        joiner: NodeId,
         /// The joiner's attempt number (distinguishes re-joins of the same
         /// node so the operation is not deduplicated away).
         nonce: u64,
@@ -563,7 +515,7 @@ pub enum GroupOp {
     /// The walk-selected vgroup admits the joiner as a member.
     AdmitJoiner {
         /// The joining node.
-        joiner: NodeIdentity,
+        joiner: NodeId,
         /// The placement walk that selected this vgroup.
         walk: WalkId,
     },
@@ -598,12 +550,10 @@ pub enum GroupOp {
     /// Shuffle, offering side: reserve one of our members as the exchange
     /// partner for the walk's subject (or refuse if none is available).
     OfferExchange {
-        /// The walk that selected us.
+        /// The walk that selected us; it names the origin vgroup.
         walk: WalkId,
         /// The origin vgroup's member being exchanged.
-        leaving: NodeIdentity,
-        /// The origin vgroup.
-        origin: VgroupId,
+        leaving: NodeId,
         /// The origin vgroup's composition (for the reply group message).
         origin_composition: Composition,
     },
@@ -615,9 +565,7 @@ pub enum GroupOp {
         /// Our member that moves to the partner vgroup.
         leaving: NodeId,
         /// The partner vgroup's member that moves to us.
-        incoming: NodeIdentity,
-        /// The partner vgroup.
-        partner: VgroupId,
+        incoming: NodeId,
         /// The partner vgroup's composition at offer time.
         partner_composition: Composition,
     },
@@ -629,14 +577,14 @@ pub enum GroupOp {
         /// Our member that moved away.
         given: NodeId,
         /// The origin vgroup's member we adopt.
-        adopted: NodeIdentity,
+        adopted: NodeId,
     },
     /// Merge: absorb the members of a dissolving neighbour vgroup.
     AcceptMerge {
         /// The dissolving vgroup.
         from: VgroupId,
         /// Its members.
-        members: Vec<NodeIdentity>,
+        members: Vec<NodeId>,
     },
     /// Split insertion: we were selected as the anchor on `cycle`; adopt the
     /// new vgroup as our successor there and introduce it to our former
@@ -698,27 +646,23 @@ impl WireEncode for GroupOp {
             GroupOp::OfferExchange {
                 walk,
                 leaving,
-                origin,
                 origin_composition,
             } => {
                 w.put_u8(5);
                 walk.wire_encode(w);
                 leaving.wire_encode(w);
-                origin.wire_encode(w);
                 origin_composition.wire_encode(w);
             }
             GroupOp::CompleteExchange {
                 walk,
                 leaving,
                 incoming,
-                partner,
                 partner_composition,
             } => {
                 w.put_u8(6);
                 walk.wire_encode(w);
                 leaving.wire_encode(w);
                 incoming.wire_encode(w);
-                partner.wire_encode(w);
                 partner_composition.wire_encode(w);
             }
             GroupOp::FinishExchange {
@@ -754,12 +698,12 @@ impl WireDecode for GroupOp {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match r.take_u8()? {
             0 => GroupOp::HandleJoinRequest {
-                joiner: NodeIdentity::wire_decode(r)?,
+                joiner: NodeId::wire_decode(r)?,
                 nonce: r.take_u64()?,
                 rejoin: r.take_bool()?,
             },
             1 => GroupOp::AdmitJoiner {
-                joiner: NodeIdentity::wire_decode(r)?,
+                joiner: NodeId::wire_decode(r)?,
                 walk: WalkId::wire_decode(r)?,
             },
             2 => GroupOp::Leave {
@@ -777,25 +721,23 @@ impl WireDecode for GroupOp {
             },
             5 => GroupOp::OfferExchange {
                 walk: WalkId::wire_decode(r)?,
-                leaving: NodeIdentity::wire_decode(r)?,
-                origin: VgroupId::wire_decode(r)?,
+                leaving: NodeId::wire_decode(r)?,
                 origin_composition: Composition::wire_decode(r)?,
             },
             6 => GroupOp::CompleteExchange {
                 walk: WalkId::wire_decode(r)?,
                 leaving: NodeId::wire_decode(r)?,
-                incoming: NodeIdentity::wire_decode(r)?,
-                partner: VgroupId::wire_decode(r)?,
+                incoming: NodeId::wire_decode(r)?,
                 partner_composition: Composition::wire_decode(r)?,
             },
             7 => GroupOp::FinishExchange {
                 walk: WalkId::wire_decode(r)?,
                 given: NodeId::wire_decode(r)?,
-                adopted: NodeIdentity::wire_decode(r)?,
+                adopted: NodeId::wire_decode(r)?,
             },
             8 => GroupOp::AcceptMerge {
                 from: VgroupId::wire_decode(r)?,
-                members: r.take_seq(14)?,
+                members: r.take_seq(8)?,
             },
             9 => GroupOp::InsertOverlayNeighbor {
                 cycle: r.take_u8()?,
@@ -812,18 +754,16 @@ impl WireDecode for GroupOp {
 pub enum AtumMessage {
     /// A joiner asks a contact node for its vgroup's composition.
     JoinContactRequest,
-    /// The contact's reply: the composition of its vgroup (and the vgroup
-    /// id), which the joiner then addresses its join request to.
+    /// The contact's reply: the composition of its vgroup, which the joiner
+    /// then addresses its join request to.
     JoinContactReply {
-        /// The contact's vgroup.
-        group: VgroupId,
-        /// Its composition.
+        /// The contact vgroup's composition.
         composition: Composition,
     },
     /// The joiner's request, sent to every member of the contact vgroup.
     JoinRequest {
-        /// The joining node's identity.
-        joiner: NodeIdentity,
+        /// The joining node.
+        joiner: NodeId,
         /// The joiner's attempt number.
         nonce: u64,
         /// `true` when the joiner is re-joining after a recent membership
@@ -981,9 +921,8 @@ impl WireEncode for AtumMessage {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
         match self {
             AtumMessage::JoinContactRequest => w.put_u8(0),
-            AtumMessage::JoinContactReply { group, composition } => {
+            AtumMessage::JoinContactReply { composition } => {
                 w.put_u8(1);
-                group.wire_encode(w);
                 composition.wire_encode(w);
             }
             AtumMessage::JoinRequest {
@@ -1060,11 +999,10 @@ impl WireDecode for AtumMessage {
         Ok(match r.take_u8()? {
             0 => AtumMessage::JoinContactRequest,
             1 => AtumMessage::JoinContactReply {
-                group: VgroupId::wire_decode(r)?,
                 composition: Composition::wire_decode(r)?,
             },
             2 => AtumMessage::JoinRequest {
-                joiner: NodeIdentity::wire_decode(r)?,
+                joiner: NodeId::wire_decode(r)?,
                 nonce: r.take_u64()?,
                 rejoin: r.take_bool()?,
             },
@@ -1195,8 +1133,9 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
             atum_overlay::WalkState::new(
                 WalkId::new(VgroupId::new(2), 9),
-                atum_overlay::WalkPurpose::Sample,
-                VgroupId::new(2),
+                atum_overlay::WalkPurpose::JoinPlacement {
+                    joiner: NodeId::new(6),
+                },
                 comp(&[4, 5]),
                 3,
                 &mut rng,
@@ -1216,21 +1155,15 @@ mod tests {
             GroupPayload::ExchangeOffer {
                 walk: WalkId::new(VgroupId::new(1), 2),
                 leaving: NodeId::new(3),
-                incoming: NodeIdentity::simulated(NodeId::new(4)),
+                incoming: NodeId::new(4),
             },
             GroupPayload::ExchangeRefuse {
                 walk: WalkId::new(VgroupId::new(1), 2),
-                leaving: NodeId::new(3),
             },
             GroupPayload::ExchangeAccept {
                 walk: WalkId::new(VgroupId::new(1), 2),
                 given: NodeId::new(3),
-                adopted: NodeIdentity::simulated(NodeId::new(4)),
-            },
-            GroupPayload::SplitInsert {
-                cycle: 1,
-                new_group: VgroupId::new(7),
-                composition: comp(&[1, 2]),
+                adopted: NodeId::new(4),
             },
             GroupPayload::NeighborIntro {
                 cycle: 1,
@@ -1240,11 +1173,7 @@ mod tests {
             },
             GroupPayload::MergeRequest {
                 from: VgroupId::new(7),
-                members: vec![NodeIdentity::simulated(NodeId::new(1))],
-            },
-            GroupPayload::MergeAccept {
-                into: VgroupId::new(7),
-                new_composition: comp(&[1, 2]),
+                members: vec![NodeId::new(1)],
             },
             GroupPayload::CyclePatch {
                 cycle: 1,
@@ -1269,12 +1198,12 @@ mod tests {
     fn all_op_variants() -> Vec<GroupOp> {
         vec![
             GroupOp::HandleJoinRequest {
-                joiner: NodeIdentity::simulated(NodeId::new(1)),
+                joiner: NodeId::new(1),
                 nonce: 2,
                 rejoin: false,
             },
             GroupOp::AdmitJoiner {
-                joiner: NodeIdentity::simulated(NodeId::new(1)),
+                joiner: NodeId::new(1),
                 walk: WalkId::new(VgroupId::new(2), 3),
             },
             GroupOp::Leave {
@@ -1292,25 +1221,23 @@ mod tests {
             },
             GroupOp::OfferExchange {
                 walk: WalkId::new(VgroupId::new(1), 2),
-                leaving: NodeIdentity::simulated(NodeId::new(3)),
-                origin: VgroupId::new(4),
+                leaving: NodeId::new(3),
                 origin_composition: comp(&[5, 6]),
             },
             GroupOp::CompleteExchange {
                 walk: WalkId::new(VgroupId::new(1), 2),
                 leaving: NodeId::new(3),
-                incoming: NodeIdentity::simulated(NodeId::new(4)),
-                partner: VgroupId::new(5),
+                incoming: NodeId::new(4),
                 partner_composition: comp(&[6, 7]),
             },
             GroupOp::FinishExchange {
                 walk: WalkId::new(VgroupId::new(1), 2),
                 given: NodeId::new(3),
-                adopted: NodeIdentity::simulated(NodeId::new(4)),
+                adopted: NodeId::new(4),
             },
             GroupOp::AcceptMerge {
                 from: VgroupId::new(1),
-                members: vec![NodeIdentity::simulated(NodeId::new(2))],
+                members: vec![NodeId::new(2)],
             },
             GroupOp::InsertOverlayNeighbor {
                 cycle: 1,
@@ -1326,7 +1253,7 @@ mod tests {
     #[test]
     fn structural_digests_distinguish_all_variants() {
         let payloads = all_payload_variants();
-        assert_eq!(payloads.len(), 13, "cover every GroupPayload variant");
+        assert_eq!(payloads.len(), 11, "cover every GroupPayload variant");
         for (i, a) in payloads.iter().enumerate() {
             assert_eq!(a.digest(), a.clone().digest(), "digest must be stable");
             for b in payloads.iter().skip(i + 1) {
@@ -1406,7 +1333,7 @@ mod tests {
 
         // Rejoin flag flips the join-request digest.
         let join = |rejoin| GroupOp::HandleJoinRequest {
-            joiner: NodeIdentity::simulated(NodeId::new(1)),
+            joiner: NodeId::new(1),
             nonce: 2,
             rejoin,
         };

@@ -9,8 +9,7 @@ use atum_crypto::KeyRegistry;
 use atum_overlay::NeighborTable;
 use atum_simnet::{Context, Node};
 use atum_types::{
-    AtumError, BroadcastId, Composition, Duration, Instant, NodeId, NodeIdentity, Params, Result,
-    VgroupId,
+    AtumError, BroadcastId, Composition, Duration, Instant, NodeId, Params, Result, VgroupId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -87,7 +86,7 @@ struct PendingWelcome {
 /// model checker can branch a node's state along alternative interleavings.
 #[derive(Clone)]
 pub struct AtumNode<A: Application> {
-    identity: NodeIdentity,
+    id: NodeId,
     params: Params,
     registry: Arc<KeyRegistry>,
     app: A,
@@ -131,7 +130,7 @@ impl<A: Application> AtumNode<A> {
     /// [`join`](Self::join) to make it part of a system).
     pub fn new(id: NodeId, params: Params, registry: Arc<KeyRegistry>, app: A) -> Self {
         AtumNode {
-            identity: NodeIdentity::simulated(id),
+            id,
             params,
             registry,
             app,
@@ -168,7 +167,7 @@ impl<A: Application> AtumNode<A> {
         let mut node = Self::new(id, params, registry, app);
         let session = node.unpark();
         node.member = Some(MemberState::with_membership(
-            node.identity,
+            node.id,
             node.params.clone(),
             node.registry.clone(),
             session,
@@ -185,7 +184,7 @@ impl<A: Application> AtumNode<A> {
 
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
-        self.identity.id
+        self.id
     }
 
     /// Current lifecycle phase.
@@ -261,7 +260,7 @@ impl<A: Application> AtumNode<A> {
         }
         let session = self.unpark();
         self.member = Some(MemberState::bootstrap(
-            self.identity,
+            self.id,
             self.params.clone(),
             self.registry.clone(),
             session,
@@ -293,7 +292,7 @@ impl<A: Application> AtumNode<A> {
         atum_obs::trace_event!(
             Join,
             at = ctx.now().as_micros(),
-            node = self.identity.id.raw(),
+            node = self.id.raw(),
             slots = [contact.raw(), self.join_nonce, 0],
             "join started via contact {contact}"
         );
@@ -363,7 +362,7 @@ impl<A: Application> AtumNode<A> {
         ctx: &mut Context<'_, AtumMessage>,
         f: impl FnOnce(&mut A, &mut AppCtx) -> R,
     ) -> R {
-        let mut app_ctx = AppCtx::new(ctx.now(), self.identity.id);
+        let mut app_ctx = AppCtx::new(ctx.now(), self.id);
         let result = f(&mut self.app, &mut app_ctx);
         let mut queue = Vec::new();
         self.drain_app_ctx(app_ctx, &mut queue, ctx);
@@ -440,7 +439,7 @@ impl<A: Application> AtumNode<A> {
                 match effect {
                     Effect::Send { to, msg } => ctx.send(to, msg),
                     Effect::Deliver(delivered) => {
-                        let mut app_ctx = AppCtx::new(ctx.now(), self.identity.id);
+                        let mut app_ctx = AppCtx::new(ctx.now(), self.id);
                         self.app.deliver(&delivered, &mut app_ctx);
                         self.drain_app_ctx(app_ctx, &mut queue, ctx);
                     }
@@ -482,7 +481,7 @@ impl<A: Application> AtumNode<A> {
         epoch: u64,
         ctx: &mut Context<'_, AtumMessage>,
     ) {
-        if !composition.contains(self.identity.id) || !composition.contains(from) {
+        if !composition.contains(self.id) || !composition.contains(from) {
             return;
         }
         if matches!(self.phase, NodePhase::Member)
@@ -579,7 +578,7 @@ impl<A: Application> AtumNode<A> {
         atum_obs::trace_event!(
             Welcome,
             at = ctx.now().as_micros(),
-            node = self.identity.id.raw(),
+            node = self.id.raw(),
             slots = [group.raw(), epoch, entry.senders.len() as u64],
             "welcome for {group:?} epoch {epoch} from {from}: {}/{threshold} senders (phase {:?})",
             entry.senders.len(),
@@ -591,8 +590,8 @@ impl<A: Application> AtumNode<A> {
         atum_obs::trace_event!(
             Join,
             at = ctx.now().as_micros(),
-            node = self.identity.id.raw(),
-            slots = [self.identity.id.raw(), group.raw(), epoch],
+            node = self.id.raw(),
+            slots = [self.id.raw(), group.raw(), epoch],
             "welcome threshold met for vgroup {group:?} epoch {epoch}"
         );
         let welcome = self.pending_welcomes.remove(&group).expect("just inserted");
@@ -609,7 +608,7 @@ impl<A: Application> AtumNode<A> {
                 ctx.now(),
             ),
             None => MemberState::with_membership(
-                self.identity,
+                self.id,
                 self.params.clone(),
                 self.registry.clone(),
                 self.unpark(),
@@ -644,7 +643,7 @@ impl<A: Application> AtumNode<A> {
             let peers: Vec<NodeId> = member
                 .composition
                 .iter()
-                .filter(|&p| p != self.identity.id)
+                .filter(|&p| p != self.id)
                 .collect();
             let (group, epoch) = (member.vgroup, member.epoch);
             for peer in peers {
@@ -659,10 +658,7 @@ impl<A: Application> AtumNode<A> {
     /// attempt, and restarting the rotation there would pin a stalled
     /// joiner to the same first peer on every retry.
     fn remember_fallbacks(&mut self, composition: &Composition) {
-        self.fallback_peers = composition
-            .iter()
-            .filter(|&p| p != self.identity.id)
-            .collect();
+        self.fallback_peers = composition.iter().filter(|&p| p != self.id).collect();
     }
 
     /// The next known peer to try as a join contact, rotating through
@@ -728,7 +724,7 @@ impl<A: Application> AtumNode<A> {
                 atum_obs::trace_event!(
                     Join,
                     at = ctx.now().as_micros(),
-                    node = self.identity.id.raw(),
+                    node = self.id.raw(),
                     slots = [
                         contact.raw(),
                         self.join_nonce,
@@ -765,7 +761,7 @@ impl<A: Application> std::fmt::Debug for AtumNode<A> {
         // The hosted application and the shared key registry are opaque
         // (neither is required to implement Debug).
         f.debug_struct("AtumNode")
-            .field("identity", &self.identity)
+            .field("id", &self.id)
             .field("phase", &self.phase)
             .field("member", &self.member)
             .field("parked", &self.parked)
@@ -793,7 +789,7 @@ impl<A: Application> AtumNode<A> {
         write!(
             out,
             "id:{:?} phase:{:?} byz:{:?} nonce:{} attempts:{} fb:{:?}/{} await:{:?} rejoin:{} byzhb:{:?}",
-            self.identity.id,
+            self.id,
             self.phase,
             self.byzantine,
             self.join_nonce,
@@ -833,7 +829,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
         // Stagger the periodic timer a little by node id so large simulations
         // do not process every node at the same instant.
         let period = Duration::from_micros(self.params.round.as_micros().max(2) / 2);
-        let stagger = Duration::from_micros(self.identity.id.raw() % period.as_micros().max(1));
+        let stagger = Duration::from_micros(self.id.raw() % period.as_micros().max(1));
         ctx.set_timer(period + stagger, MAIN_TIMER);
     }
 
@@ -861,7 +857,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 atum_obs::trace_event!(
                     Join,
                     at = ctx.now().as_micros(),
-                    node = self.identity.id.raw(),
+                    node = self.id.raw(),
                     slots = [from.raw(), 0, u64::from(self.member.is_some())],
                     "JoinContactRequest from {from} (member: {})",
                     self.member.is_some()
@@ -870,19 +866,18 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     ctx.send(
                         from,
                         AtumMessage::JoinContactReply {
-                            group: member.vgroup,
                             composition: member.composition.clone(),
                         },
                     );
                 }
             }
-            AtumMessage::JoinContactReply { composition, .. } => {
+            AtumMessage::JoinContactReply { composition } => {
                 if matches!(self.phase, NodePhase::Joining { .. }) {
                     // Remember the contact vgroup's members: if this attempt
                     // stalls, any of them is a valid alternative contact.
                     self.remember_fallbacks(&composition);
                     let request = AtumMessage::JoinRequest {
-                        joiner: self.identity,
+                        joiner: self.id,
                         nonce: self.join_nonce,
                         // Direct admission for recent members (churn
                         // recovery) and for joiners whose placement walks
@@ -944,7 +939,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 });
             }
             AtumMessage::App { payload, .. } => {
-                let mut app_ctx = AppCtx::new(ctx.now(), self.identity.id);
+                let mut app_ctx = AppCtx::new(ctx.now(), self.id);
                 self.app.on_app_message(from, &payload, &mut app_ctx);
                 let mut queue = Vec::new();
                 self.drain_app_ctx(app_ctx, &mut queue, ctx);

@@ -4,9 +4,7 @@
 //! In round `r` of Dolev–Strong, a correct node accepts a value only if it
 //! arrives with a chain of `r` signatures from `r` *distinct* nodes, the
 //! first of which is the designated sender. Before relaying, the node appends
-//! its own signature. The same structure is reused by the asynchronous
-//! implementation for random-walk certificates (a chain of vgroup-member
-//! signatures certifying each forwarding step).
+//! its own signature.
 
 use crate::digest::Digest;
 use crate::keys::{KeyRegistry, NodeSigner, Signature};

@@ -18,9 +18,9 @@
 //! different values thus produce different streams, and a digest collision
 //! would require a SHA-256 collision.
 //!
-//! Domain-separated pre-images — walk-certificate steps, signature chains,
-//! the membership seeds — are byte lists hashed with
-//! [`Digest::of_parts`], not field walks, and do not go through here.
+//! Domain-separated pre-images — signature chains, the membership seeds —
+//! are byte lists hashed with [`Digest::of_parts`], not field walks, and do
+//! not go through here.
 
 use crate::digest::Digest;
 use atum_types::{WireEncode, WireWriter};
@@ -44,7 +44,7 @@ impl<T: WireEncode> Digestible for T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atum_types::{BroadcastId, Composition, NodeId, NodeIdentity};
+    use atum_types::{BroadcastId, Composition, NodeId};
 
     #[test]
     fn digest_stream_is_big_endian_with_u64_lengths() {
@@ -83,13 +83,5 @@ mod tests {
         let c2: Composition = [1u64, 3].iter().map(|&i| NodeId::new(i)).collect();
         assert_ne!(c1.structural_digest(), c2.structural_digest());
         assert_eq!(c1.structural_digest(), c1.clone().structural_digest());
-    }
-
-    #[test]
-    fn identity_includes_address() {
-        let a = NodeIdentity::simulated(NodeId::new(5));
-        let mut b = a;
-        b.addr.port += 1;
-        assert_ne!(a.structural_digest(), b.structural_digest());
     }
 }

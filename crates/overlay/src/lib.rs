@@ -15,8 +15,10 @@
 //! * [`GroupMessageCollector`] — majority-acceptance of vgroup-to-vgroup
 //!   messages (§3.1, Figure 3), and [`is_carrier`] — which members ship a
 //!   message's body and which only vote with its digest (§5.1);
-//! * [`WalkState`] and [`WalkCertificate`] — random walks with bulk RNG and
-//!   both communication styles of §5.1 (backward phase and certificates);
+//! * [`WalkState`] — random walks with the bulk RNG of §5.1; the selected
+//!   vgroup answers the origin directly, with a majority-accepted group
+//!   message to the composition the walk carries (neither §5.1's backward
+//!   phase nor its walk certificates is implemented);
 //! * [`GossipPlanner`] and [`SeenCache`] — which neighbours a broadcast is
 //!   forwarded to, honouring the application's `forward` callback policy.
 
@@ -34,4 +36,4 @@ pub use directory::VgroupDirectory;
 pub use gossip::{GossipPlanner, SeenCache};
 pub use group_msg::{is_carrier, GroupMessageCollector, Observed};
 pub use hgraph::{CycleNeighbors, HGraph, NeighborTable};
-pub use walk::{simulate_walk_hits, WalkCertificate, WalkPurpose, WalkState};
+pub use walk::{simulate_walk_hits, WalkPurpose, WalkState};

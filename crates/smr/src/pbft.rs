@@ -6,12 +6,12 @@
 //! distinct replicas it sends `Commit`; once it has `2f + 1` commits it
 //! delivers the operation in sequence order. `f = ⌊(g−1)/3⌋`.
 //!
-//! When a replica's own proposals make no progress for a configurable
-//! timeout, it votes to change the view. The incoming primary collects
-//! `2f + 1` view-change votes, restates every operation that was *prepared*
-//! anywhere in the quorum (such operations may have been delivered by some
-//! replica and must keep their sequence number), explicitly *skips* sequence
-//! numbers proven unused, and resumes ordering. This mirrors PBFT's new-view
+//! When a replica's own proposals make no progress for four rounds
+//! ([`SmrConfig::view_change_timeout`]), it votes to change the view. The
+//! incoming primary collects `2f + 1` view-change votes, restates every
+//! operation that was *prepared* anywhere in the quorum (such operations may
+//! have been delivered by some replica and must keep their sequence number),
+//! explicitly *skips* sequence numbers proven unused, and resumes ordering. This mirrors PBFT's new-view
 //! construction with null requests filling the gaps.
 //!
 //! Checkpointing/garbage collection is simplified: delivered slots are pruned
@@ -445,9 +445,6 @@ impl<O: SmrOp> Replication<O> for AsyncSmr<O> {
                 msg: SmrMessage::Request { op },
             });
         }
-        actions.push(Action::ScheduleTick {
-            at: now + self.config.view_change_timeout(),
-        });
         actions
     }
 
@@ -475,9 +472,6 @@ impl<O: SmrOp> Replication<O> for AsyncSmr<O> {
                             op,
                             digest,
                             since: now,
-                        });
-                        actions.push(Action::ScheduleTick {
-                            at: now + self.config.view_change_timeout(),
                         });
                     }
                 }
@@ -590,7 +584,6 @@ impl<O: SmrOp> Replication<O> for AsyncSmr<O> {
             self.last_progress = now;
             self.start_view_change(target, &mut actions);
         }
-        actions.push(Action::ScheduleTick { at: now + timeout });
         actions
     }
 

@@ -48,12 +48,6 @@ pub enum Action<O> {
     },
     /// An operation was decided; apply it to the replicated state.
     Deliver(Decision<O>),
-    /// Ask the host to call [`Replication::tick`] again no later than this
-    /// time (the engines are passive between events).
-    ScheduleTick {
-        /// When the next tick is needed.
-        at: Instant,
-    },
 }
 
 /// Messages exchanged by the SMR engines.
@@ -234,26 +228,22 @@ pub enum ByzantineMode {
     Equivocate,
 }
 
+/// View-change timeout multiplier: the async engine starts a view change
+/// after `VIEW_CHANGE_ROUNDS × round` without progress on a pending request.
+const VIEW_CHANGE_ROUNDS: u64 = 4;
+
 /// Engine configuration shared by both protocols.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SmrConfig {
     /// Round duration for the synchronous engine; also the base unit for the
     /// asynchronous engine's view-change timeout.
     pub round: Duration,
-    /// Maximum operations batched into one slot / pre-prepare.
-    pub max_batch: usize,
-    /// View-change timeout multiplier: the async engine starts a view change
-    /// after `view_change_rounds × round` without progress on a pending
-    /// request.
-    pub view_change_rounds: u32,
 }
 
 impl Default for SmrConfig {
     fn default() -> Self {
         SmrConfig {
             round: Duration::from_millis(1_000),
-            max_batch: 64,
-            view_change_rounds: 4,
         }
     }
 }
@@ -261,7 +251,7 @@ impl Default for SmrConfig {
 impl SmrConfig {
     /// The asynchronous engine's view-change timeout.
     pub fn view_change_timeout(&self) -> Duration {
-        self.round.saturating_mul(self.view_change_rounds as u64)
+        self.round.saturating_mul(VIEW_CHANGE_ROUNDS)
     }
 }
 
@@ -269,9 +259,11 @@ impl SmrConfig {
 ///
 /// Hosts call [`propose`](Replication::propose) with operations to order,
 /// feed incoming peer messages to [`handle`](Replication::handle), and call
-/// [`tick`](Replication::tick) whenever a previously requested
-/// [`Action::ScheduleTick`] time is reached. All three return actions the
-/// host must carry out.
+/// [`tick`](Replication::tick) on a periodic timer: every host in this
+/// workspace ticks every `round / 2`. An engine never asks for a wake-up; a
+/// host that wants one at a round boundary can compute it from `round`,
+/// since engines count rounds from the instant they are started at. All
+/// three return actions the host must carry out.
 pub trait Replication<O: SmrOp> {
     /// Submits an operation for ordering.
     fn propose(&mut self, op: O, now: Instant) -> Vec<Action<O>>;
@@ -340,17 +332,19 @@ mod tests {
     fn config_timeout_is_multiple_of_round() {
         let cfg = SmrConfig {
             round: Duration::from_millis(500),
-            view_change_rounds: 6,
-            ..SmrConfig::default()
         };
-        assert_eq!(cfg.view_change_timeout().as_millis(), 3_000);
+        assert_eq!(
+            cfg.view_change_timeout().as_millis(),
+            500 * VIEW_CHANGE_ROUNDS
+        );
     }
 
     #[test]
     fn decisions_helper_filters_deliver_actions() {
         let actions: Vec<Action<Vec<u8>>> = vec![
-            Action::ScheduleTick {
-                at: Instant::from_micros(1),
+            Action::Send {
+                to: NodeId::new(2),
+                msg: SmrMessage::Request { op: vec![8] },
             },
             Action::Deliver(Decision {
                 seq: 0,

@@ -36,14 +36,18 @@
 //! discarded by every correct member, exactly like the classical protocol
 //! delivers the default value for a faulty sender.
 //!
-//! The engine is passive: the host must call [`tick`](SyncSmr::tick) at the
-//! times requested through [`Action::ScheduleTick`].
+//! The engine is passive and never asks for a wake-up: the host calls
+//! [`tick`](SyncSmr::tick) on a periodic timer, every `round / 2`, so a slot
+//! is finalized at each member's first tick at or after its boundary.
 
 use crate::protocol::{Action, ByzantineMode, Decision, Replication, SmrConfig, SmrMessage, SmrOp};
 use atum_crypto::{Digest, KeyRegistry, NodeSigner, SignatureChain};
 use atum_types::{Composition, Instant, NodeId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+
+/// Most operations one batch carries; the rest wait for the next slot.
+const MAX_BATCH: usize = 64;
 
 /// Reason codes carried in the third slot of `smr-reject` trace events
 /// (kept in sync with the README's event schema table).
@@ -177,11 +181,6 @@ impl<O: SmrOp> SyncSmr<O> {
         Some((now - self.start).as_micros() / self.config.round.as_micros().max(1))
     }
 
-    /// Absolute time of the start of `round`.
-    fn round_start(&self, round: u64) -> Instant {
-        self.start + atum_types::Duration::from_micros(round * self.config.round.as_micros())
-    }
-
     /// Digest signed by the Dolev–Strong chain for a batch.
     fn batch_digest(slot: u64, sender: NodeId, batch: &[O]) -> Digest {
         let mut acc = Digest::of_parts(&[
@@ -218,7 +217,7 @@ impl<O: SmrOp> SyncSmr<O> {
             }
             return;
         }
-        let take = self.pending.len().min(self.config.max_batch);
+        let take = self.pending.len().min(MAX_BATCH);
         let batch: Vec<O> = self.pending.drain(..take).collect();
         let digest = Self::batch_digest(slot, self.me, &batch);
         let chain = SignatureChain::new(digest, &signer);
@@ -286,7 +285,7 @@ impl<O: SmrOp> SyncSmr<O> {
     fn step(&mut self, now: Instant) -> Vec<Action<O>> {
         let mut actions = Vec::new();
         let Some(round) = self.round_at(now) else {
-            return vec![Action::ScheduleTick { at: self.start }];
+            return actions;
         };
         // Only the current round is processed: rounds a late step skipped
         // opened no slot of ours, and a fresh engine must not replay rounds
@@ -302,13 +301,6 @@ impl<O: SmrOp> SyncSmr<O> {
         // nothing, and what it holds waits for the next round's first half.
         if self.in_first_half(now) {
             self.broadcast_own_batch(round.saturating_sub(1), &mut actions);
-        }
-        // Always ask to be woken at the next round boundary while there is
-        // anything in flight.
-        if !self.pending.is_empty() || !self.slots.is_empty() {
-            actions.push(Action::ScheduleTick {
-                at: self.round_start(round + 1),
-            });
         }
         actions
     }
@@ -472,7 +464,6 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
 
         let rps = self.rounds_per_slot();
         let me = self.me;
-        let finalize_at = self.round_start(slot + rps);
         self.slots
             .entry(slot)
             .or_default()
@@ -480,9 +471,6 @@ impl<O: SmrOp> Replication<O> for SyncSmr<O> {
             .entry(sender)
             .or_default()
             .push((batch.clone(), expected));
-        // Make sure the host wakes us up at this slot's finalization boundary
-        // even if we never propose anything ourselves.
-        actions.push(Action::ScheduleTick { at: finalize_at });
 
         // Relay with our signature appended, unless we already signed it or
         // the slot's relay window (`slot + f`) is over.
@@ -631,18 +619,39 @@ mod tests {
 
     #[test]
     fn batching_respects_max_batch() {
-        let config = SmrConfig {
-            max_batch: 3,
-            ..SmrConfig::default()
-        };
-        let mut cluster = LockstepCluster::new(4, SmrMode::Synchronous, config, 6);
-        for i in 0..5u8 {
-            cluster.propose(NodeId::new(0), vec![i]);
+        let mut smr = engines(4);
+        let mut decided = vec![Vec::new(); 4];
+        tick_all(&mut smr, at(10, 0), &mut decided);
+        // Proposed in the second half of round 10: held for round 11.
+        for i in 0..=MAX_BATCH {
+            let actions = smr[0].propose(vec![i as u8], at(10, 600));
+            assert!(own_sends(&actions, 0).is_empty(), "proposal {i}");
         }
-        cluster.run_to_quiescence();
-        cluster.assert_agreement();
-        // All five ops eventually decided (over two slots).
-        assert_eq!(cluster.decided(NodeId::new(1)).len(), 5);
+        let batch_sizes = |actions: &[Action<Vec<u8>>]| -> Vec<usize> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send {
+                        msg: SmrMessage::SyncValue { batch, .. },
+                        ..
+                    } => Some(batch.len()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let actions = smr[0].tick(at(11, 0));
+        assert_eq!(batch_sizes(&actions), vec![MAX_BATCH; 3], "one full batch");
+        carry_out(&mut smr, 0, actions, at(11, 0), &mut decided);
+        let actions = smr[0].tick(at(12, 0));
+        assert_eq!(batch_sizes(&actions), vec![1; 3], "the op left over");
+        carry_out(&mut smr, 0, actions, at(12, 0), &mut decided);
+        for r in 13..=15 {
+            tick_all(&mut smr, at(r, 0), &mut decided);
+        }
+        assert!(
+            decided.iter().all(|d| d.len() == MAX_BATCH + 1),
+            "{decided:?}"
+        );
     }
 
     /// Four engines of one composition, all created at `Instant::ZERO` the
@@ -686,7 +695,6 @@ mod tests {
                     queue.extend(replies.into_iter().map(|a| (to, a)));
                 }
                 Action::Deliver(d) => decided[by].push(d.op),
-                Action::ScheduleTick { .. } => {}
             }
         }
     }
@@ -940,11 +948,15 @@ mod tests {
             chain: SignatureChain::new(digest, &signer),
         };
         let actions = smr[0].handle(NodeId::new(3), msg, at(12, 100));
+        let held = smr[0].slots.get(&10).map(|s| &s.per_sender);
+        assert!(
+            held.is_none_or(|senders| !senders.contains_key(&NodeId::new(3))),
+            "accepted: {actions:?}"
+        );
         for r in 13..=15 {
             tick_all(&mut smr, at(r, 0), &mut decided);
         }
         assert!(decided.iter().all(Vec::is_empty), "{decided:?}");
-        assert!(actions.is_empty(), "accepted: {actions:?}");
     }
 
     #[test]

@@ -169,10 +169,6 @@ impl LockstepCluster {
                         .push(decision);
                     self.last_activity = self.now;
                 }
-                Action::ScheduleTick { .. } => {
-                    // The harness ticks every replica on a fixed grid, so
-                    // explicit tick requests are satisfied automatically.
-                }
             }
         }
     }
@@ -224,10 +220,8 @@ impl LockstepCluster {
     pub fn run_to_quiescence(&mut self) {
         let n = self.engines.len();
         let f = n.saturating_sub(1) / 2;
-        let grace = self
-            .config
-            .round
-            .saturating_mul((2 * (f as u64 + 3)).max(self.config.view_change_rounds as u64 * 2));
+        let slot = self.config.round.saturating_mul(2 * (f as u64 + 3));
+        let grace = slot.max(self.config.view_change_timeout().saturating_mul(2));
         let cap = self.now + Duration::from_secs(1200);
         loop {
             self.step();

@@ -155,83 +155,6 @@ impl fmt::Display for TopicId {
     }
 }
 
-/// A (simulated) network address: IPv4-style address plus port.
-///
-/// The simulator does not route on addresses, but the API mirrors the paper's
-/// `ownIdentity` argument to `bootstrap`, which carries the address other
-/// nodes use to join.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct NetAddr {
-    /// IPv4 address octets.
-    pub ip: [u8; 4],
-    /// TCP/UDP port.
-    pub port: u16,
-}
-
-impl NetAddr {
-    /// Creates an address from octets and a port.
-    pub const fn new(ip: [u8; 4], port: u16) -> Self {
-        NetAddr { ip, port }
-    }
-
-    /// Derives a deterministic placeholder address for a node identifier.
-    ///
-    /// Used by the simulator so that every node has a plausible-looking
-    /// address without any configuration.
-    pub fn for_node(id: NodeId) -> Self {
-        let raw = id.raw();
-        NetAddr {
-            ip: [10, (raw >> 16) as u8, (raw >> 8) as u8, raw as u8],
-            port: 7000 + (raw % 1000) as u16,
-        }
-    }
-}
-
-impl fmt::Display for NetAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}.{}.{}.{}:{}",
-            self.ip[0], self.ip[1], self.ip[2], self.ip[3], self.port
-        )
-    }
-}
-
-/// The public identity of a node: identifier plus network address.
-///
-/// A deployment would also carry the node's public key; in this code base the
-/// key registry lives in `atum-crypto` and is looked up by [`NodeId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeIdentity {
-    /// The node's identifier.
-    pub id: NodeId,
-    /// The address other nodes use to reach it.
-    pub addr: NetAddr,
-}
-
-impl NodeIdentity {
-    /// Creates an identity from an identifier and an address.
-    pub const fn new(id: NodeId, addr: NetAddr) -> Self {
-        NodeIdentity { id, addr }
-    }
-
-    /// Creates an identity with a deterministic placeholder address.
-    pub fn simulated(id: NodeId) -> Self {
-        NodeIdentity {
-            id,
-            addr: NetAddr::for_node(id),
-        }
-    }
-}
-
-impl fmt::Display for NodeIdentity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.id, self.addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,31 +190,5 @@ mod tests {
     fn walk_id_display() {
         let w = WalkId::new(VgroupId::new(3), 9);
         assert_eq!(w.to_string(), "w3.9");
-    }
-
-    #[test]
-    fn net_addr_for_node_is_deterministic_and_distinct() {
-        let a1 = NetAddr::for_node(NodeId::new(1));
-        let a2 = NetAddr::for_node(NodeId::new(1));
-        let b = NetAddr::for_node(NodeId::new(2));
-        assert_eq!(a1, a2);
-        assert_ne!(a1, b);
-        assert!(a1.to_string().starts_with("10."));
-    }
-
-    #[test]
-    fn identity_display_contains_both_parts() {
-        let ident = NodeIdentity::simulated(NodeId::new(5));
-        let s = ident.to_string();
-        assert!(s.contains("n5"));
-        assert!(s.contains(':'));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ident = NodeIdentity::simulated(NodeId::new(77));
-        let json = serde_json::to_string(&ident).unwrap();
-        let back: NodeIdentity = serde_json::from_str(&json).unwrap();
-        assert_eq!(ident, back);
     }
 }

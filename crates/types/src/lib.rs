@@ -6,9 +6,9 @@
 //!
 //! # Overview
 //!
-//! * [`NodeId`], [`VgroupId`], [`BroadcastId`] — opaque identifiers.
-//! * [`NodeIdentity`] and [`NetAddr`] — how a node presents itself to the
-//!   system (identifier + network address).
+//! * [`NodeId`], [`VgroupId`], [`BroadcastId`] — opaque identifiers. A node
+//!   presents itself by its [`NodeId`] alone: transports map it to an
+//!   address, and the key registry in `atum-crypto` to a key.
 //! * [`Composition`] — the membership of a volatile group, with the quorum
 //!   arithmetic used throughout the paper (majority, ⌊(g−1)/2⌋, ⌊(g−1)/3⌋).
 //! * [`Params`] — the system parameters of Table 1 (`hc`, `rwl`, `gmin`,
@@ -54,6 +54,6 @@ pub use config::{GossipPolicy, Params, SmrMode};
 pub use edge::{EdgeOp, EdgeRequest, EdgeResponse, EdgeStatus};
 pub use error::{AtumError, Result};
 pub use guideline::{recommended_params, GuidelineEntry};
-pub use id::{BroadcastId, NetAddr, NodeId, NodeIdentity, TopicId, VgroupId, WalkId};
+pub use id::{BroadcastId, NodeId, TopicId, VgroupId, WalkId};
 pub use time::{Duration, Instant};
 pub use wire::{FrameMemo, WireDecode, WireEncode, WireError, WireReader, WireSize, WireWriter};

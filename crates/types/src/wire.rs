@@ -35,7 +35,7 @@
 //! garbage into [`WireError::TrailingBytes`]).
 
 use crate::composition::Composition;
-use crate::id::{BroadcastId, NetAddr, NodeId, NodeIdentity, VgroupId, WalkId};
+use crate::id::{BroadcastId, NodeId, VgroupId, WalkId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -596,36 +596,6 @@ impl WireEncode for WalkId {
 impl WireDecode for WalkId {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(WalkId::new(VgroupId::wire_decode(r)?, r.take_u64()?))
-    }
-}
-
-impl WireEncode for NetAddr {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_bytes(&self.ip);
-        w.put_u16(self.port);
-    }
-}
-
-impl WireDecode for NetAddr {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let ip: [u8; 4] = r.take_bytes(4)?.try_into().unwrap();
-        Ok(NetAddr::new(ip, r.take_u16()?))
-    }
-}
-
-impl WireEncode for NodeIdentity {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.id.wire_encode(w);
-        self.addr.wire_encode(w);
-    }
-}
-
-impl WireDecode for NodeIdentity {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(NodeIdentity::new(
-            NodeId::wire_decode(r)?,
-            NetAddr::wire_decode(r)?,
-        ))
     }
 }
 

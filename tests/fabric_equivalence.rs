@@ -136,9 +136,21 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
     // message. Final size is unchanged and this seed now reaches the
     // target at the configuration's median time. Completed exchanges are
     // rare at this scale and seed-dependent, as above.
+    //
+    // Re-pinned when the fields no receiver read left the wire
+    // (`(14, 131, 0, 55)` → `(14, 131, 16, 59)`): a joiner is its `NodeId`
+    // without a placeholder address, and `OfferExchange` no longer repeats
+    // its walk's origin. Those op digests seed placement walks and pick
+    // exchange candidates, so the exchanges re-roll; final size and
+    // time-to-target did not move. The re-roll is one draw for every seed
+    // at once: the seeds share their opening (the same joins, in the same
+    // order, start the same walks), and members whose reservation maps
+    // differ pick different candidates for one offer, so most exchanges die
+    // for want of a majority. Over seeds 11–58, 8 runs completed an
+    // exchange before (31 exchanges) and 37 after (485).
     assert_eq!(
         summary,
-        (14, 131, 0, 55),
+        (14, 131, 16, 59),
         "growth protocol metrics moved for a fixed seed: {summary:?}"
     );
     let again = growth_once();
