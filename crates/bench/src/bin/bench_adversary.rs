@@ -253,7 +253,7 @@ fn run_partition_heal() {
     // Split every vgroup down the middle: alternate each composition's
     // members between the sides, so no group retains a full quorum locally.
     let mut by_group: BTreeMap<VgroupId, Vec<NodeId>> = BTreeMap::new();
-    for (id, group) in cluster.map_nodes(|node| node.member().map(|m| m.vgroup)) {
+    for (id, group) in cluster.map_nodes(|node| node.member().map(|m| m.config().vgroup)) {
         if let Some(group) = group {
             by_group.entry(group).or_default().push(id);
         }
@@ -540,7 +540,7 @@ fn run_byzantine_flood() {
     std::thread::sleep(StdDuration::from_secs(2));
 
     let victims: Vec<(NodeId, VgroupId)> = cluster
-        .map_nodes(|node| node.member().map(|m| m.vgroup))
+        .map_nodes(|node| node.member().map(|m| m.config().vgroup))
         .into_iter()
         .filter_map(|(id, group)| group.map(|g| (id, g)))
         .collect();
@@ -594,8 +594,8 @@ fn run_byzantine_flood() {
     let members_after = cluster.member_count();
     let mut groups: BTreeMap<VgroupId, Vec<(u64, Vec<NodeId>)>> = BTreeMap::new();
     for (_, info) in cluster.map_nodes(|node| {
-        node.member()
-            .map(|m| (m.vgroup, m.epoch, m.composition.iter().collect::<Vec<_>>()))
+        let c = node.member()?.config();
+        Some((c.vgroup, c.epoch, c.composition.iter().collect::<Vec<_>>()))
     }) {
         if let Some((group, epoch, comp)) = info {
             groups.entry(group).or_default().push((epoch, comp));
@@ -655,12 +655,12 @@ fn run_join_storm() {
     // placement walk must spread the joiners out anyway, and splits must
     // keep every composition within the bound.
     let target_group = cluster
-        .map_nodes(|node| node.member().map(|m| m.vgroup))
+        .map_nodes(|node| node.member().map(|m| m.config().vgroup))
         .into_iter()
         .find_map(|(_, g)| g)
         .expect("seeded cluster has members");
     let contacts: Vec<NodeId> = cluster
-        .map_nodes(|node| node.member().map(|m| m.vgroup))
+        .map_nodes(|node| node.member().map(|m| m.config().vgroup))
         .into_iter()
         .filter_map(|(id, g)| (g == Some(target_group)).then_some(id))
         .collect();
@@ -682,7 +682,7 @@ fn run_join_storm() {
     // The invariant the eclipse tries to break: no composition beyond gmax.
     let gmax = cluster.params.gmax;
     let max_group_size = cluster
-        .map_nodes(|node| node.member().map(|m| m.composition.len()).unwrap_or(0))
+        .map_nodes(|node| node.member().map_or(0, |m| m.config().composition.len()))
         .into_iter()
         .map(|(_, len)| len)
         .max()

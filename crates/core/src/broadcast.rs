@@ -21,10 +21,10 @@
 //! to re-decide.
 
 use crate::app::Delivered;
-use crate::member::{Effect, MemberStats};
+use crate::member::{Configuration, Effect, MemberStats};
 use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum_crypto::Digest;
-use atum_overlay::{gossip::Direction, is_carrier, GossipPlanner, NeighborTable, SeenCache};
+use atum_overlay::{gossip::Direction, is_carrier, GossipPlanner, SeenCache};
 use atum_types::{BroadcastId, Composition, Duration, Instant, NodeId, Params, VgroupId};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -52,14 +52,21 @@ pub(crate) mod repair_metrics {
     }
 }
 
-/// The current membership as the broadcast plane sees it: borrowed from the
-/// [`MemberState`](crate::MemberState) fields for the length of one call.
+/// The current membership as the broadcast plane and the local duties see
+/// it: this node, the configuration borrowed from the membership's group
+/// part, and the parameters, for the length of one call.
 pub(crate) struct View<'a> {
     pub(crate) me: NodeId,
-    pub(crate) vgroup: VgroupId,
-    pub(crate) composition: &'a Composition,
-    pub(crate) neighbors: &'a NeighborTable,
+    pub(crate) config: &'a Configuration,
     pub(crate) params: &'a Params,
+}
+
+impl std::ops::Deref for View<'_> {
+    type Target = Configuration;
+
+    fn deref(&self) -> &Configuration {
+        self.config
+    }
 }
 
 impl View<'_> {
@@ -85,7 +92,7 @@ impl View<'_> {
         let envelope = GroupEnvelope::new(self.vgroup, self.composition.clone(), payload);
         let digest = envelope.digest();
         match envelope.payload {
-            GroupPayload::Gossip { id, .. } if !is_carrier(self.composition, digest, self.me) => {
+            GroupPayload::Gossip { id, .. } if !is_carrier(&self.composition, digest, self.me) => {
                 AtumMessage::GroupVote(Arc::new(GroupVote {
                     source: envelope.source,
                     source_composition: envelope.source_composition,
@@ -107,6 +114,12 @@ impl View<'_> {
                 msg: msg.clone(),
             });
         }
+    }
+
+    /// Sends `to` this membership's configuration to install.
+    pub(crate) fn send_welcome(&self, to: NodeId, effects: &mut Vec<Effect>) {
+        let msg = AtumMessage::Welcome(self.config.clone());
+        effects.push(Effect::Send { to, msg });
     }
 
     /// `true` when this membership's own neighbour table places `node` in
@@ -403,7 +416,7 @@ impl Session {
         let mut advertised: BTreeSet<NodeId> = BTreeSet::from([view.me]);
         let neighbors = view.neighbors.distinct_neighbors();
         let others = neighbors.iter().filter(|(group, _)| **group != view.vgroup);
-        for comp in std::iter::once(view.composition).chain(others.map(|(_, comp)| comp)) {
+        for comp in std::iter::once(&view.composition).chain(others.map(|(_, comp)| comp)) {
             for peer in comp.iter() {
                 if advertised.insert(peer) {
                     effects.push(Effect::Send {
@@ -598,6 +611,7 @@ mod tests {
     use super::*;
     use crate::member::MemberState;
     use atum_crypto::KeyRegistry;
+    use atum_overlay::NeighborTable;
 
     fn registry(n: u64) -> Arc<KeyRegistry> {
         let mut r = KeyRegistry::new();
@@ -621,10 +635,12 @@ mod tests {
             params,
             registry(n_nodes),
             Session::default(),
-            vgroup,
-            composition,
-            neighbors,
-            0,
+            Configuration {
+                vgroup,
+                composition,
+                neighbors,
+                epoch: 0,
+            },
             Instant::ZERO,
         )
     }
@@ -687,7 +703,13 @@ mod tests {
         // don't, and a second own-group advertiser in the same period is
         // throttled (one SMR re-decision serves the whole group).
         let mut effects = Vec::new();
-        m2.on_broadcast_keys(NodeId::new(0), m2.vgroup, &[id], announce_at, &mut effects);
+        m2.on_broadcast_keys(
+            NodeId::new(0),
+            m2.config().vgroup,
+            &[id],
+            announce_at,
+            &mut effects,
+        );
         let pulls: Vec<&Effect> = effects
             .iter()
             .filter(|e| {
@@ -702,10 +724,22 @@ mod tests {
             .collect();
         assert_eq!(pulls.len(), 1);
         let mut effects = Vec::new();
-        m1.on_broadcast_keys(NodeId::new(0), m1.vgroup, &[id], announce_at, &mut effects);
+        m1.on_broadcast_keys(
+            NodeId::new(0),
+            m1.config().vgroup,
+            &[id],
+            announce_at,
+            &mut effects,
+        );
         assert!(effects.is_empty(), "a member that saw it must not pull");
         let mut effects = Vec::new();
-        m2.on_broadcast_keys(NodeId::new(1), m2.vgroup, &[id], announce_at, &mut effects);
+        m2.on_broadcast_keys(
+            NodeId::new(1),
+            m2.config().vgroup,
+            &[id],
+            announce_at,
+            &mut effects,
+        );
         assert!(
             effects.is_empty(),
             "own-group re-pull must be throttled per broadcast"
@@ -718,7 +752,7 @@ mod tests {
         let mut effects = Vec::new();
         m0.on_broadcast_pull(
             NodeId::new(2),
-            m0.vgroup,
+            m0.config().vgroup,
             &[id],
             None,
             announce_at,
@@ -752,7 +786,7 @@ mod tests {
             let mut again = Vec::new();
             m0.on_broadcast_pull(
                 NodeId::new(1),
-                m0.vgroup,
+                m0.config().vgroup,
                 &[id],
                 None,
                 announce_at,
@@ -862,15 +896,17 @@ mod tests {
             params,
             registry(30),
             Session::default(),
-            holed_group,
-            holed_comp,
-            neighbors,
-            0,
+            Configuration {
+                vgroup: holed_group,
+                composition: holed_comp,
+                neighbors,
+                epoch: 0,
+            },
             Instant::ZERO,
         );
         // Teach the holders about vgroup 600 so they can vouch for the
         // requester; node 20 is a member there in *their* view.
-        holder0.neighbors.set_cycle(
+        holder0.config_mut().neighbors.set_cycle(
             0,
             atum_overlay::CycleNeighbors {
                 predecessor: holed_group,
@@ -981,7 +1017,7 @@ mod tests {
         // Two vouched holders' replies assemble the majority of vgroup 500
         // at the holed member (collector counts distinct senders of one
         // digest), bootstrapping the broadcast into vgroup 600.
-        holder1.neighbors.set_cycle(
+        holder1.config_mut().neighbors.set_cycle(
             0,
             atum_overlay::CycleNeighbors {
                 predecessor: holed_group,
@@ -1040,10 +1076,12 @@ mod tests {
             params,
             registry(3),
             Session::default(),
-            vgroup,
-            composition,
-            neighbors,
-            0,
+            Configuration {
+                vgroup,
+                composition,
+                neighbors,
+                epoch: 0,
+            },
             Instant::ZERO,
         );
         feed_gossip(&mut m, Instant::from_micros(5));
@@ -1089,10 +1127,12 @@ mod tests {
             params,
             registry(30),
             Session::default(),
-            vgroup,
-            composition,
-            neighbors,
-            0,
+            Configuration {
+                vgroup,
+                composition,
+                neighbors,
+                epoch: 0,
+            },
             Instant::ZERO,
         )
     }
@@ -1104,9 +1144,12 @@ mod tests {
         let mut copies = Vec::new();
         for m in &mut senders {
             let mut effects = Vec::new();
-            m.on_broadcast(
+            let (view, session) = m.plane();
+            let body = body.to_vec().into();
+            session.on_broadcast(
+                view,
                 id,
-                body.to_vec().into(),
+                body,
                 0,
                 Instant::ZERO,
                 &mut effects,
@@ -1134,17 +1177,26 @@ mod tests {
             // Two more neighbours beside vgroup 600: twelve recipients in
             // three vgroups.
             let mut m = hop_member(me);
-            let mut entry = m.neighbors.cycle(0).cloned().expect("cycle 0");
+            let mut entry = m.config().neighbors.cycle(0).cloned().expect("cycle 0");
             entry.predecessor = VgroupId::new(601);
             entry.predecessor_composition = (30..34).map(NodeId::new).collect();
-            m.neighbors.set_cycle(0, entry.clone());
+            m.config_mut().neighbors.set_cycle(0, entry.clone());
             entry.successor = VgroupId::new(602);
             entry.successor_composition = (40..44).map(NodeId::new).collect();
-            m.neighbors.set_cycle(1, entry);
+            m.config_mut().neighbors.set_cycle(1, entry);
 
             let mut effects = Vec::new();
             let body: Arc<[u8]> = vec![7u8; 1024].into();
-            m.on_broadcast(id, body, 0, Instant::ZERO, &mut effects, &mut |_, _| true);
+            let (view, session) = m.plane();
+            session.on_broadcast(
+                view,
+                id,
+                body,
+                0,
+                Instant::ZERO,
+                &mut effects,
+                &mut |_, _| true,
+            );
             assert!(matches!(effects[0], Effect::Deliver(_)), "delivery first");
             let sent: Vec<&AtumMessage> = effects[1..]
                 .iter()
@@ -1200,7 +1252,7 @@ mod tests {
 
     #[test]
     fn gossip_hop_ships_the_body_from_the_carriers_and_votes_from_the_rest() {
-        let (senders, copies) = hop_copies(BroadcastId::new(NodeId::new(0), 3), b"body");
+        let (mut senders, copies) = hop_copies(BroadcastId::new(NodeId::new(0), 3), b"body");
         let bodies: Vec<&Arc<GroupEnvelope>> = copies
             .iter()
             .filter_map(|(_, msg)| match msg {
@@ -1211,7 +1263,7 @@ mod tests {
         assert_eq!(bodies.len(), 2, "carriers of 4 are 2");
         let digest = bodies[0].digest();
         for (from, msg) in &copies {
-            let carrier = is_carrier(&senders[0].composition, digest, *from);
+            let carrier = is_carrier(&senders[0].config().composition, digest, *from);
             match msg {
                 AtumMessage::Group(env) => {
                     assert!(carrier);
@@ -1220,19 +1272,20 @@ mod tests {
                 AtumMessage::GroupVote(vote) => {
                     assert!(!carrier);
                     assert_eq!((vote.source, vote.digest), (HOP_FROM, digest));
-                    assert_eq!(vote.source_composition, senders[0].composition);
+                    assert_eq!(vote.source_composition, senders[0].config().composition);
                 }
                 other => panic!("unexpected copy {other:?}"),
             }
         }
         // Control-plane payloads are not split: g full copies per recipient.
-        for m in &senders {
+        for m in &mut senders {
             let mut effects = Vec::new();
             let update = GroupPayload::CompositionUpdate {
-                group: m.vgroup,
-                composition: m.composition.clone(),
+                group: m.config().vgroup,
+                composition: m.config().composition.clone(),
             };
-            m.send_group_message(&hop_member(20).composition, update, &mut effects);
+            let to = hop_member(20).config().composition.clone();
+            m.plane().0.send_group_message(&to, update, &mut effects);
             assert_eq!(effects.len(), 4);
             assert!(effects
                 .iter()

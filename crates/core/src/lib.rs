@@ -82,7 +82,7 @@ pub mod seed;
 pub use app::{AppCtx, Application, CollectingApp, Delivered};
 pub use broadcast::Session;
 pub use digest_cache::verified_digest_stats;
-pub use member::MemberState;
+pub use member::{Configuration, MemberState};
 pub use message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 pub use node::{AtumNode, ByzantineBehavior, NodePhase, NodeStats};
 pub use seed::{seed_system, SeededSystem};

@@ -22,8 +22,9 @@
 //! strings and values are not one-to-one) in [`GroupEnvelope::wire_decode`],
 //! and envelopes have no other deserialisation path.
 
+use crate::member::Configuration;
 use atum_crypto::{Digest, Digestible};
-use atum_overlay::{NeighborTable, WalkState};
+use atum_overlay::WalkState;
 use atum_smr::{SmrMessage, SmrOp};
 use atum_types::wire::{self, FRAME_HEADER_LEN};
 use atum_types::{
@@ -771,18 +772,10 @@ pub enum AtumMessage {
         rejoin: bool,
     },
     /// Sent by every member of the admitting vgroup to the joiner (and to
-    /// members transferred by shuffles/merges): the state needed to become a
-    /// member. Accepted on receipt from a majority of `composition`.
-    Welcome {
-        /// The vgroup the receiver now belongs to.
-        group: VgroupId,
-        /// Its composition (including the receiver).
-        composition: Composition,
-        /// The vgroup's neighbour table.
-        neighbors: atum_overlay::NeighborTable,
-        /// Configuration epoch of the vgroup.
-        epoch: u64,
-    },
+    /// members transferred by shuffles/merges): the configuration to become
+    /// a member of, whose composition includes the receiver. Accepted on
+    /// receipt from a majority of that composition.
+    Welcome(Configuration),
     /// Sent by a member whose fence closed (its vgroup moved to a newer
     /// configuration epoch without it, or it heard no peer for an eviction
     /// window): asks a peer for a fresh [`AtumMessage::Welcome`] so it can
@@ -935,17 +928,9 @@ impl WireEncode for AtumMessage {
                 w.put_u64(*nonce);
                 w.put_bool(*rejoin);
             }
-            AtumMessage::Welcome {
-                group,
-                composition,
-                neighbors,
-                epoch,
-            } => {
+            AtumMessage::Welcome(config) => {
                 w.put_u8(3);
-                group.wire_encode(w);
-                composition.wire_encode(w);
-                neighbors.wire_encode(w);
-                w.put_u64(*epoch);
+                config.wire_encode(w);
             }
             AtumMessage::StateRequest { group, epoch } => {
                 w.put_u8(4);
@@ -1006,12 +991,7 @@ impl WireDecode for AtumMessage {
                 nonce: r.take_u64()?,
                 rejoin: r.take_bool()?,
             },
-            3 => AtumMessage::Welcome {
-                group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-                neighbors: NeighborTable::wire_decode(r)?,
-                epoch: r.take_u64()?,
-            },
+            3 => AtumMessage::Welcome(Configuration::wire_decode(r)?),
             4 => AtumMessage::StateRequest {
                 group: VgroupId::wire_decode(r)?,
                 epoch: r.take_u64()?,

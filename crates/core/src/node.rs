@@ -3,10 +3,9 @@
 
 use crate::app::{AppCtx, Application, Delivered};
 use crate::broadcast::Session;
-use crate::member::{Effect, Ending, MemberState};
+use crate::member::{Configuration, Effect, Ending, MemberState};
 use crate::message::AtumMessage;
 use atum_crypto::KeyRegistry;
-use atum_overlay::NeighborTable;
 use atum_simnet::{Context, Node};
 use atum_types::{
     AtumError, BroadcastId, Composition, Duration, Instant, NodeId, Params, Result, VgroupId,
@@ -73,10 +72,7 @@ pub struct NodeStats {
 /// carry over as long as they are still members of the newest composition.
 #[derive(Debug, Clone)]
 struct PendingWelcome {
-    group: VgroupId,
-    composition: Composition,
-    neighbors: NeighborTable,
-    epoch: u64,
+    config: Configuration,
     senders: BTreeSet<NodeId>,
 }
 
@@ -150,19 +146,15 @@ impl<A: Application> AtumNode<A> {
         }
     }
 
-    /// Creates a node that is already a member of a vgroup. Used by the
-    /// simulation harness to bootstrap large systems without running
-    /// thousands of sequential joins, and by tests.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a node that is already a member of a vgroup, in `config`.
+    /// Used by the simulation harness to bootstrap large systems without
+    /// running thousands of sequential joins, and by tests.
     pub fn with_membership(
         id: NodeId,
         params: Params,
         registry: Arc<KeyRegistry>,
         app: A,
-        vgroup: VgroupId,
-        composition: Composition,
-        neighbors: NeighborTable,
-        epoch: u64,
+        config: Configuration,
     ) -> Self {
         let mut node = Self::new(id, params, registry, app);
         let session = node.unpark();
@@ -171,10 +163,7 @@ impl<A: Application> AtumNode<A> {
             node.params.clone(),
             node.registry.clone(),
             session,
-            vgroup,
-            composition,
-            neighbors,
-            epoch,
+            config,
             Instant::ZERO,
         ));
         node.phase = NodePhase::Member;
@@ -394,13 +383,13 @@ impl<A: Application> AtumNode<A> {
         let Some(member) = self.member.take() else {
             return;
         };
-        let mut pool = member.composition.clone();
+        let mut pool = member.config().composition.clone();
         if ending == Ending::Stranded {
             // The composition peers of a stranded membership moved on
             // without it or went silent: poor re-join contacts. The
             // neighbour table's vgroups are the live overlay, so merge both
             // into the fallback pool (the rotation skips the dead ones).
-            for (_, comp) in member.neighbors.distinct_neighbors() {
+            for (_, comp) in member.config().neighbors.distinct_neighbors() {
                 pool = pool.union(&comp);
             }
         }
@@ -475,20 +464,16 @@ impl<A: Application> AtumNode<A> {
     fn handle_welcome(
         &mut self,
         from: NodeId,
-        group: VgroupId,
-        composition: Composition,
-        neighbors: NeighborTable,
-        epoch: u64,
+        config: Configuration,
         ctx: &mut Context<'_, AtumMessage>,
     ) {
-        if !composition.contains(self.id) || !composition.contains(from) {
+        if !config.composition.contains(self.id) || !config.composition.contains(from) {
             return;
         }
+        let (group, epoch) = (config.vgroup, config.epoch);
+        let held = self.member.as_ref().map(MemberState::config);
         if matches!(self.phase, NodePhase::Member)
-            && self
-                .member
-                .as_ref()
-                .is_some_and(|m| m.vgroup == group && m.epoch >= epoch)
+            && held.is_some_and(|m| m.vgroup == group && m.epoch >= epoch)
         {
             return; // Stale welcome for a state we already have.
         }
@@ -504,36 +489,28 @@ impl<A: Application> AtumNode<A> {
             .pending_welcomes
             .entry(group)
             .or_insert_with(|| PendingWelcome {
-                group,
-                composition: composition.clone(),
-                neighbors: neighbors.clone(),
-                epoch,
+                config: config.clone(),
                 senders: BTreeSet::new(),
             });
-        if epoch > entry.epoch {
+        if epoch > entry.config.epoch {
             // Newer configuration: its content wins. Senders whose earlier
             // welcome vouched for this node and who are still members of the
             // new composition keep counting — their vote is about admitting
             // us, not about one specific epoch's neighbour table.
-            entry.composition = composition.clone();
-            entry.neighbors = neighbors;
-            entry.epoch = epoch;
-            let retained = entry.composition.clone();
+            entry.config = config;
+            let retained = &entry.config.composition;
             entry.senders.retain(|s| retained.contains(*s));
-        } else if epoch == entry.epoch && entry.composition != composition {
+        } else if epoch == entry.config.epoch && entry.config.composition != config.composition {
             // Conflicting welcomes for the same epoch: keep the first seen
             // (honest members cannot produce this; a fresher epoch will
             // resolve it).
             return;
         }
-        if entry.composition.contains(from) {
+        let composition = &entry.config.composition;
+        if composition.contains(from) {
             entry.senders.insert(from);
         }
-        let mut threshold = entry
-            .composition
-            .majority()
-            .min(entry.composition.len() - 1)
-            .max(1);
+        let mut threshold = composition.majority().min(composition.len() - 1).max(1);
         // Catch-up within our own vgroup: our failure detector knows which
         // composition entries are long dead. A welcome quorum counted over
         // *all* entries deadlocks a vgroup whose composition accumulated
@@ -543,10 +520,9 @@ impl<A: Application> AtumNode<A> {
         // a majority of the entries that are presumed live or have
         // themselves vouched for this welcome.
         if let Some(member) = self.member.as_ref() {
-            if member.vgroup == group {
+            if member.config().vgroup == group {
                 let live = member.presumed_live(ctx.now());
-                let effective = entry
-                    .composition
+                let effective = composition
                     .iter()
                     .filter(|p| live.contains(p) || entry.senders.contains(p))
                     .count();
@@ -566,9 +542,9 @@ impl<A: Application> AtumNode<A> {
                 // transient lag (resolved by the member's own engine once
                 // the slot holding the reconfiguration closes) from turning
                 // into a state reset.
-                if entry.epoch > member.epoch
+                if entry.config.epoch > member.config().epoch
                     && member.fenced()
-                    && member.composition.contains(from)
+                    && member.config().composition.contains(from)
                     && live.contains(&from)
                 {
                     threshold = 1;
@@ -600,22 +576,13 @@ impl<A: Application> AtumNode<A> {
         // still held by the membership this welcome catches up, or parked
         // since the last one ended.
         self.member = Some(match self.member.take() {
-            Some(old) => old.succeeded_by(
-                welcome.group,
-                welcome.composition,
-                welcome.neighbors,
-                welcome.epoch,
-                ctx.now(),
-            ),
+            Some(old) => old.succeeded_by(welcome.config, ctx.now()),
             None => MemberState::with_membership(
                 self.id,
                 self.params.clone(),
                 self.registry.clone(),
                 self.unpark(),
-                welcome.group,
-                welcome.composition,
-                welcome.neighbors,
-                welcome.epoch,
+                welcome.config,
                 ctx.now(),
             ),
         });
@@ -640,12 +607,13 @@ impl<A: Application> AtumNode<A> {
         let now = ctx.now();
         if now.saturating_since(self.last_byz_heartbeat) >= self.params.heartbeat_period {
             self.last_byz_heartbeat = now;
-            let peers: Vec<NodeId> = member
+            let config = member.config();
+            let peers: Vec<NodeId> = config
                 .composition
                 .iter()
                 .filter(|&p| p != self.id)
                 .collect();
-            let (group, epoch) = (member.vgroup, member.epoch);
+            let (group, epoch) = (config.vgroup, config.epoch);
             for peer in peers {
                 ctx.send(peer, AtumMessage::Heartbeat { group, epoch });
             }
@@ -801,13 +769,9 @@ impl<A: Application> AtumNode<A> {
             self.last_byz_heartbeat,
         )
         .expect("writing to a String cannot fail");
-        for (group, pw) in &self.pending_welcomes {
-            write!(
-                out,
-                " pw:{group:?}<-{:?}@{}x{:?}",
-                pw.composition, pw.epoch, pw.senders
-            )
-            .expect("writing to a String cannot fail");
+        for pw in self.pending_welcomes.values() {
+            write!(out, " pw:{:?}x{:?}", pw.config, pw.senders)
+                .expect("writing to a String cannot fail");
         }
         match &self.member {
             Some(member) => {
@@ -866,7 +830,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     ctx.send(
                         from,
                         AtumMessage::JoinContactReply {
-                            composition: member.composition.clone(),
+                            composition: member.config().composition.clone(),
                         },
                     );
                 }
@@ -903,14 +867,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     member.propose(op, now, effects)
                 });
             }
-            AtumMessage::Welcome {
-                group,
-                composition,
-                neighbors,
-                epoch,
-            } => {
-                self.handle_welcome(from, group, composition, neighbors, epoch, ctx);
-            }
+            AtumMessage::Welcome(config) => self.handle_welcome(from, config, ctx),
             AtumMessage::StateRequest { group, epoch } => {
                 self.with_member(ctx, |member, _, now, effects| {
                     member.on_state_request(from, group, epoch, now, effects)
@@ -963,6 +920,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
 mod tests {
     use super::*;
     use crate::app::CollectingApp;
+    use atum_overlay::NeighborTable;
     use atum_simnet::{NetConfig, Simulation};
     use atum_types::SmrMode;
 
@@ -1011,10 +969,12 @@ mod tests {
 
         assert!(sim.node(NodeId::new(1)).unwrap().is_member());
         let m0 = sim.node(NodeId::new(0)).unwrap().member().unwrap();
-        assert!(m0.composition.contains(NodeId::new(1)) || m0.composition.len() == 1);
+        assert!(
+            m0.config().composition.contains(NodeId::new(1)) || m0.config().composition.len() == 1
+        );
         // Node 1 learned a composition that includes itself.
         let m1 = sim.node(NodeId::new(1)).unwrap().member().unwrap();
-        assert!(m1.composition.contains(NodeId::new(1)));
+        assert!(m1.config().composition.contains(NodeId::new(1)));
     }
 
     #[test]
@@ -1074,10 +1034,12 @@ mod tests {
                     params.clone(),
                     registry.clone(),
                     CollectingApp::new(),
-                    vgids[g],
-                    comps[g].clone(),
-                    neighbors.clone(),
-                    0,
+                    Configuration {
+                        vgroup: vgids[g],
+                        composition: comps[g].clone(),
+                        neighbors: neighbors.clone(),
+                        epoch: 0,
+                    },
                 );
                 sim.add_node(NodeId::new(i as u64), node);
             }
@@ -1139,10 +1101,12 @@ mod tests {
                     params.clone(),
                     registry.clone(),
                     CollectingApp::new(),
-                    vgids[g],
-                    comps[g].clone(),
-                    neighbors.clone(),
-                    0,
+                    Configuration {
+                        vgroup: vgids[g],
+                        composition: comps[g].clone(),
+                        neighbors: neighbors.clone(),
+                        epoch: 0,
+                    },
                 );
                 sim.add_node(NodeId::new(i as u64), node);
             }
@@ -1179,10 +1143,12 @@ mod tests {
                 params.clone(),
                 registry.clone(),
                 CollectingApp::new(),
-                vg,
-                comp.clone(),
-                neighbors.clone(),
-                0,
+                Configuration {
+                    vgroup: vg,
+                    composition: comp.clone(),
+                    neighbors: neighbors.clone(),
+                    epoch: 0,
+                },
             );
             sim.add_node(NodeId::new(i), node);
         }
@@ -1192,7 +1158,7 @@ mod tests {
         for i in 0..3 {
             let m = sim.node(NodeId::new(i)).unwrap().member().unwrap();
             assert!(
-                !m.composition.contains(NodeId::new(3)),
+                !m.config().composition.contains(NodeId::new(3)),
                 "node {i} still lists the departed member"
             );
         }
@@ -1215,10 +1181,12 @@ mod tests {
                 params.clone(),
                 registry.clone(),
                 CollectingApp::new(),
-                vg,
-                comp.clone(),
-                neighbors.clone(),
-                0,
+                Configuration {
+                    vgroup: vg,
+                    composition: comp.clone(),
+                    neighbors: neighbors.clone(),
+                    epoch: 0,
+                },
             );
             sim.add_node(NodeId::new(i), node);
         }
@@ -1228,9 +1196,9 @@ mod tests {
         for i in 0..4 {
             let m = sim.node(NodeId::new(i)).unwrap().member().unwrap();
             assert!(
-                !m.composition.contains(NodeId::new(4)),
+                !m.config().composition.contains(NodeId::new(4)),
                 "node {i} still lists the crashed member: {}",
-                m.composition
+                m.config().composition
             );
         }
     }
@@ -1252,10 +1220,12 @@ mod tests {
                 params.clone(),
                 registry.clone(),
                 CollectingApp::new(),
-                vg,
-                comp.clone(),
-                neighbors.clone(),
-                0,
+                Configuration {
+                    vgroup: vg,
+                    composition: comp.clone(),
+                    neighbors: neighbors.clone(),
+                    epoch: 0,
+                },
             );
             if i == 4 {
                 node.set_byzantine(ByzantineBehavior::HeartbeatOnly);
@@ -1278,7 +1248,7 @@ mod tests {
         }
         // The Byzantine node is still a member (it heartbeats).
         let m0 = sim.node(NodeId::new(0)).unwrap().member().unwrap();
-        assert!(m0.composition.contains(NodeId::new(4)));
+        assert!(m0.config().composition.contains(NodeId::new(4)));
     }
 
     /// The lone engine. `{0, 1, 2}` reconfigured to epoch 1 without node
@@ -1306,10 +1276,12 @@ mod tests {
                 params.clone(),
                 registry.clone(),
                 CollectingApp::new(),
-                OLD,
-                members,
-                neighbors,
-                epoch,
+                Configuration {
+                    vgroup: OLD,
+                    composition: members,
+                    neighbors,
+                    epoch,
+                },
             );
             sim.add_node(NodeId::new(i), node);
         }
@@ -1335,7 +1307,7 @@ mod tests {
         for i in 0..4 {
             let node = sim.node(NodeId::new(i)).unwrap();
             let member = node.member().expect("every node is a member");
-            assert_eq!(member.composition, comp(&[0, 1, 2, 3]));
+            assert_eq!(member.config().composition, comp(&[0, 1, 2, 3]));
             let copies: Vec<Instant> = node
                 .delivered()
                 .iter()
@@ -1380,10 +1352,12 @@ mod tests {
                 params,
                 registry(30),
                 CollectingApp::new(),
-                OLD,
-                comp(&[0, 1, 2]),
-                neighbors,
-                0,
+                Configuration {
+                    vgroup: OLD,
+                    composition: comp(&[0, 1, 2]),
+                    neighbors,
+                    epoch: 0,
+                },
             );
             Solo {
                 node,
@@ -1444,12 +1418,12 @@ mod tests {
             let composition = comp(members);
             let hc = fast_params().hc;
             for &sender in members.iter().filter(|&&m| m != 0) {
-                let msg = AtumMessage::Welcome {
-                    group,
+                let msg = AtumMessage::Welcome(Configuration {
+                    vgroup: group,
                     composition: composition.clone(),
                     neighbors: NeighborTable::self_loop(hc, group, composition.clone()),
                     epoch,
-                };
+                });
                 self.act(|n, ctx| n.on_message(NodeId::new(sender), msg, ctx));
             }
         }
@@ -1551,6 +1525,38 @@ mod tests {
         );
     }
 
+    #[test]
+    fn canonical_state_renders_a_pending_welcome_whole() {
+        // One welcome each, short of its quorum, differing only in the
+        // neighbour table: a welcome's table is what it installs, and the
+        // first one of an epoch wins, so the two states part ways.
+        let render = |table_of: VgroupId| {
+            let mut solo = Solo::new();
+            let composition = comp(&[0, 10, 11, 12]);
+            let neighbors =
+                NeighborTable::self_loop(fast_params().hc, table_of, composition.clone());
+            let config = Configuration {
+                vgroup: NEW,
+                composition,
+                neighbors,
+                epoch: 3,
+            };
+            let msg = AtumMessage::Welcome(config);
+            solo.act(|n, ctx| n.on_message(NodeId::new(10), msg, ctx));
+            assert_eq!(
+                solo.node.pending_welcomes.len(),
+                1,
+                "pending, not installed"
+            );
+            solo.node.canonical_state()
+        };
+        assert_ne!(
+            render(NEW),
+            render(UPSTREAM),
+            "pending welcomes that differ only in their neighbour table must not merge"
+        );
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -1589,7 +1595,7 @@ mod tests {
                         // A fresh vgroup, or a catch-up in the current one.
                         4 => solo.welcome(VgroupId::new(300 + i as u64), &[0, 20], 1),
                         5 => {
-                            let held = solo.node.member().map(|m| (m.vgroup, m.epoch + 1));
+                            let held = solo.node.member().map(|m| (m.config().vgroup, m.config().epoch + 1));
                             let (group, epoch) = held.unwrap_or((NEW, 1));
                             solo.welcome(group, &[0, 20, 21], epoch);
                         }

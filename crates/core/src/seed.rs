@@ -7,6 +7,7 @@
 //! from [`seed_system`], so a given `(seed, n, params)` names the same
 //! vgroups and the same overlay on either substrate.
 
+use crate::member::Configuration;
 use atum_crypto::KeyRegistry;
 use atum_overlay::{CycleNeighbors, HGraph, NeighborTable, VgroupDirectory};
 use atum_types::{Composition, NodeId, Params, VgroupId};
@@ -22,11 +23,10 @@ pub struct SeededSystem {
     pub directory: VgroupDirectory,
     /// Ground-truth overlay.
     pub hgraph: HGraph,
-    /// Per member, in vgroup order: its id, vgroup, that vgroup's
-    /// composition and neighbour table — the arguments of
-    /// [`AtumNode::with_membership`](crate::AtumNode::with_membership) at
-    /// epoch 0.
-    pub nodes: Vec<(NodeId, VgroupId, Composition, NeighborTable)>,
+    /// Per member, in vgroup order: its id and its vgroup's configuration
+    /// at epoch 0 — the arguments of
+    /// [`AtumNode::with_membership`](crate::AtumNode::with_membership).
+    pub nodes: Vec<(NodeId, Configuration)>,
 }
 
 /// Partitions nodes `0..members` into vgroups of `group_size` (default:
@@ -80,10 +80,13 @@ pub fn seed_system(
                 },
             );
         }
-        let composition = composition_of(group);
-        for id in composition.iter() {
-            nodes.push((id, group, composition.clone(), table.clone()));
-        }
+        let config = Configuration {
+            vgroup: group,
+            composition: composition_of(group),
+            neighbors: table,
+            epoch: 0,
+        };
+        nodes.extend(config.composition.iter().map(|id| (id, config.clone())));
     }
     SeededSystem {
         registry: registry.shared(),

@@ -118,7 +118,7 @@ fn groups(world: &WorldState) -> BTreeMap<VgroupId, Vec<atum_types::NodeId>> {
             continue;
         }
         if let Some(member) = slot.node.member() {
-            out.entry(member.vgroup).or_default().push(id);
+            out.entry(member.config().vgroup).or_default().push(id);
         }
     }
     out
@@ -138,6 +138,7 @@ fn links_bidirectional(world: &WorldState) -> bool {
     for members in by_group.values() {
         for &id in members {
             let member = world.nodes[&id].node.member().expect("grouped member");
+            let member = member.config();
             for cycle in 0..member.neighbors.cycle_count() {
                 if let Some(entry) = member.neighbors.cycle(cycle) {
                     let slot = recorded.entry((member.vgroup, cycle)).or_default();
@@ -187,6 +188,7 @@ fn cycles_connected(world: &WorldState) -> bool {
     for (&group, members) in &by_group {
         for &id in members {
             let member = world.nodes[&id].node.member().expect("grouped member");
+            let member = member.config();
             for cycle in 0..member.neighbors.cycle_count() {
                 if let Some(entry) = member.neighbors.cycle(cycle) {
                     for other in [entry.predecessor, entry.successor] {
@@ -221,6 +223,7 @@ fn epoch_agreement(world: &WorldState) -> bool {
         let mut reference: Option<(u64, &atum_types::Composition)> = None;
         for &id in members {
             let member = world.nodes[&id].node.member().expect("grouped member");
+            let member = member.config();
             match reference {
                 None => reference = Some((member.epoch, &member.composition)),
                 Some((epoch, composition)) => {

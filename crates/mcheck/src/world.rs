@@ -10,7 +10,7 @@
 //! choices* and explores their interleavings.
 
 use atum_core::message::AtumMessage;
-use atum_core::{AtumNode, CollectingApp};
+use atum_core::{AtumNode, CollectingApp, Configuration};
 use atum_simnet::{Context, ContextEffects, Node};
 use atum_types::{Duration, Instant, NodeId, Params};
 use rand::SeedableRng;
@@ -446,14 +446,12 @@ pub fn member_node(
     neighbors: atum_overlay::NeighborTable,
     epoch: u64,
 ) -> AtumNode<CollectingApp> {
-    AtumNode::with_membership(
-        id,
-        params.clone(),
-        registry.clone(),
-        CollectingApp::new(),
+    let config = Configuration {
         vgroup,
         composition,
         neighbors,
         epoch,
-    )
+    };
+    let app = CollectingApp::new();
+    AtumNode::with_membership(id, params.clone(), registry.clone(), app, config)
 }

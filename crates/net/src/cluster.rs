@@ -144,16 +144,13 @@ impl NetClusterBuilder {
         };
 
         let mut handles = BTreeMap::new();
-        for (node_id, group, composition, table) in system.nodes {
+        for (node_id, config) in system.nodes {
             let node = AtumNode::with_membership(
                 node_id,
                 params.clone(),
                 registry.clone(),
                 make_app(node_id),
-                group,
-                composition,
-                table,
-                0,
+                config,
             );
             handles.insert(node_id, host(node_id, node));
         }

@@ -315,25 +315,25 @@ impl NeighborTable {
         }
     }
 
-    /// Replaces every occurrence of neighbour `old` with `new` (used when a
-    /// neighbouring vgroup merges away and its cycle gap is bridged).
-    pub fn replace_neighbor(
+    /// Points one side of `cycle` at `group`: the successor when
+    /// `successor`, else the predecessor. Returns `false`, changing
+    /// nothing, when the cycle has no entry.
+    pub fn set_side(
         &mut self,
         cycle: usize,
-        old: VgroupId,
-        new: VgroupId,
-        new_composition: Composition,
-    ) {
-        if let Some(Some(entry)) = self.per_cycle.get_mut(cycle) {
-            if entry.predecessor == old {
-                entry.predecessor = new;
-                entry.predecessor_composition = new_composition.clone();
-            }
-            if entry.successor == old {
-                entry.successor = new;
-                entry.successor_composition = new_composition;
-            }
+        successor: bool,
+        group: VgroupId,
+        composition: Composition,
+    ) -> bool {
+        let Some(Some(entry)) = self.per_cycle.get_mut(cycle) else {
+            return false;
+        };
+        if successor {
+            (entry.successor, entry.successor_composition) = (group, composition);
+        } else {
+            (entry.predecessor, entry.predecessor_composition) = (group, composition);
         }
+        true
     }
 
     /// The composition of `vgroup` if it appears anywhere in the table.
@@ -496,9 +496,11 @@ mod tests {
         t.update_composition(own, &comp(&[1, 2, 3, 4]));
         assert_eq!(t.composition_of(own).unwrap().len(), 4);
 
-        // Replace the neighbour on cycle 1.
-        t.replace_neighbor(1, own, VgroupId::new(9), comp(&[7]));
+        // Re-point cycle 1's successor; an unknown cycle is left alone.
+        assert!(t.set_side(1, true, VgroupId::new(9), comp(&[7])));
+        assert!(!t.set_side(3, true, VgroupId::new(9), comp(&[7])));
         assert_eq!(t.cycle(1).unwrap().successor, VgroupId::new(9));
+        assert_eq!(t.cycle(1).unwrap().predecessor, own);
         assert_eq!(t.cycle(0).unwrap().successor, own);
         assert_eq!(t.distinct_neighbors().len(), 2);
     }

@@ -194,16 +194,13 @@ impl ClusterBuilder {
         byz_nodes.sort_unstable();
 
         let mut sim: Simulation<AtumMessage, AtumNode<A>> = Simulation::new(net, seed);
-        for (node_id, group, composition, table) in system.nodes {
+        for (node_id, config) in system.nodes {
             let mut node = AtumNode::with_membership(
                 node_id,
                 params.clone(),
                 system.registry.clone(),
                 make_app(node_id),
-                group,
-                composition,
-                table,
-                0,
+                config,
             );
             if byz_nodes.contains(&node_id) {
                 node.set_byzantine(ByzantineBehavior::HeartbeatOnly);

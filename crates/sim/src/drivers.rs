@@ -232,22 +232,23 @@ pub fn run_growth(
                     );
                 }
                 Some(member) => {
-                    if seen_groups.insert(member.vgroup) {
+                    let config = member.config();
+                    if seen_groups.insert(config.vgroup) {
                         let live = member.presumed_live(sim.now());
                         atum_obs::trace_event!(
                             Growth,
                             at = sim.now().as_micros(),
                             node = i,
                             slots = [
-                                member.vgroup.raw(),
-                                member.composition.len() as u64,
+                                config.vgroup.raw(),
+                                config.composition.len() as u64,
                                 live.len() as u64
                             ],
                             "vgroup {:?} (per n{i}): size {} presumed_live {} epoch {} fenced {}",
-                            member.vgroup,
-                            member.composition.len(),
+                            config.vgroup,
+                            config.composition.len(),
                             live.len(),
-                            member.epoch,
+                            config.epoch,
                             member.fenced(),
                         );
                     }
@@ -536,17 +537,18 @@ fn ghost_audit(
         let Some(member) = cluster.sim.node(n).and_then(|node| node.member()) else {
             continue;
         };
-        if !seen_groups.insert(member.vgroup) {
+        let config = member.config();
+        if !seen_groups.insert(config.vgroup) {
             continue;
         }
-        let ghosts: Vec<NodeId> = member
+        let ghosts: Vec<NodeId> = config
             .composition
             .iter()
             .filter(|&p| {
                 cluster
                     .sim
                     .node(p)
-                    .map(|other| other.member().map(|m| m.vgroup) != Some(member.vgroup))
+                    .map(|other| other.member().map(|m| m.config().vgroup) != Some(config.vgroup))
                     .unwrap_or(true)
             })
             .collect();
@@ -557,7 +559,7 @@ fn ghost_audit(
             // correct accusers; with fewer, the residue is unhealable by
             // construction (Byzantine heartbeat-only entries never accuse,
             // ghosts cannot).
-            let live_correct = member
+            let live_correct = config
                 .composition
                 .iter()
                 .filter(|&p| !ghosts.contains(&p) && !cluster.byzantine.contains(&p))
@@ -572,15 +574,15 @@ fn ghost_audit(
                 at = now_us,
                 node = n.raw(),
                 slots = [
-                    member.vgroup.raw(),
-                    member.composition.len() as u64,
+                    config.vgroup.raw(),
+                    config.composition.len() as u64,
                     ghosts.len() as u64
                 ],
                 "vgroup {:?} (per {n}): size {} ghosts {:?} epoch {} fenced {}",
-                member.vgroup,
-                member.composition.len(),
+                config.vgroup,
+                config.composition.len(),
                 ghosts,
-                member.epoch,
+                config.epoch,
                 member.fenced(),
             );
             if !ghosts.is_empty() {
@@ -591,22 +593,23 @@ fn ghost_audit(
                         Churn,
                         at = now_us,
                         node = peer.raw(),
-                        slots = [member.vgroup.raw(), accusations as u64, 0],
+                        slots = [config.vgroup.raw(), accusations as u64, 0],
                         "    peer {peer}: silent {silence:.1}s activated {activated} accusations {accusations}"
                     );
                 }
-                for f in member.composition.iter().filter(|p| !ghosts.contains(p)) {
+                for f in config.composition.iter().filter(|p| !ghosts.contains(p)) {
                     if let Some(fm) = cluster.sim.node(f).and_then(|node| node.member()) {
+                        let fc = fm.config();
                         atum_obs::trace_event!(
                             Churn,
                             at = now_us,
                             node = f.raw(),
-                            slots = [fm.vgroup.raw(), fm.composition.len() as u64, fm.epoch],
+                            slots = [fc.vgroup.raw(), fc.composition.len() as u64, fc.epoch],
                             "    live member {f}: vgroup {:?} epoch {} fenced {} comp {}",
-                            fm.vgroup,
-                            fm.epoch,
+                            fc.vgroup,
+                            fc.epoch,
                             fm.fenced(),
-                            fm.composition
+                            fc.composition
                         );
                     }
                 }

@@ -53,8 +53,9 @@ pub enum GossipPolicy {
 /// The system parameters of Table 1 plus operational knobs.
 ///
 /// `hc`, `rwl`, `gmin`, `gmax` and `k` are exactly the parameters the paper
-/// lists; the remaining fields configure heartbeats, round durations and the
-/// AShare replication degree, which the paper fixes per experiment.
+/// lists; the remaining fields configure the SMR engine, round durations,
+/// heartbeats, gossip and the two repair planes. AShare's replication
+/// degree and chunking are the application's own (`AShareConfig`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Params {
     /// Number of Hamiltonian cycles in the H-graph (`hc`, typically 2–12).
@@ -81,10 +82,6 @@ pub struct Params {
     pub eviction_threshold: u32,
     /// Default gossip policy for the `forward` callback.
     pub gossip: GossipPolicy,
-    /// AShare replication target ρ (replicas per file).
-    pub rho: usize,
-    /// Number of chunks a file is divided into for AShare transfers.
-    pub chunks_per_file: usize,
     /// Overlay link self-repair: members periodically probe their cycle
     /// neighbours for link bidirectionality and launch re-insertion walks
     /// when a direction stays unanswered. Disabling this reverts to the
@@ -119,8 +116,6 @@ impl Default for Params {
             heartbeat_period: Duration::from_secs(60),
             eviction_threshold: 3,
             gossip: GossipPolicy::Flood,
-            rho: 8,
-            chunks_per_file: 10,
             link_repair: true,
             broadcast_repair: true,
         }
@@ -165,14 +160,6 @@ impl Params {
         if self.eviction_threshold == 0 {
             return Err(AtumError::invalid_config(
                 "eviction threshold must be at least 1",
-            ));
-        }
-        if self.rho == 0 {
-            return Err(AtumError::invalid_config("rho must be at least 1"));
-        }
-        if self.chunks_per_file == 0 {
-            return Err(AtumError::invalid_config(
-                "chunks_per_file must be at least 1",
             ));
         }
         if let GossipPolicy::Cycles(c) = self.gossip {
@@ -342,20 +329,6 @@ mod tests {
                     ..base.clone()
                 },
                 "eviction",
-            ),
-            (
-                Params {
-                    rho: 0,
-                    ..base.clone()
-                },
-                "rho",
-            ),
-            (
-                Params {
-                    chunks_per_file: 0,
-                    ..base.clone()
-                },
-                "chunks",
             ),
             (
                 Params {

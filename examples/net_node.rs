@@ -121,7 +121,7 @@ fn run_listen(args: Args) -> i32 {
             .with_node(|n| {
                 let joined = n
                     .member()
-                    .map(|m| m.composition.len() >= 2)
+                    .map(|m| m.config().composition.len() >= 2)
                     .unwrap_or(false);
                 let delivered = !n.app().delivered_payloads().is_empty();
                 joined && delivered

@@ -226,16 +226,13 @@ fn tapped_broadcast(withhold: bool) -> (u64, u64) {
     let system = seed_system(12, 0, Some(4), &params, seed, &mut rng);
     assert_eq!(system.directory.group_count(), 3);
     let mut sim: Simulation<AtumMessage, GossipTap> = Simulation::new(NetConfig::lan(), seed);
-    for (id, group, composition, table) in system.nodes {
+    for (id, config) in system.nodes {
         let node = AtumNode::with_membership(
             id,
             params.clone(),
             system.registry.clone(),
             CollectingApp::new(),
-            group,
-            composition,
-            table,
-            0,
+            config,
         );
         sim.add_node(
             id,

@@ -64,6 +64,14 @@ fn churn_metrics_are_pinned_for_fixed_seed() {
         (4, 4, 40, 0),
         "churn protocol metrics moved for a fixed seed: {summary:?}"
     );
+    // The trajectory, not only its summary: every simulated event counts,
+    // so any effect reordered or message added moves this number even when
+    // the outcome above holds. Pinned when `MemberState` was split into
+    // its three parts, a pure move that reprinted it.
+    assert_eq!(
+        report.events_processed, 289_291,
+        "churn trajectory moved for a fixed seed"
+    );
     // And the run is bit-stable within the process: same seed, same cycles.
     let again = churn_once();
     assert_eq!(report.attempted, again.attempted);
@@ -152,6 +160,11 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
         summary,
         (14, 131, 16, 59),
         "growth protocol metrics moved for a fixed seed: {summary:?}"
+    );
+    // The trajectory, as for churn above.
+    assert_eq!(
+        report.events_processed, 22_302,
+        "growth trajectory moved for a fixed seed"
     );
     let again = growth_once();
     assert_eq!(report.size_over_time, again.size_over_time);

@@ -102,9 +102,9 @@ fn loopback_cluster_grows_to_32_members_and_broadcasts() {
                 Some(m) => format!(
                     "phase {:?} vgroup {:?} epoch {} comp {} fenced {} delivered {delivered}",
                     n.phase(),
-                    m.vgroup,
-                    m.epoch,
-                    m.composition.len(),
+                    m.config().vgroup,
+                    m.config().epoch,
+                    m.config().composition.len(),
                     m.fenced(),
                 ),
                 None => format!("phase {:?} (no member state)", n.phase()),

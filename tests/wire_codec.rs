@@ -3,7 +3,7 @@
 //! wire-size/encoding agreement bound, and adversarial decodes (truncation,
 //! oversized length prefixes, trailing garbage) that must fail cleanly.
 
-use atum::core::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
+use atum::core::{AtumMessage, Configuration, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum::crypto::{Digest, KeyRegistry, SignatureChain};
 use atum::overlay::{CycleNeighbors, NeighborTable, WalkPurpose, WalkState};
 use atum::smr::SmrMessage;
@@ -178,6 +178,15 @@ fn all_op_variants() -> Vec<GroupOp> {
     ]
 }
 
+fn sample_welcome() -> AtumMessage {
+    AtumMessage::Welcome(Configuration {
+        vgroup: VgroupId::new(3),
+        composition: comp(&[1, 2, 9]),
+        neighbors: sample_neighbors(),
+        epoch: 17,
+    })
+}
+
 fn sample_vote() -> AtumMessage {
     AtumMessage::GroupVote(Arc::new(GroupVote {
         source: VgroupId::new(5),
@@ -198,12 +207,7 @@ fn all_message_variants() -> Vec<AtumMessage> {
             nonce: 4,
             rejoin: false,
         },
-        AtumMessage::Welcome {
-            group: VgroupId::new(3),
-            composition: comp(&[1, 2, 9]),
-            neighbors: sample_neighbors(),
-            epoch: 17,
-        },
+        sample_welcome(),
         AtumMessage::StateRequest {
             group: VgroupId::new(3),
             epoch: 16,
@@ -321,7 +325,7 @@ fn variant_names(msg: &AtumMessage) -> Vec<&'static str> {
         AtumMessage::JoinContactRequest => vec!["JoinContactRequest"],
         AtumMessage::JoinContactReply { .. } => vec!["JoinContactReply"],
         AtumMessage::JoinRequest { .. } => vec!["JoinRequest"],
-        AtumMessage::Welcome { .. } => vec!["Welcome"],
+        AtumMessage::Welcome(_) => vec!["Welcome"],
         AtumMessage::StateRequest { .. } => vec!["StateRequest"],
         AtumMessage::Heartbeat { .. } => vec!["Heartbeat"],
         AtumMessage::Smr { msg, .. } => {
@@ -347,6 +351,46 @@ fn known_tags<T: WireDecode>(unknown: &str) -> usize {
         _ => true,
     };
     (0..=u8::MAX).filter(|&tag| known(tag)).count()
+}
+
+#[test]
+fn welcome_bytes_are_pinned() {
+    // A welcome is one `Configuration` on the wire, its fields in the order
+    // the message carried them when they travelled loose. Pinned byte for
+    // byte: all integers are little-endian, a composition or a sequence is
+    // a u32 count and its items, an absent cycle is one 0 byte.
+    let hex: String = sample_welcome()
+        .encode_body()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    let u64s = |xs: &[&str]| {
+        xs.iter()
+            .map(|x| format!("{x}00000000000000"))
+            .collect::<String>()
+    };
+    let comp = |ids: &[&str]| format!("0{}000000{}", ids.len(), u64s(ids));
+    let expected = [
+        "03".to_string(), // tag
+        u64s(&["03"]),    // vgroup
+        comp(&["01", "02", "09"]),
+        "03000000".into(), // three cycles
+        "01".to_string()
+            + &u64s(&["08"])
+            + &comp(&["01", "02"])
+            + &u64s(&["09"])
+            + &comp(&["03", "04"]),
+        "00".into(), // cycle 1 unknown
+        "01".to_string()
+            + &u64s(&["09"])
+            + &comp(&["03", "04"])
+            + &u64s(&["08"])
+            + &comp(&["01", "02"]),
+        u64s(&["11"]), // epoch 17
+    ]
+    .concat();
+    assert_eq!(hex, expected);
+    assert_eq!(hex.len() / 2, 164);
 }
 
 #[test]
@@ -866,12 +910,12 @@ mod proptests {
             members in proptest::collection::vec(0u64..10_000, 1..40),
             epoch in 0u64..1_000_000,
         ) {
-            let msg = AtumMessage::Welcome {
-                group: VgroupId::new(epoch),
+            let msg = AtumMessage::Welcome(Configuration {
+                vgroup: VgroupId::new(epoch),
                 composition: members.iter().map(|&m| NodeId::new(m)).collect(),
                 neighbors: sample_neighbors(),
                 epoch,
-            };
+            });
             let back = AtumMessage::decode_body(&msg.encode_body()).unwrap();
             prop_assert_eq!(back, msg);
         }
