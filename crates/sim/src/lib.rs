@@ -13,7 +13,8 @@
 //!   (Fig. 8) and exchange-completion (Fig. 13) drivers;
 //! * [`baselines`] — the classic gossip simulation and the flat
 //!   synchronous-SMR latency model the paper compares against in Fig. 8;
-//! * [`metrics`] — CDFs, percentiles and series formatting;
+//! * [`metrics`] — CDFs, percentiles, series formatting and the
+//!   broadcast-reach audit;
 //! * [`chi2`] — Pearson's χ² uniformity test used to derive the Figure 4
 //!   configuration guideline.
 
@@ -34,4 +35,4 @@ pub use drivers::{
     run_broadcast_workload, run_churn, run_growth, BroadcastWorkloadReport, ChurnCycle,
     ChurnReport, GhostAudit, GrowthReport, StallBreakdown,
 };
-pub use metrics::{percentile, LatencySeries};
+pub use metrics::{percentile, LatencySeries, ReachAudit};

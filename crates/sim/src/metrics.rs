@@ -1,7 +1,11 @@
-//! Latency series, percentiles and CDFs for experiment reporting.
+//! Latency series, percentiles and CDFs for experiment reporting, and the
+//! broadcast-reach audit of a churn run.
 
-use atum_types::Duration;
+use crate::{ChurnCycle, Cluster};
+use atum_core::Application;
+use atum_types::{BroadcastId, Duration, Instant, NodeId};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// A collection of latency samples with CDF/percentile helpers.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -96,9 +100,149 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
+/// Whether the broadcasts issued during a run reached the correct nodes:
+/// the paper's headline guarantee, folded from every correct node's
+/// delivery log (`AtumNode::delivered`), the issued broadcasts with their
+/// send times, and the membership intervals of a churn run's cycles.
+///
+/// A (correct node, broadcast) pair is *owed* when the node was a member
+/// both when the broadcast was sent and at the end of the run: not inside
+/// one of its own leave/re-join cycles at the send time, and a member now.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReachAudit {
+    /// Owed (correct node, broadcast) pairs.
+    pub pairs: usize,
+    /// Owed pairs whose node delivered the broadcast.
+    pub reached: usize,
+    /// The owed pairs that were not reached, node by node.
+    pub missed: Vec<(NodeId, BroadcastId)>,
+    /// Per issued broadcast, in issue order: how many correct nodes
+    /// delivered it, owed or not.
+    pub reach: Vec<usize>,
+    /// Issued broadcasts whose id an earlier one already carried.
+    pub reused_ids: usize,
+    /// Deliveries of a broadcast the node had already delivered.
+    pub duplicates: usize,
+    /// Deliveries of an id no correct origin issued.
+    pub unknown: usize,
+}
+
+impl ReachAudit {
+    /// Audits `cluster`'s correct nodes against the broadcasts `issued`
+    /// (id and send time), with `cycles` the churn run's membership gaps.
+    pub fn fold<A: Application>(
+        cluster: &Cluster<A>,
+        issued: &[(BroadcastId, Instant)],
+        cycles: &[ChurnCycle],
+    ) -> Self {
+        let index: BTreeMap<BroadcastId, usize> = issued
+            .iter()
+            .enumerate()
+            .map(|(i, &(id, _))| (id, i))
+            .collect();
+        let mut audit = ReachAudit {
+            reach: vec![0; issued.len()],
+            reused_ids: issued.len() - index.len(),
+            ..ReachAudit::default()
+        };
+        for node in cluster.correct_nodes() {
+            let Some(host) = cluster.sim.node(node) else {
+                continue;
+            };
+            let mut delivered = vec![false; issued.len()];
+            for (id, _, _) in host.delivered() {
+                match index.get(id) {
+                    None => audit.unknown += 1,
+                    Some(&i) if std::mem::replace(&mut delivered[i], true) => audit.duplicates += 1,
+                    Some(&i) => audit.reach[i] += 1,
+                }
+            }
+            if !host.is_member() {
+                continue;
+            }
+            let gaps: Vec<&ChurnCycle> = cycles.iter().filter(|c| c.victim == node).collect();
+            let away = |sent: Instant| {
+                let t = sent.as_secs_f64();
+                gaps.iter()
+                    .any(|c| c.left_at_secs <= t && c.completed_at_secs.is_none_or(|back| t < back))
+            };
+            for (&(id, sent), &got) in issued.iter().zip(&delivered) {
+                if away(sent) {
+                    continue;
+                }
+                audit.pairs += 1;
+                if got {
+                    audit.reached += 1;
+                } else {
+                    audit.missed.push((node, id));
+                }
+            }
+        }
+        audit
+    }
+
+    /// The share of owed pairs that were reached (1.0 when none is owed).
+    pub fn pair_reach(&self) -> f64 {
+        if self.pairs == 0 {
+            1.0
+        } else {
+            self.reached as f64 / self.pairs as f64
+        }
+    }
+
+    /// How many issued broadcasts reached at most `k` correct nodes.
+    pub fn reaching_at_most(&self, k: usize) -> usize {
+        self.reach.iter().filter(|&&n| n <= k).count()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterBuilder;
+    use atum_core::CollectingApp;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn reach_audit_owes_a_pair_only_while_its_node_is_a_member() {
+        let mut cluster = ClusterBuilder::new(8)
+            .seed(3)
+            .build(|_| CollectingApp::new());
+        let nodes = cluster.correct_nodes();
+        let sent = cluster.sim.now();
+        let slot: Arc<Mutex<Option<BroadcastId>>> = Arc::default();
+        let id = Arc::clone(&slot);
+        cluster.sim.call(nodes[0], move |n, ctx| {
+            *id.lock().unwrap() = n.broadcast(b"audit".to_vec(), ctx).ok();
+        });
+        cluster.sim.run_for(Duration::from_secs(30));
+        let id = slot.lock().unwrap().expect("a member broadcasts");
+        let never = BroadcastId::new(nodes[0], 99);
+        // Node 1 was away when both were sent, and back before the end.
+        let away = ChurnCycle {
+            victim: nodes[1],
+            left_at_secs: 0.0,
+            rejoin_at_secs: 0.0,
+            completed_at_secs: Some(sent.as_secs_f64() + 1.0),
+        };
+        let audit = ReachAudit::fold(&cluster, &[(id, sent), (never, sent)], &[away]);
+        assert_eq!(audit.reach, vec![8, 0]);
+        assert_eq!((audit.pairs, audit.reached), (14, 7));
+        assert_eq!(audit.missed.len(), 7);
+        assert!(audit
+            .missed
+            .iter()
+            .all(|&(node, b)| node != nodes[1] && b == never));
+        assert_eq!(audit.reaching_at_most(0), 1);
+        assert_eq!(
+            (audit.duplicates, audit.unknown, audit.reused_ids),
+            (0, 0, 0)
+        );
+        assert_eq!(audit.pair_reach(), 0.5);
+        // An id nobody issued is an unknown delivery on every node.
+        let audit = ReachAudit::fold(&cluster, &[(never, sent)], &[]);
+        assert_eq!(audit.unknown, 8);
+    }
 
     #[test]
     fn percentiles_and_mean() {

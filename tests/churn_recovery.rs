@@ -11,13 +11,12 @@
 //! the end.
 
 use atum::core::CollectingApp;
-use atum::sim::{run_churn, ChurnReport, ClusterBuilder};
+use atum::sim::{run_churn, ChurnReport, ClusterBuilder, ReachAudit};
 use atum::simnet::NetConfig;
-use atum::types::{BroadcastId, Duration, NodeId, Params};
+use atum::types::{BroadcastId, Duration, Instant, NodeId, Params};
 use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 23;
@@ -35,11 +34,17 @@ fn churn_params() -> Params {
 
 /// What the broadcasts running through the churn came to.
 struct Broadcasts {
-    /// The id each accepted `AtumNode::broadcast` call returned, in order.
-    issued: Vec<BroadcastId>,
+    /// The id each accepted `AtumNode::broadcast` call returned, with its
+    /// send time, in order.
+    issued: Vec<(BroadcastId, Instant)>,
     /// Per node (victims included): whether it is a member at the end, and
     /// the ids it delivered, in order.
     logs: Vec<(NodeId, bool, Vec<BroadcastId>)>,
+    /// Reach over the pairs owed by the churn's membership intervals.
+    audit: ReachAudit,
+    /// Reach with no interval excused: every node that is a member at the
+    /// end owes every broadcast, including those sent while it was away.
+    caught_up: ReachAudit,
 }
 
 fn run_once() -> (ChurnReport, Broadcasts) {
@@ -50,7 +55,7 @@ fn run_once() -> (ChurnReport, Broadcasts) {
         .build(|_| CollectingApp::new());
     let nodes = cluster.correct_nodes();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let issued: Arc<Mutex<Vec<BroadcastId>>> = Arc::default();
+    let issued: Arc<Mutex<Vec<(BroadcastId, Instant)>>> = Arc::default();
     let begin = cluster.sim.now();
     for second in 0..CHURN_SECS {
         let origin = *nodes.choose(&mut rng).expect("30 nodes");
@@ -63,7 +68,7 @@ fn run_once() -> (ChurnReport, Broadcasts) {
         cluster.sim.call_at(at, origin, move |node, ctx| {
             // Refused while the origin is between memberships.
             if let Ok(id) = node.broadcast(payload, ctx) {
-                issued.lock().expect("no panic holds it").push(id);
+                issued.lock().expect("no panic holds it").push((id, at));
             }
         });
     }
@@ -83,41 +88,48 @@ fn run_once() -> (ChurnReport, Broadcasts) {
         })
         .collect();
     let issued = std::mem::take(&mut *issued.lock().expect("no panic holds it"));
-    (report, Broadcasts { issued, logs })
+    let audit = ReachAudit::fold(&cluster, &issued, &report.cycles);
+    let caught_up = ReachAudit::fold(&cluster, &issued, &[]);
+    (
+        report,
+        Broadcasts {
+            issued,
+            logs,
+            audit,
+            caught_up,
+        },
+    )
 }
 
 #[test]
 fn sustained_churn_completes_ninety_percent_without_ghosts() {
     let (report, broadcasts) = run_once();
-    // At-most-once delivery and id uniqueness on every node, reach on every
-    // node that is a member at the end.
+    // At-most-once delivery and id uniqueness on every node; every node
+    // that is a member at the end delivered every broadcast sent while it
+    // was a member — and at this scale the repair path has also caught it
+    // up on the ones sent while it was away.
+    let audit = &broadcasts.audit;
     assert!(
         broadcasts.issued.len() >= 150,
         "{}",
         broadcasts.issued.len()
     );
-    let issued: BTreeSet<BroadcastId> = broadcasts.issued.iter().copied().collect();
-    assert_eq!(
-        issued.len(),
-        broadcasts.issued.len(),
-        "an origin reused a broadcast id"
+    assert_eq!(audit.reused_ids, 0, "an origin reused a broadcast id");
+    assert_eq!(audit.duplicates, 0, "a node was handed a broadcast twice");
+    assert_eq!(audit.unknown, 0, "a node delivered an unknown id");
+    assert!(audit.pairs > 0);
+    assert!(
+        audit.missed.is_empty(),
+        "never delivered: {:?}",
+        audit.missed
     );
-    for (node, member_at_end, log) in &broadcasts.logs {
-        let delivered: BTreeSet<BroadcastId> = log.iter().copied().collect();
-        assert_eq!(
-            delivered.len(),
-            log.len(),
-            "{node} was handed a broadcast twice"
-        );
-        assert!(
-            delivered.is_subset(&issued),
-            "{node} delivered an unknown id"
-        );
-        if *member_at_end {
-            let missing: Vec<&BroadcastId> = issued.difference(&delivered).collect();
-            assert!(missing.is_empty(), "{node} never delivered {missing:?}");
-        }
-    }
+    let caught_up = &broadcasts.caught_up;
+    assert!(caught_up.pairs >= audit.pairs);
+    assert!(
+        caught_up.missed.is_empty(),
+        "never caught up on: {:?}",
+        caught_up.missed
+    );
     assert!(
         report.attempted >= 5,
         "expected a meaningful number of cycles, got {}",
@@ -171,6 +183,7 @@ fn churn_run_is_deterministic_for_a_fixed_seed() {
     let (b, b_broadcasts) = run_once();
     assert_eq!(a_broadcasts.issued, b_broadcasts.issued);
     assert_eq!(a_broadcasts.logs, b_broadcasts.logs);
+    assert_eq!(a_broadcasts.audit, b_broadcasts.audit);
     assert_eq!(a.attempted, b.attempted);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.final_members, b.final_members);
@@ -189,4 +202,81 @@ fn churn_run_is_deterministic_for_a_fixed_seed() {
             .collect()
     };
     assert_eq!(key(&a), key(&b), "per-cycle records must be identical");
+}
+
+/// The benchmark's `sim_churn` shape: 200 nodes (10 Byzantine,
+/// heartbeat-only) under 20 re-joins a minute for 480 simulated seconds,
+/// with one 256-byte broadcast a second from a random correct node —
+/// drawn from the seed exactly as `benchmark/src/sim.rs` draws them, so a
+/// seed here replays that workload's trajectory. Prints one line of
+/// [`ReachAudit`] per seed, 1 to 48; asserts only what must hold on every
+/// seed. Run with `cargo test --release --test churn_recovery -- --ignored
+/// --nocapture` (about half a minute a seed).
+#[test]
+#[ignore = "48 runs at 200 nodes; prints pair reach per seed"]
+fn pair_reach_of_the_sim_churn_shape_per_seed() {
+    const NODES: usize = 200;
+    const CHURN_SECS: u64 = 480;
+    for seed in 1..=48u64 {
+        let mut cluster = ClusterBuilder::new(NODES)
+            .params(churn_params())
+            .net(NetConfig::lan())
+            .seed(47)
+            .byzantine(10)
+            .build(|_| CollectingApp::new());
+        cluster.sim.run_for(Duration::from_secs(2));
+        let correct = cluster.correct_nodes();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let issued: Arc<Mutex<Vec<(BroadcastId, Instant)>>> = Arc::default();
+        let begin = cluster.sim.now();
+        for i in 0..CHURN_SECS {
+            let at = begin + Duration::from_secs(2 + i);
+            let origin = *correct.choose(&mut rng).expect("correct nodes");
+            // The benchmark's payload: sequence number and FNV-1a checksum
+            // of the random body, then the body.
+            let mut payload = vec![0u8; 256];
+            rng.fill_bytes(&mut payload[16..]);
+            let sum = payload[16..].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            payload[..8].copy_from_slice(&i.to_le_bytes());
+            payload[8..16].copy_from_slice(&sum.to_le_bytes());
+            let issued = Arc::clone(&issued);
+            cluster.sim.call_at(at, origin, move |node, ctx| {
+                if let Ok(id) = node.broadcast(payload, ctx) {
+                    issued.lock().expect("no panic holds it").push((id, at));
+                }
+            });
+        }
+        let report = run_churn(
+            &mut cluster,
+            20.0,
+            Duration::from_secs(CHURN_SECS),
+            Duration::from_secs(5),
+            seed,
+        );
+        let issued = std::mem::take(&mut *issued.lock().expect("no panic holds it"));
+        let audit = ReachAudit::fold(&cluster, &issued, &report.cycles);
+        // Every correct node against every broadcast, owed or not.
+        let all_pairs =
+            audit.reach.iter().sum::<usize>() as f64 / (correct.len() * issued.len()).max(1) as f64;
+        println!(
+            "seed {seed:2}: pair reach {:.4} ({} of {} owed pairs), all-pairs {all_pairs:.4}, \
+             broadcasts {} (≤ 10 nodes: {}), duplicates {}, unknown {}, reused ids {}, \
+             failed cycles {} of {}",
+            audit.pair_reach(),
+            audit.reached,
+            audit.pairs,
+            issued.len(),
+            audit.reaching_at_most(10),
+            audit.duplicates,
+            audit.unknown,
+            audit.reused_ids,
+            report.attempted - report.completed,
+            report.attempted,
+        );
+        assert_eq!(audit.duplicates, 0, "seed {seed}");
+        assert_eq!(audit.unknown, 0, "seed {seed}");
+        assert_eq!(audit.reused_ids, 0, "seed {seed}");
+    }
 }
