@@ -1,6 +1,6 @@
-//! Figure 12: AStream second-tier latency for a 1 MB/s stream, with the
-//! tier-one `forward` callback restricted to a single or a double H-graph
-//! cycle, for 20- and 50-node systems.
+//! Figure 12: AStream second-tier latency for a 1 MB/s stream, with tier-one
+//! gossip restricted to a single or a double H-graph cycle
+//! (`GossipPolicy::Cycles`), for 20- and 50-node systems.
 
 #![forbid(unsafe_code)]
 

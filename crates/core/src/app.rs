@@ -1,7 +1,7 @@
-//! The application-facing callback interface (`deliver` / `forward`) and the
-//! context through which applications react to deliveries.
+//! The application-facing callback interface (`deliver`) and the context
+//! through which applications react to deliveries.
 
-use atum_types::{BroadcastId, Instant, NodeId, VgroupId};
+use atum_types::{BroadcastId, Instant, NodeId};
 
 /// A message delivered to the application by Atum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,22 +79,13 @@ impl AppCtx {
     }
 }
 
-/// The application callbacks of §3.3: `deliver` and `forward`, plus a hook
-/// for point-to-point application messages (used by AShare transfers and the
-/// AStream second tier).
+/// The application callback of §3.3, `deliver`, plus a hook for
+/// point-to-point application messages (used by AShare transfers and the
+/// AStream second tier). §3.3's `forward` callback has no counterpart here:
+/// restricted gossip is a system parameter, [`atum_types::GossipPolicy`].
 pub trait Application: Send {
     /// Called exactly once per broadcast delivered at this node.
     fn deliver(&mut self, msg: &Delivered, ctx: &mut AppCtx);
-
-    /// Called once per neighbouring vgroup when this node's vgroup considers
-    /// forwarding `msg` to it; returning `false` suppresses the forward.
-    ///
-    /// The decision must be a deterministic function of `(msg, neighbor)` so
-    /// that all correct members of a vgroup forward consistently (otherwise
-    /// the receiving vgroup may not assemble a majority).
-    fn forward(&mut self, _msg: &Delivered, _neighbor: VgroupId) -> bool {
-        true
-    }
 
     /// Called when another node sends this node an application message
     /// through [`AppCtx::send_app_message`].
@@ -161,8 +152,6 @@ mod tests {
         assert_eq!(app.delivered().len(), 1);
         assert_eq!(app.delivered_payloads(), vec![b"data".to_vec()]);
         assert_eq!(app.app_messages(), &[(NodeId::new(3), b"chunk".to_vec())]);
-        // Default forward floods.
-        assert!(app.forward(&msg, VgroupId::new(9)));
     }
 
     #[test]

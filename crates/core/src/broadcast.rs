@@ -276,9 +276,13 @@ impl Session {
 
     // ------------------------------------------------------------- gossip
 
-    /// A broadcast reached this node, decided by its own vgroup (`hops` 0)
-    /// or as accepted gossip: on first sight it is delivered to the
-    /// application, retained for repair and forwarded.
+    /// A broadcast reached this node from vgroup `source`: decided by its
+    /// own vgroup (`hops` 0, `source` is this vgroup) or as an accepted
+    /// gossip hop. On first sight it is delivered to the application,
+    /// retained for repair and forwarded to the plan's neighbours — except
+    /// to this vgroup, and, for a first hop, to `source`: that is the
+    /// vgroup whose members delivered it at hop 0, by their own decision.
+    /// The source of a later hop is not left out; see the plan below.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_broadcast(
         &mut self,
@@ -286,9 +290,9 @@ impl Session {
         id: BroadcastId,
         payload: Arc<[u8]>,
         hops: u32,
+        source: VgroupId,
         now: Instant,
         effects: &mut Vec<Effect>,
-        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
         if !self.seen.insert(id) {
             return;
@@ -304,8 +308,17 @@ impl Session {
             hops,
         };
 
-        // Forwarding plan must be identical at every member: seed the RNG
-        // from (broadcast id, vgroup) only.
+        // Every member of a vgroup must forward to the same vgroups, or the
+        // copies sent to a vgroup only some of them target never reach a
+        // quorum there. The plan's RNG is seeded from (broadcast id,
+        // vgroup) only. The one input that can differ between members is
+        // the accepted hop's `source`: members can accept one broadcast
+        // from different later-hop sources, so only a first hop's source
+        // is left out — a first-hop copy comes straight from the deciding
+        // vgroup, one network hop ahead of any relayed copy, so in practice
+        // every member accepts it from there.
+        let delivered_there =
+            |group: VgroupId| group == view.vgroup || (hops == 1 && group == source);
         let mut rng = LazyRng(None, || {
             let seed = Digest::of_parts(&[
                 b"gossip-plan",
@@ -326,7 +339,7 @@ impl Session {
                 Direction::Successor => (entry.successor, &entry.successor_composition),
                 Direction::Predecessor => (entry.predecessor, &entry.predecessor_composition),
             };
-            if group != view.vgroup && already.insert(group) && forward_filter(&delivered, group) {
+            if !delivered_there(group) && already.insert(group) {
                 targets.push(comp);
             }
         }
@@ -658,15 +671,8 @@ mod tests {
         };
         let envelope = Arc::new(GroupEnvelope::new(other, other_comp, payload));
         let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
         for sender in [10u64, 11] {
-            m.on_group_copy(
-                NodeId::new(sender),
-                envelope.clone(),
-                at,
-                &mut effects,
-                &mut allow,
-            );
+            m.on_group_copy(NodeId::new(sender), envelope.clone(), at, &mut effects);
         }
         assert_eq!(m.session().stats().delivered.len(), 1, "feed must deliver");
         id
@@ -1048,13 +1054,12 @@ mod tests {
         let env0 = copies.into_iter().next().unwrap();
         assert_eq!(env0.digest(), env1.digest());
         let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
-        holed.on_group_copy(NodeId::new(0), env0, announce_at, &mut effects, &mut allow);
+        holed.on_group_copy(NodeId::new(0), env0, announce_at, &mut effects);
         assert!(
             holed.session().stats().delivered.is_empty(),
             "one copy is no majority"
         );
-        holed.on_group_copy(NodeId::new(1), env1, announce_at, &mut effects, &mut allow);
+        holed.on_group_copy(NodeId::new(1), env1, announce_at, &mut effects);
         assert_eq!(
             holed.session().stats().delivered.len(),
             1,
@@ -1151,9 +1156,9 @@ mod tests {
                 id,
                 body,
                 0,
+                VgroupId::new(500),
                 Instant::ZERO,
                 &mut effects,
-                &mut |_, _| true,
             );
             let mine: Vec<AtumMessage> = effects
                 .into_iter()
@@ -1193,9 +1198,9 @@ mod tests {
                 id,
                 body,
                 0,
+                VgroupId::new(500),
                 Instant::ZERO,
                 &mut effects,
-                &mut |_, _| true,
             );
             assert!(matches!(effects[0], Effect::Deliver(_)), "delivery first");
             let sent: Vec<&AtumMessage> = effects[1..]
@@ -1217,13 +1222,44 @@ mod tests {
         assert_eq!(bodies, 2, "half of the four members carry the body");
     }
 
+    /// A member of vgroup 600 accepts one gossip hop from vgroup 500, its
+    /// only neighbour, and returns how many copies it forwards back to 500.
+    fn forwards_back_to_source(hops: u32) -> usize {
+        let mut m = hop_member(20);
+        let source: Composition = (0..4).map(NodeId::new).collect();
+        let gossip = GroupPayload::Gossip {
+            id: BroadcastId::new(NodeId::new(0), u64::from(hops)),
+            payload: b"hop".to_vec().into(),
+            hops,
+        };
+        let envelope = Arc::new(GroupEnvelope::new(HOP_FROM, source.clone(), gossip));
+        let mut effects = Vec::new();
+        for sender in 0..3 {
+            let at = Instant::from_micros(9);
+            m.on_group_copy(NodeId::new(sender), envelope.clone(), at, &mut effects);
+        }
+        assert!(effects.iter().any(|e| matches!(e, Effect::Deliver(_))));
+        effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Send { to, .. } if source.contains(*to)))
+            .count()
+    }
+
+    #[test]
+    fn a_first_hop_is_not_forwarded_back_to_the_vgroup_that_decided_it() {
+        // Vgroup 500's members delivered it at hop 0, by their own decision.
+        assert_eq!(forwards_back_to_source(1), 0);
+        // A later hop's source is another relay: members may have accepted
+        // the broadcast from different ones, so none of them is left out.
+        assert_eq!(forwards_back_to_source(2), 4);
+    }
+
     /// Hands `m` one group-message copy the way the node dispatch does.
     fn feed_copy(m: &mut MemberState, from: NodeId, msg: &AtumMessage, effects: &mut Vec<Effect>) {
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
         let now = Instant::from_micros(9);
         match msg {
-            AtumMessage::Group(env) => m.on_group_copy(from, env.clone(), now, effects, &mut allow),
-            AtumMessage::GroupVote(vote) => m.on_group_vote(from, vote, now, effects, &mut allow),
+            AtumMessage::Group(env) => m.on_group_copy(from, env.clone(), now, effects),
+            AtumMessage::GroupVote(vote) => m.on_group_vote(from, vote, now, effects),
             other => panic!("not a group-message copy: {other:?}"),
         }
     }

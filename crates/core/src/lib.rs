@@ -16,8 +16,8 @@
 //! * [`AtumNode::join`] — join an existing instance through a contact node;
 //! * [`AtumNode::leave`] — leave the instance;
 //! * [`AtumNode::broadcast`] — disseminate a message to every node;
-//! * the [`Application`] callbacks `deliver` and `forward` — how the
-//!   application receives messages and customises gossip forwarding.
+//! * the [`Application`] callback `deliver` — how the application receives
+//!   messages (gossip forwarding is shaped by `Params::gossip`).
 //!
 //! Nodes are driven by the deterministic simulator in `atum-simnet`; the same
 //! state machines could be hosted on a real transport by implementing the

@@ -485,13 +485,12 @@ impl MemberState {
         envelope: Arc<GroupEnvelope>,
         now: Instant,
         effects: &mut Vec<Effect>,
-        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
         let composition = envelope.source_composition.clone();
         let (source, digest) = (envelope.source, envelope.digest());
         let seen = self.observe_group_copy(from, source, &composition, digest, Some(envelope));
         if let Observed::Accepted(envelope) = seen {
-            self.accept_group_message(envelope, &composition, now, effects, forward_filter);
+            self.accept_group_message(envelope, &composition, now, effects);
         }
     }
 
@@ -506,13 +505,12 @@ impl MemberState {
         vote: &GroupVote,
         now: Instant,
         effects: &mut Vec<Effect>,
-        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
         let composition = &vote.source_composition;
         match self.observe_group_copy(from, vote.source, composition, vote.digest, None) {
             Observed::Pending => {}
             Observed::Accepted(envelope) => {
-                self.accept_group_message(envelope, composition, now, effects, forward_filter);
+                self.accept_group_message(envelope, composition, now, effects);
             }
             Observed::Starved(voters) => {
                 let view = self.group.view(self.me, &self.params);
@@ -568,7 +566,6 @@ impl MemberState {
         source_composition: &Composition,
         now: Instant,
         effects: &mut Vec<Effect>,
-        forward_filter: &mut dyn FnMut(&Delivered, VgroupId) -> bool,
     ) {
         let source = envelope.source;
         // Acceptance fires once per logical message: pay for the payload
@@ -595,9 +592,8 @@ impl MemberState {
         match payload {
             GroupPayload::Gossip { id, payload, hops } => {
                 let view = self.group.view(self.me, &self.params);
-                let filter = forward_filter;
                 self.session
-                    .on_broadcast(view, id, payload, hops, now, effects, filter);
+                    .on_broadcast(view, id, payload, hops, source, now, effects);
             }
             payload => {
                 let (group, mut cx) = self.parts(now, effects);
@@ -886,14 +882,12 @@ mod tests {
         };
         let envelope = Arc::new(GroupEnvelope::new(other, other_comp.clone(), payload));
         let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
         for sender in [10u64, 11] {
             m.on_group_copy(
                 NodeId::new(sender),
                 envelope.clone(),
                 Instant::from_micros(5),
                 &mut effects,
-                &mut allow,
             );
         }
         let delivered = effects
@@ -907,53 +901,12 @@ mod tests {
             envelope,
             Instant::from_micros(6),
             &mut effects,
-            &mut allow,
         );
         let delivered = effects
             .iter()
             .filter(|e| matches!(e, Effect::Deliver(_)))
             .count();
         assert_eq!(delivered, 1);
-    }
-
-    #[test]
-    fn forward_filter_suppresses_forwarding() {
-        let mut m = member(3, 0);
-        let other = VgroupId::new(7);
-        let other_comp: Composition = (10..13).map(NodeId::new).collect();
-        let envelope = Arc::new(GroupEnvelope::new(
-            other,
-            other_comp,
-            GroupPayload::Gossip {
-                id: BroadcastId::new(NodeId::new(10), 1),
-                payload: b"quiet".to_vec().into(),
-                hops: 0,
-            },
-        ));
-        let mut effects = Vec::new();
-        let mut deny = |_d: &Delivered, _g: VgroupId| false;
-        for sender in [10u64, 11] {
-            m.on_group_copy(
-                NodeId::new(sender),
-                envelope.clone(),
-                Instant::ZERO,
-                &mut effects,
-                &mut deny,
-            );
-        }
-        // Delivered locally but no gossip group messages sent onwards.
-        assert!(effects.iter().any(|e| matches!(e, Effect::Deliver(_))));
-        let gossip_sends = effects
-            .iter()
-            .filter(|e| match e {
-                Effect::Send {
-                    msg: AtumMessage::Group(env),
-                    ..
-                } => matches!(env.payload, GroupPayload::Gossip { .. }),
-                _ => false,
-            })
-            .count();
-        assert_eq!(gossip_sends, 0);
     }
 
     #[test]
@@ -969,14 +922,12 @@ mod tests {
             },
         ));
         let mut effects = Vec::new();
-        let mut allow = |_d: &Delivered, _g: VgroupId| true;
         for sender in [0u64, 1] {
             m.on_group_copy(
                 NodeId::new(sender),
                 envelope.clone(),
                 Instant::ZERO,
                 &mut effects,
-                &mut allow,
             );
         }
         assert_eq!(

@@ -606,8 +606,9 @@ impl Group {
             }
             GroupOp::Broadcast { id, payload } => {
                 let view = self.view(me, cx.params);
+                let own = view.vgroup;
                 cx.session
-                    .on_broadcast(view, id, payload, 0, cx.now, cx.effects, &mut |_, _| true);
+                    .on_broadcast(view, id, payload, 0, own, cx.now, cx.effects);
             }
             GroupOp::OfferExchange {
                 walk,

@@ -1,7 +1,7 @@
 //! [`AtumNode`]: the per-process actor exposing the Atum API and hosting the
 //! vgroup member state machine.
 
-use crate::app::{AppCtx, Application, Delivered};
+use crate::app::{AppCtx, Application};
 use crate::broadcast::Session;
 use crate::member::{Configuration, Effect, Ending, MemberState};
 use crate::message::AtumMessage;
@@ -296,10 +296,8 @@ impl<A: Application> AtumNode<A> {
     /// Returns [`AtumError::NotJoined`] if the node is not currently a
     /// member.
     pub fn leave(&mut self, ctx: &mut Context<'_, AtumMessage>) -> Result<()> {
-        self.with_member(ctx, |member, _, now, effects| {
-            member.start_leave(now, effects)
-        })
-        .ok_or(AtumError::NotJoined)
+        self.with_member(ctx, |member, now, effects| member.start_leave(now, effects))
+            .ok_or(AtumError::NotJoined)
     }
 
     /// Broadcasts a message to every node of the instance (§3.3.4). Returns
@@ -316,7 +314,7 @@ impl<A: Application> AtumNode<A> {
         ctx: &mut Context<'_, AtumMessage>,
     ) -> Result<BroadcastId> {
         let id = self
-            .with_member(ctx, |member, _, now, effects| {
+            .with_member(ctx, |member, now, effects| {
                 member.start_broadcast(payload, now, effects)
             })
             .ok_or(AtumError::NotJoined)?;
@@ -366,11 +364,11 @@ impl<A: Application> AtumNode<A> {
     fn with_member<R>(
         &mut self,
         ctx: &mut Context<'_, AtumMessage>,
-        f: impl FnOnce(&mut MemberState, &mut A, Instant, &mut Vec<Effect>) -> R,
+        f: impl FnOnce(&mut MemberState, Instant, &mut Vec<Effect>) -> R,
     ) -> Option<R> {
         let member = self.member.as_mut()?;
         let mut effects = Vec::new();
-        let result = f(member, &mut self.app, ctx.now(), &mut effects);
+        let result = f(member, ctx.now(), &mut effects);
         self.run_effects(effects, ctx);
         Some(result)
     }
@@ -595,7 +593,7 @@ impl<A: Application> AtumNode<A> {
         // everything still pending on a catch-up, its own undecided
         // broadcasts after a move (the rest was specific to the vgroup it
         // left).
-        self.with_member(ctx, |member, _, now, effects| member.resume(now, effects));
+        self.with_member(ctx, |member, now, effects| member.resume(now, effects));
     }
 
     fn byzantine_duties(&mut self, ctx: &mut Context<'_, AtumMessage>) {
@@ -809,7 +807,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
         }
         self.retry_join_if_stalled(ctx);
         self.rejoin_if_dropped(ctx);
-        self.with_member(ctx, |member, _, now, effects| member.tick(now, effects));
+        self.with_member(ctx, |member, now, effects| member.tick(now, effects));
     }
 
     fn on_message(&mut self, from: NodeId, msg: AtumMessage, ctx: &mut Context<'_, AtumMessage>) {
@@ -863,36 +861,32 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     nonce,
                     rejoin,
                 };
-                self.with_member(ctx, |member, _, now, effects| {
-                    member.propose(op, now, effects)
-                });
+                self.with_member(ctx, |member, now, effects| member.propose(op, now, effects));
             }
             AtumMessage::Welcome(config) => self.handle_welcome(from, config, ctx),
             AtumMessage::StateRequest { group, epoch } => {
-                self.with_member(ctx, |member, _, now, effects| {
+                self.with_member(ctx, |member, now, effects| {
                     member.on_state_request(from, group, epoch, now, effects)
                 });
             }
             AtumMessage::Heartbeat { group, epoch } => {
-                self.with_member(ctx, |member, _, now, effects| {
+                self.with_member(ctx, |member, now, effects| {
                     member.on_heartbeat(from, group, epoch, now, effects)
                 });
             }
             AtumMessage::Smr { group, epoch, msg } => {
-                self.with_member(ctx, |member, _, now, effects| {
+                self.with_member(ctx, |member, now, effects| {
                     member.on_smr_message(from, group, epoch, msg, now, effects)
                 });
             }
             AtumMessage::Group(envelope) => {
-                self.with_member(ctx, |member, app, now, effects| {
-                    let mut forward = |d: &Delivered, g: VgroupId| app.forward(d, g);
-                    member.on_group_copy(from, envelope, now, effects, &mut forward)
+                self.with_member(ctx, |member, now, effects| {
+                    member.on_group_copy(from, envelope, now, effects)
                 });
             }
             AtumMessage::GroupVote(vote) => {
-                self.with_member(ctx, |member, app, now, effects| {
-                    let mut forward = |d: &Delivered, g: VgroupId| app.forward(d, g);
-                    member.on_group_vote(from, &vote, now, effects, &mut forward)
+                self.with_member(ctx, |member, now, effects| {
+                    member.on_group_vote(from, &vote, now, effects)
                 });
             }
             AtumMessage::App { payload, .. } => {
@@ -903,12 +897,12 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 self.run_effects(queue, ctx);
             }
             AtumMessage::BroadcastKeys { group, keys } => {
-                self.with_member(ctx, |member, _, now, effects| {
+                self.with_member(ctx, |member, now, effects| {
                     member.on_broadcast_keys(from, group, &keys, now, effects)
                 });
             }
             AtumMessage::BroadcastPull { group, keys, voted } => {
-                self.with_member(ctx, |member, _, now, effects| {
+                self.with_member(ctx, |member, now, effects| {
                     member.on_broadcast_pull(from, group, &keys, voted, now, effects)
                 });
             }

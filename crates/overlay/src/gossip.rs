@@ -1,8 +1,8 @@
 //! Gossip planning: which neighbours a vgroup forwards a broadcast to.
 //!
 //! The second phase of `broadcast` (§3.3.4) disseminates a message across the
-//! H-graph. The application-provided `forward` callback decides, per
-//! neighbour, whether to forward; Atum's default policies are captured by
+//! H-graph. The paper lets the application decide, per neighbour, whether to
+//! forward; here that choice is one of the policies of
 //! [`GossipPolicy`](atum_types::GossipPolicy):
 //!
 //! * `Flood` — forward along every cycle in both directions (lowest latency);

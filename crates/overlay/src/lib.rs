@@ -20,7 +20,7 @@
 //!   message to the composition the walk carries (neither §5.1's backward
 //!   phase nor its walk certificates is implemented);
 //! * [`GossipPlanner`] and [`SeenCache`] — which neighbours a broadcast is
-//!   forwarded to, honouring the application's `forward` callback policy.
+//!   forwarded to, under the configured `GossipPolicy`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

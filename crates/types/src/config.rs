@@ -31,8 +31,9 @@ impl SmrMode {
     }
 }
 
-/// How the default `forward` callback spreads a broadcast across the H-graph
-/// (§3.3.4): applications can trade latency against throughput.
+/// How a vgroup forwards a broadcast across the H-graph (§3.3.4, the
+/// paper's `forward` callback): applications can trade latency against
+/// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum GossipPolicy {
     /// Forward along every cycle (flooding): lowest latency, highest cost.
@@ -80,7 +81,7 @@ pub struct Params {
     /// Number of consecutive missed heartbeats after which a vgroup agrees
     /// to evict a silent member.
     pub eviction_threshold: u32,
-    /// Default gossip policy for the `forward` callback.
+    /// Which neighbours a vgroup forwards a broadcast to.
     pub gossip: GossipPolicy,
     /// Overlay link self-repair: members periodically probe their cycle
     /// neighbours for link bidirectionality and launch re-insertion walks

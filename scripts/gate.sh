@@ -36,12 +36,14 @@ gates() {
     case $1 in
     benchmark-smoke)
         local suite="$dir/suite_seed47.json"
-        # Payload-once gossip, wire-codec payloads: 48 bodies of ~1.1 kB + 48
-        # votes per 1 KiB publish is ~67 kB. A JSON body again (3.6 kB for the
-        # same publish) would be ~203 kB; a body per copy again, twice that.
+        # Payload-once gossip, wire-codec payloads, no hop back into the
+        # deciding vgroup: 32 bodies of ~1.1 kB + 32 votes per 1 KiB publish
+        # is ~47 kB. Echoing the first hop back to its source again reads
+        # ~67 kB; a JSON body again (3.6 kB for the same publish) ~203 kB; a
+        # body per copy again, twice that.
         check "gossip bodies are shipped once per carrier and are not JSON" \
             '(.workloads.edge_async.metrics
-                  | .wire_bytes_per_op.median <= 75000 and .failed_ratio.median == 0)
+                  | .wire_bytes_per_op.median <= 52000 and .failed_ratio.median == 0)
                  and .workloads.micro.metrics["apps.encode_amplification"].median <= 1.05' \
             "$suite"
         # One session per node, moved between memberships: a node that churn
@@ -50,9 +52,9 @@ gates() {
         check "nodes moved between vgroups are not handed a broadcast twice" \
             '.workloads.sim_churn.notes.redelivered_on_moved_nodes == 0' \
             "$suite"
-        # One write per connection per reactor turn: the ~121 frames of a
-        # publish leave in ~6 writes of ~21 frames. A flush per enqueued frame
-        # again would read 120.8 writes per publish at 1.00 frames per write; a
+        # One write per connection per reactor turn: the ~89 frames of a
+        # publish leave in ~6 writes of ~15.5 frames. A flush per enqueued
+        # frame again would read ~89 writes per publish at 1.00 frames per write; a
         # deferral that forgot to write full batches would show up as drops.
         check "frames leave once per reactor turn, and a healthy socket drops none" \
             '.workloads.edge_async.metrics["net.writes_per_op"].median <= 40 and .workloads.edge_async.metrics["net.frames_per_write"].median >= 3 and .workloads.edge_async.metrics["net.frames_dropped"].median == 0' \
@@ -297,7 +299,7 @@ fixture() {
     case $1 in
     benchmark-smoke)
         put suite_seed47.json '{"workloads":{
-            "edge_async":{"metrics":{"wire_bytes_per_op":{"median":67000},"failed_ratio":{"median":0},
+            "edge_async":{"metrics":{"wire_bytes_per_op":{"median":47000},"failed_ratio":{"median":0},
                 "net.writes_per_op":{"median":6},"net.frames_per_write":{"median":21},"net.frames_dropped":{"median":0},
                 "net.encodes_per_op":{"median":36.8}}},
             "micro":{"metrics":{"apps.encode_amplification":{"median":1.01}}},

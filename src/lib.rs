@@ -4,7 +4,7 @@
 //! every layer so applications can depend on a single crate.
 //!
 //! * [`core`] — the middleware itself: [`core::AtumNode`] with `bootstrap`,
-//!   `join`, `leave`, `broadcast` and the `deliver`/`forward` callbacks.
+//!   `join`, `leave`, `broadcast` and the `deliver` callback.
 //! * [`types`], [`crypto`], [`simnet`], [`smr`], [`overlay`] — the substrates
 //!   (identifiers and configuration, digests and signatures, the
 //!   discrete-event network simulator, the BFT replication engines, and the

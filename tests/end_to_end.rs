@@ -270,20 +270,24 @@ fn tapped_broadcast(withhold: bool) -> (u64, u64) {
 
 #[test]
 fn one_broadcast_ships_its_body_once_per_carrier_not_once_per_member() {
-    // One broadcast crosses 6 directed links, each 4 senders × 4 receivers
-    // = 96 copies. The ⌈4/2⌉ = 2 carriers per sending vgroup ship the body
-    // (6 × 2 × 4 = 48), the other 2 members vote with the digest (48) — it
-    // used to be 96 bodies.
-    assert_eq!(tapped_broadcast(false), (48, 48));
+    // One broadcast crosses 4 directed links, each 4 senders × 4 receivers
+    // = 64 copies. The ⌈4/2⌉ = 2 carriers per sending vgroup ship the body
+    // (4 × 2 × 4 = 32), the other 2 members vote with the digest (32) — it
+    // used to be 96 bodies. Re-pinned from (48, 48) when a first hop
+    // stopped being forwarded back to the vgroup that decided it: the two
+    // links back into the origin vgroup are gone, so 6 links became 4.
+    assert_eq!(tapped_broadcast(false), (32, 32));
 }
 
 #[test]
 fn a_quorum_of_votes_without_a_body_pulls_it_from_a_voter() {
-    // Every carrier withholds: all 96 copies arrive as votes, every quorum
+    // Every carrier withholds: all 64 copies arrive as votes, every quorum
     // forms without a body, and the only bodies that reach a node are the
     // answers of the voters it asked. The 8 nodes outside the origin vgroup
-    // each need one; nobody asks once the broadcast is delivered.
+    // each need one; nobody asks once the broadcast is delivered. Re-pinned
+    // from 96 votes when a first hop stopped being forwarded back to the
+    // vgroup that decided it: 6 directed links became 4.
     let (bodies, votes) = tapped_broadcast(true);
-    assert_eq!(votes, 96);
+    assert_eq!(votes, 64);
     assert!((8..=8 * 4).contains(&bodies), "{bodies} answers");
 }
