@@ -9,6 +9,7 @@
 use crate::digest::Digest;
 use crate::keys::{KeyRegistry, NodeSigner, Signature};
 use atum_types::{NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use sha2::{Digest as _, Sha256};
 
 /// A chain of signatures over a common payload digest.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -62,7 +63,7 @@ impl SignatureChain {
     /// Appends a signature by `signer` over the payload and the chain so far,
     /// so links cannot be reordered or truncated undetectably in the middle.
     pub fn append(&mut self, signer: &NodeSigner) {
-        let binding = self.binding_digest();
+        let binding = self.bindings().last().expect("the payload is bound");
         let sig = signer.sign_digest(&binding);
         self.links.push((signer.node(), sig));
     }
@@ -85,15 +86,17 @@ impl SignatureChain {
         SignatureChain { payload, links }
     }
 
-    /// Digest that the next link signs: payload plus every existing link.
-    fn binding_digest(&self) -> Digest {
-        let mut parts: Vec<Vec<u8>> = vec![self.payload.as_bytes().to_vec()];
-        for (node, sig) in &self.links {
-            parts.push(node.raw().to_be_bytes().to_vec());
-            parts.push(sig.digest().as_bytes().to_vec());
-        }
-        let refs: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-        Digest::of_parts(&refs)
+    /// What each link signs, in chain order, then what the next link will
+    /// sign: the payload and every link before it, hashed as one stream.
+    fn bindings(&self) -> impl Iterator<Item = Digest> + '_ {
+        let mut stream = Sha256::new();
+        stream.update(self.payload.as_bytes());
+        let first = Digest::from_bytes(stream.clone().finalize());
+        std::iter::once(first).chain(self.links.iter().map(move |(node, sig)| {
+            stream.update(node.raw().to_be_bytes());
+            stream.update(sig.digest().as_bytes());
+            Digest::from_bytes(stream.clone().finalize())
+        }))
     }
 
     /// Verifies the whole chain: every signature checks out against the
@@ -124,16 +127,10 @@ impl SignatureChain {
                 return false;
             }
         }
-        // Re-walk the chain, recomputing the binding digest incrementally.
-        let mut partial = SignatureChain::unsigned(self.payload);
-        for (node, sig) in &self.links {
-            let binding = partial.binding_digest();
-            if !registry.verify_digest(*node, &binding, sig) {
-                return false;
-            }
-            partial.links.push((*node, *sig));
-        }
-        true
+        self.links
+            .iter()
+            .zip(self.bindings())
+            .all(|((node, sig), signed)| registry.verify_digest(*node, &signed, sig))
     }
 }
 
@@ -166,6 +163,31 @@ mod tests {
             .map(|i| reg.signer(NodeId::new(i)).unwrap())
             .collect();
         (reg, signers)
+    }
+
+    #[test]
+    fn binding_digests_equal_the_concatenated_parts() {
+        let (reg, signers) = setup(4);
+        let payload = Digest::of(b"v");
+        let mut chain = SignatureChain::new(payload, &signers[0]);
+        for signer in &signers[1..] {
+            chain.append(signer);
+        }
+        let bindings: Vec<Digest> = chain.bindings().collect();
+        assert_eq!(bindings.len(), 5);
+        for (end, binding) in bindings.iter().enumerate() {
+            let prefix = &chain.links()[..end];
+            let ids: Vec<[u8; 8]> = prefix.iter().map(|(n, _)| n.raw().to_be_bytes()).collect();
+            let mut parts: Vec<&[u8]> = vec![payload.as_bytes()];
+            for ((_, sig), id) in prefix.iter().zip(&ids) {
+                parts.push(id);
+                parts.push(sig.digest().as_bytes());
+            }
+            assert_eq!(*binding, Digest::of_parts(&parts), "{end} links");
+            if let Some((node, sig)) = chain.links().get(end) {
+                assert!(reg.verify_digest(*node, binding, sig), "link {end}");
+            }
+        }
     }
 
     #[test]

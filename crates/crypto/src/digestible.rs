@@ -19,8 +19,9 @@
 //! would require a SHA-256 collision.
 //!
 //! Domain-separated pre-images — signature chains, the membership seeds —
-//! are byte lists hashed with [`Digest::of_parts`], not field walks, and do
-//! not go through here.
+//! are byte streams hashed as they are (a chain feeds its links into one
+//! SHA-256 state, the seeds go through [`Digest::of_parts`]), not field
+//! walks, and do not go through here.
 
 use crate::digest::Digest;
 use atum_types::{WireEncode, WireWriter};

@@ -66,13 +66,11 @@ gates() {
         check "a forwarded broadcast is encoded once per node, not once per target vgroup" \
             '.workloads.edge_async.metrics["net.encodes_per_op"].median <= 40' \
             "$suite"
-        # Conservative floor: the zero-copy fabric measures ~0.8M events/s on
-        # this fan-out on a 2-vCPU box (0.47M before the event heap held keys
-        # and a forward was hashed once, same host, same day); shared CI
-        # runners are slower and noisy, so the gate only catches
-        # order-of-magnitude regressions (e.g. reintroducing per-copy
-        # digesting or envelope deep-clones, which cost ~10x), not
-        # few-percent drift.
+        # Conservative floor: the committed ledger reads ~0.66M events/s on
+        # this fan-out on a 2-vCPU box; shared CI runners are slower and
+        # noisy, so the gate only catches order-of-magnitude regressions
+        # (e.g. reintroducing per-copy digesting or envelope deep-clones,
+        # which cost ~10x), not few-percent drift.
         check "simulator fan-out throughput >= 150k events/s" \
             '.workloads.sim_fanout.metrics.sim_events_per_s.median >= 150000' \
             "$suite"
@@ -90,6 +88,14 @@ gates() {
         # open slot, again reads ~897.
         check "node_sync decides a busy member's ops in the next slot" \
             '.workloads.node_sync.metrics.deliver_p50_ms.median <= 750' \
+            "$suite"
+        # Every digest, vote and chain link is one SHA-256: on a CPU with the
+        # SHA extensions vendor/sha2 runs its hardware kernel, ~0.8 us per
+        # KiB; the scalar fallback reads 4.8-8.5 us. The gate fails when the
+        # kernel is not taken or is slowed to scalar speed, so it also fails
+        # on a runner whose CPU lacks the extensions.
+        check "SHA-256 runs at hardware speed (1 KiB payload digest <= 2.5 us)" \
+            '.workloads.micro.metrics["crypto.payload_digest_1k_ns"].median <= 2500' \
             "$suite"
         # Leave/re-join cycles under sustained churn: nine in ten complete.
         # `core.stalled_cycles` is the same count from the layer's side.
@@ -302,7 +308,8 @@ fixture() {
             "edge_async":{"metrics":{"wire_bytes_per_op":{"median":47000},"failed_ratio":{"median":0},
                 "net.writes_per_op":{"median":6},"net.frames_per_write":{"median":21},"net.frames_dropped":{"median":0},
                 "net.encodes_per_op":{"median":36.8}}},
-            "micro":{"metrics":{"apps.encode_amplification":{"median":1.01}}},
+            "micro":{"metrics":{"apps.encode_amplification":{"median":1.01},
+                "crypto.payload_digest_1k_ns":{"median":950}}},
             "node_sync":{"metrics":{"failed_ratio":{"median":0},"net.frames_dropped":{"median":0},"net.decode_errors":{"median":0},
                 "deliver_p50_ms":{"median":642}}},
             "sim_churn":{"attempted":40,"failed":1,"metrics":{"core.stalled_cycles":{"median":1}},
@@ -361,6 +368,7 @@ breakers() {
         echo 'suite_seed47.json .workloads.sim_fanout.metrics.sim_events_per_s.median = 97000'
         echo 'suite_seed47.json .workloads.sim_fanout.metrics.deliver_p50_ms.median = 1801'
         echo 'suite_seed47.json .workloads.node_sync.metrics.deliver_p50_ms.median = 897'
+        echo 'suite_seed47.json .workloads.micro.metrics["crypto.payload_digest_1k_ns"].median = 8458'
         echo 'suite_seed47.json .workloads.sim_churn.failed = 5'
         echo 'suite_seed47.json .workloads.sim_churn.metrics["core.stalled_cycles"].median = 5'
         echo 'suite_seed47.json .workloads.node_sync.metrics["net.frames_dropped"].median = 1'

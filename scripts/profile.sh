@@ -5,7 +5,9 @@
 # addr2line; every sample is charged to the innermost frame — inlined ones
 # included — that lies in `crates/`, so time under `memcpy`, the allocator,
 # the standard library or a vendored crate shows at the product line that
-# called it.
+# called it. (The standard library's SIMD intrinsics sit under a `crates/`
+# directory too, `/rustc/…/stdarch/crates/core_arch`; frames under `/rustc/`
+# are skipped by path.)
 #
 #   scripts/profile.sh <workload> [seconds]     e.g. scripts/profile.sh sim_fanout 20
 #
@@ -94,7 +96,7 @@ tr ' ' '\n' < "$build/samples.txt" | grep . | sort -u \
 awk '
     NR == FNR {
         if (/^0x/) addr = $1
-        else if (!(addr in where) && match($0, /crates\/[^ ]*:[0-9]+/))
+        else if (!(addr in where) && !/^\/rustc\// && match($0, /crates\/[^ ]*:[0-9]+/))
             where[addr] = substr($0, RSTART, RLENGTH)
         next
     }
