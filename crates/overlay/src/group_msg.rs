@@ -21,13 +21,21 @@
 //! body waits for one and names its voters, so the receiver can ask them for
 //! it; a body whose digest differs from the voted one is a different pair
 //! that never reaches a majority.
+//!
+//! Every copy a member receives passes through the collector, so finding a
+//! copy's pair is the hot path. The collector keeps its pairs in one ring,
+//! in the order collection started, and finds them through a hashed index
+//! of ring positions: one probe, where a search tree would compare 40-byte
+//! keys a dozen times.
 
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
+use std::hash::BuildHasher;
 
 /// Identifies one logical group message while it is being collected.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Key {
     source: VgroupId,
     digest: Digest,
@@ -38,6 +46,14 @@ struct Progress<B> {
     senders: BTreeSet<NodeId>,
     /// The first body received for this key (votes carry none).
     body: Option<B>,
+}
+
+/// One remembered key: collected while `progress` is `Some`, accepted once
+/// it is `None` (kept to suppress duplicates from stragglers).
+#[derive(Debug, Clone)]
+struct Slot<B> {
+    key: Key,
+    progress: Option<Box<Progress<B>>>,
 }
 
 /// What one copy did to the collection of its message.
@@ -55,29 +71,67 @@ pub enum Observed<B> {
     Accepted(B),
 }
 
+/// An index entry: the occupied bit, a 31-bit hash tag and the 32-bit
+/// sequence number of a ring slot. Zero is an empty bucket.
+const OCCUPIED: u64 = 1 << 63;
+
+fn entry(tag: u32, seq: u32) -> u64 {
+    OCCUPIED | u64::from(tag) << 32 | u64::from(seq)
+}
+
+/// The bucket an entry with `tag` probes from: the tag is hash bits, so its
+/// low bits serve as the home and an entry can be moved without its key.
+fn home(tag: u32, mask: usize) -> usize {
+    tag as usize & mask
+}
+
+fn tag_of(entry: u64) -> u32 {
+    (entry >> 32) as u32 & !(1 << 31)
+}
+
 /// Collects per-sender copies of group messages and reports majority
 /// acceptance. `B` is what a body-bearing copy leaves behind until the
 /// quorum fires — the envelope in `atum-core`, `()` where only the count
 /// matters.
 ///
-/// All containers are ordered (determinism lint): collector state feeds
-/// model-checker fingerprints and its iteration order must not depend on
-/// hash seeds.
-#[derive(Debug, Clone)]
+/// The ring is the state and it is ordered: it alone feeds model-checker
+/// fingerprints (`Debug` renders it and `remember_limit`), and its order is
+/// the order collection started. The index beside it may be hashed, with a
+/// key private to this collector, because nothing iterates it: it only
+/// answers where in the ring a key is, and that answer depends on key
+/// equality alone. The key matters because a vote's digest is the sender's
+/// choice; with a known hash a vote flooder could aim every key at one
+/// probe run.
+#[derive(Clone)]
 pub struct GroupMessageCollector<B = ()> {
-    in_progress: BTreeMap<Key, Progress<B>>,
-    /// Keys already accepted (kept to suppress duplicates from stragglers).
-    accepted: BTreeSet<Key>,
+    /// Every key being collected or accepted, once, in the order collection
+    /// started; at most `remember_limit` of them. A key is forgotten when it
+    /// leaves the ring, so neither a withheld body nor a stream of
+    /// fabricated digests can pin bodies and sender sets. Such a stream does
+    /// shorten the duplicate-suppression window; a message it pushes out is
+    /// accepted again only on a fresh majority of copies, and correct
+    /// members send theirs once.
+    ring: VecDeque<Slot<B>>,
+    /// Open-addressed, linear-probing table of the ring's sequence numbers
+    /// ([`entry`]); a power of two long and at most half full, so a probe
+    /// always ends at an empty bucket. Removal shifts the run back: no
+    /// tombstones.
+    index: Vec<u64>,
+    /// Sequence number of `ring[0]`; `ring[i]` is `first + i`, wrapping.
+    first: u32,
+    // determinism-lint: allow (hashes position index entries only; nothing iterates the index; `Debug` renders the ring)
+    hasher: std::hash::RandomState,
     /// Upper bound on tracked keys, to bound memory.
     remember_limit: usize,
-    /// Every key in `in_progress` or `accepted`, once, in the order
-    /// collection started; at most `remember_limit` of them. A key leaves
-    /// both maps when it leaves the ring, so neither a withheld body nor a
-    /// stream of fabricated digests can pin bodies and sender sets. Such a
-    /// stream does shorten the duplicate-suppression window; a message it
-    /// pushes out is accepted again only on a fresh majority of copies, and
-    /// correct members send theirs once.
-    order: VecDeque<Key>,
+}
+
+impl<B: fmt::Debug> fmt::Debug for GroupMessageCollector<B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GroupMessageCollector")
+            .field("ring", &self.ring)
+            .field("remember_limit", &self.remember_limit)
+            .finish()
+    }
 }
 
 impl GroupMessageCollector<()> {
@@ -113,10 +167,12 @@ impl<B> GroupMessageCollector<B> {
     /// together.
     pub fn new(remember_limit: usize) -> Self {
         GroupMessageCollector {
-            in_progress: BTreeMap::new(),
-            accepted: BTreeSet::new(),
-            remember_limit: remember_limit.max(1),
-            order: VecDeque::new(),
+            ring: VecDeque::new(),
+            index: Vec::new(),
+            first: 0,
+            hasher: Default::default(),
+            // Sequence numbers are 32 bits wide.
+            remember_limit: remember_limit.clamp(1, u32::MAX as usize),
         }
     }
 
@@ -151,68 +207,155 @@ impl<B> GroupMessageCollector<B> {
                 majority = majority.min(view.majority());
             }
         }
-        // The handful of keys in flight first: most copies are of one of
-        // them, and only a miss walks the `remember_limit`-deep `accepted`.
-        let mut evicted = None;
-        let mut slot = match self.in_progress.entry(Key { source, digest }) {
-            Entry::Occupied(slot) => slot,
-            Entry::Vacant(slot) => {
-                if self.accepted.contains(slot.key()) {
-                    return Observed::Pending;
-                }
-                // Evict before pushing: the ring's capacity then settles at
-                // the limit instead of doubling past it.
-                if self.order.len() >= self.remember_limit {
-                    evicted = self.order.pop_front();
-                }
-                self.order.push_back(slot.key().clone());
-                slot.insert_entry(Progress {
-                    senders: BTreeSet::new(),
-                    body: None,
-                })
-            }
+        let key = Key { source, digest };
+        let tag = self.tag(&key);
+        let at = match self.find(tag, &key) {
+            Some(at) => at,
+            None => self.start(key, tag),
         };
-        let progress = slot.get_mut();
+        let Some(progress) = self.ring[at].progress.as_deref_mut() else {
+            return Observed::Pending;
+        };
         progress.senders.insert(sender);
         if progress.body.is_none() {
             progress.body = body;
         }
-        let observed = if progress.senders.len() < majority {
-            Observed::Pending
-        } else if let Some(body) = progress.body.take() {
-            self.accepted.insert(slot.remove_entry().0);
-            Observed::Accepted(body)
-        } else {
-            Observed::Starved(progress.senders.iter().copied().collect())
-        };
-        // The ring's oldest key is never the one observed (that one was in
-        // neither map), so it can leave once the slot is let go.
-        if let Some(oldest) = evicted {
-            self.in_progress.remove(&oldest);
-            self.accepted.remove(&oldest);
+        if progress.senders.len() < majority {
+            return Observed::Pending;
         }
-        observed
+        let Some(body) = progress.body.take() else {
+            return Observed::Starved(progress.senders.iter().copied().collect());
+        };
+        self.ring[at].progress = None;
+        Observed::Accepted(body)
     }
 
     /// Returns `true` if the message identified by `(source, digest)` has
     /// already been accepted.
     pub fn is_accepted(&self, source: VgroupId, digest: Digest) -> bool {
-        self.accepted.contains(&Key { source, digest })
+        let key = Key { source, digest };
+        self.find(self.tag(&key), &key)
+            .is_some_and(|at| self.ring[at].progress.is_none())
     }
 
     /// Number of messages still awaiting a majority (or a body).
     pub fn pending_len(&self) -> usize {
-        self.in_progress.len()
+        self.ring
+            .iter()
+            .filter(|slot| slot.progress.is_some())
+            .count()
     }
 
     /// Drops partially collected messages — retained bodies included — from
     /// a source vgroup (used when the source is known to have reconfigured
     /// or disappeared and stale counts could otherwise linger).
     pub fn forget_source(&mut self, source: VgroupId) {
-        self.in_progress.retain(|k, _| k.source != source);
-        let accepted = &self.accepted;
-        self.order
-            .retain(|k| k.source != source || accepted.contains(k));
+        let before = self.ring.len();
+        self.ring
+            .retain(|slot| slot.key.source != source || slot.progress.is_none());
+        if self.ring.len() != before {
+            self.rebuild(self.index.len() / 2);
+        }
+    }
+
+    /// The 31-bit hash tag of `key`.
+    fn tag(&self, key: &Key) -> u32 {
+        (self.hasher.hash_one(key) >> 33) as u32
+    }
+
+    /// The ring position of `key`, whose tag is `tag`, if it is remembered.
+    fn find(&self, tag: u32, key: &Key) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let wanted = entry(tag, 0) >> 32;
+        let mut at = home(tag, mask);
+        loop {
+            let found = self.index[at];
+            if found == 0 {
+                return None;
+            }
+            if found >> 32 == wanted {
+                let pos = (found as u32).wrapping_sub(self.first) as usize;
+                if self.ring[pos].key == *key {
+                    return Some(pos);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Starts collecting `key` in a new slot at the ring's back and returns
+    /// its position. A full ring lets its oldest key go first: the ring's
+    /// capacity then settles at the limit instead of doubling past it.
+    fn start(&mut self, key: Key, tag: u32) -> usize {
+        if self.ring.len() >= self.remember_limit {
+            self.evict_oldest();
+        }
+        if 2 * (self.ring.len() + 1) > self.index.len() {
+            self.rebuild(self.ring.len() + 1);
+        }
+        let at = self.ring.len();
+        self.insert(tag, self.first.wrapping_add(at as u32));
+        self.ring.push_back(Slot {
+            key,
+            progress: Some(Box::new(Progress {
+                senders: BTreeSet::new(),
+                body: None,
+            })),
+        });
+        at
+    }
+
+    /// Forgets the ring's oldest key: pops its slot and shifts the rest of
+    /// its probe run back over its index entry.
+    fn evict_oldest(&mut self) {
+        let oldest = self.ring.pop_front().expect("only a full ring evicts");
+        let mask = self.index.len() - 1;
+        let tag = self.tag(&oldest.key);
+        let gone = entry(tag, self.first);
+        self.first = self.first.wrapping_add(1);
+        let mut hole = home(tag, mask);
+        while self.index[hole] != gone {
+            hole = (hole + 1) & mask;
+        }
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let moving = self.index[at];
+            if moving == 0 {
+                break;
+            }
+            // An entry may fill the hole unless its home lies after the
+            // hole, between the hole and where the entry sits.
+            let from_home = at.wrapping_sub(home(tag_of(moving), mask)) & mask;
+            if from_home >= at.wrapping_sub(hole) & mask {
+                self.index[hole] = moving;
+                hole = at;
+            }
+        }
+        self.index[hole] = 0;
+    }
+
+    /// Re-enters every ring slot into an empty index with room for `room`
+    /// keys at most half full.
+    fn rebuild(&mut self, room: usize) {
+        let buckets = (2 * room).next_power_of_two().max(16);
+        self.index.clear();
+        self.index.resize(buckets, 0);
+        for at in 0..self.ring.len() {
+            let tag = self.tag(&self.ring[at].key);
+            self.insert(tag, self.first.wrapping_add(at as u32));
+        }
+    }
+
+    /// Enters ring slot `seq`, whose key's tag is `tag`, at the first empty
+    /// bucket of its probe run.
+    fn insert(&mut self, tag: u32, seq: u32) {
+        let mask = self.index.len() - 1;
+        let mut at = home(tag, mask);
+        while self.index[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = entry(tag, seq);
     }
 }
 
@@ -421,16 +564,31 @@ mod tests {
     }
     /// The collector as two plain lists and a ring, `accepted` asked first:
     /// what [`GroupMessageCollector::observe_with_view`] must keep computing
-    /// however it walks its maps.
-    #[derive(Default)]
+    /// however it finds its keys.
     struct Naive {
         in_progress: Vec<(Key, BTreeSet<NodeId>, Option<u64>)>,
         accepted: Vec<Key>,
         order: Vec<Key>,
+        limit: usize,
+    }
+
+    impl Default for Naive {
+        fn default() -> Self {
+            Naive::with_limit(Naive::LIMIT)
+        }
     }
 
     impl Naive {
         const LIMIT: usize = 4;
+
+        fn with_limit(limit: usize) -> Self {
+            Naive {
+                in_progress: Vec::new(),
+                accepted: Vec::new(),
+                order: Vec::new(),
+                limit,
+            }
+        }
 
         fn observe(
             &mut self,
@@ -443,7 +601,7 @@ mod tests {
                 return Observed::Pending;
             }
             if !self.in_progress.iter().any(|p| p.0 == key) {
-                if self.order.len() >= Self::LIMIT {
+                if self.order.len() >= self.limit {
                     let oldest = self.order.remove(0);
                     self.in_progress.retain(|p| p.0 != oldest);
                     self.accepted.retain(|k| *k != oldest);
@@ -518,6 +676,137 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(collector.pending_len(), naive.in_progress.len());
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The same model on a 64-key ring and 3 sources × 128 digests: keys
+        /// sweep forward with the steps and now and then jump, so the index
+        /// grows, evicts with backward shifts and is rebuilt by
+        /// `forget_source` while results stay the model's, step for step.
+        #[test]
+        fn a_64_key_ring_matches_the_naive_model(
+            steps in proptest::collection::vec(0u64..1_000_000, 300..1200),
+        ) {
+            let mut collector = GroupMessageCollector::<u64>::new(64);
+            let mut naive = Naive::with_limit(64);
+            let claimed = comp(&[1, 2, 3]);
+            for (step, s) in steps.into_iter().enumerate() {
+                let source = VgroupId::new(s % 3);
+                if s / 3 % 64 == 0 {
+                    collector.forget_source(source);
+                    naive.forget_source(source);
+                } else {
+                    let near = step as u64 / 3 + s / 192 % 8;
+                    let key = if s / 1536 % 16 == 0 { s / 24_576 } else { near } % 128;
+                    let digest = Digest::of(&key.to_le_bytes());
+                    let sender = NodeId::new(1 + s / 3 % 3);
+                    let body = (s / 12 % 2 == 0).then_some(step as u64);
+                    let seen = collector.observe_with_view(source, &claimed, None, sender, digest, body);
+                    let expected = naive.observe(Key { source, digest }, 2, sender, body);
+                    proptest::prop_assert_eq!(seen, expected, "step {}", step);
+                    proptest::prop_assert_eq!(
+                        collector.is_accepted(source, digest),
+                        naive.accepted.contains(&Key { source, digest })
+                    );
+                }
+                proptest::prop_assert_eq!(collector.pending_len(), naive.in_progress.len());
+            }
+        }
+    }
+
+    /// One copy of message `i` from `sender` of vgroup `source`, whose
+    /// claimed composition is {1, 2, 3}.
+    fn copy(
+        c: &mut GroupMessageCollector<u64>,
+        source: u64,
+        sender: u64,
+        i: u64,
+        body: Option<u64>,
+    ) -> Observed<u64> {
+        let (source, sender) = (VgroupId::new(source), NodeId::new(sender));
+        let digest = Digest::of(&i.to_le_bytes());
+        c.observe_with_view(source, &comp(&[1, 2, 3]), None, sender, digest, body)
+    }
+
+    fn accepted(c: &GroupMessageCollector<u64>, source: u64, i: u64) -> bool {
+        c.is_accepted(VgroupId::new(source), Digest::of(&i.to_le_bytes()))
+    }
+
+    #[test]
+    fn sequence_numbers_wrap() {
+        let mut c = GroupMessageCollector::new(16);
+        c.first = u32::MAX - 8;
+        for i in 0..64 {
+            assert_eq!(copy(&mut c, 1, 1, i, Some(i)), Observed::Pending);
+            // Every other key stays unfinished: both kinds cross the wrap.
+            if i % 2 == 0 {
+                assert_eq!(copy(&mut c, 1, 2, i, None), Observed::Accepted(i));
+            }
+        }
+        assert_eq!(c.first, (u32::MAX - 8).wrapping_add(48));
+        for i in 0..64 {
+            assert_eq!(accepted(&c, 1, i), i >= 48 && i % 2 == 0);
+        }
+        // The 8 unfinished keys still remembered kept their sender and body.
+        assert_eq!(c.pending_len(), 8);
+        for i in (49..64).step_by(2) {
+            assert_eq!(copy(&mut c, 1, 3, i, None), Observed::Accepted(i));
+        }
+        assert_eq!(c.pending_len(), 0);
+    }
+
+    #[test]
+    fn keys_kept_by_forget_source_are_still_found() {
+        let mut c = GroupMessageCollector::new(64);
+        for i in 0..20 {
+            for source in [1, 2] {
+                copy(&mut c, source, 1, i, Some(i));
+                if i % 2 == 0 {
+                    copy(&mut c, source, 2, i, None);
+                }
+            }
+        }
+        assert_eq!(c.pending_len(), 20);
+        c.forget_source(VgroupId::new(1));
+        assert_eq!(c.pending_len(), 10);
+        for i in 0..20 {
+            if i % 2 == 0 {
+                // Accepted from both sources, and still accepted.
+                assert!(accepted(&c, 1, i) && accepted(&c, 2, i));
+                assert_eq!(copy(&mut c, 1, 3, i, None), Observed::Pending);
+                assert_eq!(copy(&mut c, 2, 3, i, None), Observed::Pending);
+            } else {
+                // Source 2's first sender and body are still held; source
+                // 1's copy starts over.
+                assert_eq!(copy(&mut c, 2, 2, i, None), Observed::Accepted(i));
+                assert_eq!(copy(&mut c, 1, 2, i, None), Observed::Pending);
+            }
+        }
+    }
+
+    #[test]
+    fn the_rendering_is_the_ring_alone() {
+        let feed = |c: &mut GroupMessageCollector<u64>| {
+            for i in 0..40 {
+                copy(c, i % 3, 1 + i % 2, i % 24, Some(i));
+            }
+        };
+        let (mut a, mut b) = (
+            GroupMessageCollector::new(16),
+            GroupMessageCollector::new(16),
+        );
+        for _ in 0..2 {
+            feed(&mut a);
+            feed(&mut b);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(format!("{:?}", a.clone()), format!("{a:?}"));
+            a.forget_source(VgroupId::new(1));
+            b.forget_source(VgroupId::new(1));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(format!("{:?}", a.clone()), format!("{a:?}"));
         }
     }
 }

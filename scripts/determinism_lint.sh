@@ -6,7 +6,9 @@
 # on canonical, order-stable state renderings for visited-set dedup. Both
 # break silently if protocol state lives in std's HashMap/HashSet, whose
 # iteration order is randomized per process. The protocol layers — core,
-# overlay, smr — therefore use BTreeMap/BTreeSet throughout.
+# overlay, smr — therefore use BTreeMap/BTreeSet throughout. A hand-built
+# table over std's per-process random hasher keys (`RandomState`) carries
+# the same risk and is flagged the same way.
 #
 # A use that provably never observes iteration order (pure keyed lookups)
 # may be exempted by placing this marker on the offending line or the line
@@ -36,14 +38,15 @@ while IFS=: read -r file line text; do
     fi
     echo "determinism-lint: $file:$line: $text" >&2
     fail=1
-done < <(grep -rn --include='*.rs' -E 'Hash(Map|Set)' "${LAYERS[@]}" || true)
+done < <(grep -rn --include='*.rs' -E 'Hash(Map|Set)|RandomState' "${LAYERS[@]}" || true)
 
 if (( fail )); then
     cat >&2 <<'EOF'
 
-Hash containers with randomized iteration order are forbidden in the
-protocol layers (core, overlay, smr): use BTreeMap/BTreeSet, or annotate a
-provably order-blind use with:  // determinism-lint: allow (<reason>)
+Hash containers with randomized iteration order, and randomly keyed
+hashers, are forbidden in the protocol layers (core, overlay, smr): use
+BTreeMap/BTreeSet, or annotate a provably order-blind use with:
+  // determinism-lint: allow (<reason>)
 EOF
     exit 1
 fi

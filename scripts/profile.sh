@@ -2,12 +2,19 @@
 # Where a benchmark workload spends its CPU, by source line. The box has no
 # `perf`, so this is the whole method: a SIGPROF + backtrace() sampler,
 # LD_PRELOADed into `atum-benchmark` built with debug info, symbolised with
-# addr2line; every sample is charged to the innermost frame — inlined ones
-# included — that lies in `crates/`, so time under `memcpy`, the allocator,
-# the standard library or a vendored crate shows at the product line that
-# called it. (The standard library's SIMD intrinsics sit under a `crates/`
-# directory too, `/rustc/…/stdarch/crates/core_arch`; frames under `/rustc/`
-# are skipped by path.)
+# addr2line. It prints two tables:
+#
+# * by line: every sample is charged to the innermost frame — inlined ones
+#   included — that lies in `crates/`, so time under `memcpy`, the
+#   allocator, the standard library or a vendored crate shows at the product
+#   line that called it;
+# * by file, inclusive: a sample counts once for every `crates/` file with a
+#   frame anywhere on its stack, so a file's share is the time spent in it
+#   and in everything it called. The shares add up to more than 100 %.
+#
+# (The standard library's SIMD intrinsics sit under a `crates/` directory
+# too, `/rustc/…/stdarch/crates/core_arch`; frames under `/rustc/` are
+# skipped by path in both tables.)
 #
 #   scripts/profile.sh <workload> [seconds]     e.g. scripts/profile.sh sim_fanout 20
 #
@@ -109,4 +116,29 @@ awk '
         printf "%d samples of 2 ms, by innermost crates/ line:\n", total
         for (line in hits) printf "%7d %5.1f%%  %s\n", hits[line], 100 * hits[line] / total, line
     }
-' "$build/symbols.txt" "$build/samples.txt" | sort -k1,1nr | head -n 41
+' "$build/symbols.txt" "$build/samples.txt" | sort -k1,1nr | sed -n 1,41p
+
+echo
+echo "$(wc -l < "$build/samples.txt") samples of 2 ms, by crates/ file anywhere on the stack (once per file per sample):"
+awk '
+    NR == FNR {
+        if (/^0x/) addr = $1
+        else if (!/^\/rustc\// && match($0, /crates\/[^ :]*:[0-9]+/)) {
+            file = substr($0, RSTART, RLENGTH)
+            sub(/:[0-9]+$/, "", file)
+            if (index(files[addr] " ", " " file " ") == 0) files[addr] = files[addr] " " file
+        }
+        next
+    }
+    {
+        total++
+        split("", seen)
+        for (i = 1; i <= NF; i++) {
+            n = split(files[$i], list, " ")
+            for (j = 1; j <= n; j++) if (!(list[j] in seen)) { seen[list[j]] = 1; hits[list[j]]++ }
+        }
+    }
+    END {
+        for (file in hits) printf "%7d %5.1f%%  %s\n", hits[file], 100 * hits[file] / total, file
+    }
+' "$build/symbols.txt" "$build/samples.txt" | sort -k1,1nr | sed -n 1,30p
