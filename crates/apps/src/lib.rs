@@ -234,6 +234,36 @@ mod tests {
     }
 
     #[test]
+    fn crate_private_payload_bytes_are_pinned() {
+        // The workspace's codec pin (`every_codec_type_round_trips_with_pinned_bytes`
+        // in `tests/wire_codec.rs`) cannot name these two types; this pins
+        // their bytes the same way, as the SHA-256 of every variant's encoding.
+        let (owner, name, digest) = (NodeId::new(3), "père.txt".to_string(), digest(7));
+        let stream = [
+            TransferMsg::GetChunk {
+                owner,
+                name: name.clone(),
+                chunk: 7,
+            }
+            .encode(),
+            TransferMsg::ChunkData {
+                owner,
+                name,
+                chunk: 7,
+                digest,
+            }
+            .encode(),
+            StreamMsg::Push(StreamChunk { index: 4, digest }).encode(),
+            StreamMsg::Pull { index: 4 }.encode(),
+        ]
+        .concat();
+        assert_eq!(
+            Digest::of(&stream).to_string(),
+            "7274136e233a923d78d8c8d5f7d1e1ae1a84b268bb2fe39100d7feab9f23b1de"
+        );
+    }
+
+    #[test]
     fn asub_event_byte_layout_is_pinned() {
         let event = AsubEvent {
             topic: TopicId::new(9),

@@ -7,11 +7,16 @@ use atum::core::{AtumMessage, Configuration, GroupEnvelope, GroupOp, GroupPayloa
 use atum::crypto::{Digest, KeyRegistry, SignatureChain};
 use atum::overlay::{CycleNeighbors, NeighborTable, WalkPurpose, WalkState};
 use atum::smr::SmrMessage;
-use atum::types::wire::{decode_exact, wire_len, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use atum::types::{BroadcastId, Composition, NodeId, VgroupId, WalkId, WireDecode, WireSize};
+use atum::types::wire::{
+    decode_exact, encode_to_vec, wire_len, WireError, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+};
+use atum::types::{
+    BroadcastId, Composition, NodeId, VgroupId, WalkId, WireDecode, WireEncode, WireSize,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 fn comp(ids: &[u64]) -> Composition {
@@ -351,6 +356,272 @@ fn known_tags<T: WireDecode>(unknown: &str) -> usize {
         _ => true,
     };
     (0..=u8::MAX).filter(|&tag| known(tag)).count()
+}
+
+/// How many variant tags `T`'s decoder knows when its tag follows `prefix`
+/// (an application payload's kind byte): the tags it does not reject as
+/// `unknown`. Zero bytes follow the tag, so a decoder that reads fields
+/// before it dispatches on the tag still reaches the tag check.
+fn known_tags_after<T: WireDecode>(prefix: &[u8], unknown: &str) -> usize {
+    let known = |tag: u8| {
+        let bytes = [prefix, &[tag], &[0u8; 16]].concat();
+        match decode_exact::<T>(&bytes) {
+            Err(WireError::Malformed(what)) => what != unknown,
+            _ => true,
+        }
+    };
+    (0..=u8::MAX).filter(|&tag| known(tag)).count()
+}
+
+/// The first sample of each variant, in order.
+fn one_per_variant<T>(samples: Vec<T>) -> Vec<T> {
+    let mut seen = std::collections::HashSet::new();
+    samples
+        .into_iter()
+        .filter(|sample| seen.insert(std::mem::discriminant(sample)))
+        .collect()
+}
+
+fn all_smr_variants() -> Vec<SmrMessage<GroupOp>> {
+    let leave = GroupOp::Leave {
+        node: NodeId::new(1),
+        nonce: 0,
+    };
+    vec![
+        SmrMessage::SyncValue {
+            slot: 8,
+            sender: NodeId::new(1),
+            batch: all_op_variants(),
+            chain: sample_chain(),
+        },
+        SmrMessage::Request { op: leave.clone() },
+        SmrMessage::PrePrepare {
+            view: 1,
+            seq: 2,
+            op: leave.clone(),
+        },
+        SmrMessage::Prepare {
+            view: 1,
+            seq: 2,
+            digest: Digest::of(b"prepared"),
+        },
+        SmrMessage::Commit {
+            view: 1,
+            seq: 2,
+            digest: Digest::of(b"committed"),
+        },
+        SmrMessage::ViewChange {
+            new_view: 2,
+            prepared: vec![(4, leave.clone())],
+        },
+        SmrMessage::NewView {
+            view: 2,
+            ops: vec![(4, leave)],
+            skips: vec![5, 6],
+        },
+    ]
+}
+
+fn all_edge_ops() -> Vec<atum::types::EdgeOp> {
+    use atum::types::EdgeOp;
+    vec![
+        EdgeOp::Health,
+        EdgeOp::Stats,
+        EdgeOp::Publish {
+            topic: 9,
+            payload: vec![1, 2, 3],
+        },
+        EdgeOp::Fetch { key: 0xdead },
+        EdgeOp::Append {
+            stream: 4,
+            chunk: vec![5; 6],
+        },
+    ]
+}
+
+fn all_announce_variants() -> Vec<atum::apps::ashare::Announce> {
+    use atum::apps::ashare::Announce;
+    let (owner, name) = (NodeId::new(3), "père.txt".to_string());
+    vec![
+        Announce::Put {
+            owner,
+            name: name.clone(),
+            size: 1 << 20,
+            digests: vec![Digest::of(b"c0"), Digest::of(b"c1")],
+        },
+        Announce::Replica {
+            owner,
+            name: name.clone(),
+            holder: NodeId::new(4),
+        },
+        Announce::Delete { owner, name },
+    ]
+}
+
+/// Round-trips every sample through the codec and appends its encoding to
+/// `stream`; returns the number of samples.
+fn pin_samples<T: WireEncode + WireDecode + PartialEq + Debug>(
+    stream: &mut Vec<u8>,
+    samples: &[T],
+) -> usize {
+    for sample in samples {
+        let bytes = encode_to_vec(sample);
+        assert_eq!(
+            decode_exact::<T>(&bytes).as_ref(),
+            Ok(sample),
+            "round trip changed {sample:?}"
+        );
+        stream.extend_from_slice(&bytes);
+    }
+    samples.len()
+}
+
+#[test]
+fn every_codec_type_round_trips_with_pinned_bytes() {
+    // One sample of every variant of every type with a codec of its own:
+    // each round-trips, each enum's decoder knows exactly as many tags as it
+    // has samples, and the SHA-256 of all the encodings, concatenated, is
+    // pinned. A change to any tag, field order, field width or sequence
+    // prefix moves the pin; a codec that moves without one changes nothing.
+    use atum::apps::ashare::Announce;
+    use atum::apps::astream::DigestAnnounce;
+    use atum::apps::AsubEvent;
+    use atum::net::{Hello, Route};
+    use atum::types::{EdgeRequest, EdgeResponse, EdgeStatus, TopicId};
+
+    let mut stream = Vec::new();
+    let s = &mut stream;
+    let enums = [
+        (
+            "AtumMessage",
+            pin_samples(s, &one_per_variant(all_message_variants())),
+            known_tags::<AtumMessage>("atum-message tag"),
+        ),
+        (
+            "GroupPayload",
+            pin_samples(s, &all_payload_variants()),
+            known_tags::<GroupPayload>("group-payload tag"),
+        ),
+        (
+            "GroupOp",
+            pin_samples(s, &all_op_variants()),
+            known_tags::<GroupOp>("group-op tag"),
+        ),
+        (
+            "SmrMessage",
+            pin_samples(s, &all_smr_variants()),
+            known_tags::<SmrMessage<GroupOp>>("smr-message tag"),
+        ),
+        (
+            "WalkPurpose",
+            pin_samples(
+                s,
+                &[
+                    WalkPurpose::JoinPlacement {
+                        joiner: NodeId::new(7),
+                    },
+                    WalkPurpose::ShuffleExchange {
+                        member: NodeId::new(8),
+                    },
+                    WalkPurpose::SplitAnchor {
+                        cycle: 2,
+                        new_group: VgroupId::new(9),
+                        composition: comp(&[1, 2]),
+                    },
+                ],
+            ),
+            known_tags::<WalkPurpose>("walk-purpose tag"),
+        ),
+        (
+            "EdgeOp",
+            pin_samples(s, &all_edge_ops()),
+            known_tags::<atum::types::EdgeOp>("edge op tag"),
+        ),
+        (
+            "Announce",
+            pin_samples(s, &all_announce_variants()),
+            known_tags_after::<Announce>(&[2], "announce tag"),
+        ),
+    ];
+    for (name, samples, tags) in enums {
+        assert_eq!(samples, tags, "{name}: a variant has no sample");
+    }
+    let AtumMessage::GroupVote(vote) = sample_vote() else {
+        unreachable!()
+    };
+    pin_samples(s, &[(*vote).clone()]);
+    let AtumMessage::Welcome(config) = sample_welcome() else {
+        unreachable!()
+    };
+    pin_samples(s, std::slice::from_ref(&config));
+    pin_samples(s, &[config.neighbors.clone(), NeighborTable::new(0)]);
+    pin_samples(s, &[config.neighbors.cycle(2).unwrap().clone()]);
+    pin_samples(s, &[walk_of(5, 3, 1), walk_of(6, 5, 5)]);
+    pin_samples(s, &[sample_chain()]);
+    pin_samples(
+        s,
+        &[Hello {
+            node: NodeId::new(5),
+            listen_port: 40_123,
+        }],
+    );
+    pin_samples(
+        s,
+        &[Route {
+            from: NodeId::new(5),
+            to: NodeId::new(6),
+        }],
+    );
+    let requests: Vec<EdgeRequest> = all_edge_ops()
+        .into_iter()
+        .zip([Some(7), None].into_iter().cycle())
+        .enumerate()
+        .map(|(seq, (op, idempotency_key))| EdgeRequest {
+            seq: seq as u64,
+            idempotency_key,
+            deadline_ms: 1500,
+            op,
+        })
+        .collect();
+    pin_samples(s, &requests);
+    let responses: Vec<EdgeResponse> = [
+        EdgeStatus::Ok,
+        EdgeStatus::Overloaded,
+        EdgeStatus::Unavailable,
+        EdgeStatus::DeadlineExceeded,
+        EdgeStatus::BadRequest,
+        EdgeStatus::ShuttingDown,
+        EdgeStatus::Duplicate,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, status)| EdgeResponse {
+        seq: i as u64,
+        status,
+        payload: vec![i as u8; i],
+    })
+    .collect();
+    pin_samples(s, &responses);
+    pin_samples(
+        s,
+        &[DigestAnnounce {
+            index: 3,
+            digest: Digest::of(b"chunk 3"),
+        }],
+    );
+    pin_samples(
+        s,
+        &[AsubEvent {
+            topic: TopicId::new(9),
+            data: vec![1, 2, 3],
+        }],
+    );
+    assert_eq!(
+        Digest::of(&stream).to_string(),
+        "7a6d22a83043ad6feb177f121858ae721a8ca52e0d3f50227713c94bffa720de",
+        "{} pinned bytes",
+        stream.len()
+    );
 }
 
 #[test]
@@ -764,6 +1035,87 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
     bytes.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
     bytes.extend_from_slice(&[0u8; 8]);
     assert!(AtumMessage::decode_body(&bytes).is_err());
+
+    // Every bounded sequence field. `head` ends just before the length
+    // prefix; the prefix claims `claimed` items and `left` bytes follow it:
+    // enough at one byte per item, one byte short of the field's declared
+    // minimum item size. A bound that is dropped or lowered lets the claim
+    // through, and the decode then fails some other way.
+    let too_long = |head: Vec<u8>, bound: usize| {
+        let claimed = if bound == 1 { 3 } else { 2 };
+        let left = (claimed * bound - 1).max(claimed - 1);
+        let mut bytes = head;
+        bytes.extend_from_slice(&(claimed as u32).to_le_bytes());
+        bytes.extend(std::iter::repeat_n(0u8, left));
+        bytes
+    };
+    let le = |v: u64| v.to_le_bytes().to_vec();
+    let smr = |inner: Vec<u8>| [vec![6u8], le(3), le(17), inner].concat(); // Smr: group, epoch
+    let request = |op: Vec<u8>| smr([vec![1u8], op].concat()); // SmrMessage::Request
+    let sync_value = [vec![0u8], le(8), le(1)].concat(); // tag, slot, sender
+    let new_view = [vec![6u8], le(2)].concat(); // tag, view
+    let node_cases = [
+        ("BroadcastKeys.keys", [vec![9u8], le(5)].concat(), 16),
+        ("BroadcastPull.keys", [vec![10u8], le(5)].concat(), 16),
+        (
+            "MergeRequest.members",
+            group_bytes(&[vec![8u8], le(7)].concat()),
+            8,
+        ),
+        (
+            "AcceptMerge.members",
+            request([vec![8u8], le(7)].concat()),
+            8,
+        ),
+        ("SyncValue.batch", smr(sync_value.clone()), 1),
+        (
+            "SignatureChain links",
+            smr([sync_value, 0u32.to_le_bytes().to_vec(), vec![0u8; 32]].concat()),
+            40,
+        ),
+        ("ViewChange.prepared", smr([vec![5u8], le(2)].concat()), 9),
+        ("NewView.ops", smr(new_view.clone()), 9),
+        (
+            "NewView.skips",
+            smr([new_view, 0u32.to_le_bytes().to_vec()].concat()),
+            8,
+        ),
+        (
+            "WalkState.rng_values",
+            // Walk tag, walk id, JoinPlacement and its joiner, an empty
+            // origin composition, 0 steps remaining.
+            group_bytes(
+                &[
+                    vec![1u8],
+                    le(2),
+                    le(9),
+                    vec![0u8],
+                    le(7),
+                    0u32.to_le_bytes().to_vec(),
+                    vec![0u8],
+                ]
+                .concat(),
+            ),
+            8,
+        ),
+    ];
+    let exceeds = WireError::Malformed("sequence length exceeds input");
+    for (field, head, bound) in node_cases {
+        let bytes = too_long(head, bound);
+        assert_eq!(
+            AtumMessage::decode_body(&bytes),
+            Err(exceeds.clone()),
+            "{field}"
+        );
+    }
+    // An AShare `Put`: kind, tag, owner, empty name, size, then its digests.
+    let put = [vec![2u8, 0], le(3), 0u32.to_le_bytes().to_vec(), le(1)].concat();
+    let bytes = too_long(put, 32);
+    assert_eq!(
+        decode_exact::<atum::apps::ashare::Announce>(&bytes),
+        Err(exceeds),
+        "Announce digests"
+    );
 }
 
 #[test]
