@@ -187,64 +187,11 @@ pub enum Announce {
     },
 }
 
-impl WireEncode for Announce {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u8(kind::ASHARE_ANNOUNCE);
-        match self {
-            Announce::Put {
-                owner,
-                name,
-                size,
-                digests,
-            } => {
-                w.put_u8(0);
-                owner.wire_encode(w);
-                name.wire_encode(w);
-                w.put_u64(*size);
-                w.put_seq(digests);
-            }
-            Announce::Replica {
-                owner,
-                name,
-                holder,
-            } => {
-                w.put_u8(1);
-                owner.wire_encode(w);
-                name.wire_encode(w);
-                holder.wire_encode(w);
-            }
-            Announce::Delete { owner, name } => {
-                w.put_u8(2);
-                owner.wire_encode(w);
-                name.wire_encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for Announce {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        kind::expect(r, kind::ASHARE_ANNOUNCE)?;
-        let tag = r.take_u8()?;
-        let owner = NodeId::wire_decode(r)?;
-        let name = String::wire_decode(r)?;
-        Ok(match tag {
-            0 => Announce::Put {
-                owner,
-                name,
-                size: r.take_u64()?,
-                digests: r.take_seq(DIGEST_SIZE)?,
-            },
-            1 => Announce::Replica {
-                owner,
-                name,
-                holder: NodeId::wire_decode(r)?,
-            },
-            2 => Announce::Delete { owner, name },
-            _ => return Err(WireError::Malformed("announce tag")),
-        })
-    }
-}
+atum_types::wire_codec!([kind::ASHARE_ANNOUNCE] Announce, "announce tag" {
+    0 => Put { owner, name, size, digests: seq(DIGEST_SIZE) },
+    1 => Replica { owner, name, holder },
+    2 => Delete { owner, name },
+});
 
 impl Announce {
     /// Serialises the announcement for broadcasting.

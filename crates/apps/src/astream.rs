@@ -19,7 +19,7 @@ use crate::kind;
 use atum_core::{AppCtx, Application, Delivered};
 use atum_crypto::Digest;
 use atum_types::wire::{decode_exact, encode_to_vec};
-use atum_types::{Instant, NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use atum_types::{Instant, NodeId};
 use std::collections::BTreeMap;
 
 /// Configuration of the AStream application at one node.
@@ -58,23 +58,7 @@ pub struct DigestAnnounce {
     pub digest: Digest,
 }
 
-impl WireEncode for DigestAnnounce {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u8(kind::ASTREAM_DIGEST);
-        w.put_u64(self.index);
-        self.digest.wire_encode(w);
-    }
-}
-
-impl WireDecode for DigestAnnounce {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        kind::expect(r, kind::ASTREAM_DIGEST)?;
-        Ok(DigestAnnounce {
-            index: r.take_u64()?,
-            digest: Digest::wire_decode(r)?,
-        })
-    }
-}
+atum_types::wire_codec!([kind::ASTREAM_DIGEST] DigestAnnounce { index, digest });
 
 impl DigestAnnounce {
     /// Serialises the announcement for broadcasting.
@@ -97,38 +81,11 @@ pub(crate) enum StreamMsg {
     Pull { index: u64 },
 }
 
-impl WireEncode for StreamMsg {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u8(kind::ASTREAM_DATA);
-        match self {
-            StreamMsg::Push(chunk) => {
-                w.put_u8(0);
-                w.put_u64(chunk.index);
-                chunk.digest.wire_encode(w);
-            }
-            StreamMsg::Pull { index } => {
-                w.put_u8(1);
-                w.put_u64(*index);
-            }
-        }
-    }
-}
-
-impl WireDecode for StreamMsg {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        kind::expect(r, kind::ASTREAM_DATA)?;
-        match r.take_u8()? {
-            0 => Ok(StreamMsg::Push(StreamChunk {
-                index: r.take_u64()?,
-                digest: Digest::wire_decode(r)?,
-            })),
-            1 => Ok(StreamMsg::Pull {
-                index: r.take_u64()?,
-            }),
-            _ => Err(WireError::Malformed("stream tag")),
-        }
-    }
-}
+atum_types::wire_codec!(StreamChunk { index, digest });
+atum_types::wire_codec!([kind::ASTREAM_DATA] StreamMsg, "stream tag" {
+    0 => Push(chunk),
+    1 => Pull { index },
+});
 
 impl StreamMsg {
     pub(crate) fn encode(&self) -> Vec<u8> {

@@ -9,9 +9,7 @@ use crate::kind;
 use atum_core::{AtumMessage, AtumNode, CollectingApp};
 use atum_simnet::Context;
 use atum_types::wire::{decode_exact, encode_to_vec};
-use atum_types::{
-    NodeId, Params, Result, TopicId, WireDecode, WireEncode, WireError, WireReader, WireWriter,
-};
+use atum_types::{NodeId, Params, Result, TopicId, WireEncode, WireWriter};
 
 /// An event published on a topic (the payload carried by the underlying
 /// Atum broadcast).
@@ -23,9 +21,9 @@ pub struct AsubEvent {
     pub data: Vec<u8>,
 }
 
-/// An [`AsubEvent`] over a borrowed body: the event's one field walk, so a
-/// caller that only holds `&[u8]` (the edge mapping) encodes without first
-/// cloning the body into an owned event.
+/// An [`AsubEvent`] over a borrowed body, encoding to the event's bytes (the
+/// codec-law proptest pins that), so a caller that only holds `&[u8]` (the
+/// edge mapping) encodes without first cloning the body into an owned event.
 pub(crate) struct EventRef<'a> {
     pub topic: TopicId,
     pub data: &'a [u8],
@@ -34,31 +32,13 @@ pub(crate) struct EventRef<'a> {
 impl WireEncode for EventRef<'_> {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
         w.put_u8(kind::ASUB_EVENT);
-        w.put_u64(self.topic.raw());
+        self.topic.wire_encode(w);
         w.put_len(self.data.len());
         w.put_bytes(self.data);
     }
 }
 
-impl WireEncode for AsubEvent {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        EventRef {
-            topic: self.topic,
-            data: &self.data,
-        }
-        .wire_encode(w);
-    }
-}
-
-impl WireDecode for AsubEvent {
-    fn wire_decode(r: &mut WireReader<'_>) -> std::result::Result<Self, WireError> {
-        kind::expect(r, kind::ASUB_EVENT)?;
-        Ok(AsubEvent {
-            topic: TopicId::new(r.take_u64()?),
-            data: Vec::wire_decode(r)?,
-        })
-    }
-}
+atum_types::wire_codec!([kind::ASUB_EVENT] AsubEvent { topic, data });
 
 impl AsubEvent {
     /// Serialises the event for broadcasting.

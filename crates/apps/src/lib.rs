@@ -21,8 +21,9 @@
 //!
 //! Everything the applications hand to Atum — broadcast payloads and
 //! point-to-point app messages — is a value of the workspace's one wire codec
-//! (`atum_types::wire`): each message type implements `WireEncode` /
-//! `WireDecode`, `encode()` is `encode_to_vec` and `decode()` is
+//! (`atum_types::wire`): each message type's codec is one
+//! `atum_types::wire_codec!` line (AShare's `TransferMsg` excepted: it
+//! range-checks a `usize`), `encode()` is `encode_to_vec` and `decode()` is
 //! `decode_exact`. Every encoding leads with one *kind* byte naming its
 //! type, so a payload of another application decodes to `None`, not to
 //! garbage. There is no second format and no version negotiation: payloads

@@ -7,10 +7,7 @@ use crate::broadcast::View;
 use crate::message::{GroupOp, GroupPayload};
 use atum_crypto::Digest;
 use atum_overlay::{CycleNeighbors, NeighborTable, WalkPurpose, WalkState};
-use atum_types::{
-    Composition, Instant, NodeId, Params, VgroupId, WalkId, WireDecode, WireEncode, WireError,
-    WireReader, WireWriter,
-};
+use atum_types::{Composition, Instant, NodeId, Params, VgroupId, WalkId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -290,25 +287,12 @@ impl Configuration {
     }
 }
 
-impl WireEncode for Configuration {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.vgroup.wire_encode(w);
-        self.composition.wire_encode(w);
-        self.neighbors.wire_encode(w);
-        w.put_u64(self.epoch);
-    }
-}
-
-impl WireDecode for Configuration {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Configuration {
-            vgroup: VgroupId::wire_decode(r)?,
-            composition: Composition::wire_decode(r)?,
-            neighbors: NeighborTable::wire_decode(r)?,
-            epoch: r.take_u64()?,
-        })
-    }
-}
+atum_types::wire_codec!(Configuration {
+    vgroup,
+    composition,
+    neighbors,
+    epoch
+});
 
 /// What a walk that stopped at this vgroup proposes.
 fn selected(walk: WalkState) -> GroupOp {

@@ -6,8 +6,10 @@
 //! Every type here describes its fields once, in `wire_encode`. Bytes,
 //! sizes and digests are that walk against a different `WireWriter` sink:
 //! [`GroupPayload::digest`] and `SmrOp::digest` for [`GroupOp`] hash it
-//! (`atum_crypto::Digestible`), `WireSize` counts it. Adding a field means
-//! editing the type, `wire_encode` and `wire_decode` — nothing else.
+//! (`atum_crypto::Digestible`), `WireSize` counts it. That walk and its
+//! decode are generated from one `atum_types::wire_codec!` line per type, so
+//! adding a field means editing the type and its one codec line — nothing
+//! else.
 //!
 //! # Digest memoization invariant
 //!
@@ -164,162 +166,21 @@ impl GroupPayload {
     }
 }
 
-impl WireEncode for GroupPayload {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            GroupPayload::Gossip { id, payload, hops } => {
-                w.put_u8(0);
-                id.wire_encode(w);
-                payload.wire_encode(w);
-                w.put_u32(*hops);
-            }
-            GroupPayload::Walk(walk) => {
-                w.put_u8(1);
-                walk.wire_encode(w);
-            }
-            GroupPayload::CompositionUpdate { group, composition } => {
-                w.put_u8(2);
-                group.wire_encode(w);
-                composition.wire_encode(w);
-            }
-            GroupPayload::ExchangeOffer {
-                walk,
-                leaving,
-                incoming,
-            } => {
-                w.put_u8(3);
-                walk.wire_encode(w);
-                leaving.wire_encode(w);
-                incoming.wire_encode(w);
-            }
-            GroupPayload::ExchangeRefuse { walk } => {
-                w.put_u8(4);
-                walk.wire_encode(w);
-            }
-            GroupPayload::ExchangeAccept {
-                walk,
-                given,
-                adopted,
-            } => {
-                w.put_u8(5);
-                walk.wire_encode(w);
-                given.wire_encode(w);
-                adopted.wire_encode(w);
-            }
-            GroupPayload::NeighborIntro {
-                cycle,
-                sender_is_predecessor,
-                group,
-                composition,
-            } => {
-                w.put_u8(7);
-                w.put_u8(*cycle);
-                w.put_bool(*sender_is_predecessor);
-                group.wire_encode(w);
-                composition.wire_encode(w);
-            }
-            GroupPayload::MergeRequest { from, members } => {
-                w.put_u8(8);
-                from.wire_encode(w);
-                w.put_seq(members);
-            }
-            GroupPayload::CyclePatch {
-                cycle,
-                new_is_successor,
-                group,
-                composition,
-            } => {
-                w.put_u8(10);
-                w.put_u8(*cycle);
-                w.put_bool(*new_is_successor);
-                group.wire_encode(w);
-                composition.wire_encode(w);
-            }
-            GroupPayload::LinkProbe {
-                cycle,
-                sender_is_predecessor,
-                far_neighbor,
-                nonce,
-            } => {
-                w.put_u8(11);
-                w.put_u8(*cycle);
-                w.put_bool(*sender_is_predecessor);
-                far_neighbor.wire_encode(w);
-                w.put_u64(*nonce);
-            }
-            GroupPayload::LinkConfirm {
-                cycle,
-                sender_is_predecessor,
-                nonce,
-            } => {
-                w.put_u8(12);
-                w.put_u8(*cycle);
-                w.put_bool(*sender_is_predecessor);
-                w.put_u64(*nonce);
-            }
-        }
-    }
-}
-
-impl WireDecode for GroupPayload {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => GroupPayload::Gossip {
-                id: BroadcastId::wire_decode(r)?,
-                payload: Arc::<[u8]>::wire_decode(r)?,
-                hops: r.take_u32()?,
-            },
-            1 => GroupPayload::Walk(WalkState::wire_decode(r)?),
-            2 => GroupPayload::CompositionUpdate {
-                group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-            },
-            3 => GroupPayload::ExchangeOffer {
-                walk: WalkId::wire_decode(r)?,
-                leaving: NodeId::wire_decode(r)?,
-                incoming: NodeId::wire_decode(r)?,
-            },
-            4 => GroupPayload::ExchangeRefuse {
-                walk: WalkId::wire_decode(r)?,
-            },
-            5 => GroupPayload::ExchangeAccept {
-                walk: WalkId::wire_decode(r)?,
-                given: NodeId::wire_decode(r)?,
-                adopted: NodeId::wire_decode(r)?,
-            },
-            7 => GroupPayload::NeighborIntro {
-                cycle: r.take_u8()?,
-                sender_is_predecessor: r.take_bool()?,
-                group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-            },
-            8 => GroupPayload::MergeRequest {
-                from: VgroupId::wire_decode(r)?,
-                members: r.take_seq(8)?,
-            },
-            10 => GroupPayload::CyclePatch {
-                cycle: r.take_u8()?,
-                new_is_successor: r.take_bool()?,
-                group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-            },
-            11 => GroupPayload::LinkProbe {
-                cycle: r.take_u8()?,
-                sender_is_predecessor: r.take_bool()?,
-                far_neighbor: VgroupId::wire_decode(r)?,
-                nonce: r.take_u64()?,
-            },
-            12 => GroupPayload::LinkConfirm {
-                cycle: r.take_u8()?,
-                sender_is_predecessor: r.take_bool()?,
-                nonce: r.take_u64()?,
-            },
-            // Tags 6 and 9 were a split-insert request and a merge
-            // acceptance that no vgroup sent: retired, never reused.
-            _ => return Err(WireError::Malformed("group-payload tag")),
-        })
-    }
-}
+atum_types::wire_codec!(GroupPayload, "group-payload tag" {
+    0 => Gossip { id, payload, hops },
+    1 => Walk(walk),
+    2 => CompositionUpdate { group, composition },
+    3 => ExchangeOffer { walk, leaving, incoming },
+    4 => ExchangeRefuse { walk },
+    5 => ExchangeAccept { walk, given, adopted },
+    // Tags 6 and 9 were a split-insert request and a merge acceptance that
+    // no vgroup sent: retired, never reused.
+    7 => NeighborIntro { cycle, sender_is_predecessor, group, composition },
+    8 => MergeRequest { from, members: seq(8) },
+    10 => CyclePatch { cycle, new_is_successor, group, composition },
+    11 => LinkProbe { cycle, sender_is_predecessor, far_neighbor, nonce },
+    12 => LinkConfirm { cycle, sender_is_predecessor, nonce },
+});
 
 /// Memoized framed encoding of the `AtumMessage::Group` frame wrapping an
 /// envelope, so fan-out and re-gossip of one envelope encode it at most
@@ -469,25 +330,12 @@ pub struct GroupVote {
     pub id: BroadcastId,
 }
 
-impl WireEncode for GroupVote {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.source.wire_encode(w);
-        self.source_composition.wire_encode(w);
-        self.digest.wire_encode(w);
-        self.id.wire_encode(w);
-    }
-}
-
-impl WireDecode for GroupVote {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(GroupVote {
-            source: VgroupId::wire_decode(r)?,
-            source_composition: Composition::wire_decode(r)?,
-            digest: Digest::wire_decode(r)?,
-            id: BroadcastId::wire_decode(r)?,
-        })
-    }
-}
+atum_types::wire_codec!(GroupVote {
+    source,
+    source_composition,
+    digest,
+    id
+});
 
 /// Operations ordered by the SMR engine inside a vgroup.
 ///
@@ -606,149 +454,18 @@ impl SmrOp for GroupOp {
     }
 }
 
-impl WireEncode for GroupOp {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            GroupOp::HandleJoinRequest {
-                joiner,
-                nonce,
-                rejoin,
-            } => {
-                w.put_u8(0);
-                joiner.wire_encode(w);
-                w.put_u64(*nonce);
-                w.put_bool(*rejoin);
-            }
-            GroupOp::AdmitJoiner { joiner, walk } => {
-                w.put_u8(1);
-                joiner.wire_encode(w);
-                walk.wire_encode(w);
-            }
-            GroupOp::Leave { node, nonce } => {
-                w.put_u8(2);
-                node.wire_encode(w);
-                w.put_u64(*nonce);
-            }
-            GroupOp::Evict {
-                node,
-                accuser,
-                nonce,
-            } => {
-                w.put_u8(3);
-                node.wire_encode(w);
-                accuser.wire_encode(w);
-                w.put_u64(*nonce);
-            }
-            GroupOp::Broadcast { id, payload } => {
-                w.put_u8(4);
-                id.wire_encode(w);
-                payload.wire_encode(w);
-            }
-            GroupOp::OfferExchange {
-                walk,
-                leaving,
-                origin_composition,
-            } => {
-                w.put_u8(5);
-                walk.wire_encode(w);
-                leaving.wire_encode(w);
-                origin_composition.wire_encode(w);
-            }
-            GroupOp::CompleteExchange {
-                walk,
-                leaving,
-                incoming,
-                partner_composition,
-            } => {
-                w.put_u8(6);
-                walk.wire_encode(w);
-                leaving.wire_encode(w);
-                incoming.wire_encode(w);
-                partner_composition.wire_encode(w);
-            }
-            GroupOp::FinishExchange {
-                walk,
-                given,
-                adopted,
-            } => {
-                w.put_u8(7);
-                walk.wire_encode(w);
-                given.wire_encode(w);
-                adopted.wire_encode(w);
-            }
-            GroupOp::AcceptMerge { from, members } => {
-                w.put_u8(8);
-                from.wire_encode(w);
-                w.put_seq(members);
-            }
-            GroupOp::InsertOverlayNeighbor {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.put_u8(9);
-                w.put_u8(*cycle);
-                new_group.wire_encode(w);
-                composition.wire_encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for GroupOp {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => GroupOp::HandleJoinRequest {
-                joiner: NodeId::wire_decode(r)?,
-                nonce: r.take_u64()?,
-                rejoin: r.take_bool()?,
-            },
-            1 => GroupOp::AdmitJoiner {
-                joiner: NodeId::wire_decode(r)?,
-                walk: WalkId::wire_decode(r)?,
-            },
-            2 => GroupOp::Leave {
-                node: NodeId::wire_decode(r)?,
-                nonce: r.take_u64()?,
-            },
-            3 => GroupOp::Evict {
-                node: NodeId::wire_decode(r)?,
-                accuser: NodeId::wire_decode(r)?,
-                nonce: r.take_u64()?,
-            },
-            4 => GroupOp::Broadcast {
-                id: BroadcastId::wire_decode(r)?,
-                payload: Arc::<[u8]>::wire_decode(r)?,
-            },
-            5 => GroupOp::OfferExchange {
-                walk: WalkId::wire_decode(r)?,
-                leaving: NodeId::wire_decode(r)?,
-                origin_composition: Composition::wire_decode(r)?,
-            },
-            6 => GroupOp::CompleteExchange {
-                walk: WalkId::wire_decode(r)?,
-                leaving: NodeId::wire_decode(r)?,
-                incoming: NodeId::wire_decode(r)?,
-                partner_composition: Composition::wire_decode(r)?,
-            },
-            7 => GroupOp::FinishExchange {
-                walk: WalkId::wire_decode(r)?,
-                given: NodeId::wire_decode(r)?,
-                adopted: NodeId::wire_decode(r)?,
-            },
-            8 => GroupOp::AcceptMerge {
-                from: VgroupId::wire_decode(r)?,
-                members: r.take_seq(8)?,
-            },
-            9 => GroupOp::InsertOverlayNeighbor {
-                cycle: r.take_u8()?,
-                new_group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-            },
-            _ => return Err(WireError::Malformed("group-op tag")),
-        })
-    }
-}
+atum_types::wire_codec!(GroupOp, "group-op tag" {
+    0 => HandleJoinRequest { joiner, nonce, rejoin },
+    1 => AdmitJoiner { joiner, walk },
+    2 => Leave { node, nonce },
+    3 => Evict { node, accuser, nonce },
+    4 => Broadcast { id, payload },
+    5 => OfferExchange { walk, leaving, origin_composition },
+    6 => CompleteExchange { walk, leaving, incoming, partner_composition },
+    7 => FinishExchange { walk, given, adopted },
+    8 => AcceptMerge { from, members: seq(8) },
+    9 => InsertOverlayNeighbor { cycle, new_group, composition },
+});
 
 /// Top-level message type exchanged between Atum nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -910,120 +627,20 @@ impl FrameMemo for AtumMessage {
     }
 }
 
-impl WireEncode for AtumMessage {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            AtumMessage::JoinContactRequest => w.put_u8(0),
-            AtumMessage::JoinContactReply { composition } => {
-                w.put_u8(1);
-                composition.wire_encode(w);
-            }
-            AtumMessage::JoinRequest {
-                joiner,
-                nonce,
-                rejoin,
-            } => {
-                w.put_u8(2);
-                joiner.wire_encode(w);
-                w.put_u64(*nonce);
-                w.put_bool(*rejoin);
-            }
-            AtumMessage::Welcome(config) => {
-                w.put_u8(3);
-                config.wire_encode(w);
-            }
-            AtumMessage::StateRequest { group, epoch } => {
-                w.put_u8(4);
-                group.wire_encode(w);
-                w.put_u64(*epoch);
-            }
-            AtumMessage::Heartbeat { group, epoch } => {
-                w.put_u8(5);
-                group.wire_encode(w);
-                w.put_u64(*epoch);
-            }
-            AtumMessage::Smr { group, epoch, msg } => {
-                w.put_u8(6);
-                group.wire_encode(w);
-                w.put_u64(*epoch);
-                msg.wire_encode(w);
-            }
-            AtumMessage::Group(envelope) => {
-                w.put_u8(7);
-                envelope.wire_encode(w);
-            }
-            AtumMessage::App {
-                payload,
-                advertised_size,
-            } => {
-                w.put_u8(8);
-                payload.wire_encode(w);
-                w.put_u32(*advertised_size);
-            }
-            AtumMessage::BroadcastKeys { group, keys } => {
-                w.put_u8(9);
-                group.wire_encode(w);
-                w.put_seq(keys);
-            }
-            AtumMessage::BroadcastPull { group, keys, voted } => {
-                w.put_u8(10);
-                group.wire_encode(w);
-                w.put_seq(keys);
-                voted.wire_encode(w);
-            }
-            AtumMessage::GroupVote(vote) => {
-                w.put_u8(11);
-                vote.wire_encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for AtumMessage {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => AtumMessage::JoinContactRequest,
-            1 => AtumMessage::JoinContactReply {
-                composition: Composition::wire_decode(r)?,
-            },
-            2 => AtumMessage::JoinRequest {
-                joiner: NodeId::wire_decode(r)?,
-                nonce: r.take_u64()?,
-                rejoin: r.take_bool()?,
-            },
-            3 => AtumMessage::Welcome(Configuration::wire_decode(r)?),
-            4 => AtumMessage::StateRequest {
-                group: VgroupId::wire_decode(r)?,
-                epoch: r.take_u64()?,
-            },
-            5 => AtumMessage::Heartbeat {
-                group: VgroupId::wire_decode(r)?,
-                epoch: r.take_u64()?,
-            },
-            6 => AtumMessage::Smr {
-                group: VgroupId::wire_decode(r)?,
-                epoch: r.take_u64()?,
-                msg: SmrMessage::wire_decode(r)?,
-            },
-            7 => AtumMessage::Group(Arc::new(GroupEnvelope::wire_decode(r)?)),
-            8 => AtumMessage::App {
-                payload: Vec::<u8>::wire_decode(r)?,
-                advertised_size: r.take_u32()?,
-            },
-            9 => AtumMessage::BroadcastKeys {
-                group: VgroupId::wire_decode(r)?,
-                keys: r.take_seq(16)?,
-            },
-            10 => AtumMessage::BroadcastPull {
-                group: VgroupId::wire_decode(r)?,
-                keys: r.take_seq(16)?,
-                voted: Option::wire_decode(r)?,
-            },
-            11 => AtumMessage::GroupVote(Arc::new(GroupVote::wire_decode(r)?)),
-            _ => return Err(WireError::Malformed("atum-message tag")),
-        })
-    }
-}
+atum_types::wire_codec!(AtumMessage, "atum-message tag" {
+    0 => JoinContactRequest,
+    1 => JoinContactReply { composition },
+    2 => JoinRequest { joiner, nonce, rejoin },
+    3 => Welcome(config),
+    4 => StateRequest { group, epoch },
+    5 => Heartbeat { group, epoch },
+    6 => Smr { group, epoch, msg },
+    7 => Group(envelope),
+    8 => App { payload, advertised_size },
+    9 => BroadcastKeys { group, keys: seq(16) },
+    10 => BroadcastPull { group, keys: seq(16), voted },
+    11 => GroupVote(vote),
+});
 
 /// The simulator's per-message byte count is the *exact* encoded frame this
 /// message occupies on a real socket: header plus codec body. The `App`

@@ -8,7 +8,7 @@
 
 use crate::digest::Digest;
 use crate::keys::{KeyRegistry, NodeSigner, Signature};
-use atum_types::{NodeId, WireDecode, WireEncode, WireError, WireReader, WireWriter};
+use atum_types::NodeId;
 use sha2::{Digest as _, Sha256};
 
 /// A chain of signatures over a common payload digest.
@@ -134,21 +134,11 @@ impl SignatureChain {
     }
 }
 
-impl WireEncode for SignatureChain {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.payload.wire_encode(w);
-        w.put_seq(&self.links);
-    }
-}
-
-impl WireDecode for SignatureChain {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let payload = Digest::wire_decode(r)?;
-        // Each link is a NodeId (8) + a 32-byte signature tag.
-        let links = r.take_seq(40)?;
-        Ok(SignatureChain::from_parts(payload, links))
-    }
-}
+// Each link is a NodeId (8) + a 32-byte signature tag.
+atum_types::wire_codec!(SignatureChain {
+    payload,
+    links: seq(40)
+});
 
 #[cfg(test)]
 mod tests {

@@ -25,9 +25,9 @@
 //! connection deliberately; see the runtime).
 
 use atum_types::wire::{
-    decode_exact, encode_to_vec, FrameMemo, WireDecode, WireEncode, WireError, WireReader,
-    WireWriter, FRAME_HEADER_LEN, FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE,
-    FRAME_MAGIC, MAX_FRAME_LEN, WIRE_VERSION,
+    decode_exact, encode_to_vec, FrameMemo, WireDecode, WireEncode, WireError, FRAME_HEADER_LEN,
+    FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE, FRAME_MAGIC, MAX_FRAME_LEN,
+    WIRE_VERSION,
 };
 use atum_types::NodeId;
 use std::io::Read;
@@ -43,21 +43,7 @@ pub struct Hello {
     pub listen_port: u16,
 }
 
-impl WireEncode for Hello {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.node.wire_encode(w);
-        w.put_u16(self.listen_port);
-    }
-}
-
-impl WireDecode for Hello {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Hello {
-            node: NodeId::wire_decode(r)?,
-            listen_port: r.take_u16()?,
-        })
-    }
-}
+atum_types::wire_codec!(Hello { node, listen_port });
 
 /// The routing header preceding every message frame: which node sent the
 /// message that follows, and which hosted node it is addressed to. A
@@ -71,21 +57,7 @@ pub struct Route {
     pub to: NodeId,
 }
 
-impl WireEncode for Route {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.from.wire_encode(w);
-        self.to.wire_encode(w);
-    }
-}
-
-impl WireDecode for Route {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Route {
-            from: NodeId::wire_decode(r)?,
-            to: NodeId::wire_decode(r)?,
-        })
-    }
-}
+atum_types::wire_codec!(Route { from, to });
 
 /// Encoded length of a [`Route`] frame (header + two ids).
 pub const ROUTE_FRAME_LEN: usize = FRAME_HEADER_LEN + 16;

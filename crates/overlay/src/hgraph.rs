@@ -1,9 +1,7 @@
 //! The H-graph: a multigraph over vgroups made of `hc` random Hamiltonian
 //! cycles, plus the per-vgroup neighbour tables nodes actually hold.
 
-use atum_types::{
-    Composition, VgroupId, WireDecode, WireEncode, WireError, WireReader, WireWriter,
-};
+use atum_types::{Composition, VgroupId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -223,25 +221,12 @@ pub struct CycleNeighbors {
     pub successor_composition: Composition,
 }
 
-impl WireEncode for CycleNeighbors {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.predecessor.wire_encode(w);
-        self.predecessor_composition.wire_encode(w);
-        self.successor.wire_encode(w);
-        self.successor_composition.wire_encode(w);
-    }
-}
-
-impl WireDecode for CycleNeighbors {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(CycleNeighbors {
-            predecessor: VgroupId::wire_decode(r)?,
-            predecessor_composition: Composition::wire_decode(r)?,
-            successor: VgroupId::wire_decode(r)?,
-            successor_composition: Composition::wire_decode(r)?,
-        })
-    }
-}
+atum_types::wire_codec!(CycleNeighbors {
+    predecessor,
+    predecessor_composition,
+    successor,
+    successor_composition,
+});
 
 /// A vgroup's local view of the overlay: its neighbours on every cycle.
 ///
@@ -355,19 +340,8 @@ impl NeighborTable {
     }
 }
 
-impl WireEncode for NeighborTable {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_seq(&self.per_cycle);
-    }
-}
-
-impl WireDecode for NeighborTable {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // Each per-cycle slot is at least its one-byte presence tag.
-        let per_cycle = r.take_seq(1)?;
-        Ok(NeighborTable { per_cycle })
-    }
-}
+// Each per-cycle slot is at least its one-byte presence tag.
+atum_types::wire_codec!(NeighborTable { per_cycle: seq(1) });
 
 #[cfg(test)]
 mod tests {

@@ -54,50 +54,12 @@ pub enum WalkPurpose {
     },
 }
 
-impl WireEncode for WalkPurpose {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            WalkPurpose::JoinPlacement { joiner } => {
-                w.put_u8(0);
-                joiner.wire_encode(w);
-            }
-            WalkPurpose::ShuffleExchange { member } => {
-                w.put_u8(1);
-                member.wire_encode(w);
-            }
-            WalkPurpose::SplitAnchor {
-                cycle,
-                new_group,
-                composition,
-            } => {
-                w.put_u8(2);
-                w.put_u8(*cycle);
-                new_group.wire_encode(w);
-                composition.wire_encode(w);
-            }
-        }
-    }
-}
-
-impl WireDecode for WalkPurpose {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => WalkPurpose::JoinPlacement {
-                joiner: NodeId::wire_decode(r)?,
-            },
-            1 => WalkPurpose::ShuffleExchange {
-                member: NodeId::wire_decode(r)?,
-            },
-            2 => WalkPurpose::SplitAnchor {
-                cycle: r.take_u8()?,
-                new_group: VgroupId::wire_decode(r)?,
-                composition: Composition::wire_decode(r)?,
-            },
-            // Tag 3 was a plain sample that no vgroup acted on: retired.
-            _ => return Err(WireError::Malformed("walk-purpose tag")),
-        })
-    }
-}
+atum_types::wire_codec!(WalkPurpose, "walk-purpose tag" {
+    0 => JoinPlacement { joiner },
+    1 => ShuffleExchange { member },
+    2 => SplitAnchor { cycle, new_group, composition },
+    // Tag 3 was a plain sample that no vgroup acted on: retired.
+});
 
 /// The state carried by a random walk message.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,10 +2,7 @@
 //! message / action / configuration types.
 
 use atum_crypto::{Digest, SignatureChain};
-use atum_types::{
-    Composition, Duration, Instant, NodeId, WireDecode, WireEncode, WireError, WireReader,
-    WireWriter,
-};
+use atum_types::{Composition, Duration, Instant, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// An operation that can be ordered by the SMR engines.
@@ -122,98 +119,15 @@ pub enum SmrMessage<O> {
     },
 }
 
-impl<O: WireEncode> WireEncode for SmrMessage<O> {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            SmrMessage::SyncValue {
-                slot,
-                sender,
-                batch,
-                chain,
-            } => {
-                w.put_u8(0);
-                w.put_u64(*slot);
-                sender.wire_encode(w);
-                w.put_seq(batch);
-                chain.wire_encode(w);
-            }
-            SmrMessage::Request { op } => {
-                w.put_u8(1);
-                op.wire_encode(w);
-            }
-            SmrMessage::PrePrepare { view, seq, op } => {
-                w.put_u8(2);
-                w.put_u64(*view);
-                w.put_u64(*seq);
-                op.wire_encode(w);
-            }
-            SmrMessage::Prepare { view, seq, digest } => {
-                w.put_u8(3);
-                w.put_u64(*view);
-                w.put_u64(*seq);
-                digest.wire_encode(w);
-            }
-            SmrMessage::Commit { view, seq, digest } => {
-                w.put_u8(4);
-                w.put_u64(*view);
-                w.put_u64(*seq);
-                digest.wire_encode(w);
-            }
-            SmrMessage::ViewChange { new_view, prepared } => {
-                w.put_u8(5);
-                w.put_u64(*new_view);
-                w.put_seq(prepared);
-            }
-            SmrMessage::NewView { view, ops, skips } => {
-                w.put_u8(6);
-                w.put_u64(*view);
-                w.put_seq(ops);
-                w.put_seq(skips);
-            }
-        }
-    }
-}
-
-impl<O: WireDecode> WireDecode for SmrMessage<O> {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => SmrMessage::SyncValue {
-                slot: r.take_u64()?,
-                sender: NodeId::wire_decode(r)?,
-                batch: r.take_seq(1)?,
-                chain: SignatureChain::wire_decode(r)?,
-            },
-            1 => SmrMessage::Request {
-                op: O::wire_decode(r)?,
-            },
-            2 => SmrMessage::PrePrepare {
-                view: r.take_u64()?,
-                seq: r.take_u64()?,
-                op: O::wire_decode(r)?,
-            },
-            3 => SmrMessage::Prepare {
-                view: r.take_u64()?,
-                seq: r.take_u64()?,
-                digest: Digest::wire_decode(r)?,
-            },
-            4 => SmrMessage::Commit {
-                view: r.take_u64()?,
-                seq: r.take_u64()?,
-                digest: Digest::wire_decode(r)?,
-            },
-            5 => SmrMessage::ViewChange {
-                new_view: r.take_u64()?,
-                prepared: r.take_seq(9)?,
-            },
-            6 => SmrMessage::NewView {
-                view: r.take_u64()?,
-                ops: r.take_seq(9)?,
-                skips: r.take_seq(8)?,
-            },
-            _ => return Err(WireError::Malformed("smr-message tag")),
-        })
-    }
-}
+atum_types::wire_codec!(SmrMessage<O>, "smr-message tag" {
+    0 => SyncValue { slot, sender, batch: seq(1), chain },
+    1 => Request { op },
+    2 => PrePrepare { view, seq, op },
+    3 => Prepare { view, seq, digest },
+    4 => Commit { view, seq, digest },
+    5 => ViewChange { new_view, prepared: seq(9) },
+    6 => NewView { view, ops: seq(9), skips: seq(8) },
+});
 
 /// How a (test-injected) faulty replica misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -21,8 +21,6 @@
 //!
 //! Variant tags are wire ABI — append new variants, never renumber.
 
-use crate::wire::{WireDecode, WireEncode, WireError, WireReader, WireWriter};
-
 /// One client request to a gateway.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeRequest {
@@ -115,20 +113,6 @@ pub enum EdgeStatus {
 }
 
 impl EdgeStatus {
-    /// Reconstructs a status from its wire tag.
-    pub fn from_u8(raw: u8) -> Option<EdgeStatus> {
-        Some(match raw {
-            0 => EdgeStatus::Ok,
-            1 => EdgeStatus::Overloaded,
-            2 => EdgeStatus::Unavailable,
-            3 => EdgeStatus::DeadlineExceeded,
-            4 => EdgeStatus::BadRequest,
-            5 => EdgeStatus::ShuttingDown,
-            6 => EdgeStatus::Duplicate,
-            _ => return None,
-        })
-    }
-
     /// The stable lowercase name (used in stats snapshots and logs).
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -143,91 +127,40 @@ impl EdgeStatus {
     }
 }
 
-impl WireEncode for EdgeOp {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        match self {
-            EdgeOp::Health => w.put_u8(0),
-            EdgeOp::Stats => w.put_u8(1),
-            EdgeOp::Publish { topic, payload } => {
-                w.put_u8(2);
-                w.put_u64(*topic);
-                payload.wire_encode(w);
-            }
-            EdgeOp::Fetch { key } => {
-                w.put_u8(3);
-                w.put_u64(*key);
-            }
-            EdgeOp::Append { stream, chunk } => {
-                w.put_u8(4);
-                w.put_u64(*stream);
-                chunk.wire_encode(w);
-            }
-        }
-    }
-}
+crate::wire_codec!(EdgeStatus, "edge status tag" {
+    0 => Ok,
+    1 => Overloaded,
+    2 => Unavailable,
+    3 => DeadlineExceeded,
+    4 => BadRequest,
+    5 => ShuttingDown,
+    6 => Duplicate,
+});
 
-impl WireDecode for EdgeOp {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take_u8()? {
-            0 => EdgeOp::Health,
-            1 => EdgeOp::Stats,
-            2 => EdgeOp::Publish {
-                topic: r.take_u64()?,
-                payload: Vec::<u8>::wire_decode(r)?,
-            },
-            3 => EdgeOp::Fetch { key: r.take_u64()? },
-            4 => EdgeOp::Append {
-                stream: r.take_u64()?,
-                chunk: Vec::<u8>::wire_decode(r)?,
-            },
-            _ => return Err(WireError::Malformed("edge op tag")),
-        })
-    }
-}
+crate::wire_codec!(EdgeOp, "edge op tag" {
+    0 => Health,
+    1 => Stats,
+    2 => Publish { topic, payload },
+    3 => Fetch { key },
+    4 => Append { stream, chunk },
+});
 
-impl WireEncode for EdgeRequest {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u64(self.seq);
-        self.idempotency_key.wire_encode(w);
-        w.put_u32(self.deadline_ms);
-        self.op.wire_encode(w);
-    }
-}
-
-impl WireDecode for EdgeRequest {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EdgeRequest {
-            seq: r.take_u64()?,
-            idempotency_key: Option::<u64>::wire_decode(r)?,
-            deadline_ms: r.take_u32()?,
-            op: EdgeOp::wire_decode(r)?,
-        })
-    }
-}
-
-impl WireEncode for EdgeResponse {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u64(self.seq);
-        w.put_u8(self.status as u8);
-        self.payload.wire_encode(w);
-    }
-}
-
-impl WireDecode for EdgeResponse {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(EdgeResponse {
-            seq: r.take_u64()?,
-            status: EdgeStatus::from_u8(r.take_u8()?)
-                .ok_or(WireError::Malformed("edge status tag"))?,
-            payload: Vec::<u8>::wire_decode(r)?,
-        })
-    }
-}
+crate::wire_codec!(EdgeRequest {
+    seq,
+    idempotency_key,
+    deadline_ms,
+    op
+});
+crate::wire_codec!(EdgeResponse {
+    seq,
+    status,
+    payload
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_exact, encode_to_vec};
+    use crate::wire::{decode_exact, encode_to_vec, WireDecode, WireEncode, WireError};
 
     fn round_trip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = encode_to_vec(v);
@@ -268,7 +201,7 @@ mod tests {
     #[test]
     fn responses_round_trip_over_every_status() {
         for raw in 0..=6u8 {
-            let status = EdgeStatus::from_u8(raw).expect("valid status");
+            let status: EdgeStatus = decode_exact(&[raw]).expect("valid status");
             assert_eq!(status as u8, raw);
             round_trip(&EdgeResponse {
                 seq: raw as u64,
@@ -276,7 +209,10 @@ mod tests {
                 payload: vec![raw; raw as usize],
             });
         }
-        assert_eq!(EdgeStatus::from_u8(7), None);
+        assert_eq!(
+            decode_exact::<EdgeStatus>(&[7]),
+            Err(WireError::Malformed("edge status tag"))
+        );
     }
 
     #[test]

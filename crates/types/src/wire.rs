@@ -23,8 +23,9 @@
 //! decoders reject anything else); sequences are a `u32` length prefix
 //! followed by the elements; a `String` is its UTF-8 bytes as such a sequence
 //! (decoders reject invalid UTF-8); `Option` is a one-byte presence tag; enums
-//! are a one-byte variant tag followed by the fields in declaration order.
-//! Variant tags are wire ABI — append new variants, never renumber.
+//! are a one-byte variant tag followed by the fields, in the order the type's
+//! [`wire_codec!`](crate::wire_codec) list gives them. Tags are wire ABI:
+//! retired tags stay commented beside the list, never reused.
 //!
 //! # Decode hardening
 //!
@@ -35,7 +36,7 @@
 //! garbage into [`WireError::TrailingBytes`]).
 
 use crate::composition::Composition;
-use crate::id::{BroadcastId, NodeId, VgroupId, WalkId};
+use crate::id::{BroadcastId, NodeId, TopicId, VgroupId, WalkId};
 use std::fmt;
 use std::sync::Arc;
 
@@ -442,18 +443,140 @@ pub fn decode_exact<T: WireDecode>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
-// ------------------------------------------------- codec impls (primitives)
+// ---------------------------------------------------------- the codec list
 
-impl WireEncode for u64 {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        w.put_u64(*self);
-    }
+/// Generates a type's [`WireEncode`] and [`WireDecode`] impls from one
+/// ordered list of its wire tags and field names, so the encode walk and the
+/// decode walk cannot drift apart. The type itself stays a plain declaration.
+///
+/// ```text
+/// wire_codec!(GroupVote { source, source_composition, digest, id });
+/// wire_codec!(AtumMessage, "atum-message tag" {
+///     0 => JoinContactRequest,
+///     3 => Welcome(config),
+///     9 => BroadcastKeys { group, keys: seq(16) },
+/// });
+/// wire_codec!(SmrMessage<O>, "smr-message tag" { ... });
+/// wire_codec!([kind::ASUB_EVENT] AsubEvent { topic, data });
+/// ```
+///
+/// * A struct is its fields in list order. An enum is a one-byte tag, then
+///   the variant's fields in list order; an unknown tag decodes to
+///   `WireError::Malformed` with the given name.
+/// * Every field is its own type's codec, except `name: seq(N)`: a `Vec`
+///   written with [`WireWriter::put_seq`] and read with
+///   [`WireReader::take_seq`]`(N)`, `N` being the least bytes an item takes.
+/// * `<O>` makes the impls generic over one type parameter.
+/// * `[K]` leads every encoding with the constant byte `K`; a decode that
+///   finds another byte fails as `Malformed("payload kind")`.
+///
+/// Decode names no types: each field's is inferred from the constructor,
+/// and a struct literal evaluates its fields in the order written. The
+/// compiler checks the list is whole: a field left out fails the encode's
+/// pattern and the decode's literal, a variant left out fails the match.
+#[macro_export]
+macro_rules! wire_codec {
+    (@put $w:ident, $field:ident) => {
+        $crate::WireEncode::wire_encode($field, $w)
+    };
+    (@put $w:ident, $field:ident, $bound:expr) => {
+        $w.put_seq($field)
+    };
+    (@take $r:ident, $field:ident) => {
+        $crate::WireDecode::wire_decode($r)?
+    };
+    (@take $r:ident, $field:ident, $bound:expr) => {
+        $r.take_seq($bound)?
+    };
+    (@kind $r:ident, $kind:expr) => {
+        if $r.take_u8()? != $kind {
+            return Err($crate::WireError::Malformed("payload kind"));
+        }
+    };
+    ($([$kind:expr])? $ty:ident $(<$p:ident>)?, $unknown:literal {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident $(: seq($bound:expr))?),* $(,)? })?
+            $(( $($item:ident),* ))?
+        ),* $(,)?
+    }) => {
+        impl$(<$p: $crate::WireEncode>)? $crate::WireEncode for $ty$(<$p>)? {
+            fn wire_encode(&self, w: &mut $crate::WireWriter<'_>) {
+                $(w.put_u8($kind);)?
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($item),* ))? => {
+                        w.put_u8($tag);
+                        $($($crate::wire_codec!(@put w, $field $(, $bound)?);)*)?
+                        $($($crate::wire_codec!(@put w, $item);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl$(<$p: $crate::WireDecode>)? $crate::WireDecode for $ty$(<$p>)? {
+            fn wire_decode(
+                r: &mut $crate::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::WireError> {
+                $($crate::wire_codec!(@kind r, $kind);)?
+                Ok(match r.take_u8()? {
+                    $($tag => Self::$variant
+                        $({ $($field: $crate::wire_codec!(@take r, $field $(, $bound)?)),* })?
+                        $(( $($crate::wire_codec!(@take r, $item)),* ))?,
+                    )*
+                    _ => return Err($crate::WireError::Malformed($unknown)),
+                })
+            }
+        }
+    };
+    ($([$kind:expr])? $ty:ident $(<$p:ident>)? {
+        $($field:ident $(: seq($bound:expr))?),* $(,)?
+    }) => {
+        impl$(<$p: $crate::WireEncode>)? $crate::WireEncode for $ty$(<$p>)? {
+            fn wire_encode(&self, w: &mut $crate::WireWriter<'_>) {
+                $(w.put_u8($kind);)?
+                let Self { $($field),* } = self;
+                $($crate::wire_codec!(@put w, $field $(, $bound)?);)*
+            }
+        }
+
+        impl$(<$p: $crate::WireDecode>)? $crate::WireDecode for $ty$(<$p>)? {
+            fn wire_decode(
+                r: &mut $crate::WireReader<'_>,
+            ) -> ::core::result::Result<Self, $crate::WireError> {
+                $($crate::wire_codec!(@kind r, $kind);)?
+                Ok(Self { $($field: $crate::wire_codec!(@take r, $field $(, $bound)?)),* })
+            }
+        }
+    };
 }
 
-impl WireDecode for u64 {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        r.take_u64()
-    }
+// ------------------------------------------------- codec impls (primitives)
+
+// `#[inline]` for the reason the `put_*` methods carry it: a generated codec
+// calls these once per scalar field, from another crate.
+macro_rules! scalar_codec {
+    ($($ty:ty: $put:ident, $take:ident;)*) => {$(
+        impl WireEncode for $ty {
+            #[inline]
+            fn wire_encode(&self, w: &mut WireWriter<'_>) {
+                w.$put(*self);
+            }
+        }
+
+        impl WireDecode for $ty {
+            #[inline]
+            fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                r.$take()
+            }
+        }
+    )*};
+}
+
+scalar_codec! {
+    u8: put_u8, take_u8;
+    u16: put_u16, take_u16;
+    u32: put_u32, take_u32;
+    u64: put_u64, take_u64;
+    bool: put_bool, take_bool;
 }
 
 impl WireEncode for Vec<u8> {
@@ -573,31 +696,20 @@ impl WireDecode for VgroupId {
     }
 }
 
-impl WireEncode for BroadcastId {
+impl WireEncode for TopicId {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.origin.wire_encode(w);
-        w.put_u64(self.seq);
+        w.put_u64(self.raw());
     }
 }
 
-impl WireDecode for BroadcastId {
+impl WireDecode for TopicId {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(BroadcastId::new(NodeId::wire_decode(r)?, r.take_u64()?))
+        r.take_u64().map(TopicId::new)
     }
 }
 
-impl WireEncode for WalkId {
-    fn wire_encode(&self, w: &mut WireWriter<'_>) {
-        self.origin.wire_encode(w);
-        w.put_u64(self.seq);
-    }
-}
-
-impl WireDecode for WalkId {
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WalkId::new(VgroupId::wire_decode(r)?, r.take_u64()?))
-    }
-}
+wire_codec!(BroadcastId { origin, seq });
+wire_codec!(WalkId { origin, seq });
 
 impl WireEncode for Composition {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
