@@ -7,21 +7,21 @@
 //! node's broadcast sequence number, the bodies retained for repair, the
 //! delivery log and the experiment counters — lives in one [`Session`] per
 //! [`AtumNode`](crate::AtumNode). The membership holds it while it lasts;
-//! when it ends the node parks it, and the next membership is built around
-//! it. It is moved, never copied and never rebuilt, so a node cannot be
-//! handed a broadcast twice or reuse a [`BroadcastId`] however often it
-//! changes vgroup.
+//! when it ends, the node's next lifecycle phase holds it, and the next
+//! membership is built around it. It is moved, never copied and never
+//! rebuilt, so a node cannot be handed a broadcast twice or reuse a
+//! [`BroadcastId`] however often it changes vgroup.
 //!
 //! The session is also the *broadcast plane*: a sub-state-machine whose
 //! inputs are decided [`GroupOp::Broadcast`]s, accepted gossip and the
-//! repair messages, seen through a borrowed [`View`] of the current
+//! repair messages, seen through a borrowed `View` of the current
 //! membership, and whose outputs are [`Effect`]s. The SMR engine, the
 //! group-message collector and failure detection stay with the membership;
 //! for the one repair leg that needs agreement the plane *returns* the ops
 //! to re-decide.
 
 use crate::app::Delivered;
-use crate::member::{Configuration, Effect, MemberStats};
+use crate::member::{Configuration, Effect, MemberStats, Unrendered};
 use crate::message::{AtumMessage, GroupEnvelope, GroupOp, GroupPayload, GroupVote};
 use atum_crypto::Digest;
 use atum_overlay::{gossip::Direction, is_carrier, GossipPlanner, SeenCache};
@@ -184,7 +184,9 @@ impl Throttle {
 
 /// The node-lifetime state of one [`AtumNode`](crate::AtumNode); see the
 /// module docs. Ordered containers throughout (determinism lint), and
-/// `Clone` only so the model checker can branch a node.
+/// `Clone` only so the model checker can branch a node. Its derived `Debug`
+/// is part of the checker's fingerprint; the statistics are left out by
+/// type.
 #[derive(Debug, Clone)]
 pub struct Session {
     seen: SeenCache,
@@ -205,7 +207,7 @@ pub struct Session {
     /// ended before they were decided (with their digests, as the
     /// membership kept them): the next one proposes them again.
     undecided: Vec<(Digest, GroupOp)>,
-    stats: MemberStats,
+    stats: Unrendered<MemberStats>,
 }
 
 impl Default for Session {
@@ -218,7 +220,7 @@ impl Default for Session {
             pulled: Throttle::default(),
             repair_sent: Throttle::default(),
             undecided: Vec::new(),
-            stats: MemberStats::default(),
+            stats: Unrendered::default(),
         }
     }
 }
@@ -241,17 +243,7 @@ impl Session {
     }
 
     pub(crate) fn stats_mut(&mut self) -> &mut MemberStats {
-        &mut self.stats
-    }
-
-    /// Canonical rendering of the protocol-relevant session state for the
-    /// model checker's fingerprints (see `MemberState::canonical_state`);
-    /// the statistics are passive observers and left out.
-    pub(crate) fn canonical_state(&self) -> String {
-        format!(
-            "{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            self.next_seq, self.seen, self.recent, self.pulled, self.repair_sent, self.undecided
-        )
+        &mut self.stats.0
     }
 
     /// Allocates the next broadcast identifier of node `me`.
@@ -297,7 +289,7 @@ impl Session {
         if !self.seen.insert(id) {
             return;
         }
-        self.stats.delivered.push((id, now, hops));
+        self.stats.0.delivered.push((id, now, hops));
         self.remember_broadcast(view.params, id, payload.clone(), hops, now);
         let delivered = Delivered {
             id,

@@ -21,8 +21,8 @@
 //! pointer identity) is ever used, which keeps the trust-boundary guarantee
 //! intact.
 //!
-//! The cache is bounded two ways: at most [`CACHE_CAPACITY`] entries
-//! (FIFO-evicted) and only payloads up to [`MAX_ENTRY_BYTES`] are cached
+//! The cache is bounded two ways: at most `CACHE_CAPACITY` entries
+//! (FIFO-evicted) and only payloads up to `MAX_ENTRY_BYTES` are cached
 //! (larger ones are rare and their SHA-256 is a smaller *fraction* of their
 //! handling cost). The simulator never decodes wire bytes, so this cache is
 //! invisible to simulated trajectories (`fabric_equivalence` goldens).

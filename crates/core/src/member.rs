@@ -117,18 +117,40 @@ pub struct MemberStats {
     pub evictions: u64,
 }
 
+/// A field that is not protocol state: shared infrastructure or a
+/// statistic. Its `Debug` prints `_`, so the model checker's fingerprint
+/// (the derived `Debug` of a node's protocol state) leaves it out by type.
+#[derive(Clone, Default)]
+pub(crate) struct Unrendered<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for Unrendered<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::fmt::Debug for Unrendered<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("_")
+    }
+}
+
 /// The vgroup-membership state of one node: its three parts and what
 /// wires them together (see the module docs).
 ///
 /// All associative containers are ordered (`BTreeMap`/`BTreeSet`, enforced
 /// by the determinism lint): iteration order leaks into protocol behaviour
 /// and into the model checker's state fingerprints, so it must not depend
-/// on process-local hash seeds.
+/// on process-local hash seeds. Its derived `Debug` is that fingerprint;
+/// the parameters and the key registry are shared infrastructure and left
+/// out by type.
 #[derive(Debug, Clone)]
 pub struct MemberState {
     me: NodeId,
-    params: Params,
-    registry: Arc<KeyRegistry>,
+    params: Unrendered<Params>,
+    registry: Unrendered<Arc<KeyRegistry>>,
     group: Group,
     liveness: Liveness,
     upkeep: Upkeep,
@@ -227,19 +249,6 @@ impl Wiring<'_> {
 }
 
 impl MemberState {
-    /// Canonical rendering of the protocol-relevant member state, used by
-    /// the model checker to fingerprint global states for visited-set
-    /// dedup. Every container rendered here is ordered (`BTreeMap`,
-    /// `BTreeSet`, `Composition`), so equal protocol states produce equal
-    /// strings regardless of the history that led to them. Excludes the
-    /// parameters and the key registry (shared infrastructure) and the
-    /// [`Session`], which the host renders wherever it currently lives.
-    pub fn canonical_state(&self) -> String {
-        let parts = (&self.group, &self.liveness, &self.upkeep);
-        let proposer = (&self.my_pending, &self.collector);
-        format!("{:?}|{parts:?}|{proposer:?}", self.me)
-    }
-
     /// Creates the member state of a node that bootstraps a fresh system: a
     /// single vgroup containing only this node, neighbouring itself on every
     /// cycle.
@@ -270,8 +279,8 @@ impl MemberState {
         let liveness = Liveness::new(&group.view(me, &params), &registry, now);
         MemberState {
             me,
-            params,
-            registry,
+            params: Unrendered(params),
+            registry: Unrendered(registry),
             group,
             liveness,
             upkeep: Upkeep::new(now),
@@ -498,7 +507,7 @@ impl MemberState {
     /// towards the majority like a body-bearing copy of the same digest.
     ///
     /// When the majority comes without a body the session asks the voters
-    /// for it (see [`Session::pull_starved`]).
+    /// for it (see `Session::pull_starved`).
     pub fn on_group_vote(
         &mut self,
         from: NodeId,
@@ -605,7 +614,7 @@ impl MemberState {
     // ---------------------------------------------------- broadcast plane
 
     /// A vgroup peer — or a member of an overlay neighbour — advertised its
-    /// recently delivered broadcasts (see [`Session::on_broadcast_keys`]).
+    /// recently delivered broadcasts (see `Session::on_broadcast_keys`).
     pub fn on_broadcast_keys(
         &mut self,
         from: NodeId,
@@ -623,7 +632,7 @@ impl MemberState {
     }
 
     /// A requester asked for broadcasts it missed (see
-    /// [`Session::on_broadcast_pull`]): a cross-group one is answered by the
+    /// `Session::on_broadcast_pull`): a cross-group one is answered by the
     /// session; for an own-group one it names the broadcasts to re-decide.
     pub fn on_broadcast_pull(
         &mut self,
@@ -681,7 +690,7 @@ impl MemberState {
     /// never applied, for [`Self::resume`] to propose again.
     pub fn succeeded_by(self, config: Configuration, now: Instant) -> MemberState {
         let same_vgroup = self.group.config().vgroup == config.vgroup;
-        let (me, params, registry) = (self.me, self.params, self.registry);
+        let (me, params, registry) = (self.me, self.params.0, self.registry.0);
         let mut fresh = Self::with_membership(me, params, registry, self.session, config, now);
         if same_vgroup {
             // Same vgroup, newer epoch: the traffic-observed reverse links

@@ -1,5 +1,44 @@
 //! [`AtumNode`]: the per-process actor exposing the Atum API and hosting the
 //! vgroup member state machine.
+//!
+//! # Lifecycle
+//!
+//! A node is always in exactly one phase of a private `Lifecycle`, and each
+//! phase owns the state only it uses ([`NodePhase`] is its public
+//! projection):
+//!
+//! - `Idle`: created, not yet part of any instance;
+//! - `Joining`: a join through a contact is in flight (§3.3.2), with the
+//!   contact, when the attempt started and how many attempts timed out;
+//! - `Member`: the [`MemberState`] of the current vgroup membership;
+//! - `AwaitingTransfer`: a shuffle exchange moved the node out of its
+//!   vgroup, and it waits, since the instant given, for the new vgroup's
+//!   `Welcome`;
+//! - `Left`: left or evicted (§3.3.3), and whether it re-joins on its own.
+//!
+//! The node's one [`Session`] is held by the `Member` variant's membership,
+//! or by whichever non-member variant the node is in. Every transition
+//! consumes the old variant and builds the new one, so the session is
+//! moved, never copied, rebuilt or dropped.
+//!
+//! What outlives a phase sits beside the lifecycle, in `Carried`:
+//!
+//! - the join nonce: it is part of the `HandleJoinRequest` digest a vgroup
+//!   deduplicates on, so it must never restart;
+//! - the fallback pool and its rotation: a stalled join, transfer or
+//!   stranded membership re-joins through it, and the rotation survives a
+//!   refill so retries do not pin one dead contact;
+//! - the pending welcomes: a welcome quorum can complete from any phase,
+//!   a member's catch-up and a left node's re-admission included;
+//! - the Byzantine setting and its last heartbeat;
+//! - the last leave: a join reads it to decide on the re-join fast path,
+//!   and it survives a transfer.
+//!
+//! The model checker's fingerprint, [`AtumNode::canonical_state`], is the
+//! derived `Debug` of the id, the lifecycle and `Carried`. What is not
+//! protocol state is left out by type: the node's statistics, parameters,
+//! key registry and application sit outside both, and inside a membership
+//! or session they are wrapped so that they render as `_`.
 
 use crate::app::{AppCtx, Application};
 use crate::broadcast::Session;
@@ -52,14 +91,9 @@ pub enum ByzantineBehavior {
 /// Per-node statistics of interest to the experiments.
 #[derive(Debug, Clone, Default)]
 pub struct NodeStats {
-    /// When `join` was called.
-    pub join_requested_at: Option<Instant>,
-    /// When the node first became a member.
+    /// When the node last became a member (refreshed on every non-member
+    /// to member transition).
     pub joined_at: Option<Instant>,
-    /// When the node left (or was evicted).
-    pub left_at: Option<Instant>,
-    /// Number of broadcasts this node originated.
-    pub broadcasts_sent: u64,
 }
 
 /// A welcome quorum being assembled for one vgroup. Welcomes accumulate
@@ -76,6 +110,117 @@ struct PendingWelcome {
     senders: BTreeSet<NodeId>,
 }
 
+/// Where a node is in its lifecycle, with the state only that phase uses
+/// (see the module docs).
+#[derive(Debug, Clone)]
+enum Lifecycle {
+    /// Created, not yet part of any instance.
+    Idle { session: Session },
+    /// A join through `contact` is in flight, started at `since`.
+    Joining {
+        contact: NodeId,
+        since: Instant,
+        /// Timed-out attempts of this join. After two dead attempts the
+        /// joiner requests direct admission at the contact vgroup instead
+        /// of another placement walk — on a degraded overlay (walks dying
+        /// in ghost-heavy or dissolved vgroups) endless re-walks starve
+        /// joins entirely, and the uniformity loss is the same trade the
+        /// re-join fast path already makes: shuffle exchanges re-mix the
+        /// membership afterwards.
+        attempts: u32,
+        session: Session,
+    },
+    /// A full member of a vgroup; the membership holds the session.
+    Member(Box<MemberState>),
+    /// Moved out by a shuffle exchange at `since`; waiting for the
+    /// `Welcome` of the new vgroup.
+    AwaitingTransfer { since: Instant, session: Session },
+    /// No longer part of the instance.
+    Left {
+        /// `true` when the node was *involuntarily* removed (evicted, or
+        /// stranded past its patience). Such a node re-joins on its own
+        /// through a fallback peer; a node that left voluntarily stays out
+        /// until the application calls `join` again.
+        auto_rejoin: bool,
+        session: Session,
+    },
+}
+
+impl Lifecycle {
+    /// The node's session, wherever it currently lives.
+    fn session(&self) -> &Session {
+        match self {
+            Lifecycle::Member(member) => member.session(),
+            Lifecycle::Idle { session }
+            | Lifecycle::Joining { session, .. }
+            | Lifecycle::AwaitingTransfer { session, .. }
+            | Lifecycle::Left { session, .. } => session,
+        }
+    }
+
+    /// `true` when the node is part of no instance: it may bootstrap or
+    /// join one.
+    fn is_out(&self) -> bool {
+        matches!(self, Lifecycle::Idle { .. } | Lifecycle::Left { .. })
+    }
+
+    /// Ends this phase, handing its session on to the next one.
+    fn into_session(self) -> Session {
+        match self {
+            Lifecycle::Member(member) => member.into_session(),
+            Lifecycle::Idle { session }
+            | Lifecycle::Joining { session, .. }
+            | Lifecycle::AwaitingTransfer { session, .. }
+            | Lifecycle::Left { session, .. } => session,
+        }
+    }
+}
+
+/// Peers from the last vgroup this node belonged to (and from join
+/// replies), used to recover if a shuffle transfer never completes or a
+/// join contact stops responding. Rotated through on retries so a single
+/// dead contact cannot stall the node forever.
+#[derive(Debug, Clone, Default)]
+struct FallbackPool {
+    peers: Vec<NodeId>,
+    rotation: usize,
+}
+
+impl FallbackPool {
+    /// Replaces the pool with the members of `composition` other than
+    /// `me`. The rotation index deliberately survives the replacement: a
+    /// `JoinContactReply` refreshes this pool on every attempt, and
+    /// restarting the rotation there would pin a stalled joiner to the same
+    /// first peer on every retry.
+    fn replace(&mut self, me: NodeId, composition: &Composition) {
+        self.peers = composition.iter().filter(|&p| p != me).collect();
+    }
+
+    /// The next known peer to try as a join contact.
+    fn next(&mut self) -> Option<NodeId> {
+        if self.peers.is_empty() {
+            return None;
+        }
+        let idx = self.rotation % self.peers.len();
+        self.rotation += 1;
+        Some(self.peers[idx])
+    }
+}
+
+/// The protocol state that outlives a lifecycle phase (see the module
+/// docs for why each field does).
+#[derive(Debug, Clone, Default)]
+struct Carried {
+    join_nonce: u64,
+    fallback: FallbackPool,
+    pending_welcomes: BTreeMap<VgroupId, PendingWelcome>,
+    byzantine: ByzantineBehavior,
+    last_byz_heartbeat: Instant,
+    /// When the node last left (voluntarily or not); a transfer is not a
+    /// leave.
+    last_left: Option<Instant>,
+}
+
 /// An Atum node: the unit the application embeds and the simulator hosts.
 ///
 /// Ordered containers throughout (determinism lint), and `Clone` so the
@@ -86,37 +231,8 @@ pub struct AtumNode<A: Application> {
     params: Params,
     registry: Arc<KeyRegistry>,
     app: A,
-    phase: NodePhase,
-    /// The current membership; `None` between memberships.
-    member: Option<MemberState>,
-    /// The node's one [`Session`] while no membership holds it: exactly one
-    /// of `member` and `parked` is `Some` at any time. The session is
-    /// created in [`Self::new`] and only ever moved between the two.
-    parked: Option<Session>,
-    pending_welcomes: BTreeMap<VgroupId, PendingWelcome>,
-    byzantine: ByzantineBehavior,
-    join_nonce: u64,
-    /// Timed-out attempts of the current join (reset by [`Self::join`]).
-    /// After two dead attempts the joiner requests direct admission at the
-    /// contact vgroup instead of another placement walk — on a degraded
-    /// overlay (walks dying in ghost-heavy or dissolved vgroups) endless
-    /// re-walks starve joins entirely, and the uniformity loss is the same
-    /// trade the re-join fast path already makes: shuffle exchanges re-mix
-    /// the membership afterwards.
-    join_attempts: u32,
-    last_byz_heartbeat: Instant,
-    /// Peers from the last vgroup this node belonged to (and from join
-    /// replies), used to recover if a shuffle transfer never completes or a
-    /// join contact stops responding. Rotated through on retries so a single
-    /// dead contact cannot stall the node forever.
-    fallback_peers: Vec<NodeId>,
-    fallback_rotation: usize,
-    awaiting_since: Option<Instant>,
-    /// `true` while the node is in [`NodePhase::Left`] because it was
-    /// *involuntarily* removed (evicted, or stranded past its patience). Such
-    /// a node re-joins on its own through a fallback peer; a node that left
-    /// voluntarily stays out until the application calls `join` again.
-    auto_rejoin: bool,
+    lifecycle: Lifecycle,
+    carried: Carried,
     /// Statistics for experiments.
     pub stats: NodeStats,
 }
@@ -130,18 +246,10 @@ impl<A: Application> AtumNode<A> {
             params,
             registry,
             app,
-            phase: NodePhase::Idle,
-            member: None,
-            parked: Some(Session::default()),
-            pending_welcomes: BTreeMap::new(),
-            byzantine: ByzantineBehavior::Correct,
-            join_nonce: 0,
-            join_attempts: 0,
-            last_byz_heartbeat: Instant::ZERO,
-            fallback_peers: Vec::new(),
-            fallback_rotation: 0,
-            awaiting_since: None,
-            auto_rejoin: false,
+            lifecycle: Lifecycle::Idle {
+                session: Session::default(),
+            },
+            carried: Carried::default(),
             stats: NodeStats::default(),
         }
     }
@@ -157,16 +265,7 @@ impl<A: Application> AtumNode<A> {
         config: Configuration,
     ) -> Self {
         let mut node = Self::new(id, params, registry, app);
-        let session = node.unpark();
-        node.member = Some(MemberState::with_membership(
-            node.id,
-            node.params.clone(),
-            node.registry.clone(),
-            session,
-            config,
-            Instant::ZERO,
-        ));
-        node.phase = NodePhase::Member;
+        node.lifecycle = node.membership(Session::default(), config, Instant::ZERO);
         node.stats.joined_at = Some(Instant::ZERO);
         node
     }
@@ -177,13 +276,19 @@ impl<A: Application> AtumNode<A> {
     }
 
     /// Current lifecycle phase.
-    pub fn phase(&self) -> &NodePhase {
-        &self.phase
+    pub fn phase(&self) -> NodePhase {
+        match self.lifecycle {
+            Lifecycle::Idle { .. } => NodePhase::Idle,
+            Lifecycle::Joining { contact, since, .. } => NodePhase::Joining { contact, since },
+            Lifecycle::Member(_) => NodePhase::Member,
+            Lifecycle::AwaitingTransfer { .. } => NodePhase::AwaitingTransfer,
+            Lifecycle::Left { .. } => NodePhase::Left,
+        }
     }
 
     /// `true` once the node is a full member of a vgroup.
     pub fn is_member(&self) -> bool {
-        matches!(self.phase, NodePhase::Member)
+        matches!(self.lifecycle, Lifecycle::Member(_))
     }
 
     /// The application hosted by this node.
@@ -198,38 +303,27 @@ impl<A: Application> AtumNode<A> {
 
     /// The vgroup member state, if the node is a member.
     pub fn member(&self) -> Option<&MemberState> {
-        self.member.as_ref()
-    }
-
-    /// The node's session, wherever it currently lives.
-    fn session(&self) -> &Session {
-        let held = self.member.as_ref().map(MemberState::session);
-        held.or(self.parked.as_ref())
-            .expect("the session is held by the membership or parked")
-    }
-
-    /// Takes the parked session to build a membership around.
-    fn unpark(&mut self) -> Session {
-        self.parked
-            .take()
-            .expect("a node without a membership has its session parked")
+        match &self.lifecycle {
+            Lifecycle::Member(member) => Some(member),
+            _ => None,
+        }
     }
 
     /// Every broadcast this node has delivered, in order: (id, delivery
     /// time, overlay hops). Covers all of the node's memberships, and
     /// answers whether or not it is a member right now.
     pub fn delivered(&self) -> &[(BroadcastId, Instant, u32)] {
-        &self.session().stats().delivered
+        &self.lifecycle.session().stats().delivered
     }
 
     /// Configures Byzantine fault injection for this node.
     pub fn set_byzantine(&mut self, behavior: ByzantineBehavior) {
-        self.byzantine = behavior;
+        self.carried.byzantine = behavior;
     }
 
     /// The node's Byzantine behaviour setting.
     pub fn byzantine(&self) -> ByzantineBehavior {
-        self.byzantine
+        self.carried.byzantine
     }
 
     // ------------------------------------------------------------- API
@@ -244,18 +338,17 @@ impl<A: Application> AtumNode<A> {
     /// inconsistent.
     pub fn bootstrap(&mut self, ctx: &mut Context<'_, AtumMessage>) -> Result<()> {
         self.params.validate()?;
-        if !matches!(self.phase, NodePhase::Idle | NodePhase::Left) {
+        if !self.lifecycle.is_out() {
             return Err(AtumError::AlreadyJoined);
         }
-        let session = self.unpark();
-        self.member = Some(MemberState::bootstrap(
+        let session = self.take_lifecycle().into_session();
+        self.lifecycle = Lifecycle::Member(Box::new(MemberState::bootstrap(
             self.id,
             self.params.clone(),
             self.registry.clone(),
             session,
             ctx.now(),
-        ));
-        self.phase = NodePhase::Member;
+        )));
         self.stats.joined_at = Some(ctx.now());
         Ok(())
     }
@@ -267,22 +360,21 @@ impl<A: Application> AtumNode<A> {
     /// Returns [`AtumError::AlreadyJoined`] if the node is already a member
     /// or has a join in progress.
     pub fn join(&mut self, contact: NodeId, ctx: &mut Context<'_, AtumMessage>) -> Result<()> {
-        if !matches!(self.phase, NodePhase::Idle | NodePhase::Left) {
+        if !self.lifecycle.is_out() {
             return Err(AtumError::AlreadyJoined);
         }
-        self.join_nonce += 1;
-        self.join_attempts = 0;
-        self.auto_rejoin = false;
-        self.phase = NodePhase::Joining {
+        self.carried.join_nonce += 1;
+        self.lifecycle = Lifecycle::Joining {
             contact,
             since: ctx.now(),
+            attempts: 0,
+            session: self.take_lifecycle().into_session(),
         };
-        self.stats.join_requested_at = Some(ctx.now());
         atum_obs::trace_event!(
             Join,
             at = ctx.now().as_micros(),
             node = self.id.raw(),
-            slots = [contact.raw(), self.join_nonce, 0],
+            slots = [contact.raw(), self.carried.join_nonce, 0],
             "join started via contact {contact}"
         );
         ctx.send(contact, AtumMessage::JoinContactRequest);
@@ -313,13 +405,10 @@ impl<A: Application> AtumNode<A> {
         payload: Vec<u8>,
         ctx: &mut Context<'_, AtumMessage>,
     ) -> Result<BroadcastId> {
-        let id = self
-            .with_member(ctx, |member, now, effects| {
-                member.start_broadcast(payload, now, effects)
-            })
-            .ok_or(AtumError::NotJoined)?;
-        self.stats.broadcasts_sent += 1;
-        Ok(id)
+        self.with_member(ctx, |member, now, effects| {
+            member.start_broadcast(payload, now, effects)
+        })
+        .ok_or(AtumError::NotJoined)
     }
 
     /// Sends an opaque application message to another node (used by the
@@ -359,6 +448,23 @@ impl<A: Application> AtumNode<A> {
 
     // --------------------------------------------------------- internals
 
+    /// Takes the lifecycle out for a transition to consume; the transition
+    /// puts the next phase back. The placeholder holds an empty session and
+    /// is never observed.
+    fn take_lifecycle(&mut self) -> Lifecycle {
+        let placeholder = Lifecycle::Idle {
+            session: Session::default(),
+        };
+        std::mem::replace(&mut self.lifecycle, placeholder)
+    }
+
+    /// A membership of this node in `config`, built around `session`.
+    fn membership(&self, session: Session, config: Configuration, now: Instant) -> Lifecycle {
+        let (params, registry) = (self.params.clone(), self.registry.clone());
+        let member = MemberState::with_membership(self.id, params, registry, session, config, now);
+        Lifecycle::Member(Box::new(member))
+    }
+
     /// Runs `f` on the member state — nothing when the node is not a member
     /// — and carries out the effects it produced.
     fn with_member<R>(
@@ -366,20 +472,26 @@ impl<A: Application> AtumNode<A> {
         ctx: &mut Context<'_, AtumMessage>,
         f: impl FnOnce(&mut MemberState, Instant, &mut Vec<Effect>) -> R,
     ) -> Option<R> {
-        let member = self.member.as_mut()?;
+        let Lifecycle::Member(member) = &mut self.lifecycle else {
+            return None;
+        };
         let mut effects = Vec::new();
         let result = f(member, ctx.now(), &mut effects);
         self.run_effects(effects, ctx);
         Some(result)
     }
 
-    /// Ends the current membership: the one place a `MemberState` leaves
-    /// `self.member` for good. Its peers become the fallback contacts, the
-    /// session is parked for the next membership, and `ending` decides
-    /// where the node goes from here.
+    /// Ends the current membership: the one transition out of
+    /// `Lifecycle::Member`. Its peers become the fallback contacts, the
+    /// session moves to the next phase, and `ending` decides which phase
+    /// that is.
     fn end_membership(&mut self, ending: Ending, ctx: &mut Context<'_, AtumMessage>) {
-        let Some(member) = self.member.take() else {
-            return;
+        let member = match self.take_lifecycle() {
+            Lifecycle::Member(member) => member,
+            other => {
+                self.lifecycle = other;
+                return;
+            }
         };
         let mut pool = member.config().composition.clone();
         if ending == Ending::Stranded {
@@ -391,21 +503,24 @@ impl<A: Application> AtumNode<A> {
                 pool = pool.union(&comp);
             }
         }
-        self.remember_fallbacks(&pool);
-        self.parked = Some(member.into_session());
+        self.carried.fallback.replace(self.id, &pool);
+        let session = member.into_session();
         if ending == Ending::Transferred {
-            self.phase = NodePhase::AwaitingTransfer;
-            self.awaiting_since = Some(ctx.now());
+            let since = ctx.now();
+            self.lifecycle = Lifecycle::AwaitingTransfer { since, session };
             return;
         }
-        self.phase = NodePhase::Left;
-        self.stats.left_at = Some(ctx.now());
+        self.carried.last_left = Some(ctx.now());
         // A node removed against its will re-joins on its own (its session
         // did not end by choice); a voluntary leave is final until the
         // application says otherwise.
-        self.auto_rejoin = ending != Ending::Left;
+        let auto_rejoin = ending != Ending::Left;
+        self.lifecycle = Lifecycle::Left {
+            auto_rejoin,
+            session,
+        };
         if ending == Ending::Stranded {
-            if let Some(contact) = self.next_fallback_contact() {
+            if let Some(contact) = self.carried.fallback.next() {
                 let _ = self.join(contact, ctx);
             }
         }
@@ -452,8 +567,7 @@ impl<A: Application> AtumNode<A> {
             );
         }
         for payload in app_ctx.broadcasts {
-            if let Some(member) = self.member.as_mut() {
-                self.stats.broadcasts_sent += 1;
+            if let Lifecycle::Member(member) = &mut self.lifecycle {
                 member.start_broadcast(payload, ctx.now(), queue);
             }
         }
@@ -469,10 +583,8 @@ impl<A: Application> AtumNode<A> {
             return;
         }
         let (group, epoch) = (config.vgroup, config.epoch);
-        let held = self.member.as_ref().map(MemberState::config);
-        if matches!(self.phase, NodePhase::Member)
-            && held.is_some_and(|m| m.vgroup == group && m.epoch >= epoch)
-        {
+        let held = self.member().map(MemberState::config);
+        if held.is_some_and(|m| m.vgroup == group && m.epoch >= epoch) {
             return; // Stale welcome for a state we already have.
         }
         // Known limitation: an *active* member of vgroup G that still has a
@@ -484,6 +596,7 @@ impl<A: Application> AtumNode<A> {
         // The hijack self-heals: the abandoned side evicts the silent entry
         // on the fast ghost fuse.
         let entry = self
+            .carried
             .pending_welcomes
             .entry(group)
             .or_insert_with(|| PendingWelcome {
@@ -517,7 +630,7 @@ impl<A: Application> AtumNode<A> {
         // evictions that would shrink the threshold). Bound the threshold by
         // a majority of the entries that are presumed live or have
         // themselves vouched for this welcome.
-        if let Some(member) = self.member.as_ref() {
+        if let Lifecycle::Member(member) = &self.lifecycle {
             if member.config().vgroup == group {
                 let live = member.presumed_live(ctx.now());
                 let effective = composition
@@ -549,16 +662,16 @@ impl<A: Application> AtumNode<A> {
                 }
             }
         }
+        let senders = entry.senders.len();
         atum_obs::trace_event!(
             Welcome,
             at = ctx.now().as_micros(),
             node = self.id.raw(),
-            slots = [group.raw(), epoch, entry.senders.len() as u64],
-            "welcome for {group:?} epoch {epoch} from {from}: {}/{threshold} senders (phase {:?})",
-            entry.senders.len(),
-            self.phase
+            slots = [group.raw(), epoch, senders as u64],
+            "welcome for {group:?} epoch {epoch} from {from}: {senders}/{threshold} senders (phase {:?})",
+            self.phase()
         );
-        if entry.senders.len() < threshold {
+        if senders < threshold {
             return;
         }
         atum_obs::trace_event!(
@@ -568,27 +681,21 @@ impl<A: Application> AtumNode<A> {
             slots = [self.id.raw(), group.raw(), epoch],
             "welcome threshold met for vgroup {group:?} epoch {epoch}"
         );
-        let welcome = self.pending_welcomes.remove(&group).expect("just inserted");
-        self.pending_welcomes.clear();
-        // The new membership is built around the node's one session —
-        // still held by the membership this welcome catches up, or parked
-        // since the last one ended.
-        self.member = Some(match self.member.take() {
-            Some(old) => old.succeeded_by(welcome.config, ctx.now()),
-            None => MemberState::with_membership(
-                self.id,
-                self.params.clone(),
-                self.registry.clone(),
-                self.unpark(),
-                welcome.config,
-                ctx.now(),
-            ),
-        });
-        if self.stats.joined_at.is_none() || !matches!(self.phase, NodePhase::Member) {
+        let welcome = self.carried.pending_welcomes.remove(&group);
+        let config = welcome.expect("just inserted").config;
+        self.carried.pending_welcomes.clear();
+        if self.stats.joined_at.is_none() || !self.is_member() {
             self.stats.joined_at = Some(ctx.now());
         }
-        self.phase = NodePhase::Member;
-        self.auto_rejoin = false;
+        // The new membership is built around the node's one session — still
+        // held by the membership this welcome catches up, or by the phase
+        // the node waited in.
+        self.lifecycle = match self.take_lifecycle() {
+            Lifecycle::Member(old) => {
+                Lifecycle::Member(Box::new(old.succeeded_by(config, ctx.now())))
+            }
+            other => self.membership(other.into_session(), config, ctx.now()),
+        };
         // What this node promised to drive to agreement is proposed again:
         // everything still pending on a catch-up, its own undecided
         // broadcasts after a move (the rest was specific to the vgroup it
@@ -599,12 +706,12 @@ impl<A: Application> AtumNode<A> {
     fn byzantine_duties(&mut self, ctx: &mut Context<'_, AtumMessage>) {
         // Heartbeat-only nodes keep heartbeating their last known vgroup
         // peers so they are not evicted (§6.1.3).
-        let Some(member) = self.member.as_ref() else {
+        let Lifecycle::Member(member) = &self.lifecycle else {
             return;
         };
         let now = ctx.now();
-        if now.saturating_since(self.last_byz_heartbeat) >= self.params.heartbeat_period {
-            self.last_byz_heartbeat = now;
+        if now.saturating_since(self.carried.last_byz_heartbeat) >= self.params.heartbeat_period {
+            self.carried.last_byz_heartbeat = now;
             let config = member.config();
             let peers: Vec<NodeId> = config
                 .composition
@@ -618,26 +725,6 @@ impl<A: Application> AtumNode<A> {
         }
     }
 
-    /// Replaces the fallback-contact pool with the members of `composition`
-    /// (minus this node). The rotation index deliberately survives the
-    /// replacement: a `JoinContactReply` refreshes this pool on every
-    /// attempt, and restarting the rotation there would pin a stalled
-    /// joiner to the same first peer on every retry.
-    fn remember_fallbacks(&mut self, composition: &Composition) {
-        self.fallback_peers = composition.iter().filter(|&p| p != self.id).collect();
-    }
-
-    /// The next known peer to try as a join contact, rotating through
-    /// `fallback_peers` so one unresponsive contact cannot stall us forever.
-    fn next_fallback_contact(&mut self) -> Option<NodeId> {
-        if self.fallback_peers.is_empty() {
-            return None;
-        }
-        let idx = self.fallback_rotation % self.fallback_peers.len();
-        self.fallback_rotation += 1;
-        Some(self.fallback_peers[idx])
-    }
-
     /// `true` while this node's last membership ended recently enough to
     /// count as churn recovery: such a join takes the direct-admission fast
     /// path instead of a placement walk. The window is session-scale (the
@@ -648,8 +735,8 @@ impl<A: Application> AtumNode<A> {
     /// the permanent default.
     fn recently_left(&self, now: Instant) -> bool {
         let window = self.params.round.saturating_mul(600);
-        self.stats
-            .left_at
+        self.carried
+            .last_left
             .is_some_and(|t| now.saturating_since(t) <= window)
     }
 
@@ -659,10 +746,16 @@ impl<A: Application> AtumNode<A> {
     /// through a former peer so one unlucky cycle does not permanently
     /// shrink the system.
     fn rejoin_if_dropped(&mut self, ctx: &mut Context<'_, AtumMessage>) {
-        if !matches!(self.phase, NodePhase::Left) || !self.auto_rejoin {
+        if !matches!(
+            self.lifecycle,
+            Lifecycle::Left {
+                auto_rejoin: true,
+                ..
+            }
+        ) {
             return;
         }
-        if let Some(contact) = self.next_fallback_contact() {
+        if let Some(contact) = self.carried.fallback.next() {
             let _ = self.join(contact, ctx);
         }
     }
@@ -672,53 +765,57 @@ impl<A: Application> AtumNode<A> {
         // round-trip, placement walk, welcome quorum); 20 rounds of silence
         // means the attempt is dead — retry through the next fallback peer.
         let timeout = self.params.round.saturating_mul(20);
-        match self.phase {
-            NodePhase::Joining { contact, since }
-                if ctx.now().saturating_since(since) > timeout =>
-            {
+        let now = ctx.now();
+        match &mut self.lifecycle {
+            Lifecycle::Joining {
+                contact,
+                since,
+                attempts,
+                ..
+            } if now.saturating_since(*since) > timeout => {
                 // A fresh attempt number so the contact vgroup does not
                 // deduplicate the retried request away if the previous
                 // attempt was lost mid-protocol; rotate contacts in case
                 // the previous one left or crashed.
-                self.join_nonce += 1;
-                self.join_attempts += 1;
-                let contact = self.next_fallback_contact().unwrap_or(contact);
-                self.phase = NodePhase::Joining {
-                    contact,
-                    since: ctx.now(),
-                };
+                self.carried.join_nonce += 1;
+                *attempts += 1;
+                *contact = self.carried.fallback.next().unwrap_or(*contact);
+                *since = now;
+                let (contact, attempts) = (*contact, *attempts);
                 atum_obs::trace_event!(
                     Join,
-                    at = ctx.now().as_micros(),
+                    at = now.as_micros(),
                     node = self.id.raw(),
-                    slots = [
-                        contact.raw(),
-                        self.join_nonce,
-                        u64::from(self.join_attempts)
-                    ],
-                    "join stalled; retrying via contact {contact} (attempt {})",
-                    self.join_attempts
+                    slots = [contact.raw(), self.carried.join_nonce, u64::from(attempts)],
+                    "join stalled; retrying via contact {contact} (attempt {attempts})"
                 );
                 ctx.send(contact, AtumMessage::JoinContactRequest);
             }
-            NodePhase::AwaitingTransfer => {
+            Lifecycle::AwaitingTransfer { since, .. } if now.saturating_since(*since) > timeout => {
                 // The Welcome of the new vgroup never arrived (its side of
                 // the exchange may have been reconfigured away); recover by
                 // re-joining through a peer of the old vgroup.
-                let stalled = self
-                    .awaiting_since
-                    .map(|t| ctx.now().saturating_since(t) > timeout)
-                    .unwrap_or(false);
-                if stalled {
-                    if let Some(contact) = self.next_fallback_contact() {
-                        self.phase = NodePhase::Left;
-                        self.awaiting_since = None;
-                        let _ = self.join(contact, ctx);
-                    }
+                if let Some(contact) = self.carried.fallback.next() {
+                    let session = self.take_lifecycle().into_session();
+                    self.lifecycle = Lifecycle::Left {
+                        auto_rejoin: false,
+                        session,
+                    };
+                    let _ = self.join(contact, ctx);
                 }
             }
             _ => {}
         }
+    }
+
+    /// Canonical text rendering of the node's protocol state, used by the
+    /// model checker to fingerprint and deduplicate global states: the
+    /// derived `Debug` of the id, the lifecycle (the session included,
+    /// wherever it lives) and what outlives a phase. What is not protocol
+    /// state is left out by type (see the module docs), so two states that
+    /// differ only in statistics merge, and no field can be forgotten.
+    pub fn canonical_state(&self) -> String {
+        format!("{:?}", (self.id, &self.lifecycle, &self.carried))
     }
 }
 
@@ -728,61 +825,9 @@ impl<A: Application> std::fmt::Debug for AtumNode<A> {
         // (neither is required to implement Debug).
         f.debug_struct("AtumNode")
             .field("id", &self.id)
-            .field("phase", &self.phase)
-            .field("member", &self.member)
-            .field("parked", &self.parked)
-            .field("pending_welcomes", &self.pending_welcomes)
-            .field("byzantine", &self.byzantine)
-            .field("join_nonce", &self.join_nonce)
-            .field("join_attempts", &self.join_attempts)
-            .field("fallback_peers", &self.fallback_peers)
-            .field("auto_rejoin", &self.auto_rejoin)
+            .field("lifecycle", &self.lifecycle)
+            .field("carried", &self.carried)
             .finish_non_exhaustive()
-    }
-}
-
-impl<A: Application> AtumNode<A> {
-    /// Canonical text rendering of the node's protocol state, used by the
-    /// model checker to fingerprint and deduplicate global states. Excludes
-    /// the application, the key registry and the statistics (passive
-    /// observers: two states that differ only in counters behave
-    /// identically going forward). The session is rendered wherever it
-    /// currently lives, so two states that differ only in a parked dedup
-    /// set are not merged.
-    pub fn canonical_state(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        write!(
-            out,
-            "id:{:?} phase:{:?} byz:{:?} nonce:{} attempts:{} fb:{:?}/{} await:{:?} rejoin:{} byzhb:{:?}",
-            self.id,
-            self.phase,
-            self.byzantine,
-            self.join_nonce,
-            self.join_attempts,
-            self.fallback_peers,
-            self.fallback_rotation,
-            self.awaiting_since,
-            self.auto_rejoin,
-            self.last_byz_heartbeat,
-        )
-        .expect("writing to a String cannot fail");
-        for pw in self.pending_welcomes.values() {
-            write!(out, " pw:{:?}x{:?}", pw.config, pw.senders)
-                .expect("writing to a String cannot fail");
-        }
-        match &self.member {
-            Some(member) => {
-                out.push_str(" member:{");
-                out.push_str(&member.canonical_state());
-                out.push('}');
-            }
-            None => out.push_str(" member:none"),
-        }
-        out.push_str(" session:{");
-        out.push_str(&self.session().canonical_state());
-        out.push('}');
-        out
     }
 }
 
@@ -801,7 +846,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
         }
         let period = Duration::from_micros(self.params.round.as_micros().max(2) / 2);
         ctx.set_timer(period, MAIN_TIMER);
-        if self.byzantine == ByzantineBehavior::HeartbeatOnly {
+        if self.carried.byzantine == ByzantineBehavior::HeartbeatOnly {
             self.byzantine_duties(ctx);
             return;
         }
@@ -811,7 +856,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
     }
 
     fn on_message(&mut self, from: NodeId, msg: AtumMessage, ctx: &mut Context<'_, AtumMessage>) {
-        if self.byzantine == ByzantineBehavior::HeartbeatOnly {
+        if self.carried.byzantine == ByzantineBehavior::HeartbeatOnly {
             return; // Byzantine nodes ignore everything.
         }
         match msg {
@@ -820,11 +865,11 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                     Join,
                     at = ctx.now().as_micros(),
                     node = self.id.raw(),
-                    slots = [from.raw(), 0, u64::from(self.member.is_some())],
+                    slots = [from.raw(), 0, u64::from(self.is_member())],
                     "JoinContactRequest from {from} (member: {})",
-                    self.member.is_some()
+                    self.is_member()
                 );
-                if let Some(member) = self.member.as_ref() {
+                if let Some(member) = self.member() {
                     ctx.send(
                         from,
                         AtumMessage::JoinContactReply {
@@ -834,17 +879,17 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 }
             }
             AtumMessage::JoinContactReply { composition } => {
-                if matches!(self.phase, NodePhase::Joining { .. }) {
+                if let Lifecycle::Joining { attempts, .. } = self.lifecycle {
                     // Remember the contact vgroup's members: if this attempt
                     // stalls, any of them is a valid alternative contact.
-                    self.remember_fallbacks(&composition);
+                    self.carried.fallback.replace(self.id, &composition);
                     let request = AtumMessage::JoinRequest {
                         joiner: self.id,
-                        nonce: self.join_nonce,
+                        nonce: self.carried.join_nonce,
                         // Direct admission for recent members (churn
                         // recovery) and for joiners whose placement walks
                         // keep dying (degraded-overlay fallback).
-                        rejoin: self.recently_left(ctx.now()) || self.join_attempts >= 2,
+                        rejoin: self.recently_left(ctx.now()) || attempts >= 2,
                     };
                     for member in composition.iter() {
                         ctx.send(member, request.clone());
@@ -1148,7 +1193,7 @@ mod tests {
         }
         sim.call(NodeId::new(3), |n, ctx| n.leave(ctx).unwrap());
         sim.run_for(Duration::from_secs(30));
-        assert_eq!(sim.node(NodeId::new(3)).unwrap().phase(), &NodePhase::Left);
+        assert_eq!(sim.node(NodeId::new(3)).unwrap().phase(), NodePhase::Left);
         for i in 0..3 {
             let m = sim.node(NodeId::new(i)).unwrap().member().unwrap();
             assert!(
@@ -1470,8 +1515,8 @@ mod tests {
             // What a decided `CompleteExchange` naming this node emits.
             let moved = Effect::MembershipEnded(Ending::Transferred);
             solo.act(|n, ctx| n.run_effects(vec![moved], ctx));
-            assert_eq!(solo.node.phase(), &NodePhase::AwaitingTransfer);
-            assert_eq!(solo.node.delivered().len(), 1, "readable while parked");
+            assert_eq!(solo.node.phase(), NodePhase::AwaitingTransfer);
+            assert_eq!(solo.node.delivered().len(), 1, "readable while awaiting");
             solo.welcome(NEW, &[0, 20], 3);
         });
     }
@@ -1481,7 +1526,7 @@ mod tests {
         session_survives(|solo| {
             let evicted = Effect::MembershipEnded(Ending::Evicted);
             solo.act(|n, ctx| n.run_effects(vec![evicted], ctx));
-            assert_eq!(solo.node.phase(), &NodePhase::Left);
+            assert_eq!(solo.node.phase(), NodePhase::Left);
             // The next tick re-joins through a former peer on its own.
             solo.pass(1);
             assert!(matches!(solo.node.phase(), NodePhase::Joining { .. }));
@@ -1496,7 +1541,7 @@ mod tests {
             // Agreement on the leave: the broadcast proposed before it is
             // decided in the same slot, the one case it is not carried over.
             solo.pass(8);
-            assert_eq!(solo.node.phase(), &NodePhase::Left);
+            assert_eq!(solo.node.phase(), NodePhase::Left);
             assert_eq!(solo.payloads_named(b"mine"), 1);
             solo.act(|n, ctx| n.join(NodeId::new(20), ctx)).unwrap();
             solo.welcome(NEW, &[0, 20], 3);
@@ -1504,7 +1549,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_state_renders_a_parked_session() {
+    fn canonical_state_renders_a_non_member_session() {
         let mut delivered = Solo::new();
         delivered.gossip_quorum(BroadcastId::new(NodeId::new(10), 0));
         let mut blank = Solo::new();
@@ -1515,7 +1560,49 @@ mod tests {
         assert_ne!(
             delivered.node.canonical_state(),
             blank.node.canonical_state(),
-            "states that differ only in a parked dedup set must not merge"
+            "states that differ only in a non-member's dedup set must not merge"
+        );
+    }
+
+    #[test]
+    fn canonical_state_renders_the_last_leave() {
+        // The last leave decides whether the next join asks for the
+        // re-join fast path, so two nodes evicted at different instants
+        // part ways.
+        let evicted_at = |secs: u64| {
+            let mut solo = Solo::new();
+            solo.now = Instant::from_micros(secs * 1_000_000);
+            solo.end(Ending::Evicted);
+            assert_eq!(solo.node.phase(), NodePhase::Left);
+            solo.node.canonical_state()
+        };
+        assert_ne!(
+            evicted_at(1),
+            evicted_at(2),
+            "states that differ only in the last leave must not merge"
+        );
+    }
+
+    #[test]
+    fn canonical_state_ignores_statistics() {
+        // Statistics are passive observers: two states that differ only in
+        // them behave identically going forward.
+        let plain = Solo::new();
+        let mut counted = Solo::new();
+        counted.node.stats.joined_at = Some(Instant::from_micros(7_000_000));
+        let Lifecycle::Member(member) = &mut counted.node.lifecycle else {
+            unreachable!("a solo node starts as a member");
+        };
+        let stats = member.plane().1.stats_mut();
+        stats.evictions += 1;
+        stats.exchanges.completed += 1;
+        let id = BroadcastId::new(NodeId::new(10), 0);
+        stats.delivered.push((id, Instant::ZERO, 1));
+        assert_eq!(counted.node.delivered().len(), 1);
+        assert_eq!(
+            plain.node.canonical_state(),
+            counted.node.canonical_state(),
+            "states that differ only in statistics must merge"
         );
     }
 
@@ -1538,7 +1625,7 @@ mod tests {
             let msg = AtumMessage::Welcome(config);
             solo.act(|n, ctx| n.on_message(NodeId::new(10), msg, ctx));
             assert_eq!(
-                solo.node.pending_welcomes.len(),
+                solo.node.carried.pending_welcomes.len(),
                 1,
                 "pending, not installed"
             );

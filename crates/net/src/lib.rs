@@ -3,7 +3,7 @@
 //! The reproduction's protocol logic is written against the runtime-neutral
 //! effect surface of `atum_simnet` ([`atum_simnet::Node`] +
 //! [`atum_simnet::Context`]). This crate supplies the second runtime for
-//! that surface: a [`NetRuntime`](reactor::NetRuntime) binds one TCP
+//! that surface: a [`NetRuntime`] binds one TCP
 //! listener and runs a fixed set of *reactor* threads, each multiplexing
 //! non-blocking sockets and a timer heap for every node it hosts — the same
 //! `AtumNode` state machine then runs over loopback or LAN sockets with no
@@ -22,18 +22,18 @@
 //!   flushes, close-with-reason, and the eventfd-woken mailbox into the
 //!   owning thread. Mechanism only; the frame vocabulary and every policy
 //!   stay with the caller.
-//! * [`reactor`] — [`NetRuntime`](reactor::NetRuntime) and
-//!   [`NodeHandle`](reactor::NodeHandle): the event-loop runtime and the
+//! * [`reactor`] — [`NetRuntime`] and
+//!   [`NodeHandle`]: the event-loop runtime and the
 //!   per-node view onto it — the node wire's hello/route/message pairing,
 //!   dialling and reconnecting, timers and node dispatch on top of [`conn`].
-//! * [`runtime`] — [`RuntimeConfig`](runtime::RuntimeConfig),
-//!   [`RuntimeStats`](runtime::RuntimeStats) and
-//!   [`AddressBook`](runtime::AddressBook).
-//! * [`cluster`] — [`NetCluster`](cluster::NetCluster): an in-process
+//! * [`runtime`] — [`RuntimeConfig`],
+//!   [`RuntimeStats`] and
+//!   [`AddressBook`].
+//! * [`cluster`] — [`NetCluster`]: an in-process
 //!   loopback harness mirroring `atum_sim::ClusterBuilder`, used by the
 //!   `net_cluster` system test, the `bench_net` scenarios and the
 //!   repository's benchmark.
-//! * [`faults`] — [`FaultPlane`](faults::FaultPlane): the deterministic
+//! * [`faults`] — [`FaultPlane`]: the deterministic
 //!   fault-injection plane (per-peer drop / delay / reorder / corrupt /
 //!   connection-kill / asymmetric-partition / bandwidth-throttle at the
 //!   frame boundary), sharing the `partition`/`heal`/`set_loss` vocabulary

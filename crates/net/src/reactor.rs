@@ -47,7 +47,7 @@
 //!   runtime (the runtime connects to its own listener).
 //! * **The fault plane sits at the frame boundary, inside the owner.** When
 //!   [`RuntimeConfig::faults`] has rules installed, `send_from` consults the
-//!   reactor's own deterministic [`FaultDecider`] *after* encoding (the
+//!   reactor's own deterministic `FaultDecider` *after* encoding (the
 //!   frame length feeds the bandwidth shaper) and *before* the address
 //!   lookup — injected faults never cross a thread and never touch another
 //!   reactor's state. Delayed frames live in the reactor's `delayed` map and
@@ -67,7 +67,7 @@
 //! EOF), accepted connections are read-only. Keeping the route outside the
 //! message frame preserves the encode-once invariant: the `Arc<[u8]>`
 //! message bytes are identical for every recipient and every peer, so
-//! fan-out encodes once ([`FrameMemo`]) and one `write` carries every
+//! fan-out encodes once ([`FrameMemo`](atum_types::FrameMemo)) and one `write` carries every
 //! frame a turn queued on the connection.
 
 use crate::conn::{CloseReason, ConnMetrics, ConnTable, Injector, QueuedFrame, Ready};
@@ -412,7 +412,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
     /// The runtime's fault-injection plane. Installing rules here (or on
     /// any clone of the [`RuntimeConfig`] this runtime was built from)
     /// takes effect on every reactor's next send; see
-    /// [`FaultPlane`](crate::faults::FaultPlane) for the vocabulary.
+    /// [`FaultPlane`] for the vocabulary.
     pub fn faults(&self) -> &FaultPlane {
         &self.shared.cfg.faults
     }

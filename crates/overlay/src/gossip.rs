@@ -3,7 +3,7 @@
 //! The second phase of `broadcast` (§3.3.4) disseminates a message across the
 //! H-graph. The paper lets the application decide, per neighbour, whether to
 //! forward; here that choice is one of the policies of
-//! [`GossipPolicy`](atum_types::GossipPolicy):
+//! [`GossipPolicy`]:
 //!
 //! * `Flood` — forward along every cycle in both directions (lowest latency);
 //! * `Cycles(k)` — forward along the first `k` cycles only (AStream's

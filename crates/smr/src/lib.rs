@@ -14,7 +14,7 @@
 //! Both engines implement the [`Replication`] trait: a pure state machine
 //! that consumes proposals, peer messages and clock ticks, and emits
 //! [`Action`]s (messages to send, operations decided). The Atum group layer
-//! drives whichever engine the [`SmrMode`](atum_types::SmrMode) selects and
+//! drives whichever engine the [`SmrMode`] selects and
 //! applies decided operations to the vgroup state.
 //!
 //! Membership changes use the SMART approach: every reconfiguration starts a
