@@ -1,13 +1,19 @@
 //! The discrete-event simulation engine.
+//!
+//! Events run in `(at, push order)` order: earliest simulated time first,
+//! and among events due at the same time, the one queued first. That order
+//! is the engine's whole determinism contract; the `queue` module keeps it
+//! without a sequence number. Time never runs backwards: nothing is queued
+//! before `now`, and running up to a limit never advances the queue past it.
 
 use crate::latency::{NetConfig, Region};
 use crate::node::{Context, ContextEffects, Node, OutboundMessage, TimerRequest};
+use crate::queue::EventQueue;
 use crate::stats::NetStats;
 use atum_types::{Duration, Instant, NodeId, WireSize};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Boxed external call executed against a node by the harness.
 type NodeCall<M, N> = Box<dyn FnOnce(&mut N, &mut Context<'_, M>) + Send>;
@@ -29,12 +35,6 @@ enum EventKind<M, N> {
     Start { node: NodeId },
 }
 
-/// What the heap orders: `(at, seq, slot)` — earliest time first, then FIFO
-/// by the push sequence number, which is unique, so the slot index never
-/// decides. The event itself stays put in `Simulation::events[slot]`: a push
-/// or pop sifts 24-byte keys, not whole messages.
-type EventKey = (Instant, u64, usize);
-
 struct NodeSlot<N> {
     node: N,
     rng: ChaCha8Rng,
@@ -52,13 +52,14 @@ struct NodeSlot<N> {
 pub struct Simulation<M, N> {
     config: NetConfig,
     nodes: HashMap<NodeId, NodeSlot<N>>,
-    queue: BinaryHeap<Reverse<EventKey>>,
-    /// The queued events, indexed by the slot in their key; `free` lists the
-    /// vacant slots, reused before the slab grows.
+    /// `(at, slot)` in firing order; the event itself stays put in
+    /// `events[slot]`, so the queue moves 8-byte entries, not whole messages.
+    queue: EventQueue,
+    /// The queued events, indexed by their queue entry's slot; `free` lists
+    /// the vacant slots, reused before the slab grows.
     events: Vec<Option<EventKind<M, N>>>,
     free: Vec<usize>,
     now: Instant,
-    seq: u64,
     timer_handles: u64,
     /// Handles of timers whose fire event is in the queue and has not been
     /// cancelled. A fired event whose handle is absent was cancelled. This
@@ -108,11 +109,10 @@ where
         Simulation {
             config,
             nodes: HashMap::new(),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             events: Vec::new(),
             free: Vec::new(),
             now: Instant::ZERO,
-            seq: 0,
             timer_handles: 0,
             pending_timers: HashSet::new(),
             partitions: Vec::new(),
@@ -294,13 +294,10 @@ where
     /// at which the run stopped.
     pub fn run_until_idle(&mut self, max: Duration) -> Instant {
         let deadline = self.now + max;
-        while let Some(&Reverse((at, ..))) = self.queue.peek() {
-            if at > deadline {
-                // Stopped by the deadline, not by drain: advance to it.
-                self.now = deadline;
-                return self.now;
-            }
-            self.step();
+        while self.step_until(deadline) {}
+        if !self.is_idle() {
+            // Stopped by the deadline, not by drain: advance to it.
+            self.now = deadline;
         }
         // Queue drained: the clock stays at the last processed event.
         self.now
@@ -308,12 +305,7 @@ where
 
     /// Runs events until the given absolute simulated time (inclusive).
     pub fn run_until(&mut self, t: Instant) {
-        while let Some(&Reverse((at, ..))) = self.queue.peek() {
-            if at > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(t) {}
         self.now = self.now.max(t);
     }
 
@@ -331,14 +323,20 @@ where
     /// Processes a single event, if any. Returns `false` when the queue was
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((at, _, slot))) = self.queue.pop() else {
+        self.step_until(Instant::from_micros(u64::MAX))
+    }
+
+    /// Processes the next event if it is due at or before `limit`. Returns
+    /// `false`, leaving the queue as it was, when none is.
+    fn step_until(&mut self, limit: Instant) -> bool {
+        let Some((at, slot)) = self.queue.pop_until(limit.as_micros()) else {
             return false;
         };
         let kind = self.events[slot]
             .take()
             .expect("a queued key's slot is occupied");
         self.free.push(slot);
-        self.now = self.now.max(at);
+        self.now = self.now.max(Instant::from_micros(at));
         self.stats.events_processed += 1;
         match kind {
             EventKind::Deliver {
@@ -355,8 +353,6 @@ where
     }
 
     fn push(&mut self, at: Instant, kind: EventKind<M, N>) {
-        let seq = self.seq;
-        self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.events[slot] = Some(kind);
@@ -367,7 +363,7 @@ where
                 self.events.len() - 1
             }
         };
-        self.queue.push(Reverse((at, seq, slot)));
+        self.queue.push(at.as_micros(), slot);
     }
 
     fn blocked_by_partition(&self, a: NodeId, b: NodeId) -> bool {
@@ -836,6 +832,26 @@ mod tests {
         sim.run_until_idle(Duration::from_secs(20));
         assert!(sim.now() >= Instant::from_micros(5_000_000));
         assert_eq!(sim.node(a).unwrap().timers, vec![99]);
+    }
+
+    #[test]
+    fn a_call_at_now_runs_before_an_event_past_the_last_run_limit() {
+        let mut sim: Simulation<u64, Recorder> = Simulation::new(NetConfig::lan(), 1);
+        let a = sim.add_node(NodeId::new(0), Recorder::default());
+        let t = Instant::from_micros(1_000_000);
+        sim.call_at(t + Duration::from_millis(5), a, |_n, ctx| {
+            ctx.set_timer(Duration::ZERO, 2);
+        });
+        // Stops with the call above still queued: the queue must not have
+        // moved past `t` just by looking at it.
+        sim.run_until(t);
+        assert_eq!(sim.now(), t);
+        sim.call(a, |_n, ctx| {
+            ctx.set_timer(Duration::ZERO, 1);
+        });
+        sim.run_until_idle(Duration::from_secs(1));
+        assert_eq!(sim.node(a).unwrap().timers, vec![1, 2]);
+        assert_eq!(sim.now(), t + Duration::from_millis(5));
     }
     /// The queue against its contract in the plainest form there is: a list
     /// searched for its smallest `(at, seq)`.

@@ -48,6 +48,7 @@
 pub mod engine;
 pub mod latency;
 pub mod node;
+mod queue;
 pub mod stats;
 
 pub use engine::{FaultInjector, Simulation};
