@@ -30,7 +30,7 @@
 
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::BuildHasher;
 
@@ -43,7 +43,8 @@ struct Key {
 
 #[derive(Debug, Clone)]
 struct Progress<B> {
-    senders: BTreeSet<NodeId>,
+    /// Distinct senders so far, sorted: at most one vgroup's worth.
+    senders: Vec<NodeId>,
     /// The first body received for this key (votes carry none).
     body: Option<B>,
 }
@@ -216,7 +217,9 @@ impl<B> GroupMessageCollector<B> {
         let Some(progress) = self.ring[at].progress.as_deref_mut() else {
             return Observed::Pending;
         };
-        progress.senders.insert(sender);
+        if let Err(pos) = progress.senders.binary_search(&sender) {
+            progress.senders.insert(pos, sender);
+        }
         if progress.body.is_none() {
             progress.body = body;
         }
@@ -224,7 +227,7 @@ impl<B> GroupMessageCollector<B> {
             return Observed::Pending;
         }
         let Some(body) = progress.body.take() else {
-            return Observed::Starved(progress.senders.iter().copied().collect());
+            return Observed::Starved(progress.senders.clone());
         };
         self.ring[at].progress = None;
         Observed::Accepted(body)
@@ -298,7 +301,7 @@ impl<B> GroupMessageCollector<B> {
         self.ring.push_back(Slot {
             key,
             progress: Some(Box::new(Progress {
-                senders: BTreeSet::new(),
+                senders: Vec::new(),
                 body: None,
             })),
         });
@@ -385,6 +388,7 @@ fn mix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn comp(ids: &[u64]) -> Composition {
         ids.iter().map(|&i| NodeId::new(i)).collect()
