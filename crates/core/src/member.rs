@@ -728,7 +728,8 @@ impl MemberState {
     /// the recovery that would evict them.
     pub fn presumed_live(&self, now: Instant) -> BTreeSet<NodeId> {
         let view = self.group.view(self.me, &self.params);
-        self.liveness.presumed_live(&view, now)
+        let peers = self.liveness.live_peers(&view, now);
+        peers.chain([self.me]).collect()
     }
 
     /// Diagnostic snapshot of the failure-detector state, used by the

@@ -130,20 +130,19 @@ impl Liveness {
         }
     }
 
-    /// See [`MemberState::presumed_live`](super::MemberState::presumed_live).
-    pub(super) fn presumed_live(&self, view: &View<'_>, now: Instant) -> BTreeSet<NodeId> {
+    /// The composition peers heard within the last eviction window, this
+    /// member left out (see
+    /// [`MemberState::presumed_live`](super::MemberState::presumed_live)).
+    pub(super) fn live_peers<'a>(
+        &'a self,
+        view: &'a View<'_>,
+        now: Instant,
+    ) -> impl Iterator<Item = NodeId> + 'a {
         let (period, threshold) = (view.params.heartbeat_period, view.params.eviction_threshold);
         let window = period.saturating_mul(threshold as u64);
-        let heard = |p: &NodeId| {
-            self.last_heard
-                .get(p)
-                .is_some_and(|t| now.saturating_since(*t) <= window)
-        };
-        let peers = view
-            .composition
-            .iter()
-            .filter(|p| *p != view.me && heard(p));
-        peers.chain([view.me]).collect()
+        let heard = move |p: &NodeId| self.last_heard.get(p).is_some_and(|t| now - *t <= window);
+        let peers = view.composition.iter();
+        peers.filter(move |p| *p != view.me && heard(p))
     }
 
     /// Seconds since `peer` was last heard, and whether it has activated.
@@ -160,7 +159,7 @@ impl Liveness {
     /// 2-member survivor is not fenced: its own accusation evicts its silent
     /// peer, and it decides on as a singleton.)
     pub(super) fn check_isolation(&mut self, view: &View<'_>, now: Instant) {
-        if view.composition.len() >= 3 && self.presumed_live(view, now).len() <= 1 {
+        if view.composition.len() >= 3 && self.live_peers(view, now).next().is_none() {
             self.close_fence(2, view, now);
         }
     }
@@ -184,7 +183,7 @@ impl Liveness {
             Join,
             at = now.as_micros(),
             node = view.me.raw(),
-            slots = [code, epoch, self.presumed_live(view, now).len() as u64 - 1],
+            slots = [code, epoch, self.live_peers(view, now).count() as u64],
             "fence {code} in vgroup {:?} at epoch {}",
             vgroup,
             epoch

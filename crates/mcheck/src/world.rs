@@ -29,6 +29,9 @@ pub struct NodeSlot {
     next_timer_handle: u64,
     /// Armed timers: handle → (fire time, tag).
     timers: BTreeMap<u64, (Instant, u64)>,
+    /// The minimum of `timers` as `(fire time, handle, tag)`, kept as they
+    /// change so that finding the next timer scans no map.
+    earliest: Option<(Instant, u64, u64)>,
     /// The node halted itself (voluntary leave completed).
     halted: bool,
     /// Fault injection: a crashed node receives nothing and fires nothing.
@@ -45,6 +48,7 @@ impl NodeSlot {
             rng: ChaCha8Rng::seed_from_u64(seed ^ id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             next_timer_handle: 0,
             timers: BTreeMap::new(),
+            earliest: None,
             halted: false,
             crashed: false,
         }
@@ -62,10 +66,31 @@ impl NodeSlot {
 
     /// Earliest armed timer as `(fire_at, handle, tag)`.
     fn earliest_timer(&self) -> Option<(Instant, u64, u64)> {
-        self.timers
-            .iter()
-            .map(|(&handle, &(at, tag))| (at, handle, tag))
-            .min()
+        self.earliest
+    }
+
+    fn arm_timer(&mut self, handle: u64, at: Instant, tag: u64) {
+        self.timers.insert(handle, (at, tag));
+        let armed = (at, handle, tag);
+        if self.earliest.is_none_or(|first| armed < first) {
+            self.earliest = Some(armed);
+        }
+    }
+
+    fn cancel_timer(&mut self, handle: u64) {
+        self.timers.remove(&handle);
+        if self.earliest.is_some_and(|(_, first, _)| first == handle) {
+            self.earliest = self
+                .timers
+                .iter()
+                .map(|(&handle, &(at, tag))| (at, handle, tag))
+                .min();
+        }
+    }
+
+    fn clear_timers(&mut self) {
+        self.timers.clear();
+        self.earliest = None;
     }
 }
 
@@ -115,7 +140,9 @@ pub struct WorldState {
     /// All hosted nodes.
     pub nodes: BTreeMap<NodeId, NodeSlot>,
     /// FIFO per ordered node pair. Per-channel order is preserved (TCP-like);
-    /// cross-channel order is the nondeterminism being explored.
+    /// cross-channel order is the nondeterminism being explored. A channel
+    /// leaves the map when its last message is taken, so every queue here
+    /// holds at least one.
     pub channels: BTreeMap<(NodeId, NodeId), VecDeque<AtumMessage>>,
     /// Remaining message drops the adversary may inject.
     pub drops_left: u32,
@@ -148,7 +175,7 @@ impl WorldState {
     pub fn crash(&mut self, id: NodeId) {
         if let Some(slot) = self.nodes.get_mut(&id) {
             slot.crashed = true;
-            slot.timers.clear();
+            slot.clear_timers();
         }
         self.channels.retain(|&(_, to), _| to != id);
     }
@@ -180,15 +207,14 @@ impl WorldState {
         // then the halt flag.
         let slot = self.nodes.get_mut(&id).expect("slot exists");
         for request in &effects.new_timers {
-            slot.timers
-                .insert(request.handle, (now + request.delay, request.tag));
+            slot.arm_timer(request.handle, now + request.delay, request.tag);
         }
-        for handle in &effects.cancelled_timers {
-            slot.timers.remove(handle);
+        for &handle in &effects.cancelled_timers {
+            slot.cancel_timer(handle);
         }
         if effects.halted {
             slot.halted = true;
-            slot.timers.clear();
+            slot.clear_timers();
         }
         for out in effects.outbox {
             let deliverable = self
@@ -229,23 +255,17 @@ impl WorldState {
     /// deliveries (by channel key), then drops, then duplications, then
     /// timer firings (by node id).
     pub fn enabled_actions(&self, actions: &mut Vec<WorldAction>) {
-        for (&(from, to), queue) in &self.channels {
-            if !queue.is_empty() {
-                actions.push(WorldAction::Deliver { from, to });
-            }
+        for &(from, to) in self.channels.keys() {
+            actions.push(WorldAction::Deliver { from, to });
         }
         if self.drops_left > 0 {
-            for (&(from, to), queue) in &self.channels {
-                if !queue.is_empty() {
-                    actions.push(WorldAction::Drop { from, to });
-                }
+            for &(from, to) in self.channels.keys() {
+                actions.push(WorldAction::Drop { from, to });
             }
         }
         if self.dups_left > 0 {
-            for (&(from, to), queue) in &self.channels {
-                if !queue.is_empty() {
-                    actions.push(WorldAction::Duplicate { from, to });
-                }
+            for &(from, to) in self.channels.keys() {
+                actions.push(WorldAction::Duplicate { from, to });
             }
         }
         if let Some(min_deadline) = self.min_timer_deadline() {
@@ -267,11 +287,7 @@ impl WorldState {
     pub fn apply(&mut self, action: &WorldAction) -> bool {
         match *action {
             WorldAction::Deliver { from, to } => {
-                let Some(msg) = self
-                    .channels
-                    .get_mut(&(from, to))
-                    .and_then(|queue| queue.pop_front())
-                else {
+                let Some(msg) = self.take_head(from, to) else {
                     return false;
                 };
                 self.with_node(to, |n, ctx| n.on_message(from, msg, ctx));
@@ -281,11 +297,7 @@ impl WorldState {
                 if self.drops_left == 0 {
                     return false;
                 }
-                let dropped = self
-                    .channels
-                    .get_mut(&(from, to))
-                    .and_then(|queue| queue.pop_front())
-                    .is_some();
+                let dropped = self.take_head(from, to).is_some();
                 if dropped {
                     self.drops_left -= 1;
                 }
@@ -315,7 +327,7 @@ impl WorldState {
                     return false;
                 };
                 if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.timers.remove(&handle);
+                    slot.cancel_timer(handle);
                 }
                 if fire_at > self.now {
                     self.now = fire_at;
@@ -324,6 +336,17 @@ impl WorldState {
                 true
             }
         }
+    }
+
+    /// Takes the head-of-line message of the `from → to` channel, removing
+    /// the channel once it is empty.
+    fn take_head(&mut self, from: NodeId, to: NodeId) -> Option<AtumMessage> {
+        let queue = self.channels.get_mut(&(from, to))?;
+        let msg = queue.pop_front();
+        if queue.is_empty() {
+            self.channels.remove(&(from, to));
+        }
+        msg
     }
 
     /// Runs the world *deterministically* to quiescence: deliver every
@@ -340,12 +363,7 @@ impl WorldState {
         let mut world = self.clone();
         let deadline = world.now + horizon;
         for _ in 0..max_events {
-            let next_channel = world
-                .channels
-                .iter()
-                .find(|(_, queue)| !queue.is_empty())
-                .map(|(&key, _)| key);
-            if let Some((from, to)) = next_channel {
+            if let Some(&(from, to)) = world.channels.keys().next() {
                 world.apply(&WorldAction::Deliver { from, to });
                 continue;
             }
@@ -392,9 +410,6 @@ impl WorldState {
             .expect("writing to a String cannot fail");
         }
         for (&(from, to), queue) in &self.channels {
-            if queue.is_empty() {
-                continue;
-            }
             write!(out, "\nchan {from}->{to}: {queue:?}").expect("writing to a String cannot fail");
         }
         out

@@ -202,12 +202,10 @@ impl<B> GroupMessageCollector<B> {
         if !source_composition.contains(sender) && !in_local {
             return Observed::Pending;
         }
-        let mut majority = source_composition.majority();
-        if let Some(view) = local_view {
-            if !view.is_empty() {
-                majority = majority.min(view.majority());
-            }
-        }
+        let majority = match local_view {
+            Some(view) if !view.is_empty() => source_composition.majority().min(view.majority()),
+            _ => source_composition.majority(),
+        };
         let key = Key { source, digest };
         let tag = self.tag(&key);
         let at = match self.find(tag, &key) {
