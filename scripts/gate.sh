@@ -66,8 +66,8 @@ gates() {
         check "a forwarded broadcast is encoded once per node, not once per target vgroup" \
             '.workloads.edge_async.metrics["net.encodes_per_op"].median <= 40' \
             "$suite"
-        # Conservative floor: the committed ledger reads ~0.90M events/s on
-        # this fan-out on a 2-vCPU box; shared CI runners are slower and
+        # Conservative floor: the committed ledgers read 0.57-0.90M events/s
+        # on this fan-out on a 2-vCPU box; shared CI runners are slower and
         # noisy, so the gate only catches order-of-magnitude regressions
         # (e.g. reintroducing per-copy digesting or envelope deep-clones,
         # which cost ~10x), not few-percent drift.
