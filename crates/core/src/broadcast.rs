@@ -28,7 +28,7 @@ use atum_overlay::{gossip::Direction, is_carrier, GossipPlanner, SeenCache};
 use atum_types::{BroadcastId, Composition, Duration, Instant, NodeId, Params, VgroupId};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Cached handles into the global metrics registry for the anti-entropy
@@ -118,7 +118,7 @@ impl View<'_> {
 
     /// Sends `to` this membership's configuration to install.
     pub(crate) fn send_welcome(&self, to: NodeId, effects: &mut Vec<Effect>) {
-        let msg = AtumMessage::Welcome(self.config.clone());
+        let msg = AtumMessage::Welcome(Box::new(self.config.clone()));
         effects.push(Effect::Send { to, msg });
     }
 
@@ -194,6 +194,10 @@ pub struct Session {
     /// Recently delivered broadcasts retained for the pull repair path
     /// (bounded; empty when `params.broadcast_repair` is off).
     recent: BTreeMap<BroadcastId, RecentBroadcast>,
+    /// `recent`'s keys in eviction order, `(stored, id)` ascending, so the
+    /// oldest is at the front: the cap and the age prune pop it there
+    /// instead of scanning the map.
+    by_age: VecDeque<(Instant, BroadcastId)>,
     /// When this node last pulled each missing broadcast from each
     /// advertiser. Keyed per advertiser so a hole collects repair copies
     /// from *every* distinct holder within one announce period (the
@@ -217,6 +221,7 @@ impl Default for Session {
             seen: SeenCache::new(65536),
             next_seq: 0,
             recent: BTreeMap::new(),
+            by_age: VecDeque::new(),
             pulled: Throttle::default(),
             repair_sent: Throttle::default(),
             undecided: Vec::new(),
@@ -227,8 +232,10 @@ impl Default for Session {
 
 impl Session {
     /// How many recently delivered broadcasts a node retains for the pull
-    /// repair path. Far above the number a heartbeat window can deliver in
-    /// the experiments; the bound only matters under flood.
+    /// repair path. The retention window is 16 heartbeat periods, so at a
+    /// steady broadcast rate the cap binds whenever more than this many
+    /// arrive per window: `sim_fanout`'s 20 a second reach it within a few
+    /// simulated seconds, and from then on every delivery evicts one.
     const RECENT_BROADCAST_CAP: usize = 64;
 
     /// How many keys one announce-cadence digest advertises.
@@ -367,23 +374,25 @@ impl Session {
         if !params.broadcast_repair {
             return;
         }
-        self.recent.insert(
-            id,
-            RecentBroadcast {
-                payload,
-                hops,
-                stored: now,
-            },
-        );
-        while self.recent.len() > Self::RECENT_BROADCAST_CAP {
-            let oldest = self
-                .recent
-                .iter()
-                .min_by_key(|(id, r)| (r.stored, **id))
-                .map(|(id, _)| *id)
-                .expect("non-empty");
-            self.recent.remove(&oldest);
+        let kept = RecentBroadcast {
+            payload,
+            hops,
+            stored: now,
+        };
+        if let Some(old) = self.recent.insert(id, kept) {
+            self.by_age.retain(|&key| key != (old.stored, id));
         }
+        let at = self.by_age.partition_point(|&key| key < (now, id));
+        self.by_age.insert(at, (now, id));
+        while self.recent.len() > Self::RECENT_BROADCAST_CAP {
+            self.forget_oldest();
+        }
+    }
+
+    /// Drops the retained broadcast first in `(stored, id)` order.
+    fn forget_oldest(&mut self) {
+        let (_, id) = self.by_age.pop_front().expect("non-empty");
+        self.recent.remove(&id);
     }
 
     /// Broadcast anti-entropy, piggybacked on the announce cadence: prune
@@ -397,8 +406,11 @@ impl Session {
     /// [`AtumMessage::BroadcastPull`] (see [`Self::on_broadcast_keys`]).
     pub(crate) fn anti_entropy(&mut self, view: View<'_>, now: Instant, effects: &mut Vec<Effect>) {
         let retain_for = view.params.heartbeat_period.saturating_mul(16);
-        self.recent
-            .retain(|_, r| now.saturating_since(r.stored) <= retain_for);
+        let expired =
+            |&(stored, _): &(Instant, BroadcastId)| now.saturating_since(stored) > retain_for;
+        while self.by_age.front().is_some_and(expired) {
+            self.forget_oldest();
+        }
         self.pulled.prune(now, retain_for);
         self.repair_sent.prune(now, retain_for);
         if self.recent.is_empty() {
@@ -603,7 +615,7 @@ impl Session {
                 let msg = AtumMessage::BroadcastPull {
                     group: vote.source,
                     keys: vec![vote.id],
-                    voted: Some(vote.digest),
+                    voted: Some(Box::new(vote.digest)),
                 };
                 effects.push(Effect::Send { to: voter, msg });
             }
@@ -668,6 +680,38 @@ mod tests {
         }
         assert_eq!(m.session().stats().delivered.len(), 1, "feed must deliver");
         id
+    }
+
+    /// The retention cap evicts in `(stored, id)` order, as a scan for the
+    /// smallest would: times tie, ids arrive out of order, and a few ids
+    /// are retained again while still held.
+    #[test]
+    fn the_retention_cap_evicts_the_oldest_stored_then_smallest_id() {
+        let params = test_params();
+        let mut session = Session::default();
+        let mut model: BTreeMap<BroadcastId, Instant> = BTreeMap::new();
+        let cap = Session::RECENT_BROADCAST_CAP;
+        for i in 0..3 * cap as u64 {
+            // Scrambled ids, six of them repeated within 40 broadcasts;
+            // time steps every third broadcast, so three share an instant.
+            let id = BroadcastId::new(NodeId::new((i * 7) % 5), (i * i * 31 + 7 * i) % 211);
+            let now = Instant::from_micros(i / 3);
+            session.remember_broadcast(&params, id, Arc::from(&b""[..]), 0, now);
+            model.insert(id, now);
+            while model.len() > cap {
+                let (&oldest, _) = model.iter().min_by_key(|(id, t)| (**t, **id)).unwrap();
+                model.remove(&oldest);
+            }
+            let kept: Vec<(BroadcastId, Instant)> = session
+                .recent
+                .iter()
+                .map(|(id, r)| (*id, r.stored))
+                .collect();
+            let expected: Vec<(BroadcastId, Instant)> =
+                model.iter().map(|(id, t)| (*id, *t)).collect();
+            assert_eq!(kept, expected, "after broadcast {i}");
+            assert_eq!(session.by_age.len(), session.recent.len());
+        }
     }
 
     #[test]
@@ -813,7 +857,7 @@ mod tests {
                     _ => &mut m2,
                 };
                 let mut effects = Vec::new();
-                m.on_smr_message(src, group, epoch, msg, at, &mut effects);
+                m.on_smr_message(src, group, epoch, *msg, at, &mut effects);
                 for e in effects {
                     if let Effect::Send {
                         to,
@@ -1432,7 +1476,8 @@ mod tests {
         };
         let mut effects = Vec::new();
         let at = Instant::from_micros(20);
-        holder.on_broadcast_pull(NodeId::new(from), *group, keys, *voted, at, &mut effects);
+        let voted = voted.as_deref().copied();
+        holder.on_broadcast_pull(NodeId::new(from), *group, keys, voted, at, &mut effects);
         effects
     }
 
@@ -1465,7 +1510,7 @@ mod tests {
         let AtumMessage::BroadcastPull { voted, .. } = &mut asked[0].1 else {
             unreachable!()
         };
-        *voted = Some(Digest::of(b"something else"));
+        *voted = Some(Box::new(Digest::of(b"something else")));
         assert!(answer(&mut senders[0], 20, &asked[0].1).is_empty());
     }
 

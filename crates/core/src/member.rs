@@ -228,7 +228,7 @@ impl Wiring<'_> {
                     let msg = AtumMessage::Smr {
                         group: vgroup,
                         epoch,
-                        msg,
+                        msg: Box::new(msg),
                     };
                     self.effects.push(Effect::Send { to, msg });
                 }

@@ -491,8 +491,9 @@ pub enum AtumMessage {
     /// Sent by every member of the admitting vgroup to the joiner (and to
     /// members transferred by shuffles/merges): the configuration to become
     /// a member of, whose composition includes the receiver. Accepted on
-    /// receipt from a majority of that composition.
-    Welcome(Configuration),
+    /// receipt from a majority of that composition. Boxed, like the two
+    /// other payloads no fan-out sends, to keep the enum small.
+    Welcome(Box<Configuration>),
     /// Sent by a member whose fence closed (its vgroup moved to a newer
     /// configuration epoch without it, or it heard no peer for an eviction
     /// window): asks a peer for a fresh [`AtumMessage::Welcome`] so it can
@@ -527,8 +528,9 @@ pub enum AtumMessage {
         group: VgroupId,
         /// Configuration epoch the message belongs to.
         epoch: u64,
-        /// The SMR protocol message.
-        msg: SmrMessage<GroupOp>,
+        /// The SMR protocol message, boxed: at 96 bytes it would set the
+        /// size of every message in flight.
+        msg: Box<SmrMessage<GroupOp>>,
     },
     /// One copy of a vgroup-to-vgroup group message. All per-recipient
     /// copies of the same logical message share one envelope allocation.
@@ -577,10 +579,18 @@ pub enum AtumMessage {
         /// Set by a requester that holds a majority of [`GroupVote`]s for
         /// this digest and no body: the holder, one of the voters, answers
         /// with the copy it voted for — the hops it forwarded with — so one
-        /// answer completes the quorum already counted.
-        voted: Option<Digest>,
+        /// answer completes the quorum already counted. Boxed: an inline
+        /// digest would make this the largest variant.
+        voted: Option<Box<Digest>>,
     },
 }
+
+// An enum is as large as its largest variant, and every message in flight
+// pays that size: a simulator event holds one message inline in a 64-byte
+// slot, and at 40 bytes `AtumMessage` leaves room for the sender, the
+// recipient and the byte count beside it. A payload that would push past
+// this goes behind a `Box`, as `Smr`, `Welcome` and `BroadcastPull` do.
+const _: () = assert!(std::mem::size_of::<AtumMessage>() <= 40);
 
 impl AtumMessage {
     /// Encodes the message body (no frame header) into a fresh buffer.
@@ -663,10 +673,21 @@ impl WireSize for AtumMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atum_simnet::{NetConfig, Simulation};
     use atum_types::NodeId;
 
     fn comp(ids: &[u64]) -> Composition {
         ids.iter().map(|&i| NodeId::new(i)).collect()
+    }
+
+    /// With `AtumMessage` at 40 bytes, a simulator event holding one fills
+    /// exactly one cache line; a variant that grew the enum, or took away
+    /// the spare tag value the event's own tags live in, would double it.
+    #[test]
+    fn a_simulated_event_carrying_a_message_fills_one_cache_line() {
+        type Sim = Simulation<AtumMessage, crate::AtumNode<crate::CollectingApp>>;
+        let debug = format!("{:?}", Sim::new(NetConfig::lan(), 0));
+        assert!(debug.contains("event_slot_bytes: 64"), "{debug}");
     }
 
     #[test]

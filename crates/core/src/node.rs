@@ -908,7 +908,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
                 };
                 self.with_member(ctx, |member, now, effects| member.propose(op, now, effects));
             }
-            AtumMessage::Welcome(config) => self.handle_welcome(from, config, ctx),
+            AtumMessage::Welcome(config) => self.handle_welcome(from, *config, ctx),
             AtumMessage::StateRequest { group, epoch } => {
                 self.with_member(ctx, |member, now, effects| {
                     member.on_state_request(from, group, epoch, now, effects)
@@ -921,7 +921,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
             }
             AtumMessage::Smr { group, epoch, msg } => {
                 self.with_member(ctx, |member, now, effects| {
-                    member.on_smr_message(from, group, epoch, msg, now, effects)
+                    member.on_smr_message(from, group, epoch, *msg, now, effects)
                 });
             }
             AtumMessage::Group(envelope) => {
@@ -948,7 +948,7 @@ impl<A: Application> Node<AtumMessage> for AtumNode<A> {
             }
             AtumMessage::BroadcastPull { group, keys, voted } => {
                 self.with_member(ctx, |member, now, effects| {
-                    member.on_broadcast_pull(from, group, &keys, voted, now, effects)
+                    member.on_broadcast_pull(from, group, &keys, voted.map(|d| *d), now, effects)
                 });
             }
         }
@@ -1457,12 +1457,12 @@ mod tests {
             let composition = comp(members);
             let hc = fast_params().hc;
             for &sender in members.iter().filter(|&&m| m != 0) {
-                let msg = AtumMessage::Welcome(Configuration {
+                let msg = AtumMessage::Welcome(Box::new(Configuration {
                     vgroup: group,
                     composition: composition.clone(),
                     neighbors: NeighborTable::self_loop(hc, group, composition.clone()),
                     epoch,
-                });
+                }));
                 self.act(|n, ctx| n.on_message(NodeId::new(sender), msg, ctx));
             }
         }
@@ -1622,7 +1622,7 @@ mod tests {
                 neighbors,
                 epoch: 3,
             };
-            let msg = AtumMessage::Welcome(config);
+            let msg = AtumMessage::Welcome(Box::new(config));
             solo.act(|n, ctx| n.on_message(NodeId::new(10), msg, ctx));
             assert_eq!(
                 solo.node.carried.pending_welcomes.len(),

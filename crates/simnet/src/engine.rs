@@ -35,6 +35,14 @@ enum EventKind<M, N> {
     Start { node: NodeId },
 }
 
+/// One queued event, alone on a 64-byte cache line: a pop reads one line
+/// and a push writes one. With a message of at most 40 bytes that has a
+/// spare tag value (a niche), `Deliver` fills the line exactly and both
+/// enum tags live in the message's; a larger message, or one without a
+/// niche, makes the slot two lines.
+#[repr(align(64))]
+struct EventSlot<M, N>(Option<EventKind<M, N>>);
+
 struct NodeSlot<N> {
     node: N,
     rng: ChaCha8Rng,
@@ -55,9 +63,10 @@ pub struct Simulation<M, N> {
     /// `(at, slot)` in firing order; the event itself stays put in
     /// `events[slot]`, so the queue moves 8-byte entries, not whole messages.
     queue: EventQueue,
-    /// The queued events, indexed by their queue entry's slot; `free` lists
-    /// the vacant slots, reused before the slab grows.
-    events: Vec<Option<EventKind<M, N>>>,
+    /// The queued events, one cache line each (see [`EventSlot`]), indexed
+    /// by their queue entry's slot. `free` lists the vacant slots, last
+    /// vacated first, so a push reuses the line the last pop just read.
+    events: Vec<EventSlot<M, N>>,
     free: Vec<usize>,
     now: Instant,
     timer_handles: u64,
@@ -90,6 +99,7 @@ impl<M, N> std::fmt::Debug for Simulation<M, N> {
             .field("seed", &self.seed)
             .field("nodes", &self.nodes.len())
             .field("queued_events", &self.queue.len())
+            .field("event_slot_bytes", &std::mem::size_of::<EventSlot<M, N>>())
             .field("pending_timers", &self.pending_timers.len())
             .field("partitions", &self.partitions.len())
             .field("stats", &self.stats)
@@ -333,6 +343,7 @@ where
             return false;
         };
         let kind = self.events[slot]
+            .0
             .take()
             .expect("a queued key's slot is occupied");
         self.free.push(slot);
@@ -355,11 +366,11 @@ where
     fn push(&mut self, at: Instant, kind: EventKind<M, N>) {
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.events[slot] = Some(kind);
+                self.events[slot] = EventSlot(Some(kind));
                 slot
             }
             None => {
-                self.events.push(Some(kind));
+                self.events.push(EventSlot(Some(kind)));
                 self.events.len() - 1
             }
         };
@@ -373,70 +384,57 @@ where
     }
 
     fn do_deliver(&mut self, from: NodeId, to: NodeId, msg: M, size: usize) {
-        let deliverable = self
-            .nodes
-            .get(&to)
-            .map(|s| !s.crashed && !s.halted)
-            .unwrap_or(false);
-        if !deliverable {
+        if self.with_context(to, true, |node, ctx| node.on_message(from, msg, ctx)) {
+            self.stats.messages_delivered += 1;
+            self.stats.bytes_delivered += size as u64;
+        } else {
             self.stats.messages_dropped += 1;
-            return;
         }
-        self.stats.messages_delivered += 1;
-        self.stats.bytes_delivered += size as u64;
-        self.with_context(to, |node, ctx| node.on_message(from, msg, ctx));
     }
 
     fn do_timer(&mut self, node: NodeId, tag: u64, handle: u64) {
         if !self.pending_timers.remove(&handle) {
             return; // Cancelled before firing.
         }
-        let deliverable = self
-            .nodes
-            .get(&node)
-            .map(|s| !s.crashed && !s.halted)
-            .unwrap_or(false);
-        if !deliverable {
-            return;
+        if self.with_context(node, true, |n, ctx| n.on_timer(tag, ctx)) {
+            self.stats.timers_fired += 1;
         }
-        self.stats.timers_fired += 1;
-        self.with_context(node, |n, ctx| n.on_timer(tag, ctx));
     }
 
     fn do_call(&mut self, node: NodeId, f: NodeCall<M, N>) {
-        if !self.nodes.contains_key(&node) {
-            return;
+        if self.with_context(node, false, f) {
+            self.stats.calls_executed += 1;
         }
-        self.stats.calls_executed += 1;
-        self.with_context(node, |n, ctx| f(n, ctx));
     }
 
     fn do_start(&mut self, node: NodeId) {
-        if !self.nodes.contains_key(&node) {
-            return;
-        }
-        self.with_context(node, |n, ctx| n.on_start(ctx));
+        self.with_context(node, false, |n, ctx| n.on_start(ctx));
     }
 
     /// Builds a context for `id`, runs `f`, then applies the context's
     /// effects (outgoing messages, timers, cancellations, halt flag) in the
     /// order the `node` module docs prescribe — the same contract the TCP
     /// runtime follows, so both runtimes drive identical state machines.
+    /// Returns whether `f` ran: not when `id` is unknown, nor, with
+    /// `live_only`, when it is crashed or halted. The liveness check rides
+    /// on the one node lookup the context needs anyway.
     ///
     /// This is the innermost frame of the event loop, so it is kept
     /// allocation- and copy-free: the context borrows the node's RNG in
     /// place (cloning a `ChaCha8Rng` per event was measurable at millions
     /// of events per second) and the effect buffers are recycled scratch
     /// vectors whose capacity survives across events.
-    fn with_context<F>(&mut self, id: NodeId, f: F)
+    fn with_context<F>(&mut self, id: NodeId, live_only: bool, f: F) -> bool
     where
         F: FnOnce(&mut N, &mut Context<'_, M>),
     {
-        let effects = std::mem::take(&mut self.scratch_effects);
         let Some(slot) = self.nodes.get_mut(&id) else {
-            self.scratch_effects = effects;
-            return;
+            return false;
         };
+        if live_only && (slot.crashed || slot.halted) {
+            return false;
+        }
+        let effects = std::mem::take(&mut self.scratch_effects);
         let mut next_handle = self.timer_handles;
         let mut ctx = Context::for_runtime(id, self.now, &mut slot.rng, &mut next_handle, effects);
         f(&mut slot.node, &mut ctx);
@@ -471,6 +469,7 @@ where
         }
         effects.clear();
         self.scratch_effects = effects;
+        true
     }
 
     fn route(&mut self, from: NodeId, from_region: Region, to: NodeId, msg: M, size: usize) {
@@ -692,6 +691,42 @@ mod tests {
         sim.call(a, move |_n, ctx| ctx.send(b, 9));
         sim.run_until_idle(Duration::from_secs(5));
         assert_eq!(sim.node(b).unwrap().messages.len(), 1);
+    }
+
+    /// The liveness check rides on `with_context`'s node lookup: a crashed
+    /// or halted node gets no delivery and no timer, and each is counted
+    /// as such, while a harness call still runs on it.
+    #[test]
+    fn crashed_and_halted_nodes_drop_deliveries_and_timers_but_run_calls() {
+        type Stop = fn(&mut Simulation<u64, Recorder>, NodeId);
+        let crash: Stop = |sim, b| sim.crash(b);
+        let halt: Stop = |sim, b| sim.call(b, |_n, ctx| ctx.halt());
+        for stop in [crash, halt] {
+            let (mut sim, a, b) = two_node_sim();
+            sim.run_until_idle(Duration::from_secs(1));
+            sim.call(b, |_n, ctx| {
+                ctx.set_timer(Duration::from_millis(10), 7);
+            });
+            stop(&mut sim, b);
+            sim.run_until(sim.now());
+            assert!(!sim.is_live(b));
+            let before = sim.stats().clone();
+            // 9 asks for no reply.
+            sim.call(a, move |_n, ctx| ctx.send(b, 9));
+            sim.run_until_idle(Duration::from_secs(5));
+            let after = sim.stats().clone();
+            assert_eq!(after.messages_dropped, before.messages_dropped + 1);
+            assert_eq!(after.messages_delivered, before.messages_delivered);
+            assert_eq!(after.bytes_delivered, before.bytes_delivered);
+            assert_eq!(after.timers_fired, before.timers_fired);
+            let node = sim.node(b).unwrap();
+            assert!(node.messages.is_empty() && node.timers.is_empty());
+
+            sim.call(b, |n, _ctx| n.timers.push(1));
+            sim.run_until_idle(Duration::from_secs(1));
+            assert_eq!(sim.node(b).unwrap().timers, vec![1]);
+            assert_eq!(sim.stats().calls_executed, after.calls_executed + 1);
+        }
     }
 
     #[test]

@@ -635,6 +635,20 @@ impl<T: WireDecode> WireDecode for Arc<T> {
     }
 }
 
+/// A boxed value encodes exactly as the value: boxing a large variant's
+/// payload shrinks the in-memory enum, never the bytes on the wire.
+impl<T: WireEncode> WireEncode for Box<T> {
+    fn wire_encode(&self, w: &mut WireWriter<'_>) {
+        (**self).wire_encode(w);
+    }
+}
+
+impl<T: WireDecode> WireDecode for Box<T> {
+    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        T::wire_decode(r).map(Box::new)
+    }
+}
+
 impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
     fn wire_encode(&self, w: &mut WireWriter<'_>) {
         self.0.wire_encode(w);

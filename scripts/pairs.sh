@@ -8,9 +8,12 @@
 #   e.g. scripts/pairs.sh HEAD~1 sim_fanout 10 47
 #
 # For each end-to-end metric in BENCHMARK.json it prints both sides' median
-# and quartiles, the pairs the checkout won, the parent's quartile distance
-# and whether the gap between the medians exceeds it; then each side's
-# failed-operation share.
+# and quartiles, the pairs the checkout won, the parent's quartile distance,
+# whether the gap between the medians exceeds it, and whether the claim rule
+# is met: the checkout won at least nine tenths of the pairs with a record
+# on both sides, and its median is better than the parent's by more than the
+# parent's quartile distance. Then it prints each side's failed-operation
+# share.
 #
 # The parent is exported with `git archive` (no worktree is registered) and
 # built, with its own target directory, under $TMPDIR/atum-pairs/<commit>,
@@ -79,7 +82,7 @@ value() { # <side> <pair> <metric>: the value, or nothing without a record
 }
 
 echo "$workload, seed $seed, ${seconds} s, $pairs pairs: parent $rev against this checkout"
-printf '%-18s %-34s %-34s %6s %7s %10s %s\n' metric "parent q1 median q3" "change q1 median q3" ratio won "parent IQR" "gap > IQR"
+printf '%-18s %-34s %-34s %6s %7s %10s %9s %s\n' metric "parent q1 median q3" "change q1 median q3" ratio won "parent IQR" "gap > IQR" "rule met"
 jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while read -r metric better; do
     read -r p1 pm p3 < <(for ((i = 1; i <= pairs; i++)); do value parent "$i" "$metric"; done | quartiles)
     read -r c1 cm c3 < <(for ((i = 1; i <= pairs; i++)); do value change "$i" "$metric"; done | quartiles)
@@ -93,10 +96,12 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while rea
         won=$((won + $(awk -v p="$p" -v c="$c" -v b="$better" 'BEGIN { print (b == "lower" ? c < p : c > p) ? 1 : 0 }')))
     done
     awk -v m="$metric" -v p1="$p1" -v pm="$pm" -v p3="$p3" -v c1="$c1" -v cm="$cm" -v c3="$c3" \
-        -v won="$won/$both" 'BEGIN {
+        -v won="$won" -v both="$both" -v better="$better" 'BEGIN {
         iqr = p3 - p1; gap = cm - pm; if (gap < 0) gap = -gap
-        printf "%-18s %-34s %-34s %6.3f %7s %10.4g %s\n", m, p1 " " pm " " p3, c1 " " cm " " c3,
-            (pm != 0 ? cm / pm : 0), won, iqr, (gap > iqr ? "yes" : "no")
+        gain = (better == "lower" ? pm - cm : cm - pm)
+        met = both > 0 && won >= 0.9 * both && gain > iqr
+        printf "%-18s %-34s %-34s %6.3f %7s %10.4g %9s %s\n", m, p1 " " pm " " p3, c1 " " cm " " c3,
+            (pm != 0 ? cm / pm : 0), won "/" both, iqr, (gap > iqr ? "yes" : "no"), (met ? "yes" : "no")
     }'
 done
 for name in "${names[@]}"; do

@@ -183,12 +183,12 @@ fn all_op_variants() -> Vec<GroupOp> {
 }
 
 fn sample_welcome() -> AtumMessage {
-    AtumMessage::Welcome(Configuration {
+    AtumMessage::Welcome(Box::new(Configuration {
         vgroup: VgroupId::new(3),
         composition: comp(&[1, 2, 9]),
         neighbors: sample_neighbors(),
         epoch: 17,
-    })
+    }))
 }
 
 fn sample_vote() -> AtumMessage {
@@ -223,17 +223,17 @@ fn all_message_variants() -> Vec<AtumMessage> {
         AtumMessage::Smr {
             group: VgroupId::new(3),
             epoch: 17,
-            msg: SmrMessage::SyncValue {
+            msg: Box::new(SmrMessage::SyncValue {
                 slot: 8,
                 sender: NodeId::new(1),
                 batch: all_op_variants(),
                 chain: sample_chain(),
-            },
+            }),
         },
         AtumMessage::Smr {
             group: VgroupId::new(3),
             epoch: 17,
-            msg: SmrMessage::ViewChange {
+            msg: Box::new(SmrMessage::ViewChange {
                 new_view: 2,
                 prepared: vec![(
                     4,
@@ -242,12 +242,12 @@ fn all_message_variants() -> Vec<AtumMessage> {
                         nonce: 0,
                     },
                 )],
-            },
+            }),
         },
         AtumMessage::Smr {
             group: VgroupId::new(3),
             epoch: 17,
-            msg: SmrMessage::NewView {
+            msg: Box::new(SmrMessage::NewView {
                 view: 2,
                 ops: vec![(
                     4,
@@ -257,7 +257,7 @@ fn all_message_variants() -> Vec<AtumMessage> {
                     },
                 )],
                 skips: vec![5, 6],
-            },
+            }),
         },
         AtumMessage::App {
             payload: vec![7; 100],
@@ -277,7 +277,7 @@ fn all_message_variants() -> Vec<AtumMessage> {
         AtumMessage::BroadcastPull {
             group: VgroupId::new(5),
             keys: vec![BroadcastId::new(NodeId::new(1), 2)],
-            voted: Some(Digest::of(b"voted-for")),
+            voted: Some(Box::new(Digest::of(b"voted-for"))),
         },
     ];
     // One Group message per payload variant, and a walk at its last hop.
@@ -1194,12 +1194,12 @@ mod proptests {
             members in proptest::collection::vec(0u64..10_000, 1..40),
             epoch in 0u64..1_000_000,
         ) {
-            let msg = AtumMessage::Welcome(Configuration {
+            let msg = AtumMessage::Welcome(Box::new(Configuration {
                 vgroup: VgroupId::new(epoch),
                 composition: members.iter().map(|&m| NodeId::new(m)).collect(),
                 neighbors: sample_neighbors(),
                 epoch,
-            });
+            }));
             let back = AtumMessage::decode_body(&msg.encode_body()).unwrap();
             prop_assert_eq!(back, msg);
         }
@@ -1216,7 +1216,7 @@ mod proptests {
             let msg = AtumMessage::Smr {
                 group: VgroupId::new(1),
                 epoch: slot,
-                msg: SmrMessage::PrePrepare { view: 0, seq: slot, op },
+                msg: Box::new(SmrMessage::PrePrepare { view: 0, seq: slot, op }),
             };
             let back = AtumMessage::decode_body(&msg.encode_body()).unwrap();
             prop_assert_eq!(back, msg);
