@@ -84,11 +84,6 @@ impl AsubNode {
         &self.node
     }
 
-    /// Mutable access to the underlying Atum node.
-    pub fn atum_mut(&mut self) -> &mut AtumNode<CollectingApp> {
-        &mut self.node
-    }
-
     /// `create_topic`: bootstrap a fresh topic group with this node as the
     /// first subscriber.
     ///

@@ -296,11 +296,6 @@ impl<A: Application> AtumNode<A> {
         &self.app
     }
 
-    /// Mutable access to the hosted application.
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
-    }
-
     /// The vgroup member state, if the node is a member.
     pub fn member(&self) -> Option<&MemberState> {
         match &self.lifecycle {

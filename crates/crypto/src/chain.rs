@@ -78,14 +78,6 @@ impl SignatureChain {
         &self.links
     }
 
-    /// Reassembles a chain from its parts (wire decoding). The result is
-    /// *unverified*: receivers must still run the protocol's verification
-    /// against the key registry, exactly as they do for simulator-delivered
-    /// chains.
-    pub fn from_parts(payload: Digest, links: Vec<(NodeId, Signature)>) -> Self {
-        SignatureChain { payload, links }
-    }
-
     /// What each link signs, in chain order, then what the next link will
     /// sign: the payload and every link before it, hashed as one stream.
     fn bindings(&self) -> impl Iterator<Item = Digest> + '_ {

@@ -603,7 +603,7 @@ struct EdgeIo {
 impl EdgeIo {
     fn new(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<EdgeIo> {
         let metrics = ConnMetrics::new(&shared.registry, "edge");
-        let table = ConnTable::new(&shared.replies, Some(listener), metrics, shared.epoch)?;
+        let table = ConnTable::new(&shared.replies, listener, metrics, shared.epoch)?;
         let out_capacity = shared.cfg.queue_capacity + shared.cfg.workers.max(1);
         Ok(EdgeIo {
             shared,

@@ -59,11 +59,6 @@ impl NodeSlot {
         !self.halted && !self.crashed
     }
 
-    /// `true` when the node was crashed by the scenario.
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// Earliest armed timer as `(fire_at, handle, tag)`.
     fn earliest_timer(&self) -> Option<(Instant, u64, u64)> {
         self.earliest

@@ -10,7 +10,7 @@
 //! round-trip, placement walk, welcome quorum and heartbeat crosses TCP.
 //!
 //! Because a runtime multiplexes all of its nodes over non-blocking
-//! sockets, the process runs O(runtimes × reactors) threads no matter how
+//! sockets, the process runs one thread per runtime no matter how
 //! many nodes the cluster holds — this is what lets the `net_scale` bench
 //! stand up 1000+ socket-backed nodes in one process.
 
@@ -28,7 +28,7 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 /// [`RuntimeStats`] over the merged registries of every runtime of a
 /// cluster: counters and histograms summed, peaks maxed (so `threads` is
-/// O(runtimes × reactors), independent of the node count).
+/// the number of runtimes, independent of the node count).
 pub type AggregateStats = RuntimeStats;
 
 /// Builder for [`NetCluster`].
@@ -85,7 +85,7 @@ impl NetClusterBuilder {
         self
     }
 
-    /// How many [`NetRuntime`]s (each a listener + its reactor threads) the
+    /// How many [`NetRuntime`]s (each a listener + its reactor thread) the
     /// cluster spreads its nodes over, round-robin. Default 1: the whole
     /// cluster on one reactor thread.
     pub fn runtimes(mut self, runtimes: usize) -> Self {

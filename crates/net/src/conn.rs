@@ -281,11 +281,11 @@ impl<X> Conn<X> {
 }
 
 /// The connections of one I/O thread, the poller they are registered with,
-/// and (optionally) the listener that feeds them.
+/// and the listener that feeds them.
 #[derive(Debug)]
 pub struct ConnTable<X> {
     poller: Poller,
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     conns: Vec<Option<Conn<X>>>,
     free_slots: Vec<usize>,
     /// Slots freed since the last [`ConnTable::recycle`].
@@ -302,19 +302,17 @@ pub struct ConnTable<X> {
 }
 
 impl<X> ConnTable<X> {
-    /// A table polling `injector`'s eventfd and, when given, `listener`
-    /// (which must already be non-blocking). Writes are counted in `metrics`.
+    /// A table polling `injector`'s eventfd and `listener` (which must
+    /// already be non-blocking). Writes are counted in `metrics`.
     pub fn new<T>(
         injector: &Injector<T>,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
         metrics: ConnMetrics,
         epoch: Instant,
     ) -> std::io::Result<Self> {
         let poller = Poller::new()?;
         poller.register(injector.waker.fd(), KEY_WAKER, Interest::READABLE)?;
-        if let Some(l) = listener.as_ref() {
-            poller.register(l.as_raw_fd(), KEY_LISTENER, Interest::READABLE)?;
-        }
+        poller.register(listener.as_raw_fd(), KEY_LISTENER, Interest::READABLE)?;
         Ok(ConnTable {
             poller,
             listener,
@@ -420,7 +418,7 @@ impl<X> ConnTable<X> {
 
     /// The next connection waiting on the listener, if any.
     pub fn accept_next(&mut self) -> Option<TcpStream> {
-        let (stream, _) = self.listener.as_ref()?.accept().ok()?;
+        let (stream, _) = self.listener.accept().ok()?;
         Some(stream)
     }
 
@@ -686,7 +684,7 @@ mod tests {
         let injector: Injector<()> = Injector::new().unwrap();
         let mut table = ConnTable::new(
             &injector,
-            Some(listener),
+            listener,
             ConnMetrics::new(&Registry::new("test"), "net"),
             Instant::now(),
         )

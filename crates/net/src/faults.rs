@@ -3,8 +3,8 @@
 //! The TCP runtime's benign path is exercised to death by the benchmark's
 //! socket workloads and the scale scenario; the interesting adversary sits
 //! *on the links*. This module is the runtime's fault plane: a
-//! [`FaultPlane`] handle shared by every reactor of a runtime (and, through
-//! a harness, by every runtime of a cluster) that decides, per outbound
+//! [`FaultPlane`] handle shared by a runtime's reactor (and, through a
+//! harness, by every runtime of a cluster) that decides, per outbound
 //! frame, whether the frame is delivered, dropped, delayed, reordered,
 //! corrupted or shaped — plus a connection-kill trigger that severs every
 //! live socket.
@@ -23,10 +23,10 @@
 //!
 //! # Determinism
 //!
-//! Every random decision is drawn from a per-reactor [`ChaCha8Rng`] stream
-//! derived from `RuntimeConfig::seed` and the reactor index. For a fixed
-//! rule set, the decision sequence is a pure function of the seed and the
-//! sequence of `(from, to, len)` sends the reactor performs — replaying a
+//! Every random decision is drawn from the runtime's one [`ChaCha8Rng`]
+//! stream derived from `RuntimeConfig::seed`. For a fixed rule set, the
+//! decision sequence is a pure function of the seed and the sequence of
+//! `(from, to, len)` sends the reactor performs — replaying a
 //! scenario with the same seed replays the same injected faults
 //! (`decider_determinism_is_exact` pins this). The wall clock only enters
 //! through the bandwidth shaper's busy cursor, which is itself fed the
@@ -271,14 +271,13 @@ impl FaultPlane {
         self.inner.kills.load(Ordering::Acquire)
     }
 
-    /// A per-reactor decision stream. `seed` is the runtime's configured
-    /// seed; `lane` the reactor index — two reactors of one runtime (or
-    /// two runtimes with different seeds) draw from distinct streams, and
-    /// the same `(seed, lane)` always replays the same stream.
-    pub(crate) fn decider(&self, seed: u64, lane: u64) -> FaultDecider {
+    /// A runtime's decision stream. `seed` is the runtime's configured
+    /// seed: two runtimes with different seeds draw from distinct streams,
+    /// and the same seed always replays the same stream.
+    pub(crate) fn decider(&self, seed: u64) -> FaultDecider {
         FaultDecider {
             plane: self.clone(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (lane.wrapping_add(1)).wrapping_mul(SEED_MIX)),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ SEED_MIX),
             rules: self.rules(),
             rules_gen: self.inner.generation.load(Ordering::Acquire),
             busy_until_us: BTreeMap::new(),
@@ -425,7 +424,7 @@ mod tests {
     fn inactive_plane_always_delivers() {
         let plane = FaultPlane::new();
         assert!(!plane.is_active());
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         for i in 0..100 {
             assert_eq!(d.decide(n(1), n(2), 64 + i, 0), FaultDecision::Deliver);
         }
@@ -435,7 +434,7 @@ mod tests {
     fn partition_blocks_both_directions_until_heal() {
         let plane = FaultPlane::new();
         plane.partition(&[n(1), n(2)], &[n(3)]);
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         assert_eq!(d.decide(n(1), n(3), 64, 0), FaultDecision::Drop);
         assert_eq!(d.decide(n(3), n(2), 64, 0), FaultDecision::Drop);
         assert_eq!(d.decide(n(1), n(2), 64, 0), FaultDecision::Deliver);
@@ -448,7 +447,7 @@ mod tests {
     fn oneway_partition_blocks_one_direction_only() {
         let plane = FaultPlane::new();
         plane.partition_oneway(&[n(1)], &[n(2)]);
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         assert_eq!(d.decide(n(1), n(2), 64, 0), FaultDecision::Drop);
         assert_eq!(d.decide(n(2), n(1), 64, 0), FaultDecision::Deliver);
     }
@@ -461,7 +460,7 @@ mod tests {
         // A zero per-peer entry is an override, not a removal: loss 0.0
         // removes the entry, falling back to the default.
         plane.set_loss(n(8), 1e-12);
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         assert_eq!(d.decide(n(1), n(2), 64, 0), FaultDecision::Drop);
         // Destination 8 has a ~0 per-peer loss: delivered.
         assert_eq!(d.decide(n(1), n(8), 64, 0), FaultDecision::Deliver);
@@ -483,8 +482,8 @@ mod tests {
             plane
         };
         let (pa, pb) = (mk(), mk());
-        let mut da = pa.decider(1234, 3);
-        let mut db = pb.decider(1234, 3);
+        let mut da = pa.decider(1234);
+        let mut db = pb.decider(1234);
         let seq_a: Vec<FaultDecision> = (0..500)
             .map(|i| da.decide(n(i % 7), n(i % 5 + 7), 64 + i as usize, i * 10))
             .collect();
@@ -497,24 +496,19 @@ mod tests {
             .iter()
             .any(|d| matches!(d, FaultDecision::Forward { corrupt: true, .. })));
 
-        // A different seed or lane diverges.
-        let mut dc = mk().decider(1235, 3);
+        // A different seed diverges.
+        let mut dc = mk().decider(1235);
         let seq_c: Vec<FaultDecision> = (0..500)
             .map(|i| dc.decide(n(i % 7), n(i % 5 + 7), 64 + i as usize, i * 10))
             .collect();
         assert_ne!(seq_a, seq_c);
-        let mut dd = mk().decider(1234, 4);
-        let seq_d: Vec<FaultDecision> = (0..500)
-            .map(|i| dd.decide(n(i % 7), n(i % 5 + 7), 64 + i as usize, i * 10))
-            .collect();
-        assert_ne!(seq_a, seq_d);
     }
 
     #[test]
     fn bandwidth_shaper_accumulates_serialisation_delay() {
         let plane = FaultPlane::new();
         plane.set_bandwidth(Some(1_000_000)); // 1 MB/s → 1 µs per byte
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         // First frame: link free, pays only its own serialisation.
         match d.decide(n(1), n(2), 1000, 0) {
             FaultDecision::Forward { delay_us, .. } => assert_eq!(delay_us, 1000),
@@ -541,7 +535,7 @@ mod tests {
     #[test]
     fn corrupt_copy_never_mutates_the_shared_frame() {
         let plane = FaultPlane::new();
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         let original: Arc<[u8]> = vec![0xAAu8; 64].into();
         for _ in 0..32 {
             let copy = d.corrupt_copy(&original);
@@ -572,7 +566,7 @@ mod tests {
             inj.partition(&[n(1)], &[n(2)]);
             inj.set_loss(n(5), 1.0);
         }
-        let mut d = plane.decider(7, 0);
+        let mut d = plane.decider(7);
         assert_eq!(d.decide(n(1), n(2), 64, 0), FaultDecision::Drop);
         assert_eq!(d.decide(n(4), n(5), 64, 0), FaultDecision::Drop);
         {

@@ -4,11 +4,11 @@
 //! effect surface of `atum_simnet` ([`atum_simnet::Node`] +
 //! [`atum_simnet::Context`]). This crate supplies the second runtime for
 //! that surface: a [`NetRuntime`] binds one TCP
-//! listener and runs a fixed set of *reactor* threads, each multiplexing
-//! non-blocking sockets and a timer heap for every node it hosts — the same
-//! `AtumNode` state machine then runs over loopback or LAN sockets with no
-//! protocol changes whatsoever, and a single process hosts 1000+ nodes on
-//! O(reactors) threads.
+//! listener and runs one *reactor* thread, multiplexing non-blocking
+//! sockets and a timer heap for every node it hosts — the same `AtumNode`
+//! state machine then runs over loopback or LAN sockets with no protocol
+//! changes whatsoever, and a single process hosts 1000+ nodes on one
+//! thread per runtime.
 //!
 //! * [`frame`] — versioned length-prefixed framing with decode hardening
 //!   (max-frame cap, magic/version checks, exact-consumption bodies): the
@@ -16,7 +16,7 @@
 //!   per-connection `Hello` handshake and the `Route` frames that address
 //!   messages on a multiplexed connection.
 //! * [`conn`] — the connection layer under everything that owns sockets
-//!   (the reactors here and the `atum-edge` gateway's I/O thread): slots
+//!   (the reactor here and the `atum-edge` gateway's I/O thread): slots
 //!   with generation guards, poller registration, accept, non-blocking
 //!   reads up to the frame boundary, bounded out-queues with coalesced
 //!   flushes, close-with-reason, and the eventfd-woken mailbox into the

@@ -1,26 +1,25 @@
-//! The reactor runtime: N event-loop threads multiplexing non-blocking
+//! The reactor runtime: one event-loop thread multiplexing non-blocking
 //! sockets for *all* nodes hosted in the process.
 //!
-//! [`NetRuntime::bind`] opens one listener and spawns
-//! [`RuntimeConfig::reactors`] reactor threads; [`NetRuntime::host`] places
-//! protocol nodes onto them round-robin. The per-process thread count is
-//! O(reactors), not O(nodes) or O(connections) — `RuntimeStats::threads`
-//! reports it — which is what makes a 1000+-node
-//! single-process cluster feasible at all.
+//! [`NetRuntime::bind`] opens one listener and spawns the runtime's one
+//! reactor thread; [`NetRuntime::host`] places protocol nodes onto it. The
+//! per-process thread count is one per runtime, not O(nodes) or
+//! O(connections) — `RuntimeStats::threads` reports it — which is what
+//! makes a 1000+-node single-process cluster feasible at all. A process
+//! that wants more threads binds more runtimes
+//! ([`NetClusterBuilder::runtimes`](crate::NetClusterBuilder::runtimes)).
 //!
 //! # Readiness and ownership invariants
 //!
-//! * **One owner per socket and per node.** Every connection and every
-//!   hosted node belongs to exactly one reactor; no lock is ever taken on
-//!   the dispatch or socket path. The sockets themselves (slots, reads up
-//!   to the frame boundary, bounded out-queues, coalesced writes,
+//! * **One owner for every socket and every node.** The reactor thread owns
+//!   the listener, every connection and every hosted node; no lock is ever
+//!   taken on the dispatch or socket path. The sockets themselves (slots,
+//!   reads up to the frame boundary, bounded out-queues, coalesced writes,
 //!   level-triggered readiness) are the [`crate::conn`] layer's; this
 //!   module adds the node wire's hello/route/message pairing, dialling and
 //!   reconnecting, the fault plane and the node driver. Cross-thread input
-//!   arrives only through each reactor's [`Injector`]: hosting requests,
-//!   external calls, inbound messages decoded by another reactor's
-//!   connection, and accepted sockets handed off by the listener owner
-//!   (reactor 0).
+//!   arrives only through the runtime's [`Injector`]: hosting and removal
+//!   requests and external calls.
 //! * **One write per connection per turn.** Sending only queues: the
 //!   connection layer marks the slot and writes a queue out when it holds a
 //!   full batch or when this loop calls [`ConnTable::flush_marked`], which
@@ -29,9 +28,9 @@
 //!   what they put on one connection is one `write`. The flush comes
 //!   *before* the poll timeout is computed, because a socket found broken
 //!   there reconnects, and a failed or pending connect arms a timer the
-//!   timeout must see. With one reactor the deferral costs no latency: the
-//!   thread that would write the frame is the thread that must return to
-//!   `poll` to read it.
+//!   timeout must see. The deferral costs no latency: the thread that
+//!   would write the frame is the thread that must return to `poll` to
+//!   read it.
 //! * **The wall clock lives in one heap.** Node timers
 //!   (`Context::set_timer`), connect deadlines and reconnect backoffs all
 //!   share the reactor's binary heap; the poll timeout is the earliest
@@ -44,19 +43,20 @@
 //!   halt). Self-sends (`X → X`) loop through the reactor's local delivery
 //!   queue — deferred, exactly like the simulator; sends to *other* nodes
 //!   always cross a real socket, even between two nodes hosted by the same
-//!   runtime (the runtime connects to its own listener).
+//!   runtime (the runtime connects to its own listener). A decoded inbound
+//!   message is delivered when the runtime hosts its destination and
+//!   counted in `net.frames_dropped` otherwise.
 //! * **The fault plane sits at the frame boundary, inside the owner.** When
 //!   [`RuntimeConfig::faults`] has rules installed, `send_from` consults the
-//!   reactor's own deterministic `FaultDecider` *after* encoding (the
-//!   frame length feeds the bandwidth shaper) and *before* the address
-//!   lookup — injected faults never cross a thread and never touch another
-//!   reactor's state. Delayed frames live in the reactor's `delayed` map and
-//!   re-enter through the shared timer heap (`TimerKind::FaultRelease`),
-//!   re-resolving their destination at release time; corrupted frames are
-//!   *copies* (message frames are `Arc`-shared across fan-out and must never
-//!   be mutated in place); connection kills are observed at the top of the
-//!   loop like retargets. The benign path pays exactly one relaxed atomic
-//!   load.
+//!   runtime's deterministic `FaultDecider` *after* encoding (the frame
+//!   length feeds the bandwidth shaper) and *before* the address lookup —
+//!   injected faults never cross a thread. Delayed frames live in the
+//!   reactor's `delayed` map and re-enter through the shared timer heap
+//!   (`TimerKind::FaultRelease`), re-resolving their destination at release
+//!   time; corrupted frames are *copies* (message frames are `Arc`-shared
+//!   across fan-out and must never be mutated in place); connection kills
+//!   are observed at the top of the loop like retargets. The benign path
+//!   pays exactly one relaxed atomic load.
 //!
 //! # The multiplexed wire
 //!
@@ -83,8 +83,8 @@ use polling_mini::connect_nonblocking;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{IpAddr, SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
@@ -92,21 +92,33 @@ use std::time::{Duration as StdDuration, Instant as StdInstant};
 /// Poll timeout when no timer is armed.
 const IDLE_POLL: StdDuration = StdDuration::from_millis(200);
 
+/// Timeout of each TCP connect attempt.
+const CONNECT_TIMEOUT: StdDuration = StdDuration::from_millis(500);
+
+/// Connect attempts before a connection's queued frames are dropped. The
+/// budget resets on every successful connect.
+const MAX_CONNECT_ATTEMPTS: u32 = 4;
+
+/// Base reconnect backoff; doubles per failed attempt, resets to base on
+/// success.
+const RECONNECT_BACKOFF: StdDuration = StdDuration::from_millis(25);
+
 /// External call executed against a hosted node on its reactor.
 type Call<M, N> = Box<dyn FnOnce(&mut N, &mut Context<'_, M>) + Send>;
 
-/// Cross-thread input to one reactor.
+/// Cross-thread input to the reactor.
 enum Injected<M, N> {
-    /// Host a new node (runs `on_start` on the reactor).
-    Host { id: NodeId, node: N },
+    /// Host a new node (runs `on_start` on the reactor), recording into
+    /// the flight recorder `NetRuntime::host` registered for it.
+    Host {
+        id: NodeId,
+        node: N,
+        flight: Arc<FlightRecorder>,
+    },
     /// Remove a hosted node (its timers die with it).
     Remove { id: NodeId },
     /// Run an external call against a hosted node.
     Call { id: NodeId, f: Call<M, N> },
-    /// A message decoded by another reactor's connection, owned here.
-    Inbound { from: NodeId, to: NodeId, msg: M },
-    /// An accepted socket handed off by the listener owner.
-    Accepted { stream: TcpStream },
 }
 
 // ---------------------------------------------------------------- reconnect
@@ -124,20 +136,16 @@ enum Injected<M, N> {
 /// per-connection from the runtime seed, so a given run is replayable.
 #[derive(Debug, Clone)]
 pub(crate) struct Reconnect {
-    base: StdDuration,
-    max_attempts: u32,
     attempt: u32,
     backoff: StdDuration,
     rng: ChaCha8Rng,
 }
 
 impl Reconnect {
-    pub(crate) fn new(base: StdDuration, max_attempts: u32, seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Reconnect {
-            base,
-            max_attempts: max_attempts.max(1),
             attempt: 0,
-            backoff: base,
+            backoff: RECONNECT_BACKOFF,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
@@ -145,7 +153,7 @@ impl Reconnect {
     /// Records a successful connect: the budget and backoff start over.
     pub(crate) fn on_success(&mut self) {
         self.attempt = 0;
-        self.backoff = self.base;
+        self.backoff = RECONNECT_BACKOFF;
     }
 
     /// Records a failed connect attempt. Returns the jittered delay to wait
@@ -153,7 +161,7 @@ impl Reconnect {
     /// (give up).
     pub(crate) fn on_failure(&mut self) -> Option<StdDuration> {
         self.attempt += 1;
-        if self.attempt >= self.max_attempts {
+        if self.attempt >= MAX_CONNECT_ATTEMPTS {
             return None;
         }
         let rung = self.backoff;
@@ -248,71 +256,50 @@ struct Hosted<N> {
 
 // ------------------------------------------------------------------- shared
 
-/// State shared between the runtime handle, node handles and reactors.
+/// State shared between the runtime handle, node handles and the reactor.
 struct Shared<M, N> {
     cfg: RuntimeConfig,
     book: AddressBook,
-    /// The runtime's metrics store: every `net.*` count of its reactors.
+    /// The runtime's metrics store: every `net.*` count of its reactor.
     registry: Registry,
-    /// Decoded inbound messages currently awaiting dispatch (its peak is
-    /// the `net.peak_inbound_queue` gauge).
-    inbound_pending: AtomicU64,
     epoch: StdInstant,
     addr: SocketAddr,
     shutdown: AtomicBool,
-    /// Which reactor owns each hosted node.
-    placements: RwLock<HashMap<NodeId, usize>>,
-    /// Every hosted node's flight recorder — readable from any thread
-    /// (`NodeHandle::dump_flight`) while the owning reactor records into it.
+    /// Every hosted node's flight recorder, keyed by the nodes the handles
+    /// see as hosted — readable from any thread (`NodeHandle::dump_flight`)
+    /// while the reactor records into it.
     flights: RwLock<HashMap<NodeId, Arc<FlightRecorder>>>,
-    injectors: Vec<Arc<Injector<Injected<M, N>>>>,
-    next_reactor: AtomicUsize,
-}
-
-impl<M: NetMessage, N: Node<M> + Send + 'static> Shared<M, N> {
-    /// Routes cross-thread input to the reactor owning `id` (if any).
-    fn inject_to_owner(&self, id: NodeId, item: Injected<M, N>) {
-        let owner = self
-            .placements
-            .read()
-            .expect("placements lock")
-            .get(&id)
-            .copied();
-        if let Some(idx) = owner {
-            self.injectors[idx].push(item);
-        }
-    }
+    injector: Injector<Injected<M, N>>,
 }
 
 // ------------------------------------------------------------------ runtime
 
-/// A process-wide socket runtime hosting any number of protocol nodes on a
-/// fixed set of reactor threads. See the module docs for the invariants.
+/// A process-wide socket runtime hosting any number of protocol nodes on
+/// one reactor thread. See the module docs for the invariants.
 ///
-/// Dropping the runtime does *not* stop its threads; call
+/// Dropping the runtime does *not* stop its thread; call
 /// [`NetRuntime::shutdown`].
 pub struct NetRuntime<M: NetMessage, N: Node<M> + Send + 'static> {
     shared: Arc<Shared<M, N>>,
-    threads: Vec<JoinHandle<()>>,
+    thread: JoinHandle<()>,
 }
 
 impl<M: NetMessage, N: Node<M> + Send + 'static> std::fmt::Debug for NetRuntime<M, N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetRuntime")
             .field("addr", &self.shared.addr)
-            .field("reactors", &self.threads.len())
             .finish_non_exhaustive()
     }
 }
 
 impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
-    /// Binds the runtime's listener and spawns its reactor threads. Nodes
+    /// Binds the runtime's listener and spawns its reactor thread. Nodes
     /// are added afterwards with [`NetRuntime::host`].
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error when the listener, the poller or a
-    /// reactor's waker cannot be created.
+    /// Returns the underlying I/O error when the listener, the poller or
+    /// the reactor's waker cannot be created.
     pub fn bind(cfg: RuntimeConfig) -> std::io::Result<Self> {
         // Flight recording is always on for socket runtimes (allocation-free
         // in steady state; see the atum-obs crate docs), and a panic on a
@@ -322,65 +309,40 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
         let listener = TcpListener::bind(cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let reactors = cfg.reactors.max(1);
         let registry = Registry::new(format!("runtime:{addr}"));
-        registry.counter("net.threads").add(reactors as u64);
-        let mut injectors = Vec::with_capacity(reactors);
-        for _ in 0..reactors {
-            injectors.push(Arc::new(Injector::new()?));
-        }
+        registry.counter("net.threads").inc();
         let shared = Arc::new(Shared {
             book: cfg.book.clone(),
             epoch: cfg.epoch.unwrap_or_else(StdInstant::now),
             registry,
-            inbound_pending: AtomicU64::new(0),
             addr,
             shutdown: AtomicBool::new(false),
-            placements: RwLock::new(HashMap::new()),
             flights: RwLock::new(HashMap::new()),
-            injectors,
-            next_reactor: AtomicUsize::new(0),
+            injector: Injector::new()?,
             cfg,
         });
-        let mut threads = Vec::with_capacity(reactors);
-        for idx in 0..reactors {
-            let reactor = Reactor::new(
-                idx,
-                shared.clone(),
-                if idx == 0 {
-                    Some(listener.try_clone()?)
-                } else {
-                    None
-                },
-            )?;
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("atum-reactor-{idx}"))
-                    .spawn(move || reactor.run())
-                    .expect("spawn reactor thread"),
-            );
-        }
-        Ok(NetRuntime { shared, threads })
+        let reactor = Reactor::new(shared.clone(), listener)?;
+        let thread = std::thread::Builder::new()
+            .name("atum-reactor".to_string())
+            .spawn(move || reactor.run())
+            .expect("spawn reactor thread");
+        Ok(NetRuntime { shared, thread })
     }
 
-    /// Hosts a node on one of the reactors (round-robin), registers its
-    /// address (the runtime's listener) in the address book, and runs its
-    /// `on_start` on the owning reactor before any message reaches it.
+    /// Hosts a node on the reactor, registers its address (the runtime's
+    /// listener) in the address book, and runs its `on_start` on the
+    /// reactor before any message reaches it.
     pub fn host(&self, id: NodeId, node: N) -> NodeHandle<M, N> {
-        let idx =
-            self.shared.next_reactor.fetch_add(1, Ordering::Relaxed) % self.shared.injectors.len();
-        self.shared
-            .placements
-            .write()
-            .expect("placements lock")
-            .insert(id, idx);
+        let flight = Arc::new(FlightRecorder::new());
         self.shared
             .flights
             .write()
             .expect("flights lock")
-            .insert(id, Arc::new(FlightRecorder::new()));
+            .insert(id, flight.clone());
         self.shared.book.register(id, self.shared.addr);
-        self.shared.injectors[idx].push(Injected::Host { id, node });
+        self.shared
+            .injector
+            .push(Injected::Host { id, node, flight });
         NodeHandle {
             id,
             shared: self.shared.clone(),
@@ -393,8 +355,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
         self.shared.addr
     }
 
-    /// The runtime's counters, aggregated across all reactors and hosted
-    /// nodes: a view of [`NetRuntime::registry`] as of now.
+    /// The runtime's counters, aggregated across all hosted nodes: a view
+    /// of [`NetRuntime::registry`] as of now.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats::read(&self.shared.registry.snapshot())
     }
@@ -411,7 +373,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
 
     /// The runtime's fault-injection plane. Installing rules here (or on
     /// any clone of the [`RuntimeConfig`] this runtime was built from)
-    /// takes effect on every reactor's next send; see
+    /// takes effect on the reactor's next send; see
     /// [`FaultPlane`] for the vocabulary.
     pub fn faults(&self) -> &FaultPlane {
         &self.shared.cfg.faults
@@ -421,9 +383,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
     /// here).
     pub fn handle(&self, id: NodeId) -> Option<NodeHandle<M, N>> {
         self.shared
-            .placements
+            .flights
             .read()
-            .expect("placements lock")
+            .expect("flights lock")
             .contains_key(&id)
             .then(|| NodeHandle {
                 id,
@@ -431,18 +393,14 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NetRuntime<M, N> {
             })
     }
 
-    /// Stops the runtime: dispatch ceases, every reactor *drains* its
+    /// Stops the runtime: dispatch ceases, the reactor *drains* its
     /// outbound queues (bounded by [`RuntimeConfig::drain_timeout`]) so
     /// frames accepted before the shutdown still reach their sockets, then
-    /// all connections close and the threads join.
-    pub fn shutdown(mut self) {
+    /// all connections close and the thread joins.
+    pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        for injector in &self.shared.injectors {
-            injector.wake();
-        }
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.shared.injector.wake();
+        let _ = self.thread.join();
     }
 }
 
@@ -492,18 +450,16 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
     }
 
     /// Schedules `f` against the node on its reactor (the socket runtime's
-    /// analogue of `Simulation::call`).
+    /// analogue of `Simulation::call`). A call to a node the reactor no
+    /// longer hosts is dropped there, unrun.
     pub fn call<F>(&self, f: F)
     where
         F: FnOnce(&mut N, &mut Context<'_, M>) + Send + 'static,
     {
-        self.shared.inject_to_owner(
-            self.id,
-            Injected::Call {
-                id: self.id,
-                f: Box::new(f),
-            },
-        );
+        self.shared.injector.push(Injected::Call {
+            id: self.id,
+            f: Box::new(f),
+        });
     }
 
     /// This node's flight recorder (`None` once the node is removed).
@@ -543,13 +499,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
     /// hosted node. (Shutting the whole runtime down is
     /// [`NetRuntime::shutdown`].)
     pub fn shutdown(self) {
-        self.shared
-            .inject_to_owner(self.id, Injected::Remove { id: self.id });
-        self.shared
-            .placements
-            .write()
-            .expect("placements lock")
-            .remove(&self.id);
+        self.shared.injector.push(Injected::Remove { id: self.id });
         self.shared
             .flights
             .write()
@@ -561,9 +511,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
 // ------------------------------------------------------------------ reactor
 
 struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
-    idx: usize,
     shared: Arc<Shared<M, N>>,
-    injector: Arc<Injector<Injected<M, N>>>,
     nodes: HashMap<NodeId, Hosted<N>>,
     table: ConnTable<NodeConn>,
     by_addr: HashMap<SocketAddr, usize>,
@@ -574,13 +522,15 @@ struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
     /// Deferred self-deliveries (`X → X`), exactly the simulator's
     /// deferred-delivery semantics.
     loopback: VecDeque<(NodeId, NodeId, M)>,
+    /// Decoded messages awaiting dispatch: queued self-sends plus the
+    /// inbound message being delivered (its peak is the
+    /// `net.peak_inbound_queue` gauge).
+    inbound_pending: u64,
     effects: ContextEffects<M>,
     /// Per-effect-batch encode-once memo: fan-out identity → shared frame.
     fanout_frames: HashMap<usize, Arc<[u8]>>,
-    /// Round-robin counter for handing accepted sockets to reactors.
-    next_accept: usize,
-    /// This reactor's lane of the fault plane: a deterministic per-reactor
-    /// decision stream (seeded from `cfg.seed` and the reactor index).
+    /// The fault plane's deterministic decision stream for this runtime
+    /// (seeded from `cfg.seed`).
     fault_decider: FaultDecider,
     /// Frames held back by an injected delay, keyed by release token; the
     /// matching `TimerKind::FaultRelease` timer resumes them.
@@ -593,21 +543,14 @@ struct Reactor<M: NetMessage, N: Node<M> + Send + 'static> {
 }
 
 impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
-    fn new(
-        idx: usize,
-        shared: Arc<Shared<M, N>>,
-        listener: Option<TcpListener>,
-    ) -> std::io::Result<Self> {
-        let injector = shared.injectors[idx].clone();
+    fn new(shared: Arc<Shared<M, N>>, listener: TcpListener) -> std::io::Result<Self> {
         let conn_metrics = ConnMetrics::new(&shared.registry, "net");
-        let table = ConnTable::new(&injector, listener, conn_metrics, shared.epoch)?;
+        let table = ConnTable::new(&shared.injector, listener, conn_metrics, shared.epoch)?;
         let metrics = NetMetrics::new(&shared.registry);
-        let fault_decider = shared.cfg.faults.decider(shared.cfg.seed, idx as u64);
+        let fault_decider = shared.cfg.faults.decider(shared.cfg.seed);
         let seen_kills = shared.cfg.faults.kill_count();
         Ok(Reactor {
-            idx,
             shared,
-            injector,
             nodes: HashMap::new(),
             table,
             by_addr: HashMap::new(),
@@ -615,9 +558,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
             timer_seq: 0,
             book_gen: 0,
             loopback: VecDeque::new(),
+            inbound_pending: 0,
             effects: ContextEffects::new(),
             fanout_frames: HashMap::new(),
-            next_accept: 0,
             fault_decider,
             delayed: HashMap::new(),
             next_delayed: 0,
@@ -667,7 +610,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     fn handle_ready(&mut self, ready: usize, draining: bool) {
         for i in 0..ready {
             match self.table.event(i) {
-                Ready::Waker => self.injector.acknowledge(),
+                Ready::Waker => self.shared.injector.acknowledge(),
                 Ready::Listener => self.accept_ready(),
                 Ready::Conn {
                     slot,
@@ -681,9 +624,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     // ------------------------------------------------------ input channels
 
     fn drain_injected(&mut self) {
-        while let Some(item) = self.injector.pop() {
+        while let Some(item) = self.shared.injector.pop() {
             match item {
-                Injected::Host { id, node } => self.host_node(id, node),
+                Injected::Host { id, node, flight } => self.host_node(id, node, flight),
                 Injected::Remove { id } => {
                     self.nodes.remove(&id);
                 }
@@ -691,8 +634,6 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     self.metrics.events_processed.inc();
                     self.dispatch(id, f);
                 }
-                Injected::Inbound { from, to, msg } => self.deliver(from, to, msg),
-                Injected::Accepted { stream } => self.add_accepted(stream),
             }
         }
     }
@@ -704,23 +645,13 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     }
 
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.shared.inbound_pending.fetch_sub(1, Ordering::Relaxed);
+        self.inbound_pending -= 1;
         self.metrics.events_processed.inc();
         self.dispatch(to, move |node, ctx| node.on_message(from, msg, ctx));
     }
 
-    fn host_node(&mut self, id: NodeId, node: N) {
+    fn host_node(&mut self, id: NodeId, node: N, flight: Arc<FlightRecorder>) {
         let seed = self.shared.cfg.seed ^ id.raw().wrapping_mul(0x9E3779B97F4A7C15);
-        // The handle side (`NetRuntime::host`) registered the recorder
-        // before injecting us; fall back to a fresh one for completeness.
-        let flight = self
-            .shared
-            .flights
-            .read()
-            .expect("flights lock")
-            .get(&id)
-            .cloned()
-            .unwrap_or_default();
         self.nodes.insert(
             id,
             Hosted {
@@ -906,16 +837,13 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 return slot;
             }
         }
-        let cfg = &self.shared.cfg;
         let dial = Dial {
             addr,
+            // Per-connection jitter stream: distinct generations get
+            // distinct backoff sequences, so simultaneous breaks don't
+            // retry in lock-step.
             reconnect: Reconnect::new(
-                cfg.reconnect_backoff,
-                cfg.max_connect_attempts,
-                // Per-connection jitter stream: distinct generations get
-                // distinct backoff sequences, so simultaneous breaks
-                // don't retry in lock-step.
-                cfg.seed ^ self.table.next_gen().wrapping_mul(0x9E3779B97F4A7C15),
+                self.shared.cfg.seed ^ self.table.next_gen().wrapping_mul(0x9E3779B97F4A7C15),
             ),
         };
         let hello = frame::encode_frame(
@@ -956,7 +884,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         let dial = conn.ext.dial.as_ref();
         let addr = dial.expect("start_connect on accepted conn").addr;
         if connect_nonblocking(addr).is_ok_and(|stream| self.table.connecting(slot, stream)) {
-            let at = StdInstant::now() + self.shared.cfg.connect_timeout;
+            let at = StdInstant::now() + CONNECT_TIMEOUT;
             self.arm_timer(at, TimerKind::ConnDeadline { slot, gen });
         } else {
             self.fail_connect(slot);
@@ -1046,22 +974,12 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
 
     fn accept_ready(&mut self) {
         while let Some(stream) = self.table.accept_next() {
-            let target = self.next_accept % self.shared.injectors.len();
-            self.next_accept += 1;
-            if target == self.idx {
-                self.add_accepted(stream);
-            } else {
-                self.shared.injectors[target].push(Injected::Accepted { stream });
-            }
+            let conn = NodeConn {
+                peer_ip: stream.peer_addr().ok().map(|a| a.ip()),
+                ..NodeConn::default()
+            };
+            self.table.accept(stream, conn);
         }
-    }
-
-    fn add_accepted(&mut self, stream: TcpStream) {
-        let conn = NodeConn {
-            peer_ip: stream.peer_addr().ok().map(|a| a.ip()),
-            ..NodeConn::default()
-        };
-        self.table.accept(stream, conn);
     }
 
     // ---------------------------------------------------------------- read
@@ -1184,36 +1102,24 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         true
     }
 
-    /// Hands a decoded inbound message to the reactor owning its
-    /// destination: dispatched directly when that is us, injected to the
-    /// owning reactor otherwise, dropped (and counted) when no reactor of
-    /// this runtime hosts the destination.
+    /// Delivers a decoded inbound message when this runtime hosts its
+    /// destination; drops it (and counts it) otherwise.
     fn route_inbound(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let owner = self
-            .shared
-            .placements
-            .read()
-            .expect("placements lock")
-            .get(&to)
-            .copied();
-        match owner {
-            Some(idx) if idx == self.idx => {
-                self.note_inbound_enqueued();
-                self.deliver(from, to, msg);
-            }
-            Some(idx) => {
-                self.note_inbound_enqueued();
-                self.shared.injectors[idx].push(Injected::Inbound { from, to, msg });
-            }
-            None => self.metrics.frames_dropped.inc(),
+        if self.nodes.contains_key(&to) {
+            self.note_inbound_enqueued();
+            self.deliver(from, to, msg);
+        } else {
+            self.metrics.frames_dropped.inc();
         }
     }
 
     /// One more decoded message awaits dispatch (a self-send, or an inbound
-    /// frame on its way to the owning reactor).
-    fn note_inbound_enqueued(&self) {
-        let depth = self.shared.inbound_pending.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.peak_inbound_queue.record_max(depth);
+    /// frame about to be delivered).
+    fn note_inbound_enqueued(&mut self) {
+        self.inbound_pending += 1;
+        self.metrics
+            .peak_inbound_queue
+            .record_max(self.inbound_pending);
     }
 
     // -------------------------------------------------------------- timers
@@ -1241,8 +1147,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     }
                     // How far behind its deadline the timer fires. On a
                     // healthy machine this is microseconds; sustained lag of
-                    // hundreds of milliseconds means the reactors are
+                    // hundreds of milliseconds means the reactor is
                     // CPU-starved and failure detectors upstream are lying.
+                    // (The third slot is 0: a runtime has one reactor.)
                     let lag_us = now.saturating_duration_since(entry.at).as_micros() as u64;
                     self.metrics.timer_lag_us.record(lag_us);
                     if lag_us >= 100_000 {
@@ -1250,10 +1157,9 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                             Reactor,
                             at = self.now().as_micros(),
                             node = id.raw(),
-                            slots = [lag_us, tag, self.idx as u64],
-                            "timer fired {}ms late on reactor {}",
-                            lag_us / 1_000,
-                            self.idx
+                            slots = [lag_us, tag, 0],
+                            "timer fired {}ms late",
+                            lag_us / 1_000
                         );
                     }
                     self.metrics.events_processed.inc();
@@ -1289,7 +1195,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     // ------------------------------------------------------------- faults
 
     /// Observes the fault plane's kill-connections counter and, when it
-    /// moved, breaks every live connection this reactor owns. Outbound
+    /// moved, breaks every live connection of the runtime. Outbound
     /// connections with queued frames immediately reconnect (`conn_broken`
     /// semantics) — the fault models a transport reset, not an eviction.
     fn check_fault_kills(&mut self) {
@@ -1307,11 +1213,10 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         atum_obs::trace_event!(
             FaultInjected,
             at = self.now().as_micros(),
-            node = self.idx as u64,
+            node = 0,
             slots = [live.len() as u64, 4, 0],
-            "injected kill severed {} connections on reactor {}",
-            live.len(),
-            self.idx
+            "injected kill severed {} connections",
+            live.len()
         );
         self.metrics.conns_killed_injected.add(live.len() as u64);
         for slot in live {
@@ -1384,10 +1289,10 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
 mod tests {
     use super::*;
 
-    /// The jitter window for backoff rung `k` with base `b`:
-    /// `[b * 2^k, b * 2^k * 3/2]`.
-    fn assert_in_rung(delay: StdDuration, base: StdDuration, rung: u32) {
-        let lo = base.saturating_mul(1 << rung);
+    /// The jitter window for backoff rung `k` with base
+    /// `b = RECONNECT_BACKOFF`: `[b * 2^k, b * 2^k * 3/2]`.
+    fn assert_in_rung(delay: StdDuration, rung: u32) {
+        let lo = RECONNECT_BACKOFF.saturating_mul(1 << rung);
         let hi = lo + lo / 2;
         assert!(
             delay >= lo && delay <= hi,
@@ -1396,34 +1301,32 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_backoff_doubles_with_jitter_then_resets_on_success() {
-        let base = StdDuration::from_millis(25);
-        let mut r = Reconnect::new(base, 4, 7);
-        assert_in_rung(r.on_failure().unwrap(), base, 0);
-        assert_in_rung(r.on_failure().unwrap(), base, 1);
-        assert_in_rung(r.on_failure().unwrap(), base, 2);
+    fn reconnect_delay_doubles_with_jitter_then_resets_on_success() {
+        let mut r = Reconnect::new(7);
+        assert_in_rung(r.on_failure().unwrap(), 0);
+        assert_in_rung(r.on_failure().unwrap(), 1);
+        assert_in_rung(r.on_failure().unwrap(), 2);
         // Budget spent: give up.
         assert_eq!(r.on_failure(), None);
 
         // A successful connect resets BOTH the budget and the backoff —
         // the bug the old writer path had (backoff kept growing across
         // successful reconnects).
-        let mut r = Reconnect::new(base, 4, 7);
+        let mut r = Reconnect::new(7);
         let _ = r.on_failure();
         let _ = r.on_failure();
         r.on_success();
-        assert_in_rung(r.on_failure().unwrap(), base, 0);
-        assert_in_rung(r.on_failure().unwrap(), base, 1);
-        assert_in_rung(r.on_failure().unwrap(), base, 2);
+        assert_in_rung(r.on_failure().unwrap(), 0);
+        assert_in_rung(r.on_failure().unwrap(), 1);
+        assert_in_rung(r.on_failure().unwrap(), 2);
         assert_eq!(r.on_failure(), None);
     }
 
     #[test]
     fn reconnect_jitter_is_seeded_and_desynchronises_streams() {
-        let base = StdDuration::from_millis(25);
         // Same seed: identical delay sequence (replayable runs).
-        let mut a = Reconnect::new(base, 4, 11);
-        let mut b = Reconnect::new(base, 4, 11);
+        let mut a = Reconnect::new(11);
+        let mut b = Reconnect::new(11);
         let seq_a: Vec<_> = (0..3).map(|_| a.on_failure()).collect();
         let seq_b: Vec<_> = (0..3).map(|_| b.on_failure()).collect();
         assert_eq!(seq_a, seq_b);
@@ -1431,7 +1334,7 @@ mod tests {
         // Different seeds: some rung differs (streams are desynchronised;
         // 64 seeds all colliding on every rung would mean no jitter).
         let diverges = (0..64u64).any(|seed| {
-            let mut c = Reconnect::new(base, 4, seed);
+            let mut c = Reconnect::new(seed);
             (0..3).map(|_| c.on_failure()).collect::<Vec<_>>() != seq_a
         });
         assert!(diverges);

@@ -1,9 +1,9 @@
 //! Runtime configuration, the stats view and the address book.
 //!
 //! The socket runtime itself lives in [`crate::reactor`]:
-//! [`NetRuntime`](crate::reactor::NetRuntime) owns the listener and a fixed
-//! set of reactor threads multiplexing non-blocking sockets for every
-//! hosted node, and [`NodeHandle`](crate::reactor::NodeHandle) is the
+//! [`NetRuntime`](crate::reactor::NetRuntime) owns the listener and one
+//! reactor thread multiplexing non-blocking sockets for every hosted node,
+//! and [`NodeHandle`](crate::reactor::NodeHandle) is the
 //! per-node view onto it. This module keeps what the runtime, its
 //! harnesses and the edge gateway share: [`RuntimeConfig`],
 //! [`RuntimeStats`], [`AddressBook`] and the [`NetMessage`] bound.
@@ -34,7 +34,9 @@ use std::time::Duration as StdDuration;
 pub trait NetMessage: WireEncode + WireDecode + WireSize + FrameMemo + Send + 'static {}
 impl<T: WireEncode + WireDecode + WireSize + FrameMemo + Send + 'static> NetMessage for T {}
 
-/// Tuning knobs of the runtime.
+/// Tuning knobs of the runtime. Every runtime is one reactor thread; a
+/// process that wants more threads binds more runtimes (see
+/// [`NetClusterBuilder::runtimes`](crate::NetClusterBuilder::runtimes)).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Seed for the per-node deterministic RNG handed to protocol code.
@@ -45,19 +47,8 @@ pub struct RuntimeConfig {
     /// Per-connection outbound queue bound; frames beyond it are dropped
     /// and counted in [`RuntimeStats::frames_dropped`].
     pub queue_capacity: usize,
-    /// Timeout of each TCP connect attempt.
-    pub connect_timeout: StdDuration,
-    /// Connect attempts before a connection's queued frames are dropped.
-    /// The budget resets on every successful connect.
-    pub max_connect_attempts: u32,
-    /// Base reconnect backoff; doubles per failed attempt, resets to base
-    /// on success.
-    pub reconnect_backoff: StdDuration,
     /// Address the runtime's listener binds (every hosted node shares it).
     pub listen: SocketAddr,
-    /// Reactor threads the runtime spawns. Hosted nodes are placed
-    /// round-robin; the per-process thread count is exactly this number.
-    pub reactors: usize,
     /// The address book the runtime resolves and registers peers in.
     /// Clones share state: a harness passes clones of one book so every
     /// runtime sees every registration.
@@ -69,7 +60,7 @@ pub struct RuntimeConfig {
     /// How long `shutdown` keeps flushing outbound queues before closing
     /// sockets on whatever is left.
     pub drain_timeout: StdDuration,
-    /// The fault-injection plane the reactors consult per outbound frame.
+    /// The fault-injection plane the reactor consults per outbound frame.
     /// Clones share state (like [`RuntimeConfig::book`]): a harness passes
     /// clones of one plane so a single `partition()` cuts every runtime.
     /// The default plane has no rules and costs one atomic load per send.
@@ -81,11 +72,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             seed: 42,
             queue_capacity: 1024,
-            connect_timeout: StdDuration::from_millis(500),
-            max_connect_attempts: 4,
-            reconnect_backoff: StdDuration::from_millis(25),
             listen: "127.0.0.1:0".parse().expect("loopback bind address"),
-            reactors: 1,
             book: AddressBook::new(),
             epoch: None,
             drain_timeout: StdDuration::from_secs(5),
@@ -94,14 +81,13 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// A point-in-time view of a runtime's `net.*` metrics (summed over its
-/// reactors and every node they host), computed from its
-/// [`atum_obs::Registry`] — or, under the name
-/// [`AggregateStats`](crate::AggregateStats), from the merged registries of
-/// a cluster's runtimes. The two queue peaks (bounded per-connection
-/// outbound queues, inbound in flight between reactors) are the places
-/// memory actually grows, which is why the bench records them as its
-/// RSS-ish proxies.
+/// A point-in-time view of a runtime's `net.*` metrics (summed over every
+/// node it hosts), computed from its [`atum_obs::Registry`] — or, under the
+/// name [`AggregateStats`](crate::AggregateStats), from the merged
+/// registries of a cluster's runtimes. The two queue peaks (bounded
+/// per-connection outbound queues, decoded inbound messages awaiting
+/// dispatch) are the places memory actually grows, which is why the bench
+/// records them as its RSS-ish proxies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Message frames written to sockets.
@@ -138,8 +124,9 @@ pub struct RuntimeStats {
     /// `peak_outbound_queue` this is where memory can actually grow — both
     /// peaks are the bench's memory proxies.
     pub peak_inbound_queue: u64,
-    /// OS threads the runtimes run: O(reactors), *not* O(node-pairs) — the
-    /// headline difference to the retired thread-per-connection runtime.
+    /// OS threads the runtimes run: one per runtime, *not* O(node-pairs) —
+    /// the headline difference to the retired thread-per-connection
+    /// runtime.
     pub threads: u64,
     /// Frames dropped *by the fault plane* (loss, partitions). Kept apart
     /// from `frames_dropped` so benches can separate injected damage from
@@ -208,7 +195,7 @@ impl RuntimeStats {
     }
 }
 
-/// The handles one reactor writes into its runtime's registry, resolved
+/// The handles the reactor writes into its runtime's registry, resolved
 /// once when the reactor is built so its loop never takes the registry
 /// lock. (The connection layer's four are
 /// [`ConnMetrics`](crate::conn::ConnMetrics).)
@@ -390,7 +377,7 @@ mod tests {
         pred()
     }
 
-    /// A single-reactor runtime on its own loopback listener, sharing
+    /// A runtime on its own loopback listener, sharing
     /// `book` with its peers.
     fn bind(book: &AddressBook) -> NetRuntime<u64, Recorder> {
         NetRuntime::bind(RuntimeConfig {

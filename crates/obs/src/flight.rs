@@ -264,19 +264,6 @@ pub fn install_panic_dump() {
     });
 }
 
-/// Writes a recorder's dump to `<dir>/flight-<label>.jsonl`, creating the
-/// directory; returns the path written.
-pub fn dump_to_dir(
-    dir: &std::path::Path,
-    label: &str,
-    recorder: &FlightRecorder,
-) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("flight-{label}.jsonl"));
-    std::fs::write(&path, recorder.dump_jsonl())?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -207,12 +207,6 @@ pub fn set_flight_recording(on: bool) {
     }
 }
 
-/// `true` when flight recording is armed.
-#[inline]
-pub fn flight_recording() -> bool {
-    MASK.load(Ordering::Relaxed) & FLIGHT_BIT != 0
-}
-
 /// An in-process sink callback: receives each enabled event's kind and its
 /// rendered JSONL line (no trailing newline).
 pub type Collector = Arc<dyn Fn(EventKind, &str) + Send + Sync>;

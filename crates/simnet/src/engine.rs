@@ -210,12 +210,6 @@ where
         self.nodes.get(&id).map(|s| &s.node)
     }
 
-    /// Mutable access to a node's state (outside of event processing; for
-    /// in-callback mutation use [`Simulation::call`]).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(&id).map(|s| &mut s.node)
-    }
-
     /// Returns `true` if the node exists and is neither crashed nor halted.
     pub fn is_live(&self, id: NodeId) -> bool {
         self.nodes

@@ -20,8 +20,10 @@
 # where later calls reuse it. The checkout, uncommitted edits included, is
 # built where benchmark/run.sh builds it ($CARGO_TARGET_DIR, else target/).
 # The runs go from a scratch directory under $TMPDIR/atum-pairs, because
-# the benchmark writes ./bench-out/; nothing is written into the tree. A run
-# that prints no record keeps its stderr there, and the script names it.
+# the benchmark writes ./bench-out/; nothing is written into the tree. That
+# directory is kept, and its path printed last: it holds every run's record
+# (<side>.<pair>.json), so a metric can be read pair by pair afterwards. A
+# run that prints no record keeps its stderr there, and the script names it.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 usage="usage: scripts/pairs.sh <parent-rev> <workload> <pairs> <seed> [seconds]"
@@ -51,7 +53,6 @@ bins=([0]="$parent/target/release/atum-benchmark" [1]="$change_target/release/at
 names=(parent change)
 
 runs=$(mktemp -d "$work/run.XXXXXX")
-kept=0
 for ((i = 1; i <= pairs; i++)); do
     first=$(((i + 1) % 2)) # pair 1: the parent first
     for side in "$first" "$((1 - first))"; do
@@ -62,7 +63,6 @@ for ((i = 1; i <= pairs; i++)); do
             tail -n 1 "$runs/$name.$i.out" >"$runs/$name.$i.json"
             rm -f "$runs/$name.$i.err"
         else
-            kept=1
             echo "pair $i, $name: no record; its stderr is kept in $runs/$name.$i.err" >&2
             tail -n 5 "$runs/$name.$i.err" >&2
         fi
@@ -108,4 +108,4 @@ for name in "${names[@]}"; do
     cat "$runs/$name".*.json 2>/dev/null | jq -rs --arg n "$name" \
         '"\($n): \(map(.failed) | add // 0) failed of \(map(.attempted) | add // 0) attempted, \(length) records"'
 done
-if [ "$kept" = 0 ]; then rm -rf "$runs"; fi
+echo "records: $runs"

@@ -5,12 +5,15 @@
 # addr2line. It prints two tables:
 #
 # * by line: every sample is charged to the innermost frame — inlined ones
-#   included — that lies in `crates/`, so time under `memcpy`, the
-#   allocator, the standard library or a vendored crate shows at the product
-#   line that called it;
-# * by file, inclusive: a sample counts once for every `crates/` file with a
-#   frame anywhere on its stack, so a file's share is the time spent in it
-#   and in everything it called. The shares add up to more than 100 %.
+#   included — that lies in `crates/` or `benchmark/src/`, so time under
+#   `memcpy`, the allocator, the standard library or a vendored crate shows
+#   at the line that called it, and time in the benchmark's own code (say,
+#   its application checking a delivered payload) shows at the benchmark's
+#   line, not at the product line that called into it;
+# * by file, inclusive: a sample counts once for every `crates/` or
+#   `benchmark/src/` file with a frame anywhere on its stack, so a file's
+#   share is the time spent in it and in everything it called. The shares
+#   add up to more than 100 %.
 #
 # (The standard library's SIMD intrinsics sit under a `crates/` directory
 # too, `/rustc/…/stdarch/crates/core_arch`; frames under `/rustc/` are
@@ -103,27 +106,27 @@ tr ' ' '\n' < "$build/samples.txt" | grep . | sort -u \
 awk '
     NR == FNR {
         if (/^0x/) addr = $1
-        else if (!(addr in where) && !/^\/rustc\// && match($0, /crates\/[^ ]*:[0-9]+/))
+        else if (!(addr in where) && !/^\/rustc\// && match($0, /(crates|benchmark\/src)\/[^ ]*:[0-9]+/))
             where[addr] = substr($0, RSTART, RLENGTH)
         next
     }
     {
         total++
         for (i = 1; i <= NF; i++) if ($i in where) { hits[where[$i]]++; next }
-        hits["(no frame in crates/)"]++
+        hits["(no frame in crates/ or benchmark/src/)"]++
     }
     END {
-        printf "%d samples of 2 ms, by innermost crates/ line:\n", total
+        printf "%d samples of 2 ms, by innermost crates/ or benchmark/src/ line:\n", total
         for (line in hits) printf "%7d %5.1f%%  %s\n", hits[line], 100 * hits[line] / total, line
     }
 ' "$build/symbols.txt" "$build/samples.txt" | sort -k1,1nr | sed -n 1,41p
 
 echo
-echo "$(wc -l < "$build/samples.txt") samples of 2 ms, by crates/ file anywhere on the stack (once per file per sample):"
+echo "$(wc -l < "$build/samples.txt") samples of 2 ms, by crates/ or benchmark/src/ file anywhere on the stack (once per file per sample):"
 awk '
     NR == FNR {
         if (/^0x/) addr = $1
-        else if (!/^\/rustc\// && match($0, /crates\/[^ :]*:[0-9]+/)) {
+        else if (!/^\/rustc\// && match($0, /(crates|benchmark\/src)\/[^ :]*:[0-9]+/)) {
             file = substr($0, RSTART, RLENGTH)
             sub(/:[0-9]+$/, "", file)
             if (index(files[addr] " ", " " file " ") == 0) files[addr] = files[addr] " " file

@@ -1,7 +1,7 @@
 //! Torture tests for the reactor runtime: misbehaving peers, mid-frame
 //! disconnects, half-open sockets, shutdown draining, address retargeting,
-//! and the per-pair ordering guarantee when one reactor multiplexes many
-//! nodes.
+//! messages for nodes the runtime does not (or no longer) host, and the
+//! per-pair ordering guarantee when one reactor multiplexes many nodes.
 //!
 //! The peers here are mostly *raw* sockets driven by the test itself — the
 //! point is to poke the reactor from outside the friendly codepaths.
@@ -282,6 +282,55 @@ fn reregistration_retargets_queued_frames_to_the_new_address() {
         "migrated frames out of order: {got:?}"
     );
     assert_eq!(got.last(), Some(&(K - 1)), "the tail never migrated");
+    runtime.shutdown();
+}
+
+#[test]
+fn frames_for_unhosted_or_removed_nodes_are_dropped_and_counted() {
+    let runtime: NetRuntime<u64, Recorder> = NetRuntime::bind(RuntimeConfig::default()).unwrap();
+    let kept = runtime.host(NodeId::new(0), Recorder::default());
+    let removed = runtime.host(NodeId::new(1), Recorder::default());
+    // Each message on its own connection: a second hello on one stream is
+    // a protocol violation.
+    let send =
+        |to: u64, msg: u64| send_routed(&mut TcpStream::connect(kept.addr()).unwrap(), 9, to, msg);
+
+    // Node 1 is live until removed.
+    send(1, 5);
+    assert!(wait_until(Duration::from_secs(5), || {
+        removed.with_node(|n| n.seen.clone()).unwrap_or_default() == vec![(NodeId::new(9), 5)]
+    }));
+    removed.clone().shutdown();
+    // A call queued behind the removal returns only once it was drained.
+    assert!(kept.with_node(|_| ()).is_some());
+    assert!(runtime.handle(NodeId::new(1)).is_none());
+    let asked = Instant::now();
+    assert!(removed.with_node(|n| n.seen.len()).is_none());
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "a call to a removed node waited {:?} for its timeout",
+        asked.elapsed()
+    );
+
+    // One message to an id never hosted, one to the removed node, one to
+    // the node that is still here.
+    send(42, 1);
+    send(1, 2);
+    send(0, 3);
+    assert!(wait_until(Duration::from_secs(5), || {
+        runtime.stats().frames_dropped == 2 && kept.with_node(|n| n.seen.len()).unwrap_or(0) == 1
+    }));
+    assert_eq!(
+        kept.with_node(|n| n.seen.clone()).unwrap(),
+        vec![(NodeId::new(9), 3)]
+    );
+    let stats = runtime.stats();
+    assert_eq!(stats.frames_received, 4, "every message decoded");
+    assert_eq!(
+        stats.frames_dropped, 2,
+        "both misaddressed messages counted"
+    );
+    assert_eq!(stats.decode_errors, 0);
     runtime.shutdown();
 }
 
