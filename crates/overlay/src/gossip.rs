@@ -183,6 +183,28 @@ mod tests {
         assert!((1.7..2.3).contains(&mean), "mean {mean}");
     }
 
+    /// The model checker fingerprints this rendering: the remembered ids
+    /// as a sorted set, then in eviction order, then the limit.
+    #[test]
+    fn seen_cache_rendering_is_pinned() {
+        let mut cache = SeenCache::new(3);
+        for (origin, seq) in [(2, 0), (1, 5), (2, 1), (1, 5), (1, 0), (3, 9)] {
+            cache.insert(BroadcastId::new(NodeId::new(origin), seq));
+        }
+        let pinned = concat!(
+            "SeenCache { seen: {",
+            "BroadcastId { origin: NodeId(1), seq: 0 }, ",
+            "BroadcastId { origin: NodeId(2), seq: 1 }, ",
+            "BroadcastId { origin: NodeId(3), seq: 9 }",
+            "}, order: [",
+            "BroadcastId { origin: NodeId(2), seq: 1 }, ",
+            "BroadcastId { origin: NodeId(1), seq: 0 }, ",
+            "BroadcastId { origin: NodeId(3), seq: 9 }",
+            "], limit: 3 }",
+        );
+        assert_eq!(format!("{cache:?}"), pinned);
+    }
+
     #[test]
     fn seen_cache_dedups_and_bounds_memory() {
         let mut cache = SeenCache::new(3);

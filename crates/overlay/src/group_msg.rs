@@ -789,6 +789,41 @@ mod tests {
         }
     }
 
+    /// The model checker fingerprints this rendering: a fixed history of
+    /// evictions, one `forget_source`, one starved key and one accepted key
+    /// must print exactly this, whatever the layout behind it.
+    #[test]
+    fn the_rendering_is_pinned() {
+        let mut c = GroupMessageCollector::new(5);
+        copy(&mut c, 1, 1, 0, Some(0));
+        copy(&mut c, 1, 1, 1, Some(1));
+        copy(&mut c, 1, 1, 2, Some(2));
+        assert_eq!(copy(&mut c, 1, 2, 2, None), Observed::Accepted(2));
+        copy(&mut c, 2, 3, 3, None);
+        let voters = vec![NodeId::new(1), NodeId::new(3)];
+        assert_eq!(copy(&mut c, 2, 1, 3, None), Observed::Starved(voters));
+        copy(&mut c, 1, 3, 4, Some(4));
+        // Messages 0 and 1 leave the ring.
+        copy(&mut c, 2, 2, 5, Some(5));
+        copy(&mut c, 1, 1, 6, None);
+        // Messages 4 and 6 go with their source; accepted 2 stays.
+        c.forget_source(VgroupId::new(1));
+        copy(&mut c, 1, 2, 7, Some(7));
+        let pinned = concat!(
+            "GroupMessageCollector { ring: [",
+            "Slot { key: Key { source: VgroupId(1), digest: Digest(d86e8112…) }, ",
+            "progress: None }, ",
+            "Slot { key: Key { source: VgroupId(2), digest: Digest(35be322d…) }, ",
+            "progress: Some(Progress { senders: [NodeId(1), NodeId(3)], body: None }) }, ",
+            "Slot { key: Key { source: VgroupId(2), digest: Digest(f13ee6ed…) }, ",
+            "progress: Some(Progress { senders: [NodeId(2)], body: Some(5) }) }, ",
+            "Slot { key: Key { source: VgroupId(1), digest: Digest(aae89fc0…) }, ",
+            "progress: Some(Progress { senders: [NodeId(2)], body: Some(7) }) }",
+            "], remember_limit: 5 }",
+        );
+        assert_eq!(format!("{c:?}"), pinned);
+    }
+
     #[test]
     fn the_rendering_is_the_ring_alone() {
         let feed = |c: &mut GroupMessageCollector<u64>| {
