@@ -11,10 +11,12 @@
 //! * `Random { percent }` — forward to each neighbour with a given
 //!   probability, but always along cycle 0 so delivery stays deterministic.
 
+use crate::fifo_set::{FifoSet, Inserted};
 use atum_types::{BroadcastId, GossipPolicy};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
+use std::fmt;
 
 /// A direction along a Hamiltonian cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,54 +71,59 @@ impl GossipPlanner {
 
 /// Bounded memory of which broadcasts a vgroup has already delivered, so
 /// duplicates arriving over other links are not delivered or re-forwarded.
-#[derive(Debug, Clone, Default)]
+///
+/// The ids live in one ring in the order they were delivered, found through
+/// a hashed index; `Debug` renders the ring, once as a sorted set and once
+/// in eviction order, and the model checker fingerprints that.
+#[derive(Clone)]
 pub struct SeenCache {
-    // Ordered set (determinism lint): the cache is part of the protocol
-    // state the model checker fingerprints.
-    seen: BTreeSet<BroadcastId>,
-    order: VecDeque<BroadcastId>,
-    limit: usize,
+    order: FifoSet<BroadcastId>,
+}
+
+impl fmt::Debug for SeenCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let seen: BTreeSet<&BroadcastId> = self.order.iter().collect();
+        f.debug_struct("SeenCache")
+            .field("seen", &seen)
+            .field("order", &self.order)
+            .field("limit", &self.order.limit())
+            .finish()
+    }
+}
+
+impl Default for SeenCache {
+    fn default() -> Self {
+        SeenCache::new(1)
+    }
 }
 
 impl SeenCache {
-    /// Creates a cache remembering up to `limit` broadcast identifiers.
+    /// Creates a cache remembering up to `limit` broadcast identifiers,
+    /// clamped to `1..=65 536`.
     pub fn new(limit: usize) -> Self {
         SeenCache {
-            seen: BTreeSet::new(),
-            order: VecDeque::new(),
-            limit: limit.max(1),
+            order: FifoSet::new(limit),
         }
     }
 
     /// Records a broadcast. Returns `true` if it was new.
     pub fn insert(&mut self, id: BroadcastId) -> bool {
-        if !self.seen.insert(id) {
-            return false;
-        }
-        // Evict before pushing: the ring's capacity then settles at the
-        // limit instead of doubling past it.
-        if self.order.len() >= self.limit {
-            if let Some(oldest) = self.order.pop_front() {
-                self.seen.remove(&oldest);
-            }
-        }
-        self.order.push_back(id);
-        true
+        matches!(self.order.insert(id), Inserted::Added { .. })
     }
 
     /// `true` when the broadcast has been seen (and is still remembered).
     pub fn contains(&self, id: BroadcastId) -> bool {
-        self.seen.contains(&id)
+        self.order.find(&id).is_some()
     }
 
     /// Number of remembered broadcasts.
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.order.len()
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.order.len() == 0
     }
 }
 
@@ -126,6 +133,7 @@ mod tests {
     use atum_types::NodeId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::VecDeque;
 
     #[test]
     fn flood_plan_covers_all_cycles_both_directions() {
@@ -220,5 +228,59 @@ mod tests {
         assert!(!cache.contains(ids[0]));
         assert!(!cache.contains(ids[1]));
         assert!(cache.contains(ids[4]));
+    }
+
+    #[test]
+    fn a_full_cache_finds_every_id_within_short_probes() {
+        let mut cache = SeenCache::new(usize::MAX);
+        let ids: Vec<BroadcastId> = (0..65_536u64)
+            .map(|i| BroadcastId::new(NodeId::new(i % 97), i / 97))
+            .collect();
+        for &id in &ids {
+            assert!(cache.insert(id));
+        }
+        assert_eq!(cache.len(), 65_536);
+        assert!(ids.iter().all(|&id| cache.contains(id)));
+        // A home bucket taken from too few hash bits crowds the keys into
+        // part of the table, and the runs grow into the thousands; with the
+        // whole hash, 300 fills read at most 59.
+        let longest = cache.order.longest_probe();
+        assert!(longest <= 128, "longest probe {longest}");
+        // One more id evicts the oldest.
+        assert!(cache.insert(BroadcastId::new(NodeId::new(1), u64::MAX)));
+        assert!(!cache.contains(ids[0]) && cache.contains(ids[1]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Inserts and lookups over a small id space at limits 1–64: every
+        /// answer and `len` equal a plain ring's, through evictions.
+        #[test]
+        fn seen_cache_matches_a_plain_ring(
+            limit in 1usize..=64,
+            steps in proptest::collection::vec(0u64..192, 1..400),
+        ) {
+            let mut cache = SeenCache::new(limit);
+            let mut model: VecDeque<BroadcastId> = VecDeque::new();
+            for s in steps {
+                let (i, insert) = (s / 2, s % 2 == 0);
+                let id = BroadcastId::new(NodeId::new(i % 3), i / 3);
+                let known = model.contains(&id);
+                if insert {
+                    proptest::prop_assert_eq!(cache.insert(id), !known);
+                    if !known {
+                        if model.len() == limit {
+                            model.pop_front();
+                        }
+                        model.push_back(id);
+                    }
+                } else {
+                    proptest::prop_assert_eq!(cache.contains(id), known);
+                }
+                proptest::prop_assert_eq!(cache.len(), model.len());
+                cache.order.longest_probe();
+            }
+        }
     }
 }

@@ -23,16 +23,19 @@
 //! that never reaches a majority.
 //!
 //! Every copy a member receives passes through the collector, so finding a
-//! copy's pair is the hot path. The collector keeps its pairs in one ring,
-//! in the order collection started, and finds them through a hashed index
-//! of ring positions: one probe, where a search tree would compare 40-byte
-//! keys a dozen times.
+//! copy's pair is the hot path. The collector keeps its pairs in a
+//! bounded FIFO set: one ring of 40-byte keys in the order collection started,
+//! found through a hashed index of 4-byte entries (one probe, where a
+//! search tree would compare 40-byte keys a dozen times). Most pairs are
+//! accepted within a few copies and then only suppress stragglers, so the
+//! senders and body of a pair still being collected live in a side table
+//! that holds those pairs alone.
 
+use crate::fifo_set::{FifoSet, Inserted};
 use atum_crypto::Digest;
 use atum_types::{Composition, NodeId, VgroupId};
-use std::collections::VecDeque;
 use std::fmt;
-use std::hash::BuildHasher;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies one logical group message while it is being collected.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -49,12 +52,21 @@ struct Progress<B> {
     body: Option<B>,
 }
 
-/// One remembered key: collected while `progress` is `Some`, accepted once
-/// it is `None` (kept to suppress duplicates from stragglers).
-#[derive(Debug, Clone)]
-struct Slot<B> {
-    key: Key,
-    progress: Option<Box<Progress<B>>>,
+/// One remembered key as `Debug` renders it: collected while `progress` is
+/// `Some`, accepted once it is `None` (kept to suppress duplicates from
+/// stragglers).
+struct Slot<'a, B> {
+    key: &'a Key,
+    progress: Option<&'a Progress<B>>,
+}
+
+impl<B: fmt::Debug> fmt::Debug for Slot<'_, B> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Slot")
+            .field("key", self.key)
+            .field("progress", &self.progress)
+            .finish()
+    }
 }
 
 /// What one copy did to the collection of its message.
@@ -72,37 +84,14 @@ pub enum Observed<B> {
     Accepted(B),
 }
 
-/// An index entry: the occupied bit, a 31-bit hash tag and the 32-bit
-/// sequence number of a ring slot. Zero is an empty bucket.
-const OCCUPIED: u64 = 1 << 63;
-
-fn entry(tag: u32, seq: u32) -> u64 {
-    OCCUPIED | u64::from(tag) << 32 | u64::from(seq)
-}
-
-/// The bucket an entry with `tag` probes from: the tag is hash bits, so its
-/// low bits serve as the home and an entry can be moved without its key.
-fn home(tag: u32, mask: usize) -> usize {
-    tag as usize & mask
-}
-
-fn tag_of(entry: u64) -> u32 {
-    (entry >> 32) as u32 & !(1 << 31)
-}
-
 /// Collects per-sender copies of group messages and reports majority
 /// acceptance. `B` is what a body-bearing copy leaves behind until the
 /// quorum fires — the envelope in `atum-core`, `()` where only the count
 /// matters.
 ///
-/// The ring is the state and it is ordered: it alone feeds model-checker
-/// fingerprints (`Debug` renders it and `remember_limit`), and its order is
-/// the order collection started. The index beside it may be hashed, with a
-/// key private to this collector, because nothing iterates it: it only
-/// answers where in the ring a key is, and that answer depends on key
-/// equality alone. The key matters because a vote's digest is the sender's
-/// choice; with a known hash a vote flooder could aim every key at one
-/// probe run.
+/// The keys' ring and the progress of the pending ones are the state, both
+/// in the order collection started: `Debug` renders them together, slot by
+/// slot, with `remember_limit`, and the model checker fingerprints that.
 #[derive(Clone)]
 pub struct GroupMessageCollector<B = ()> {
     /// Every key being collected or accepted, once, in the order collection
@@ -112,25 +101,52 @@ pub struct GroupMessageCollector<B = ()> {
     /// shorten the duplicate-suppression window; a message it pushes out is
     /// accepted again only on a fresh majority of copies, and correct
     /// members send theirs once.
-    ring: VecDeque<Slot<B>>,
-    /// Open-addressed, linear-probing table of the ring's sequence numbers
-    /// ([`entry`]); a power of two long and at most half full, so a probe
-    /// always ends at an empty bucket. Removal shifts the run back: no
-    /// tombstones.
-    index: Vec<u64>,
-    /// Sequence number of `ring[0]`; `ring[i]` is `first + i`, wrapping.
-    first: u32,
-    // determinism-lint: allow (hashes position index entries only; nothing iterates the index; `Debug` renders the ring)
-    hasher: std::hash::RandomState,
-    /// Upper bound on tracked keys, to bound memory.
-    remember_limit: usize,
+    keys: FifoSet<Key>,
+    /// The progress of each key still being collected, by its ring sequence
+    /// number: a key leaves when it is accepted or forgotten. Some keys never
+    /// complete and stay for as long as the ring remembers them (dozens per
+    /// node on a quiet fan-out, hundreds under churn), so this is a map, not
+    /// a window from the oldest pending key to the newest, and a hashed one,
+    /// so that a copy finds its key's progress in one probe however many
+    /// stuck keys a flooder has filled it with.
+    // determinism-lint: allow (looked up by sequence number only; nothing iterates it; `Debug` walks the ring)
+    pending: std::collections::HashMap<u16, Progress<B>, BuildHasherDefault<SeqHasher>>,
+}
+
+/// Hashes a ring sequence number for the pending map: a Fibonacci multiply,
+/// whose high half becomes the low bits the map picks its bucket from, so
+/// numbers that share their low bits still spread. No key is needed: the
+/// collector, not a peer, hands the numbers out, in order.
+#[derive(Default)]
+struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0 << 8 | u64::from(byte);
+        }
+    }
+
+    fn write_u16(&mut self, seq: u16) {
+        self.0 = u64::from(seq);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32)
+    }
 }
 
 impl<B: fmt::Debug> fmt::Debug for GroupMessageCollector<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ring: Vec<Slot<'_, B>> = (self.keys.iter().enumerate())
+            .map(|(at, key)| Slot {
+                key,
+                progress: self.pending.get(&self.keys.seq(at)),
+            })
+            .collect();
         f.debug_struct("GroupMessageCollector")
-            .field("ring", &self.ring)
-            .field("remember_limit", &self.remember_limit)
+            .field("ring", &ring)
+            .field("remember_limit", &self.keys.limit())
             .finish()
     }
 }
@@ -168,12 +184,9 @@ impl<B> GroupMessageCollector<B> {
     /// together.
     pub fn new(remember_limit: usize) -> Self {
         GroupMessageCollector {
-            ring: VecDeque::new(),
-            index: Vec::new(),
-            first: 0,
-            hasher: Default::default(),
-            // Sequence numbers are 32 bits wide.
-            remember_limit: remember_limit.clamp(1, u32::MAX as usize),
+            // Clamped to 1..=65 536: ring sequence numbers are 16 bits wide.
+            keys: FifoSet::new(remember_limit),
+            pending: Default::default(),
         }
     }
 
@@ -206,14 +219,25 @@ impl<B> GroupMessageCollector<B> {
             Some(view) if !view.is_empty() => source_composition.majority().min(view.majority()),
             _ => source_composition.majority(),
         };
-        let key = Key { source, digest };
-        let tag = self.tag(&key);
-        let at = match self.find(tag, &key) {
-            Some(at) => at,
-            None => self.start(key, tag),
-        };
-        let Some(progress) = self.ring[at].progress.as_deref_mut() else {
-            return Observed::Pending;
+        let (seq, progress) = match self.keys.insert(Key { source, digest }) {
+            Inserted::Present(at) => {
+                let seq = self.keys.seq(at);
+                match self.pending.get_mut(&seq) {
+                    Some(progress) => (seq, progress),
+                    None => return Observed::Pending,
+                }
+            }
+            Inserted::Added { at, evicted } => {
+                if let Some(evicted) = evicted {
+                    self.pending.remove(&evicted);
+                }
+                let seq = self.keys.seq(at);
+                let progress = Progress {
+                    senders: Vec::new(),
+                    body: None,
+                };
+                (seq, self.pending.entry(seq).or_insert(progress))
+            }
         };
         if let Err(pos) = progress.senders.binary_search(&sender) {
             progress.senders.insert(pos, sender);
@@ -227,7 +251,7 @@ impl<B> GroupMessageCollector<B> {
         let Some(body) = progress.body.take() else {
             return Observed::Starved(progress.senders.clone());
         };
-        self.ring[at].progress = None;
+        self.pending.remove(&seq);
         Observed::Accepted(body)
     }
 
@@ -235,128 +259,38 @@ impl<B> GroupMessageCollector<B> {
     /// already been accepted.
     pub fn is_accepted(&self, source: VgroupId, digest: Digest) -> bool {
         let key = Key { source, digest };
-        self.find(self.tag(&key), &key)
-            .is_some_and(|at| self.ring[at].progress.is_none())
+        self.keys
+            .find(&key)
+            .is_some_and(|at| !self.pending.contains_key(&self.keys.seq(at)))
     }
 
     /// Number of messages still awaiting a majority (or a body).
     pub fn pending_len(&self) -> usize {
-        self.ring
-            .iter()
-            .filter(|slot| slot.progress.is_some())
-            .count()
+        self.pending.len()
     }
 
     /// Drops partially collected messages — retained bodies included — from
     /// a source vgroup (used when the source is known to have reconfigured
     /// or disappeared and stale counts could otherwise linger).
     pub fn forget_source(&mut self, source: VgroupId) {
-        let before = self.ring.len();
-        self.ring
-            .retain(|slot| slot.key.source != source || slot.progress.is_none());
-        if self.ring.len() != before {
-            self.rebuild(self.index.len() / 2);
-        }
-    }
-
-    /// The 31-bit hash tag of `key`.
-    fn tag(&self, key: &Key) -> u32 {
-        (self.hasher.hash_one(key) >> 33) as u32
-    }
-
-    /// The ring position of `key`, whose tag is `tag`, if it is remembered.
-    fn find(&self, tag: u32, key: &Key) -> Option<usize> {
-        let mask = self.index.len().checked_sub(1)?;
-        let wanted = entry(tag, 0) >> 32;
-        let mut at = home(tag, mask);
-        loop {
-            let found = self.index[at];
-            if found == 0 {
-                return None;
+        // The ring closes up over the dropped keys, so every pending key
+        // that stays is entered again under its new sequence number.
+        let mut old = std::mem::take(&mut self.pending);
+        let mut kept = Vec::new();
+        let (mut seq, mut at) = (self.keys.seq(0), 0);
+        self.keys.retain(|key| {
+            let progress = old.remove(&seq);
+            seq = seq.wrapping_add(1);
+            let keep = progress.is_none() || key.source != source;
+            if keep {
+                kept.extend(progress.map(|progress| (at, progress)));
+                at += 1;
             }
-            if found >> 32 == wanted {
-                let pos = (found as u32).wrapping_sub(self.first) as usize;
-                if self.ring[pos].key == *key {
-                    return Some(pos);
-                }
-            }
-            at = (at + 1) & mask;
-        }
-    }
-
-    /// Starts collecting `key` in a new slot at the ring's back and returns
-    /// its position. A full ring lets its oldest key go first: the ring's
-    /// capacity then settles at the limit instead of doubling past it.
-    fn start(&mut self, key: Key, tag: u32) -> usize {
-        if self.ring.len() >= self.remember_limit {
-            self.evict_oldest();
-        }
-        if 2 * (self.ring.len() + 1) > self.index.len() {
-            self.rebuild(self.ring.len() + 1);
-        }
-        let at = self.ring.len();
-        self.insert(tag, self.first.wrapping_add(at as u32));
-        self.ring.push_back(Slot {
-            key,
-            progress: Some(Box::new(Progress {
-                senders: Vec::new(),
-                body: None,
-            })),
+            keep
         });
-        at
-    }
-
-    /// Forgets the ring's oldest key: pops its slot and shifts the rest of
-    /// its probe run back over its index entry.
-    fn evict_oldest(&mut self) {
-        let oldest = self.ring.pop_front().expect("only a full ring evicts");
-        let mask = self.index.len() - 1;
-        let tag = self.tag(&oldest.key);
-        let gone = entry(tag, self.first);
-        self.first = self.first.wrapping_add(1);
-        let mut hole = home(tag, mask);
-        while self.index[hole] != gone {
-            hole = (hole + 1) & mask;
-        }
-        let mut at = hole;
-        loop {
-            at = (at + 1) & mask;
-            let moving = self.index[at];
-            if moving == 0 {
-                break;
-            }
-            // An entry may fill the hole unless its home lies after the
-            // hole, between the hole and where the entry sits.
-            let from_home = at.wrapping_sub(home(tag_of(moving), mask)) & mask;
-            if from_home >= at.wrapping_sub(hole) & mask {
-                self.index[hole] = moving;
-                hole = at;
-            }
-        }
-        self.index[hole] = 0;
-    }
-
-    /// Re-enters every ring slot into an empty index with room for `room`
-    /// keys at most half full.
-    fn rebuild(&mut self, room: usize) {
-        let buckets = (2 * room).next_power_of_two().max(16);
-        self.index.clear();
-        self.index.resize(buckets, 0);
-        for at in 0..self.ring.len() {
-            let tag = self.tag(&self.ring[at].key);
-            self.insert(tag, self.first.wrapping_add(at as u32));
-        }
-    }
-
-    /// Enters ring slot `seq`, whose key's tag is `tag`, at the first empty
-    /// bucket of its probe run.
-    fn insert(&mut self, tag: u32, seq: u32) {
-        let mask = self.index.len() - 1;
-        let mut at = home(tag, mask);
-        while self.index[at] != 0 {
-            at = (at + 1) & mask;
-        }
-        self.index[at] = entry(tag, seq);
+        self.pending = (kept.into_iter())
+            .map(|(at, progress)| (self.keys.seq(at), progress))
+            .collect();
     }
 }
 
@@ -739,25 +673,60 @@ mod tests {
 
     #[test]
     fn sequence_numbers_wrap() {
-        let mut c = GroupMessageCollector::new(16);
-        c.first = u32::MAX - 8;
-        for i in 0..64 {
+        // Starting 8 short of 2^16 the numbers wrap while the ring fills;
+        // starting 40 short, once it is full and evicting.
+        for start in [u16::MAX - 8, u16::MAX - 40] {
+            let mut c = GroupMessageCollector::new(16);
+            c.keys.start_at(start);
+            for i in 0..64 {
+                assert_eq!(copy(&mut c, 1, 1, i, Some(i)), Observed::Pending);
+                // Every other key stays unfinished: both kinds cross the wrap.
+                if i % 2 == 0 {
+                    assert_eq!(copy(&mut c, 1, 2, i, None), Observed::Accepted(i));
+                }
+            }
+            assert_eq!(c.keys.seq(0), start.wrapping_add(48));
+            for i in 0..64 {
+                assert_eq!(accepted(&c, 1, i), i >= 48 && i % 2 == 0);
+            }
+            // The 8 unfinished keys still remembered kept their sender and body.
+            assert_eq!(c.pending_len(), 8);
+            for i in (49..64).step_by(2) {
+                assert_eq!(copy(&mut c, 1, 3, i, None), Observed::Accepted(i));
+            }
+            assert_eq!(c.pending_len(), 0);
+        }
+    }
+
+    #[test]
+    fn the_limit_is_clamped_to_the_sequence_width() {
+        let widest = GroupMessageCollector::<()>::new(usize::MAX);
+        assert_eq!(widest.keys.limit(), 65_536);
+        assert!(format!("{widest:?}").ends_with("remember_limit: 65536 }"));
+        assert_eq!(GroupMessageCollector::<()>::new(0).keys.limit(), 1);
+    }
+
+    #[test]
+    fn a_full_width_ring_reuses_the_evicted_sequence_number() {
+        // At 65 536 keys a new key takes the number its evicted predecessor
+        // had: an unfinished predecessor's progress must not pass to it.
+        let mut c = GroupMessageCollector::new(usize::MAX);
+        c.keys.start_at(u16::MAX - 8);
+        let total = 65_536 + 64;
+        for i in 0..total {
             assert_eq!(copy(&mut c, 1, 1, i, Some(i)), Observed::Pending);
-            // Every other key stays unfinished: both kinds cross the wrap.
-            if i % 2 == 0 {
+            if i % 3 != 0 {
                 assert_eq!(copy(&mut c, 1, 2, i, None), Observed::Accepted(i));
             }
         }
-        assert_eq!(c.first, (u32::MAX - 8).wrapping_add(48));
-        for i in 0..64 {
-            assert_eq!(accepted(&c, 1, i), i >= 48 && i % 2 == 0);
+        let unfinished = (64..total).filter(|i| i % 3 == 0).count();
+        assert_eq!(c.pending_len(), unfinished);
+        for i in (0..64).chain(total - 64..total) {
+            assert_eq!(accepted(&c, 1, i), i >= 64 && i % 3 != 0);
         }
-        // The 8 unfinished keys still remembered kept their sender and body.
-        assert_eq!(c.pending_len(), 8);
-        for i in (49..64).step_by(2) {
+        for i in (total - 64..total).filter(|i| i % 3 == 0) {
             assert_eq!(copy(&mut c, 1, 3, i, None), Observed::Accepted(i));
         }
-        assert_eq!(c.pending_len(), 0);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod directory;
+mod fifo_set;
 pub mod gossip;
 pub mod group_msg;
 pub mod hgraph;
