@@ -66,7 +66,7 @@ gates() {
         check "a forwarded broadcast is encoded once per node, not once per target vgroup" \
             '.workloads.edge_async.metrics["net.encodes_per_op"].median <= 40' \
             "$suite"
-        # Conservative floor: the committed ledgers read 0.57-0.90M events/s
+        # Conservative floor: the committed ledgers read 0.57-1.50M events/s
         # on this fan-out on a 2-vCPU box; shared CI runners are slower and
         # noisy, so the gate only catches order-of-magnitude regressions
         # (e.g. reintroducing per-copy digesting or envelope deep-clones,
@@ -74,12 +74,16 @@ gates() {
         check "simulator fan-out throughput >= 150k events/s" \
             '.workloads.sim_fanout.metrics.sim_events_per_s.median >= 150000' \
             "$suite"
-        # Each member remembers its last 4 096 group-message keys: one ring
-        # of 48-byte slots and a hashed index of 8-byte entries. At the
-        # 2 s smoke length sim_fanout reads ~29.8 MiB; the three B-tree
-        # containers the ring replaced read ~36.9.
-        check "sim_fanout peak RSS <= 33 MiB" \
-            '.workloads.sim_fanout.metrics.peak_rss_mib.median <= 33' \
+        # Each member remembers its last 4 096 group-message keys and its
+        # last 65 536 delivered broadcast ids, each in a FIFO set: a ring of
+        # keys (40-byte slots for the collector) and a hashed index of
+        # 4-byte entries, with the progress of pending keys in a side table
+        # of those keys only. At the 2 s smoke length sim_fanout reads
+        # ~24.8 MiB; 48-byte slots with boxed progress, 8-byte entries and a
+        # B-tree beside the seen ring read ~28.4, and the three B-tree
+        # containers before the ring ~36.9.
+        check "sim_fanout peak RSS <= 27.5 MiB" \
+            '.workloads.sim_fanout.metrics.peak_rss_mib.median <= 27.5' \
             "$suite"
         # A sync member ships its batch in the first half of a round, into
         # the slot that just closed: an idle member's first-half proposal is
@@ -322,7 +326,7 @@ fixture() {
             "sim_churn":{"attempted":40,"failed":1,"metrics":{"core.stalled_cycles":{"median":1}},
                 "notes":{"redelivered_on_moved_nodes":0}},
             "sim_fanout":{"metrics":{"sim_events_per_s":{"median":700000},"deliver_p50_ms":{"median":1551},
-                "peak_rss_mib":{"median":30}}}}}'
+                "peak_rss_mib":{"median":25}}}}}'
         ;;
     ledger)
         jq -c '.workloads.sim_fanout.metrics
@@ -374,7 +378,7 @@ breakers() {
         echo 'suite_seed47.json .workloads.edge_async.metrics["net.frames_per_write"].median = 1'
         echo 'suite_seed47.json .workloads.edge_async.metrics["net.encodes_per_op"].median = 48.8'
         echo 'suite_seed47.json .workloads.sim_fanout.metrics.sim_events_per_s.median = 97000'
-        echo 'suite_seed47.json .workloads.sim_fanout.metrics.peak_rss_mib.median = 37'
+        echo 'suite_seed47.json .workloads.sim_fanout.metrics.peak_rss_mib.median = 28.4'
         echo 'suite_seed47.json .workloads.sim_fanout.metrics.deliver_p50_ms.median = 1801'
         echo 'suite_seed47.json .workloads.node_sync.metrics.deliver_p50_ms.median = 897'
         echo 'suite_seed47.json .workloads.micro.metrics["crypto.payload_digest_1k_ns"].median = 8458'
