@@ -843,4 +843,146 @@ mod tests {
         assert!(node.with_node(|n| n.started).is_some());
         runtime.shutdown();
     }
+
+    #[test]
+    fn timers_set_for_one_instant_fire_in_the_order_they_were_set() {
+        let runtime = bind(&AddressBook::new());
+        let node = runtime.host(NodeId::new(7), Recorder::default());
+        // One call, one `now`, one delay: five timers with one deadline.
+        node.call(|_n, ctx| {
+            for tag in [3, 1, 2, 5, 4] {
+                let _ = ctx.set_timer(Duration::from_millis(20), tag);
+            }
+        });
+        assert!(
+            wait_until(StdDuration::from_secs(5), || {
+                node.with_node(|n| n.timers.len()).unwrap_or(0) == 5
+            }),
+            "timers fired as {:?}",
+            node.with_node(|n| n.timers.clone()),
+        );
+        assert_eq!(
+            node.with_node(|n| n.timers.clone()).unwrap(),
+            vec![3, 1, 2, 5, 4]
+        );
+        runtime.shutdown();
+    }
+
+    /// A node whose inputs land in a log the test keeps, readable after
+    /// the node halted (a halted node runs no `with_node` call).
+    struct Logger(Arc<std::sync::Mutex<Vec<(&'static str, u64)>>>);
+
+    impl Node<u64> for Logger {
+        fn on_message(&mut self, _from: NodeId, msg: u64, _ctx: &mut Context<'_, u64>) {
+            self.0.lock().unwrap().push(("message", msg));
+        }
+        fn on_timer(&mut self, tag: u64, _ctx: &mut Context<'_, u64>) {
+            self.0.lock().unwrap().push(("timer", tag));
+        }
+    }
+
+    #[test]
+    fn a_halted_node_receives_no_further_timer_or_message() {
+        let runtime: NetRuntime<u64, Logger> = NetRuntime::bind(RuntimeConfig::default()).unwrap();
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let a = runtime.host(NodeId::new(0), Logger(log.clone()));
+        let b = runtime.host(NodeId::new(1), Logger(Arc::default()));
+        // The halting call arms a timer and sends itself a message: both
+        // are applied (sends and timers come before the halt flag), and
+        // neither may reach the node.
+        a.call(|_n, ctx| {
+            let _ = ctx.set_timer(Duration::from_millis(10), 1);
+            let me = ctx.id();
+            ctx.send(me, 2);
+            ctx.halt();
+        });
+        b.call(|_n, ctx| ctx.send(NodeId::new(0), 3));
+        let marker = log.clone();
+        a.call(move |_n, _ctx| marker.lock().unwrap().push(("call", 4)));
+        assert!(
+            wait_until(StdDuration::from_secs(5), || {
+                let stats = runtime.stats();
+                stats.timers_fired == 1 && stats.frames_received == 1
+            }),
+            "the timer or the routed frame never reached the reactor: {:?}",
+            runtime.stats()
+        );
+        std::thread::sleep(StdDuration::from_millis(50));
+        assert_eq!(*log.lock().unwrap(), vec![]);
+        // Every input still counts as processed: two calls to `a`, one to
+        // `b`, the self-send, the timer and the routed frame.
+        assert_eq!(runtime.stats().events_processed, 6);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn peak_inbound_queue_counts_queued_self_sends_and_the_frame_in_delivery() {
+        let book = AddressBook::new();
+        let (rt_a, rt_b) = (bind(&book), bind(&book));
+        let a = rt_a.host(NodeId::new(0), Recorder::default());
+        let b = rt_b.host(NodeId::new(1), Recorder::default());
+
+        // One routed frame: one message awaits dispatch while delivered.
+        a.call(|_n, ctx| ctx.send(NodeId::new(1), 10));
+        assert!(wait_until(StdDuration::from_secs(10), || {
+            b.with_node(|n| n.messages.len()).unwrap_or(0) == 1
+        }));
+        assert_eq!(rt_b.stats().peak_inbound_queue, 1);
+        assert_eq!(rt_a.stats().peak_inbound_queue, 0);
+
+        // Five self-sends from one call queue five deliveries at once.
+        a.call(|_n, ctx| {
+            let me = ctx.id();
+            for msg in 10..15 {
+                ctx.send(me, msg);
+            }
+        });
+        assert!(wait_until(StdDuration::from_secs(10), || {
+            a.with_node(|n| n.messages.len()).unwrap_or(0) == 5
+        }));
+        assert_eq!(rt_a.stats().peak_inbound_queue, 5);
+
+        // A second routed frame does not move a peak already above it.
+        b.call(|_n, ctx| ctx.send(NodeId::new(0), 10));
+        assert!(wait_until(StdDuration::from_secs(10), || {
+            a.with_node(|n| n.messages.len()).unwrap_or(0) == 6
+        }));
+        assert_eq!(rt_a.stats().peak_inbound_queue, 5);
+        assert_eq!(rt_b.stats().peak_inbound_queue, 1);
+        rt_a.shutdown();
+        rt_b.shutdown();
+    }
+
+    #[test]
+    fn events_processed_counts_each_call_timer_and_delivered_message_once() {
+        let book = AddressBook::new();
+        let (rt_a, rt_b) = (bind(&book), bind(&book));
+        let a = rt_a.host(NodeId::new(0), Recorder::default());
+        let _b = rt_b.host(NodeId::new(1), Recorder::default());
+        // a: the call, the timer and the replies 1 and 3; b: 0 and 2.
+        // `on_start` is not an event.
+        a.call(|_n, ctx| {
+            let _ = ctx.set_timer(Duration::from_millis(10), 1);
+            ctx.send(NodeId::new(1), 0);
+        });
+        assert!(
+            wait_until(StdDuration::from_secs(10), || {
+                rt_a.stats().events_processed >= 4 && rt_b.stats().events_processed >= 2
+            }),
+            "ping-pong did not complete: {} and {} events",
+            rt_a.stats().events_processed,
+            rt_b.stats().events_processed
+        );
+        std::thread::sleep(StdDuration::from_millis(50));
+        assert_eq!(rt_a.stats().events_processed, 4);
+        assert_eq!(rt_b.stats().events_processed, 2);
+        // A read through `with_node` is one more call.
+        assert_eq!(
+            a.with_node(|n| n.messages.clone()).unwrap(),
+            vec![(NodeId::new(1), 1), (NodeId::new(1), 3)]
+        );
+        assert_eq!(rt_a.stats().events_processed, 5);
+        rt_a.shutdown();
+        rt_b.shutdown();
+    }
 }
