@@ -1,10 +1,11 @@
 //! The connection layer: non-blocking sockets under one poller, with the
 //! frame boundary on the way in and a bounded, coalescing queue on the way
 //! out — the transport *mechanism* under everything that owns sockets (the
-//! node reactors in [`crate::reactor`], the edge gateway's I/O thread). It
-//! knows frames ([`crate::frame`]) but no frame vocabulary and no policy:
-//! which kinds are legal, when to reconnect, whom to shed and why to close
-//! are the caller's, kept in the per-connection state `X` on each [`Conn`].
+//! node wire of each [`crate::reactor`] runtime, the edge gateway's I/O
+//! thread). It knows frames ([`crate::frame`]) but no frame vocabulary and
+//! no policy: which kinds are legal, when to reconnect, whom to shed and
+//! why to close are the caller's, kept in the per-connection state `X` on
+//! each [`Conn`].
 //!
 //! * **One owner.** A [`ConnTable`] belongs to one thread; other threads
 //!   reach it only through an [`Injector`].

@@ -11,11 +11,11 @@
 //!
 //! # Placement
 //!
-//! Decisions are taken in `Reactor::send_from`, after the frame is encoded
+//! Decisions are taken in `Links::send`, after the frame is encoded
 //! (the byte length feeds the bandwidth shaper) and *before* the address
 //! lookup: an injected drop is indistinguishable, to the rest of the
 //! runtime, from a frame the kernel lost. Delayed frames re-enter through
-//! the reactor's timer heap (`TimerKind::FaultRelease`) and re-resolve
+//! the reactor's timer heap (`LinkTimer::FaultRelease`) and re-resolve
 //! their destination at release time, so a peer that re-registered
 //! mid-delay still receives the frame at its new address. Corruption
 //! always flips bytes on a *copy*: message frames are `Arc`-shared across

@@ -22,10 +22,14 @@
 //!   flushes, close-with-reason, and the eventfd-woken mailbox into the
 //!   owning thread. Mechanism only; the frame vocabulary and every policy
 //!   stay with the caller.
-//! * [`reactor`] — [`NetRuntime`] and
-//!   [`NodeHandle`]: the event-loop runtime and the
-//!   per-node view onto it — the node wire's hello/route/message pairing,
-//!   dialling and reconnecting, timers and node dispatch on top of [`conn`].
+//! * [`reactor`] — [`NetRuntime`] and [`NodeHandle`]: the event-loop
+//!   runtime and the per-node view onto it. Its thread runs the loop, the
+//!   hosted nodes, their one dispatch path and the one timer heap.
+//! * `links` (private) — the node wire's policy on top of [`conn`]: every
+//!   connection of a runtime and every decision about one (dialling and
+//!   reconnecting, the hello/route/message pairing, the fault plane's
+//!   decisions and delayed frames, re-resolving queued routes, the
+//!   shutdown drain).
 //! * [`runtime`] — [`RuntimeConfig`],
 //!   [`RuntimeStats`] and
 //!   [`AddressBook`].
@@ -53,6 +57,7 @@ pub mod cluster;
 pub mod conn;
 pub mod faults;
 pub mod frame;
+mod links;
 pub mod reactor;
 pub mod runtime;
 

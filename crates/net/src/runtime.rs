@@ -195,9 +195,9 @@ impl RuntimeStats {
     }
 }
 
-/// The handles the reactor writes into its runtime's registry, resolved
-/// once when the reactor is built so its loop never takes the registry
-/// lock. (The connection layer's four are
+/// The handles the reactor thread writes into its runtime's registry,
+/// resolved once when each of its two parts is built, so its loop never
+/// takes the registry lock. (The connection layer's four are
 /// [`ConnMetrics`](crate::conn::ConnMetrics).)
 pub(crate) struct NetMetrics {
     pub(crate) frames_dropped: Arc<Counter>,
