@@ -4,7 +4,7 @@
 # A type whose one `impl` block runs to many hundreds of lines is doing
 # several jobs at once: `MemberState` grew to 1 896 lines in a single block
 # before it was split into its group, liveness and upkeep parts. This fails
-# when any `impl` block under `crates/*/src` or `src` spans more than 750
+# when any `impl` block under `crates/*/src` or `src` spans more than 600
 # lines, counted from its `impl` line to its closing brace, and prints the
 # largest blocks either way. Unit tests are not product code: as in
 # `scripts/loc.sh`, a file is read up to its `#[cfg(test)] mod`.
@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-max=750
+max=600
 spans=$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0; pending = 0; start = 0 }
     in_tests { next }

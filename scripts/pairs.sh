@@ -15,6 +15,14 @@
 # parent's quartile distance. Then it prints each side's failed-operation
 # share.
 #
+# Last, each side makes one traced run (`--trace 1`) of the same workload,
+# seed and length: the benchmark's per-layer contract, which also runs the
+# micro section at a tenth of its size, and which exits 1 on a child panic,
+# an output-check error or five invalid attempts (a generator more than
+# 5 ms late at p99, or a timer at least 750 ms late). No untraced run can
+# show those. The script says whether each traced run printed a record,
+# keeps its stderr either way, and exits 1 when one did not.
+#
 # The parent is exported with `git archive` (no worktree is registered) and
 # built, with its own target directory, under $TMPDIR/atum-pairs/<commit>,
 # where later calls reuse it. The checkout, uncommitted edits included, is
@@ -22,8 +30,9 @@
 # The runs go from a scratch directory under $TMPDIR/atum-pairs, because
 # the benchmark writes ./bench-out/; nothing is written into the tree. That
 # directory is kept, and its path printed last: it holds every run's record
-# (<side>.<pair>.json), so a metric can be read pair by pair afterwards. A
-# run that prints no record keeps its stderr there, and the script names it.
+# (<side>.<pair>.json, and <side>.traced.json with <side>.traced.err), so a
+# metric can be read pair by pair afterwards. A run that prints no record
+# keeps its stderr there, and the script names it.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 usage="usage: scripts/pairs.sh <parent-rev> <workload> <pairs> <seed> [seconds]"
@@ -105,7 +114,25 @@ jq -r '.end_to_end[] | "\(.name) \(.better)"' "$root/BENCHMARK.json" | while rea
     }'
 done
 for name in "${names[@]}"; do
-    cat "$runs/$name".*.json 2>/dev/null | jq -rs --arg n "$name" \
+    cat "$runs/$name".[0-9]*.json 2>/dev/null | jq -rs --arg n "$name" \
         '"\($n): \(map(.failed) | add // 0) failed of \(map(.attempted) | add // 0) attempted, \(length) records"'
 done
+
+traced_ok=1
+for side in 0 1; do
+    name=${names[$side]}
+    status=0
+    (cd "$runs" && "${bins[$side]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 1 >"$runs/$name.traced.out" 2>"$runs/$name.traced.err") ||
+        status=$?
+    if [ "$status" -eq 0 ] && tail -n 1 "$runs/$name.traced.out" | jq -e .metrics >/dev/null 2>&1; then
+        tail -n 1 "$runs/$name.traced.out" >"$runs/$name.traced.json"
+        echo "traced run, $name: record printed ($(jq '.metrics | length' "$runs/$name.traced.json") per-layer metrics); stderr in $runs/$name.traced.err"
+    else
+        traced_ok=0
+        echo "traced run, $name: NO record (exit $status); stderr in $runs/$name.traced.err"
+        tail -n 5 "$runs/$name.traced.err"
+    fi
+done
 echo "records: $runs"
+[ "$traced_ok" -eq 1 ]
