@@ -3,7 +3,7 @@
 
 use crate::cluster::Cluster;
 use crate::metrics::LatencySeries;
-use atum_core::{Application, AtumMessage, AtumNode, CollectingApp, NodePhase};
+use atum_core::{AtumMessage, AtumNode, CollectingApp, NodePhase};
 use atum_crypto::KeyRegistry;
 use atum_simnet::{NetConfig, Simulation};
 use atum_types::{BroadcastId, Duration, Instant, NodeId, Params};
@@ -42,8 +42,8 @@ impl BroadcastWorkloadReport {
 /// Publishes `broadcasts` messages of `payload_size` bytes from random
 /// correct nodes, one every `gap`, then lets the system settle and collects
 /// the delivery latency of every (node, broadcast) pair.
-pub fn run_broadcast_workload<A: Application>(
-    cluster: &mut Cluster<A>,
+pub fn run_broadcast_workload(
+    cluster: &mut Cluster<CollectingApp>,
     broadcasts: usize,
     payload_size: usize,
     gap: Duration,
@@ -83,11 +83,22 @@ pub fn run_broadcast_workload<A: Application>(
         let Some(node) = cluster.sim.node(*node_id) else {
             continue;
         };
-        for (id, at, hops) in node.delivered() {
-            if let Some(sent) = send_times.get(id) {
+        let app_log: Vec<_> = node
+            .app()
+            .delivered()
+            .iter()
+            .map(|d| (d.id, d.at, d.hops))
+            .collect();
+        assert_eq!(
+            node.delivered(),
+            app_log.as_slice(),
+            "node {node_id} delivery log parity"
+        );
+        for d in node.app().delivered() {
+            if let Some(sent) = send_times.get(&d.id) {
                 report.observed_deliveries += 1;
-                report.latencies.push(at.saturating_since(*sent));
-                hops_total += *hops as u64;
+                report.latencies.push(d.at.saturating_since(*sent));
+                hops_total += u64::from(d.hops);
             }
         }
     }

@@ -2,7 +2,7 @@
 //! broadcast-reach audit of a churn run.
 
 use crate::{ChurnCycle, Cluster};
-use atum_core::Application;
+use atum_core::CollectingApp;
 use atum_types::{BroadcastId, Duration, Instant, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -130,8 +130,8 @@ pub struct ReachAudit {
 impl ReachAudit {
     /// Audits `cluster`'s correct nodes against the broadcasts `issued`
     /// (id and send time), with `cycles` the churn run's membership gaps.
-    pub fn fold<A: Application>(
-        cluster: &Cluster<A>,
+    pub fn fold(
+        cluster: &Cluster<CollectingApp>,
         issued: &[(BroadcastId, Instant)],
         cycles: &[ChurnCycle],
     ) -> Self {
@@ -150,8 +150,19 @@ impl ReachAudit {
                 continue;
             };
             let mut delivered = vec![false; issued.len()];
-            for (id, _, _) in host.delivered() {
-                match index.get(id) {
+            let app_log: Vec<_> = host
+                .app()
+                .delivered()
+                .iter()
+                .map(|d| (d.id, d.at, d.hops))
+                .collect();
+            assert_eq!(
+                host.delivered(),
+                app_log.as_slice(),
+                "node {node} delivery log parity"
+            );
+            for d in host.app().delivered() {
+                match index.get(&d.id) {
                     None => audit.unknown += 1,
                     Some(&i) if std::mem::replace(&mut delivered[i], true) => audit.duplicates += 1,
                     Some(&i) => audit.reach[i] += 1,
@@ -200,7 +211,6 @@ impl ReachAudit {
 mod tests {
     use super::*;
     use crate::ClusterBuilder;
-    use atum_core::CollectingApp;
     use std::sync::{Arc, Mutex};
 
     #[test]
