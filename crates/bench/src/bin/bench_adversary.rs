@@ -126,7 +126,7 @@ fn delivery_ratio(cluster: &NetCluster<CollectingApp>, ids: &[BroadcastId]) -> f
     for (_, delivered) in cluster.map_nodes(move |n| {
         n.is_member().then(|| {
             want.iter()
-                .filter(|id| n.delivered().iter().any(|(d, _, _)| d == *id))
+                .filter(|id| n.app().delivered().iter().any(|d| d.id == **id))
                 .count()
         })
     }) {
@@ -328,7 +328,7 @@ fn run_partition_heal() {
             let mut holders = 0usize;
             for (_, d) in cluster.map_nodes(move |n| {
                 n.is_member()
-                    .then(|| n.delivered().iter().any(|(d, _, _)| *d == bid))
+                    .then(|| n.app().delivered().iter().any(|d| d.id == bid))
             }) {
                 if d == Some(true) {
                     holders += 1;

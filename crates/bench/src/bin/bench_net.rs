@@ -155,7 +155,7 @@ fn run_scale() {
         StdDuration::from_secs(scaled(180, 600)),
         move |n| {
             want.iter()
-                .all(|id| n.delivered().iter().any(|(d, _, _)| d == id))
+                .all(|id| n.app().delivered().iter().any(|d| d.id == *id))
         },
     );
 
@@ -163,11 +163,11 @@ fn run_scale() {
     let mut delivery_latency = LatencySeries::new();
     let sent_at_of: std::collections::HashMap<BroadcastId, atum_types::Instant> =
         sent.iter().copied().collect();
-    for (_, deliveries) in cluster.map_nodes(|n| n.delivered().to_vec()) {
-        for (id, at, _hops) in deliveries {
-            if let Some(&sent_at) = sent_at_of.get(&id) {
+    for (_, deliveries) in cluster.map_nodes(|n| n.app().delivered().to_vec()) {
+        for d in deliveries {
+            if let Some(&sent_at) = sent_at_of.get(&d.id) {
                 observed += 1;
-                delivery_latency.push(at.saturating_since(sent_at));
+                delivery_latency.push(d.at.saturating_since(sent_at));
             }
         }
     }

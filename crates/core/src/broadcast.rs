@@ -4,8 +4,8 @@
 //! move correct nodes between them, and churn strands and re-admits nodes.
 //! A [`MemberState`](crate::MemberState) is one membership and is dropped
 //! when it ends. What must survive that — the broadcast dedup set, this
-//! node's broadcast sequence number, the bodies retained for repair, the
-//! delivery log and the experiment counters — lives in one [`Session`] per
+//! node's broadcast sequence number, the bodies retained for repair and
+//! the experiment counters — lives in one [`Session`] per
 //! [`AtumNode`](crate::AtumNode). The membership holds it while it lasts;
 //! when it ends, the node's next lifecycle phase holds it, and the next
 //! membership is built around it. It is moved, never copied and never
@@ -296,7 +296,6 @@ impl Session {
         if !self.seen.insert(id) {
             return;
         }
-        self.stats.0.delivered.push((id, now, hops));
         self.remember_broadcast(view.params, id, payload.clone(), hops, now);
         let delivered = Delivered {
             id,
@@ -678,8 +677,19 @@ mod tests {
         for sender in [10u64, 11] {
             m.on_group_copy(NodeId::new(sender), envelope.clone(), at, &mut effects);
         }
-        assert_eq!(m.session().stats().delivered.len(), 1, "feed must deliver");
+        assert_eq!(delivered(&effects), [id], "feed must deliver");
         id
+    }
+
+    /// The broadcasts `effects` hands the application, in order.
+    fn delivered(effects: &[Effect]) -> Vec<BroadcastId> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Deliver(d) => Some(d.id),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The retention cap evicts in `(stored, id)` order, as a scan for the
@@ -846,6 +856,7 @@ mod tests {
         // holed member delivers through the ordinary agreement path.
         let round = test_params().round;
         let mut at = announce_at;
+        let mut repaired: Vec<(NodeId, BroadcastId)> = Vec::new();
         for _ in 0..8 {
             for (src, to, msg) in std::mem::take(&mut relayed) {
                 let AtumMessage::Smr { group, epoch, msg } = msg else {
@@ -859,16 +870,17 @@ mod tests {
                 let mut effects = Vec::new();
                 m.on_smr_message(src, group, epoch, *msg, at, &mut effects);
                 for e in effects {
-                    if let Effect::Send {
-                        to,
-                        msg: msg @ AtumMessage::Smr { .. },
-                    } = e
-                    {
-                        relayed.push((m.id(), to, msg));
+                    match e {
+                        Effect::Send {
+                            to,
+                            msg: msg @ AtumMessage::Smr { .. },
+                        } => relayed.push((m.id(), to, msg)),
+                        Effect::Deliver(d) => repaired.push((m.id(), d.id)),
+                        _ => {}
                     }
                 }
             }
-            if !m2.session().stats().delivered.is_empty() {
+            if !repaired.is_empty() {
                 break;
             }
             at += round;
@@ -876,33 +888,20 @@ mod tests {
                 let mut effects = Vec::new();
                 m.tick(at, &mut effects);
                 for e in effects {
-                    if let Effect::Send {
-                        to,
-                        msg: msg @ AtumMessage::Smr { .. },
-                    } = e
-                    {
-                        relayed.push((NodeId::new(src), to, msg));
+                    match e {
+                        Effect::Send {
+                            to,
+                            msg: msg @ AtumMessage::Smr { .. },
+                        } => relayed.push((NodeId::new(src), to, msg)),
+                        Effect::Deliver(d) => repaired.push((NodeId::new(src), d.id)),
+                        _ => {}
                     }
                 }
             }
         }
-        assert_eq!(
-            m2.session().stats().delivered.len(),
-            1,
-            "SMR re-decision repaired the hole"
-        );
-        assert_eq!(m2.session().stats().delivered[0].0, id);
-        // Members that already held the broadcast must not re-deliver it.
-        assert_eq!(
-            m0.session().stats().delivered.len(),
-            1,
-            "holder must not re-deliver"
-        );
-        assert_eq!(
-            m1.session().stats().delivered.len(),
-            1,
-            "holder must not re-deliver"
-        );
+        // The SMR re-decision repaired the hole, and the members that
+        // already held the broadcast did not re-deliver it.
+        assert_eq!(repaired, [(NodeId::new(2), id)]);
     }
 
     /// The cross-group bootstrap leg: a vgroup where *no* member delivered
@@ -1091,17 +1090,13 @@ mod tests {
         assert_eq!(env0.digest(), env1.digest());
         let mut effects = Vec::new();
         holed.on_group_copy(NodeId::new(0), env0, announce_at, &mut effects);
-        assert!(
-            holed.session().stats().delivered.is_empty(),
-            "one copy is no majority"
-        );
+        assert!(delivered(&effects).is_empty(), "one copy is no majority");
         holed.on_group_copy(NodeId::new(1), env1, announce_at, &mut effects);
         assert_eq!(
-            holed.session().stats().delivered.len(),
-            1,
+            delivered(&effects),
+            [id],
             "cross-group repair bootstrapped the hole"
         );
-        assert_eq!(holed.session().stats().delivered[0].0, id);
     }
 
     #[test]
@@ -1378,12 +1373,9 @@ mod tests {
             for (seen, (from, msg)) in order.into_iter().enumerate() {
                 feed_copy(&mut receiver, *from, msg, &mut effects);
                 // Majority of 4 is 3; the quorum always holds a carrier.
-                assert_eq!(
-                    receiver.session().stats().delivered.len(),
-                    usize::from(seen >= 2)
-                );
+                assert_eq!(delivered(&effects).len(), usize::from(seen >= 2));
             }
-            assert_eq!(receiver.session().stats().delivered[0].0, id);
+            assert_eq!(delivered(&effects), [id]);
             assert_eq!(receiver.pending_group_messages(), 0, "body freed");
         }
     }
@@ -1399,7 +1391,7 @@ mod tests {
         for (from, msg) in &copies {
             feed_copy(&mut receiver, *from, msg, &mut effects);
         }
-        assert_eq!(receiver.session().stats().delivered.len(), 1);
+        assert_eq!(delivered(&effects).len(), 1);
         assert_eq!(receiver.pending_group_messages(), 0);
     }
 
@@ -1454,10 +1446,7 @@ mod tests {
         for (from, msg) in &copies {
             feed_copy(&mut receiver, *from, &as_vote(msg), &mut effects);
         }
-        assert!(
-            receiver.session().stats().delivered.is_empty(),
-            "no body, no delivery"
-        );
+        assert!(delivered(&effects).is_empty(), "no body, no delivery");
         assert_eq!(receiver.pending_group_messages(), 1);
         let asked = effects
             .into_iter()
@@ -1489,18 +1478,17 @@ mod tests {
         // fourth when its vote arrives.
         let voters: Vec<NodeId> = asked.iter().map(|(to, _)| *to).collect();
         assert_eq!(voters, (0..4).map(NodeId::new).collect::<Vec<_>>());
-        let mut delivered = Vec::new();
+        let mut effects = Vec::new();
         for (voter, pull) in &asked {
             let holder = &mut senders[voter.raw() as usize];
             let [Effect::Send { to, msg }] = &answer(holder, 20, pull)[..] else {
                 panic!("expected one direct copy");
             };
             assert_eq!((*to, is_body(msg)), (NodeId::new(20), true));
-            feed_copy(&mut receiver, *voter, msg, &mut delivered);
+            feed_copy(&mut receiver, *voter, msg, &mut effects);
             // The first answer is the body the counted quorum vouched for.
-            assert_eq!(receiver.session().stats().delivered.len(), 1);
+            assert_eq!(delivered(&effects), [id]);
         }
-        assert_eq!(receiver.session().stats().delivered[0].0, id);
         assert_eq!(receiver.pending_group_messages(), 0);
 
         // Asked for a digest it never vouched for, or by a node that is
@@ -1522,6 +1510,7 @@ mod tests {
         // assembles their direct copies.
         let (mut senders, mut receiver, _) = starved_receiver(id, b"pulled");
         let at = Instant::ZERO + test_params().heartbeat_period.saturating_mul(3);
+        let mut fed = Vec::new();
         for holder in senders.iter_mut().take(3) {
             let from = holder.id();
             let mut effects = Vec::new();
@@ -1539,10 +1528,8 @@ mod tests {
                 panic!("expected one direct copy, got {reply:?}");
             };
             assert!(is_body(msg));
-            let mut effects = Vec::new();
-            feed_copy(&mut receiver, from, msg, &mut effects);
+            feed_copy(&mut receiver, from, msg, &mut fed);
         }
-        assert_eq!(receiver.session().stats().delivered.len(), 1);
-        assert_eq!(receiver.session().stats().delivered[0].0, id);
+        assert_eq!(delivered(&fed), [id]);
     }
 }

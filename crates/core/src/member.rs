@@ -109,8 +109,6 @@ pub struct ExchangeStats {
 /// Per-node statistics of interest to experiments.
 #[derive(Debug, Clone, Default)]
 pub struct MemberStats {
-    /// Broadcasts delivered: (id, delivery time, overlay hops).
-    pub delivered: Vec<(BroadcastId, Instant, u32)>,
     /// Exchange bookkeeping (only meaningful at vgroups that shuffled).
     pub exchanges: ExchangeStats,
     /// Number of evictions this member's vgroup agreed on.
@@ -852,7 +850,6 @@ mod tests {
             .collect();
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].payload, b"solo".to_vec());
-        assert_eq!(m.session().stats().delivered.len(), 1);
     }
 
     #[test]

@@ -147,17 +147,6 @@ enum Lifecycle {
 }
 
 impl Lifecycle {
-    /// The node's session, wherever it currently lives.
-    fn session(&self) -> &Session {
-        match self {
-            Lifecycle::Member(member) => member.session(),
-            Lifecycle::Idle { session }
-            | Lifecycle::Joining { session, .. }
-            | Lifecycle::AwaitingTransfer { session, .. }
-            | Lifecycle::Left { session, .. } => session,
-        }
-    }
-
     /// `true` when the node is part of no instance: it may bootstrap or
     /// join one.
     fn is_out(&self) -> bool {
@@ -302,13 +291,6 @@ impl<A: Application> AtumNode<A> {
             Lifecycle::Member(member) => Some(member),
             _ => None,
         }
-    }
-
-    /// Every broadcast this node has delivered, in order: (id, delivery
-    /// time, overlay hops). Covers all of the node's memberships, and
-    /// answers whether or not it is a member right now.
-    pub fn delivered(&self) -> &[(BroadcastId, Instant, u32)] {
-        &self.lifecycle.session().stats().delivered
     }
 
     /// Configures Byzantine fault injection for this node.
@@ -1328,7 +1310,7 @@ mod tests {
         let delivered_by: Vec<u64> = (0..4)
             .filter(|&i| {
                 let node = sim.node(NodeId::new(i)).unwrap();
-                node.delivered().iter().any(|d| d.0 == id)
+                node.app().delivered().iter().any(|d| d.id == id)
             })
             .collect();
         assert_eq!(
@@ -1343,10 +1325,11 @@ mod tests {
             let member = node.member().expect("every node is a member");
             assert_eq!(member.config().composition, comp(&[0, 1, 2, 3]));
             let copies: Vec<Instant> = node
+                .app()
                 .delivered()
                 .iter()
-                .filter(|d| d.0 == id)
-                .map(|d| d.1)
+                .filter(|d| d.id == id)
+                .map(|d| d.at)
                 .collect();
             assert_eq!(copies.len(), 1, "node {i} delivered it once");
             assert!(
@@ -1470,6 +1453,11 @@ mod tests {
             let all = self.node.app().delivered_payloads();
             all.iter().filter(|p| p.as_slice() == payload).count()
         }
+
+        /// The ids the application was handed, in delivery order.
+        fn delivered(&self) -> Vec<BroadcastId> {
+            self.node.app().delivered().iter().map(|d| d.id).collect()
+        }
     }
 
     /// What every way of changing membership must preserve. `move_on` ends
@@ -1478,18 +1466,13 @@ mod tests {
         let mut solo = Solo::new();
         let gossiped = BroadcastId::new(NodeId::new(10), 0);
         solo.gossip_quorum(gossiped);
-        assert_eq!(solo.node.delivered().len(), 1);
+        assert_eq!(solo.delivered(), [gossiped]);
         // Proposed, and not decided before the membership ends.
         let mine = solo.broadcast(b"mine").unwrap();
         assert_eq!(mine, BroadcastId::new(NodeId::new(0), 0));
 
         move_on(&mut solo);
         assert!(solo.node.is_member());
-        assert_eq!(
-            solo.node.delivered()[0].0,
-            gossiped,
-            "the delivery log keeps what was delivered before the move"
-        );
         solo.pass(8);
         assert_eq!(
             solo.payloads_named(b"mine"),
@@ -1497,8 +1480,11 @@ mod tests {
             "the undecided broadcast is decided in the new membership"
         );
         solo.gossip_quorum(gossiped);
-        let ids: Vec<BroadcastId> = solo.node.delivered().iter().map(|d| d.0).collect();
-        assert_eq!(ids, [gossiped, mine], "nothing is delivered twice");
+        assert_eq!(
+            solo.delivered(),
+            [gossiped, mine],
+            "nothing is delivered twice"
+        );
         assert_eq!(solo.payloads_named(b"gossiped"), 1);
         let next = solo.broadcast(b"next").unwrap();
         assert_eq!(next.seq, mine.seq + 1, "the sequence continues");
@@ -1511,7 +1497,6 @@ mod tests {
             let moved = Effect::MembershipEnded(Ending::Transferred);
             solo.act(|n, ctx| n.run_effects(vec![moved], ctx));
             assert_eq!(solo.node.phase(), NodePhase::AwaitingTransfer);
-            assert_eq!(solo.node.delivered().len(), 1, "readable while awaiting");
             solo.welcome(NEW, &[0, 20], 3);
         });
     }
@@ -1591,9 +1576,6 @@ mod tests {
         let stats = member.plane().1.stats_mut();
         stats.evictions += 1;
         stats.exchanges.completed += 1;
-        let id = BroadcastId::new(NodeId::new(10), 0);
-        stats.delivered.push((id, Instant::ZERO, 1));
-        assert_eq!(counted.node.delivered().len(), 1);
         assert_eq!(
             plain.node.canonical_state(),
             counted.node.canonical_state(),
@@ -1642,8 +1624,8 @@ mod tests {
 
             /// Any interleaving of broadcasts, gossip, membership ends (every
             /// cause) and welcomes: the ids this node issues strictly
-            /// increase and its delivery log — one entry per id its dedup
-            /// set ever admitted — only grows and never repeats an id.
+            /// increase and what it hands its application — one delivery
+            /// per id its dedup set ever admitted — never repeats an id.
             #[test]
             fn ids_increase_and_the_seen_set_never_shrinks(
                 steps in proptest::collection::vec(0u8..9, 1..40),
@@ -1677,8 +1659,7 @@ mod tests {
                         }
                         cause => solo.end(endings[(cause as usize + i) % endings.len()]),
                     }
-                    let now: Vec<BroadcastId> =
-                        solo.node.delivered().iter().map(|d| d.0).collect();
+                    let now = solo.delivered();
                     prop_assert!(now.starts_with(&log), "{log:?} then {now:?}");
                     let distinct: BTreeSet<BroadcastId> = now.iter().copied().collect();
                     prop_assert_eq!(distinct.len(), now.len());

@@ -83,17 +83,6 @@ pub fn run_broadcast_workload(
         let Some(node) = cluster.sim.node(*node_id) else {
             continue;
         };
-        let app_log: Vec<_> = node
-            .app()
-            .delivered()
-            .iter()
-            .map(|d| (d.id, d.at, d.hops))
-            .collect();
-        assert_eq!(
-            node.delivered(),
-            app_log.as_slice(),
-            "node {node_id} delivery log parity"
-        );
         for d in node.app().delivered() {
             if let Some(sent) = send_times.get(&d.id) {
                 report.observed_deliveries += 1;

@@ -101,8 +101,8 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Whether the broadcasts issued during a run reached the correct nodes:
-/// the paper's headline guarantee, folded from every correct node's
-/// delivery log (`AtumNode::delivered`), the issued broadcasts with their
+/// the paper's headline guarantee, folded from what every correct node
+/// handed its [`CollectingApp`], the issued broadcasts with their
 /// send times, and the membership intervals of a churn run's cycles.
 ///
 /// A (correct node, broadcast) pair is *owed* when the node was a member
@@ -150,17 +150,6 @@ impl ReachAudit {
                 continue;
             };
             let mut delivered = vec![false; issued.len()];
-            let app_log: Vec<_> = host
-                .app()
-                .delivered()
-                .iter()
-                .map(|d| (d.id, d.at, d.hops))
-                .collect();
-            assert_eq!(
-                host.delivered(),
-                app_log.as_slice(),
-                "node {node} delivery log parity"
-            );
             for d in host.app().delivered() {
                 match index.get(&d.id) {
                     None => audit.unknown += 1,

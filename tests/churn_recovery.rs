@@ -83,17 +83,6 @@ fn run_once() -> (ChurnReport, Broadcasts) {
         .iter()
         .map(|&id| {
             let node = cluster.sim.node(id).expect("hosted");
-            let app_log: Vec<_> = node
-                .app()
-                .delivered()
-                .iter()
-                .map(|d| (d.id, d.at, d.hops))
-                .collect();
-            assert_eq!(
-                node.delivered(),
-                app_log.as_slice(),
-                "node {id} delivery log parity"
-            );
             let delivered = node.app().delivered().iter().map(|d| d.id).collect();
             (id, node.is_member(), delivered)
         })
