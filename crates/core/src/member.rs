@@ -13,7 +13,8 @@
 //!
 //! - The **group** part (`member/group.rs`) holds the vgroup's
 //!   [`Configuration`] (vgroup, composition, neighbour table, epoch) and
-//!   the bookkeeping only decided operations write: `applied_ops`,
+//!   the bookkeeping only decided operations write: `applied_ops` (the
+//!   membership ops applied; broadcasts are the session's to dedup),
 //!   `outstanding_exchanges`, `reserved`, `evict_accusations`,
 //!   `departed_groups` and `merging`. It applies the decided operations,
 //!   resizes, splits and merges, and starts and routes walks.
@@ -653,13 +654,11 @@ impl MemberState {
         // partition can leave a *sub-majority* of the group holding the
         // broadcast — too few distinct senders for the quorum collector,
         // however often they reply. Re-decide the op instead. The
-        // re-proposed `GroupOp::Broadcast` carries the original op digest,
-        // so members that already applied it skip it (`applied_ops`),
-        // members that delivered the gossip skip re-delivery (the session's
-        // dedup set), and only the holed members act on it — agreement, not
-        // trust in the holder, is what delivers the payload.
-        // (`MemberState::propose` would drop the op as already applied,
-        // which is exactly the guard a repair re-decision must bypass.)
+        // re-proposed `GroupOp::Broadcast` is decided again, members that
+        // delivered it skip re-delivery (the session's dedup set), and only
+        // the holed members act on it — agreement, not trust in the holder,
+        // is what delivers the payload. (Not through `MemberState::propose`:
+        // the op is not this node's own, to keep among its pending ops.)
         let me = self.me;
         let (group_part, mut cx) = self.parts(now, effects);
         for (id, payload) in redecide {
@@ -873,6 +872,34 @@ mod tests {
             .collect();
         assert_eq!(peers.len(), 3, "expected SMR messages, got {effects:?}");
         assert!(!peers.contains(&m.me));
+    }
+
+    /// `applied_ops` keeps no broadcast, so a pending broadcast that a
+    /// reconfiguration moved to the follow-ups, and that the same batch
+    /// then decided, must leave the follow-ups when it is applied: it is
+    /// not proposed again.
+    #[test]
+    fn a_broadcast_decided_after_a_reconfiguration_leaves_the_follow_ups() {
+        let mut m = member(4, 0);
+        let mut effects = Vec::new();
+        let id = m.start_broadcast(b"x".to_vec(), Instant::ZERO, &mut effects);
+        let op = GroupOp::Broadcast {
+            id,
+            payload: b"x".to_vec().into(),
+        };
+        let (group, mut cx) = m.parts(Instant::ZERO, &mut effects);
+        let mut follow_ups = Vec::new();
+        let leave = GroupOp::Leave {
+            node: NodeId::new(3),
+            nonce: 0,
+        };
+        group.apply_op(leave, &mut cx, &mut follow_ups);
+        assert_eq!(follow_ups[0], op, "the reconfiguration drains it");
+        let others = follow_ups[1..].to_vec();
+        group.apply_op(op, &mut cx, &mut follow_ups);
+        assert_eq!(follow_ups, others, "the shuffle's offers stay");
+        let delivered = effects.iter().filter(|e| matches!(e, Effect::Deliver(_)));
+        assert_eq!(delivered.count(), 1);
     }
 
     #[test]

@@ -323,6 +323,9 @@ fn selected(walk: WalkState) -> GroupOp {
 #[derive(Debug, Clone)]
 pub(super) struct Group {
     config: Configuration,
+    /// Digests of the ops applied in this membership, except broadcasts:
+    /// the session's dedup set guards their delivery for the node's whole
+    /// life, so they are not kept here a second time, one per broadcast.
     applied_ops: BTreeSet<Digest>,
     /// Shuffle walks this vgroup started: walk → the member to exchange.
     outstanding_exchanges: BTreeMap<WalkId, NodeId>,
@@ -371,7 +374,8 @@ impl Group {
         &self.departed_groups
     }
 
-    /// `true` once the op with this digest was applied.
+    /// `true` once the op with this digest was applied (never for a
+    /// broadcast).
     pub(super) fn has_applied(&self, digest: Digest) -> bool {
         self.applied_ops.contains(&digest)
     }
@@ -469,7 +473,8 @@ impl Group {
     ) {
         use atum_smr::SmrOp as _;
         let digest = op.digest();
-        if !self.applied_ops.insert(digest) {
+        let broadcast = matches!(op, GroupOp::Broadcast { .. });
+        if !broadcast && !self.applied_ops.insert(digest) {
             return;
         }
         cx.my_pending.retain(|(d, _)| *d != digest);
@@ -589,6 +594,9 @@ impl Group {
                 }
             }
             GroupOp::Broadcast { id, payload } => {
+                // Decided, so not proposed again, if a reconfiguration
+                // earlier in this batch moved it to the follow-ups.
+                follow_ups.retain(|op| op.digest() != digest);
                 let view = self.view(me, cx.params);
                 let own = view.vgroup;
                 cx.session
