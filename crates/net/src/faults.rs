@@ -504,6 +504,40 @@ mod tests {
         assert_ne!(seq_a, seq_c);
     }
 
+    /// The literal decision stream of one seed under default loss,
+    /// corruption and a uniform delay: `-` a drop, a number the delay in
+    /// µs, `c` a corrupted copy. Any change to which draws the decider
+    /// makes, or in what order, moves it.
+    #[test]
+    fn decision_stream_is_pinned_for_a_fixed_seed() {
+        let plane = FaultPlane::new();
+        plane.set_default_loss(0.2);
+        plane.set_corruption(0.1);
+        plane.set_delay(Some(atum_simnet::NetConfig::lan().latency));
+        let mut d = plane.decider(47);
+        let stream: Vec<String> = (0..64u64)
+            .map(|i| {
+                let decision = d.decide(n(i % 3), n(3 + i % 4), 64 + i as usize, 0);
+                match decision {
+                    FaultDecision::Drop => "-".to_string(),
+                    FaultDecision::Forward { delay_us, corrupt } => {
+                        format!("{delay_us}{}", if corrupt { "c" } else { "" })
+                    }
+                    FaultDecision::Deliver => "0".to_string(),
+                }
+            })
+            .collect();
+        assert_eq!(
+            stream.join(" "),
+            concat!(
+                "361 985 978 651 1098 766c 862 1186 520 1134 889 682 765 590 1075 - ",
+                "1046 247 - 829 - - - 783 - 239 - 613 - 771 417 - 1153 - 914 - ",
+                "661 702 - 1152 - 407 292 - 1011 211 500c 1044 - 1104 689 720 1150 450c - ",
+                "581 475 - 283 - 911 772 564 -"
+            )
+        );
+    }
+
     #[test]
     fn bandwidth_shaper_accumulates_serialisation_delay() {
         let plane = FaultPlane::new();

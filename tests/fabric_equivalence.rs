@@ -8,9 +8,12 @@
 //! injectivity, a hash-map iteration order leaking into behaviour).
 
 use atum::core::CollectingApp;
-use atum::sim::{run_churn, run_growth, ChurnReport, ClusterBuilder, GrowthReport};
+use atum::sim::{
+    run_broadcast_workload, run_churn, run_growth, BroadcastWorkloadReport, ChurnReport,
+    ClusterBuilder, GrowthReport,
+};
 use atum::simnet::NetConfig;
-use atum::types::{Duration, Params};
+use atum::types::{Duration, Params, SmrMode};
 
 fn churn_once() -> ChurnReport {
     // A small churn configuration without Byzantine members (whose
@@ -169,4 +172,62 @@ fn growth_metrics_are_pinned_for_fixed_seed() {
     let again = growth_once();
     assert_eq!(report.size_over_time, again.size_over_time);
     assert_eq!(report.events_processed, again.events_processed);
+}
+
+fn wan_broadcasts_once() -> (BroadcastWorkloadReport, u64, u64) {
+    let params = Params::default()
+        .with_round(Duration::from_millis(250))
+        .with_group_bounds(2, 8)
+        .with_overlay(3, 5)
+        .with_smr(SmrMode::Asynchronous);
+    let mut cluster = ClusterBuilder::new(12)
+        .params(params)
+        .net(NetConfig::wan())
+        .seed(31)
+        .build(|_| CollectingApp::new());
+    let report = run_broadcast_workload(
+        &mut cluster,
+        4,
+        64,
+        Duration::from_secs(1),
+        Duration::from_secs(20),
+        5,
+    );
+    let stats = cluster.sim.stats();
+    (report, stats.events_processed, stats.messages_lost)
+}
+
+/// The WAN profile's link draws: an asynchronous cluster on
+/// `NetConfig::wan()`, whose 0.1 % loss also exercises the loss draw. Every
+/// latency sample comes from the profile's propagation draw, so any change
+/// to how a link delay or a loss is drawn moves these numbers.
+#[test]
+fn wan_async_broadcast_metrics_are_pinned_for_fixed_seed() {
+    let (mut report, events, lost) = wan_broadcasts_once();
+    let micros = |secs: f64| (secs * 1e6).round() as u64;
+    let summary = (
+        report.expected_deliveries,
+        report.observed_deliveries,
+        micros(report.latencies.percentile(50.0)),
+        micros(report.latencies.percentile(99.0)),
+        micros(report.latencies.max()),
+        micros(report.latencies.mean()),
+    );
+    assert_eq!(
+        summary,
+        (48, 48, 8156, 10643, 10744, 7865),
+        "WAN broadcast metrics moved for a fixed seed: {summary:?}"
+    );
+    assert_eq!(
+        (events, lost),
+        (2_792, 1),
+        "WAN trajectory moved for a fixed seed"
+    );
+    let (mut again, events_again, _) = wan_broadcasts_once();
+    assert_eq!(
+        again.latencies.percentile(50.0),
+        report.latencies.percentile(50.0)
+    );
+    assert_eq!(again.latencies, report.latencies);
+    assert_eq!(events, events_again);
 }
