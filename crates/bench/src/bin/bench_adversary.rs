@@ -399,7 +399,7 @@ fn run_lossy_wan() {
     // one-way delay. The faults stay active through settling, so the repair
     // traffic itself crosses the same hostile links.
     cluster.faults().set_default_loss(loss);
-    cluster.faults().set_delay(Some(LatencyModel::Uniform {
+    cluster.faults().set_delay(Some(LatencyModel {
         min: Duration::from_millis(2),
         max: Duration::from_millis(20),
     }));

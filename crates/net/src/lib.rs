@@ -38,10 +38,10 @@
 //!   `net_cluster` system test, the `bench_net` scenarios and the
 //!   repository's benchmark.
 //! * [`faults`] — [`FaultPlane`]: the deterministic
-//!   fault-injection plane (per-peer drop / delay / reorder / corrupt /
-//!   connection-kill / asymmetric-partition / bandwidth-throttle at the
-//!   frame boundary), sharing the `partition`/`heal`/`set_loss` vocabulary
-//!   with the simulator via [`atum_simnet::FaultInjector`].
+//!   fault-injection plane at the frame boundary (partition and heal,
+//!   loss, a uniform delay, corruption, connection kills); `partition` and
+//!   `heal` take the simulator's arguments, and the delay is the
+//!   simulator's [`atum_simnet::LatencyModel`].
 //!
 //! Determinism note: wall-clock scheduling is inherently nondeterministic,
 //! so TCP runs are *not* reproducible the way simulations are. The codec and
@@ -62,7 +62,7 @@ pub mod reactor;
 pub mod runtime;
 
 pub use cluster::{AggregateStats, NetCluster, NetClusterBuilder};
-pub use faults::{FaultPlane, FaultRules};
+pub use faults::FaultPlane;
 pub use frame::{Hello, Route};
 pub use reactor::{NetRuntime, NodeHandle};
 pub use runtime::{AddressBook, NetMessage, RuntimeConfig, RuntimeStats};

@@ -258,7 +258,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Links<M, N> {
         if self.shared.cfg.faults.is_active() {
             let Route { from, to } = route;
             let now_us = self.shared.epoch.elapsed().as_micros() as u64;
-            match self.fault_decider.decide(from, to, frame.len(), now_us) {
+            match self.fault_decider.decide(from, to) {
                 FaultDecision::Deliver => {}
                 FaultDecision::Drop => {
                     self.metrics.frames_dropped_injected.inc();

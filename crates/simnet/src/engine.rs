@@ -6,7 +6,7 @@
 //! without a sequence number. Time never runs backwards: nothing is queued
 //! before `now`, and running up to a limit never advances the queue past it.
 
-use crate::latency::{NetConfig, Region};
+use crate::latency::NetConfig;
 use crate::node::{Context, ContextEffects, Node, OutboundMessage, TimerRequest};
 use crate::queue::EventQueue;
 use crate::stats::NetStats;
@@ -46,7 +46,6 @@ struct EventSlot<M, N>(Option<EventKind<M, N>>);
 struct NodeSlot<N> {
     node: N,
     rng: ChaCha8Rng,
-    region: Region,
     crashed: bool,
     halted: bool,
 }
@@ -79,9 +78,6 @@ pub struct Simulation<M, N> {
     /// the pending set is bounded by the number of in-flight timer events.
     pending_timers: HashSet<u64>,
     partitions: Vec<(HashSet<NodeId>, HashSet<NodeId>)>,
-    /// Per-destination loss probability (overrides the global
-    /// `NetConfig::loss_probability` for messages towards that node).
-    peer_loss: HashMap<NodeId, f64>,
     stats: NetStats,
     rng: ChaCha8Rng,
     seed: u64,
@@ -126,7 +122,6 @@ where
             timer_handles: 0,
             pending_timers: HashSet::new(),
             partitions: Vec::new(),
-            peer_loss: HashMap::new(),
             stats: NetStats::default(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             seed,
@@ -174,18 +169,13 @@ where
         ids
     }
 
-    /// Adds a node in the default region and schedules its `on_start`.
-    /// Returns the node's identifier for convenience.
-    pub fn add_node(&mut self, id: NodeId, node: N) -> NodeId {
-        self.add_node_in_region(id, node, Region::DEFAULT)
-    }
-
-    /// Adds a node in a specific region (for WAN topologies).
+    /// Adds a node and schedules its `on_start`. Returns the node's
+    /// identifier for convenience.
     ///
     /// # Panics
     ///
     /// Panics if a node with the same identifier already exists.
-    pub fn add_node_in_region(&mut self, id: NodeId, node: N, region: Region) -> NodeId {
+    pub fn add_node(&mut self, id: NodeId, node: N) -> NodeId {
         assert!(
             !self.nodes.contains_key(&id),
             "node {id} already exists in the simulation"
@@ -196,7 +186,6 @@ where
             NodeSlot {
                 node,
                 rng: ChaCha8Rng::seed_from_u64(node_seed),
-                region,
                 crashed: false,
                 halted: false,
             },
@@ -254,18 +243,6 @@ where
     /// Removes all partitions.
     pub fn heal(&mut self) {
         self.partitions.clear();
-    }
-
-    /// Sets the loss probability of messages *towards* `peer`, overriding
-    /// the global [`NetConfig::loss_probability`] for that destination
-    /// (0.0 removes the override). Part of the fault vocabulary shared
-    /// with the TCP runtime's fault plane (see [`FaultInjector`]).
-    pub fn set_loss(&mut self, peer: NodeId, p: f64) {
-        if p > 0.0 {
-            self.peer_loss.insert(peer, p);
-        } else {
-            self.peer_loss.remove(&peer);
-        }
     }
 
     /// Schedules an external call against a node at the current simulated
@@ -438,7 +415,6 @@ where
         if effects.halted {
             slot.halted = true;
         }
-        let sender_region = slot.region;
 
         // New timers enter the pending set before cancellations are applied
         // so a timer set and cancelled within the same callback stays
@@ -459,14 +435,14 @@ where
             self.pending_timers.remove(&handle);
         }
         for OutboundMessage { to, msg, size } in effects.outbox.drain(..) {
-            self.route(id, sender_region, to, msg, size);
+            self.route(id, to, msg, size);
         }
         effects.clear();
         self.scratch_effects = effects;
         true
     }
 
-    fn route(&mut self, from: NodeId, from_region: Region, to: NodeId, msg: M, size: usize) {
+    fn route(&mut self, from: NodeId, to: NodeId, msg: M, size: usize) {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += size as u64;
 
@@ -483,12 +459,8 @@ where
             );
             return;
         }
-        let loss = self
-            .peer_loss
-            .get(&to)
-            .copied()
-            .unwrap_or(self.config.loss_probability);
-        if loss > 0.0 && self.rng.gen_bool(loss.min(1.0)) {
+        let loss = self.config.loss_probability;
+        if loss > 0.0 && self.rng.gen_bool(loss) {
             self.stats.messages_lost += 1;
             atum_obs::trace_event!(
                 FaultInjected,
@@ -499,15 +471,7 @@ where
             );
             return;
         }
-        let to_region = self
-            .nodes
-            .get(&to)
-            .map(|s| s.region)
-            .unwrap_or(Region::DEFAULT);
-        let propagation = self
-            .config
-            .latency
-            .sample(from_region, to_region, &mut self.rng);
+        let propagation = self.config.latency.sample(&mut self.rng);
         let serialization = self.config.serialization_delay(size);
         let overhead = self.config.processing_overhead;
         let at = self.now + propagation + serialization + overhead;
@@ -520,42 +484,6 @@ where
                 size,
             },
         );
-    }
-}
-
-/// The fault vocabulary shared by the simulator and the TCP runtime's
-/// fault plane: one scenario script (partition, heal, per-peer loss) runs
-/// unchanged against either substrate. The simulator implements it by
-/// dropping events before they are queued; the TCP runtime implements it
-/// on `atum_net`'s `FaultPlane`, intercepting at the frame boundary.
-///
-/// Methods take `&mut self` so the trait can be implemented both by the
-/// exclusively-owned simulation and by shared control handles.
-pub trait FaultInjector {
-    /// Installs a bidirectional partition between the two sides.
-    fn partition(&mut self, side_a: &[NodeId], side_b: &[NodeId]);
-    /// Removes all partitions.
-    fn heal(&mut self);
-    /// Sets the loss probability of traffic towards `peer` (0.0 removes
-    /// the override).
-    fn set_loss(&mut self, peer: NodeId, p: f64);
-}
-
-impl<M, N> FaultInjector for Simulation<M, N>
-where
-    M: WireSize,
-    N: Node<M>,
-{
-    fn partition(&mut self, side_a: &[NodeId], side_b: &[NodeId]) {
-        Simulation::partition(self, side_a, side_b);
-    }
-
-    fn heal(&mut self) {
-        Simulation::heal(self);
-    }
-
-    fn set_loss(&mut self, peer: NodeId, p: f64) {
-        Simulation::set_loss(self, peer, p);
     }
 }
 
@@ -766,7 +694,7 @@ mod tests {
         }
         // Zero-jitter config isolates the serialisation component.
         let cfg = NetConfig {
-            latency: crate::latency::LatencyModel::Uniform {
+            latency: crate::latency::LatencyModel {
                 min: Duration::from_micros(100),
                 max: Duration::from_micros(101),
             },
@@ -1019,7 +947,7 @@ mod tests {
                 steps in proptest::collection::vec(0u64..1_000_000, 1..80),
             ) {
                 let config = NetConfig {
-                    latency: crate::latency::LatencyModel::Uniform {
+                    latency: crate::latency::LatencyModel {
                         min: Duration::from_micros(LATENCY_US),
                         max: Duration::from_micros(LATENCY_US),
                     },

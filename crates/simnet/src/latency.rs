@@ -4,69 +4,23 @@ use atum_types::Duration;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Geographic region a node lives in.
-///
-/// The WAN experiments of the paper span 8 EC2 regions; for latency modelling
-/// it is enough to distinguish "same region" from "different region" plus a
-/// rough distance class, so regions are plain small integers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-pub struct Region(pub u8);
-
-impl Region {
-    /// The default region every node starts in.
-    pub const DEFAULT: Region = Region(0);
-}
-
-/// Base latency model for a pair of nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum LatencyModel {
-    /// Uniform latency between `min` and `max` regardless of placement
-    /// (a single datacenter: the Sync deployment of the paper).
-    Uniform {
-        /// Lower bound.
-        min: Duration,
-        /// Upper bound.
-        max: Duration,
-    },
-    /// Intra-region latency `local`, inter-region latency `remote` (with the
-    /// same ±50 % jitter window), emulating the 8-region WAN deployment.
-    Regional {
-        /// Latency between nodes in the same region.
-        local: Duration,
-        /// Latency between nodes in different regions.
-        remote: Duration,
-    },
+/// Uniform one-way propagation delay between `min` and `max`, the same
+/// for every pair of nodes: the simulator does not model where nodes are
+/// placed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LatencyModel {
+    /// Lower bound (inclusive).
+    pub min: Duration,
+    /// Upper bound (exclusive, unless equal to `min`).
+    pub max: Duration,
 }
 
 impl LatencyModel {
-    /// Samples a one-way propagation delay for a message between two regions.
-    pub fn sample<R: Rng + ?Sized>(&self, from: Region, to: Region, rng: &mut R) -> Duration {
-        match *self {
-            LatencyModel::Uniform { min, max } => {
-                let lo = min.as_micros();
-                let hi = max.as_micros().max(lo + 1);
-                Duration::from_micros(rng.gen_range(lo..hi))
-            }
-            LatencyModel::Regional { local, remote } => {
-                let base = if from == to { local } else { remote };
-                let us = base.as_micros().max(1);
-                // ±50 % jitter window around the base latency.
-                Duration::from_micros(rng.gen_range(us / 2..us + us / 2))
-            }
-        }
-    }
-
-    /// The worst-case (pre-jitter) latency of the model, used for sizing
-    /// synchronous rounds in tests.
-    pub fn upper_bound(&self) -> Duration {
-        match *self {
-            LatencyModel::Uniform { max, .. } => max,
-            LatencyModel::Regional { remote, .. } => {
-                Duration::from_micros(remote.as_micros() + remote.as_micros() / 2)
-            }
-        }
+    /// Samples a one-way propagation delay.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
+        let lo = self.min.as_micros();
+        let hi = self.max.as_micros().max(lo + 1);
+        Duration::from_micros(rng.gen_range(lo..hi))
     }
 }
 
@@ -91,7 +45,7 @@ impl NetConfig {
     /// lossless.
     pub fn lan() -> Self {
         NetConfig {
-            latency: LatencyModel::Uniform {
+            latency: LatencyModel {
                 min: Duration::from_micros(200),
                 max: Duration::from_micros(1_200),
             },
@@ -101,13 +55,14 @@ impl NetConfig {
         }
     }
 
-    /// A wide-area profile: 2 ms within a region, 120 ms across regions,
-    /// 12 MB/s, 0.1 % loss.
+    /// A wide-area profile: 1–3 ms latency, 12 MB/s, 0.1 % loss. Every
+    /// link draws from the same range; placement across regions (the
+    /// paper's 8 EC2 regions) is not modelled.
     pub fn wan() -> Self {
         NetConfig {
-            latency: LatencyModel::Regional {
-                local: Duration::from_millis(2),
-                remote: Duration::from_millis(120),
+            latency: LatencyModel {
+                min: Duration::from_millis(1),
+                max: Duration::from_millis(3),
             },
             bandwidth_bytes_per_sec: 12_000_000,
             loss_probability: 0.001,
@@ -166,34 +121,15 @@ mod tests {
 
     #[test]
     fn uniform_latency_stays_in_bounds() {
-        let model = LatencyModel::Uniform {
+        let model = LatencyModel {
             min: Duration::from_millis(1),
             max: Duration::from_millis(3),
         };
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..1000 {
-            let d = model.sample(Region(0), Region(1), &mut rng);
+            let d = model.sample(&mut rng);
             assert!(d >= Duration::from_millis(1) && d < Duration::from_millis(3));
         }
-    }
-
-    #[test]
-    fn regional_latency_distinguishes_local_and_remote() {
-        let model = LatencyModel::Regional {
-            local: Duration::from_millis(2),
-            remote: Duration::from_millis(100),
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let local: Vec<u64> = (0..200)
-            .map(|_| model.sample(Region(1), Region(1), &mut rng).as_micros())
-            .collect();
-        let remote: Vec<u64> = (0..200)
-            .map(|_| model.sample(Region(1), Region(2), &mut rng).as_micros())
-            .collect();
-        let local_max = *local.iter().max().unwrap();
-        let remote_min = *remote.iter().min().unwrap();
-        assert!(local_max < remote_min);
-        assert!(model.upper_bound() >= Duration::from_millis(100));
     }
 
     #[test]

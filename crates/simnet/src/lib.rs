@@ -5,8 +5,11 @@
 //! the world through their [`Context`]: they send messages, set timers, read
 //! the simulated clock and draw from a per-node deterministic RNG. The
 //! [`Simulation`] engine owns the event queue and delivers messages with a
-//! configurable [`LatencyModel`] (LAN / WAN profiles, jitter, bandwidth,
-//! loss) plus optional partitions and crashes.
+//! uniform [`LatencyModel`] (LAN / WAN profiles), a serialisation delay
+//! from the link bandwidth and a loss probability, plus partitions and
+//! crashes. Those are the faults the simulator injects: every link draws
+//! from the same latency range (nodes have no placement), and loss is one
+//! probability for every message.
 //!
 //! Determinism: given the same seed, node set and external call schedule, a
 //! simulation produces the same event order and the same results. All
@@ -51,7 +54,7 @@ pub mod node;
 mod queue;
 pub mod stats;
 
-pub use engine::{FaultInjector, Simulation};
-pub use latency::{LatencyModel, NetConfig, Region};
+pub use engine::Simulation;
+pub use latency::{LatencyModel, NetConfig};
 pub use node::{Context, ContextEffects, Node, OutboundMessage, TimerHandle, TimerRequest};
 pub use stats::NetStats;

@@ -1,16 +1,19 @@
-//! Fault-plane system tests: injected damage on real sockets, and the
-//! sim/net fault-vocabulary parity the plane was built for.
+//! Fault-plane system tests: injected damage on real sockets, and one
+//! partition-then-heal script run against both the simulator and the TCP
+//! runtime.
 //!
 //! The deterministic *decision* layer (seeded decider streams, partition
-//! matrices, bandwidth cursors) is unit-tested in `atum_net::faults`; these
-//! tests drive whole clusters through the plane — injected loss, injected
-//! corruption, partition-then-heal — and assert the middleware degrades and
-//! recovers the way the paper's hostile-network story requires.
+//! matrices) is unit-tested in `atum_net::faults`; these tests drive whole
+//! clusters through the plane — injected loss, injected corruption,
+//! connection kills, partition-then-heal — and assert the middleware
+//! degrades and recovers the way the paper's hostile-network story
+//! requires. Loss on the simulator is its `NetConfig`'s
+//! `loss_probability`, as in the last test.
 
 use atum::core::CollectingApp;
 use atum::net::NetClusterBuilder;
 use atum::sim::ClusterBuilder;
-use atum::simnet::{FaultInjector, NetConfig};
+use atum::simnet::NetConfig;
 use atum::types::{Duration, NodeId, Params};
 use std::time::Duration as StdDuration;
 
@@ -144,8 +147,8 @@ fn injected_connection_kills_reconnect_transparently() {
 }
 
 /// The vocabulary-parity scenario: the *same* partition-heal script, spoken
-/// through the shared `partition`/`heal` verbs, must leave both runtimes
-/// with full membership and a post-heal broadcast blanketing every member.
+/// through each runtime's `partition`/`heal`, must leave both runtimes with
+/// full membership and a post-heal broadcast blanketing every member.
 #[test]
 fn partition_heal_parity_between_sim_and_net() {
     let n = 8usize;
@@ -161,9 +164,9 @@ fn partition_heal_parity_between_sim_and_net() {
         .build(|_| CollectingApp::new());
     let ids = cluster.initial_nodes.clone();
     let (a, b) = halves(&ids);
-    FaultInjector::partition(&mut cluster.sim, &a, &b);
+    cluster.sim.partition(&a, &b);
     cluster.sim.run_for(Duration::from_secs(5));
-    FaultInjector::heal(&mut cluster.sim);
+    cluster.sim.heal();
     cluster.sim.run_for(Duration::from_secs(5));
     assert_eq!(
         cluster.member_count(),
