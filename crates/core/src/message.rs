@@ -33,7 +33,7 @@ use atum_types::{
     BroadcastId, Composition, FrameMemo, NodeId, VgroupId, WalkId, WireDecode, WireEncode,
     WireError, WireReader, WireSize, WireWriter,
 };
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Payload of a vgroup-to-vgroup group message.
 ///
@@ -182,49 +182,6 @@ atum_types::wire_codec!(GroupPayload, "group-payload tag" {
     12 => LinkConfirm { cycle, sender_is_predecessor, nonce },
 });
 
-/// Memoized framed encoding of the `AtumMessage::Group` frame wrapping an
-/// envelope, so fan-out and re-gossip of one envelope encode it at most
-/// once (see [`FrameMemo`]).
-///
-/// Deliberately inert everywhere except the memo itself: equality ignores
-/// it (it is derived data) and **cloning an envelope drops it** — an owned
-/// clone has public fields a caller could mutate, which would make an
-/// inherited frame stale. Arc-shared fan-out copies (the hot path) never
-/// clone the envelope, so they keep the memo.
-#[derive(Default)]
-struct FrameCache(OnceLock<Arc<[u8]>>);
-
-impl FrameCache {
-    fn get(&self) -> Option<Arc<[u8]>> {
-        self.0.get().cloned()
-    }
-
-    fn set(&self, frame: &Arc<[u8]>) {
-        // First write wins; identical bytes by the FrameMemo contract.
-        let _ = self.0.set(frame.clone());
-    }
-}
-
-impl Clone for FrameCache {
-    fn clone(&self) -> Self {
-        FrameCache::default()
-    }
-}
-
-impl PartialEq for FrameCache {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for FrameCache {}
-
-impl std::fmt::Debug for FrameCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FrameCache({})", self.0.get().map_or("empty", |_| "set"))
-    }
-}
-
 /// One logical group message, shared (behind an `Arc`) across every
 /// physical per-recipient copy.
 ///
@@ -246,8 +203,6 @@ pub struct GroupEnvelope {
     pub payload: GroupPayload,
     /// Memoized digest of `payload`.
     digest: Digest,
-    /// Memoized framed encoding (encode-once fan-out; never on the wire).
-    frame: FrameCache,
 }
 
 impl GroupEnvelope {
@@ -259,7 +214,6 @@ impl GroupEnvelope {
             source_composition,
             payload,
             digest,
-            frame: FrameCache::default(),
         }
     }
 
@@ -306,7 +260,6 @@ impl WireDecode for GroupEnvelope {
             source_composition,
             payload,
             digest,
-            frame: FrameCache::default(),
         })
     }
 }
@@ -604,13 +557,10 @@ impl AtumMessage {
     }
 }
 
-/// Encode-once fan-out: `Group` messages expose the shared envelope's
-/// pointer as their logical identity and memoize their framed encoding on
-/// the envelope, so a runtime encodes each logical group message once no
-/// matter how many recipients (and re-gossip of the same envelope reuses
-/// the bytes too). `GroupVote` copies share an identity the same way (a
-/// vote is fanned out once, so it carries no memo). Every other variant is
-/// unicast-shaped and opts out.
+/// Encode-once fan-out: `Group` and `GroupVote` messages expose their
+/// shared `Arc`'s pointer as their logical identity, so a runtime encodes
+/// each logical group message once per fan-out, no matter how many
+/// recipients. Every other variant is unicast-shaped and opts out.
 impl FrameMemo for AtumMessage {
     fn fanout_identity(&self) -> Option<usize> {
         match self {
@@ -620,19 +570,6 @@ impl FrameMemo for AtumMessage {
             AtumMessage::Group(envelope) => Some(Arc::as_ptr(envelope) as usize),
             AtumMessage::GroupVote(vote) => Some(Arc::as_ptr(vote) as usize),
             _ => None,
-        }
-    }
-
-    fn cached_frame(&self) -> Option<Arc<[u8]>> {
-        match self {
-            AtumMessage::Group(envelope) => envelope.frame.get(),
-            _ => None,
-        }
-    }
-
-    fn memoize_frame(&self, frame: &Arc<[u8]>) {
-        if let AtumMessage::Group(envelope) = self {
-            envelope.frame.set(frame);
         }
     }
 }

@@ -25,7 +25,7 @@
 //! connection deliberately; see the runtime).
 
 use atum_types::wire::{
-    decode_exact, encode_to_vec, FrameMemo, WireDecode, WireEncode, WireError, FRAME_HEADER_LEN,
+    decode_exact, encode_to_vec, WireDecode, WireEncode, WireError, FRAME_HEADER_LEN,
     FRAME_KIND_HELLO, FRAME_KIND_MESSAGE, FRAME_KIND_ROUTE, FRAME_MAGIC, MAX_FRAME_LEN,
     WIRE_VERSION,
 };
@@ -93,19 +93,10 @@ pub fn encode_frame<T: WireEncode + ?Sized>(kind: u8, value: &T) -> Vec<u8> {
     frame_bytes(kind, &encode_to_vec(value))
 }
 
-/// The shareable [`FRAME_KIND_MESSAGE`] frame for a message, encoding at
-/// most once per logical message: a frame memoized on the message (see
-/// [`FrameMemo`]) is returned as-is; otherwise the message is encoded,
-/// framed, offered back for memoization and returned. The boolean reports
-/// whether an encoding pass actually ran (the runtime's
-/// `messages_encoded` counter).
-pub fn message_frame_shared<M: WireEncode + FrameMemo>(msg: &M) -> (Arc<[u8]>, bool) {
-    if let Some(frame) = msg.cached_frame() {
-        return (frame, false);
-    }
-    let frame: Arc<[u8]> = frame_bytes(FRAME_KIND_MESSAGE, &encode_to_vec(msg)).into();
-    msg.memoize_frame(&frame);
-    (frame, true)
+/// The shareable [`FRAME_KIND_MESSAGE`] frame for a message: one encoding
+/// pass, framed into bytes every recipient's queue can share.
+pub fn message_frame_shared<M: WireEncode>(msg: &M) -> Arc<[u8]> {
+    frame_bytes(FRAME_KIND_MESSAGE, &encode_to_vec(msg)).into()
 }
 
 /// The frame kinds legal on a node-to-node connection.

@@ -547,10 +547,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     }
 
     /// The shared frame for one outbound copy, encoding each logical
-    /// message at most once (see the old runtime's encode-once invariant,
-    /// carried over verbatim): an identity-bearing copy hits the per-batch
-    /// memo, a message carrying a memoized frame skips encoding entirely,
-    /// everything else is encoded exactly once and memoized both places.
+    /// message at most once per dispatch: an identity-bearing copy hits the
+    /// per-dispatch memo, everything else is encoded exactly once.
     fn shared_frame(&mut self, msg: &M) -> Arc<[u8]> {
         let identity = msg.fanout_identity();
         if let Some(key) = identity {
@@ -558,10 +556,8 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 return frame.clone();
             }
         }
-        let (frame, encoded) = frame::message_frame_shared(msg);
-        if encoded {
-            self.metrics.messages_encoded.inc();
-        }
+        let frame = frame::message_frame_shared(msg);
+        self.metrics.messages_encoded.inc();
         if let Some(key) = identity {
             self.fanout_frames.insert(key, frame.clone());
         }

@@ -385,15 +385,14 @@ pub trait WireDecode: Sized {
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
 }
 
-/// Hooks for **encode-once fan-out**: a runtime that frames messages onto
-/// sockets asks the message for a logical identity and a memoized frame, so
-/// one logical message fanned out to many recipients is encoded exactly
-/// once and the frame bytes are shared (`Arc<[u8]>`) across every per-peer
-/// queue.
+/// The hook for **encode-once fan-out**: a runtime that frames messages
+/// onto sockets asks the message for a logical identity, so one logical
+/// message fanned out to many recipients is encoded exactly once and the
+/// frame bytes are shared (`Arc<[u8]>`) across every per-peer queue.
 ///
-/// The default implementations opt out of both (every copy is encoded
+/// The default implementation opts out (every copy is encoded
 /// independently), which is always correct; messages backed by shared
-/// allocations (e.g. `Arc`-wrapped envelopes) override them.
+/// allocations (e.g. `Arc`-wrapped envelopes) override it.
 pub trait FrameMemo {
     /// Identity of the logical message this value is a fan-out copy of, or
     /// `None` when copies carry no shared identity. Pointer-derived
@@ -403,18 +402,6 @@ pub trait FrameMemo {
     fn fanout_identity(&self) -> Option<usize> {
         None
     }
-
-    /// A previously memoized framed encoding of this message, if any. The
-    /// bytes must be exactly what the runtime's framing produced for this
-    /// message — byte-identical to a fresh encoding.
-    fn cached_frame(&self) -> Option<Arc<[u8]>> {
-        None
-    }
-
-    /// Offers the framed encoding for memoization. Callers must pass the
-    /// complete frame exactly as produced for this message; implementations
-    /// may ignore it (the default) or store it for [`FrameMemo::cached_frame`].
-    fn memoize_frame(&self, _frame: &Arc<[u8]>) {}
 }
 
 impl FrameMemo for u64 {}

@@ -683,9 +683,8 @@ fn encoded_frame_cache_is_byte_identical_for_every_variant() {
 
     for msg in &all_message_variants() {
         let fresh = frame_bytes(FRAME_KIND_MESSAGE, &msg.encode_body());
-        let (frame, encoded) = message_frame_shared(msg);
-        assert!(encoded, "first framing must encode");
-        assert_eq!(&frame[..], &fresh[..], "cached frame diverged for {msg:?}");
+        let frame = message_frame_shared(msg);
+        assert_eq!(&frame[..], &fresh[..], "shared frame diverged for {msg:?}");
         // `wire_size` is the exact frame size, so it must also be the exact
         // length of the shareable frame.
         if !matches!(
@@ -697,58 +696,13 @@ fn encoded_frame_cache_is_byte_identical_for_every_variant() {
         ) {
             assert_eq!(msg.wire_size(), frame.len());
         }
-        let (again, encoded_again) = message_frame_shared(msg);
+        let again = message_frame_shared(msg);
         assert_eq!(&again[..], &fresh[..]);
-        match msg {
-            AtumMessage::Group(_) => {
-                // Group frames are memoized on the shared envelope: the
-                // second framing reuses the same allocation.
-                assert!(!encoded_again, "group re-framing must hit the memo");
-                assert!(Arc::ptr_eq(&frame, &again));
-                assert!(msg.cached_frame().is_some());
-                assert!(msg.fanout_identity().is_some());
-            }
-            AtumMessage::GroupVote(_) => {
-                // Votes share an identity across their fan-out (one encode
-                // per batch) but are never re-sent, so they carry no memo.
-                assert!(encoded_again);
-                assert!(msg.cached_frame().is_none());
-                assert!(msg.fanout_identity().is_some());
-            }
-            _ => {
-                // Unicast-shaped messages opt out of the memo.
-                assert!(encoded_again);
-                assert!(msg.cached_frame().is_none());
-                assert!(msg.fanout_identity().is_none());
-            }
-        }
+        // Group messages and votes share an identity across their fan-out
+        // (one encode per dispatch); unicast-shaped messages opt out.
+        let fans_out = matches!(msg, AtumMessage::Group(_) | AtumMessage::GroupVote(_));
+        assert_eq!(msg.fanout_identity().is_some(), fans_out);
     }
-}
-
-#[test]
-fn cloned_envelopes_do_not_inherit_the_frame_memo() {
-    use atum::net::frame::message_frame_shared;
-    use atum::types::FrameMemo;
-
-    let envelope = Arc::new(GroupEnvelope::new(
-        VgroupId::new(5),
-        comp(&[1, 2, 3]),
-        GroupPayload::Gossip {
-            id: BroadcastId::new(NodeId::new(4), 4),
-            payload: b"memo".to_vec().into(),
-            hops: 0,
-        },
-    ));
-    let msg = AtumMessage::Group(envelope.clone());
-    let (_, encoded) = message_frame_shared(&msg);
-    assert!(encoded);
-    assert!(msg.cached_frame().is_some());
-    // An owned clone has mutable public fields, so it must start with an
-    // empty memo (a stale frame would otherwise survive a field edit).
-    let cloned = AtumMessage::Group(Arc::new((*envelope).clone()));
-    assert!(cloned.cached_frame().is_none());
-    let (_, encoded_clone) = message_frame_shared(&cloned);
-    assert!(encoded_clone);
 }
 
 /// Decodes a message body that must be a `Group` message.
