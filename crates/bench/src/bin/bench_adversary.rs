@@ -34,7 +34,7 @@
 
 #![forbid(unsafe_code)]
 
-use atum_bench::{print_header, scaled, BenchRecord};
+use atum_bench::{count_panics, panics, print_header, rss_mib, scaled, BenchRecord};
 use atum_core::{AtumMessage, CollectingApp, GroupEnvelope, GroupPayload};
 use atum_net::{NetCluster, NetClusterBuilder, NetRuntime, RuntimeConfig};
 use atum_simnet::{Context, LatencyModel, Node};
@@ -44,18 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-/// Panics observed anywhere in the process (reactor threads included).
-static PANICS: AtomicU64 = AtomicU64::new(0);
-
 fn main() {
     atum_bench::init_obs();
-    // Count panics without suppressing them: a reactor thread that dies
-    // must fail the `panics == 0` gate even though the process survives.
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        PANICS.fetch_add(1, Ordering::Relaxed);
-        previous(info);
-    }));
+    count_panics();
 
     let args: Vec<String> = std::env::args().collect();
     let scenario = args
@@ -83,28 +74,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn panics() -> u64 {
-    PANICS.load(Ordering::Relaxed)
-}
-
-/// Resident set size of this process in MiB (Linux; 0.0 elsewhere).
-fn rss_mib() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmRSS:")?
-                    .trim()
-                    .strip_suffix("kB")?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
 }
 
 /// The wall-clock-safe tuning the net tests use, with failure detection

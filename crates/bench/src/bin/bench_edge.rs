@@ -25,7 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use atum_bench::{print_header, scaled, BenchRecord};
+use atum_bench::{count_panics, panics, print_header, scaled, BenchRecord};
 use atum_core::CollectingApp;
 use atum_edge::{
     BreakerConfig, EdgeBackend, EdgeBackendError, EdgeClient, EdgeConfig, EdgeGateway, EdgeOp,
@@ -38,18 +38,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-/// Panics observed anywhere in the process (reactor threads included).
-static PANICS: AtomicU64 = AtomicU64::new(0);
-
 const FIGURE: &str = "edge_gateway";
 
 fn main() {
     atum_bench::init_obs();
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        PANICS.fetch_add(1, Ordering::Relaxed);
-        previous(info);
-    }));
+    count_panics();
     print_header(
         FIGURE,
         "client goodput, shedding and recovery at the gateway under backend faults",
@@ -500,7 +493,7 @@ fn run_edge() {
         .metric("frame_violations", snapshot.frame_violations)
         .metric("members_final", members_final)
         .metric("io_errors", totals.io_errors.load(Ordering::Relaxed))
-        .metric("panics", PANICS.load(Ordering::Relaxed))
+        .metric("panics", panics())
         .perf(wall, None);
     atum_bench::emit(&record);
     println!(
@@ -509,7 +502,7 @@ fn run_edge() {
         snapshot.breaker_full_cycles,
         overload_shed,
         report.drained,
-        PANICS.load(Ordering::Relaxed),
+        panics(),
         wall.as_secs_f64()
     );
 

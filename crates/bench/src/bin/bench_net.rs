@@ -24,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 
-use atum_bench::{print_header, scaled, BenchRecord};
+use atum_bench::{print_header, rss_mib, scaled, BenchRecord};
 use atum_core::CollectingApp;
 use atum_net::NetClusterBuilder;
 use atum_sim::LatencySeries;
@@ -42,25 +42,6 @@ fn main() {
         eprintln!("usage: bench_net --scale-only | --churn-soak [--reduced] [--json PATH] [--trace-out PATH]");
         std::process::exit(2);
     }
-}
-
-/// Resident set size of this process in MiB, from `/proc/self/status`
-/// (Linux-only; 0.0 elsewhere) — the scale scenario's real memory figure.
-fn rss_mib() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmRSS:")?
-                    .trim()
-                    .strip_suffix("kB")?
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-            })
-        })
-        .map(|kb| kb / 1024.0)
-        .unwrap_or(0.0)
 }
 
 // ---------------------------------------------------------------- net_scale

@@ -16,6 +16,47 @@ pub mod report;
 pub use report::{emit, json_sink, BenchRecord};
 
 use atum_types::{Duration, Params};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Panics observed anywhere in the process (reactor threads included)
+/// since [`count_panics`] was called.
+static PANICS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts panics without suppressing them: the hook already installed
+/// still runs, so a reactor thread that dies prints as usual and fails a
+/// `panics == 0` gate even though the process survives. Call it once, at
+/// the top of `main()`.
+pub fn count_panics() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::Relaxed);
+        previous(info);
+    }));
+}
+
+/// Panics counted since [`count_panics`] was called.
+pub fn panics() -> u64 {
+    PANICS.load(Ordering::Relaxed)
+}
+
+/// Resident set size of this process in MiB, from `/proc/self/status`
+/// (Linux-only; 0.0 elsewhere).
+pub fn rss_mib() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines().find_map(|l| {
+                l.strip_prefix("VmRSS:")?
+                    .trim()
+                    .strip_suffix("kB")?
+                    .trim()
+                    .parse::<f64>()
+                    .ok()
+            })
+        })
+        .map(|kb| kb / 1024.0)
+        .unwrap_or(0.0)
+}
 
 /// Wires the tracing plane into an experiment binary.
 ///
