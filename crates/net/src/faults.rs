@@ -14,8 +14,8 @@
 //! # Placement
 //!
 //! Decisions are taken in `Links::send`, after the frame is encoded and
-//! *before* the address lookup: an injected drop is indistinguishable, to the rest of the
-//! runtime, from a frame the kernel lost. Delayed frames re-enter through
+//! *before* the address lookup: an injected drop is indistinguishable, to
+//! the rest of the runtime, from a frame the kernel lost. Delayed frames re-enter through
 //! the reactor's timer heap (`LinkTimer::FaultRelease`) and re-resolve
 //! their destination at release time, so a peer that re-registered
 //! mid-delay still receives the frame at its new address. Corruption
@@ -27,11 +27,10 @@
 //! Every random decision is drawn from the runtime's one [`ChaCha8Rng`]
 //! stream derived from `RuntimeConfig::seed`. For a fixed rule set, the
 //! decision sequence is a pure function of the seed and the sequence of
-//! `(from, to, len)` sends the reactor performs — replaying a
-//! scenario with the same seed replays the same injected faults
-//! (`decider_determinism_is_exact` and `decision_stream_is_pinned_for_a_fixed_seed`
-//! pin this). No clock enters a decision, so the decider is fully testable
-//! without sockets.
+//! `(from, to)` sends the reactor performs — replaying a scenario with the
+//! same seed replays the same injected faults (`decider_determinism_is_exact`
+//! and `decision_stream_is_pinned_for_a_fixed_seed` pin this). No clock
+//! enters a decision, so the decider is fully testable without sockets.
 //!
 //! # Vocabulary parity with the simulator
 //!
@@ -60,7 +59,7 @@ const CORRUPT_FLIPS: usize = 3;
 /// the shared handle whenever the generation counter moves, then decide
 /// lock-free against their local copy.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FaultRules {
+struct FaultRules {
     /// Bidirectional partitions: frames crossing between the two sides (in
     /// either direction) are dropped.
     partitions: Vec<(BTreeSet<NodeId>, BTreeSet<NodeId>)>,
@@ -129,7 +128,7 @@ impl FaultPlane {
     }
 
     /// Current rule snapshot.
-    pub(crate) fn rules(&self) -> FaultRules {
+    fn rules(&self) -> FaultRules {
         self.inner.rules.read().expect("fault rules lock").clone()
     }
 

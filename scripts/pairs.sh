@@ -21,7 +21,9 @@
 # an output-check error or five invalid attempts (a generator more than
 # 5 ms late at p99, or a timer at least 750 ms late). No untraced run can
 # show those. The script says whether each traced run printed a record,
-# keeps its stderr either way, and exits 1 when one did not.
+# keeps its stderr either way, and exits 1 when one did not. It then prints
+# every per-layer metric of unit `count` from the two traced records side
+# by side, marking with `*` the rows that differ.
 #
 # The parent is exported with `git archive` (no worktree is registered) and
 # built, with its own target directory, under $TMPDIR/atum-pairs/<commit>,
@@ -134,5 +136,23 @@ for side in 0 1; do
         tail -n 5 "$runs/$name.traced.err"
     fi
 done
+# Every per-layer count of the two traced records side by side, `*` where
+# they differ: a change that claims no gain shows here which per-op counts
+# moved. On the socket workloads a few frames per run move with wall-clock
+# timing, the parent's against its own too.
+traced=()
+for name in "${names[@]}"; do
+    [ -f "$runs/$name.traced.json" ] && traced+=("$runs/$name.traced.json")
+done
+if [ "${#traced[@]}" -gt 0 ]; then
+    echo "per-layer counts of the traced runs (* where they differ):"
+    printf '  %-34s %20s %20s\n' metric parent change
+    jq -rs '[.[].metrics | to_entries[] | select(.value.unit == "count") | .key] | unique[]' \
+        "${traced[@]}" | while read -r metric; do
+        p=$(value parent traced "$metric")
+        c=$(value change traced "$metric")
+        printf '%s %-34s %20s %20s\n' "$([ "$p" = "$c" ] && echo ' ' || echo '*')" "$metric" "${p:--}" "${c:--}"
+    done
+fi
 echo "records: $runs"
 [ "$traced_ok" -eq 1 ]
