@@ -465,3 +465,54 @@ pub fn member_node(
     let app = CollectingApp::new();
     AtumNode::with_membership(id, params.clone(), registry.clone(), app, config)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{Scenario, ScenarioConfig};
+
+    /// The tags of `id`'s armed timers, sorted by tag: what is still to fire.
+    fn armed_tags(world: &WorldState, id: NodeId) -> Vec<u64> {
+        let mut tags: Vec<u64> = world.nodes[&id]
+            .timers
+            .values()
+            .map(|&(_, tag)| tag)
+            .collect();
+        tags.sort_unstable();
+        tags
+    }
+
+    /// `FireTimer` fires a node's earliest timer, and of timers due at one
+    /// instant the one armed first — whatever their tags.
+    #[test]
+    fn fire_timer_takes_the_earliest_then_the_first_armed() {
+        let mut world = ScenarioConfig::new(Scenario::MergeCollapse).build();
+        let start = world.now;
+        let (&id, _) = world
+            .nodes
+            .iter()
+            .find(|(_, slot)| slot.is_live())
+            .expect("a live node");
+        // `on_start` armed the node's maintenance timer (tag 1), due long
+        // after these; `AtumNode` ignores every other tag.
+        world.with_node(id, |_n, ctx| {
+            ctx.set_timer(Duration::from_micros(2), 11);
+            ctx.set_timer(Duration::from_micros(2), 10);
+            ctx.set_timer(Duration::from_micros(1), 12);
+        });
+        assert_eq!(armed_tags(&world, id), vec![1, 10, 11, 12]);
+        let fire = WorldAction::FireTimer { node: id };
+
+        assert!(world.apply(&fire));
+        assert_eq!(world.now, start + Duration::from_micros(1));
+        assert_eq!(armed_tags(&world, id), vec![1, 10, 11]);
+
+        assert!(world.apply(&fire));
+        assert_eq!(world.now, start + Duration::from_micros(2));
+        assert_eq!(armed_tags(&world, id), vec![1, 10]);
+
+        assert!(world.apply(&fire));
+        assert_eq!(world.now, start + Duration::from_micros(2));
+        assert_eq!(armed_tags(&world, id), vec![1]);
+    }
+}
