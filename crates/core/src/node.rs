@@ -1346,7 +1346,6 @@ mod tests {
     struct Solo {
         node: AtumNode<CollectingApp>,
         rng: rand_chacha::ChaCha8Rng,
-        timers: u64,
         now: Instant,
     }
 
@@ -1379,7 +1378,6 @@ mod tests {
             Solo {
                 node,
                 rng: rand::SeedableRng::seed_from_u64(1),
-                timers: 0,
                 now: Instant::ZERO,
             }
         }
@@ -1389,13 +1387,7 @@ mod tests {
             f: impl FnOnce(&mut AtumNode<CollectingApp>, &mut Context<'_, AtumMessage>) -> R,
         ) -> R {
             let effects = atum_simnet::ContextEffects::new();
-            let mut ctx = Context::for_runtime(
-                self.node.id(),
-                self.now,
-                &mut self.rng,
-                &mut self.timers,
-                effects,
-            );
+            let mut ctx = Context::for_runtime(self.node.id(), self.now, &mut self.rng, effects);
             f(&mut self.node, &mut ctx)
         }
 

@@ -3,7 +3,8 @@
 //!
 //! The world is driven through the same runtime-neutral surface the simulator
 //! and the TCP runtime use ([`Context::for_runtime`] + [`ContextEffects`]),
-//! so the protocol code being checked is byte-for-byte the code that ships.
+//! so the protocol code being checked is byte-for-byte the code that ships,
+//! and applies a callback's effects in the same order: sends, then timers.
 //! Unlike the discrete-event simulator — which imposes one latency-ordered
 //! schedule per seed — the checker treats delivery order, timer firing order
 //! and a bounded budget of message drops/duplications as *nondeterministic
@@ -20,20 +21,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// One hosted node plus the per-node runtime bookkeeping the simulator would
-/// normally keep (RNG stream, timer table, halt flag).
+/// normally keep (RNG stream, timer table).
 #[derive(Clone, Debug)]
 pub struct NodeSlot {
     /// The real protocol state machine under test.
     pub node: AtumNode<CollectingApp>,
     rng: ChaCha8Rng,
-    next_timer_handle: u64,
-    /// Armed timers: handle → (fire time, tag).
-    timers: BTreeMap<u64, (Instant, u64)>,
-    /// The minimum of `timers` as `(fire time, handle, tag)`, kept as they
-    /// change so that finding the next timer scans no map.
-    earliest: Option<(Instant, u64, u64)>,
-    /// The node halted itself (voluntary leave completed).
-    halted: bool,
+    /// Timers this node has armed so far: the next timer's arming sequence.
+    timers_armed: u64,
+    /// Armed timers: (fire time, arming sequence) → tag. The first entry
+    /// fires next; timers due at one instant fire in the order they were
+    /// armed.
+    timers: BTreeMap<(Instant, u64), u64>,
     /// Fault injection: a crashed node receives nothing and fires nothing.
     crashed: bool,
 }
@@ -46,46 +45,20 @@ impl NodeSlot {
             // Same per-node stream derivation for every run of a scenario:
             // determinism is what makes traces replayable.
             rng: ChaCha8Rng::seed_from_u64(seed ^ id.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            next_timer_handle: 0,
+            timers_armed: 0,
             timers: BTreeMap::new(),
-            earliest: None,
-            halted: false,
             crashed: false,
         }
     }
 
     /// `true` while the node participates in the protocol.
     pub fn is_live(&self) -> bool {
-        !self.halted && !self.crashed
+        !self.crashed
     }
 
-    /// Earliest armed timer as `(fire_at, handle, tag)`.
-    fn earliest_timer(&self) -> Option<(Instant, u64, u64)> {
-        self.earliest
-    }
-
-    fn arm_timer(&mut self, handle: u64, at: Instant, tag: u64) {
-        self.timers.insert(handle, (at, tag));
-        let armed = (at, handle, tag);
-        if self.earliest.is_none_or(|first| armed < first) {
-            self.earliest = Some(armed);
-        }
-    }
-
-    fn cancel_timer(&mut self, handle: u64) {
-        self.timers.remove(&handle);
-        if self.earliest.is_some_and(|(_, first, _)| first == handle) {
-            self.earliest = self
-                .timers
-                .iter()
-                .map(|(&handle, &(at, tag))| (at, handle, tag))
-                .min();
-        }
-    }
-
-    fn clear_timers(&mut self) {
-        self.timers.clear();
-        self.earliest = None;
+    /// Deadline of the timer that fires next.
+    fn next_deadline(&self) -> Option<Instant> {
+        self.timers.first_key_value().map(|(&(at, _), _)| at)
     }
 }
 
@@ -170,7 +143,7 @@ impl WorldState {
     pub fn crash(&mut self, id: NodeId) {
         if let Some(slot) = self.nodes.get_mut(&id) {
             slot.crashed = true;
-            slot.clear_timers();
+            slot.timers.clear();
         }
         self.channels.retain(|&(_, to), _| to != id);
     }
@@ -189,28 +162,11 @@ impl WorldState {
         if !slot.is_live() {
             return None;
         }
-        let NodeSlot {
-            node,
-            rng,
-            next_timer_handle,
-            ..
-        } = slot;
-        let mut ctx = Context::for_runtime(id, now, rng, next_timer_handle, ContextEffects::new());
-        let result = f(node, &mut ctx);
+        let mut ctx = Context::for_runtime(id, now, &mut slot.rng, ContextEffects::new());
+        let result = f(&mut slot.node, &mut ctx);
         let effects = ctx.into_effects();
-        // Apply: sends in outbox order, then new timers, then cancellations,
-        // then the halt flag.
-        let slot = self.nodes.get_mut(&id).expect("slot exists");
-        for request in &effects.new_timers {
-            slot.arm_timer(request.handle, now + request.delay, request.tag);
-        }
-        for &handle in &effects.cancelled_timers {
-            slot.cancel_timer(handle);
-        }
-        if effects.halted {
-            slot.halted = true;
-            slot.clear_timers();
-        }
+        // Sends, then timers. They land in different places (the channels,
+        // the node's timer table), so their order changes nothing explored.
         for out in effects.outbox {
             let deliverable = self
                 .nodes
@@ -222,6 +178,12 @@ impl WorldState {
                     .or_default()
                     .push_back(out.msg);
             }
+        }
+        let slot = self.nodes.get_mut(&id).expect("slot exists");
+        for request in &effects.new_timers {
+            let armed = (now + request.delay, slot.timers_armed);
+            slot.timers.insert(armed, request.tag);
+            slot.timers_armed += 1;
         }
         Some(result)
     }
@@ -241,8 +203,7 @@ impl WorldState {
         self.nodes
             .values()
             .filter(|slot| slot.is_live())
-            .filter_map(|slot| slot.earliest_timer())
-            .map(|(at, _, _)| at)
+            .filter_map(NodeSlot::next_deadline)
             .min()
     }
 
@@ -265,11 +226,7 @@ impl WorldState {
         }
         if let Some(min_deadline) = self.min_timer_deadline() {
             for (&id, slot) in &self.nodes {
-                if slot.is_live()
-                    && slot
-                        .earliest_timer()
-                        .is_some_and(|(at, _, _)| at == min_deadline)
-                {
+                if slot.is_live() && slot.next_deadline() == Some(min_deadline) {
                     actions.push(WorldAction::FireTimer { node: id });
                 }
             }
@@ -313,17 +270,14 @@ impl WorldState {
                 true
             }
             WorldAction::FireTimer { node } => {
-                let Some((fire_at, handle, tag)) = self
+                let Some(((fire_at, _), tag)) = self
                     .nodes
-                    .get(&node)
+                    .get_mut(&node)
                     .filter(|slot| slot.is_live())
-                    .and_then(|slot| slot.earliest_timer())
+                    .and_then(|slot| slot.timers.pop_first())
                 else {
                     return false;
                 };
-                if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.cancel_timer(handle);
-                }
                 if fire_at > self.now {
                     self.now = fire_at;
                 }
@@ -367,9 +321,7 @@ impl WorldState {
                     let node = world
                         .nodes
                         .iter()
-                        .find(|(_, slot)| {
-                            slot.is_live() && slot.earliest_timer().is_some_and(|(t, _, _)| t == at)
-                        })
+                        .find(|(_, slot)| slot.is_live() && slot.next_deadline() == Some(at))
                         .map(|(&id, _)| id)
                         .expect("a node owns the minimum deadline");
                     world.apply(&WorldAction::FireTimer { node });
@@ -395,11 +347,10 @@ impl WorldState {
         for (id, slot) in &self.nodes {
             write!(
                 out,
-                "\nnode {id}: live:{} crashed:{} timers:{:?} next_handle:{} {}",
-                slot.is_live(),
+                "\nnode {id}: crashed:{} timers:{:?} armed:{} {}",
                 slot.crashed,
                 slot.timers,
-                slot.next_timer_handle,
+                slot.timers_armed,
                 slot.node.canonical_state()
             )
             .expect("writing to a String cannot fail");
@@ -473,11 +424,7 @@ mod tests {
 
     /// The tags of `id`'s armed timers, sorted by tag: what is still to fire.
     fn armed_tags(world: &WorldState, id: NodeId) -> Vec<u64> {
-        let mut tags: Vec<u64> = world.nodes[&id]
-            .timers
-            .values()
-            .map(|&(_, tag)| tag)
-            .collect();
+        let mut tags: Vec<u64> = world.nodes[&id].timers.values().copied().collect();
         tags.sort_unstable();
         tags
     }

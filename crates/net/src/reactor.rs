@@ -27,10 +27,8 @@
 //!   input (an external call, a timer, a delivered message, `on_start`)
 //!   enters a hosted node. It drives the same [`Context`]/[`ContextEffects`]
 //!   surface as the simulator and applies the effects in the contract
-//!   order: sends, new timers, cancellations, halt. A halted node gets no
-//!   further input. `net.events_processed` counts every call, fired node
-//!   timer and delivered message, for a halted node too; `on_start` is not
-//!   an event.
+//!   order: sends, then timers. `net.events_processed` counts every call,
+//!   fired node timer and delivered message; `on_start` is not an event.
 //! * **Self-sends are deferred.** `X → X` loops through the local delivery
 //!   queue, exactly like the simulator; sends to *other* nodes always leave
 //!   through `links` and cross a real socket, even to a node hosted here.
@@ -42,10 +40,10 @@
 //!   (`Context::set_timer`) and the connect deadlines, reconnect backoffs
 //!   and fault releases of `links` share one binary heap, ordered by
 //!   deadline and then by arming order; the poll timeout is the earliest
-//!   deadline. Cancellation is lazy (a pending-handles set per node,
-//!   generation counters per connection slot), so firing is O(log n) and
-//!   cancelling O(1). `net.timer_lag_us` records how late each node timer
-//!   fires, and a lag of 100 ms or more is traced.
+//!   deadline. A node timer is never cancelled: it fires unless its node
+//!   was removed first. `links` cancels lazily, by a generation counter
+//!   per connection slot. `net.timer_lag_us` records how late each node
+//!   timer fires, and a lag of 100 ms or more is traced.
 //! * **One write per connection per turn.** A turn drains the injector and
 //!   the delivery queue and fires the due timers; only then does `links`
 //!   flush what they all queued, before the poll timeout is computed. The
@@ -64,7 +62,7 @@ use atum_types::{Instant, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
@@ -98,7 +96,7 @@ pub(crate) enum Injected<M, N> {
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum TimerKind {
     /// A `Context::set_timer` timer of a hosted node.
-    Node { id: NodeId, tag: u64, handle: u64 },
+    Node { id: NodeId, tag: u64 },
     /// A connection deadline or a fault release of [`Links`].
     Link(LinkTimer),
 }
@@ -107,9 +105,6 @@ pub(crate) enum TimerKind {
 struct Hosted<N> {
     node: N,
     rng: ChaCha8Rng,
-    next_timer_handle: u64,
-    pending_timers: HashSet<u64>,
-    halted: bool,
     /// This node's flight recorder, scoped around every dispatch so trace
     /// events land in the ring of the node that was executing.
     flight: Arc<FlightRecorder>,
@@ -355,10 +350,12 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> NodeHandle<M, N> {
         rx.recv_timeout(StdDuration::from_secs(5)).ok()
     }
 
-    /// Removes this node from its runtime: its timers die, its messages
-    /// stop being delivered, the runtime keeps running for every other
-    /// hosted node. (Shutting the whole runtime down is
-    /// [`NetRuntime::shutdown`].)
+    /// Removes this node from its runtime: its messages stop being
+    /// delivered, and its armed timers stay in the heap but find no node
+    /// when they come due. The runtime keeps running for every other hosted
+    /// node. (Shutting the whole runtime down is [`NetRuntime::shutdown`].)
+    /// Hosting the same id again would hand it these stale timers; nothing
+    /// does (`NetCluster::build` and the tests host each id once).
     pub fn shutdown(self) {
         self.shared.injector.push(Injected::Remove { id: self.id });
         self.shared
@@ -445,9 +442,6 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                     let hosted = Hosted {
                         node,
                         rng: ChaCha8Rng::seed_from_u64(seed),
-                        next_timer_handle: 0,
-                        pending_timers: HashSet::new(),
-                        halted: false,
                         flight,
                     };
                     self.nodes.insert(id, hosted);
@@ -492,24 +486,18 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
     // ------------------------------------------------------------ dispatch
 
     /// Runs one callback against a hosted node and applies its effects in
-    /// the contract order: sends, new timers, cancellations, halt.
+    /// the contract order: sends, then timers.
     fn dispatch<F>(&mut self, links: &mut Links<M, N>, id: NodeId, f: F)
     where
         F: FnOnce(&mut N, &mut Context<'_, M>),
     {
         let now = self.now();
-        let Some(hosted) = self.nodes.get_mut(&id).filter(|h| !h.halted) else {
+        let Some(hosted) = self.nodes.get_mut(&id) else {
             return;
         };
         let flight = hosted.flight.clone();
         let effects = std::mem::take(&mut self.effects);
-        let mut ctx = Context::for_runtime(
-            id,
-            now,
-            &mut hosted.rng,
-            &mut hosted.next_timer_handle,
-            effects,
-        );
+        let mut ctx = Context::for_runtime(id, now, &mut hosted.rng, effects);
         // Scope this node's flight recorder over the callback: any
         // `trace_event!` the protocol code hits lands in this node's ring.
         let guard = flight::scope(&flight);
@@ -518,7 +506,7 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         let mut effects = ctx.into_effects();
 
         // Sends first (they need the links, so the node borrow must end
-        // here).
+        // here), then timers.
         self.fanout_frames.clear();
         let mut outbox = std::mem::take(&mut effects.outbox);
         for OutboundMessage { to, msg, .. } in outbox.drain(..) {
@@ -526,21 +514,11 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
         }
         effects.outbox = outbox;
 
-        // Then timers, cancellations and the halt flag.
-        if let Some(hosted) = self.nodes.get_mut(&id) {
-            for &TimerRequest { delay, tag, handle } in &effects.new_timers {
-                hosted.pending_timers.insert(handle);
-                let at = self.shared.epoch + StdDuration::from_micros((now + delay).as_micros());
-                self.timer_seq += 1;
-                let kind = TimerKind::Node { id, tag, handle };
-                self.timers.push(Reverse((at, self.timer_seq, kind)));
-            }
-            for handle in effects.cancelled_timers.drain(..) {
-                hosted.pending_timers.remove(&handle);
-            }
-            if effects.halted {
-                hosted.halted = true;
-            }
+        for &TimerRequest { delay, tag } in &effects.new_timers {
+            let at = self.shared.epoch + StdDuration::from_micros((now + delay).as_micros());
+            self.timer_seq += 1;
+            let kind = TimerKind::Node { id, tag };
+            self.timers.push(Reverse((at, self.timer_seq, kind)));
         }
         effects.clear();
         self.effects = effects;
@@ -593,23 +571,20 @@ impl<M: NetMessage, N: Node<M> + Send + 'static> Reactor<M, N> {
                 return;
             }
             let Reverse((at, _, kind)) = self.timers.pop().expect("peeked");
-            let (id, tag, handle) = match kind {
+            let (id, tag) = match kind {
                 TimerKind::Link(timer) => {
                     links.fire(self, timer);
                     continue;
                 }
-                TimerKind::Node { id, tag, handle } => (id, tag, handle),
+                TimerKind::Node { id, tag } => (id, tag),
             };
             // Node timers stop firing once shutdown begins (the drain
             // phase keeps link timers alive, not dispatch).
             if self.shared.shutdown.load(Ordering::Relaxed) {
                 continue;
             }
-            let Some(hosted) = self.nodes.get_mut(&id) else {
+            if !self.nodes.contains_key(&id) {
                 continue;
-            };
-            if !hosted.pending_timers.remove(&handle) {
-                continue; // Cancelled before firing.
             }
             // How far behind its deadline the timer fires. On a healthy
             // machine this is microseconds; sustained lag of hundreds of

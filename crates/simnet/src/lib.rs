@@ -56,5 +56,5 @@ pub mod stats;
 
 pub use engine::Simulation;
 pub use latency::{LatencyModel, NetConfig};
-pub use node::{Context, ContextEffects, Node, OutboundMessage, TimerHandle, TimerRequest};
+pub use node::{Context, ContextEffects, Node, OutboundMessage, TimerRequest};
 pub use stats::NetStats;

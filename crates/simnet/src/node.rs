@@ -4,9 +4,10 @@
 //!
 //! # One state machine, two runtimes
 //!
-//! A [`Context`] is a pure *effect buffer*: a callback records sends, timer
-//! requests, cancellations and an optional halt, and whoever constructed the
-//! context applies them afterwards. Nothing in here is specific to the
+//! A [`Context`] is a pure *effect buffer*: a callback records sends and
+//! timer requests, and whoever constructed the context applies them
+//! afterwards. A node only ever arms timers: its periodic work hangs off
+//! one timer that each firing re-arms. Nothing in here is specific to the
 //! discrete-event simulator — the engine in this crate builds contexts for
 //! simulated time, and the `atum-net` TCP runtime builds the very same
 //! contexts ([`Context::for_runtime`]) for wall-clock time and real sockets.
@@ -19,12 +20,11 @@
 //! `fabric_equivalence` golden tests pin this). Everything a [`Node`] can
 //! observe through a [`Context`] is therefore deterministic in the
 //! simulator: `now` is simulated time, `rng` is the node's seeded ChaCha8
-//! stream, and timer handles come from the engine's counter. Runtime
-//! integrations must preserve this contract:
+//! stream. Runtime integrations must preserve this contract:
 //!
-//! * apply effects in buffer order — sends in `outbox` order, then timers,
-//!   then cancellations (a timer set *and* cancelled in one callback stays
-//!   cancelled);
+//! * apply effects in buffer order: sends in `outbox` order, then timers in
+//!   the order they were set (timers due at one instant fire in that
+//!   order);
 //! * never reach into a node between callbacks;
 //! * never add observable inputs (real time, OS randomness, thread identity)
 //!   to this surface. A real runtime is free to be nondeterministic in when
@@ -45,18 +45,6 @@ pub struct OutboundMessage<M> {
     pub size: usize,
 }
 
-/// A timer scheduled by a node. Returned by [`Context::set_timer`]; can be
-/// cancelled with [`Context::cancel_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerHandle(pub(crate) u64);
-
-impl TimerHandle {
-    /// The raw handle value (runtime bookkeeping).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// A timer requested through [`Context::set_timer`], waiting to be armed by
 /// the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,23 +53,16 @@ pub struct TimerRequest {
     pub delay: Duration,
     /// Tag passed back to [`Node::on_timer`].
     pub tag: u64,
-    /// Handle identifying this timer for cancellation.
-    pub handle: u64,
 }
 
 /// The effects one callback produced, for the hosting runtime to apply:
-/// sends in order, then new timers, then cancellations, then the halt flag.
+/// sends, then timers, each in the order the callback recorded them.
 #[derive(Debug)]
 pub struct ContextEffects<M> {
     /// Messages to transmit, in send order.
     pub outbox: Vec<OutboundMessage<M>>,
     /// Timers to arm.
     pub new_timers: Vec<TimerRequest>,
-    /// Handles of timers to disarm. Applied *after* `new_timers`, so a timer
-    /// set and cancelled within the same callback stays cancelled.
-    pub cancelled_timers: Vec<u64>,
-    /// The node asked to halt (no further events must be delivered to it).
-    pub halted: bool,
 }
 
 impl<M> Default for ContextEffects<M> {
@@ -96,8 +77,6 @@ impl<M> ContextEffects<M> {
         ContextEffects {
             outbox: Vec::new(),
             new_timers: Vec::new(),
-            cancelled_timers: Vec::new(),
-            halted: false,
         }
     }
 
@@ -105,8 +84,6 @@ impl<M> ContextEffects<M> {
     pub fn clear(&mut self) {
         self.outbox.clear();
         self.new_timers.clear();
-        self.cancelled_timers.clear();
-        self.halted = false;
     }
 }
 
@@ -120,7 +97,6 @@ pub struct Context<'a, M> {
     pub(crate) now: Instant,
     pub(crate) rng: &'a mut ChaCha8Rng,
     pub(crate) effects: ContextEffects<M>,
-    pub(crate) next_timer_handle: &'a mut u64,
 }
 
 // Manual so `M` needs no `Debug` bound; the buffered effects and the RNG
@@ -130,7 +106,6 @@ impl<M> std::fmt::Debug for Context<'_, M> {
         f.debug_struct("Context")
             .field("own_id", &self.own_id)
             .field("now", &self.now)
-            .field("next_timer_handle", &self.next_timer_handle)
             .finish_non_exhaustive()
     }
 }
@@ -140,13 +115,11 @@ impl<'a, M: WireSize> Context<'a, M> {
     ///
     /// `effects` may carry recycled (cleared) buffers; retrieve the recorded
     /// effects afterwards with [`Context::into_effects`] and apply them in
-    /// the order the module docs specify. `next_timer_handle` must be a
-    /// counter the runtime keeps per node so handles stay unique.
+    /// the order the module docs specify.
     pub fn for_runtime(
         own_id: NodeId,
         now: Instant,
         rng: &'a mut ChaCha8Rng,
-        next_timer_handle: &'a mut u64,
         effects: ContextEffects<M>,
     ) -> Self {
         Context {
@@ -154,7 +127,6 @@ impl<'a, M: WireSize> Context<'a, M> {
             now,
             rng,
             effects,
-            next_timer_handle,
         }
     }
 
@@ -191,25 +163,8 @@ impl<'a, M: WireSize> Context<'a, M> {
     }
 
     /// Schedules a timer to fire after `delay` with the given tag.
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerHandle {
-        let handle = *self.next_timer_handle;
-        *self.next_timer_handle += 1;
-        self.effects
-            .new_timers
-            .push(TimerRequest { delay, tag, handle });
-        TimerHandle(handle)
-    }
-
-    /// Cancels a previously scheduled timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.effects.cancelled_timers.push(handle.0);
-    }
-
-    /// Marks this node as halted: the runtime will deliver no further events
-    /// to it (used by `leave` once a node has fully departed).
-    pub fn halt(&mut self) {
-        self.effects.halted = true;
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
+        self.effects.new_timers.push(TimerRequest { delay, tag });
     }
 }
 
@@ -233,13 +188,12 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn make_ctx<'a, M: WireSize>(rng: &'a mut ChaCha8Rng, next: &'a mut u64) -> Context<'a, M> {
+    fn make_ctx<M: WireSize>(rng: &mut ChaCha8Rng) -> Context<'_, M> {
         // The same constructor an external runtime uses.
         Context::for_runtime(
             NodeId::new(3),
             Instant::from_micros(500),
             rng,
-            next,
             ContextEffects::new(),
         )
     }
@@ -247,17 +201,14 @@ mod tests {
     #[test]
     fn context_collects_sends_and_timers() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut next = 10u64;
-        let mut ctx: Context<'_, Vec<u8>> = make_ctx(&mut rng, &mut next);
+        let mut ctx: Context<'_, Vec<u8>> = make_ctx(&mut rng);
         assert_eq!(ctx.id(), NodeId::new(3));
         assert_eq!(ctx.now().as_micros(), 500);
 
         ctx.send(NodeId::new(4), vec![1, 2, 3]);
         ctx.send_sized(NodeId::new(5), vec![], 9_999);
-        let t1 = ctx.set_timer(Duration::from_secs(1), 7);
-        let t2 = ctx.set_timer(Duration::from_secs(2), 8);
-        ctx.cancel_timer(t1);
-        assert_ne!(t1, t2);
+        ctx.set_timer(Duration::from_secs(2), 8);
+        ctx.set_timer(Duration::from_secs(1), 7);
 
         let effects = ctx.into_effects();
         assert_eq!(effects.outbox.len(), 2);
@@ -268,19 +219,9 @@ mod tests {
             7 + atum_types::wire::ENVELOPE_OVERHEAD
         );
         assert_eq!(effects.outbox[1].size, 9_999);
-        assert_eq!(effects.new_timers.len(), 2);
-        assert_eq!(effects.cancelled_timers, vec![10]);
-        assert_eq!(next, 12);
-    }
-
-    #[test]
-    fn halt_flag_is_recorded() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut next = 0u64;
-        let mut ctx: Context<'_, Vec<u8>> = make_ctx(&mut rng, &mut next);
-        assert!(!ctx.effects.halted);
-        ctx.halt();
-        assert!(ctx.into_effects().halted);
+        // Timers keep the order they were set in, not their deadlines'.
+        let tags: Vec<u64> = effects.new_timers.iter().map(|t| t.tag).collect();
+        assert_eq!(tags, vec![8, 7]);
     }
 
     #[test]
@@ -288,11 +229,9 @@ mod tests {
         use rand::RngCore;
         let mut rng1 = ChaCha8Rng::seed_from_u64(42);
         let mut rng2 = ChaCha8Rng::seed_from_u64(42);
-        let mut next1 = 0u64;
-        let mut next2 = 0u64;
-        let mut ctx1: Context<'_, Vec<u8>> = make_ctx(&mut rng1, &mut next1);
+        let mut ctx1: Context<'_, Vec<u8>> = make_ctx(&mut rng1);
         let a = ctx1.rng().next_u64();
-        let mut ctx2: Context<'_, Vec<u8>> = make_ctx(&mut rng2, &mut next2);
+        let mut ctx2: Context<'_, Vec<u8>> = make_ctx(&mut rng2);
         let b = ctx2.rng().next_u64();
         assert_eq!(a, b);
     }
