@@ -1,4 +1,4 @@
-//! SHA-256 digests and per-chunk digest sets (AShare integrity checks).
+//! SHA-256 digests.
 
 use serde::{Deserialize, Serialize};
 use sha2::{Digest as _, Sha256};
@@ -89,85 +89,6 @@ impl fmt::Display for Digest {
     }
 }
 
-/// The set of per-chunk digests published in an AShare `PUT` (§4.2.2: the
-/// digest argument "is actually a set of digests, each corresponding to one
-/// of the chunks").
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub struct ChunkDigests {
-    digests: Vec<Digest>,
-}
-
-impl ChunkDigests {
-    /// Computes chunk digests for `content` split into `chunks` equal pieces
-    /// (the last chunk absorbs the remainder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` is zero.
-    pub fn compute(content: &[u8], chunks: usize) -> Self {
-        assert!(chunks > 0, "a file must have at least one chunk");
-        let mut digests = Vec::with_capacity(chunks);
-        for range in chunk_ranges(content.len(), chunks) {
-            digests.push(Digest::of(&content[range]));
-        }
-        ChunkDigests { digests }
-    }
-
-    /// Builds a digest set from precomputed digests.
-    pub fn from_digests(digests: Vec<Digest>) -> Self {
-        ChunkDigests { digests }
-    }
-
-    /// Number of chunks.
-    pub fn len(&self) -> usize {
-        self.digests.len()
-    }
-
-    /// `true` when there are no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.digests.is_empty()
-    }
-
-    /// Digest of chunk `index`, if it exists.
-    pub fn get(&self, index: usize) -> Option<&Digest> {
-        self.digests.get(index)
-    }
-
-    /// Verifies chunk `index` of a file against its recorded digest.
-    pub fn verify_chunk(&self, index: usize, chunk: &[u8]) -> bool {
-        self.get(index).is_some_and(|d| *d == Digest::of(chunk))
-    }
-
-    /// Folds the chunk digests into a single whole-file digest.
-    pub fn root(&self) -> Digest {
-        self.digests
-            .iter()
-            .fold(Digest::ZERO, |acc, d| acc.combine(d))
-    }
-
-    /// Iterates over chunk digests in order.
-    pub fn iter(&self) -> impl Iterator<Item = &Digest> {
-        self.digests.iter()
-    }
-}
-
-/// Splits a length into `chunks` contiguous ranges covering `0..len`.
-///
-/// All chunks have size ⌊len/chunks⌋ except the last, which absorbs the
-/// remainder. With `len < chunks`, trailing chunks are empty.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(chunks > 0);
-    let base = len / chunks;
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let end = if i + 1 == chunks { len } else { start + base };
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,54 +125,5 @@ mod tests {
         assert_eq!(d.as_u64(), u64::from_be_bytes([1; 8]));
         assert_eq!(d.short_hex(), "01010101");
         assert!(format!("{d:?}").contains("01010101"));
-    }
-
-    #[test]
-    fn chunk_ranges_cover_everything() {
-        for (len, chunks) in [(100usize, 10usize), (101, 10), (5, 10), (0, 3), (7, 1)] {
-            let ranges = chunk_ranges(len, chunks);
-            assert_eq!(ranges.len(), chunks);
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_digests_verify_and_detect_corruption() {
-        let content: Vec<u8> = (0..1000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let digests = ChunkDigests::compute(&content, 10);
-        assert_eq!(digests.len(), 10);
-        let ranges = chunk_ranges(content.len(), 10);
-        for (i, r) in ranges.iter().enumerate() {
-            assert!(digests.verify_chunk(i, &content[r.clone()]));
-        }
-        // Corrupt one byte of chunk 3.
-        let mut corrupted = content[ranges[3].clone()].to_vec();
-        corrupted[0] ^= 0xff;
-        assert!(!digests.verify_chunk(3, &corrupted));
-        // Out-of-range chunk never verifies.
-        assert!(!digests.verify_chunk(10, b""));
-    }
-
-    #[test]
-    fn root_digest_changes_with_any_chunk() {
-        let content = vec![7u8; 64];
-        let a = ChunkDigests::compute(&content, 4);
-        let mut content2 = content.clone();
-        content2[40] ^= 1;
-        let b = ChunkDigests::compute(&content2, 4);
-        assert_ne!(a.root(), b.root());
-        assert_eq!(a.root(), ChunkDigests::compute(&content, 4).root());
-    }
-
-    #[test]
-    fn empty_chunk_digests() {
-        let d = ChunkDigests::from_digests(vec![]);
-        assert!(d.is_empty());
-        assert_eq!(d.root(), Digest::ZERO);
-        assert_eq!(d.get(0), None);
     }
 }

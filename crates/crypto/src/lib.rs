@@ -50,6 +50,6 @@ pub mod digestible;
 pub mod keys;
 
 pub use chain::SignatureChain;
-pub use digest::{chunk_ranges, ChunkDigests, Digest};
+pub use digest::Digest;
 pub use digestible::Digestible;
 pub use keys::{KeyRegistry, Mac, NodeSigner, Signature};

@@ -1,10 +1,10 @@
 //! A ground-truth directory of vgroups and their members.
 //!
 //! Protocol code never sees this structure — every node only knows its own
-//! vgroup and its neighbours. The directory is used by the simulation harness
-//! to bootstrap systems without executing thousands of sequential joins, to
-//! drive fault injection (pick random victims), and by tests to check global
-//! invariants (every node in exactly one vgroup, sizes within bounds, ...).
+//! vgroup and its neighbours. The seeders use the directory to bootstrap
+//! systems without executing thousands of sequential joins, and tests use it
+//! to check global invariants (every node in exactly one vgroup, sizes within
+//! bounds, ...).
 
 use atum_types::{Composition, NodeId, VgroupId};
 use rand::seq::SliceRandom;
@@ -22,7 +22,7 @@ pub struct VgroupDirectory {
 
 impl VgroupDirectory {
     /// Creates an empty directory.
-    pub fn new() -> Self {
+    fn new() -> Self {
         VgroupDirectory::default()
     }
 
@@ -51,9 +51,8 @@ impl VgroupDirectory {
         dir
     }
 
-    /// Allocates a fresh vgroup identifier (without creating a group). Used
-    /// when the protocol itself decides the composition later (splits).
-    pub fn allocate_id(&mut self) -> VgroupId {
+    /// Allocates a fresh vgroup identifier.
+    fn allocate_id(&mut self) -> VgroupId {
         let id = VgroupId::new(self.next_group);
         self.next_group += 1;
         id
@@ -64,7 +63,7 @@ impl VgroupDirectory {
     /// # Panics
     ///
     /// Panics if any member already belongs to another group.
-    pub fn create_group(&mut self, composition: Composition) -> VgroupId {
+    fn create_group(&mut self, composition: Composition) -> VgroupId {
         let id = self.allocate_id();
         for node in composition.iter() {
             assert!(
@@ -75,15 +74,6 @@ impl VgroupDirectory {
         }
         self.groups.insert(id, composition);
         id
-    }
-
-    /// Removes a group, returning its composition.
-    pub fn remove_group(&mut self, id: VgroupId) -> Option<Composition> {
-        let comp = self.groups.remove(&id)?;
-        for node in comp.iter() {
-            self.node_to_group.remove(&node);
-        }
-        Some(comp)
     }
 
     /// Number of vgroups.
@@ -104,61 +94,6 @@ impl VgroupDirectory {
     /// The composition of a vgroup.
     pub fn composition(&self, id: VgroupId) -> Option<&Composition> {
         self.groups.get(&id)
-    }
-
-    /// The vgroup a node belongs to.
-    pub fn group_of(&self, node: NodeId) -> Option<VgroupId> {
-        self.node_to_group.get(&node).copied()
-    }
-
-    /// Adds a node to a group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node already belongs to a group or the group is unknown.
-    pub fn add_node(&mut self, node: NodeId, group: VgroupId) {
-        assert!(
-            !self.node_to_group.contains_key(&node),
-            "{node} already belongs to a vgroup"
-        );
-        let comp = self.groups.get_mut(&group).expect("unknown vgroup");
-        comp.insert(node);
-        self.node_to_group.insert(node, group);
-    }
-
-    /// Removes a node from whatever group it belongs to. Returns the group it
-    /// was in, if any. Empty groups are *not* removed automatically (the
-    /// caller decides whether to merge or delete).
-    pub fn remove_node(&mut self, node: NodeId) -> Option<VgroupId> {
-        let group = self.node_to_group.remove(&node)?;
-        if let Some(comp) = self.groups.get_mut(&group) {
-            comp.remove(node);
-        }
-        Some(group)
-    }
-
-    /// Moves a node between groups.
-    pub fn move_node(&mut self, node: NodeId, to: VgroupId) {
-        self.remove_node(node);
-        self.add_node(node, to);
-    }
-
-    /// Picks a uniformly random vgroup.
-    pub fn random_group<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<VgroupId> {
-        if self.groups.is_empty() {
-            return None;
-        }
-        let ids: Vec<VgroupId> = self.groups.keys().copied().collect();
-        Some(ids[rng.gen_range(0..ids.len())])
-    }
-
-    /// Picks a uniformly random node.
-    pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        if self.node_to_group.is_empty() {
-            return None;
-        }
-        let ids: Vec<NodeId> = self.node_to_group.keys().copied().collect();
-        Some(ids[rng.gen_range(0..ids.len())])
     }
 
     /// Checks global invariants: the node→group index matches the group
@@ -224,27 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn create_remove_and_move() {
-        let mut dir = VgroupDirectory::new();
-        let g1 = dir.create_group(nodes(3).into_iter().collect());
-        let g2 = dir.create_group((3..6).map(NodeId::new).collect());
-        assert_ne!(g1, g2);
-        dir.check_invariants().unwrap();
-
-        assert_eq!(dir.group_of(NodeId::new(0)), Some(g1));
-        dir.move_node(NodeId::new(0), g2);
-        assert_eq!(dir.group_of(NodeId::new(0)), Some(g2));
-        assert_eq!(dir.composition(g1).unwrap().len(), 2);
-        assert_eq!(dir.composition(g2).unwrap().len(), 4);
-        dir.check_invariants().unwrap();
-
-        let removed = dir.remove_group(g2).unwrap();
-        assert_eq!(removed.len(), 4);
-        assert_eq!(dir.group_of(NodeId::new(0)), None);
-        dir.check_invariants().unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "already belongs")]
     fn double_membership_is_rejected() {
         let mut dir = VgroupDirectory::new();
@@ -253,27 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn random_selection_is_within_population() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let dir = VgroupDirectory::partition(&nodes(50), 5, &mut rng);
-        for _ in 0..20 {
-            let g = dir.random_group(&mut rng).unwrap();
-            assert!(dir.composition(g).is_some());
-            let n = dir.random_node(&mut rng).unwrap();
-            assert!(dir.group_of(n).is_some());
-        }
-        let empty = VgroupDirectory::new();
-        assert!(empty.random_group(&mut rng).is_none());
-        assert!(empty.random_node(&mut rng).is_none());
-    }
-
-    #[test]
     fn invariant_detects_empty_group() {
         let mut dir = VgroupDirectory::new();
-        let g = dir.create_group(nodes(1).into_iter().collect());
-        dir.remove_node(NodeId::new(0));
+        dir.create_group(Composition::new());
         assert!(dir.check_invariants().is_err());
-        let _ = g;
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Error type shared across the Atum crates.
 
-use crate::id::{NodeId, VgroupId};
 use std::fmt;
 
 /// Convenience alias for results with [`AtumError`].
@@ -9,9 +8,8 @@ pub type Result<T> = std::result::Result<T, AtumError>;
 /// Errors produced by Atum operations.
 ///
 /// The middleware masks most remote faults by design (that is the point of
-/// volatile groups); errors therefore mostly concern local misuse — invalid
-/// configuration, calling an operation in the wrong state — plus the few
-/// situations where an operation genuinely cannot proceed.
+/// volatile groups); errors therefore concern local misuse only: invalid
+/// configuration, or calling an operation in the wrong state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AtumError {
     /// A configuration parameter (Table 1) is out of range or inconsistent.
@@ -25,53 +23,6 @@ pub enum AtumError {
     /// The node attempted to join or bootstrap while already part of a
     /// system instance.
     AlreadyJoined,
-    /// The contact node never answered the join request.
-    ContactUnreachable {
-        /// The contact that was tried.
-        contact: NodeId,
-    },
-    /// A message was addressed to a vgroup this node does not know about
-    /// (stale composition, or the group was merged away).
-    UnknownVgroup {
-        /// The stale group identifier.
-        vgroup: VgroupId,
-    },
-    /// An application payload exceeded the configured maximum size.
-    PayloadTooLarge {
-        /// Size of the offending payload in bytes.
-        size: usize,
-        /// Configured maximum in bytes.
-        max: usize,
-    },
-    /// A cryptographic check failed (bad signature, MAC or digest).
-    AuthenticationFailed {
-        /// Human-readable description of the failed check.
-        what: String,
-    },
-    /// An AShare file or chunk was requested that the index does not know.
-    NotFound {
-        /// The key that was looked up.
-        key: String,
-    },
-    /// AShare detected that every available replica of a chunk is corrupt.
-    AllReplicasCorrupt {
-        /// File the chunk belongs to.
-        file: String,
-        /// Index of the corrupt chunk.
-        chunk: usize,
-    },
-    /// The operation would violate the namespace's write-access rules
-    /// (AShare: only the owner may PUT/DELETE in their namespace).
-    AccessDenied {
-        /// Description of the denied operation.
-        what: String,
-    },
-    /// An internal invariant was violated; indicates a bug rather than an
-    /// environmental condition.
-    Internal {
-        /// Description of the violated invariant.
-        reason: String,
-    },
 }
 
 impl AtumError {
@@ -81,23 +32,6 @@ impl AtumError {
             reason: reason.into(),
         }
     }
-
-    /// Shorthand constructor for [`AtumError::Internal`].
-    pub fn internal(reason: impl Into<String>) -> Self {
-        AtumError::Internal {
-            reason: reason.into(),
-        }
-    }
-
-    /// Shorthand constructor for [`AtumError::AuthenticationFailed`].
-    pub fn auth(what: impl Into<String>) -> Self {
-        AtumError::AuthenticationFailed { what: what.into() }
-    }
-
-    /// Shorthand constructor for [`AtumError::NotFound`].
-    pub fn not_found(key: impl Into<String>) -> Self {
-        AtumError::NotFound { key: key.into() }
-    }
 }
 
 impl fmt::Display for AtumError {
@@ -106,25 +40,6 @@ impl fmt::Display for AtumError {
             AtumError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             AtumError::NotJoined => write!(f, "node has not joined a system instance"),
             AtumError::AlreadyJoined => write!(f, "node already belongs to a system instance"),
-            AtumError::ContactUnreachable { contact } => {
-                write!(f, "contact node {contact} is unreachable")
-            }
-            AtumError::UnknownVgroup { vgroup } => write!(f, "unknown vgroup {vgroup}"),
-            AtumError::PayloadTooLarge { size, max } => {
-                write!(f, "payload of {size} bytes exceeds maximum of {max} bytes")
-            }
-            AtumError::AuthenticationFailed { what } => {
-                write!(f, "authentication failed: {what}")
-            }
-            AtumError::NotFound { key } => write!(f, "not found: {key}"),
-            AtumError::AllReplicasCorrupt { file, chunk } => {
-                write!(
-                    f,
-                    "all replicas of chunk {chunk} of file {file:?} are corrupt"
-                )
-            }
-            AtumError::AccessDenied { what } => write!(f, "access denied: {what}"),
-            AtumError::Internal { reason } => write!(f, "internal error: {reason}"),
         }
     }
 }
@@ -141,35 +56,6 @@ mod tests {
             (AtumError::invalid_config("hc must be at least 1"), "hc"),
             (AtumError::NotJoined, "not joined"),
             (AtumError::AlreadyJoined, "already"),
-            (
-                AtumError::ContactUnreachable {
-                    contact: NodeId::new(3),
-                },
-                "n3",
-            ),
-            (
-                AtumError::UnknownVgroup {
-                    vgroup: VgroupId::new(9),
-                },
-                "g9",
-            ),
-            (AtumError::PayloadTooLarge { size: 10, max: 5 }, "10 bytes"),
-            (AtumError::auth("bad signature"), "bad signature"),
-            (AtumError::not_found("file.txt"), "file.txt"),
-            (
-                AtumError::AllReplicasCorrupt {
-                    file: "f".into(),
-                    chunk: 2,
-                },
-                "chunk 2",
-            ),
-            (
-                AtumError::AccessDenied {
-                    what: "foreign namespace".into(),
-                },
-                "denied",
-            ),
-            (AtumError::internal("oops"), "oops"),
         ];
         for (err, needle) in cases {
             assert!(
