@@ -196,9 +196,7 @@ fn run_edge() {
         EdgeConfig {
             workers: 4,
             queue_capacity: 64,
-            default_deadline: StdDuration::from_secs(2),
             max_attempts: 3,
-            retry_backoff: StdDuration::from_millis(10),
             breaker: BreakerConfig {
                 window: 16,
                 failure_rate: 0.5,

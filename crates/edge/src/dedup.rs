@@ -20,22 +20,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// Tuning for the [`DedupCache`].
+/// Tuning for the [`DedupCache`]; the gateway's is
+/// [`DEDUP`](crate::gateway::DEDUP).
 #[derive(Debug, Clone, Copy)]
 pub struct DedupConfig {
     /// Maximum retained `Done` outcomes.
     pub capacity: usize,
     /// How long a `Done` outcome is replayable.
     pub ttl: Duration,
-}
-
-impl Default for DedupConfig {
-    fn default() -> Self {
-        DedupConfig {
-            capacity: 4096,
-            ttl: Duration::from_secs(30),
-        }
-    }
 }
 
 /// What [`DedupCache::begin`] found for a key.

@@ -42,7 +42,7 @@
 //! [`EdgeGateway::shutdown`] flips the readiness probe *first*, then stops
 //! accepting connections and admitting requests (new frames get
 //! [`EdgeStatus::ShuttingDown`]), drains in-flight work within
-//! `drain_timeout`, lets the I/O thread flush the replies still queued, and
+//! [`DRAIN_TIMEOUT`], lets the I/O thread flush the replies still queued, and
 //! only then closes sockets and joins threads.
 
 use crate::backend::{EdgeBackend, EdgeBackendError};
@@ -64,7 +64,23 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning for an [`EdgeGateway`].
+/// Deadline applied when a request carries `deadline_ms == 0`.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Base retry backoff; doubled per attempt and jittered 0.5–1.5×.
+pub const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long [`EdgeGateway::shutdown`] waits for in-flight requests.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Idempotency-key cache tuning: 4096 replayable outcomes for 30 s each.
+pub const DEDUP: DedupConfig = DedupConfig {
+    capacity: 4096,
+    ttl: Duration::from_secs(30),
+};
+
+/// Tuning for an [`EdgeGateway`]. The deadline, backoff, drain and dedup
+/// settings are the constants above.
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
     /// Client listener bind address (`127.0.0.1:0` picks a free port).
@@ -74,24 +90,16 @@ pub struct EdgeConfig {
     /// Admission-queue bound; the queue full sheds the newest request
     /// with an [`EdgeStatus::Overloaded`] reply.
     pub queue_capacity: usize,
-    /// Deadline applied when a request carries `deadline_ms == 0`.
-    pub default_deadline: Duration,
     /// Maximum backend attempts per request (first try + retries).
     pub max_attempts: u32,
-    /// Base retry backoff; doubled per attempt and jittered 0.5–1.5×.
-    pub retry_backoff: Duration,
     /// Per-backend circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Idempotency-key cache tuning.
-    pub dedup: DedupConfig,
     /// Largest accepted client frame body; larger length prefixes are
     /// violations (checked before any allocation).
     pub max_frame_len: usize,
     /// A connection idling this long with an *incomplete* frame buffered
     /// is closed as a slow-loris.
     pub idle_timeout: Duration,
-    /// How long [`EdgeGateway::shutdown`] waits for in-flight requests.
-    pub drain_timeout: Duration,
     /// Seed for retry jitter and backend selection.
     pub seed: u64,
 }
@@ -102,14 +110,10 @@ impl Default for EdgeConfig {
             listen: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 256,
-            default_deadline: Duration::from_secs(2),
             max_attempts: 3,
-            retry_backoff: Duration::from_millis(10),
             breaker: BreakerConfig::default(),
-            dedup: DedupConfig::default(),
             max_frame_len: 64 * 1024,
             idle_timeout: Duration::from_secs(2),
-            drain_timeout: Duration::from_secs(5),
             seed: 42,
         }
     }
@@ -164,7 +168,7 @@ pub struct EdgeSnapshot {
 /// What [`EdgeGateway::shutdown`] observed while draining.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// True when every in-flight request completed within `drain_timeout`.
+    /// True when every in-flight request completed within [`DRAIN_TIMEOUT`].
     pub drained: bool,
     /// Requests still queued or executing when the timeout fired
     /// (answered `ShuttingDown` if still queued).
@@ -470,7 +474,7 @@ impl EdgeGateway {
         let registry = Registry::new(format!("edge:{local_addr}"));
         let shared = Arc::new(Shared {
             breakers: Mutex::new(BTreeMap::new()),
-            dedup: Mutex::new(DedupCache::new(cfg.dedup)),
+            dedup: Mutex::new(DedupCache::new(DEDUP)),
             backend,
             metrics: EdgeMetrics::new(&registry),
             registry,
@@ -531,14 +535,14 @@ impl EdgeGateway {
     /// Gracefully stops the gateway: readiness flips false first, then
     /// the listener stops accepting and new requests are refused with
     /// [`EdgeStatus::ShuttingDown`], in-flight requests drain within
-    /// `drain_timeout` (still-queued jobs past the timeout are answered
+    /// [`DRAIN_TIMEOUT`] (still-queued jobs past the timeout are answered
     /// `ShuttingDown`), the I/O thread flushes the replies still queued on
     /// connections, and only then do sockets close and threads join.
     pub fn shutdown(mut self) -> DrainReport {
         let shared = &self.shared;
         shared.ready.store(false, Ordering::SeqCst);
         shared.admitting.store(false, Ordering::SeqCst);
-        let deadline = Instant::now() + shared.cfg.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while shared.outstanding.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -743,7 +747,7 @@ impl EdgeIo {
         }
         let deadline = now
             + if req.deadline_ms == 0 {
-                shared.cfg.default_deadline
+                DEFAULT_DEADLINE
             } else {
                 Duration::from_millis(req.deadline_ms as u64)
             };
@@ -964,7 +968,7 @@ fn execute_op(
         let Some((node, permit)) = admitted else {
             // Every breaker refused; wait out a backoff and try again
             // (breakers may turn half-open meanwhile).
-            if !backoff(rng, cfg.retry_backoff, attempt, deadline) {
+            if !backoff(rng, RETRY_BACKOFF, attempt, deadline) {
                 return (EdgeStatus::Unavailable, Vec::new());
             }
             continue;
@@ -989,7 +993,7 @@ fn execute_op(
                 return (EdgeStatus::BadRequest, Vec::new());
             }
             Err(_) => {
-                if !backoff(rng, cfg.retry_backoff, attempt, deadline) {
+                if !backoff(rng, RETRY_BACKOFF, attempt, deadline) {
                     return (EdgeStatus::Unavailable, Vec::new());
                 }
             }

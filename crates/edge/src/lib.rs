@@ -20,8 +20,8 @@
 //!   request with a machine-readable [`EdgeStatus::Overloaded`] reply, so
 //!   saturation degrades to fast rejection instead of latency collapse.
 //! * **Graceful shutdown** — readiness flips first, the listener stops
-//!   accepting, in-flight requests drain within `drain_timeout`, and only
-//!   then do sockets close.
+//!   accepting, in-flight requests drain within
+//!   [`gateway::DRAIN_TIMEOUT`], and only then do sockets close.
 //!
 //! The wire vocabulary ([`EdgeRequest`]/[`EdgeResponse`]) lives in
 //! `atum_types::edge` and shares the versioned frame header with the
